@@ -1,25 +1,33 @@
-"""Radiation-diffusion reduced models: P1, P1/3, and flux-limited diffusion.
+"""Moment models: P1, P1/3, flux-limited diffusion, and the shared moment system.
 
-All three close the zeroth-moment balance
+All four reduced models - P1, P1/3 and FLD here, and the data-driven VEF of
+vef.py - close the zeroth-moment balance
     dE_g/dt + div F_g + c kappa_g E_g = 4 pi kappa_g B_g
 with a face-flux relation and share the material coupling of the transport
 model. P1 carries the backward-Euler first moment with the full 1/c flux
 time derivative, P1/3 replaces it by 1/(3c) to restore the vacuum signal
 speed c, and FLD drops the memory entirely in favor of F = -c D grad E with
-Larsen's limited coefficient. Eliminating the face fluxes leaves one
-5-point cell-centered system per group, assembled sparse and solved
-directly; the nonlinear temperature coupling reuses the accelerated
+Larsen's limited coefficient. The VEF replaces the 1/3 of P1 by closure
+factors from a transport sweep and adds the f_xy cross term.
+
+The models differ only in their coefficients: each writes every interior
+face flux as a linear form in cell energies and every boundary face's
+outward current as coef E_cell + base. MomentSystem, the one assembler all
+four share, builds the eliminated cell-centered system per group from
+those tables, solves it directly, and reconstructs the face fluxes from the
+same tables; the nonlinear temperature coupling reuses the accelerated
 fixed-point driver of the transport model.
 
-Boundaries are Marshak-type per side: n.F = (c/2) E - 2 F_in with E taken
-from the adjacent cell and F_in the incoming partial current (pi B at the
-drive temperature, zero for vacuum), or reflective (n.F = 0).
+Boundaries of P1, P1/3 and FLD are Marshak-type per side: n.F = (c/2) E -
+2 F_in with E taken from the adjacent cell and F_in the incoming partial
+current (pi B at the drive temperature, zero for vacuum), or reflective
+(n.F = 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +35,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
 from .grid import SIDES, FrequencyGrid, SpatialMesh
-from .history import stack_history
+from .history import march
 from .iteration import exchange_preconditioner, exchange_sensitivity, fixed_point_solve
 from .physics import (
     DEFAULT_CONSTANTS,
@@ -100,18 +108,16 @@ class MomentState:
     Fy: np.ndarray  # (G, ny+1, nx)
 
 
-def initial_moment_state(problem: DiffusionProblem, T0: float) -> MomentState:
-    """Equilibrium radiation at the uniform initial temperature, zero flux."""
+def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
+    """Equilibrium radiation at the initial temperature (scalar or (ny, nx) field), zero flux.
+
+    problem is any moment-model problem (mesh, fgrid, constants).
+    """
     mesh = problem.mesh
-    B = group_planck(T0, problem.fgrid, problem.constants)
-    E = np.broadcast_to((4.0 * np.pi / problem.constants.c) * B[:, None, None], (B.size, mesh.ny, mesh.nx)).copy()
-    return MomentState(
-        0.0,
-        np.full((mesh.ny, mesh.nx), float(T0)),
-        E,
-        np.zeros((B.size, mesh.ny, mesh.nx + 1)),
-        np.zeros((B.size, mesh.ny + 1, mesh.nx)),
-    )
+    T = np.broadcast_to(np.asarray(T0, dtype=float), (mesh.ny, mesh.nx)).copy()
+    E = (4.0 * np.pi / problem.constants.c) * group_planck(T, problem.fgrid, problem.constants)
+    G = E.shape[0]
+    return MomentState(float(t0), T, E, np.zeros((G, mesh.ny, mesh.nx + 1)), np.zeros((G, mesh.ny + 1, mesh.nx)))
 
 
 def larsen_coefficient(kappa, E, gradE):
@@ -129,163 +135,246 @@ def larsen_coefficient(kappa, E, gradE):
     return 1.0 / np.maximum(np.hypot(3.0 * kappa, ratio), 1.0e-290)
 
 
-def _face_means(field):
+def face_means(field):
     """Arithmetic means on interior x-faces and y-faces of (G, ny, nx)."""
     fx = 0.5 * (field[:, :, 1:] + field[:, :, :-1])
     fy = 0.5 * (field[:, 1:, :] + field[:, :-1, :])
     return fx, fy
 
 
-class _FluxClosure:
-    """Interior-face flux coefficients F = -W grad E + M for one pass."""
+def face_cells(mesh: SpatialMesh):
+    """Flat cell indices of the interior-face stencils, (6, n) for x- then y-faces.
 
-    def __init__(self, model: str, problem: DiffusionProblem, kappa, state: MomentState, E_lag, dt: float):
-        c = problem.constants.c
-        mesh = problem.mesh
-        kfx, kfy = _face_means(kappa)
-        if model in ("p1", "p13"):
-            alpha = 1.0 / (c * dt) if model == "p1" else 1.0 / (3.0 * c * dt)
-            denx, deny = kfx + alpha, kfy + alpha
-            self.Wx = (c / 3.0) / denx
-            self.Wy = (c / 3.0) / deny
-            self.Mx = (alpha / denx) * state.Fx[:, :, 1:-1]
-            self.My = (alpha / deny) * state.Fy[:, 1:-1, :]
-        elif model == "fld":
-            Efx, Efy = _face_means(E_lag)
-            gx = (E_lag[:, :, 1:] - E_lag[:, :, :-1]) / mesh.dx
-            gy = (E_lag[:, 1:, :] - E_lag[:, :-1, :]) / mesh.dy
-            self.Wx = c * larsen_coefficient(kfx, Efx, gx)
-            self.Wy = c * larsen_coefficient(kfy, Efy, gy)
-            self.Mx = np.zeros_like(self.Wx)
-            self.My = np.zeros_like(self.Wy)
-        else:
-            raise ConfigError(f"unknown diffusion model {model!r}, expected one of {MODEL_KINDS}")
+    Faces are ordered as the (ny, nx-1) and (ny-1, nx) face arrays. Rows 0
+    and 1 are each face's low- and high-side cells; rows 2-3 and 4-5 are
+    the same pair for the next face along the face, one cell forward (up
+    for x-faces, right for y-faces) and one cell back, clipped at the domain
+    edges so the clipped pair is the face's own.
+    """
+    idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
+    up, down = np.minimum(np.arange(mesh.ny) + 1, mesh.ny - 1), np.maximum(np.arange(mesh.ny) - 1, 0)
+    right, left = np.minimum(np.arange(mesh.nx) + 1, mesh.nx - 1), np.maximum(np.arange(mesh.nx) - 1, 0)
+    x = np.stack([idx[:, :-1], idx[:, 1:], idx[up, :-1], idx[up, 1:], idx[down, :-1], idx[down, 1:]])
+    y = np.stack([idx[:-1], idx[1:], idx[:-1, right], idx[1:, right], idx[:-1, left], idx[1:, left]])
+    return x.reshape(6, -1), y.reshape(6, -1)
 
-    def reconstruct(self, problem: DiffusionProblem, E, inflow):
-        """Face-normal fluxes consistent with the assembled system."""
-        c = problem.constants.c
-        mesh = problem.mesh
+
+def boundary_cells(mesh: SpatialMesh):
+    """Per boundary face in canonical order: the flat index of the cell
+    behind it, the sign of its outward normal along its axis, and the
+    cell width across it."""
+    idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
+    counts = [mesh.ny, mesh.ny, mesh.nx, mesh.nx]
+    cells = np.concatenate([idx[:, 0], idx[:, -1], idx[0, :], idx[-1, :]])
+    return cells, np.repeat([-1.0, 1.0, -1.0, 1.0], counts), np.repeat([mesh.dx, mesh.dx, mesh.dy, mesh.dy], counts)
+
+
+def boundary_flux(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
+    """Face-normal flux on the boundary faces in canonical order, (G, n_boundary_faces)."""
+    return np.concatenate([Fx[:, :, 0], Fx[:, :, -1], Fy[:, 0, :], Fy[:, -1, :]], axis=1)
+
+
+def on_boundary_faces(mesh: SpatialMesh, per_side) -> np.ndarray:
+    """Spread per-side values (4, G) onto the canonical boundary faces, (G, n_boundary_faces)."""
+    return np.repeat(np.asarray(per_side, dtype=float).T, [mesh.ny, mesh.ny, mesh.nx, mesh.nx], axis=1)
+
+
+class FaceForms(NamedTuple):
+    """Interior-face fluxes F = sum_k coef[k] E[cells[k]] + base.
+
+    cells (K, n) holds flat cell indices, rows 0 and 1 being each face's
+    low- and high-side cells (the flux is positive toward the high side);
+    coef is (K, G, n) and base, the part independent of the unknown
+    energies, (G, n).
+    """
+
+    cells: np.ndarray
+    coef: np.ndarray
+    base: np.ndarray
+
+
+class MomentSystem:
+    """Face-eliminated zeroth-moment balance of every group for one pass.
+
+    x and y are the FaceForms of the interior x- and y-faces; b_coef and
+    b_base (G, n_boundary_faces) give each boundary face's outward current
+    n.F = b_coef E_cell + b_base in canonical order. The balance matrix,
+    its right-hand side and the reconstructed fluxes all come from these
+    tables, so the stored fluxes are exactly those the solve balanced and
+    the global energy budget telescopes to the boundary flow.
+    """
+
+    def __init__(self, mesh: SpatialMesh, x: FaceForms, y: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
+        self.mesh = mesh
+        self.x, self.y = x, y
+        self.b_coef, self.b_base = b_coef, b_base
+        self.b_cells, self.b_sign, self.b_width = boundary_cells(mesh)
+
+    def fluxes(self, E: np.ndarray):
+        """Face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) of the energies E."""
+        mesh = self.mesh
         G = E.shape[0]
-        Fx = np.zeros((G, mesh.ny, mesh.nx + 1))
-        Fy = np.zeros((G, mesh.ny + 1, mesh.nx))
-        Fx[:, :, 1:-1] = -self.Wx * (E[:, :, 1:] - E[:, :, :-1]) / mesh.dx + self.Mx
-        Fy[:, 1:-1, :] = -self.Wy * (E[:, 1:, :] - E[:, :-1, :]) / mesh.dy + self.My
-        # Marshak faces: n.F = (c/2) E_cell - 2 F_in, signed by the outward
-        # normal; reflective faces stay zero.
-        if problem.boundaries["left"].kind != "reflective":
-            Fx[:, :, 0] = -(0.5 * c * E[:, :, 0] - 2.0 * inflow["left"][:, None])
-        if problem.boundaries["right"].kind != "reflective":
-            Fx[:, :, -1] = 0.5 * c * E[:, :, -1] - 2.0 * inflow["right"][:, None]
-        if problem.boundaries["bottom"].kind != "reflective":
-            Fy[:, 0, :] = -(0.5 * c * E[:, 0, :] - 2.0 * inflow["bottom"][:, None])
-        if problem.boundaries["top"].kind != "reflective":
-            Fy[:, -1, :] = 0.5 * c * E[:, -1, :] - 2.0 * inflow["top"][:, None]
+        Ef = E.reshape(G, -1)
+        Fx = np.empty((G, mesh.ny, mesh.nx + 1))
+        Fy = np.empty((G, mesh.ny + 1, mesh.nx))
+        for F, form in ((Fx[:, :, 1:-1], self.x), (Fy[:, 1:-1, :], self.y)):
+            F[...] = (form.base + (form.coef * Ef[:, form.cells].transpose(1, 0, 2)).sum(axis=0)).reshape(F.shape)
+        signed = self.b_sign * (self.b_coef * Ef[:, self.b_cells] + self.b_base)
+        ny, nx = mesh.ny, mesh.nx
+        Fx[:, :, 0], Fx[:, :, -1], Fy[:, 0, :], Fy[:, -1, :] = np.split(signed, [ny, 2 * ny, 2 * ny + nx], axis=1)
         return Fx, Fy
 
+    def solve(self, dt: float, ckappa: np.ndarray, source: np.ndarray, E_prev: np.ndarray) -> np.ndarray:
+        """Energies of every group from E/dt + div F(E) + c kappa E = E_prev/dt + source.
 
-def _solve_groups(problem: DiffusionProblem, closure: _FluxClosure, kappa, B, E_prev, inflow, dt: float):
-    """Assemble and solve the eliminated 5-point E system for every group."""
-    c = problem.constants.c
-    mesh = problem.mesh
-    nx, ny, V = mesh.nx, mesh.ny, mesh.cell_volume
-    G = kappa.shape[0]
-    N = nx * ny
-    idx = np.arange(N).reshape(ny, nx)
-    ax = mesh.dy / mesh.dx  # face area / center distance, x-direction
-    ay = mesh.dx / mesh.dy
+        ckappa is c kappa and source the emission 4 pi kappa B, both (G, ny, nx).
+        """
+        mesh = self.mesh
+        G, N = E_prev.shape[0], mesh.n_cells
+        Fx0, Fy0 = self.fluxes(np.zeros_like(E_prev))
+        div0 = (Fx0[:, :, 1:] - Fx0[:, :, :-1]) / mesh.dx + (Fy0[:, 1:, :] - Fy0[:, :-1, :]) / mesh.dy
+        rhs = (E_prev / dt + source - div0).reshape(G, N)
 
-    E_new = np.empty_like(E_prev)
-    for g in range(G):
-        diag = (V / dt + c * kappa[g] * V).ravel().copy()
-        rhs = ((4.0 * np.pi * kappa[g] * B[g] + E_prev[g] / dt) * V).ravel().copy()
+        # A face flux leaves its low-side cell and enters its high-side one.
+        rows, cols, vals = [np.arange(N)], [np.arange(N)], [1.0 / dt + ckappa.reshape(G, N)]
+        for form, width in ((self.x, mesh.dx), (self.y, mesh.dy)):
+            K = form.cells.shape[0]
+            coef = form.coef.transpose(1, 0, 2).reshape(G, -1) / width
+            for owner, sign in ((form.cells[0], 1.0), (form.cells[1], -1.0)):
+                rows.append(np.tile(owner, K))
+                cols.append(form.cells.ravel())
+                vals.append(sign * coef)
+        rows.append(self.b_cells)
+        cols.append(self.b_cells)
+        vals.append(self.b_coef / self.b_width)
 
-        wx = closure.Wx[g] * ax
-        wy = closure.Wy[g] * ay
-        pl, pr = idx[:, :-1].ravel(), idx[:, 1:].ravel()
-        pb, pt = idx[:-1, :].ravel(), idx[1:, :].ravel()
-        np.add.at(diag, pl, wx.ravel())
-        np.add.at(diag, pr, wx.ravel())
-        np.add.at(diag, pb, wy.ravel())
-        np.add.at(diag, pt, wy.ravel())
-        # memory fluxes enter the divergence as known face values
-        mxa = closure.Mx[g] * mesh.dy
-        mya = closure.My[g] * mesh.dx
-        np.subtract.at(rhs, pl, mxa.ravel())
-        np.add.at(rhs, pr, mxa.ravel())
-        np.subtract.at(rhs, pb, mya.ravel())
-        np.add.at(rhs, pt, mya.ravel())
+        # One sparse pattern for all groups: duplicate entries are summed
+        # through an indicator matrix into the sorted unique (row, col)
+        # slots. Slots that vanish in every group (a zero cross term) are
+        # dropped, so the factorization sees the couplings actually present
+        # and a closure that reduces to P1 solves P1's very matrix.
+        keys = np.concatenate(rows) * N + np.concatenate(cols)
+        slots, slot_of = np.unique(keys, return_inverse=True)
+        gather = sp.csr_matrix((np.ones(keys.size), (np.arange(keys.size), slot_of)), shape=(keys.size, slots.size))
+        data = np.asarray(np.concatenate(vals, axis=1) @ gather)
+        coupled = np.any(data != 0.0, axis=0)
+        slots, data = slots[coupled], data[:, coupled]
+        indices = slots % N
+        indptr = np.searchsorted(slots // N, np.arange(N + 1))
 
-        for side, cells, area in (
-            ("left", idx[:, 0], mesh.dy),
-            ("right", idx[:, -1], mesh.dy),
-            ("bottom", idx[0, :], mesh.dx),
-            ("top", idx[-1, :], mesh.dx),
-        ):
-            if problem.boundaries[side].kind != "reflective":
-                diag[cells] += 0.5 * c * area
-                rhs[cells] += 2.0 * inflow[side][g] * area
-
-        rows = np.concatenate([pl, pr])
-        cols = np.concatenate([pr, pl])
-        vals = np.concatenate([-wx.ravel(), -wx.ravel()])
-        rows = np.concatenate([rows, pb, pt])
-        cols = np.concatenate([cols, pt, pb])
-        vals = np.concatenate([vals, -wy.ravel(), -wy.ravel()])
-        rows = np.concatenate([rows, np.arange(N)])
-        cols = np.concatenate([cols, np.arange(N)])
-        vals = np.concatenate([vals, diag])
-
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
-        try:
-            x = spla.spsolve(A, rhs)
-        except Exception as exc:  # pragma: no cover - singular systems
-            raise SolverError(f"moment system solve failed: {exc}", group=g) from exc
-        if not np.all(np.isfinite(x)):
-            raise SolverError("moment system produced non-finite energies", group=g)
-        E_new[g] = x.reshape(ny, nx)
-    return E_new
+        E_new = np.empty_like(E_prev)
+        for g in range(G):
+            A = sp.csr_matrix((data[g], indices, indptr), shape=(N, N))
+            try:
+                x = spla.spsolve(A, rhs[g])
+            except Exception as exc:  # pragma: no cover - singular systems
+                raise SolverError(f"moment system solve failed: {exc}", group=g) from exc
+            if not np.all(np.isfinite(x)):
+                raise SolverError("moment system produced non-finite energies", group=g)
+            E_new[g] = x.reshape(mesh.ny, mesh.nx)
+        return E_new
 
 
-def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, model: str) -> tuple[MomentState, StepDiagnostics]:
-    """Advance one moment model a single backward-Euler step.
+def first_moment_faces(mesh: SpatialMesh, c: float, kappa, alpha: float, state: MomentState, gx, gy, fxy=None, rx=0.0, ry=0.0):
+    """Backward-Euler first-moment face fluxes, (x, y) FaceForms.
 
-    Outer iteration mirrors the transport coupling: freeze T, solve the
-    per-group moment systems, update T by the material-energy Newton. For
-    P1 and P1/3 the flux closure depends on T alone, so the iteration runs
-    on the temperature field. FLD's diffusion coefficient depends on E as
-    well; its iteration runs on the joint (T, E) unknown so the lagged
-    coefficient converges together with the temperature.
+    With kappa_f the arithmetic face mean of the opacity,
+
+        F_face = [alpha F_prev - c D(E)] / (kappa_f + alpha) + r,
+
+    where D(E) is the face-normal factor g times the central density
+    difference (1/3 for P1 and P1/3; gx, gy on x- and y-faces for the VEF),
+    plus, given the cell tensor component fxy, the cross term: its face
+    mean times the central difference of the face density along the face,
+    realized through the four cells of the neighbouring faces with quarter
+    weights. alpha is 1/(c dt) for P1 and the VEF and 1/(3 c dt) for P1/3;
+    r is the VEF's consistency remainder, a known part that never enters
+    the matrix.
     """
-    if model not in MODEL_KINDS:
-        raise ConfigError(f"unknown diffusion model {model!r}, expected one of {MODEL_KINDS}")
+    G = kappa.shape[0]
+    kfx, kfy = face_means(kappa)
+    cells_x, cells_y = face_cells(mesh)
+    fxy_x, fxy_y = face_means(fxy) if fxy is not None else (None, None)
+    forms = []
+    for cells, kf, g, F_prev, r, fm, width, along in (
+        (cells_x, kfx, gx, state.Fx[:, :, 1:-1], rx, fxy_x, mesh.dx, mesh.dy),
+        (cells_y, kfy, gy, state.Fy[:, 1:-1, :], ry, fxy_y, mesh.dy, mesh.dx),
+    ):
+        den = kf + alpha
+        cc = c / den
+        coef = [cc * g / width, -cc * g / width]
+        if fm is not None:
+            q = cc * fm / (4.0 * along)
+            coef += [-q, -q, q, q]
+        K = len(coef)
+        forms.append(FaceForms(cells[:K], np.stack(coef).reshape(K, G, -1), ((alpha / den) * F_prev + r).reshape(G, -1)))
+    return tuple(forms)
+
+
+def _fld_faces(mesh: SpatialMesh, c: float, kappa, E):
+    """Limited diffusion faces F = -c D dE/dn with D from the lagged E, no memory."""
+    G = kappa.shape[0]
+    cells_x, cells_y = face_cells(mesh)
+    (kfx, kfy), (Efx, Efy) = face_means(kappa), face_means(E)
+    forms = []
+    for cells, kf, Ef, dE, width in (
+        (cells_x, kfx, Efx, E[:, :, 1:] - E[:, :, :-1], mesh.dx),
+        (cells_y, kfy, Efy, E[:, 1:, :] - E[:, :-1, :], mesh.dy),
+    ):
+        w = (c * larsen_coefficient(kf, Ef, dE / width) / width).reshape(G, -1)
+        forms.append(FaceForms(cells[:2], np.stack([w, -w]), np.zeros_like(w)))
+    return tuple(forms)
+
+
+def _marshak_boundary(problem: DiffusionProblem):
+    """Outward current n.F = (c/2) E - 2 F_in on open sides, zero on reflective ones."""
+    G = problem.fgrid.n_groups
+    is_open = np.array([problem.boundaries[s].kind != "reflective" for s in SIDES], dtype=float)
+    inflow = np.stack([problem.inflow_current(s) for s in SIDES])
+    coef = on_boundary_faces(problem.mesh, np.outer(0.5 * problem.constants.c * is_open, np.ones(G)))
+    return coef, on_boundary_faces(problem.mesh, -2.0 * inflow)
+
+
+def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label: str, e_scale: float | None = None):
+    """Advance a moment model one backward-Euler step; shared by all four models.
+
+    faces(kappa, E_lag) gives the interior FaceForms of one pass and
+    boundary the fixed (b_coef, b_base) tables. The outer iteration mirrors
+    the transport coupling: freeze T, solve the per-group moment systems,
+    update T by the material-energy Newton. When the faces depend on E
+    (FLD, which passes e_scale), the iteration runs on the joint (T, E)
+    unknown so the lagged coefficient converges together with the
+    temperature; E is scaled by e_scale, the problem's energy magnitude,
+    so convergence means "below tol of the global scale" even where the
+    field underflows to zero. The stored fluxes come from faces rebuilt on
+    the converged E, so FLD's satisfy the limiter bound against their own
+    E exactly.
+    """
     opt = problem.options
-    inflow = {side: problem.inflow_current(side) for side in SIDES}
+    c = problem.constants.c
     store = {}
 
     def solve_pass(T_freeze, E_lag):
         kappa, _, B, dB = problem.material.emission_terms(T_freeze, problem.constants)
-        closure = _FluxClosure(model, problem, kappa, state, E_lag, dt)
-        E_new = _solve_groups(problem, closure, kappa, B, state.E, inflow, dt)
-        if model == "fld":
-            # rebuild the coefficients from the fresh field so the stored
-            # fluxes satisfy the limiter bound against their own E exactly
-            closure = _FluxClosure(model, problem, kappa, state, E_new, dt)
-        store["E"], store["closure"] = E_new, closure
-        store["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt, problem.constants.c)
+        system = MomentSystem(problem.mesh, *faces(kappa, E_lag), *boundary)
+        E_new = system.solve(dt, c * kappa, 4.0 * np.pi * kappa * B, state.E)
+        store["kappa"], store["E"] = kappa, E_new
+        store["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt, c)
         T_new = update_temperature(
             state.T, E_new, dt, problem.material, problem.eos, problem.constants,
             T_start=T_freeze, tol=opt.newton_tol, max_iter=opt.newton_max_iter,
         )
         return T_new, E_new
 
-    label = f"{model} moment/material coupling"
-    if model == "fld":
-        # joint (T, E) fixed point; E is scaled to the problem's energy
-        # magnitude so convergence means "below tol of the global scale"
-        # even where the field underflows to zero.
+    if e_scale is None:
+        T_new, history = fixed_point_solve(
+            lambda T: solve_pass(T, state.E)[0], state.T,
+            tol=opt.picard_tol, max_iter=opt.picard_max_iter,
+            memory=opt.anderson_memory,
+            precondition=exchange_preconditioner(lambda: store["exchange"]), label=label,
+        )
+    else:
         n_T = state.T.size
-        e_scale = max(float(state.E.max()), *(4.0 * float(inflow[s].max()) / problem.constants.c for s in SIDES))
-        e_scale = max(e_scale, 1.0e-290)
 
         def pack(T, E):
             return np.concatenate([T.ravel(), E.ravel() / e_scale])
@@ -310,38 +399,44 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
             precondition=precondition, change_measure=change_measure, label=label,
         )
         T_new = x_new[:n_T].reshape(state.T.shape)
-    else:
-        T_new, history = fixed_point_solve(
-            lambda T: solve_pass(T, state.E)[0], state.T,
-            tol=opt.picard_tol, max_iter=opt.picard_max_iter,
-            memory=opt.anderson_memory,
-            precondition=exchange_preconditioner(lambda: store["exchange"]), label=label,
-        )
 
     E_new = store["E"]
-    Fx, Fy = store["closure"].reconstruct(problem, E_new, inflow)
+    Fx, Fy = MomentSystem(problem.mesh, *faces(store["kappa"], E_new), *boundary).fluxes(E_new)
     new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy)
     diag = StepDiagnostics(picard_iterations=len(history), change_history=history)
     diag.balance_residual = energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos)
     return new_state, diag
 
 
-def p1_step(problem, state, dt):
-    return diffusion_step(problem, state, dt, "p1")
+def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, model: str) -> tuple[MomentState, StepDiagnostics]:
+    """Advance one moment model a single backward-Euler step.
 
-
-def p13_step(problem, state, dt):
-    return diffusion_step(problem, state, dt, "p13")
-
-
-def fld_step(problem, state, dt):
-    return diffusion_step(problem, state, dt, "fld")
+    For P1 and P1/3 the face coefficients depend on T alone, so the
+    coupling iterates on the temperature field; FLD's diffusion
+    coefficient depends on E as well and iterates on the joint (T, E)
+    unknown (see coupled_step).
+    """
+    if model not in MODEL_KINDS:
+        raise ConfigError(f"unknown diffusion model {model!r}, expected one of {MODEL_KINDS}")
+    mesh, c = problem.mesh, problem.constants.c
+    boundary = _marshak_boundary(problem)
+    label = f"{model} moment/material coupling"
+    if model == "fld":
+        inflow = np.stack([problem.inflow_current(s) for s in SIDES])
+        e_scale = max(float(state.E.max()), 4.0 * float(inflow.max()) / c, 1.0e-290)
+        return coupled_step(problem, state, dt, lambda kappa, E: _fld_faces(mesh, c, kappa, E), boundary, label, e_scale)
+    alpha = 1.0 / (c * dt) if model == "p1" else 1.0 / (3.0 * c * dt)
+    return coupled_step(
+        problem, state, dt,
+        lambda kappa, E: first_moment_faces(mesh, c, kappa, alpha, state, 1.0 / 3.0, 1.0 / 3.0),
+        boundary, label,
+    )
 
 
 def flux_limit_ratio(state: MomentState, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Max |F| / (c E_face) over interior faces: FLD keeps this <= 1."""
     c = constants.c
-    Efx, Efy = _face_means(state.E)
+    Efx, Efy = face_means(state.E)
     with np.errstate(divide="ignore", invalid="ignore"):
         rx = np.abs(state.Fx[:, :, 1:-1]) / (c * Efx)
         ry = np.abs(state.Fy[:, 1:-1, :]) / (c * Efy)
@@ -364,12 +459,7 @@ def run_diffusion_model(
     A zero-step run returns a history holding only the initial state.
     """
     state = initial if initial is not None else initial_moment_state(problem, T0)
-    states = [state]
-    diags = []
-    for n in range(n_steps):
-        state, diag = diffusion_step(problem, state, dt, model)
-        states.append(state)
-        diags.append(diag)
-        if callback is not None:
-            callback(n, state, diag)
-    return stack_history(label if label is not None else model, states, diags)
+    return march(
+        label if label is not None else model, state,
+        lambda s, _: diffusion_step(problem, s, dt, model), range(n_steps), callback,
+    )

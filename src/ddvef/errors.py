@@ -8,20 +8,7 @@ class DdvefError(Exception):
 
 
 class ConfigError(DdvefError):
-    """Invalid configuration input.
-
-    Carries the offending line number when the error comes from a config file.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class FormatError(DdvefError):
-    """Malformed or truncated dataset file."""
+    """Invalid configuration input."""
 
 
 class ConvergenceError(DdvefError):
@@ -41,7 +28,3 @@ class SolverError(DdvefError):
         if group is not None:
             message = f"{message} (group {group})"
         super().__init__(message)
-
-
-class NormError(DdvefError):
-    """A relative norm was requested against a zero reference."""

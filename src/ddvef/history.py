@@ -41,10 +41,6 @@ class SolutionHistory:
     def n_levels(self) -> int:
         return int(self.times.shape[0])
 
-    @property
-    def n_groups(self) -> int:
-        return int(self.E.shape[1])
-
     def cell_flux(self, level: int = -1) -> np.ndarray:
         """Cell-centered flux vector (2, G, ny, nx) at one time level."""
         return cell_flux_from_faces(self.Fx[level], self.Fy[level])
@@ -56,6 +52,25 @@ def cell_flux_from_faces(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
         0.5 * (Fx[:, :, :-1] + Fx[:, :, 1:]),
         0.5 * (Fy[:, :-1, :] + Fy[:, 1:, :]),
     ])
+
+
+def march(label: str, state, advance, steps, callback=None) -> SolutionHistory:
+    """Advance state once per item of steps and stack every level.
+
+    advance(state, step) -> (state, diagnostics) is called in order with
+    each item of steps; the optional callback(n, state, diagnostics) fires
+    after step n. Every model's time loop is this one: the FOM and the
+    diffusion models step over a range, the VEF over per-step closure data.
+    """
+    states = [state]
+    diagnostics = []
+    for n, step in enumerate(steps):
+        state, diag = advance(state, step)
+        states.append(state)
+        diagnostics.append(diag)
+        if callback is not None:
+            callback(n, state, diag)
+    return stack_history(label, states, diagnostics)
 
 
 def stack_history(label: str, states, diagnostics=None) -> SolutionHistory:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Protocol
 
 import numpy as np
 from scipy.special import bernoulli
@@ -207,14 +206,6 @@ def group_planck(T, fgrid: FrequencyGrid, constants: PhysicalConstants = DEFAULT
 
 def group_planck_with_derivative(T, fgrid: FrequencyGrid, constants: PhysicalConstants = DEFAULT_CONSTANTS):
     return _GroupTerms(np.asarray(T, float), fgrid).planck(constants)
-
-
-class OpacityModel(Protocol):
-    """Group opacity as a function of temperature, with its T-derivative."""
-
-    def group_opacity(self, T) -> np.ndarray: ...
-
-    def group_opacity_with_derivative(self, T) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)

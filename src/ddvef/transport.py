@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh
+from .history import march
 from .iteration import exchange_preconditioner, exchange_sensitivity, fixed_point_solve
 from .physics import (
     DEFAULT_CONSTANTS,
@@ -241,7 +242,7 @@ class TransportProblem:
     mesh: SpatialMesh
     quad: AngularQuadrature
     fgrid: FrequencyGrid
-    material: object          # OpacityModel with emission_terms()
+    material: object          # provides emission_terms()
     eos: MaterialEOS
     inflow: BoundaryInflow
     constants: PhysicalConstants = DEFAULT_CONSTANTS
@@ -326,18 +327,7 @@ def run_fom(problem: TransportProblem, T0: float, dt: float, n_steps: int, label
     callback(step_index, state, diagnostics) fires after every step; the
     data-driven closure harvester hooks in here.
     """
-    from .history import stack_history
-
-    state = initial_transport_state(problem, T0)
-    states = [state]
-    diags = []
-    for n in range(n_steps):
-        state, diag = fom_step(problem, state, dt)
-        states.append(state)
-        diags.append(diag)
-        if callback is not None:
-            callback(n, state, diag)
-    return stack_history(label, states, diags)
+    return march(label, initial_transport_state(problem, T0), lambda s, _: fom_step(problem, s, dt), range(n_steps), callback)
 
 
 def boundary_net_outflow(Fx: np.ndarray, Fy: np.ndarray, mesh: SpatialMesh) -> float:

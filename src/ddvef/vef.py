@@ -19,8 +19,10 @@ outgoing current is the flux factor times the outgoing face-to-cell
 density ratio eta times the local density, and rb is a per-face
 consistency source (identically zero for transport-derived closures).
 
-Backward Euler eliminates each face flux exactly as in the diffusion
-module: the divergence of the closed pressure tensor is discretized with
+The closed system is assembled and solved by diffusion.MomentSystem, the
+one assembler that P1, P1/3, FLD and the VEF share; the VEF only fills in
+its face and boundary coefficients. Backward Euler eliminates each face
+flux: the divergence of the closed pressure tensor is discretized with
 face-interpolated tensor components times central density differences
 (f_xx dE/dx plus the f_xy cross term on x-faces, and symmetrically on
 y-faces). Because the moment stencil and the transport sweep discretize
@@ -47,31 +49,38 @@ inherit the accuracy of the auxiliary transport solve rather than that
 of a bare diffusion stencil.
 
 Fusing both phases advances the auxiliary intensity and the moment state
-together step by step with no stored dataset, reproducing the two-phase
-composition bitwise.
+together step by step with no stored dataset. Both phases read the same
+per-step closure generator and march the same stepper, so the offline ->
+online composition reproduces the fused pipeline bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .diffusion import MomentState
-from .errors import ConfigError, SolverError
+from .diffusion import (
+    MomentState,
+    boundary_cells,
+    boundary_flux,
+    coupled_step,
+    face_cells,
+    face_means,
+    first_moment_faces,
+    initial_moment_state,
+    on_boundary_faces,
+)
+from .errors import ConfigError
 from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh
-from .history import stack_history
-from .iteration import exchange_preconditioner, exchange_sensitivity, fixed_point_solve
-from .physics import DEFAULT_CONSTANTS, MaterialEOS, PhysicalConstants, group_planck, update_temperature
+from .history import march
+from .physics import DEFAULT_CONSTANTS, MaterialEOS, PhysicalConstants, group_planck
 from .transport import (
     BoundaryInflow,
     SolverOptions,
     StepDiagnostics,
     SweepResult,
     TransportProblem,
-    energy_balance_residual,
     sweep,
 )
 
@@ -106,10 +115,6 @@ class EddingtonTensor:
     yy: np.ndarray
     zz: np.ndarray
 
-    @property
-    def trace(self) -> np.ndarray:
-        return self.xx + self.yy + self.zz
-
 
 def eddington_tensor(psi: np.ndarray, quad: AngularQuadrature, rel_floor: float = 1.0e-30) -> EddingtonTensor:
     """Ratio of quadrature moments sum(w Omega Omega I) / sum(w I) per cell.
@@ -140,92 +145,46 @@ def eddington_tensor(psi: np.ndarray, quad: AngularQuadrature, rel_floor: float 
     )
 
 
-def boundary_factors(psi: np.ndarray, quad: AngularQuadrature, mesh: SpatialMesh) -> np.ndarray:
-    """Outgoing flux factor C per canonical boundary face, (G, n_faces).
-
-    C = sum over exiting directions of w (n.Omega) I divided by the same
-    sum without the (n.Omega) weight; isotropic exiting intensity gives the
-    half-range ratio ~1/2. Faces with no exiting energy fall back to 1/2.
-    """
-    G = psi.shape[2]
-    C = np.full((G, mesh.n_boundary_faces), 0.5)
-    cells = {
-        "left": psi[:, 0, :, :],
-        "right": psi[:, -1, :, :],
-        "bottom": psi[0, :, :, :],
-        "top": psi[-1, :, :, :],
-    }
-    for side in SIDES:
-        normal = _NORMALS[side]
-        out = quad.half_range(normal, outgoing=True)
-        w_out = quad.weight[out]
-        wn_out = w_out * (quad.omega[out] @ normal)
-        face_psi = cells[side][:, :, out]  # (n_faces_side, G, M_out)
-        wI = face_psi @ w_out
-        wnI = face_psi @ wn_out
-        sl = mesh.boundary_slice(side)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            C[:, sl] = np.where(wI > 0.0, wnI / np.where(wI > 0.0, wI, 1.0), 0.5).T
-    return C
-
-
-def _xface_mean(a: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of a cell field on interior x-faces, (G, ny, nx-1)."""
-    return 0.5 * (a[:, :, :-1] + a[:, :, 1:])
-
-
-def _yface_mean(a: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of a cell field on interior y-faces, (G, ny-1, nx)."""
-    return 0.5 * (a[:, :-1, :] + a[:, 1:, :])
-
-
-def _xface_cross(E: np.ndarray, fxy_face: np.ndarray, dy: float) -> np.ndarray:
-    """Cross term f_xy dE/dy on interior x-faces, edge rows clipped.
-
-    The face density is the adjacent-cell mean and the y-derivative is the
-    central difference of that mean; at the first and last rows the
-    neighbours clip to the row itself, halving the one-sided reach.
-    """
-    Ebar = _xface_mean(E)
-    ny = E.shape[1]
-    jn = np.minimum(np.arange(ny) + 1, ny - 1)
-    js = np.maximum(np.arange(ny) - 1, 0)
-    return fxy_face * (Ebar[:, jn, :] - Ebar[:, js, :]) / (2.0 * dy)
-
-
-def _yface_cross(E: np.ndarray, fxy_face: np.ndarray, dx: float) -> np.ndarray:
-    """Cross term f_xy dE/dx on interior y-faces, edge columns clipped."""
-    Ebar = _yface_mean(E)
-    nx = E.shape[2]
-    ie = np.minimum(np.arange(nx) + 1, nx - 1)
-    iw = np.maximum(np.arange(nx) - 1, 0)
-    return fxy_face * (Ebar[:, :, ie] - Ebar[:, :, iw]) / (2.0 * dx)
+def _at(where: str):
+    """A closure field located on cells, interior x- or y-faces, or boundary faces."""
+    return field(metadata={"at": where})
 
 
 @dataclass(frozen=True)
 class ClosureRecord:
     """Closure data for one time level.
 
-    f is the cell Eddington tensor and C the boundary flux factor. gx and
-    gy are the windowed face-normal closure factors on interior x- and
-    y-faces ((G, ny, nx-1) and (G, ny-1, nx)), rx and ry the additive
-    face-flux consistency remainders on the same faces. eta is the
-    outgoing boundary face-to-cell density ratio and rb the boundary
-    consistency source (both (G, n_boundary_faces); rb vanishes for
-    closures extracted from a sweep). The face-level fields make the
-    moment stencil discretely consistent with the generating sweep; the
-    synthetic values gx = gy = 1/3, rx = ry = 0, eta = 1 and
+    fxx, fxy, fyy, fzz are the cell Eddington tensor (G, ny, nx) and C the
+    boundary flux factor. gx and gy are the windowed face-normal closure
+    factors on interior x- and y-faces ((G, ny, nx-1) and (G, ny-1, nx)),
+    rx and ry the additive face-flux consistency remainders on the same
+    faces. eta is the outgoing boundary face-to-cell density ratio and rb
+    the boundary consistency source (both (G, n_boundary_faces); rb
+    vanishes for closures extracted from a sweep). The face-level fields
+    make the moment stencil discretely consistent with the generating
+    sweep; the synthetic values gx = gy = 1/3, rx = ry = 0, eta = 1 and
     rb = -E_in / 2 reduce the system to P1 with Marshak boundaries.
+
+    Each field's location is its metadata "at"; the dataset derives its
+    stacking, indexing and shape checks from this one field table.
     """
 
-    f: EddingtonTensor
-    C: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
-    rx: np.ndarray
-    ry: np.ndarray
-    eta: np.ndarray
-    rb: np.ndarray
+    fxx: np.ndarray = _at("cell")
+    fxy: np.ndarray = _at("cell")
+    fyy: np.ndarray = _at("cell")
+    fzz: np.ndarray = _at("cell")
+    C: np.ndarray = _at("bface")
+    gx: np.ndarray = _at("xface")
+    gy: np.ndarray = _at("yface")
+    rx: np.ndarray = _at("xface")
+    ry: np.ndarray = _at("yface")
+    eta: np.ndarray = _at("bface")
+    rb: np.ndarray = _at("bface")
+
+
+def _map_fields(fn, *records: ClosureRecord) -> ClosureRecord:
+    """Apply fn(*values) field by field across records."""
+    return ClosureRecord(**{f.name: fn(*(getattr(r, f.name) for r in records)) for f in fields(ClosureRecord)})
 
 
 def closure_from_sweep(
@@ -261,52 +220,38 @@ def closure_from_sweep(
     """
     c = constants.c
     alpha = 1.0 / (c * dt)
-    dx, dy = mesh.dx, mesh.dy
-    E = result.E
+    G = kappa.shape[0]
+    Ef = result.E.reshape(G, -1)
 
     f = eddington_tensor(result.psi, quad)
     with np.errstate(invalid="ignore", divide="ignore"):
         C = np.where(result.bface_wI > 0.0, result.bface_wnI / np.where(result.bface_wI > 0.0, result.bface_wI, 1.0), 0.5)
 
-    # x-faces
-    den = _xface_mean(kappa) + alpha
-    dE = E[:, :, 1:] - E[:, :, :-1]
-    cross = _xface_cross(E, _xface_mean(f.xy), dy)
-    need = (alpha * prev_Fx[:, :, 1:-1] - den * result.Fx[:, :, 1:-1]) / c
-    with np.errstate(invalid="ignore", divide="ignore"):
-        raw = (need - cross) * dx / dE
-    fallback = _xface_mean(f.xx)
-    ok = np.isfinite(raw) & (raw >= _FACTOR_LO) & (raw <= _FACTOR_HI)
-    gx = np.where(ok, raw, fallback)
-    rx = result.Fx[:, :, 1:-1] - (alpha * prev_Fx[:, :, 1:-1] - c * (gx * dE / dx + cross)) / den
+    def face_closure(cells, kf, F, F_prev, fallback, fxy_face, width, along):
+        """Windowed factor and remainder on one face family, on the face stencil the moment system uses."""
+        Ec = Ef[:, cells].reshape((G, 6) + F.shape[1:])
+        den = kf + alpha
+        dE = Ec[:, 1] - Ec[:, 0]
+        cross = fxy_face * (Ec[:, 2] + Ec[:, 3] - Ec[:, 4] - Ec[:, 5]) / (4.0 * along)
+        need = (alpha * F_prev - den * F) / c
+        with np.errstate(invalid="ignore", divide="ignore"):
+            raw = (need - cross) * width / dE
+        ok = np.isfinite(raw) & (raw >= _FACTOR_LO) & (raw <= _FACTOR_HI)
+        g = np.where(ok, raw, fallback)
+        return g, F - (alpha * F_prev - c * (g * dE / width + cross)) / den
 
-    # y-faces
-    den = _yface_mean(kappa) + alpha
-    dE = E[:, 1:, :] - E[:, :-1, :]
-    cross = _yface_cross(E, _yface_mean(f.xy), dx)
-    need = (alpha * prev_Fy[:, 1:-1, :] - den * result.Fy[:, 1:-1, :]) / c
-    with np.errstate(invalid="ignore", divide="ignore"):
-        raw = (need - cross) * dy / dE
-    fallback = _yface_mean(f.yy)
-    ok = np.isfinite(raw) & (raw >= _FACTOR_LO) & (raw <= _FACTOR_HI)
-    gy = np.where(ok, raw, fallback)
-    ry = result.Fy[:, 1:-1, :] - (alpha * prev_Fy[:, 1:-1, :] - c * (gy * dE / dy + cross)) / den
+    cells_x, cells_y = face_cells(mesh)
+    kfx, kfy = face_means(kappa)
+    fxy_x, fxy_y = face_means(f.xy)
+    gx, rx = face_closure(cells_x, kfx, result.Fx[:, :, 1:-1], prev_Fx[:, :, 1:-1], face_means(f.xx)[0], fxy_x, mesh.dx, mesh.dy)
+    gy, ry = face_closure(cells_y, kfy, result.Fy[:, 1:-1, :], prev_Fy[:, 1:-1, :], face_means(f.yy)[1], fxy_y, mesh.dy, mesh.dx)
 
     # boundary closure: n.F = c C eta E_cell - F_in + c rb
-    eta = np.ones_like(C)
-    rb = np.zeros_like(C)
-    edge = {"left": E[:, :, 0], "right": E[:, :, -1], "bottom": E[:, 0, :], "top": E[:, -1, :]}
-    outward = {
-        "left": -result.Fx[:, :, 0],
-        "right": result.Fx[:, :, -1],
-        "bottom": -result.Fy[:, 0, :],
-        "top": result.Fy[:, -1, :],
-    }
-    for s, side in enumerate(SIDES):
-        sl = mesh.boundary_slice(side)
-        eta[:, sl] = (result.bface_wI[:, sl] / c) / np.maximum(edge[side], 1.0e-300)
-        rb[:, sl] = (outward[side] + drive.F_in[s][:, None]) / c - C[:, sl] * eta[:, sl] * edge[side]
-    return ClosureRecord(f, C, gx, gy, rx, ry, eta, rb)
+    cells, sign, _ = boundary_cells(mesh)
+    E_edge = Ef[:, cells]
+    eta = (result.bface_wI / c) / np.maximum(E_edge, 1.0e-300)
+    rb = (sign * boundary_flux(result.Fx, result.Fy) + on_boundary_faces(mesh, drive.F_in)) / c - C * eta * E_edge
+    return ClosureRecord(f.xx, f.xy, f.yy, f.zz, C, gx, gy, rx, ry, eta, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +266,8 @@ class BoundaryDrive:
     E_in[s, g] is the incoming half-range energy density and F_in[s, g]
     the incoming partial current on side s (canonical order left, right,
     bottom, top); vacuum sides hold zeros. The online boundary condition
-    n.F = c C (E - E_in) - F_in + c rb consumes these directly.
+    n.F = c C eta E - F_in + c rb consumes F_in directly; E_in sets the
+    isotropic closure's rb = -E_in / 2.
     """
 
     E_in: np.ndarray  # (4, G)
@@ -379,62 +325,40 @@ class ClosureDataset:
     """Closure records over a whole run plus the boundary drive moments.
 
     times holds the end-of-step levels t^1..t^N; t0 is the initial level,
-    so the online solver's time grid is fully determined. Cell tensor
-    components are stacked (N, G, ny, nx); C, eta and rb are
-    (N, G, n_boundary_faces); gx and rx are (N, G, ny, nx-1), gy and ry
+    so the online solver's time grid is fully determined. stack is a
+    ClosureRecord whose every field carries a leading record axis: the
+    cell tensor components are (N, G, ny, nx); C, eta and rb
+    (N, G, n_boundary_faces); gx and rx (N, G, ny, nx-1), gy and ry
     (N, G, ny-1, nx).
     """
 
     t0: float
     times: np.ndarray
-    fxx: np.ndarray
-    fxy: np.ndarray
-    fyy: np.ndarray
-    fzz: np.ndarray
-    C: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
-    rx: np.ndarray
-    ry: np.ndarray
-    eta: np.ndarray
-    rb: np.ndarray
+    stack: ClosureRecord
     drive: BoundaryDrive
 
-    @property
-    def n_records(self) -> int:
-        return self.times.size
-
-    @property
-    def n_groups(self) -> int:
-        return self.fxx.shape[1]
-
     def record(self, n: int) -> ClosureRecord:
-        return ClosureRecord(
-            EddingtonTensor(self.fxx[n], self.fxy[n], self.fyy[n], self.fzz[n]),
-            self.C[n],
-            self.gx[n],
-            self.gy[n],
-            self.rx[n],
-            self.ry[n],
-            self.rb[n],
-        )
+        return _map_fields(lambda a: a[n], self.stack)
+
+    def steps(self):
+        """(dt, record) of every step in order, the online phase's input."""
+        t_prev = self.t0
+        for n in range(self.times.size):
+            yield self.times[n] - t_prev, self.record(n)
+            t_prev = self.times[n]
 
     def validate(self, mesh: SpatialMesh, n_groups: int) -> None:
         N = self.times.size
-        cell = (N, n_groups, mesh.ny, mesh.nx)
-        for name in ("fxx", "fxy", "fyy", "fzz"):
-            if getattr(self, name).shape != cell:
-                raise ConfigError(f"closure {name} has shape {getattr(self, name).shape}, expected {cell}")
-        xface = (N, n_groups, mesh.ny, mesh.nx - 1)
-        yface = (N, n_groups, mesh.ny - 1, mesh.nx)
-        for name, shape in (("gx", xface), ("rx", xface), ("gy", yface), ("ry", yface)):
-            if getattr(self, name).shape != shape:
-                raise ConfigError(f"closure {name} has shape {getattr(self, name).shape}, expected {shape}")
-        bface = (N, n_groups, mesh.n_boundary_faces)
-        if self.C.shape != bface:
-            raise ConfigError(f"closure C has shape {self.C.shape}, expected {bface}")
-        if self.rb.shape != bface:
-            raise ConfigError(f"closure rb has shape {self.rb.shape}, expected {bface}")
+        at = {
+            "cell": (mesh.ny, mesh.nx),
+            "xface": (mesh.ny, mesh.nx - 1),
+            "yface": (mesh.ny - 1, mesh.nx),
+            "bface": (mesh.n_boundary_faces,),
+        }
+        for f in fields(ClosureRecord):
+            shape, expected = np.shape(getattr(self.stack, f.name)), (N, n_groups) + at[f.metadata["at"]]
+            if shape != expected:
+                raise ConfigError(f"closure {f.name} has shape {shape}, expected {expected}")
         if self.drive.E_in.shape != (4, n_groups) or self.drive.F_in.shape != (4, n_groups):
             raise ConfigError("closure drive moments do not match the group count")
         if N and not np.all(np.diff(np.concatenate([[self.t0], self.times])) > 0.0):
@@ -451,27 +375,26 @@ def isotropic_closure(
     """Synthetic dataset f = diag(1/3, 1/3, 1/3), C = 1/2 at every level.
 
     The face-level fields take their neutral values (gx = gy = 1/3, zero
-    remainders), so with analytic Planckian drive moments this
-    closure makes the online solver coincide with the P1 model.
+    remainders) and the boundary ones eta = 1, rb = -E_in / 2, so with
+    analytic Planckian drive moments this closure makes the online solver
+    coincide with the P1 model.
     """
     times = np.asarray(times, dtype=float)
-    N = times.size
-    third = np.full((N, n_groups, mesh.ny, mesh.nx), 1.0 / 3.0)
-    return ClosureDataset(
-        t0=float(t0),
-        times=times,
-        fxx=third.copy(),
-        fxy=np.zeros_like(third),
-        fyy=third.copy(),
-        fzz=third.copy(),
-        C=np.full((N, n_groups, mesh.n_boundary_faces), 0.5),
-        gx=np.full((N, n_groups, mesh.ny, mesh.nx - 1), 1.0 / 3.0),
-        gy=np.full((N, n_groups, mesh.ny - 1, mesh.nx), 1.0 / 3.0),
-        rx=np.zeros((N, n_groups, mesh.ny, mesh.nx - 1)),
-        ry=np.zeros((N, n_groups, mesh.ny - 1, mesh.nx)),
-        rb=np.zeros((N, n_groups, mesh.n_boundary_faces)),
-        drive=drive,
+    G, ny, nx, nb = n_groups, mesh.ny, mesh.nx, mesh.n_boundary_faces
+    one = ClosureRecord(
+        fxx=np.full((G, ny, nx), 1.0 / 3.0),
+        fxy=np.zeros((G, ny, nx)),
+        fyy=np.full((G, ny, nx), 1.0 / 3.0),
+        fzz=np.full((G, ny, nx), 1.0 / 3.0),
+        C=np.full((G, nb), 0.5),
+        gx=np.full((G, ny, nx - 1), 1.0 / 3.0),
+        gy=np.full((G, ny - 1, nx), 1.0 / 3.0),
+        rx=np.zeros((G, ny, nx - 1)),
+        ry=np.zeros((G, ny - 1, nx)),
+        eta=np.ones((G, nb)),
+        rb=on_boundary_faces(mesh, -0.5 * drive.E_in),
     )
+    return ClosureDataset(float(t0), times, _map_fields(lambda a: np.repeat(a[None], times.size, axis=0), one), drive)
 
 
 # ---------------------------------------------------------------------------
@@ -499,49 +422,39 @@ def _auxiliary_initial_intensity(problem: TransportProblem, T0_field: np.ndarray
     return np.ascontiguousarray(np.broadcast_to(B.transpose(1, 2, 0)[:, :, :, None], B.shape[1:] + (B.shape[0], M)))
 
 
-def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
-    """Tabulate the closure from linear transport re-solves on temperature data.
+def _closure_steps(problem: TransportProblem, times: np.ndarray, T_data: np.ndarray, drive: BoundaryDrive):
+    """(dt, record) of every step from linear transport re-solves on temperature data.
 
-    temperatures provides .times (N+1,) and .T (N+1, ny, nx) - any solution
-    history qualifies. Each step sweeps the backward-Euler transport
-    equation with opacity and emission evaluated at the end-of-step data
-    temperature, then reduces the intensity and face fluxes to a closure
-    record; the previous step's face fluxes feed the face-factor
-    extraction (zeros before the first step, matching the zero-flux
-    initial moment state).
+    Each step sweeps the backward-Euler transport equation with opacity and
+    emission evaluated at the end-of-step data temperature, then reduces
+    the intensity and face fluxes to a closure record; the previous step's
+    face fluxes feed the face-factor extraction (zeros before the first
+    step, matching the zero-flux initial moment state). The offline phase
+    collects this generator and the fused pipeline consumes it.
     """
-    times, T_data = _check_temperature_data(problem, temperatures)
-    mesh = problem.mesh
-    quad = problem.quad
+    mesh, quad = problem.mesh, problem.quad
     G = problem.fgrid.n_groups
-    drive = BoundaryDrive.from_quadrature(problem.inflow, quad, G, problem.constants)
-
     psi = _auxiliary_initial_intensity(problem, T_data[0])
     Fx_prev = np.zeros((G, mesh.ny, mesh.nx + 1))
     Fy_prev = np.zeros((G, mesh.ny + 1, mesh.nx))
-    records = []
     for n in range(1, times.size):
         dt = times[n] - times[n - 1]
         kappa, _, B, _ = problem.material.emission_terms(T_data[n], problem.constants)
         result = sweep(mesh, quad, kappa, kappa * B, psi_prev=psi, dt=dt, inflow=problem.inflow, constants=problem.constants)
-        records.append(closure_from_sweep(result, quad, mesh, kappa, dt, Fx_prev, Fy_prev, drive, problem.constants))
+        yield dt, closure_from_sweep(result, quad, mesh, kappa, dt, Fx_prev, Fy_prev, drive, problem.constants)
         psi, Fx_prev, Fy_prev = result.psi, result.Fx, result.Fy
 
-    return ClosureDataset(
-        t0=float(times[0]),
-        times=times[1:].copy(),
-        fxx=np.stack([r.f.xx for r in records]),
-        fxy=np.stack([r.f.xy for r in records]),
-        fyy=np.stack([r.f.yy for r in records]),
-        fzz=np.stack([r.f.zz for r in records]),
-        C=np.stack([r.C for r in records]),
-        gx=np.stack([r.gx for r in records]),
-        gy=np.stack([r.gy for r in records]),
-        rx=np.stack([r.rx for r in records]),
-        ry=np.stack([r.ry for r in records]),
-        rb=np.stack([r.rb for r in records]),
-        drive=drive,
-    )
+
+def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
+    """Tabulate the closure from linear transport re-solves on temperature data.
+
+    temperatures provides .times (N+1,) and .T (N+1, ny, nx) - any solution
+    history qualifies. The records are those of _closure_steps.
+    """
+    times, T_data = _check_temperature_data(problem, temperatures)
+    drive = BoundaryDrive.from_quadrature(problem.inflow, problem.quad, problem.fgrid.n_groups, problem.constants)
+    records = [record for _, record in _closure_steps(problem, times, T_data, drive)]
+    return ClosureDataset(float(times[0]), times[1:].copy(), _map_fields(lambda *a: np.stack(a), *records), drive)
 
 
 # ---------------------------------------------------------------------------
@@ -565,202 +478,6 @@ class VefProblem:
         return cls(problem.mesh, problem.fgrid, problem.material, problem.eos, problem.constants, problem.options)
 
 
-def vef_initial_state(problem: VefProblem, T0, t0: float = 0.0) -> MomentState:
-    """Equilibrium radiation at the initial temperature (scalar or field)."""
-    mesh = problem.mesh
-    T = np.broadcast_to(np.asarray(T0, dtype=float), (mesh.ny, mesh.nx)).copy()
-    B = group_planck(T, problem.fgrid, problem.constants)  # (G, ny, nx)
-    G = B.shape[0]
-    return MomentState(
-        float(t0),
-        T,
-        (4.0 * np.pi / problem.constants.c) * B,
-        np.zeros((G, mesh.ny, mesh.nx + 1)),
-        np.zeros((G, mesh.ny + 1, mesh.nx)),
-    )
-
-
-class _VefSystem:
-    """Face-eliminated moment system for one Picard pass.
-
-    Backward Euler on the first moment gives, with alpha = 1/(c dt) and
-    kappa_f the arithmetic face mean,
-
-        F_face = [alpha F_prev - c D(E)] / (kappa_f + alpha) + r,
-
-    where the divergence term D(E) is the record's face-normal closure
-    factor times the central density difference (gx dE/dx on x-faces,
-    gy dE/dy on y-faces) plus the cross term: face-interpolated f_xy
-    times the central difference of the face density along the face,
-    realized through the four diagonal neighbour cells with quarter
-    weights (clipped at domain edges so duplicate weights coalesce), and r
-    is the record's consistency remainder, a pure source that never enters
-    the matrix. Boundary faces use the closure
-    n.F = c C (E_cell - E_in) - F_in + c rb instead. Every face flux is a
-    linear form in cell energies; the same coefficient tables build the
-    balance matrix and reconstruct the stored fluxes, so the discrete
-    energy budget telescopes exactly.
-    """
-
-    def __init__(self, problem: VefProblem, record: ClosureRecord, drive: BoundaryDrive, kappa: np.ndarray, state: MomentState, dt: float):
-        mesh = problem.mesh
-        c = problem.constants.c
-        nx, ny = mesh.nx, mesh.ny
-        dx, dy = mesh.dx, mesh.dy
-        G = kappa.shape[0]
-        NC = nx * ny
-        alpha = 1.0 / (c * dt)
-        self.problem = problem
-        self.dt = dt
-        self.G, self.NC = G, NC
-
-        kap = kappa.reshape(G, NC)
-        fxy = record.f.xy.reshape(G, NC)
-
-        # --- interior x-faces: (j, i-1) | (j, i) for i = 1..nx-1 ---
-        jj, ii = np.meshgrid(np.arange(ny), np.arange(1, nx), indexing="ij")
-        jj, ii = jj.ravel(), ii.ravel()
-        L, R = jj * nx + ii - 1, jj * nx + ii
-        jn, js = np.minimum(jj + 1, ny - 1), np.maximum(jj - 1, 0)
-        NL, NR = jn * nx + ii - 1, jn * nx + ii
-        SL, SR = js * nx + ii - 1, js * nx + ii
-        den = 0.5 * (kap[:, L] + kap[:, R]) + alpha
-        cc = c / den
-        qy = 1.0 / (4.0 * dy)
-        gx = record.gx.reshape(G, -1)
-        fxym = 0.5 * (fxy[:, L] + fxy[:, R])
-        self.x_cells = np.stack([L, R, NL, NR, SL, SR])
-        self.x_coef = np.stack([
-            cc * gx / dx,
-            -cc * gx / dx,
-            -cc * fxym * qy,
-            -cc * fxym * qy,
-            cc * fxym * qy,
-            cc * fxym * qy,
-        ])  # (6, G, n_xfaces)
-        self.x_base = (alpha / den) * state.Fx[:, :, 1:-1].reshape(G, -1) + record.rx.reshape(G, -1)
-        self.xL, self.xR = L, R
-
-        # --- interior y-faces: (j-1, i) | (j, i) for j = 1..ny-1 ---
-        jj, ii = np.meshgrid(np.arange(1, ny), np.arange(nx), indexing="ij")
-        jj, ii = jj.ravel(), ii.ravel()
-        S, N = (jj - 1) * nx + ii, jj * nx + ii
-        ie, iw = np.minimum(ii + 1, nx - 1), np.maximum(ii - 1, 0)
-        ES, EN = (jj - 1) * nx + ie, jj * nx + ie
-        WS, WN = (jj - 1) * nx + iw, jj * nx + iw
-        den = 0.5 * (kap[:, S] + kap[:, N]) + alpha
-        cc = c / den
-        qx = 1.0 / (4.0 * dx)
-        gy = record.gy.reshape(G, -1)
-        fxym = 0.5 * (fxy[:, S] + fxy[:, N])
-        self.y_cells = np.stack([S, N, ES, EN, WS, WN])
-        self.y_coef = np.stack([
-            cc * gy / dy,
-            -cc * gy / dy,
-            -cc * fxym * qx,
-            -cc * fxym * qx,
-            cc * fxym * qx,
-            cc * fxym * qx,
-        ])
-        self.y_base = (alpha / den) * state.Fy[:, 1:-1, :].reshape(G, -1) + record.ry.reshape(G, -1)
-        self.yS, self.yN = S, N
-
-        # --- boundary faces: n.F = c C (E_cell - E_in) - F_in + c rb, signed ---
-        idx = np.arange(NC).reshape(ny, nx)
-        self.b_cells = {}
-        self.b_coef = {}
-        self.b_base = {}
-        for s, side in enumerate(SIDES):
-            sl = mesh.boundary_slice(side)
-            C = record.C[:, sl]  # (G, n_side)
-            rb = record.rb[:, sl]
-            known = c * C * drive.E_in[s][:, None] + drive.F_in[s][:, None] - c * rb
-            if side == "left":
-                cells, sign = idx[:, 0], -1.0
-            elif side == "right":
-                cells, sign = idx[:, -1], 1.0
-            elif side == "bottom":
-                cells, sign = idx[0, :], -1.0
-            else:
-                cells, sign = idx[-1, :], 1.0
-            self.b_cells[side] = cells
-            self.b_coef[side] = sign * c * C
-            self.b_base[side] = -sign * known
-
-        # --- sparse pattern, shared across groups ---
-        rows = [np.arange(NC)]
-        cols = [np.arange(NC)]
-        for k in range(6):
-            rows += [self.xL, self.xR]
-            cols += [self.x_cells[k], self.x_cells[k]]
-        for k in range(6):
-            rows += [self.yS, self.yN]
-            cols += [self.y_cells[k], self.y_cells[k]]
-        for side in SIDES:
-            rows.append(self.b_cells[side])
-            cols.append(self.b_cells[side])
-        self._rows = np.concatenate(rows)
-        self._cols = np.concatenate(cols)
-
-        self._ckap = c * kap  # (G, NC)
-        vals = [1.0 / dt + self._ckap]
-        for k in range(6):
-            vals += [self.x_coef[k] / dx, -self.x_coef[k] / dx]
-        for k in range(6):
-            vals += [self.y_coef[k] / dy, -self.y_coef[k] / dy]
-        for side in SIDES:
-            area = 1.0 / dx if side in ("left", "right") else 1.0 / dy
-            sign = -1.0 if side in ("left", "bottom") else 1.0
-            vals.append(sign * self.b_coef[side] * area)
-        self._vals = np.concatenate(vals, axis=1)
-
-    def solve(self, B: np.ndarray, E_prev: np.ndarray) -> np.ndarray:
-        """Solve the balance system for every group's energy density."""
-        mesh = self.problem.mesh
-        c = self.problem.constants.c
-        G, NC = self.G, self.NC
-        dx, dy = mesh.dx, mesh.dy
-
-        rhs = E_prev.reshape(G, NC) / self.dt + (4.0 * np.pi / c) * self._ckap * B.reshape(G, NC)
-        grange = np.arange(G)[:, None]
-        np.subtract.at(rhs, (grange, self.xL[None, :]), self.x_base / dx)
-        np.add.at(rhs, (grange, self.xR[None, :]), self.x_base / dx)
-        np.subtract.at(rhs, (grange, self.yS[None, :]), self.y_base / dy)
-        np.add.at(rhs, (grange, self.yN[None, :]), self.y_base / dy)
-        for side in SIDES:
-            area = 1.0 / dx if side in ("left", "right") else 1.0 / dy
-            sign = -1.0 if side in ("left", "bottom") else 1.0
-            np.subtract.at(rhs, (grange, self.b_cells[side][None, :]), sign * self.b_base[side] * area)
-
-        E_new = np.empty((G, mesh.ny, mesh.nx))
-        for g in range(G):
-            A = sp.coo_matrix((self._vals[g], (self._rows, self._cols)), shape=(NC, NC)).tocsr()
-            try:
-                x = spla.spsolve(A, rhs[g])
-            except Exception as exc:  # pragma: no cover - singular systems
-                raise SolverError(f"closed moment system solve failed: {exc}", group=g) from exc
-            if not np.all(np.isfinite(x)):
-                raise SolverError("closed moment system produced non-finite energies", group=g)
-            E_new[g] = x.reshape(mesh.ny, mesh.nx)
-        return E_new
-
-    def reconstruct(self, E: np.ndarray):
-        """Face-normal fluxes from the same linear forms as the matrix."""
-        mesh = self.problem.mesh
-        G = self.G
-        nx, ny = mesh.nx, mesh.ny
-        Ef = E.reshape(G, -1)
-        Fx = np.zeros((G, ny, nx + 1))
-        Fy = np.zeros((G, ny + 1, nx))
-        Fx[:, :, 1:-1] = (self.x_base + (self.x_coef * Ef[:, self.x_cells].transpose(1, 0, 2)).sum(axis=0)).reshape(G, ny, nx - 1)
-        Fy[:, 1:-1, :] = (self.y_base + (self.y_coef * Ef[:, self.y_cells].transpose(1, 0, 2)).sum(axis=0)).reshape(G, ny - 1, nx)
-        Fx[:, :, 0] = self.b_coef["left"] * Ef[:, self.b_cells["left"]] + self.b_base["left"]
-        Fx[:, :, -1] = self.b_coef["right"] * Ef[:, self.b_cells["right"]] + self.b_base["right"]
-        Fy[:, 0, :] = self.b_coef["bottom"] * Ef[:, self.b_cells["bottom"]] + self.b_base["bottom"]
-        Fy[:, -1, :] = self.b_coef["top"] * Ef[:, self.b_cells["top"]] + self.b_base["top"]
-        return Fx, Fy
-
-
 def vef_step(
     problem: VefProblem,
     state: MomentState,
@@ -771,37 +488,19 @@ def vef_step(
     """Advance the closed moment system one backward-Euler step.
 
     The closure record is frozen data for the step, so the outer coupling
-    iterates on the temperature field exactly like the P1 stepper: freeze
-    T, solve the per-group closed systems, update T by the material-energy
-    Newton, accelerated by the shared exchange preconditioner.
+    iterates on the temperature field exactly like the P1 stepper (see
+    diffusion.coupled_step). The faces are the first-moment forms with the
+    record's factors gx, gy, its f_xy cross term and its remainders; each
+    boundary face's outward current is n.F = c C eta E_cell - F_in + c rb.
     """
-    opt = problem.options
-    store = {}
-
-    def solve_pass(T_freeze):
-        kappa, _, B, dB = problem.material.emission_terms(T_freeze, problem.constants)
-        system = _VefSystem(problem, record, drive, kappa, state, dt)
-        E_new = system.solve(B, state.E)
-        store["E"], store["system"] = E_new, system
-        store["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt, problem.constants.c)
-        return update_temperature(
-            state.T, E_new, dt, problem.material, problem.eos, problem.constants,
-            T_start=T_freeze, tol=opt.newton_tol, max_iter=opt.newton_max_iter,
-        )
-
-    T_new, history = fixed_point_solve(
-        solve_pass, state.T, tol=opt.picard_tol, max_iter=opt.picard_max_iter,
-        memory=opt.anderson_memory,
-        precondition=exchange_preconditioner(lambda: store["exchange"]),
-        label="closed-moment/material coupling",
+    mesh, c = problem.mesh, problem.constants.c
+    alpha = 1.0 / (c * dt)
+    boundary = (c * record.C * record.eta, c * record.rb - on_boundary_faces(mesh, drive.F_in))
+    return coupled_step(
+        problem, state, dt,
+        lambda kappa, E: first_moment_faces(mesh, c, kappa, alpha, state, record.gx, record.gy, record.fxy, record.rx, record.ry),
+        boundary, "closed-moment/material coupling",
     )
-
-    E_new = store["E"]
-    Fx, Fy = store["system"].reconstruct(E_new)
-    new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy)
-    diag = StepDiagnostics(picard_iterations=len(history), change_history=history)
-    diag.balance_residual = energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos)
-    return new_state, diag
 
 
 def online_phase(
@@ -820,23 +519,11 @@ def online_phase(
     """
     dataset.validate(problem.mesh, problem.fgrid.n_groups)
     if initial is None:
-        state = vef_initial_state(problem, T0, dataset.t0)
-    else:
-        if initial.t != dataset.t0:
-            raise ConfigError(f"initial state at t={initial.t} does not match the closure grid t0={dataset.t0}")
-        state = initial
-    states = [state]
-    diags = []
-    t_prev = dataset.t0
-    for n in range(dataset.n_records):
-        dt = dataset.times[n] - t_prev
-        state, diag = vef_step(problem, state, dt, dataset.record(n), dataset.drive)
-        states.append(state)
-        diags.append(diag)
-        t_prev = dataset.times[n]
-        if callback is not None:
-            callback(n, state, diag)
-    return stack_history(label, states, diags)
+        initial = initial_moment_state(problem, T0, dataset.t0)
+    elif initial.t != dataset.t0:
+        raise ConfigError(f"initial state at t={initial.t} does not match the closure grid t0={dataset.t0}")
+    drive = dataset.drive
+    return march(label, initial, lambda s, step: vef_step(problem, s, *step, drive), dataset.steps(), callback)
 
 
 # ---------------------------------------------------------------------------
@@ -852,36 +539,16 @@ def fused_pipeline(
 ):
     """Offline and online phases interleaved step by step, no stored dataset.
 
-    Each step sweeps the auxiliary transport problem at the data
-    temperature, reduces the intensity and face fluxes to a closure
-    record, and advances the moment system with it immediately. The
-    operations and their order match the offline -> online composition
-    exactly, so the results are bitwise identical; only the storage
-    differs (one record at a time). The moment solve starts from the
-    data's initial temperature field.
+    Each step takes the next closure record of _closure_steps and advances
+    the moment system with it immediately; offline_phase collects the same
+    records and online_phase marches the same stepper over them, so the
+    results are bitwise identical and only the storage differs (one record
+    at a time). The moment solve starts from the data's initial
+    temperature field.
     """
     times, T_data = _check_temperature_data(problem, temperatures)
-    mesh = problem.mesh
-    quad = problem.quad
-    G = problem.fgrid.n_groups
     vp = VefProblem.from_transport(problem)
-    drive = BoundaryDrive.from_quadrature(problem.inflow, quad, G, problem.constants)
-
-    psi = _auxiliary_initial_intensity(problem, T_data[0])
-    Fx_prev = np.zeros((G, mesh.ny, mesh.nx + 1))
-    Fy_prev = np.zeros((G, mesh.ny + 1, mesh.nx))
-    state = vef_initial_state(vp, T_data[0], float(times[0]))
-    states = [state]
-    diags = []
-    for n in range(1, times.size):
-        dt = times[n] - times[n - 1]
-        kappa, _, B, _ = problem.material.emission_terms(T_data[n], problem.constants)
-        result = sweep(mesh, quad, kappa, kappa * B, psi_prev=psi, dt=dt, inflow=problem.inflow, constants=problem.constants)
-        record = closure_from_sweep(result, quad, mesh, kappa, dt, Fx_prev, Fy_prev, drive, problem.constants)
-        psi, Fx_prev, Fy_prev = result.psi, result.Fx, result.Fy
-        state, diag = vef_step(vp, state, dt, record, drive)
-        states.append(state)
-        diags.append(diag)
-        if callback is not None:
-            callback(n - 1, state, diag)
-    return stack_history(label, states, diags)
+    drive = BoundaryDrive.from_quadrature(problem.inflow, problem.quad, problem.fgrid.n_groups, problem.constants)
+    state = initial_moment_state(vp, T_data[0], times[0])
+    steps = _closure_steps(problem, times, T_data, drive)
+    return march(label, state, lambda s, step: vef_step(vp, s, *step, drive), steps, callback)

@@ -9,12 +9,9 @@ from ddvef.diffusion import (
     BoundaryCondition,
     DiffusionProblem,
     diffusion_step,
-    fld_step,
     flux_limit_ratio,
     initial_moment_state,
     larsen_coefficient,
-    p1_step,
-    p13_step,
     run_diffusion_model,
     standard_boundaries,
 )
@@ -180,7 +177,7 @@ class TestStepping:
         prob = benchmark_problem(nx=8, ny=8)
         sp1 = initial_moment_state(prob, 1e-3)
         for _ in range(5):
-            sp1, _ = p1_step(prob, sp1, 0.1)
+            sp1, _ = diffusion_step(prob, sp1, 0.1, "p1")
         assert flux_limit_ratio(sp1) > 1.0
 
     def test_unknown_model_rejected(self):
@@ -188,15 +185,6 @@ class TestStepping:
         s = initial_moment_state(prob, 1e-3)
         with pytest.raises(ConfigError):
             diffusion_step(prob, s, 0.1, "p3")
-
-    def test_named_steppers_match_kinds(self):
-        prob = benchmark_problem(nx=3, ny=3)
-        s0 = initial_moment_state(prob, 1e-3)
-        for fn, model in ((p1_step, "p1"), (p13_step, "p13"), (fld_step, "fld")):
-            a, _ = fn(prob, s0, 0.1)
-            b, _ = diffusion_step(prob, s0, 0.1, model)
-            np.testing.assert_array_equal(a.T, b.T)
-            np.testing.assert_array_equal(a.E, b.E)
 
 
 class TestZeroDimensionalRelaxation:
@@ -283,8 +271,8 @@ class TestThickLimit:
         s1 = initial_moment_state(prob, 0.1)
         s13 = initial_moment_state(prob, 0.1)
         for _ in range(5):
-            s1, _ = p1_step(prob, s1, 0.02)
-            s13, _ = p13_step(prob, s13, 0.02)
+            s1, _ = diffusion_step(prob, s1, 0.02, "p1")
+            s13, _ = diffusion_step(prob, s13, 0.02, "p13")
         diff = np.linalg.norm(s1.E - s13.E) / np.linalg.norm(s1.E)
         assert diff < 0.01
 
