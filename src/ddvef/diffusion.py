@@ -15,8 +15,8 @@ face flux as a linear form in cell energies and every boundary face's
 outward current as coef E_cell + base. MomentSystem, the one assembler all
 four share, builds the eliminated cell-centered system per group from
 those tables, solves it directly, and reconstructs the face fluxes from the
-same tables; the nonlinear temperature coupling reuses the accelerated
-fixed-point driver of the transport model.
+same tables; the nonlinear temperature coupling is iteration.couple, the
+one loop the transport model uses too.
 
 Boundaries of P1, P1/3 and FLD are Marshak-type per side: n.F = (c/2) E -
 2 F_in with E taken from the adjacent cell and F_in the incoming partial
@@ -36,15 +36,14 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigError, SolverError
 from .grid import SIDES, FrequencyGrid, SpatialMesh
 from .history import march
-from .iteration import exchange_preconditioner, exchange_sensitivity, fixed_point_solve
+from .iteration import couple
 from .physics import (
     DEFAULT_CONSTANTS,
     MaterialEOS,
     PhysicalConstants,
     group_planck,
-    update_temperature,
 )
-from .transport import SolverOptions, StepDiagnostics, energy_balance_residual
+from .transport import StepDiagnostics, energy_balance_residual
 
 MODEL_KINDS = ("p1", "p13", "fld")
 BOUNDARY_KINDS = ("drive", "vacuum", "reflective")
@@ -82,7 +81,6 @@ class DiffusionProblem:
     eos: MaterialEOS
     boundaries: Mapping[str, BoundaryCondition]
     constants: PhysicalConstants = DEFAULT_CONSTANTS
-    options: SolverOptions = SolverOptions()
 
     def __post_init__(self):
         missing = [s for s in SIDES if s not in self.boundaries]
@@ -339,69 +337,24 @@ def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label:
     """Advance a moment model one backward-Euler step; shared by all four models.
 
     faces(kappa, E_lag) gives the interior FaceForms of one pass and
-    boundary the fixed (b_coef, b_base) tables. The outer iteration mirrors
-    the transport coupling: freeze T, solve the per-group moment systems,
-    update T by the material-energy Newton. When the faces depend on E
-    (FLD, which passes e_scale), the iteration runs on the joint (T, E)
-    unknown so the lagged coefficient converges together with the
-    temperature; E is scaled by e_scale, the problem's energy magnitude,
-    so convergence means "below tol of the global scale" even where the
-    field underflows to zero. The stored fluxes come from faces rebuilt on
-    the converged E, so FLD's satisfy the limiter bound against their own
-    E exactly.
+    boundary the fixed (b_coef, b_base) tables. The step is
+    iteration.couple with the per-group moment solve as its radiation
+    solve; FLD, whose faces depend on E, passes e_scale so the coupling
+    iterates on the joint (T, E) unknown. The stored fluxes come from
+    faces rebuilt on the converged E, so FLD's satisfy the limiter bound
+    against their own E exactly.
     """
-    opt = problem.options
     c = problem.constants.c
-    store = {}
+    last = {}
 
-    def solve_pass(T_freeze, E_lag):
-        kappa, _, B, dB = problem.material.emission_terms(T_freeze, problem.constants)
+    def radiate(kappa, B, E_lag):
         system = MomentSystem(problem.mesh, *faces(kappa, E_lag), *boundary)
-        E_new = system.solve(dt, c * kappa, 4.0 * np.pi * kappa * B, state.E)
-        store["kappa"], store["E"] = kappa, E_new
-        store["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt, c)
-        T_new = update_temperature(
-            state.T, E_new, dt, problem.material, problem.eos, problem.constants,
-            T_start=T_freeze, tol=opt.newton_tol, max_iter=opt.newton_max_iter,
-        )
-        return T_new, E_new
+        last["kappa"], last["E"] = kappa, system.solve(dt, c * kappa, 4.0 * np.pi * kappa * B, state.E)
+        return last["E"]
 
-    if e_scale is None:
-        T_new, history = fixed_point_solve(
-            lambda T: solve_pass(T, state.E)[0], state.T,
-            tol=opt.picard_tol, max_iter=opt.picard_max_iter,
-            memory=opt.anderson_memory,
-            precondition=exchange_preconditioner(lambda: store["exchange"]), label=label,
-        )
-    else:
-        n_T = state.T.size
-
-        def pack(T, E):
-            return np.concatenate([T.ravel(), E.ravel() / e_scale])
-
-        def G(x):
-            T_new, E_new = solve_pass(x[:n_T].reshape(state.T.shape), x[n_T:].reshape(state.E.shape) * e_scale)
-            return pack(T_new, E_new)
-
-        def change_measure(x, gx):
-            t_change = np.max(np.abs(gx[:n_T] - x[:n_T]) / np.abs(gx[:n_T]))
-            return max(t_change, np.max(np.abs(gx[n_T:] - x[n_T:])))
-
-        def precondition(x, gx):
-            scale = 1.0 / (1.0 - np.clip(store["exchange"].ravel(), 0.0, 1.0 - 1.0e-4))
-            out = gx.copy()
-            out[:n_T] = x[:n_T] + scale * (gx[:n_T] - x[:n_T])
-            return out
-
-        x_new, history = fixed_point_solve(
-            G, pack(state.T, state.E), tol=opt.picard_tol, max_iter=opt.picard_max_iter,
-            memory=opt.anderson_memory,
-            precondition=precondition, change_measure=change_measure, label=label,
-        )
-        T_new = x_new[:n_T].reshape(state.T.shape)
-
-    E_new = store["E"]
-    Fx, Fy = MomentSystem(problem.mesh, *faces(store["kappa"], E_new), *boundary).fluxes(E_new)
+    T_new, history = couple(problem, state, dt, radiate, label, e_scale)
+    E_new = last["E"]
+    Fx, Fy = MomentSystem(problem.mesh, *faces(last["kappa"], E_new), *boundary).fluxes(E_new)
     new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy)
     diag = StepDiagnostics(picard_iterations=len(history), change_history=history)
     diag.balance_residual = energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos)

@@ -54,16 +54,6 @@ class SpatialMesh:
         return self.nx * self.ny
 
     @property
-    def xc(self) -> np.ndarray:
-        """Cell-center x coordinates, shape (nx,)."""
-        return (np.arange(self.nx) + 0.5) * self.dx
-
-    @property
-    def yc(self) -> np.ndarray:
-        """Cell-center y coordinates, shape (ny,)."""
-        return (np.arange(self.ny) + 0.5) * self.dy
-
-    @property
     def n_boundary_faces(self) -> int:
         return 2 * (self.nx + self.ny)
 
@@ -79,10 +69,6 @@ class SpatialMesh:
             raise ConfigError(f"unknown side {side!r}")
         lo, hi = offsets[side]
         return slice(lo, hi)
-
-    def boundary_face_area(self, side: str) -> float:
-        """Area per unit depth of one boundary face on the given side."""
-        return self.dy if side in ("left", "right") else self.dx
 
 
 @dataclass(frozen=True)
@@ -182,22 +168,6 @@ class FrequencyGrid:
     @property
     def n_groups(self) -> int:
         return self.bounds.size - 1
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.bounds[:-1]
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.bounds[1:]
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.bounds)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bounds[:-1] + self.bounds[1:])
 
 
 def build_frequency_grid(upper_bounds=BENCHMARK_GROUP_BOUNDS) -> FrequencyGrid:

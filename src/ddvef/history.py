@@ -1,8 +1,7 @@
 """Time-series containers shared by the transport and moment models.
 
 A history stores every time level including the initial condition, so a run
-of N steps holds N+1 levels. Cell-centered fluxes are recovered from the
-face-normal values by averaging the two opposing faces of each cell.
+of N steps holds N+1 levels.
 """
 
 from __future__ import annotations
@@ -40,18 +39,6 @@ class SolutionHistory:
     @property
     def n_levels(self) -> int:
         return int(self.times.shape[0])
-
-    def cell_flux(self, level: int = -1) -> np.ndarray:
-        """Cell-centered flux vector (2, G, ny, nx) at one time level."""
-        return cell_flux_from_faces(self.Fx[level], self.Fy[level])
-
-
-def cell_flux_from_faces(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
-    """Average opposing face-normal fluxes to cell centers: (2, G, ny, nx)."""
-    return np.stack([
-        0.5 * (Fx[:, :, :-1] + Fx[:, :, 1:]),
-        0.5 * (Fy[:, :-1, :] + Fy[:, 1:, :]),
-    ])
 
 
 def march(label: str, state, advance, steps, callback=None) -> SolutionHistory:

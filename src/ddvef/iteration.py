@@ -1,12 +1,17 @@
-"""Accelerated fixed-point iteration for the radiation/material coupling.
+"""The one radiation/material coupling loop and its accelerated fixed point.
 
-The outer coupling loop (freeze temperature, solve radiation, update
-temperature) is a fixed-point map whose contraction degrades toward one in
-optically thick, strongly heated cells: the per-step energy exchange locks
-radiation to the lagged emission, so plain iteration crawls. Anderson
-mixing over a short residual history removes that slow mode while keeping
-the same fixed point, the same relative-change convergence test, and the
-same failure behavior.
+Every model - the transport FOM, P1, P1/3, FLD and the data-driven VEF -
+advances the temperature through couple(): freeze T, solve the radiation
+field, update T by the material-energy Newton. The loop is a fixed-point
+map whose contraction degrades toward one in optically thick, strongly
+heated cells: the per-step energy exchange locks radiation to the lagged
+emission, so plain iteration crawls. Anderson mixing over a short residual
+history, driven through the exchange preconditioner, removes that slow
+mode while keeping the same fixed point, the same relative-change
+convergence test, and the same failure behavior.
+
+The solver settings are the module constants below; couple() reads them
+at call time.
 """
 
 from __future__ import annotations
@@ -14,6 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError
+from .physics import update_temperature
+
+#: Relative max-norm change at which the coupling iteration stops.
+PICARD_TOL = 1.0e-10
+PICARD_MAX_ITER = 200
+#: Relative change at which the per-cell material Newton stops.
+NEWTON_TOL = 1.0e-10
+NEWTON_MAX_ITER = 200
+#: Iterate/value pairs the Anderson mixer keeps.
+ANDERSON_MEMORY = 20
 
 
 def exchange_sensitivity(kappa, dB, cv: float, dt: float, c: float):
@@ -94,11 +109,10 @@ class AndersonAccelerator:
         dR = R[:, 1:] - R[:, :-1]
         try:
             gamma, *_ = np.linalg.lstsq(dR, r, rcond=None)
+            solved = bool(np.all(np.isfinite(gamma)))
         except np.linalg.LinAlgError:
-            self._x = self._x[-1:]
-            self._g = self._g[-1:]
-            return gx.copy()
-        if not np.all(np.isfinite(gamma)):
+            solved = False
+        if not solved:
             self._x = self._x[-1:]
             self._g = self._g[-1:]
             return gx.copy()
@@ -180,3 +194,58 @@ def fixed_point_solve(
             x_next = np.maximum(x_next, guard_factor * gx)
         x = x_next
     raise ConvergenceError(f"{label} did not converge", residual=history[-1], history=history)
+
+
+def couple(problem, state, dt: float, radiate, label: str, e_scale: float | None = None):
+    """Converge one backward-Euler step's radiation/material coupling.
+
+    Each pass evaluates problem.material.emission_terms at the frozen
+    temperature, solves the radiation field E = radiate(kappa, B, E_lag),
+    estimates the exchange sensitivity and updates T from state.T by the
+    material Newton started at the frozen T. Anderson mixing with the
+    exchange preconditioner drives the passes to a relative change below
+    PICARD_TOL. radiate keeps whatever else of its last solve the caller
+    needs; the last pass is the one whose T is returned.
+
+    The unknown is T alone, with E_lag the previous step's state.E. When
+    the radiation solve depends on E as well (FLD's limiter), the caller
+    passes e_scale, the problem's energy magnitude, and the unknown becomes
+    the joint (T, E / e_scale) so the lagged coefficient converges together
+    with the temperature; the E block converges below PICARD_TOL of the
+    global scale even where the field underflows to zero, and the
+    preconditioner acts on the T block only.
+
+    Returns (T, history) with history the relative change of every pass.
+    """
+    n_T = state.T.size
+    last = {}
+
+    def pack(T, E):
+        return np.concatenate([T.ravel(), E.ravel() / e_scale]) if e_scale is not None else T.ravel()
+
+    def coupled_pass(x):
+        T_freeze = x[:n_T].reshape(state.T.shape)
+        E_lag = x[n_T:].reshape(state.E.shape) * e_scale if e_scale is not None else state.E
+        kappa, _, B, dB = problem.material.emission_terms(T_freeze, problem.constants)
+        E = radiate(kappa, B, E_lag)
+        last["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt, problem.constants.c).ravel()
+        T = update_temperature(
+            state.T, E, dt, problem.material, problem.eos, problem.constants,
+            T_start=T_freeze, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+        )
+        return pack(T, E)
+
+    relax_T = exchange_preconditioner(lambda: last["exchange"])
+
+    def precondition(x, gx):
+        return np.concatenate([relax_T(x[:n_T], gx[:n_T]), gx[n_T:]])
+
+    def change_measure(x, gx):
+        t_change = np.max(np.abs(gx[:n_T] - x[:n_T]) / np.abs(gx[:n_T]))
+        return max(t_change, np.max(np.abs(gx[n_T:] - x[n_T:]), initial=0.0))
+
+    x, history = fixed_point_solve(
+        coupled_pass, pack(state.T, state.E), tol=PICARD_TOL, max_iter=PICARD_MAX_ITER,
+        memory=ANDERSON_MEMORY, precondition=precondition, change_measure=change_measure, label=label,
+    )
+    return x[:n_T].reshape(state.T.shape), history

@@ -70,22 +70,8 @@ def planck_integral(z):
         p *= z2
     out[small] = zs**3 / 3.0 - zs**4 / 8.0 + acc
     zb = z[~small]
-    out[~small] = PLANCK_INTEGRAL_TOTAL - _planck_tail(zb)
+    out[~small] = PLANCK_INTEGRAL_TOTAL - _tail_scaled(zb, 0.0)
     return out if out.ndim else float(out)
-
-
-def _planck_tail(z):
-    """int_z^inf x^3/(e^x - 1) dx for z >= 1, by the exponential series."""
-    z3 = z**3
-    z2 = 3.0 * z * z
-    z1 = 6.0 * z
-    v = np.exp(-z)
-    wk = v.copy()  # e^{-k z}
-    acc = np.zeros_like(z)
-    for k in range(1, _TAIL_TERMS + 1):
-        acc += wk * (z3 / k + z2 / k**2 + z1 / k**3 + 6.0 / k**4)
-        wk = wk * v
-    return acc
 
 
 def spectral_opacity(nu, T, coefficient: float = 27.0):
@@ -186,7 +172,7 @@ def _psi_scaled(x, x0):
 
 
 def _tail_scaled(x, x0):
-    """e^{x0} * int_x^inf x'^3/(e^x'-1) dx' for x >= x0 >= 1."""
+    """e^{x0} * int_x^inf x'^3/(e^x'-1) dx' for x >= 1 and x0 <= x; x0 = 0 is the plain tail."""
     x3 = x**3
     x2 = 3.0 * x * x
     x1 = 6.0 * x
@@ -259,20 +245,6 @@ class MaterialEOS:
     def __post_init__(self):
         if self.cv <= 0.0:
             raise ValueError(f"c_v must be positive, got {self.cv}")
-
-    def energy(self, T):
-        T = np.asarray(T, dtype=float)
-        if np.any(T <= 0.0):
-            raise ValueError("material energy requires T > 0")
-        out = self.cv * T
-        return out if out.ndim else float(out)
-
-    def temperature(self, eps):
-        eps = np.asarray(eps, dtype=float)
-        if np.any(eps <= 0.0):
-            raise ValueError("material temperature requires eps > 0")
-        out = eps / self.cv
-        return out if out.ndim else float(out)
 
 
 def benchmark_cv(T_drive: float, constants: PhysicalConstants = DEFAULT_CONSTANTS, multiplier: float = 0.5917) -> float:

@@ -25,25 +25,13 @@ import numpy as np
 from .errors import ConfigError
 from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh
 from .history import march
-from .iteration import exchange_preconditioner, exchange_sensitivity, fixed_point_solve
+from .iteration import couple
 from .physics import (
     DEFAULT_CONSTANTS,
     MaterialEOS,
     PhysicalConstants,
     group_planck,
-    update_temperature,
 )
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Nonlinear iteration controls shared by all models."""
-
-    picard_tol: float = 1.0e-10
-    picard_max_iter: int = 200
-    newton_tol: float = 1.0e-10
-    newton_max_iter: int = 200
-    anderson_memory: int = 20
 
 
 @dataclass(frozen=True)
@@ -246,7 +234,6 @@ class TransportProblem:
     eos: MaterialEOS
     inflow: BoundaryInflow
     constants: PhysicalConstants = DEFAULT_CONSTANTS
-    options: SolverOptions = SolverOptions()
 
 
 @dataclass
@@ -287,32 +274,19 @@ def initial_transport_state(problem: TransportProblem, T0: float) -> TransportSt
 def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tuple[TransportState, StepDiagnostics]:
     """Advance the coupled transport / material-energy system one step.
 
-    Outer iteration on the opacity/emission temperature: sweep with frozen
-    kappa_g(T~), B_g(T~), then update T from the material energy balance by
-    per-cell Newton, fully implicit in both kappa and B. The previous-step
-    intensity stays fixed at time level n-1 throughout; Anderson mixing
-    accelerates the otherwise slowly contracting exchange in thick cells.
+    The step is iteration.couple with a sweep as its radiation solve: sweep
+    with frozen kappa_g(T~), B_g(T~), then update T from the material
+    energy balance by per-cell Newton, fully implicit in both kappa and B.
+    The previous-step intensity stays fixed at time level n-1 throughout.
     """
-    opt = problem.options
     result = None
-    exchange = None
 
-    def coupled_pass(T_freeze):
-        nonlocal result, exchange
-        kappa, _, B, dB = problem.material.emission_terms(T_freeze, problem.constants)
+    def radiate(kappa, B, _):
+        nonlocal result
         result = sweep(problem.mesh, problem.quad, kappa, kappa * B, psi_prev=state.psi, dt=dt, inflow=problem.inflow, constants=problem.constants)
-        exchange = exchange_sensitivity(kappa, dB, problem.eos.cv, dt, problem.constants.c)
-        return update_temperature(
-            state.T, result.E, dt, problem.material, problem.eos, problem.constants,
-            T_start=T_freeze, tol=opt.newton_tol, max_iter=opt.newton_max_iter,
-        )
+        return result.E
 
-    T_new, history = fixed_point_solve(
-        coupled_pass, state.T, tol=opt.picard_tol, max_iter=opt.picard_max_iter,
-        memory=opt.anderson_memory,
-        precondition=exchange_preconditioner(lambda: exchange),
-        label="transport/material coupling",
-    )
+    T_new, history = couple(problem, state, dt, radiate, "transport/material coupling")
 
     new_state = TransportState(state.t + dt, T_new, result.psi, result.E, result.Fx, result.Fy)
     diag = StepDiagnostics(picard_iterations=len(history), change_history=history)

@@ -51,7 +51,9 @@ of a bare diffusion stencil.
 Fusing both phases advances the auxiliary intensity and the moment state
 together step by step with no stored dataset. Both phases read the same
 per-step closure generator and march the same stepper, so the offline ->
-online composition reproduces the fused pipeline bitwise.
+online composition reproduces the fused pipeline bitwise. Every online
+step converges its temperature through iteration.couple, the one
+radiation/material coupling loop of all the models.
 """
 
 from __future__ import annotations
@@ -74,10 +76,9 @@ from .diffusion import (
 from .errors import ConfigError
 from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh
 from .history import march
-from .physics import DEFAULT_CONSTANTS, MaterialEOS, PhysicalConstants, group_planck
+from .physics import DEFAULT_CONSTANTS, PhysicalConstants, group_planck
 from .transport import (
     BoundaryInflow,
-    SolverOptions,
     StepDiagnostics,
     SweepResult,
     TransportProblem,
@@ -462,24 +463,8 @@ def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VefProblem:
-    """Static description of an online VEF run (no quadrature needed)."""
-
-    mesh: SpatialMesh
-    fgrid: FrequencyGrid
-    material: object
-    eos: MaterialEOS
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
-    options: SolverOptions = SolverOptions()
-
-    @classmethod
-    def from_transport(cls, problem: TransportProblem) -> "VefProblem":
-        return cls(problem.mesh, problem.fgrid, problem.material, problem.eos, problem.constants, problem.options)
-
-
 def vef_step(
-    problem: VefProblem,
+    problem: TransportProblem,
     state: MomentState,
     dt: float,
     record: ClosureRecord,
@@ -487,11 +472,14 @@ def vef_step(
 ) -> tuple[MomentState, StepDiagnostics]:
     """Advance the closed moment system one backward-Euler step.
 
-    The closure record is frozen data for the step, so the outer coupling
-    iterates on the temperature field exactly like the P1 stepper (see
-    diffusion.coupled_step). The faces are the first-moment forms with the
-    record's factors gx, gy, its f_xy cross term and its remainders; each
-    boundary face's outward current is n.F = c C eta E_cell - F_in + c rb.
+    The closure record is frozen data for the step, so the coupling
+    (iteration.couple through diffusion.coupled_step) iterates on the
+    temperature field exactly like the P1 stepper. The faces are the
+    first-moment forms with the record's factors gx, gy, its f_xy cross
+    term and its remainders; each boundary face's outward current is
+    n.F = c C eta E_cell - F_in + c rb. Of the transport problem only the
+    mesh, groups, material and constants are used: the record and drive
+    stand in for the quadrature and the inflow.
     """
     mesh, c = problem.mesh, problem.constants.c
     alpha = 1.0 / (c * dt)
@@ -504,7 +492,7 @@ def vef_step(
 
 
 def online_phase(
-    problem: VefProblem,
+    problem: TransportProblem,
     dataset: ClosureDataset,
     T0,
     label: str = "vef",
@@ -547,8 +535,7 @@ def fused_pipeline(
     temperature field.
     """
     times, T_data = _check_temperature_data(problem, temperatures)
-    vp = VefProblem.from_transport(problem)
     drive = BoundaryDrive.from_quadrature(problem.inflow, problem.quad, problem.fgrid.n_groups, problem.constants)
-    state = initial_moment_state(vp, T_data[0], times[0])
+    state = initial_moment_state(problem, T_data[0], times[0])
     steps = _closure_steps(problem, times, T_data, drive)
-    return march(label, state, lambda s, step: vef_step(vp, s, *step, drive), steps, callback)
+    return march(label, state, lambda s, step: vef_step(problem, s, *step, drive), steps, callback)

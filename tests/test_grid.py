@@ -23,11 +23,6 @@ class TestSpatialMesh:
         # Cell areas tile the domain exactly.
         assert mesh.cell_volume * mesh.n_cells == pytest.approx(36.0, abs=1e-12)
 
-    def test_cell_centers(self):
-        mesh = SpatialMesh(3, 2, 6.0, 2.0)
-        np.testing.assert_allclose(mesh.xc, [1.0, 3.0, 5.0])
-        np.testing.assert_allclose(mesh.yc, [0.5, 1.5])
-
     def test_boundary_faces_partition(self):
         mesh = SpatialMesh(5, 3, 1.0, 1.0)
         assert mesh.n_boundary_faces == 16
@@ -36,8 +31,6 @@ class TestSpatialMesh:
             sl = mesh.boundary_slice(side)
             seen.extend(range(sl.start, sl.stop))
         assert sorted(seen) == list(range(16))
-        assert mesh.boundary_face_area("left") == pytest.approx(mesh.dy)
-        assert mesh.boundary_face_area("top") == pytest.approx(mesh.dx)
 
     def test_invalid_mesh_rejected(self):
         with pytest.raises(ConfigError):
@@ -131,13 +124,6 @@ class TestFrequencyGrid:
         assert grid.bounds[-1] == pytest.approx(1.0e7)
         assert np.all(np.diff(grid.bounds) > 0)
         assert len(BENCHMARK_GROUP_BOUNDS) == 17
-
-    def test_widths_and_centers(self):
-        grid = build_frequency_grid([1.0, 3.0, 10.0])
-        np.testing.assert_allclose(grid.widths, [1.0, 2.0, 7.0])
-        np.testing.assert_allclose(grid.centers, [0.5, 2.0, 6.5])
-        np.testing.assert_allclose(grid.lower, [0.0, 1.0, 3.0])
-        np.testing.assert_allclose(grid.upper, [1.0, 3.0, 10.0])
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ConfigError):

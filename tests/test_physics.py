@@ -223,21 +223,7 @@ class TestMaterialEOS:
         # 0.5917 * 0.01372 * 1^3
         assert benchmark_cv(1.0) == pytest.approx(8.118124e-3, rel=1e-10)
 
-    def test_roundtrip(self):
-        eos = MaterialEOS(benchmark_cv(1.0))
-        T = np.array([1e-3, 0.5, 1.0])
-        np.testing.assert_allclose(eos.temperature(eos.energy(T)), T, rtol=1e-14)
-
-    def test_linear(self):
-        eos = MaterialEOS(2.0)
-        assert eos.energy(3.0) == pytest.approx(6.0)
-
     def test_domain_errors(self):
-        eos = MaterialEOS(1.0)
-        with pytest.raises(ValueError):
-            eos.energy(0.0)
-        with pytest.raises(ValueError):
-            eos.temperature(-1.0)
         with pytest.raises(ValueError):
             MaterialEOS(0.0)
 
