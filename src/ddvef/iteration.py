@@ -74,7 +74,7 @@ class AndersonAccelerator:
     lock oscillations in place.
     """
 
-    def __init__(self, memory: int = 5):
+    def __init__(self, memory: int):
         self.memory = memory
         self._x: list[np.ndarray] = []
         self._g: list[np.ndarray] = []
@@ -124,9 +124,9 @@ class AndersonAccelerator:
 def fixed_point_solve(
     G,
     x0: np.ndarray,
-    tol: float = 1.0e-10,
-    max_iter: int = 200,
-    memory: int = 5,
+    tol: float,
+    max_iter: int,
+    memory: int,
     guard_factor: float | None = 0.1,
     precondition=None,
     change_measure=None,
@@ -202,10 +202,12 @@ def couple(problem, state, dt: float, radiate, label: str, e_scale: float | None
     Each pass evaluates problem.material.emission_terms at the frozen
     temperature, solves the radiation field E = radiate(kappa, B, E_lag),
     estimates the exchange sensitivity and updates T from state.T by the
-    material Newton started at the frozen T. Anderson mixing with the
-    exchange preconditioner drives the passes to a relative change below
-    PICARD_TOL. radiate keeps whatever else of its last solve the caller
-    needs; the last pass is the one whose T is returned.
+    material Newton started at the frozen T, which takes the pass's
+    emission terms as its first evaluation instead of repeating it.
+    Anderson mixing with the exchange preconditioner drives the passes to
+    a relative change below PICARD_TOL. radiate keeps whatever else of its
+    last solve the caller needs; the last pass is the one whose T is
+    returned.
 
     The unknown is T alone, with E_lag the previous step's state.E. When
     the radiation solve depends on E as well (FLD's limiter), the caller
@@ -226,12 +228,13 @@ def couple(problem, state, dt: float, radiate, label: str, e_scale: float | None
     def coupled_pass(x):
         T_freeze = x[:n_T].reshape(state.T.shape)
         E_lag = x[n_T:].reshape(state.E.shape) * e_scale if e_scale is not None else state.E
-        kappa, _, B, dB = problem.material.emission_terms(T_freeze, problem.constants)
+        terms = problem.material.emission_terms(T_freeze, problem.constants)
+        kappa, _, B, dB = terms
         E = radiate(kappa, B, E_lag)
         last["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt, problem.constants.c).ravel()
         T = update_temperature(
             state.T, E, dt, problem.material, problem.eos, problem.constants,
-            T_start=T_freeze, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+            T_start=T_freeze, terms=terms, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
         )
         return pack(T, E)
 

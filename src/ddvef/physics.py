@@ -7,12 +7,16 @@ with the dimensionless substitution x = nu/T:
     B_g(T) = (a c T^4 / 4 pi) * [Phi(x_g) - Phi(x_{g-1})] / Phi(inf)
 
 where Phi(z) = int_0^z x^3/(e^x - 1) dx and Phi(inf) = pi^4/15. Phi is
-evaluated by a pair of machine-precision series (Bernoulli power series below
-z = 1, exponential tail series above), so the summed emission identity
-sum_g 4 pi B_g = a c T^4 holds to roundoff whenever the last group edge
-covers the spectrum. The benchmark material has spectral opacity
-kappa_nu = chi / nu^3 * (1 - e^{-nu/T}); its Planck-weighted group mean
-collapses analytically because kappa_nu B_nu is proportional to e^{-nu/T}.
+evaluated by a pair of machine-precision series: a Bernoulli power series
+below z = 1 and, above it, the tail series scaled by e^z,
+S(z) = e^z (Phi(inf) - Phi(z)) = sum_k e^{-(k-1) z} p(k z) / k^4 with
+p(y) = y^3 + 3y^2 + 6y + 6. Term k is formed only where (k-1) z < 40, so
+an edge at z >= 40 takes the first term alone and no term is subnormal.
+The summed emission identity sum_g 4 pi B_g = a c T^4 holds to roundoff
+whenever the last group edge covers the spectrum. The benchmark material
+has spectral opacity kappa_nu = chi / nu^3 * (1 - e^{-nu/T}); its
+Planck-weighted group mean collapses analytically because kappa_nu B_nu is
+proportional to e^{-nu/T}.
 
 Temperatures below T_FLOOR are clamped inside the group evaluations;
 non-positive inputs raise.
@@ -37,7 +41,7 @@ PLANCK_INTEGRAL_TOTAL = np.pi**4 / 15.0
 #   Phi(z) = z^3/3 - z^4/8 + sum_k B_{2k} z^{2k+3} / ((2k+3) (2k)!)
 _BERN = bernoulli(20)
 _POWER_COEF = np.array([_BERN[2 * k] / ((2 * k + 3) * factorial(2 * k)) for k in range(1, 11)])
-_TAIL_TERMS = 48  # e^{-48} ~ 1e-21: tail series converged for z >= 1
+_TAIL_CUT = 40.0  # tail term k is kept where (k-1) z < 40; e^{-40} ~ 4e-18
 
 
 @dataclass(frozen=True)
@@ -61,16 +65,9 @@ def planck_integral(z):
         raise ValueError("planck_integral requires z >= 0")
     out = np.empty(z.shape)
     small = z <= 1.0
-    zs = z[small]
-    acc = np.zeros_like(zs)
-    z2 = zs * zs
-    p = z2 * z2 * zs  # z^5, first Bernoulli-series power
-    for ck in _POWER_COEF:
-        acc += ck * p
-        p *= z2
-    out[small] = zs**3 / 3.0 - zs**4 / 8.0 + acc
+    out[small] = _power_series(z[small])
     zb = z[~small]
-    out[~small] = PLANCK_INTEGRAL_TOTAL - _tail_scaled(zb, 0.0)
+    out[~small] = PLANCK_INTEGRAL_TOTAL - np.exp(-zb) * _tail_exp(zb)
     return out if out.ndim else float(out)
 
 
@@ -87,10 +84,18 @@ def spectral_opacity(nu, T, coefficient: float = 27.0):
 class _GroupTerms:
     """Shared per-evaluation quantities for all group reductions at one T.
 
-    Works on x = nu_edge / T, shape (G+1,) + T.shape. Group integrals of the
-    Planck weight are carried in a scaled form dphi * e^{-shift} so that
-    ratios (opacity) stay accurate when the weight underflows: shift = 0 for
-    groups whose lower edge sits at x <= 1, otherwise shift = x_lower.
+    Works on the edges x = nu_edge / T, shape (G+1,) + T.shape, and does the
+    series work once per edge: neighbouring groups share an edge, so group
+    quantities are differences of edge values. Group integrals of the Planck
+    weight are carried in a scaled form dphi * e^{-shift} so that ratios
+    (opacity) stay accurate when the weight underflows:
+
+    - low groups (x0 <= 1), shift = 0: dphi = Phi(x1) - Phi(x0), with
+      psi(x) = x^4/(e^x - 1) at both edges;
+    - high groups, shift = x0: with S(x) and P(x) = x^4/(1 - e^{-x}) at
+      every edge above 1, dphi = S(x0) - e^{-dx} S(x1), psi0 = P(x0) and
+      psi1 = e^{-dx} P(x1). The factor e^{-dx} is at most one, so nothing
+      overflows, and far out on the tail it underflows to zero.
     """
 
     def __init__(self, T: np.ndarray, fgrid: FrequencyGrid):
@@ -98,39 +103,39 @@ class _GroupTerms:
         if np.any(T <= 0.0):
             raise ValueError("group evaluations require T > 0")
         self.T = np.maximum(T, T_FLOOR)
-        self.fgrid = fgrid
-        shape = (fgrid.n_groups + 1,) + self.T.shape
-        x = (fgrid.bounds.reshape((-1,) + (1,) * self.T.ndim) / self.T).reshape(shape)
+        x = fgrid.bounds.reshape((-1,) + (1,) * self.T.ndim) / self.T  # (G+1,) + T.shape
         self.x0 = x[:-1]
         self.x1 = x[1:]
         self.dx = self.x1 - self.x0
-        self.low = self.x0 <= 1.0
-        self._integrals()
+        self.edx = edx = np.exp(-self.dx)
+        self.low = low = self.x0 <= 1.0
+        self.shift = np.where(low, 0.0, self.x0)
 
-    def _integrals(self):
-        x0, x1, low = self.x0, self.x1, self.low
-        dphi = np.empty(x0.shape)
-        psi0 = np.empty(x0.shape)
-        psi1 = np.empty(x0.shape)
+        # Scaled edge values wherever x > 1, which covers every high group's edges.
+        big = x > 1.0
+        xb = x[big]
+        S = np.zeros(x.shape)
+        P = np.zeros(x.shape)
+        S[big] = _tail_exp(xb)
+        P[big] = xb**4 / -np.expm1(-xb)
 
-        # Low groups: plain cumulative difference, scale factor 1.
-        dphi[low] = planck_integral(x1[low]) - planck_integral(x0[low])
-        psi0[low] = _psi(x0[low])
-        psi1[low] = _psi(x1[low])
+        # Unscaled Phi and psi on the low groups' edges: the power series up
+        # to x = 1, then the scaled values times e^{-x} on the edge above it.
+        # The edges ascend from nu = 0, so edge i > 0 bounds a low group
+        # exactly when edge i - 1 is <= 1.
+        phi = np.zeros(x.shape)
+        psi = np.zeros(x.shape)
+        xs = x[~big]
+        phi[~big] = _power_series(xs)
+        psi[~big] = np.divide(xs**4, np.expm1(xs), out=np.zeros(xs.shape), where=xs > 0.0)
+        rim = big & (np.concatenate([x[:1], x[:-1]]) <= 1.0)
+        e = np.exp(-x[rim])
+        phi[rim] = PLANCK_INTEGRAL_TOTAL - e * S[rim]
+        psi[rim] = e * P[rim]
 
-        # High groups: everything scaled by e^{x0}. Each series exponent
-        # x0 - k*x is <= 0, so the terms never overflow and underflow to
-        # exactly zero far out on the tail.
-        hi = ~low
-        a, b = x0[hi], x1[hi]
-        dphi[hi] = _tail_scaled(a, a) - _tail_scaled(b, a)
-        psi0[hi] = _psi_scaled(a, a)
-        psi1[hi] = _psi_scaled(b, a)
-
-        self.dphi = dphi  # Delta Phi_g * e^{shift}
-        self.psi0 = psi0  # x^4/(e^x - 1) * e^{shift} at the group edges
-        self.psi1 = psi1
-        self.shift = np.where(low, 0.0, x0)
+        self.dphi = np.where(low, phi[1:] - phi[:-1], S[:-1] - edx * S[1:])  # Delta Phi_g * e^{shift}
+        self.psi0 = np.where(low, psi[:-1], P[:-1])  # x^4/(e^x - 1) * e^{shift} at the group edges
+        self.psi1 = np.where(low, psi[1:], edx * P[1:])
 
     def planck(self, constants: PhysicalConstants):
         """(B_g, dB_g/dT), each shaped (G,) + T.shape [Jerk/(cm^2 ns sr)]."""
@@ -151,38 +156,37 @@ class _GroupTerms:
         num_scaled = np.exp(-(self.x0 - self.shift)) * em
         kappa = coefficient * num_scaled / (self.T**3 * self.dphi)
         # d/dT log kappa = [ (x0 - x1 e^{-dx})/(1 - e^{-dx}) - 3 + (psi1 - psi0)/dphi ] / T
-        edx = np.exp(-self.dx)
-        ratio_n = (self.x0 - self.x1 * edx) / em
+        ratio_n = (self.x0 - self.x1 * self.edx) / em
         ratio_d = (self.psi1 - self.psi0) / self.dphi
         dkappa = kappa * (ratio_n - 3.0 + ratio_d) / self.T
         return kappa, dkappa
 
 
-def _psi(x):
-    """x^4/(e^x - 1), safe at both ends."""
-    with np.errstate(over="ignore"):
-        e = np.expm1(x)
-    out = np.where(np.isfinite(e) & (e > 0.0), x**4 / np.where(e > 0.0, e, 1.0), 0.0)
-    return np.where(x == 0.0, 0.0, out)
+def _power_series(z):
+    """Phi(z) by its Bernoulli power series, for 0 <= z <= 1."""
+    acc = np.zeros_like(z)
+    z2 = z * z
+    p = z2 * z2 * z  # z^5, first Bernoulli-series power
+    for ck in _POWER_COEF:
+        acc += ck * p
+        p *= z2
+    return z**3 / 3.0 - z**4 / 8.0 + acc
 
 
-def _psi_scaled(x, x0):
-    """x^4 e^{x0} / (e^x - 1) for x >= x0 >= 1."""
-    return x**4 * np.exp(x0 - x) / (-np.expm1(-x))
+def _tail_exp(z):
+    """S(z) = e^z int_z^inf x^3/(e^x - 1) dx for z > 1.
 
-
-def _tail_scaled(x, x0):
-    """e^{x0} * int_x^inf x'^3/(e^x'-1) dx' for x >= 1 and x0 <= x; x0 = 0 is the plain tail."""
-    x3 = x**3
-    x2 = 3.0 * x * x
-    x1 = 6.0 * x
-    u = np.exp(x0 - x)   # k = 1 factor
-    v = np.exp(-x)       # per-k decrement
-    acc = np.zeros_like(x)
-    for k in range(1, _TAIL_TERMS + 1):
-        acc += u * (x3 / k + x2 / k**2 + x1 / k**3 + 6.0 / k**4)
-        u = u * v
-    return acc
+    Term k = m + 1 > 1 is formed only for the (m, edge) pairs with
+    m z < _TAIL_CUT, m = 1 .. n on each edge, and summed per edge.
+    """
+    near = np.flatnonzero(z < _TAIL_CUT)
+    n = (np.ceil(_TAIL_CUT / z[near]) - 1.0).astype(np.intp)
+    col = np.repeat(near, n)
+    m = np.arange(1.0, col.size + 1.0) - np.repeat(np.cumsum(n) - n, n)
+    zc = z[col]
+    y = (m + 1.0) * zc
+    later = np.exp(-m * zc) * (((y + 3.0) * y + 6.0) * y + 6.0) / (m + 1.0) ** 4
+    return ((z + 3.0) * z + 6.0) * z + 6.0 + np.bincount(col, later, minlength=z.size)
 
 
 def group_planck(T, fgrid: FrequencyGrid, constants: PhysicalConstants = DEFAULT_CONSTANTS):
@@ -260,6 +264,7 @@ def update_temperature(
     eos: MaterialEOS,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
     T_start: np.ndarray | None = None,
+    terms: tuple | None = None,
     tol: float = 1.0e-10,
     max_iter: int = 200,
 ) -> np.ndarray:
@@ -268,12 +273,15 @@ def update_temperature(
     Solves c_v (T - T_prev)/dt = sum_g kappa_g(T) (c E_g - 4 pi B_g(T)) for
     each cell, fully implicit in both opacity and emission. E has shape
     (G,) + T_prev.shape. Newton steps are floored at 0.1x the current
-    iterate to keep T positive.
+    iterate to keep T positive. terms, the material.emission_terms tuple
+    already evaluated at T_start, stands in for the first iteration's
+    evaluation; the iterates are the same, one evaluation cheaper.
     """
     T = np.array(T_start if T_start is not None else T_prev, dtype=float)
     fourpi = 4.0 * np.pi
     for _ in range(max_iter):
-        kappa, dkappa, B, dB = material.emission_terms(T, constants)
+        kappa, dkappa, B, dB = terms if terms is not None else material.emission_terms(T, constants)
+        terms = None
         gap = constants.c * E - fourpi * B
         f = eos.cv * (T - T_prev) / dt - np.sum(kappa * gap, axis=0)
         fp = eos.cv / dt - np.sum(dkappa * gap - fourpi * kappa * dB, axis=0)

@@ -13,11 +13,11 @@ radiation moment system with those tables: per group
     dE/dt + div F + c kappa E = 4 pi kappa B(T),
     (1/c) dF/dt + c div(f E) + kappa F = 0,
 
-with the face condition n.F = c C eta E - F_in + c rb: the incoming
+with the face condition n.F = c C eta E - F_in + rb: the incoming
 partial current F_in is known drive data and enters exactly, while the
 outgoing current is the flux factor times the outgoing face-to-cell
 density ratio eta times the local density, and rb is a per-face
-consistency source (identically zero for transport-derived closures).
+consistency current (identically zero for transport-derived closures).
 
 The closed system is assembled and solved by diffusion.MomentSystem, the
 one assembler that P1, P1/3, FLD and the VEF share; the VEF only fills in
@@ -160,11 +160,11 @@ class ClosureRecord:
     factors on interior x- and y-faces ((G, ny, nx-1) and (G, ny-1, nx)),
     rx and ry the additive face-flux consistency remainders on the same
     faces. eta is the outgoing boundary face-to-cell density ratio and rb
-    the boundary consistency source (both (G, n_boundary_faces); rb
+    the boundary consistency current (both (G, n_boundary_faces); rb
     vanishes for closures extracted from a sweep). The face-level fields
     make the moment stencil discretely consistent with the generating
     sweep; the synthetic values gx = gy = 1/3, rx = ry = 0, eta = 1 and
-    rb = -E_in / 2 reduce the system to P1 with Marshak boundaries.
+    rb = -F_in reduce the system to P1 with Marshak boundaries.
 
     Each field's location is its metadata "at"; the dataset derives its
     stacking, indexing and shape checks from this one field table.
@@ -247,11 +247,11 @@ def closure_from_sweep(
     gx, rx = face_closure(cells_x, kfx, result.Fx[:, :, 1:-1], prev_Fx[:, :, 1:-1], face_means(f.xx)[0], fxy_x, mesh.dx, mesh.dy)
     gy, ry = face_closure(cells_y, kfy, result.Fy[:, 1:-1, :], prev_Fy[:, 1:-1, :], face_means(f.yy)[1], fxy_y, mesh.dy, mesh.dx)
 
-    # boundary closure: n.F = c C eta E_cell - F_in + c rb
+    # boundary closure: n.F = c C eta E_cell - F_in + rb
     cells, sign, _ = boundary_cells(mesh)
     E_edge = Ef[:, cells]
     eta = (result.bface_wI / c) / np.maximum(E_edge, 1.0e-300)
-    rb = (sign * boundary_flux(result.Fx, result.Fy) + on_boundary_faces(mesh, drive.F_in)) / c - C * eta * E_edge
+    rb = sign * boundary_flux(result.Fx, result.Fy) + on_boundary_faces(mesh, drive.F_in) - c * C * eta * E_edge
     return ClosureRecord(f.xx, f.xy, f.yy, f.zz, C, gx, gy, rx, ry, eta, rb)
 
 
@@ -262,16 +262,15 @@ def closure_from_sweep(
 
 @dataclass(frozen=True)
 class BoundaryDrive:
-    """Half-range moments of the incoming boundary source, per side.
+    """Incoming partial current of the boundary source, per side.
 
-    E_in[s, g] is the incoming half-range energy density and F_in[s, g]
-    the incoming partial current on side s (canonical order left, right,
-    bottom, top); vacuum sides hold zeros. The online boundary condition
-    n.F = c C eta E - F_in + c rb consumes F_in directly; E_in sets the
-    isotropic closure's rb = -E_in / 2.
+    F_in[s, g] is the incoming partial current on side s (canonical order
+    left, right, bottom, top); vacuum sides hold zeros. The online boundary
+    condition n.F = c C eta E - F_in + rb consumes F_in directly, and the
+    isotropic closure's rb = -F_in turns it into P1's Marshak condition
+    n.F = (c/2) E - 2 F_in.
     """
 
-    E_in: np.ndarray  # (4, G)
     F_in: np.ndarray  # (4, G)
 
     @classmethod
@@ -280,25 +279,21 @@ class BoundaryDrive:
         inflow: BoundaryInflow,
         quad: AngularQuadrature,
         n_groups: int,
-        constants: PhysicalConstants = DEFAULT_CONSTANTS,
     ) -> "BoundaryDrive":
-        """Discrete half-range moments of an isotropic inflow.
+        """Discrete half-range moment of an isotropic inflow.
 
         Using the quadrature sums (not the analytic pi) makes the online
         solve consistent with transport-derived boundary factors: the two
         share the same discrete half-range integrals, so an equilibrium
         drive stays exactly stationary.
         """
-        E_in = np.zeros((4, n_groups))
         F_in = np.zeros((4, n_groups))
         for s, side in enumerate(SIDES):
             bc = inflow.value(side, n_groups)
             incoming = quad.half_range(_NORMALS[side], outgoing=False)
-            w_in = quad.weight[incoming]
-            wn_in = w_in * np.abs(quad.omega[incoming] @ _NORMALS[side])
-            E_in[s] = bc * w_in.sum() / constants.c
+            wn_in = quad.weight[incoming] * np.abs(quad.omega[incoming] @ _NORMALS[side])
             F_in[s] = bc * wn_in.sum()
-        return cls(E_in, F_in)
+        return cls(F_in)
 
     @classmethod
     def planckian(
@@ -308,17 +303,15 @@ class BoundaryDrive:
         sides=("left",),
         constants: PhysicalConstants = DEFAULT_CONSTANTS,
     ) -> "BoundaryDrive":
-        """Analytic half-range moments of a blackbody drive: E_in = 2 pi B / c,
-        F_in = pi B on the driven sides. Matches the diffusion-model Marshak
-        data, so the isotropic closure reduces exactly to P1."""
+        """Analytic incoming current of a blackbody drive, F_in = pi B on the
+        driven sides. Matches the diffusion-model Marshak data, so the
+        isotropic closure reduces exactly to P1."""
         B = group_planck(T_drive, fgrid, constants)
-        E_in = np.zeros((4, B.size))
         F_in = np.zeros((4, B.size))
         for s, side in enumerate(SIDES):
             if side in sides:
-                E_in[s] = 2.0 * np.pi * B / constants.c
                 F_in[s] = np.pi * B
-        return cls(E_in, F_in)
+        return cls(F_in)
 
 
 @dataclass
@@ -360,7 +353,7 @@ class ClosureDataset:
             shape, expected = np.shape(getattr(self.stack, f.name)), (N, n_groups) + at[f.metadata["at"]]
             if shape != expected:
                 raise ConfigError(f"closure {f.name} has shape {shape}, expected {expected}")
-        if self.drive.E_in.shape != (4, n_groups) or self.drive.F_in.shape != (4, n_groups):
+        if self.drive.F_in.shape != (4, n_groups):
             raise ConfigError("closure drive moments do not match the group count")
         if N and not np.all(np.diff(np.concatenate([[self.t0], self.times])) > 0.0):
             raise ConfigError("closure time grid must be strictly increasing from t0")
@@ -376,8 +369,8 @@ def isotropic_closure(
     """Synthetic dataset f = diag(1/3, 1/3, 1/3), C = 1/2 at every level.
 
     The face-level fields take their neutral values (gx = gy = 1/3, zero
-    remainders) and the boundary ones eta = 1, rb = -E_in / 2, so with
-    analytic Planckian drive moments this closure makes the online solver
+    remainders) and the boundary ones eta = 1, rb = -F_in, so with the
+    analytic Planckian drive current this closure makes the online solver
     coincide with the P1 model.
     """
     times = np.asarray(times, dtype=float)
@@ -393,7 +386,7 @@ def isotropic_closure(
         rx=np.zeros((G, ny, nx - 1)),
         ry=np.zeros((G, ny - 1, nx)),
         eta=np.ones((G, nb)),
-        rb=on_boundary_faces(mesh, -0.5 * drive.E_in),
+        rb=on_boundary_faces(mesh, -drive.F_in),
     )
     return ClosureDataset(float(t0), times, _map_fields(lambda a: np.repeat(a[None], times.size, axis=0), one), drive)
 
@@ -453,7 +446,7 @@ def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
     history qualifies. The records are those of _closure_steps.
     """
     times, T_data = _check_temperature_data(problem, temperatures)
-    drive = BoundaryDrive.from_quadrature(problem.inflow, problem.quad, problem.fgrid.n_groups, problem.constants)
+    drive = BoundaryDrive.from_quadrature(problem.inflow, problem.quad, problem.fgrid.n_groups)
     records = [record for _, record in _closure_steps(problem, times, T_data, drive)]
     return ClosureDataset(float(times[0]), times[1:].copy(), _map_fields(lambda *a: np.stack(a), *records), drive)
 
@@ -477,13 +470,13 @@ def vef_step(
     temperature field exactly like the P1 stepper. The faces are the
     first-moment forms with the record's factors gx, gy, its f_xy cross
     term and its remainders; each boundary face's outward current is
-    n.F = c C eta E_cell - F_in + c rb. Of the transport problem only the
+    n.F = c C eta E_cell - F_in + rb. Of the transport problem only the
     mesh, groups, material and constants are used: the record and drive
     stand in for the quadrature and the inflow.
     """
     mesh, c = problem.mesh, problem.constants.c
     alpha = 1.0 / (c * dt)
-    boundary = (c * record.C * record.eta, c * record.rb - on_boundary_faces(mesh, drive.F_in))
+    boundary = (c * record.C * record.eta, record.rb - on_boundary_faces(mesh, drive.F_in))
     return coupled_step(
         problem, state, dt,
         lambda kappa, E: first_moment_faces(mesh, c, kappa, alpha, state, record.gx, record.gy, record.fxy, record.rx, record.ry),
@@ -535,7 +528,7 @@ def fused_pipeline(
     temperature field.
     """
     times, T_data = _check_temperature_data(problem, temperatures)
-    drive = BoundaryDrive.from_quadrature(problem.inflow, problem.quad, problem.fgrid.n_groups, problem.constants)
+    drive = BoundaryDrive.from_quadrature(problem.inflow, problem.quad, problem.fgrid.n_groups)
     state = initial_moment_state(problem, T_data[0], times[0])
     steps = _closure_steps(problem, times, T_data, drive)
     return march(label, state, lambda s, step: vef_step(problem, s, *step, drive), steps, callback)

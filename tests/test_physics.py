@@ -208,6 +208,48 @@ class TestGroupOpacity:
         assert kappa[1, 0, 0] == pytest.approx(2.237607792187154e+01, rel=1e-10)
 
 
+class TestEdgeEvaluation:
+    """Scaled high groups and the per-edge series against the adaptive oracle."""
+
+    # Temperatures that put the 0.7075 KeV edge just either side of x = 1
+    # (the low/high seam) and of the tail-series term-count steps at x = 40
+    # and x = 20, plus a cold field temperature.
+    TEMPERATURES = [0.7075 / x for x in (0.999, 1.001, 19.99, 20.01, 39.99, 40.01)] + [0.02]
+
+    @staticmethod
+    def _oracle(g, T):
+        """(B_g, kappa_g) by adaptive quadrature in x, the Planck weight scaled by e^{x0}."""
+        x0, x1 = FGRID.bounds[g] / T, FGRID.bounds[g + 1] / T
+        hi = min(x1, x0 + 250.0)
+        w = lambda x: x**3 * np.exp(x0 - x) / -np.expm1(-x)  # noqa: E731
+        den, _ = quad(w, x0, hi, epsabs=0, epsrel=1e-13, limit=300)
+        num, _ = quad(lambda x: 27.0 / (x * T) ** 3 * -np.expm1(-x) * w(x), x0, hi, epsabs=0, epsrel=1e-13, limit=300)
+        c = DEFAULT_CONSTANTS
+        B = c.a_rad * c.c * T**4 / (4.0 * np.pi * PLANCK_INTEGRAL_TOTAL) * np.exp(-x0) * den
+        return B, num / den
+
+    @pytest.mark.parametrize("T", TEMPERATURES)
+    def test_high_groups_match_adaptive_quadrature(self, T):
+        B = group_planck(T, FGRID)
+        kappa = MATERIAL.group_opacity(T)
+        high = [g for g in range(FGRID.n_groups) if FGRID.bounds[g] / T > 1.0]
+        assert high
+        for g in high:
+            B_oracle, kappa_oracle = self._oracle(g, T)
+            assert kappa[g] == pytest.approx(kappa_oracle, rel=1e-10), g
+            if FGRID.bounds[g] / T < 600.0:  # beyond, B_g nears the subnormal range
+                assert B[g] == pytest.approx(B_oracle, rel=1e-10), g
+
+    def test_field_matches_per_cell_evaluation(self):
+        # Catches edge or cell index mix-ups in the vectorised edge pass.
+        T = np.geomspace(1e-3, 20.0, 36).reshape(6, 6)[:, ::-1]
+        field = MATERIAL.emission_terms(T, DEFAULT_CONSTANTS)
+        for i, j in np.ndindex(T.shape):
+            cell = MATERIAL.emission_terms(T[i, j], DEFAULT_CONSTANTS)
+            for got, expect in zip(field, cell):
+                np.testing.assert_allclose(got[:, i, j], expect, rtol=1e-14, atol=0.0)
+
+
 class TestConstantOpacity:
     def test_broadcast_and_zero_derivative(self):
         fg = build_frequency_grid([1.0, 1e7])
@@ -282,3 +324,25 @@ class TestUpdateTemperature:
         E = 4.0 * np.pi * group_planck(np.full((2, 2), 1.0), FGRID) / DEFAULT_CONSTANTS.c
         with pytest.raises(ConvergenceError):
             update_temperature(T_prev, E, 2e-2, MATERIAL, self.EOS, max_iter=2)
+
+    def test_terms_at_the_start_are_reused(self):
+        # Terms evaluated at T_start replace the first Newton evaluation:
+        # the same iterates, one emission_terms call fewer.
+        class Counting:
+            def __init__(self, material):
+                self.material, self.calls = material, 0
+
+            def emission_terms(self, T, constants):
+                self.calls += 1
+                return self.material.emission_terms(T, constants)
+
+        rng = np.random.default_rng(3)
+        T_prev = 0.2 + 0.6 * rng.random((4, 4))
+        E = 4.0 * np.pi * group_planck(T_prev * 1.3, FGRID) / DEFAULT_CONSTANTS.c
+        T_start = 1.1 * T_prev
+        fresh, reused = Counting(MATERIAL), Counting(MATERIAL)
+        T_fresh = update_temperature(T_prev, E, 2e-2, fresh, self.EOS, T_start=T_start)
+        terms = MATERIAL.emission_terms(T_start, DEFAULT_CONSTANTS)
+        T_reused = update_temperature(T_prev, E, 2e-2, reused, self.EOS, T_start=T_start, terms=terms)
+        np.testing.assert_array_equal(T_reused, T_fresh)
+        assert reused.calls == fresh.calls - 1 > 0

@@ -109,9 +109,9 @@ def test_online_initial_state_must_sit_at_t0(problem):
 def test_validate_rejects_bad_drive_and_time_grid(problem):
     mesh, G = problem.mesh, problem.fgrid.n_groups
     dataset = isotropic_closure(mesh, G, 0.0, [DT, 2 * DT], BoundaryDrive.planckian(problem.fgrid, T_DRIVE))
-    for E_in, F_in in ((dataset.drive.E_in[:, 1:], dataset.drive.F_in), (dataset.drive.E_in, dataset.drive.F_in[:3])):
+    for F_in in (dataset.drive.F_in[:, 1:], dataset.drive.F_in[:3]):
         with pytest.raises(ConfigError, match="drive moments"):
-            replace(dataset, drive=BoundaryDrive(E_in, F_in)).validate(mesh, G)
+            replace(dataset, drive=BoundaryDrive(F_in)).validate(mesh, G)
     with pytest.raises(ConfigError, match="increasing"):
         replace(dataset, times=np.array([2 * DT, DT])).validate(mesh, G)
     with pytest.raises(ConfigError, match="increasing"):
