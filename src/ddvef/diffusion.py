@@ -13,10 +13,12 @@ factors from a transport sweep and adds the f_xy cross term.
 The models differ only in their coefficients: each writes every interior
 face flux as a linear form in cell energies and every boundary face's
 outward current as coef E_cell + base. MomentSystem, the one assembler all
-four share, builds the eliminated cell-centered system per group from
-those tables, solves it directly, and reconstructs the face fluxes from the
-same tables; the nonlinear temperature coupling is iteration.couple, the
-one loop the transport model uses too.
+four share, gathers those tables into the eliminated cell-centered system
+of every group on a sparsity pattern built once per mesh stencil, solves
+all groups with one sparse direct solve of the block-diagonal system, and
+reconstructs the face fluxes from the same tables; the nonlinear
+temperature coupling is iteration.couple, the one loop the transport model
+uses too.
 
 Boundaries of P1, P1/3 and FLD are Marshak-type per side: n.F = (c/2) E -
 2 F_in with E taken from the adjacent cell and F_in the incoming partial
@@ -26,6 +28,7 @@ current (pi B at the drive temperature, zero for vacuum), or reflective
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -140,6 +143,14 @@ def face_means(field):
     return fx, fy
 
 
+def _read_only(*arrays):
+    """The arrays, marked read-only so cached stencils cannot be changed by a caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
 def face_cells(mesh: SpatialMesh):
     """Flat cell indices of the interior-face stencils, (6, n) for x- then y-faces.
 
@@ -147,24 +158,69 @@ def face_cells(mesh: SpatialMesh):
     and 1 are each face's low- and high-side cells; rows 2-3 and 4-5 are
     the same pair for the next face along the face, one cell forward (up
     for x-faces, right for y-faces) and one cell back, clipped at the domain
-    edges so the clipped pair is the face's own.
+    edges so the clipped pair is the face's own. Built once per mesh; the
+    arrays are shared and read-only.
     """
     idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
     up, down = np.minimum(np.arange(mesh.ny) + 1, mesh.ny - 1), np.maximum(np.arange(mesh.ny) - 1, 0)
     right, left = np.minimum(np.arange(mesh.nx) + 1, mesh.nx - 1), np.maximum(np.arange(mesh.nx) - 1, 0)
     x = np.stack([idx[:, :-1], idx[:, 1:], idx[up, :-1], idx[up, 1:], idx[down, :-1], idx[down, 1:]])
     y = np.stack([idx[:-1], idx[1:], idx[:-1, right], idx[1:, right], idx[:-1, left], idx[1:, left]])
-    return x.reshape(6, -1), y.reshape(6, -1)
+    return _read_only(x.reshape(6, -1), y.reshape(6, -1))
 
 
+@functools.lru_cache(maxsize=16)
 def boundary_cells(mesh: SpatialMesh):
     """Per boundary face in canonical order: the flat index of the cell
     behind it, the sign of its outward normal along its axis, and the
-    cell width across it."""
+    cell width across it. Built once per mesh; the arrays are shared and
+    read-only."""
     idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
     counts = [mesh.ny, mesh.ny, mesh.nx, mesh.nx]
     cells = np.concatenate([idx[:, 0], idx[:, -1], idx[0, :], idx[-1, :]])
-    return cells, np.repeat([-1.0, 1.0, -1.0, 1.0], counts), np.repeat([mesh.dx, mesh.dx, mesh.dy, mesh.dy], counts)
+    return _read_only(cells, np.repeat([-1.0, 1.0, -1.0, 1.0], counts), np.repeat([mesh.dx, mesh.dx, mesh.dy, mesh.dy], counts))
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil(mesh: SpatialMesh, kx: int, ky: int):
+    """Sparsity pattern of the balance matrix for faces of kx and ky cells.
+
+    Returns the row and column of every sorted unique (row, col) slot and
+    the gather matrix that sums the contributions solve() lists - the
+    diagonal, each face's coefficients on its low- then high-side cell,
+    the boundary faces - into their slots.
+    """
+    N = mesh.n_cells
+    rows, cols = [np.arange(N)], [np.arange(N)]
+    for cells, K in zip(face_cells(mesh), (kx, ky)):
+        cells = cells[:K]
+        for owner in cells[:2]:
+            rows.append(np.tile(owner, len(cells)))
+            cols.append(cells.ravel())
+    b_cells = boundary_cells(mesh)[0]
+    rows.append(b_cells)
+    cols.append(b_cells)
+    keys = np.concatenate(rows) * N + np.concatenate(cols)
+    slots, slot_of = np.unique(keys, return_inverse=True)
+    gather = sp.csr_matrix((np.ones(keys.size), (np.arange(keys.size), slot_of)), shape=(keys.size, slots.size))
+    return _read_only(slots // N, slots % N) + (gather,)
+
+
+def _failing_group(A, rhs: np.ndarray, N: int) -> int:
+    """Group whose diagonal block of the block system, solved on its own,
+    fails worst: a singular or non-finite solve, else the largest relative
+    residual."""
+    residuals = []
+    for g in range(rhs.size // N):
+        block = slice(g * N, (g + 1) * N)
+        A_g, b_g = A[block, block], rhs[block]
+        try:
+            x = spla.spsolve(A_g, b_g)
+        except spla.MatrixRankWarning:
+            x = np.full(N, np.nan)
+        r = np.linalg.norm(A_g @ x - b_g) / max(np.linalg.norm(b_g), 1.0e-300)
+        residuals.append(r if np.isfinite(r) else np.inf)
+    return int(np.argmax(residuals))
 
 
 def boundary_flux(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
@@ -180,13 +236,12 @@ def on_boundary_faces(mesh: SpatialMesh, per_side) -> np.ndarray:
 class FaceForms(NamedTuple):
     """Interior-face fluxes F = sum_k coef[k] E[cells[k]] + base.
 
-    cells (K, n) holds flat cell indices, rows 0 and 1 being each face's
-    low- and high-side cells (the flux is positive toward the high side);
-    coef is (K, G, n) and base, the part independent of the unknown
-    energies, (G, n).
+    cells are the first K rows of the mesh's face_cells stencil, rows 0
+    and 1 being each face's low- and high-side cells (the flux is positive
+    toward the high side); coef is (K, G, n) and base, the part
+    independent of the unknown energies, (G, n).
     """
 
-    cells: np.ndarray
     coef: np.ndarray
     base: np.ndarray
 
@@ -200,6 +255,12 @@ class MomentSystem:
     its right-hand side and the reconstructed fluxes all come from these
     tables, so the stored fluxes are exactly those the solve balanced and
     the global energy budget telescopes to the boundary flow.
+
+    All groups are solved together: one sparse direct solve of the
+    block-diagonal system of G*N unknowns, group g's block at offset g*N.
+    The sparsity pattern depends only on the mesh and the stencil widths
+    K, so it is built once per (mesh, K_x, K_y) and each pass only gathers
+    its values into it.
     """
 
     def __init__(self, mesh: SpatialMesh, x: FaceForms, y: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
@@ -208,19 +269,26 @@ class MomentSystem:
         self.b_coef, self.b_base = b_coef, b_base
         self.b_cells, self.b_sign, self.b_width = boundary_cells(mesh)
 
-    def fluxes(self, E: np.ndarray):
-        """Face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) of the energies E."""
-        mesh = self.mesh
-        G = E.shape[0]
-        Ef = E.reshape(G, -1)
-        Fx = np.empty((G, mesh.ny, mesh.nx + 1))
-        Fy = np.empty((G, mesh.ny + 1, mesh.nx))
-        for F, form in ((Fx[:, :, 1:-1], self.x), (Fy[:, 1:-1, :], self.y)):
-            F[...] = (form.base + (form.coef * Ef[:, form.cells].transpose(1, 0, 2)).sum(axis=0)).reshape(F.shape)
-        signed = self.b_sign * (self.b_coef * Ef[:, self.b_cells] + self.b_base)
-        ny, nx = mesh.ny, mesh.nx
+    def _place(self, x_flux: np.ndarray, y_flux: np.ndarray, b_out: np.ndarray):
+        """Fx (G, ny, nx+1) and Fy (G, ny+1, nx) from interior-face fluxes and boundary outward currents."""
+        ny, nx = self.mesh.ny, self.mesh.nx
+        G = b_out.shape[0]
+        Fx = np.empty((G, ny, nx + 1))
+        Fy = np.empty((G, ny + 1, nx))
+        Fx[:, :, 1:-1] = x_flux.reshape(G, ny, nx - 1)
+        Fy[:, 1:-1, :] = y_flux.reshape(G, ny - 1, nx)
+        signed = self.b_sign * b_out
         Fx[:, :, 0], Fx[:, :, -1], Fy[:, 0, :], Fy[:, -1, :] = np.split(signed, [ny, 2 * ny, 2 * ny + nx], axis=1)
         return Fx, Fy
+
+    def fluxes(self, E: np.ndarray):
+        """Face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) of the energies E."""
+        Ef = E.reshape(E.shape[0], -1)
+        interior = [
+            form.base + (form.coef * Ef[:, cells[: len(form.coef)]].transpose(1, 0, 2)).sum(axis=0)
+            for form, cells in zip((self.x, self.y), face_cells(self.mesh))
+        ]
+        return self._place(*interior, self.b_coef * Ef[:, self.b_cells] + self.b_base)
 
     def solve(self, dt: float, ckappa: np.ndarray, source: np.ndarray, E_prev: np.ndarray) -> np.ndarray:
         """Energies of every group from E/dt + div F(E) + c kappa E = E_prev/dt + source.
@@ -229,48 +297,35 @@ class MomentSystem:
         """
         mesh = self.mesh
         G, N = E_prev.shape[0], mesh.n_cells
-        Fx0, Fy0 = self.fluxes(np.zeros_like(E_prev))
+        Fx0, Fy0 = self._place(self.x.base, self.y.base, self.b_base)
         div0 = (Fx0[:, :, 1:] - Fx0[:, :, :-1]) / mesh.dx + (Fy0[:, 1:, :] - Fy0[:, :-1, :]) / mesh.dy
-        rhs = (E_prev / dt + source - div0).reshape(G, N)
+        rhs = (E_prev / dt + source - div0).ravel()
 
-        # A face flux leaves its low-side cell and enters its high-side one.
-        rows, cols, vals = [np.arange(N)], [np.arange(N)], [1.0 / dt + ckappa.reshape(G, N)]
+        # A face flux leaves its low-side cell and enters its high-side one;
+        # the order of these blocks is the order _stencil gathers.
+        vals = [1.0 / dt + ckappa.reshape(G, N)]
         for form, width in ((self.x, mesh.dx), (self.y, mesh.dy)):
-            K = form.cells.shape[0]
             coef = form.coef.transpose(1, 0, 2).reshape(G, -1) / width
-            for owner, sign in ((form.cells[0], 1.0), (form.cells[1], -1.0)):
-                rows.append(np.tile(owner, K))
-                cols.append(form.cells.ravel())
-                vals.append(sign * coef)
-        rows.append(self.b_cells)
-        cols.append(self.b_cells)
+            vals += [coef, -coef]
         vals.append(self.b_coef / self.b_width)
-
-        # One sparse pattern for all groups: duplicate entries are summed
-        # through an indicator matrix into the sorted unique (row, col)
-        # slots. Slots that vanish in every group (a zero cross term) are
-        # dropped, so the factorization sees the couplings actually present
-        # and a closure that reduces to P1 solves P1's very matrix.
-        keys = np.concatenate(rows) * N + np.concatenate(cols)
-        slots, slot_of = np.unique(keys, return_inverse=True)
-        gather = sp.csr_matrix((np.ones(keys.size), (np.arange(keys.size), slot_of)), shape=(keys.size, slots.size))
+        rows, cols, gather = _stencil(mesh, len(self.x.coef), len(self.y.coef))
         data = np.asarray(np.concatenate(vals, axis=1) @ gather)
-        coupled = np.any(data != 0.0, axis=0)
-        slots, data = slots[coupled], data[:, coupled]
-        indices = slots % N
-        indptr = np.searchsorted(slots // N, np.arange(N + 1))
 
-        E_new = np.empty_like(E_prev)
-        for g in range(G):
-            A = sp.csr_matrix((data[g], indices, indptr), shape=(N, N))
-            try:
-                x = spla.spsolve(A, rhs[g])
-            except Exception as exc:  # pragma: no cover - singular systems
-                raise SolverError(f"moment system solve failed: {exc}", group=g) from exc
-            if not np.all(np.isfinite(x)):
-                raise SolverError("moment system produced non-finite energies", group=g)
-            E_new[g] = x.reshape(mesh.ny, mesh.nx)
-        return E_new
+        # Slots that vanish in every group (a zero cross term) are dropped,
+        # so the factorization sees the couplings actually present and a
+        # closure that reduces to P1 solves P1's very matrix.
+        coupled = np.any(data != 0.0, axis=0)
+        rows, cols, data = rows[coupled], cols[coupled], data[:, coupled]
+        nnz, group = rows.size, np.arange(G)[:, None]
+        indptr = np.append((np.searchsorted(rows, np.arange(N)) + nnz * group).ravel(), G * nnz)
+        A = sp.csr_matrix((data.ravel(), (cols + N * group).ravel(), indptr), shape=(G * N, G * N))
+        try:
+            E = spla.spsolve(A, rhs)
+        except spla.MatrixRankWarning as exc:  # a singular block, with warnings raised as errors
+            raise SolverError(f"moment system solve failed: {exc}", group=_failing_group(A, rhs, N)) from exc
+        if not np.all(np.isfinite(E)):
+            raise SolverError("moment system produced non-finite energies", group=_failing_group(A, rhs, N))
+        return E.reshape(E_prev.shape)
 
 
 def first_moment_faces(mesh: SpatialMesh, c: float, kappa, alpha: float, state: MomentState, gx, gy, fxy=None, rx=0.0, ry=0.0):
@@ -291,12 +346,11 @@ def first_moment_faces(mesh: SpatialMesh, c: float, kappa, alpha: float, state: 
     """
     G = kappa.shape[0]
     kfx, kfy = face_means(kappa)
-    cells_x, cells_y = face_cells(mesh)
     fxy_x, fxy_y = face_means(fxy) if fxy is not None else (None, None)
     forms = []
-    for cells, kf, g, F_prev, r, fm, width, along in (
-        (cells_x, kfx, gx, state.Fx[:, :, 1:-1], rx, fxy_x, mesh.dx, mesh.dy),
-        (cells_y, kfy, gy, state.Fy[:, 1:-1, :], ry, fxy_y, mesh.dy, mesh.dx),
+    for kf, g, F_prev, r, fm, width, along in (
+        (kfx, gx, state.Fx[:, :, 1:-1], rx, fxy_x, mesh.dx, mesh.dy),
+        (kfy, gy, state.Fy[:, 1:-1, :], ry, fxy_y, mesh.dy, mesh.dx),
     ):
         den = kf + alpha
         cc = c / den
@@ -304,23 +358,21 @@ def first_moment_faces(mesh: SpatialMesh, c: float, kappa, alpha: float, state: 
         if fm is not None:
             q = cc * fm / (4.0 * along)
             coef += [-q, -q, q, q]
-        K = len(coef)
-        forms.append(FaceForms(cells[:K], np.stack(coef).reshape(K, G, -1), ((alpha / den) * F_prev + r).reshape(G, -1)))
+        forms.append(FaceForms(np.stack(coef).reshape(len(coef), G, -1), ((alpha / den) * F_prev + r).reshape(G, -1)))
     return tuple(forms)
 
 
 def _fld_faces(mesh: SpatialMesh, c: float, kappa, E):
     """Limited diffusion faces F = -c D dE/dn with D from the lagged E, no memory."""
     G = kappa.shape[0]
-    cells_x, cells_y = face_cells(mesh)
     (kfx, kfy), (Efx, Efy) = face_means(kappa), face_means(E)
     forms = []
-    for cells, kf, Ef, dE, width in (
-        (cells_x, kfx, Efx, E[:, :, 1:] - E[:, :, :-1], mesh.dx),
-        (cells_y, kfy, Efy, E[:, 1:, :] - E[:, :-1, :], mesh.dy),
+    for kf, Ef, dE, width in (
+        (kfx, Efx, E[:, :, 1:] - E[:, :, :-1], mesh.dx),
+        (kfy, Efy, E[:, 1:, :] - E[:, :-1, :], mesh.dy),
     ):
         w = (c * larsen_coefficient(kf, Ef, dE / width) / width).reshape(G, -1)
-        forms.append(FaceForms(cells[:2], np.stack([w, -w]), np.zeros_like(w)))
+        forms.append(FaceForms(np.stack([w, -w]), np.zeros_like(w)))
     return tuple(forms)
 
 

@@ -1,21 +1,30 @@
 """Tests for the P1, P1/3, and flux-limited diffusion moment models."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddvef.diffusion import (
     BoundaryCondition,
     DiffusionProblem,
+    MomentState,
+    MomentSystem,
+    boundary_cells,
     diffusion_step,
+    face_cells,
+    first_moment_faces,
     flux_limit_ratio,
     initial_moment_state,
     larsen_coefficient,
     run_diffusion_model,
     standard_boundaries,
 )
-from ddvef.errors import ConfigError
+from ddvef.errors import ConfigError, SolverError
 from ddvef.grid import SpatialMesh, build_frequency_grid
 from ddvef.physics import (
     DEFAULT_CONSTANTS,
@@ -275,6 +284,149 @@ class TestThickLimit:
             s13, _ = diffusion_step(prob, s13, 0.02, "p13")
         diff = np.linalg.norm(s1.E - s13.E) / np.linalg.norm(s1.E)
         assert diff < 0.01
+
+
+# ---------------------------------------------------------------------------
+# the moment system: cached stencil and one block-diagonal solve
+# ---------------------------------------------------------------------------
+
+
+def moment_tables(mesh, G, vef, seed=0):
+    """A MomentSystem with P1 faces (K = 2) or VEF faces (K = 6, non-zero f_xy) and its solve inputs."""
+    rng = np.random.default_rng(seed)
+    shape = (G, mesh.ny, mesh.nx)
+    kappa = rng.uniform(0.1, 10.0, shape)
+    state = MomentState(
+        0.0, np.ones(shape[1:]), rng.uniform(0.5, 2.0, shape),
+        rng.normal(size=(G, mesh.ny, mesh.nx + 1)), rng.normal(size=(G, mesh.ny + 1, mesh.nx)),
+    )
+    dt, nb = 0.05, mesh.n_boundary_faces
+    alpha = 1.0 / (C * dt)
+    if vef:
+        x, y = first_moment_faces(
+            mesh, C, kappa, alpha, state,
+            rng.uniform(0.2, 0.5, (G, mesh.ny, mesh.nx - 1)), rng.uniform(0.2, 0.5, (G, mesh.ny - 1, mesh.nx)),
+            rng.uniform(-0.1, 0.1, shape),
+            rng.normal(size=(G, mesh.ny, mesh.nx - 1)), rng.normal(size=(G, mesh.ny - 1, mesh.nx)),
+        )
+        b_coef = C * rng.uniform(0.3, 0.6, (G, nb)) * rng.uniform(0.5, 1.5, (G, nb))
+    else:
+        x, y = first_moment_faces(mesh, C, kappa, alpha, state, 1.0 / 3.0, 1.0 / 3.0)
+        b_coef = np.full((G, nb), 0.5 * C)
+    system = MomentSystem(mesh, x, y, b_coef, -rng.uniform(0.0, 2.0, (G, nb)))
+    return system, (dt, C * kappa, rng.uniform(0.0, 5.0, shape), state.E)
+
+
+def per_group_systems(system, dt, ckappa, source, E_prev):
+    """Reference: the per-group systems (A_g, rhs_g) that were solved one spsolve call each,
+    with div0 taken from the fluxes of zero energies."""
+    mesh = system.mesh
+    G, N = E_prev.shape[0], mesh.n_cells
+    Fx0, Fy0 = system.fluxes(np.zeros_like(E_prev))
+    div0 = (Fx0[:, :, 1:] - Fx0[:, :, :-1]) / mesh.dx + (Fy0[:, 1:, :] - Fy0[:, :-1, :]) / mesh.dy
+    rhs = (E_prev / dt + source - div0).reshape(G, N)
+    rows, cols, vals = [np.arange(N)], [np.arange(N)], [1.0 / dt + ckappa.reshape(G, N)]
+    for form, cells, width in ((system.x, face_cells(mesh)[0], mesh.dx), (system.y, face_cells(mesh)[1], mesh.dy)):
+        K = len(form.coef)
+        coef = form.coef.transpose(1, 0, 2).reshape(G, -1) / width
+        for owner, sign in ((cells[0], 1.0), (cells[1], -1.0)):
+            rows.append(np.tile(owner, K))
+            cols.append(cells[:K].ravel())
+            vals.append(sign * coef)
+    b_cells = boundary_cells(mesh)[0]
+    rows.append(b_cells)
+    cols.append(b_cells)
+    vals.append(system.b_coef / system.b_width)
+    keys = np.concatenate(rows) * N + np.concatenate(cols)
+    slots, slot_of = np.unique(keys, return_inverse=True)
+    gather = sp.csr_matrix((np.ones(keys.size), (np.arange(keys.size), slot_of)), shape=(keys.size, slots.size))
+    data = np.asarray(np.concatenate(vals, axis=1) @ gather)
+    coupled = np.any(data != 0.0, axis=0)
+    slots, data = slots[coupled], data[:, coupled]
+    indptr = np.searchsorted(slots // N, np.arange(N + 1))
+    return [(sp.csr_matrix((data[g], slots % N, indptr), shape=(N, N)), rhs[g]) for g in range(G)]
+
+
+def solve_capturing(system, args, monkeypatch):
+    """Solve the system and return the energies with the arguments of every spsolve call."""
+    calls = []
+    solve = spla.spsolve
+    monkeypatch.setattr(spla, "spsolve", lambda A, b, **kw: calls.append((A, b)) or solve(A, b, **kw))
+    return system.solve(*args), calls
+
+
+class TestMomentSystem:
+    @pytest.mark.parametrize("vef", [False, True])
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (6, 5)])
+    def test_one_block_solve_matches_per_group_solves(self, monkeypatch, vef, nx, ny):
+        system, args = moment_tables(SpatialMesh(nx, ny, 6.0, 6.0), 4, vef)
+        assert len(system.x.coef) == len(system.y.coef) == (6 if vef else 2)
+        reference = per_group_systems(system, *args)
+        E, calls = solve_capturing(system, args, monkeypatch)
+        assert len(calls) == 1
+        (A, b), N = calls[0], nx * ny
+        for g, (A_g, b_g) in enumerate(reference):
+            block = slice(g * N, (g + 1) * N)
+            assert A[block, block].nnz == A_g.nnz and (A[block, block] != A_g).nnz == 0
+            np.testing.assert_array_equal(b[block], b_g)
+        E_ref = np.stack([spla.spsolve(A_g, b_g) for A_g, b_g in reference]).reshape(E.shape)
+        np.testing.assert_allclose(E, E_ref, rtol=1e-13, atol=0.0)
+
+    def test_p1_block_solve_is_bitwise_on_the_benchmark_mesh(self, monkeypatch):
+        # The blocks are the per-group matrices exactly (above); only the
+        # factorization's column order can differ, and on the 8 x 8
+        # benchmark mesh it does not.
+        system, args = moment_tables(SpatialMesh(8, 8, 6.0, 6.0), 17, vef=False)
+        E = np.stack([spla.spsolve(A_g, b_g) for A_g, b_g in per_group_systems(system, *args)])
+        np.testing.assert_array_equal(system.solve(*args), E.reshape(args[3].shape))
+
+    def test_one_spsolve_per_picard_pass(self, monkeypatch):
+        calls = []
+        solve = spla.spsolve
+        monkeypatch.setattr(spla, "spsolve", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        prob = benchmark_problem()
+        _, diag = diffusion_step(prob, initial_moment_state(prob, 1e-3), 0.1, "p1")
+        assert diag.picard_iterations > 1
+        assert len(calls) == diag.picard_iterations
+
+    @pytest.mark.parametrize("filter_", ["error", "ignore"])
+    @pytest.mark.parametrize("group", [0, 1, 2])
+    def test_singular_group_is_named(self, filter_, group):
+        # Reflective sides, no time derivative and no absorption leave the
+        # group's balance a pure Neumann diffusion operator: singular.
+        # Uniform coefficients make the zero pivot exact.
+        mesh, G = SpatialMesh(2, 2, 2.0, 2.0), 3
+        kappa = np.ones((G, 2, 2))
+        state = MomentState(0.0, np.ones((2, 2)), np.ones((G, 2, 2)), np.zeros((G, 2, 3)), np.zeros((G, 3, 2)))
+        x, y = first_moment_faces(mesh, C, kappa, 0.0, state, 1.0 / 3.0, 1.0 / 3.0)
+        system = MomentSystem(mesh, x, y, np.zeros((G, 8)), np.zeros((G, 8)))
+        ckappa = C * kappa
+        ckappa[group] = 0.0
+        source, E_prev = np.ones((G, 2, 2)), state.E
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_, spla.MatrixRankWarning)
+            with pytest.raises(SolverError) as info:
+                system.solve(np.inf, ckappa, source, E_prev)
+        assert info.value.group == group
+
+    def test_cached_stencil_equals_a_fresh_build_and_is_read_only(self):
+        mesh = SpatialMesh(5, 4, 5.0, 2.0)
+        fx, fy = face_cells(mesh)
+        assert face_cells(SpatialMesh(5, 4, 5.0, 2.0))[0] is fx
+        face_cells.cache_clear()
+        boundary_cells.cache_clear()
+        fresh_x, fresh_y = face_cells(mesh)
+        np.testing.assert_array_equal(fx, fresh_x)
+        np.testing.assert_array_equal(fy, fresh_y)
+        idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
+        np.testing.assert_array_equal(fx[:2], [idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+        cells, sign, width = boundary_cells(mesh)
+        np.testing.assert_array_equal(cells, np.concatenate([idx[:, 0], idx[:, -1], idx[0], idx[-1]]))
+        np.testing.assert_array_equal(sign, np.repeat([-1.0, 1.0, -1.0, 1.0], [4, 4, 5, 5]))
+        np.testing.assert_array_equal(width, np.repeat([1.0, 1.0, 0.5, 0.5], [4, 4, 5, 5]))
+        for arr in (fx, fy, cells, sign, width):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 # ---------------------------------------------------------------------------
