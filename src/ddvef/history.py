@@ -41,27 +41,20 @@ class SolutionHistory:
         return int(self.times.shape[0])
 
 
-def march(label: str, state, advance, steps, callback=None) -> SolutionHistory:
+def march(label: str, state, advance, steps) -> SolutionHistory:
     """Advance state once per item of steps and stack every level.
 
     advance(state, step) -> (state, diagnostics) is called in order with
-    each item of steps; the optional callback(n, state, diagnostics) fires
-    after step n. Every model's time loop is this one: the FOM and the
-    diffusion models step over a range, the VEF over per-step closure data.
+    each item of steps. Every model's time loop is this one: the FOM and
+    the diffusion models step over a range, the VEF over per-step closure
+    data.
     """
     states = [state]
     diagnostics = []
-    for n, step in enumerate(steps):
+    for step in steps:
         state, diag = advance(state, step)
         states.append(state)
         diagnostics.append(diag)
-        if callback is not None:
-            callback(n, state, diag)
-    return stack_history(label, states, diagnostics)
-
-
-def stack_history(label: str, states, diagnostics=None) -> SolutionHistory:
-    """Build a history from an ordered sequence of per-level states."""
     return SolutionHistory(
         label=label,
         times=np.array([s.t for s in states]),
@@ -69,5 +62,5 @@ def stack_history(label: str, states, diagnostics=None) -> SolutionHistory:
         E=np.stack([s.E for s in states]),
         Fx=np.stack([s.Fx for s in states]),
         Fy=np.stack([s.Fy for s in states]),
-        diagnostics=list(diagnostics) if diagnostics is not None else [],
+        diagnostics=diagnostics,
     )

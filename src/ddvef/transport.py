@@ -53,6 +53,15 @@ class BoundaryInflow:
         return v
 
 
+#: Outward unit normals of the canonical boundary sides.
+_NORMALS = {
+    "left": np.array([-1.0, 0.0, 0.0]),
+    "right": np.array([1.0, 0.0, 0.0]),
+    "bottom": np.array([0.0, -1.0, 0.0]),
+    "top": np.array([0.0, 1.0, 0.0]),
+}
+
+
 def planckian_inflow(fgrid: FrequencyGrid, T_drive: float, sides=("left",), constants: PhysicalConstants = DEFAULT_CONSTANTS) -> BoundaryInflow:
     """Blackbody drive at T_drive on the given sides, vacuum elsewhere."""
     B = group_planck(T_drive, fgrid, constants)
@@ -235,6 +244,22 @@ class TransportProblem:
     inflow: BoundaryInflow
     constants: PhysicalConstants = DEFAULT_CONSTANTS
 
+    def incoming_currents(self) -> np.ndarray:
+        """Incoming partial current per side and group (4, G), canonical side order.
+
+        The half-range sums of the quadrature (not the analytic pi) give
+        the VEF's online solve the same discrete half-range integrals as
+        its transport-derived boundary factors, so an equilibrium drive
+        stays exactly stationary.
+        """
+        G = self.fgrid.n_groups
+        F_in = np.zeros((4, G))
+        for s, side in enumerate(SIDES):
+            incoming = self.quad.half_range(_NORMALS[side], outgoing=False)
+            wn_in = self.quad.weight[incoming] * np.abs(self.quad.omega[incoming] @ _NORMALS[side])
+            F_in[s] = self.inflow.value(side, G) * wn_in.sum()
+        return F_in
+
 
 @dataclass
 class TransportState:
@@ -255,14 +280,21 @@ class StepDiagnostics:
     balance_residual: float = np.nan
 
 
+def planckian_intensity(problem: TransportProblem, T) -> np.ndarray:
+    """Isotropic Planckian intensity (ny, nx, G, M) at T, a scalar or an (ny, nx) field."""
+    B = group_planck(np.asarray(T, dtype=float), problem.fgrid, problem.constants)  # (G,) or (G, ny, nx)
+    shape = (problem.mesh.ny, problem.mesh.nx, problem.fgrid.n_groups, problem.quad.n_directions)
+    return np.broadcast_to(np.moveaxis(B, 0, -1)[..., None], shape).copy()
+
+
 def initial_transport_state(problem: TransportProblem, T0: float) -> TransportState:
     """Isotropic Planckian intensity at the uniform initial temperature."""
     mesh, quad = problem.mesh, problem.quad
-    B = group_planck(T0, problem.fgrid, problem.constants)
-    psi = np.broadcast_to(B[:, None], (mesh.ny, mesh.nx, B.size, quad.n_directions)).copy()
+    psi = planckian_intensity(problem, T0)
     E, _ = cell_moments(psi, quad, problem.constants)
     # Face fluxes of an isotropic field vanish by the first-moment identity;
     # evaluate them through the quadrature anyway for discrete consistency.
+    B = psi[0, 0, :, 0]  # the uniform group Planckian
     fx_sum = float(quad.weight @ quad.omega[:, 0])
     Fx = np.full((B.size, mesh.ny, mesh.nx + 1), fx_sum) * B[:, None, None]
     fy_sum = float(quad.weight @ quad.omega[:, 1])
@@ -294,14 +326,13 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
     return new_state, diag
 
 
-def run_fom(problem: TransportProblem, T0: float, dt: float, n_steps: int, label: str = "fom", callback=None):
+def run_fom(problem: TransportProblem, T0: float, dt: float, n_steps: int, label: str = "fom"):
     """March the full-order model n_steps from a uniform initial state.
 
-    Returns a SolutionHistory with n_steps + 1 time levels. The optional
-    callback(step_index, state, diagnostics) fires after every step; the
-    data-driven closure harvester hooks in here.
+    Returns a SolutionHistory with n_steps + 1 time levels; its
+    temperatures are the data a VEF run (vef.fused_pipeline) can take.
     """
-    return march(label, initial_transport_state(problem, T0), lambda s, _: fom_step(problem, s, dt), range(n_steps), callback)
+    return march(label, initial_transport_state(problem, T0), lambda s, _: fom_step(problem, s, dt), range(n_steps))
 
 
 def boundary_net_outflow(Fx: np.ndarray, Fy: np.ndarray, mesh: SpatialMesh) -> float:

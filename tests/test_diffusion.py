@@ -111,8 +111,10 @@ class TestBoundaries:
             SpatialMesh(2, 2, 1.0, 1.0), fgrid, InverseCubeMaterial(fgrid),
             MaterialEOS(1.0), standard_boundaries(1.0),
         )
-        np.testing.assert_allclose(prob.inflow_current("left"), np.pi * group_planck(1.0, fgrid), rtol=1e-14)
-        assert np.all(prob.inflow_current("right") == 0.0)
+        F_in = prob.incoming_currents()
+        assert F_in.shape == (4, fgrid.n_groups)
+        np.testing.assert_allclose(F_in[0], np.pi * group_planck(1.0, fgrid), rtol=1e-14)
+        assert np.all(F_in[1:] == 0.0)
 
 
 def benchmark_problem(nx=5, ny=4, drive_sides=("left",)):
@@ -390,19 +392,24 @@ class TestMomentSystem:
         assert len(calls) == diag.picard_iterations
 
     @pytest.mark.parametrize("filter_", ["error", "ignore"])
-    @pytest.mark.parametrize("group", [0, 1, 2])
-    def test_singular_group_is_named(self, filter_, group):
+    @pytest.mark.parametrize(
+        "n, group", [pytest.param(2, g, id=str(g)) for g in range(3)] + [pytest.param(4, g, id=f"4x4-{g}") for g in range(3)],
+    )
+    def test_singular_group_is_named(self, filter_, n, group):
         # Reflective sides, no time derivative and no absorption leave the
-        # group's balance a pure Neumann diffusion operator: singular.
-        # Uniform coefficients make the zero pivot exact.
-        mesh, G = SpatialMesh(2, 2, 2.0, 2.0), 3
-        kappa = np.ones((G, 2, 2))
-        state = MomentState(0.0, np.ones((2, 2)), np.ones((G, 2, 2)), np.zeros((G, 2, 3)), np.zeros((G, 3, 2)))
+        # group's balance a pure Neumann diffusion operator: singular. On
+        # the 2 x 2 mesh the zero pivot is exact; on 4 x 4 the factorization
+        # pivots on a rounding remainder instead, which leaves finite
+        # energies that only the residual check catches.
+        mesh, G = SpatialMesh(n, n, 2.0, 2.0), 3
+        kappa = np.ones((G, n, n))
+        state = MomentState(0.0, np.ones((n, n)), np.ones((G, n, n)), np.zeros((G, n, n + 1)), np.zeros((G, n + 1, n)))
         x, y = first_moment_faces(mesh, C, kappa, 0.0, state, 1.0 / 3.0, 1.0 / 3.0)
-        system = MomentSystem(mesh, x, y, np.zeros((G, 8)), np.zeros((G, 8)))
+        nb = mesh.n_boundary_faces
+        system = MomentSystem(mesh, x, y, np.zeros((G, nb)), np.zeros((G, nb)))
         ckappa = C * kappa
         ckappa[group] = 0.0
-        source, E_prev = np.ones((G, 2, 2)), state.E
+        source, E_prev = np.ones((G, n, n)), state.E
         with warnings.catch_warnings():
             warnings.simplefilter(filter_, spla.MatrixRankWarning)
             with pytest.raises(SolverError) as info:
@@ -450,9 +457,8 @@ class TestRunDriver:
         assert hist.n_levels == 1
         assert hist.times[0] == 0.0
 
-    def test_custom_label_and_callback(self):
+    def test_custom_label(self):
         prob = benchmark_problem(nx=2, ny=2)
-        seen = []
-        hist = run_diffusion_model(prob, "p13", 1e-3, 0.1, 2, label="ref", callback=lambda n, s, d: seen.append(n))
+        hist = run_diffusion_model(prob, "p13", 1e-3, 0.1, 2, label="ref")
         assert hist.label == "ref"
-        assert seen == [0, 1]
+        assert hist.n_levels == 3

@@ -6,18 +6,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ddvef.diffusion import DiffusionProblem, initial_moment_state, run_diffusion_model, standard_boundaries
+from ddvef.diffusion import DiffusionProblem, run_diffusion_model, standard_boundaries
 from ddvef.errors import ConfigError
 from ddvef.grid import SpatialMesh, build_angular_quadrature, build_frequency_grid
 from ddvef.physics import InverseCubeMaterial, MaterialEOS, benchmark_cv
 from ddvef.transport import TransportProblem, planckian_inflow, run_fom
 from ddvef.vef import (
-    BoundaryDrive,
     ClosureRecord,
     _check_temperature_data,
     fused_pipeline,
     isotropic_closure,
-    offline_phase,
     online_phase,
 )
 
@@ -52,20 +50,17 @@ def test_fused_vef_on_fom_temperatures_reproduces_the_fom(problem, fom):
     assert max(d.balance_residual for d in vef.diagnostics) <= 1.0e-8
 
 
-def test_offline_then_online_equals_fused_bitwise(problem, fom):
-    fused = fused_pipeline(problem, fom)
-    dataset = offline_phase(problem, fom)
-    online = online_phase(problem, dataset, fom.T[0])
-    for name in ("times", "T", "E", "Fx", "Fy"):
-        np.testing.assert_array_equal(getattr(online, name), getattr(fused, name))
+@pytest.fixture(scope="module")
+def diffusion(problem):
+    return DiffusionProblem(problem.mesh, problem.fgrid, problem.material, problem.eos, standard_boundaries(T_DRIVE))
 
 
-def test_isotropic_closure_is_p1(problem):
-    times = DT * np.arange(1, N_STEPS + 1)
-    G = problem.fgrid.n_groups
-    dataset = isotropic_closure(problem.mesh, G, 0.0, times, BoundaryDrive.planckian(problem.fgrid, T_DRIVE))
-    vef = online_phase(problem, dataset, T_COLD)
-    diffusion = DiffusionProblem(problem.mesh, problem.fgrid, problem.material, problem.eos, standard_boundaries(T_DRIVE))
+def isotropic(problem, diffusion, times):
+    return isotropic_closure(problem.mesh, problem.fgrid.n_groups, 0.0, times, diffusion.incoming_currents())
+
+
+def test_isotropic_closure_is_p1(problem, diffusion):
+    vef = online_phase(problem, isotropic(problem, diffusion, DT * np.arange(1, N_STEPS + 1)), T_COLD)
     p1 = run_diffusion_model(diffusion, "p1", T_COLD, DT, N_STEPS)
     np.testing.assert_allclose(vef.times, p1.times, rtol=1e-15)
     assert relative_error(vef.T, p1.T) <= 1.0e-12
@@ -73,22 +68,15 @@ def test_isotropic_closure_is_p1(problem):
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(ClosureRecord)])
-def test_validate_rejects_a_wrong_shaped_field(problem, name):
+def test_validate_rejects_a_wrong_shaped_field(problem, diffusion, name):
     mesh, G = problem.mesh, problem.fgrid.n_groups
-    dataset = isotropic_closure(mesh, G, 0.0, [DT, 2 * DT], BoundaryDrive.planckian(problem.fgrid, T_DRIVE))
+    dataset = isotropic(problem, diffusion, [DT, 2 * DT])
     dataset.validate(mesh, G)
-    bad = np.zeros(getattr(dataset.stack, name).shape[:-1] + (1,))
-    broken = replace(dataset, stack=replace(dataset.stack, **{name: bad}))
+    first, last = dataset.records
+    bad = np.zeros(getattr(last, name).shape[:-1] + (1,))
+    broken = replace(dataset, records=[first, replace(last, **{name: bad})])
     with pytest.raises(ConfigError, match=name):
         broken.validate(mesh, G)
-
-
-def test_records_keep_every_field(problem):
-    dataset = isotropic_closure(problem.mesh, problem.fgrid.n_groups, 0.0, [DT, 2 * DT], BoundaryDrive.planckian(problem.fgrid, T_DRIVE))
-    record = dataset.record(1)
-    for f in fields(ClosureRecord):
-        np.testing.assert_array_equal(getattr(record, f.name), getattr(dataset.stack, f.name)[1])
-    np.testing.assert_array_equal(record.eta, 1.0)
 
 
 def test_temperature_data_is_checked(problem, fom):
@@ -100,18 +88,14 @@ def test_temperature_data_is_checked(problem, fom):
         _check_temperature_data(problem, SimpleNamespace(times=fom.times[::-1], T=fom.T))
 
 
-def test_online_initial_state_must_sit_at_t0(problem):
-    dataset = isotropic_closure(problem.mesh, problem.fgrid.n_groups, 0.0, [DT], BoundaryDrive.planckian(problem.fgrid, T_DRIVE))
-    with pytest.raises(ConfigError, match="t0"):
-        online_phase(problem, dataset, T_COLD, initial=initial_moment_state(problem, T_COLD, DT))
-
-
-def test_validate_rejects_bad_drive_and_time_grid(problem):
+def test_validate_rejects_bad_drive_and_time_grid(problem, diffusion):
     mesh, G = problem.mesh, problem.fgrid.n_groups
-    dataset = isotropic_closure(mesh, G, 0.0, [DT, 2 * DT], BoundaryDrive.planckian(problem.fgrid, T_DRIVE))
-    for F_in in (dataset.drive.F_in[:, 1:], dataset.drive.F_in[:3]):
+    dataset = isotropic(problem, diffusion, [DT, 2 * DT])
+    for F_in in (dataset.F_in[:, 1:], dataset.F_in[:3]):
         with pytest.raises(ConfigError, match="drive moments"):
-            replace(dataset, drive=BoundaryDrive(F_in)).validate(mesh, G)
+            replace(dataset, F_in=F_in).validate(mesh, G)
+    with pytest.raises(ConfigError, match="records"):
+        replace(dataset, records=dataset.records[:1]).validate(mesh, G)
     with pytest.raises(ConfigError, match="increasing"):
         replace(dataset, times=np.array([2 * DT, DT])).validate(mesh, G)
     with pytest.raises(ConfigError, match="increasing"):
