@@ -37,15 +37,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
-from .grid import SIDES, FrequencyGrid, SpatialMesh
+from .grid import SIDES, FrequencyGrid, SpatialMesh, check_sides
 from .history import march
 from .iteration import couple
-from .physics import (
-    DEFAULT_CONSTANTS,
-    MaterialEOS,
-    PhysicalConstants,
-    group_planck,
-)
+from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 from .transport import StepDiagnostics, energy_balance_residual
 
 MODEL_KINDS = ("p1", "p13", "fld")
@@ -62,12 +57,14 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in BOUNDARY_KINDS:
             raise ConfigError(f"unknown boundary kind {self.kind!r}, expected one of {BOUNDARY_KINDS}")
-        if self.kind == "drive" and (self.T_drive is None or self.T_drive <= 0.0):
-            raise ConfigError("drive boundary requires a positive T_drive")
+        # Written so that nan, which fails every comparison, is rejected too.
+        if self.kind == "drive" and not (self.T_drive is not None and 0.0 < self.T_drive < np.inf):
+            raise ConfigError(f"drive boundary requires a positive finite T_drive, got {self.T_drive}")
 
 
 def standard_boundaries(T_drive: float, drive_sides=("left",)) -> dict:
-    """Drive on the given sides, vacuum elsewhere."""
+    """Drive on the given sides, vacuum elsewhere; an unknown side raises ConfigError."""
+    check_sides(drive_sides)
     return {
         side: BoundaryCondition("drive", T_drive) if side in drive_sides else BoundaryCondition("vacuum")
         for side in SIDES
@@ -83,9 +80,9 @@ class DiffusionProblem:
     material: object
     eos: MaterialEOS
     boundaries: Mapping[str, BoundaryCondition]
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self):
+        check_sides(self.boundaries)
         missing = [s for s in SIDES if s not in self.boundaries]
         if missing:
             raise ConfigError(f"boundaries missing for sides {missing}")
@@ -97,7 +94,7 @@ class DiffusionProblem:
         for s, side in enumerate(SIDES):
             bc = self.boundaries[side]
             if bc.kind == "drive":
-                F_in[s] = np.pi * group_planck(bc.T_drive, self.fgrid, self.constants)
+                F_in[s] = np.pi * group_planck(bc.T_drive, self.fgrid)
         return F_in
 
 
@@ -115,11 +112,11 @@ class MomentState:
 def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
     """Equilibrium radiation at the initial temperature (scalar or (ny, nx) field), zero flux.
 
-    problem is any moment-model problem (mesh, fgrid, constants).
+    problem is any moment-model problem (mesh, fgrid).
     """
     mesh = problem.mesh
     T = np.broadcast_to(np.asarray(T0, dtype=float), (mesh.ny, mesh.nx)).copy()
-    E = (4.0 * np.pi / problem.constants.c) * group_planck(T, problem.fgrid, problem.constants)
+    E = (4.0 * np.pi / DEFAULT_CONSTANTS.c) * group_planck(T, problem.fgrid)
     G = E.shape[0]
     return MomentState(float(t0), T, E, np.zeros((G, mesh.ny, mesh.nx + 1)), np.zeros((G, mesh.ny + 1, mesh.nx)))
 
@@ -349,7 +346,7 @@ class MomentSystem:
         return E.reshape(E_prev.shape)
 
 
-def first_moment_faces(mesh: SpatialMesh, c: float, kappa, alpha: float, state: MomentState, gx, gy, fxy=None, rx=0.0, ry=0.0):
+def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, state: MomentState, gx, gy, fxy=None, rx=0.0, ry=0.0):
     """Backward-Euler first-moment face fluxes, (x, y) FaceForms.
 
     With kappa_f the arithmetic face mean of the opacity,
@@ -365,7 +362,7 @@ def first_moment_faces(mesh: SpatialMesh, c: float, kappa, alpha: float, state: 
     r is the VEF's consistency remainder, a known part that never enters
     the matrix.
     """
-    G = kappa.shape[0]
+    c, G = DEFAULT_CONSTANTS.c, kappa.shape[0]
     kfx, kfy = face_means(kappa)
     fxy_x, fxy_y = face_means(fxy) if fxy is not None else (None, None)
     forms = []
@@ -383,9 +380,9 @@ def first_moment_faces(mesh: SpatialMesh, c: float, kappa, alpha: float, state: 
     return tuple(forms)
 
 
-def _fld_faces(mesh: SpatialMesh, c: float, kappa, E):
+def _fld_faces(mesh: SpatialMesh, kappa, E):
     """Limited diffusion faces F = -c D dE/dn with D from the lagged E, no memory."""
-    G = kappa.shape[0]
+    c, G = DEFAULT_CONSTANTS.c, kappa.shape[0]
     (kfx, kfy), (Efx, Efy) = face_means(kappa), face_means(E)
     forms = []
     for kf, Ef, dE, width in (
@@ -401,7 +398,7 @@ def _marshak_boundary(problem: DiffusionProblem, F_in: np.ndarray):
     """Outward current n.F = (c/2) E - 2 F_in on open sides, zero on reflective ones."""
     G = problem.fgrid.n_groups
     is_open = np.array([problem.boundaries[s].kind != "reflective" for s in SIDES], dtype=float)
-    coef = on_boundary_faces(problem.mesh, np.outer(0.5 * problem.constants.c * is_open, np.ones(G)))
+    coef = on_boundary_faces(problem.mesh, np.outer(0.5 * DEFAULT_CONSTANTS.c * is_open, np.ones(G)))
     return coef, on_boundary_faces(problem.mesh, -2.0 * F_in)
 
 
@@ -410,13 +407,13 @@ def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label:
 
     faces(kappa, E_lag) gives the interior FaceForms of one pass and
     boundary the fixed (b_coef, b_base) tables. The step is
-    iteration.couple with the per-group moment solve as its radiation
-    solve; FLD, whose faces depend on E, passes e_scale so the coupling
-    iterates on the joint (T, E) unknown. The stored fluxes come from
-    faces rebuilt on the converged E, so FLD's satisfy the limiter bound
-    against their own E exactly.
+    iteration.couple with MomentSystem.solve, one block-diagonal solve of
+    all groups, as its radiation solve; FLD, whose faces depend on E,
+    passes e_scale so the coupling iterates on the joint (T, E) unknown.
+    The stored fluxes come from faces rebuilt on the converged E, so FLD's
+    satisfy the limiter bound against their own E exactly.
     """
-    c = problem.constants.c
+    c = DEFAULT_CONSTANTS.c
     last = {}
 
     def radiate(kappa, B, E_lag):
@@ -443,24 +440,24 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
     """
     if model not in MODEL_KINDS:
         raise ConfigError(f"unknown diffusion model {model!r}, expected one of {MODEL_KINDS}")
-    mesh, c = problem.mesh, problem.constants.c
+    mesh, c = problem.mesh, DEFAULT_CONSTANTS.c
     F_in = problem.incoming_currents()
     boundary = _marshak_boundary(problem, F_in)
     label = f"{model} moment/material coupling"
     if model == "fld":
         e_scale = max(float(state.E.max()), 4.0 * float(F_in.max()) / c, 1.0e-290)
-        return coupled_step(problem, state, dt, lambda kappa, E: _fld_faces(mesh, c, kappa, E), boundary, label, e_scale)
+        return coupled_step(problem, state, dt, lambda kappa, E: _fld_faces(mesh, kappa, E), boundary, label, e_scale)
     alpha = 1.0 / (c * dt) if model == "p1" else 1.0 / (3.0 * c * dt)
     return coupled_step(
         problem, state, dt,
-        lambda kappa, E: first_moment_faces(mesh, c, kappa, alpha, state, 1.0 / 3.0, 1.0 / 3.0),
+        lambda kappa, E: first_moment_faces(mesh, kappa, alpha, state, 1.0 / 3.0, 1.0 / 3.0),
         boundary, label,
     )
 
 
-def flux_limit_ratio(state: MomentState, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def flux_limit_ratio(state: MomentState) -> float:
     """Max |F| / (c E_face) over interior faces: FLD keeps this <= 1."""
-    c = constants.c
+    c = DEFAULT_CONSTANTS.c
     Efx, Efy = face_means(state.E)
     with np.errstate(divide="ignore", invalid="ignore"):
         rx = np.abs(state.Fx[:, :, 1:-1]) / (c * Efx)

@@ -21,6 +21,13 @@ from .errors import ConfigError
 SIDES = ("left", "right", "bottom", "top")
 
 
+def check_sides(sides) -> None:
+    """Raise ConfigError naming every entry of sides that is not one of SIDES."""
+    unknown = [s for s in sides if s not in SIDES]
+    if unknown:
+        raise ConfigError(f"unknown boundary sides {unknown}, expected some of {SIDES}")
+
+
 @dataclass(frozen=True)
 class SpatialMesh:
     """Uniform rectangular mesh; lengths in cm, areas per unit depth in z."""

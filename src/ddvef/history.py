@@ -36,10 +36,6 @@ class SolutionHistory:
             if arr.shape[0] != n:
                 raise ConfigError(f"history field {name} has {arr.shape[0]} levels, expected {n}")
 
-    @property
-    def n_levels(self) -> int:
-        return int(self.times.shape[0])
-
 
 def march(label: str, state, advance, steps) -> SolutionHistory:
     """Advance state once per item of steps and stack every level.

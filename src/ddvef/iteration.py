@@ -10,8 +10,9 @@ history, driven through the exchange preconditioner, removes that slow
 mode while keeping the same fixed point, the same relative-change
 convergence test, and the same failure behavior.
 
-The solver settings are the module constants below; couple() reads them
-at call time.
+The coupling settings are the module values below; couple() reads them
+at call time. The material Newton's settings live with the Newton, as
+physics.NEWTON_TOL and physics.NEWTON_MAX_ITER.
 """
 
 from __future__ import annotations
@@ -19,19 +20,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError
-from .physics import update_temperature
+from .physics import DEFAULT_CONSTANTS, update_temperature
 
 #: Relative max-norm change at which the coupling iteration stops.
 PICARD_TOL = 1.0e-10
 PICARD_MAX_ITER = 200
-#: Relative change at which the per-cell material Newton stops.
-NEWTON_TOL = 1.0e-10
-NEWTON_MAX_ITER = 200
 #: Iterate/value pairs the Anderson mixer keeps.
 ANDERSON_MEMORY = 20
 
 
-def exchange_sensitivity(kappa, dB, cv: float, dt: float, c: float):
+def exchange_sensitivity(kappa, dB, cv: float, dt: float):
     """Thick-limit sensitivity of the coupling map, per cell.
 
     Estimates how strongly the updated temperature tracks the frozen one
@@ -41,6 +39,7 @@ def exchange_sensitivity(kappa, dB, cv: float, dt: float, c: float):
     one in optically thick, strongly radiating cells — exactly the modes
     that stall plain iteration.
     """
+    c = DEFAULT_CONSTANTS.c
     fourpi_kb = 4.0 * np.pi * kappa * dB
     chi = np.sum(kappa * fourpi_kb * (c * dt) / (1.0 + kappa * c * dt), axis=0)
     return chi / (cv / dt + np.sum(fourpi_kb, axis=0))
@@ -228,14 +227,11 @@ def couple(problem, state, dt: float, radiate, label: str, e_scale: float | None
     def coupled_pass(x):
         T_freeze = x[:n_T].reshape(state.T.shape)
         E_lag = x[n_T:].reshape(state.E.shape) * e_scale if e_scale is not None else state.E
-        terms = problem.material.emission_terms(T_freeze, problem.constants)
+        terms = problem.material.emission_terms(T_freeze, DEFAULT_CONSTANTS)
         kappa, _, B, dB = terms
         E = radiate(kappa, B, E_lag)
-        last["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt, problem.constants.c).ravel()
-        T = update_temperature(
-            state.T, E, dt, problem.material, problem.eos, problem.constants,
-            T_start=T_freeze, terms=terms, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-        )
+        last["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt).ravel()
+        T = update_temperature(state.T, E, dt, problem.material, problem.eos, T_start=T_freeze, terms=terms)
         return pack(T, E)
 
     relax_T = exchange_preconditioner(lambda: last["exchange"])

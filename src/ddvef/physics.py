@@ -20,6 +20,11 @@ proportional to e^{-nu/T}.
 
 Temperatures below T_FLOOR are clamped inside the group evaluations;
 non-positive inputs raise.
+
+The physics is one model with fixed constants: every module reads c and a
+from DEFAULT_CONSTANTS, and only the material protocol
+emission_terms(T, constants) takes them as an argument. The material
+Newton stops by NEWTON_TOL and NEWTON_MAX_ITER, read at call time.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ PLANCK_INTEGRAL_TOTAL = np.pi**4 / 15.0
 _BERN = bernoulli(20)
 _POWER_COEF = np.array([_BERN[2 * k] / ((2 * k + 3) * factorial(2 * k)) for k in range(1, 11)])
 _TAIL_CUT = 40.0  # tail term k is kept where (k-1) z < 40; e^{-40} ~ 4e-18
+
+#: Relative change at which the per-cell material Newton stops.
+NEWTON_TOL = 1.0e-10
+NEWTON_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -189,13 +198,9 @@ def _tail_exp(z):
     return ((z + 3.0) * z + 6.0) * z + 6.0 + np.bincount(col, later, minlength=z.size)
 
 
-def group_planck(T, fgrid: FrequencyGrid, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def group_planck(T, fgrid: FrequencyGrid):
     """Group Planckian B_g(T), shape (G,) + T.shape."""
-    return _GroupTerms(np.asarray(T, float), fgrid).planck(constants)[0]
-
-
-def group_planck_with_derivative(T, fgrid: FrequencyGrid, constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    return _GroupTerms(np.asarray(T, float), fgrid).planck(constants)
+    return _GroupTerms(np.asarray(T, float), fgrid).planck(DEFAULT_CONSTANTS)[0]
 
 
 @dataclass(frozen=True)
@@ -204,12 +209,6 @@ class InverseCubeMaterial:
 
     fgrid: FrequencyGrid
     coefficient: float = 27.0
-
-    def group_opacity(self, T) -> np.ndarray:
-        return _GroupTerms(np.asarray(T, float), self.fgrid).opacity(self.coefficient)[0]
-
-    def group_opacity_with_derivative(self, T):
-        return _GroupTerms(np.asarray(T, float), self.fgrid).opacity(self.coefficient)
 
     def emission_terms(self, T, constants: PhysicalConstants):
         """(kappa, dkappa/dT, B, dB/dT) sharing one pass over the edges."""
@@ -226,18 +225,11 @@ class ConstantOpacity:
     fgrid: FrequencyGrid
     values: np.ndarray  # (G,) [1/cm]
 
-    def group_opacity(self, T) -> np.ndarray:
-        T = np.asarray(T, float)
-        return np.broadcast_to(self.values.reshape((-1,) + (1,) * T.ndim), (self.values.size,) + T.shape).copy()
-
-    def group_opacity_with_derivative(self, T):
-        k = self.group_opacity(T)
-        return k, np.zeros_like(k)
-
     def emission_terms(self, T, constants: PhysicalConstants):
-        kappa, dkappa = self.group_opacity_with_derivative(T)
-        B, dB = group_planck_with_derivative(T, self.fgrid, constants)
-        return kappa, dkappa, B, dB
+        T = np.asarray(T, float)
+        kappa = np.broadcast_to(self.values.reshape((-1,) + (1,) * T.ndim), (self.values.size,) + T.shape).copy()
+        B, dB = _GroupTerms(T, self.fgrid).planck(constants)
+        return kappa, np.zeros_like(kappa), B, dB
 
 
 @dataclass(frozen=True)
@@ -251,9 +243,9 @@ class MaterialEOS:
             raise ValueError(f"c_v must be positive, got {self.cv}")
 
 
-def benchmark_cv(T_drive: float, constants: PhysicalConstants = DEFAULT_CONSTANTS, multiplier: float = 0.5917) -> float:
-    """Benchmark heat capacity c_v = multiplier * a * T_drive^3."""
-    return multiplier * constants.a_rad * T_drive**3
+def benchmark_cv(T_drive: float) -> float:
+    """Benchmark heat capacity c_v = 0.5917 a T_drive^3."""
+    return 0.5917 * DEFAULT_CONSTANTS.a_rad * T_drive**3
 
 
 def update_temperature(
@@ -262,11 +254,8 @@ def update_temperature(
     dt: float,
     material,
     eos: MaterialEOS,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
     T_start: np.ndarray | None = None,
     terms: tuple | None = None,
-    tol: float = 1.0e-10,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Backward-Euler material energy update by per-cell Newton iteration.
 
@@ -275,14 +264,16 @@ def update_temperature(
     (G,) + T_prev.shape. Newton steps are floored at 0.1x the current
     iterate to keep T positive. terms, the material.emission_terms tuple
     already evaluated at T_start, stands in for the first iteration's
-    evaluation; the iterates are the same, one evaluation cheaper.
+    evaluation; the iterates are the same, one evaluation cheaper. The
+    iteration stops at a relative change of NEWTON_TOL and raises
+    ConvergenceError after NEWTON_MAX_ITER steps.
     """
     T = np.array(T_start if T_start is not None else T_prev, dtype=float)
     fourpi = 4.0 * np.pi
-    for _ in range(max_iter):
-        kappa, dkappa, B, dB = terms if terms is not None else material.emission_terms(T, constants)
+    for _ in range(NEWTON_MAX_ITER):
+        kappa, dkappa, B, dB = terms if terms is not None else material.emission_terms(T, DEFAULT_CONSTANTS)
         terms = None
-        gap = constants.c * E - fourpi * B
+        gap = DEFAULT_CONSTANTS.c * E - fourpi * B
         f = eos.cv * (T - T_prev) / dt - np.sum(kappa * gap, axis=0)
         fp = eos.cv / dt - np.sum(dkappa * gap - fourpi * kappa * dB, axis=0)
         # A non-positive slope only occurs far from the root; relax instead.
@@ -290,6 +281,6 @@ def update_temperature(
         T_new = np.maximum(T - f / fp, 0.1 * T)
         change = np.max(np.abs(T_new - T) / np.abs(T_new))
         T = T_new
-        if change <= tol:
+        if change <= NEWTON_TOL:
             return T
     raise ConvergenceError("material energy Newton iteration did not converge", residual=float(change))

@@ -7,9 +7,10 @@ the effective source gains I_prev/(c dt). Each cell update integrates the
 attenuation exponential along the single effective chord
 ds = 1 / (|Omega_x|/dx + |Omega_y|/dy), mixing the two upwind faces with
 flux weights; both outflow faces receive the chord exit value. The scheme
-preserves constants (an isotropic equilibrium is a fixed point to roundoff),
-keeps intensities nonnegative, and satisfies the finite-volume balance
-exactly, so the global energy budget telescopes to the boundary fluxes.
+preserves uniform solutions (an isotropic equilibrium is a fixed point to
+roundoff), keeps intensities nonnegative, and satisfies the finite-volume
+balance exactly, so the global energy budget telescopes to the boundary
+fluxes.
 
 Intensity arrays are laid out (ny, nx, G, M): cell row, cell column, group,
 direction. Face-normal fluxes live on faces: Fx (G, ny, nx+1), Fy
@@ -23,15 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh
+from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh, check_sides
 from .history import march
 from .iteration import couple
-from .physics import (
-    DEFAULT_CONSTANTS,
-    MaterialEOS,
-    PhysicalConstants,
-    group_planck,
-)
+from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 
 
 @dataclass(frozen=True)
@@ -62,9 +58,15 @@ _NORMALS = {
 }
 
 
-def planckian_inflow(fgrid: FrequencyGrid, T_drive: float, sides=("left",), constants: PhysicalConstants = DEFAULT_CONSTANTS) -> BoundaryInflow:
-    """Blackbody drive at T_drive on the given sides, vacuum elsewhere."""
-    B = group_planck(T_drive, fgrid, constants)
+def planckian_inflow(fgrid: FrequencyGrid, T_drive: float, sides=("left",)) -> BoundaryInflow:
+    """Blackbody drive at T_drive on the given sides, vacuum elsewhere.
+
+    An unknown side or a T_drive that is not positive and finite raises ConfigError.
+    """
+    check_sides(sides)
+    if not 0.0 < T_drive < np.inf:
+        raise ConfigError(f"drive inflow requires a positive finite T_drive, got {T_drive}")
+    B = group_planck(T_drive, fgrid)
     values = {side: (B.copy() if side in sides else None) for side in SIDES}
     return BoundaryInflow(**values)
 
@@ -114,17 +116,17 @@ def sweep(
     quad: AngularQuadrature,
     kappa: np.ndarray,
     source: np.ndarray,
-    psi_prev: np.ndarray | None = None,
-    dt: float | None = None,
-    inflow: BoundaryInflow | None = None,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+    psi_prev: np.ndarray,
+    dt: float,
+    inflow: BoundaryInflow,
 ) -> SweepResult:
     """Sweep all groups and directions across the mesh in upwind order.
 
     kappa and source are the physical absorption and isotropic emission
-    source (G, ny, nx); when dt is given the backward-Euler terms are folded
-    in and psi_prev (ny, nx, G, M) is required. Octants are processed one at
-    a time; within an octant, cells on an anti-diagonal are independent and
+    source (G, ny, nx); the backward-Euler terms of the step dt from the
+    intensity psi_prev (ny, nx, G, M) are folded in. dt = inf with a zero
+    psi_prev is the steady-state sweep. Octants are processed one at a
+    time; within an octant, cells on an anti-diagonal are independent and
     updated together across all groups and octant directions.
     """
     nx, ny = mesh.nx, mesh.ny
@@ -132,15 +134,8 @@ def sweep(
     M = quad.n_directions
     if kappa.shape != (G, ny, nx) or source.shape != (G, ny, nx):
         raise ConfigError("kappa/source must have shape (G, ny, nx)")
-    if dt is not None:
-        if psi_prev is None:
-            raise ConfigError("time-dependent sweep requires psi_prev")
-        sink = 1.0 / (constants.c * dt)
-        kappa_eff = kappa + sink
-    else:
-        sink = 0.0
-        kappa_eff = kappa
-    inflow = inflow or BoundaryInflow()
+    sink = 1.0 / (DEFAULT_CONSTANTS.c * dt)
+    kappa_eff = kappa + sink
     bc = {side: inflow.value(side, G) for side in SIDES}
 
     psi = np.empty((ny, nx, G, M))
@@ -187,9 +182,7 @@ def sweep(
             I_w = FX[j_arr]  # (nd, G, Moct)
             I_s = FY[i_arr]
             kap = kap_t[j_arr, i_arr][:, :, None]
-            q = src_t[j_arr, i_arr][:, :, None]
-            if sink:
-                q = q + psi_prev[j_arr, i_arr][:, :, idx] * sink
+            q = src_t[j_arr, i_arr][:, :, None] + psi_prev[j_arr, i_arr][:, :, idx] * sink
             I_out, I_avg = step_characteristic_update(I_w, I_s, ax, ay, kap, q)
 
             FX[j_arr] = I_out
@@ -213,23 +206,13 @@ def sweep(
                 bface_wI[:, faces] += (I_out[by] @ w).T
                 bface_wnI[:, faces] += (I_out[by] @ (w * np.abs(oy))).T
 
-    E /= constants.c
+    E /= DEFAULT_CONSTANTS.c
     return SweepResult(psi, E, Fx, Fy, bface_wI, bface_wnI)
 
 
-def cell_moments(psi: np.ndarray, quad: AngularQuadrature, constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Cell-centered (E, F) by direct angular summation of the intensity.
-
-    E = (1/c) sum_m w I, F = sum_m w Omega I. Returns E (G, ny, nx) and
-    F (2, G, ny, nx) with components (x, y).
-    """
-    w = quad.weight
-    E = np.einsum("yxgm,m->gyx", psi, w) / constants.c
-    F = np.stack([
-        np.einsum("yxgm,m->gyx", psi, w * quad.omega[:, 0]),
-        np.einsum("yxgm,m->gyx", psi, w * quad.omega[:, 1]),
-    ])
-    return E, F
+def cell_moments(psi: np.ndarray, quad: AngularQuadrature) -> np.ndarray:
+    """Cell-centered energy E = (1/c) sum_m w I (G, ny, nx) by direct angular summation."""
+    return np.einsum("yxgm,m->gyx", psi, quad.weight) / DEFAULT_CONSTANTS.c
 
 
 @dataclass(frozen=True)
@@ -242,7 +225,6 @@ class TransportProblem:
     material: object          # provides emission_terms()
     eos: MaterialEOS
     inflow: BoundaryInflow
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def incoming_currents(self) -> np.ndarray:
         """Incoming partial current per side and group (4, G), canonical side order.
@@ -282,7 +264,7 @@ class StepDiagnostics:
 
 def planckian_intensity(problem: TransportProblem, T) -> np.ndarray:
     """Isotropic Planckian intensity (ny, nx, G, M) at T, a scalar or an (ny, nx) field."""
-    B = group_planck(np.asarray(T, dtype=float), problem.fgrid, problem.constants)  # (G,) or (G, ny, nx)
+    B = group_planck(np.asarray(T, dtype=float), problem.fgrid)  # (G,) or (G, ny, nx)
     shape = (problem.mesh.ny, problem.mesh.nx, problem.fgrid.n_groups, problem.quad.n_directions)
     return np.broadcast_to(np.moveaxis(B, 0, -1)[..., None], shape).copy()
 
@@ -291,7 +273,7 @@ def initial_transport_state(problem: TransportProblem, T0: float) -> TransportSt
     """Isotropic Planckian intensity at the uniform initial temperature."""
     mesh, quad = problem.mesh, problem.quad
     psi = planckian_intensity(problem, T0)
-    E, _ = cell_moments(psi, quad, problem.constants)
+    E = cell_moments(psi, quad)
     # Face fluxes of an isotropic field vanish by the first-moment identity;
     # evaluate them through the quadrature anyway for discrete consistency.
     B = psi[0, 0, :, 0]  # the uniform group Planckian
@@ -315,7 +297,7 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
 
     def radiate(kappa, B, _):
         nonlocal result
-        result = sweep(problem.mesh, problem.quad, kappa, kappa * B, psi_prev=state.psi, dt=dt, inflow=problem.inflow, constants=problem.constants)
+        result = sweep(problem.mesh, problem.quad, kappa, kappa * B, psi_prev=state.psi, dt=dt, inflow=problem.inflow)
         return result.E
 
     T_new, history = couple(problem, state, dt, radiate, "transport/material coupling")

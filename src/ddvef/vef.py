@@ -77,7 +77,7 @@ from .diffusion import (
 from .errors import ConfigError
 from .grid import AngularQuadrature, SpatialMesh
 from .history import march
-from .physics import DEFAULT_CONSTANTS, PhysicalConstants
+from .physics import DEFAULT_CONSTANTS
 from .transport import (
     StepDiagnostics,
     SweepResult,
@@ -167,7 +167,6 @@ def closure_from_sweep(
     prev_Fx: np.ndarray,
     prev_Fy: np.ndarray,
     F_in: np.ndarray,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> ClosureRecord:
     """Extract the closure record from a finished transport sweep.
 
@@ -190,7 +189,7 @@ def closure_from_sweep(
     ratio leaves given the incoming currents F_in (4, G) (exact zero away
     from degenerate dark cells).
     """
-    c = constants.c
+    c = DEFAULT_CONSTANTS.c
     alpha = 1.0 / (c * dt)
     G = kappa.shape[0]
     Ef = result.E.reshape(G, -1)
@@ -345,9 +344,9 @@ def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
     records = []
     for n in range(1, times.size):
         dt = times[n] - times[n - 1]
-        kappa, _, B, _ = problem.material.emission_terms(T_data[n], problem.constants)
-        result = sweep(mesh, quad, kappa, kappa * B, psi_prev=psi, dt=dt, inflow=problem.inflow, constants=problem.constants)
-        records.append(closure_from_sweep(result, quad, mesh, kappa, dt, Fx_prev, Fy_prev, F_in, problem.constants))
+        kappa, _, B, _ = problem.material.emission_terms(T_data[n], DEFAULT_CONSTANTS)
+        result = sweep(mesh, quad, kappa, kappa * B, psi_prev=psi, dt=dt, inflow=problem.inflow)
+        records.append(closure_from_sweep(result, quad, mesh, kappa, dt, Fx_prev, Fy_prev, F_in))
         psi, Fx_prev, Fy_prev = result.psi, result.Fx, result.Fy
     return ClosureDataset(float(times[0]), times[1:].copy(), records, F_in)
 
@@ -372,16 +371,16 @@ def vef_step(
     first-moment forms with the record's factors gx, gy, its f_xy cross
     term and its remainders; each boundary face's outward current is
     n.F = c C eta E_cell - F_in + rb. Of the transport problem only the
-    mesh, groups, material and constants are used: the record and the
+    mesh, groups, material and heat capacity are used: the record and the
     incoming currents F_in (4, G) stand in for the quadrature and the
     inflow.
     """
-    mesh, c = problem.mesh, problem.constants.c
+    mesh, c = problem.mesh, DEFAULT_CONSTANTS.c
     alpha = 1.0 / (c * dt)
     boundary = (c * record.C * record.eta, record.rb - on_boundary_faces(mesh, F_in))
     return coupled_step(
         problem, state, dt,
-        lambda kappa, E: first_moment_faces(mesh, c, kappa, alpha, state, record.gx, record.gy, record.fxy, record.rx, record.ry),
+        lambda kappa, E: first_moment_faces(mesh, kappa, alpha, state, record.gx, record.gy, record.fxy, record.rx, record.ry),
         boundary, "closed-moment/material coupling",
     )
 

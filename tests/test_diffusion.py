@@ -89,13 +89,19 @@ class TestBoundaries:
     def test_drive_needs_temperature(self):
         with pytest.raises(ConfigError):
             BoundaryCondition("drive")
-        with pytest.raises(ConfigError):
-            BoundaryCondition("drive", -1.0)
+        for T_drive in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                BoundaryCondition("drive", T_drive)
 
     def test_standard_layout(self):
         bcs = standard_boundaries(1.0)
         assert bcs["left"].kind == "drive"
         assert all(bcs[s].kind == "vacuum" for s in ("right", "bottom", "top"))
+
+    @pytest.mark.parametrize("sides", [("lft",), ("left", "Top")])
+    def test_unknown_side_rejected(self, sides):
+        with pytest.raises(ConfigError, match=sides[-1]):
+            standard_boundaries(1.0, sides)
 
     def test_missing_side_rejected(self):
         fgrid = build_frequency_grid((1.0,))
@@ -103,6 +109,14 @@ class TestBoundaries:
             DiffusionProblem(
                 SpatialMesh(2, 2, 1.0, 1.0), fgrid, ConstantOpacity(fgrid, np.ones(1)),
                 MaterialEOS(1.0), {"left": BoundaryCondition("vacuum")},
+            )
+
+    def test_unknown_side_key_rejected(self):
+        fgrid = build_frequency_grid((1.0,))
+        with pytest.raises(ConfigError, match="lft"):
+            DiffusionProblem(
+                SpatialMesh(2, 2, 1.0, 1.0), fgrid, ConstantOpacity(fgrid, np.ones(1)),
+                MaterialEOS(1.0), dict(standard_boundaries(1.0), lft=BoundaryCondition("vacuum")),
             )
 
     def test_inflow_current_is_planckian(self):
@@ -306,14 +320,14 @@ def moment_tables(mesh, G, vef, seed=0):
     alpha = 1.0 / (C * dt)
     if vef:
         x, y = first_moment_faces(
-            mesh, C, kappa, alpha, state,
+            mesh, kappa, alpha, state,
             rng.uniform(0.2, 0.5, (G, mesh.ny, mesh.nx - 1)), rng.uniform(0.2, 0.5, (G, mesh.ny - 1, mesh.nx)),
             rng.uniform(-0.1, 0.1, shape),
             rng.normal(size=(G, mesh.ny, mesh.nx - 1)), rng.normal(size=(G, mesh.ny - 1, mesh.nx)),
         )
         b_coef = C * rng.uniform(0.3, 0.6, (G, nb)) * rng.uniform(0.5, 1.5, (G, nb))
     else:
-        x, y = first_moment_faces(mesh, C, kappa, alpha, state, 1.0 / 3.0, 1.0 / 3.0)
+        x, y = first_moment_faces(mesh, kappa, alpha, state, 1.0 / 3.0, 1.0 / 3.0)
         b_coef = np.full((G, nb), 0.5 * C)
     system = MomentSystem(mesh, x, y, b_coef, -rng.uniform(0.0, 2.0, (G, nb)))
     return system, (dt, C * kappa, rng.uniform(0.0, 5.0, shape), state.E)
@@ -374,6 +388,17 @@ class TestMomentSystem:
         E_ref = np.stack([spla.spsolve(A_g, b_g) for A_g, b_g in reference]).reshape(E.shape)
         np.testing.assert_allclose(E, E_ref, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("vef", [False, True])
+    def test_stored_fluxes_balance_every_cell(self, vef):
+        # The fluxes rebuilt from the tables are the ones the solve balanced:
+        # E/dt + div F + c kappa E = E_prev/dt + source in every cell and group.
+        mesh = SpatialMesh(6, 5, 6.0, 6.0)
+        system, (dt, ckappa, source, E_prev) = moment_tables(mesh, 4, vef)
+        E = system.solve(dt, ckappa, source, E_prev)
+        Fx, Fy = system.fluxes(E)
+        div = (Fx[:, :, 1:] - Fx[:, :, :-1]) / mesh.dx + (Fy[:, 1:, :] - Fy[:, :-1, :]) / mesh.dy
+        np.testing.assert_allclose(E / dt + div + ckappa * E, E_prev / dt + source, rtol=1e-13, atol=0.0)
+
     def test_p1_block_solve_is_bitwise_on_the_benchmark_mesh(self, monkeypatch):
         # The blocks are the per-group matrices exactly (above); only the
         # factorization's column order can differ, and on the 8 x 8
@@ -404,7 +429,7 @@ class TestMomentSystem:
         mesh, G = SpatialMesh(n, n, 2.0, 2.0), 3
         kappa = np.ones((G, n, n))
         state = MomentState(0.0, np.ones((n, n)), np.ones((G, n, n)), np.zeros((G, n, n + 1)), np.zeros((G, n + 1, n)))
-        x, y = first_moment_faces(mesh, C, kappa, 0.0, state, 1.0 / 3.0, 1.0 / 3.0)
+        x, y = first_moment_faces(mesh, kappa, 0.0, state, 1.0 / 3.0, 1.0 / 3.0)
         nb = mesh.n_boundary_faces
         system = MomentSystem(mesh, x, y, np.zeros((G, nb)), np.zeros((G, nb)))
         ckappa = C * kappa
@@ -446,7 +471,7 @@ class TestRunDriver:
         prob = benchmark_problem(nx=3, ny=2)
         hist = run_diffusion_model(prob, "fld", 1e-3, 0.1, 3)
         assert hist.label == "fld"
-        assert hist.n_levels == 4
+        assert hist.times.size == 4
         assert hist.T.shape == (4, 2, 3)
         assert hist.E.shape == (4, 17, 2, 3)
         np.testing.assert_allclose(hist.times, 0.1 * np.arange(4), atol=1e-15)
@@ -454,11 +479,11 @@ class TestRunDriver:
     def test_zero_duration_keeps_initial_state_only(self):
         prob = benchmark_problem(nx=3, ny=2)
         hist = run_diffusion_model(prob, "p1", 1e-3, 0.1, 0)
-        assert hist.n_levels == 1
+        assert hist.times.size == 1
         assert hist.times[0] == 0.0
 
     def test_custom_label(self):
         prob = benchmark_problem(nx=2, ny=2)
         hist = run_diffusion_model(prob, "p13", 1e-3, 0.1, 2, label="ref")
         assert hist.label == "ref"
-        assert hist.n_levels == 3
+        assert hist.times.size == 3

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from ddvef import physics
 from ddvef.errors import ConvergenceError
 from ddvef.grid import build_frequency_grid
 from ddvef.physics import (
@@ -22,7 +23,6 @@ from ddvef.physics import (
     MaterialEOS,
     benchmark_cv,
     group_planck,
-    group_planck_with_derivative,
     planck_integral,
     spectral_opacity,
     update_temperature,
@@ -30,6 +30,11 @@ from ddvef.physics import (
 
 FGRID = build_frequency_grid()
 MATERIAL = InverseCubeMaterial(FGRID)
+
+
+def opacity(T):
+    """(kappa_g, dkappa_g/dT) of the benchmark material from its emission terms."""
+    return MATERIAL.emission_terms(T, DEFAULT_CONSTANTS)[:2]
 
 
 def _planck_x(x):
@@ -133,7 +138,7 @@ class TestGroupPlanck:
 
     def test_derivative_matches_finite_difference(self):
         for T in (0.05, 0.3, 1.0, 1.9):
-            _, dB = group_planck_with_derivative(T, FGRID)
+            _, dB = MATERIAL.emission_terms(T, DEFAULT_CONSTANTS)[2:]
             h = 1e-6 * T
             fd = (group_planck(T + h, FGRID) - group_planck(T - h, FGRID)) / (2 * h)
             np.testing.assert_allclose(dB, fd, rtol=2e-6, atol=1e-300)
@@ -161,18 +166,18 @@ class TestGroupOpacity:
 
     def test_frozen_adaptive_values(self):
         for (g, T), expect in self.ADAPTIVE.items():
-            kappa = MATERIAL.group_opacity(T)
+            kappa = opacity(T)[0]
             assert kappa[g] == pytest.approx(expect, rel=1e-10), (g, T)
 
     def test_group2_brute_force_composite(self):
         # 1e4-point composite midpoint rule in nu-space, frozen.
-        kappa = MATERIAL.group_opacity(1.0)
+        kappa = opacity(1.0)[0]
         assert kappa[1] == pytest.approx(15.13232299837591, rel=1e-9)
 
     def test_cold_concentration(self):
         # At T = 1e-3 the Planck weight collapses onto the lower edge of
         # group 2; oracle by a scaled 4e5-point rule.
-        kappa = MATERIAL.group_opacity(1e-3)
+        kappa = opacity(1e-3)[0]
         assert kappa[1] == pytest.approx(75.91744831271133, rel=1e-8)
         # and stays within 1% of the naive edge value 27/nu_lo^3
         assert kappa[1] == pytest.approx(27.0 / 0.7075**3, rel=1e-2)
@@ -185,25 +190,25 @@ class TestGroupOpacity:
             bb = min(b, a + 250 * T)
             num, _ = quad(lambda v: 27.0 / v**3 * (1 - np.exp(-v / T)) * _planck_x(v / T), max(a, 1e-12), bb, epsabs=0, epsrel=1e-12, limit=300)
             den, _ = quad(lambda v: _planck_x(v / T), max(a, 1e-12), bb, epsabs=0, epsrel=1e-12, limit=300)
-            assert MATERIAL.group_opacity(T)[g] == pytest.approx(num / den, rel=1e-10)
+            assert opacity(T)[0][g] == pytest.approx(num / den, rel=1e-10)
 
     @pytest.mark.parametrize("T", [1e-6, 1e-3, 0.03, 0.5, 1.0, 2.0])
     def test_finite_positive_everywhere(self, T):
-        kappa = MATERIAL.group_opacity(T)
+        kappa = opacity(T)[0]
         assert kappa.shape == (17,)
         assert np.all(np.isfinite(kappa))
         assert np.all(kappa > 0.0)
 
     def test_derivative_matches_finite_difference(self):
         for T in (0.05, 0.3, 1.0):
-            _, dk = MATERIAL.group_opacity_with_derivative(T)
+            _, dk = opacity(T)
             h = 1e-6 * T
-            fd = (MATERIAL.group_opacity(T + h) - MATERIAL.group_opacity(T - h)) / (2 * h)
+            fd = (opacity(T + h)[0] - opacity(T - h)[0]) / (2 * h)
             np.testing.assert_allclose(dk, fd, rtol=5e-6)
 
     def test_vectorized(self):
         T = np.array([[0.5, 1.0], [1.5, 2.0]])
-        kappa = MATERIAL.group_opacity(T)
+        kappa = opacity(T)[0]
         assert kappa.shape == (17, 2, 2)
         assert kappa[1, 0, 0] == pytest.approx(2.237607792187154e+01, rel=1e-10)
 
@@ -231,7 +236,7 @@ class TestEdgeEvaluation:
     @pytest.mark.parametrize("T", TEMPERATURES)
     def test_high_groups_match_adaptive_quadrature(self, T):
         B = group_planck(T, FGRID)
-        kappa = MATERIAL.group_opacity(T)
+        kappa = opacity(T)[0]
         high = [g for g in range(FGRID.n_groups) if FGRID.bounds[g] / T > 1.0]
         assert high
         for g in high:
@@ -254,10 +259,11 @@ class TestConstantOpacity:
     def test_broadcast_and_zero_derivative(self):
         fg = build_frequency_grid([1.0, 1e7])
         model = ConstantOpacity(fg, np.array([0.5, 2.0]))
-        k, dk = model.group_opacity_with_derivative(np.ones((3, 3)))
+        k, dk, B, _ = model.emission_terms(np.ones((3, 3)), DEFAULT_CONSTANTS)
         assert k.shape == (2, 3, 3)
         assert np.all(k[0] == 0.5) and np.all(k[1] == 2.0)
         assert np.all(dk == 0.0)
+        np.testing.assert_array_equal(B, group_planck(np.ones((3, 3)), fg))
 
 
 class TestMaterialEOS:
@@ -286,7 +292,7 @@ class TestUpdateTemperature:
         E = 4.0 * np.pi * group_planck(T_prev * 1.3, FGRID) / DEFAULT_CONSTANTS.c
         dt = 2e-2
         T = update_temperature(T_prev, E, dt, MATERIAL, self.EOS)
-        kappa = MATERIAL.group_opacity(T)
+        kappa = opacity(T)[0]
         B = group_planck(T, FGRID)
         resid = self.EOS.cv * (T - T_prev) / dt - np.sum(kappa * (DEFAULT_CONSTANTS.c * E - 4 * np.pi * B), axis=0)
         scale = self.EOS.cv * np.abs(T) / dt
@@ -319,11 +325,12 @@ class TestUpdateTemperature:
         assert np.all(np.isfinite(T))
         assert np.all(T > 1e-3)  # it heated
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(physics, "NEWTON_MAX_ITER", 2)
         T_prev = np.full((2, 2), 1e-3)
         E = 4.0 * np.pi * group_planck(np.full((2, 2), 1.0), FGRID) / DEFAULT_CONSTANTS.c
         with pytest.raises(ConvergenceError):
-            update_temperature(T_prev, E, 2e-2, MATERIAL, self.EOS, max_iter=2)
+            update_temperature(T_prev, E, 2e-2, MATERIAL, self.EOS)
 
     def test_terms_at_the_start_are_reused(self):
         # Terms evaluated at T_start replace the first Newton evaluation:

@@ -6,14 +6,24 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ddvef.diffusion import DiffusionProblem, run_diffusion_model, standard_boundaries
+from ddvef.diffusion import (
+    DiffusionProblem,
+    MomentState,
+    MomentSystem,
+    boundary_flux,
+    first_moment_faces,
+    on_boundary_faces,
+    run_diffusion_model,
+    standard_boundaries,
+)
 from ddvef.errors import ConfigError
 from ddvef.grid import SpatialMesh, build_angular_quadrature, build_frequency_grid
-from ddvef.physics import InverseCubeMaterial, MaterialEOS, benchmark_cv
-from ddvef.transport import TransportProblem, planckian_inflow, run_fom
+from ddvef.physics import DEFAULT_CONSTANTS, InverseCubeMaterial, MaterialEOS, benchmark_cv
+from ddvef.transport import TransportProblem, planckian_inflow, planckian_intensity, run_fom, sweep
 from ddvef.vef import (
     ClosureRecord,
     _check_temperature_data,
+    closure_from_sweep,
     fused_pipeline,
     isotropic_closure,
     online_phase,
@@ -48,6 +58,29 @@ def test_fused_vef_on_fom_temperatures_reproduces_the_fom(problem, fom):
     assert relative_error(vef.T, fom.T) <= 1.0e-8
     assert relative_error(vef.E, fom.E) <= 1.0e-8
     assert max(d.balance_residual for d in vef.diagnostics) <= 1.0e-8
+
+
+def test_closure_reproduces_its_sweep():
+    # The second of two chained sweeps, closed by its record and fed its own
+    # energies, gives back the sweep's face fluxes; rb vanishes.
+    fgrid = build_frequency_grid()
+    mesh, quad, c = SpatialMesh(6, 5, 6.0, 5.0), build_angular_quadrature(2, 4), DEFAULT_CONSTANTS.c
+    problem = TransportProblem(mesh, quad, fgrid, InverseCubeMaterial(fgrid), MaterialEOS(1.0), planckian_inflow(fgrid, T_DRIVE))
+    T = np.geomspace(0.9, 0.05, mesh.nx) * np.linspace(1.0, 0.6, mesh.ny)[:, None]
+    kappa, _, B, _ = problem.material.emission_terms(T, DEFAULT_CONSTANTS)
+    first = sweep(mesh, quad, kappa, kappa * B, planckian_intensity(problem, T), DT, problem.inflow)
+    second = sweep(mesh, quad, kappa, kappa * B, first.psi, DT, problem.inflow)
+    F_in = problem.incoming_currents()
+    record = closure_from_sweep(second, quad, mesh, kappa, DT, first.Fx, first.Fy, F_in)
+
+    state = MomentState(0.0, T, first.E, first.Fx, first.Fy)
+    faces = first_moment_faces(mesh, kappa, 1.0 / (c * DT), state, record.gx, record.gy, record.fxy, record.rx, record.ry)
+    system = MomentSystem(mesh, *faces, c * record.C * record.eta, record.rb - on_boundary_faces(mesh, F_in))
+    Fx, Fy = system.fluxes(second.E)
+    scale = max(np.abs(second.Fx).max(), np.abs(second.Fy).max())
+    np.testing.assert_allclose(Fx, second.Fx, rtol=0.0, atol=1.0e-13 * scale)
+    np.testing.assert_allclose(Fy, second.Fy, rtol=0.0, atol=1.0e-13 * scale)
+    assert np.abs(record.rb).max() <= 1.0e-13 * np.abs(boundary_flux(second.Fx, second.Fy)).max()
 
 
 @pytest.fixture(scope="module")
