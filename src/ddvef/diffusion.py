@@ -466,19 +466,10 @@ def flux_limit_ratio(state: MomentState) -> float:
     return float(vals.max()) if vals.size else 0.0
 
 
-def run_diffusion_model(
-    problem: DiffusionProblem,
-    model: str,
-    T0: float,
-    dt: float,
-    n_steps: int,
-    label: str | None = None,
-):
+def run_diffusion_model(problem: DiffusionProblem, model: str, T0: float, dt: float, n_steps: int):
     """March one moment model n_steps from equilibrium at T0 and return its SolutionHistory.
 
-    A zero-step run returns a history holding only the initial state.
+    The history is labelled with the model name. A zero-step run returns a
+    history holding only the initial state.
     """
-    return march(
-        label if label is not None else model, initial_moment_state(problem, T0),
-        lambda s, _: diffusion_step(problem, s, dt, model), range(n_steps),
-    )
+    return march(model, initial_moment_state(problem, T0), lambda s, _: diffusion_step(problem, s, dt, model), range(n_steps))

@@ -83,15 +83,28 @@ class AngularQuadrature:
     """Product quadrature on the unit sphere.
 
     omega has shape (M, 3) with columns (Omega_x, Omega_y, Omega_z); weights
-    sum to 4 pi. Octant index lists group directions by the signs of
-    (Omega_x, Omega_y) for the sweep ordering.
+    sum to 4 pi. octants, derived from omega, lists (sx, sy, indices): the
+    directions grouped by the signs +-1 of (Omega_x, Omega_y) for the sweep
+    ordering. A direction with Omega_x = 0 or Omega_y = 0 belongs to no
+    octant and raises ConfigError (so does a NaN component).
     """
 
     n_polar: int
     n_azimuthal: int
     omega: np.ndarray
     weight: np.ndarray
-    octants: tuple = field(repr=False, default=())
+    octants: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        signs = np.sign(self.omega[:, :2])
+        if not np.all(np.abs(signs) == 1.0):
+            raise ConfigError("every quadrature direction needs a nonzero Omega_x and Omega_y to lie in an octant")
+        octants = tuple(
+            (sx, sy, np.nonzero((signs[:, 0] == sx) & (signs[:, 1] == sy))[0])
+            for sx in (1, -1)
+            for sy in (1, -1)
+        )
+        object.__setattr__(self, "octants", octants)
 
     @property
     def n_directions(self) -> int:
@@ -128,12 +141,7 @@ def build_angular_quadrature(n_polar: int, n_azimuthal: int) -> AngularQuadratur
 
     _check_moments(omega, weight)
 
-    octants = tuple(
-        (sx, sy, np.nonzero((np.sign(ox) == sx) & (np.sign(oy) == sy))[0])
-        for sx in (1.0, -1.0)
-        for sy in (1.0, -1.0)
-    )
-    quad = AngularQuadrature(n_polar, n_azimuthal, omega, weight, octants)
+    quad = AngularQuadrature(n_polar, n_azimuthal, omega, weight)
     omega.setflags(write=False)
     weight.setflags(write=False)
     return quad

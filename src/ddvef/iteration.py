@@ -45,22 +45,6 @@ def exchange_sensitivity(kappa, dB, cv: float, dt: float):
     return chi / (cv / dt + np.sum(fourpi_kb, axis=0))
 
 
-def exchange_preconditioner(exchange_getter):
-    """Residual rescale by 1/(1 - exchange), reading the field lazily.
-
-    exchange_getter() returns the sensitivity field of the latest coupled
-    pass; dividing the temperature residual by (1 - exchange) relaxes the
-    slow local mode exactly in the 0-D limit, leaving only the spatial
-    coupling for the Anderson mixer.
-    """
-
-    def precondition(x, gx):
-        scale = 1.0 / (1.0 - np.clip(exchange_getter(), 0.0, 1.0 - 1.0e-4))
-        return x + scale * (gx - x)
-
-    return precondition
-
-
 class AndersonAccelerator:
     """Anderson mixing for x_{k+1} = G(x_k) on flattened arrays.
 
@@ -234,10 +218,12 @@ def couple(problem, state, dt: float, radiate, label: str, e_scale: float | None
         T = update_temperature(state.T, E, dt, problem.material, problem.eos, T_start=T_freeze, terms=terms)
         return pack(T, E)
 
-    relax_T = exchange_preconditioner(lambda: last["exchange"])
-
     def precondition(x, gx):
-        return np.concatenate([relax_T(x[:n_T], gx[:n_T]), gx[n_T:]])
+        # Dividing the T residual by (1 - exchange) of the latest pass relaxes
+        # the slow local mode exactly in the 0-D limit, leaving only the
+        # spatial coupling for the Anderson mixer.
+        scale = 1.0 / (1.0 - np.clip(last["exchange"], 0.0, 1.0 - 1.0e-4))
+        return np.concatenate([x[:n_T] + scale * (gx[:n_T] - x[:n_T]), gx[n_T:]])
 
     def change_measure(x, gx):
         t_change = np.max(np.abs(gx[:n_T] - x[:n_T]) / np.abs(gx[:n_T]))

@@ -19,7 +19,7 @@ Planck-weighted group mean collapses analytically because kappa_nu B_nu is
 proportional to e^{-nu/T}.
 
 Temperatures below T_FLOOR are clamped inside the group evaluations;
-non-positive inputs raise.
+non-positive and non-finite (nan, inf) inputs raise ValueError.
 
 The physics is one model with fixed constants: every module reads c and a
 from DEFAULT_CONSTANTS, and only the material protocol
@@ -109,8 +109,8 @@ class _GroupTerms:
 
     def __init__(self, T: np.ndarray, fgrid: FrequencyGrid):
         T = np.asarray(T, dtype=float)
-        if np.any(T <= 0.0):
-            raise ValueError("group evaluations require T > 0")
+        if not np.all((T > 0.0) & (T < np.inf)):
+            raise ValueError("group evaluations require a finite T > 0")
         self.T = np.maximum(T, T_FLOOR)
         x = fgrid.bounds.reshape((-1,) + (1,) * self.T.ndim) / self.T  # (G+1,) + T.shape
         self.x0 = x[:-1]

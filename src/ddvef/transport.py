@@ -125,86 +125,65 @@ def sweep(
     kappa and source are the physical absorption and isotropic emission
     source (G, ny, nx); the backward-Euler terms of the step dt from the
     intensity psi_prev (ny, nx, G, M) are folded in. dt = inf with a zero
-    psi_prev is the steady-state sweep. Octants are processed one at a
-    time; within an octant, cells on an anti-diagonal are independent and
-    updated together across all groups and octant directions.
+    psi_prev is the steady-state sweep.
+
+    Each octant works in its upwind frame: views that flip the axes it
+    streams against, so all its directions enter at row 0 and column 0.
+    The cells of one anti-diagonal of the frame are independent and are
+    updated together across all groups and octant directions from the
+    upwind fronts. The moments are then tallied once per octant from its
+    (ny, nx, G, M_oct) outflow and cell-average intensities.
     """
     nx, ny = mesh.nx, mesh.ny
     G = kappa.shape[0]
-    M = quad.n_directions
     if kappa.shape != (G, ny, nx) or source.shape != (G, ny, nx):
         raise ConfigError("kappa/source must have shape (G, ny, nx)")
     sink = 1.0 / (DEFAULT_CONSTANTS.c * dt)
-    kappa_eff = kappa + sink
     bc = {side: inflow.value(side, G) for side in SIDES}
 
-    psi = np.empty((ny, nx, G, M))
+    psi = np.empty((ny, nx, G, quad.n_directions))
     E = np.zeros((G, ny, nx))
     Fx = np.zeros((G, ny, nx + 1))
     Fy = np.zeros((G, ny + 1, nx))
     bface_wI = np.zeros((G, mesh.n_boundary_faces))
     bface_wnI = np.zeros((G, mesh.n_boundary_faces))
-    sl = {side: mesh.boundary_slice(side) for side in SIDES}
 
-    kap_t = np.ascontiguousarray(kappa_eff.transpose(1, 2, 0))  # (ny, nx, G)
-    src_t = np.ascontiguousarray(source.transpose(1, 2, 0))
+    kap_t = np.ascontiguousarray((kappa + sink).transpose(1, 2, 0))  # (ny, nx, G)
 
     for sx, sy, idx in quad.octants:
         w = quad.weight[idx]
-        ox = quad.omega[idx, 0]
-        oy = quad.omega[idx, 1]
-        ax = np.abs(ox) / mesh.dx
-        ay = np.abs(oy) / mesh.dy
-        wox = w * ox
-        woy = w * oy
-        Moct = idx.size
+        ox, oy = quad.omega[idx, :2].T
+        ax, ay = np.abs(ox) / mesh.dx, np.abs(oy) / mesh.dy
+        x_in, x_out = ("left", "right") if sx > 0 else ("right", "left")
+        y_in, y_out = ("bottom", "top") if sy > 0 else ("top", "bottom")
+        fy, fx = slice(None, None, sy), slice(None, None, sx)
 
-        x_side = "left" if sx > 0 else "right"
-        y_side = "bottom" if sy > 0 else "top"
-        # Upwind front values, refreshed as the sweep advances.
-        FX = np.broadcast_to(bc[x_side][:, None], (G, Moct)).copy()
-        FX = np.broadcast_to(FX, (ny, G, Moct)).copy()
-        FY = np.broadcast_to(bc[y_side][:, None], (G, Moct)).copy()
-        FY = np.broadcast_to(FY, (nx, G, Moct)).copy()
-
-        # Inflow faces contribute boundary-condition values to the face flux.
-        Fx[:, :, 0 if sx > 0 else nx] += wox.sum() * bc[x_side][:, None]
-        Fy[:, 0 if sy > 0 else ny, :] += woy.sum() * bc[y_side][:, None]
-
+        kap = kap_t[fy, fx]
+        q = source.transpose(1, 2, 0)[fy, fx][..., None] + psi_prev[fy, fx][..., idx] * sink
+        out, avg = np.empty(q.shape), np.empty(q.shape)
+        # Upwind front values: the west face of each row, the south face of each column.
+        FX = np.broadcast_to(bc[x_in][:, None], (ny, G, idx.size)).copy()
+        FY = np.broadcast_to(bc[y_in][:, None], (nx, G, idx.size)).copy()
         for d in range(nx + ny - 1):
-            p0 = max(0, d - (ny - 1))
-            p1 = min(d, nx - 1)
-            ii = np.arange(p0, p1 + 1)
-            jj = d - ii
-            i_arr = ii if sx > 0 else nx - 1 - ii
-            j_arr = jj if sy > 0 else ny - 1 - jj
+            i = np.arange(max(0, d - (ny - 1)), min(d, nx - 1) + 1)
+            j = d - i
+            I_out, avg[j, i] = step_characteristic_update(FX[j], FY[i], ax, ay, kap[j, i][:, :, None], q[j, i])
+            FX[j] = FY[i] = out[j, i] = I_out
 
-            I_w = FX[j_arr]  # (nd, G, Moct)
-            I_s = FY[i_arr]
-            kap = kap_t[j_arr, i_arr][:, :, None]
-            q = src_t[j_arr, i_arr][:, :, None] + psi_prev[j_arr, i_arr][:, :, idx] * sink
-            I_out, I_avg = step_characteristic_update(I_w, I_s, ax, ay, kap, q)
-
-            FX[j_arr] = I_out
-            FY[i_arr] = I_out
-            psi[j_arr[:, None, None], i_arr[:, None, None], np.arange(G)[None, :, None], idx[None, None, :]] = I_avg
-
-            E[:, j_arr, i_arr] += (I_avg @ w).T
-            Fx[:, j_arr, i_arr + (1 if sx > 0 else 0)] += (I_out @ wox).T
-            Fy[:, j_arr + (1 if sy > 0 else 0), i_arr] += (I_out @ woy).T
-
-            # Outflow faces that lie on the domain boundary feed the
-            # half-range sums used by closure factors.
-            bx = i_arr == (nx - 1 if sx > 0 else 0)
-            if bx.any():
-                faces = sl["right" if sx > 0 else "left"].start + j_arr[bx]
-                bface_wI[:, faces] += (I_out[bx] @ w).T
-                bface_wnI[:, faces] += (I_out[bx] @ (w * np.abs(ox))).T
-            by = j_arr == (ny - 1 if sy > 0 else 0)
-            if by.any():
-                faces = sl["top" if sy > 0 else "bottom"].start + i_arr[by]
-                bface_wI[:, faces] += (I_out[by] @ w).T
-                bface_wnI[:, faces] += (I_out[by] @ (w * np.abs(oy))).T
+        psi[fy, fx][..., idx] = avg
+        E[:, fy, fx] += np.moveaxis(avg @ w, -1, 0)
+        Fx_f = Fx[:, fy, fx]
+        Fx_f[:, :, 0] += (w * ox).sum() * bc[x_in][:, None]
+        Fx_f[:, :, 1:] += np.moveaxis(out @ (w * ox), -1, 0)
+        Fy_f = Fy[:, fy, fx]
+        Fy_f[:, 0, :] += (w * oy).sum() * bc[y_in][:, None]
+        Fy_f[:, 1:, :] += np.moveaxis(out @ (w * oy), -1, 0)
+        # The last column and row of the frame flow out through the domain
+        # boundary and feed the half-range sums used by closure factors.
+        bface_wI[:, mesh.boundary_slice(x_out)][:, fy] += (out[:, -1] @ w).T
+        bface_wnI[:, mesh.boundary_slice(x_out)][:, fy] += (out[:, -1] @ (w * np.abs(ox))).T
+        bface_wI[:, mesh.boundary_slice(y_out)][:, fx] += (out[-1] @ w).T
+        bface_wnI[:, mesh.boundary_slice(y_out)][:, fx] += (out[-1] @ (w * np.abs(oy))).T
 
     E /= DEFAULT_CONSTANTS.c
     return SweepResult(psi, E, Fx, Fy, bface_wI, bface_wnI)
@@ -308,13 +287,13 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
     return new_state, diag
 
 
-def run_fom(problem: TransportProblem, T0: float, dt: float, n_steps: int, label: str = "fom"):
+def run_fom(problem: TransportProblem, T0: float, dt: float, n_steps: int):
     """March the full-order model n_steps from a uniform initial state.
 
     Returns a SolutionHistory with n_steps + 1 time levels; its
     temperatures are the data a VEF run (vef.fused_pipeline) can take.
     """
-    return march(label, initial_transport_state(problem, T0), lambda s, _: fom_step(problem, s, dt), range(n_steps))
+    return march("fom", initial_transport_state(problem, T0), lambda s, _: fom_step(problem, s, dt), range(n_steps))
 
 
 def boundary_net_outflow(Fx: np.ndarray, Fy: np.ndarray, mesh: SpatialMesh) -> float:

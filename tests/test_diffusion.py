@@ -481,9 +481,3 @@ class TestRunDriver:
         hist = run_diffusion_model(prob, "p1", 1e-3, 0.1, 0)
         assert hist.times.size == 1
         assert hist.times[0] == 0.0
-
-    def test_custom_label(self):
-        prob = benchmark_problem(nx=2, ny=2)
-        hist = run_diffusion_model(prob, "p13", 1e-3, 0.1, 2, label="ref")
-        assert hist.label == "ref"
-        assert hist.times.size == 3

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ddvef.errors import ConfigError
 from ddvef.grid import (
     BENCHMARK_GROUP_BOUNDS,
+    AngularQuadrature,
     SpatialMesh,
     build_angular_quadrature,
     build_frequency_grid,
@@ -86,6 +87,14 @@ class TestAngularQuadrature:
         for sx, sy, ids in quad.octants:
             assert np.all(np.sign(quad.omega[ids, 0]) == sx)
             assert np.all(np.sign(quad.omega[ids, 1]) == sy)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_direction_outside_every_octant_rejected(self, bad):
+        built = build_angular_quadrature(2, 8)
+        omega = built.omega.copy()
+        omega[3, 1] = bad
+        with pytest.raises(ConfigError, match="octant"):
+            AngularQuadrature(2, 8, omega, built.weight)
 
     def test_half_range_masks_partition(self):
         quad = build_angular_quadrature(4, 8)

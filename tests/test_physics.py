@@ -153,6 +153,17 @@ class TestGroupPlanck:
         with pytest.raises(ValueError):
             group_planck(np.array([1.0, -2.0]), FGRID)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        # nan slips past a T <= 0 test and inf overflows to nan; both must raise.
+        materials = (MATERIAL, ConstantOpacity(FGRID, np.ones(FGRID.n_groups)))
+        for T in (bad, np.array([[1.0, bad], [0.5, 0.2]])):
+            with pytest.raises(ValueError, match="finite"):
+                group_planck(T, FGRID)
+            for material in materials:
+                with pytest.raises(ValueError, match="finite"):
+                    material.emission_terms(T, DEFAULT_CONSTANTS)
+
 
 class TestGroupOpacity:
     # Frozen from adaptive quadrature of both integrals in nu-space.
