@@ -12,6 +12,12 @@ roundoff), keeps intensities nonnegative, and satisfies the finite-volume
 balance exactly, so the global energy budget telescopes to the boundary
 fluxes.
 
+The chord factors exp(-eps), g1 and g2 of eps = kappa* ds depend on the
+cell and the direction but not on the intensities, so a sweep evaluates
+them once per octant over its whole upwind frame; the anti-diagonal
+wavefront then reads them, and writes its intensities, through strided
+views of that frame flattened to (cells, G, M_oct).
+
 Intensity arrays are laid out (ny, nx, G, M): cell row, cell column, group,
 direction. Face-normal fluxes live on faces: Fx (G, ny, nx+1), Fy
 (G, ny+1, nx).
@@ -71,6 +77,30 @@ def planckian_inflow(fgrid: FrequencyGrid, T_drive: float, sides=("left",)) -> B
     return BoundaryInflow(**values)
 
 
+def characteristic_coefficients(ax, ay, kappa_eff):
+    """Chord factors of the step-characteristic update: (inv_ds, e, g1, g2).
+
+    ax = |Omega_x|/dx, ay = |Omega_y|/dy and kappa_eff broadcast together.
+    inv_ds = ax + ay is the inverse chord length, eps = kappa_eff ds its
+    optical depth, e = exp(-eps), g1 = (1 - e)/eps and g2 = (1 - g1)/eps;
+    g1 and g2 switch to their fifth-order series below eps = 1e-2, where
+    the direct forms cancel; the series is evaluated on those entries only.
+    None of them depends on the intensities, so a sweep evaluates them once
+    per octant.
+    """
+    inv_ds = ax + ay
+    eps = np.asarray(kappa_eff / inv_ds)
+    e = np.exp(-eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g1 = np.asarray(-np.expm1(-eps) / eps)
+        g2 = np.asarray((1.0 - g1) / eps)
+    small = eps < 1.0e-2
+    s = eps[small]
+    g1[small] = 1.0 - s / 2.0 + s**2 / 6.0 - s**3 / 24.0 + s**4 / 120.0 - s**5 / 720.0
+    g2[small] = 0.5 - s / 6.0 + s**2 / 24.0 - s**3 / 120.0 + s**4 / 720.0 - s**5 / 5040.0
+    return inv_ds, e, g1, g2
+
+
 def step_characteristic_update(I_w, I_s, ax, ay, kappa_eff, source):
     """One chord-based step-characteristic cell update.
 
@@ -80,23 +110,10 @@ def step_characteristic_update(I_w, I_s, ax, ay, kappa_eff, source):
     the shared outflow-face value and the cell average. All arguments
     broadcast together.
     """
-    inv_ds = ax + ay
+    inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kappa_eff)
     I_in = (ax * I_w + ay * I_s) / inv_ds
-    eps = kappa_eff / inv_ds
-    e = np.exp(-eps)
-    small = eps < 1.0e-2
-    eps_s = np.where(small, eps, 1.0)  # keep the series arm finite
-    g1_series = 1.0 - eps_s / 2.0 + eps_s**2 / 6.0 - eps_s**3 / 24.0 + eps_s**4 / 120.0 - eps_s**5 / 720.0
-    g2_series = 0.5 - eps_s / 6.0 + eps_s**2 / 24.0 - eps_s**3 / 120.0 + eps_s**4 / 720.0 - eps_s**5 / 5040.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g1_direct = -np.expm1(-eps) / eps
-        g2_direct = (1.0 - g1_direct) / eps
-    g1 = np.where(small, g1_series, g1_direct)
-    g2 = np.where(small, g2_series, g2_direct)
     q_ds = source / inv_ds
-    I_out = I_in * e + q_ds * g1
-    I_avg = I_in * g1 + q_ds * g2
-    return I_out, I_avg
+    return I_in * e + q_ds * g1, I_in * g1 + q_ds * g2
 
 
 @dataclass
@@ -125,19 +142,31 @@ def sweep(
     kappa and source are the physical absorption and isotropic emission
     source (G, ny, nx); the backward-Euler terms of the step dt from the
     intensity psi_prev (ny, nx, G, M) are folded in. dt = inf with a zero
-    psi_prev is the steady-state sweep.
+    psi_prev is the steady-state sweep. Inputs of the wrong shape and a dt
+    that is not positive raise ConfigError.
 
     Each octant works in its upwind frame: views that flip the axes it
     streams against, so all its directions enter at row 0 and column 0.
-    The cells of one anti-diagonal of the frame are independent and are
-    updated together across all groups and octant directions from the
-    upwind fronts. The moments are then tallied once per octant from its
+    The chord factors (characteristic_coefficients) and the scaled source
+    q ds depend only on the cell and the direction, so they are evaluated
+    once per octant over the whole frame. The cells of one anti-diagonal
+    are independent; in the frame flattened to (ny nx, G, M_oct) they are
+    one strided slice, and their upwind fronts are a slice of the west
+    front and a reversed slice of the south front, so each diagonal is
+    updated across all groups and octant directions through views alone.
+    The loop keeps only what the fronts need, the inflow I_in and the
+    outflow; the cell averages I_in g1 + q ds g2 follow for the whole frame
+    at once. The moments are then tallied once per octant from its
     (ny, nx, G, M_oct) outflow and cell-average intensities.
     """
     nx, ny = mesh.nx, mesh.ny
     G = kappa.shape[0]
     if kappa.shape != (G, ny, nx) or source.shape != (G, ny, nx):
         raise ConfigError("kappa/source must have shape (G, ny, nx)")
+    if psi_prev.shape != (ny, nx, G, quad.n_directions):
+        raise ConfigError(f"psi_prev has shape {psi_prev.shape}, expected {(ny, nx, G, quad.n_directions)}")
+    if not dt > 0.0:
+        raise ConfigError(f"sweep requires a positive time step (inf for steady state), got {dt}")
     sink = 1.0 / (DEFAULT_CONSTANTS.c * dt)
     bc = {side: inflow.value(side, G) for side in SIDES}
 
@@ -149,6 +178,7 @@ def sweep(
     bface_wnI = np.zeros((G, mesh.n_boundary_faces))
 
     kap_t = np.ascontiguousarray((kappa + sink).transpose(1, 2, 0))  # (ny, nx, G)
+    step = max(nx - 1, 1)  # flat distance between neighbours on an anti-diagonal
 
     for sx, sy, idx in quad.octants:
         w = quad.weight[idx]
@@ -158,17 +188,24 @@ def sweep(
         y_in, y_out = ("bottom", "top") if sy > 0 else ("top", "bottom")
         fy, fx = slice(None, None, sy), slice(None, None, sx)
 
-        kap = kap_t[fy, fx]
-        q = source.transpose(1, 2, 0)[fy, fx][..., None] + psi_prev[fy, fx][..., idx] * sink
-        out, avg = np.empty(q.shape), np.empty(q.shape)
+        frame = (ny * nx, G, idx.size)
+        inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kap_t[fy, fx][..., None])
+        q_ds = (source.transpose(1, 2, 0)[fy, fx][..., None] + psi_prev[fy, fx][..., idx] * sink) / inv_ds
+        e, q_g1 = e.reshape(frame), (q_ds * g1).reshape(frame)
+        out, avg = np.empty(q_ds.shape), np.empty(q_ds.shape)  # avg holds I_in until the loop ends
+        out_f, I_in_f = out.reshape(frame), avg.reshape(frame)
         # Upwind front values: the west face of each row, the south face of each column.
         FX = np.broadcast_to(bc[x_in][:, None], (ny, G, idx.size)).copy()
         FY = np.broadcast_to(bc[y_in][:, None], (nx, G, idx.size)).copy()
         for d in range(nx + ny - 1):
-            i = np.arange(max(0, d - (ny - 1)), min(d, nx - 1) + 1)
-            j = d - i
-            I_out, avg[j, i] = step_characteristic_update(FX[j], FY[i], ax, ay, kap[j, i][:, :, None], q[j, i])
-            FX[j] = FY[i] = out[j, i] = I_out
+            # Cells (j, d - j), j0 <= j < j1, at flat index d + j (nx - 1).
+            j0, j1 = max(0, d - nx + 1), min(d, ny - 1) + 1
+            cells = slice(d + j0 * (nx - 1), d + (j1 - 1) * (nx - 1) + 1, step)
+            west, south = FX[j0:j1], FY[d - j1 + 1 : d - j0 + 1][::-1]
+            I_in = I_in_f[cells] = (ax * west + ay * south) / inv_ds
+            west[...] = south[...] = out_f[cells] = I_in * e[cells] + q_g1[cells]
+        avg *= g1
+        avg += q_ds * g2
 
         psi[fy, fx][..., idx] = avg
         E[:, fy, fx] += np.moveaxis(avg @ w, -1, 0)

@@ -29,6 +29,7 @@ from ddvef.transport import (
     TransportState,
     boundary_net_outflow,
     cell_moments,
+    characteristic_coefficients,
     energy_balance_residual,
     fom_step,
     initial_transport_state,
@@ -109,6 +110,27 @@ class TestCellUpdate:
             assert I_out <= bound * (1 + 1e-12) + 1e-300
             assert I_avg <= bound * (1 + 1e-12) + 1e-300
 
+    def test_block_coefficients_equal_the_per_cell_update(self):
+        # The sweep evaluates the chord factors once for a (cells, G, M)
+        # block and combines them per diagonal; that must be the per-cell
+        # update bitwise, on both sides of the series switch at eps = 1e-2.
+        rng = np.random.default_rng(2)
+        cells, G, M = 6, 3, 4
+        ax, ay = rng.uniform(0.2, 3.0, M), rng.uniform(0.2, 3.0, M)
+        kappa = 10.0 ** rng.uniform(-5.0, 1.5, (cells, G, 1))
+        kappa[0, 0] = 0.0
+        small = kappa / (ax + ay) < 1.0e-2
+        assert small.any() and not small.all()
+        I_w, I_s, q = (rng.uniform(0.0, 2.0, (cells, G, M)) for _ in range(3))
+
+        inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kappa)
+        I_in, q_ds = (ax * I_w + ay * I_s) / inv_ds, q / inv_ds
+        I_out, I_avg = I_in * e + q_ds * g1, I_in * g1 + q_ds * g2
+        for c in range(cells):
+            out_c, avg_c = step_characteristic_update(I_w[c], I_s[c], ax, ay, kappa[c], q[c])
+            np.testing.assert_array_equal(I_out[c], out_c)
+            np.testing.assert_array_equal(I_avg[c], avg_c)
+
     def test_broadcasts(self):
         I_out, I_avg = step_characteristic_update(
             np.zeros((4, 1)), np.zeros((4, 1)), 1.0, 1.0, np.full(3, 2.0), np.ones(3)
@@ -173,10 +195,13 @@ def reference_sweep(mesh, quad, kappa, source, psi_prev, dt, inflow):
 
 
 class TestSweep:
-    def test_matches_reference_sweep(self):
+    @pytest.mark.parametrize("nx,ny", [(5, 3), (3, 5), (1, 4), (4, 1), (1, 1)])
+    def test_matches_reference_sweep(self, nx, ny):
         # Distinct inflow on every side and random data: no symmetry hides a
-        # misplaced tally or a face flipped the wrong way.
-        mesh, quad, fgrid = small_setup(nx=5, ny=3, lx=1.5, ly=1.2)
+        # misplaced tally or a face flipped the wrong way. Thin and tall
+        # meshes check the strided anti-diagonal addressing; nx = 1 is where
+        # its step falls back to 1.
+        mesh, quad, fgrid = small_setup(nx=nx, ny=ny, lx=0.3 * nx, ly=0.4 * ny)
         G = fgrid.n_groups
         rng = np.random.default_rng(11)
         kappa = rng.uniform(0.1, 6.0, (G, mesh.ny, mesh.nx))
@@ -227,6 +252,16 @@ class TestSweep:
         G = fgrid.n_groups
         with pytest.raises(ConfigError):
             steady_sweep(mesh, quad, np.zeros((G, mesh.nx, mesh.ny)), np.zeros((G, mesh.nx, mesh.ny)))
+        field = np.ones((G, mesh.ny, mesh.nx))
+        psi_prev = np.ones((mesh.ny, mesh.nx, G, quad.n_directions))
+        # A negative step would flip the sink's sign and break positivity; a
+        # zero step has no backward-Euler term. inf stays the steady sweep.
+        for dt in (-0.03, 0.0, -np.inf, np.nan):
+            with pytest.raises(ConfigError, match="time step"):
+                sweep(mesh, quad, field, field, psi_prev=psi_prev, dt=dt, inflow=BoundaryInflow())
+        for bad in (psi_prev[:, :-1], psi_prev[..., :-1], psi_prev[0]):
+            with pytest.raises(ConfigError, match="psi_prev"):
+                sweep(mesh, quad, field, field, psi_prev=bad, dt=0.03, inflow=BoundaryInflow())
 
     def test_free_streaming_bounds(self):
         # Transparent medium with a unit drive on the left: intensities stay
