@@ -402,14 +402,16 @@ def _marshak_boundary(problem: DiffusionProblem, F_in: np.ndarray):
     return coef, on_boundary_faces(problem.mesh, -2.0 * F_in)
 
 
-def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label: str, e_scale: float | None = None):
+def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label: str, T_start, e_scale: float | None = None):
     """Advance a moment model one backward-Euler step; shared by all four models.
 
     faces(kappa, E_lag) gives the interior FaceForms of one pass and
     boundary the fixed (b_coef, b_base) tables. The step is
     iteration.couple with MomentSystem.solve, one block-diagonal solve of
-    all groups, as its radiation solve; FLD, whose faces depend on E,
-    passes e_scale so the coupling iterates on the joint (T, E) unknown.
+    all groups, as its radiation solve, started at the temperature
+    T_start (the diffusion models pass state.T); FLD, whose faces depend
+    on E, passes e_scale so the coupling iterates on the joint (T, E)
+    unknown.
     The stored fluxes come from faces rebuilt on the converged E, so FLD's
     satisfy the limiter bound against their own E exactly.
     """
@@ -421,7 +423,7 @@ def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label:
         last["kappa"], last["E"] = kappa, system.solve(dt, c * kappa, 4.0 * np.pi * kappa * B, state.E)
         return last["E"]
 
-    T_new, history = couple(problem, state, dt, radiate, label, e_scale)
+    T_new, history = couple(problem, state, dt, radiate, label, T_start, e_scale)
     E_new = last["E"]
     Fx, Fy = MomentSystem(problem.mesh, *faces(last["kappa"], E_new), *boundary).fluxes(E_new)
     new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy)
@@ -446,12 +448,12 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
     label = f"{model} moment/material coupling"
     if model == "fld":
         e_scale = max(float(state.E.max()), 4.0 * float(F_in.max()) / c, 1.0e-290)
-        return coupled_step(problem, state, dt, lambda kappa, E: _fld_faces(mesh, kappa, E), boundary, label, e_scale)
+        return coupled_step(problem, state, dt, lambda kappa, E: _fld_faces(mesh, kappa, E), boundary, label, state.T, e_scale)
     alpha = 1.0 / (c * dt) if model == "p1" else 1.0 / (3.0 * c * dt)
     return coupled_step(
         problem, state, dt,
         lambda kappa, E: first_moment_faces(mesh, kappa, alpha, state, 1.0 / 3.0, 1.0 / 3.0),
-        boundary, label,
+        boundary, label, state.T,
     )
 
 

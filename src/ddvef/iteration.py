@@ -179,9 +179,13 @@ def fixed_point_solve(
     raise ConvergenceError(f"{label} did not converge", residual=history[-1], history=history)
 
 
-def couple(problem, state, dt: float, radiate, label: str, e_scale: float | None = None):
+def couple(problem, state, dt: float, radiate, label: str, T_start, e_scale: float | None = None):
     """Converge one backward-Euler step's radiation/material coupling.
 
+    The first pass freezes the temperature at T_start: the FOM and the
+    diffusion models pass the previous level's state.T, the data-driven
+    VEF the data temperature at which its closure was frozen. The fixed
+    point does not depend on the start, only the number of passes does.
     Each pass evaluates problem.material.emission_terms at the frozen
     temperature, solves the radiation field E = radiate(kappa, B, E_lag),
     estimates the exchange sensitivity and updates T from state.T by the
@@ -230,7 +234,7 @@ def couple(problem, state, dt: float, radiate, label: str, e_scale: float | None
         return max(t_change, np.max(np.abs(gx[n_T:] - x[n_T:]), initial=0.0))
 
     x, history = fixed_point_solve(
-        coupled_pass, pack(state.T, state.E), tol=PICARD_TOL, max_iter=PICARD_MAX_ITER,
+        coupled_pass, pack(T_start, state.E), tol=PICARD_TOL, max_iter=PICARD_MAX_ITER,
         memory=ANDERSON_MEMORY, precondition=precondition, change_measure=change_measure, label=label,
     )
     return x[:n_T].reshape(state.T.shape), history

@@ -316,7 +316,7 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
         result = sweep(problem.mesh, problem.quad, kappa, kappa * B, psi_prev=state.psi, dt=dt, inflow=problem.inflow)
         return result.E
 
-    T_new, history = couple(problem, state, dt, radiate, "transport/material coupling")
+    T_new, history = couple(problem, state, dt, radiate, "transport/material coupling", state.T)
 
     new_state = TransportState(state.t + dt, T_new, result.psi, result.E, result.Fx, result.Fy)
     diag = StepDiagnostics(picard_iterations=len(history), change_history=history)

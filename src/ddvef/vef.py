@@ -54,7 +54,14 @@ term, the face factors and remainders, and the boundary fields; f_xx and
 f_yy serve only as the fallback of rejected face factors during
 extraction. fused_pipeline is offline_phase followed by online_phase.
 Every online step converges its temperature through iteration.couple,
-the one radiation/material coupling loop of all the models.
+the one radiation/material coupling loop of all the models. The dataset
+keeps the end-of-step data temperatures beside the records, and online
+step n starts its coupling at T_data[n], the field at which its opacity
+and emission were frozen offline: the VEF solution differs from the data
+only by the transport correction, so this start is closer to the fixed
+point than the previous VEF level. The fixed point and the convergence
+test are those of every other model; only the pass count depends on the
+start.
 """
 
 from __future__ import annotations
@@ -239,19 +246,24 @@ class ClosureDataset:
     solver's time grid is fully determined. F_in[s, g] is the incoming
     partial current on side s (canonical order left, right, bottom, top;
     zeros on vacuum sides), which the online boundary condition
-    n.F = c C eta E - F_in + rb consumes directly.
+    n.F = c C eta E - F_in + rb consumes directly. T[n] (ny, nx) is the
+    data temperature at which records[n] was frozen, and the coupling of
+    that online step starts there; T is None for a closure not derived
+    from temperature data, whose steps start at the previous level.
     """
 
     t0: float
     times: np.ndarray
     records: list[ClosureRecord]
     F_in: np.ndarray  # (4, G)
+    T: np.ndarray | None  # (N, ny, nx)
 
     def steps(self):
-        """(dt, record) of every step in order, the online phase's input."""
+        """(dt, record, coupling start or None) of every step in order, the online phase's input."""
+        starts = self.T if self.T is not None else [None] * self.times.size
         t_prev = self.t0
-        for t, record in zip(self.times, self.records):
-            yield t - t_prev, record
+        for t, record, T_start in zip(self.times, self.records, starts):
+            yield t - t_prev, record, T_start
             t_prev = t
 
     def validate(self, mesh: SpatialMesh, n_groups: int) -> None:
@@ -271,6 +283,11 @@ class ClosureDataset:
                     raise ConfigError(f"closure {f.name} has shape {shape}, expected {expected}")
         if np.shape(self.F_in) != (4, n_groups):
             raise ConfigError("closure drive moments do not match the group count")
+        if self.T is not None:
+            if np.shape(self.T) != (N, mesh.ny, mesh.nx):
+                raise ConfigError(f"closure data temperatures have shape {np.shape(self.T)}, expected {(N, mesh.ny, mesh.nx)}")
+            if not np.all(np.isfinite(self.T) & (self.T > 0.0)):
+                raise ConfigError("closure data temperatures must be finite and positive")
         if N and not np.all(np.diff(np.concatenate([[self.t0], self.times])) > 0.0):
             raise ConfigError("closure time grid must be strictly increasing from t0")
 
@@ -287,7 +304,9 @@ def isotropic_closure(
     The face-level fields take their neutral values (gx = gy = 1/3, zero
     remainders) and the boundary ones eta = 1, rb = -F_in, so with the
     analytic Planckian drive currents of a DiffusionProblem this closure
-    makes the online solver coincide with the P1 model.
+    makes the online solver coincide with the P1 model. It has no data
+    temperatures, so every online step starts its coupling at the
+    previous level, as P1 does.
     """
     times = np.asarray(times, dtype=float)
     G, ny, nx, nb = n_groups, mesh.ny, mesh.nx, mesh.n_boundary_faces
@@ -301,7 +320,7 @@ def isotropic_closure(
         eta=np.ones((G, nb)),
         rb=on_boundary_faces(mesh, -F_in),
     )
-    return ClosureDataset(float(t0), times, [one] * times.size, F_in)
+    return ClosureDataset(float(t0), times, [one] * times.size, F_in, None)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +338,8 @@ def _check_temperature_data(problem, temperatures):
         raise ConfigError(f"temperature data has shape {T.shape}, expected {(times.size, mesh.ny, mesh.nx)}")
     if not np.all(np.diff(times) > 0.0):
         raise ConfigError("temperature time grid must be strictly increasing")
+    if not np.all(np.isfinite(T) & (T > 0.0)):
+        raise ConfigError("temperature data must be finite and positive")
     return times, T
 
 
@@ -332,7 +353,8 @@ def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
     at the end-of-step data temperature, then reduces the intensity and
     face fluxes to a closure record; the previous step's face fluxes feed
     the face-factor extraction (zeros before the first step, matching the
-    zero-flux initial moment state).
+    zero-flux initial moment state). The dataset keeps those end-of-step
+    data temperatures, where the online steps start their coupling.
     """
     times, T_data = _check_temperature_data(problem, temperatures)
     mesh, quad = problem.mesh, problem.quad
@@ -348,7 +370,7 @@ def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
         result = sweep(mesh, quad, kappa, kappa * B, psi_prev=psi, dt=dt, inflow=problem.inflow)
         records.append(closure_from_sweep(result, quad, mesh, kappa, dt, Fx_prev, Fy_prev, F_in))
         psi, Fx_prev, Fy_prev = result.psi, result.Fx, result.Fy
-    return ClosureDataset(float(times[0]), times[1:].copy(), records, F_in)
+    return ClosureDataset(float(times[0]), times[1:].copy(), records, F_in, T_data[1:].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +384,21 @@ def vef_step(
     dt: float,
     record: ClosureRecord,
     F_in: np.ndarray,
+    T_start: np.ndarray | None = None,
 ) -> tuple[MomentState, StepDiagnostics]:
     """Advance the closed moment system one backward-Euler step.
 
     The closure record is frozen data for the step, so the coupling
     (iteration.couple through diffusion.coupled_step) iterates on the
-    temperature field exactly like the P1 stepper. The faces are the
-    first-moment forms with the record's factors gx, gy, its f_xy cross
-    term and its remainders; each boundary face's outward current is
-    n.F = c C eta E_cell - F_in + rb. Of the transport problem only the
-    mesh, groups, material and heat capacity are used: the record and the
-    incoming currents F_in (4, G) stand in for the quadrature and the
+    temperature field exactly like the P1 stepper. Its first pass freezes
+    the temperature at T_start, the data temperature of the record, or at
+    the previous level state.T when T_start is None; both reach the same
+    fixed point, so the start only sets the number of passes. The faces
+    are the first-moment forms with the record's factors gx, gy, its f_xy
+    cross term and its remainders; each boundary face's outward current
+    is n.F = c C eta E_cell - F_in + rb. Of the transport problem only
+    the mesh, groups, material and heat capacity are used: the record and
+    the incoming currents F_in (4, G) stand in for the quadrature and the
     inflow.
     """
     mesh, c = problem.mesh, DEFAULT_CONSTANTS.c
@@ -381,7 +407,7 @@ def vef_step(
     return coupled_step(
         problem, state, dt,
         lambda kappa, E: first_moment_faces(mesh, kappa, alpha, state, record.gx, record.gy, record.fxy, record.rx, record.ry),
-        boundary, "closed-moment/material coupling",
+        boundary, "closed-moment/material coupling", state.T if T_start is None else T_start,
     )
 
 
@@ -389,11 +415,18 @@ def online_phase(problem: TransportProblem, dataset: ClosureDataset, T0, label: 
     """March vef_step over the dataset's whole time grid.
 
     Starts from equilibrium at T0 (scalar or field) at the dataset's t0.
-    Returns the SolutionHistory of all N+1 levels.
+    Each step's coupling starts at the dataset's data temperature of that
+    step, or at the previous level when the dataset has none. Returns the
+    SolutionHistory of all N+1 levels.
     """
     dataset.validate(problem.mesh, problem.fgrid.n_groups)
     state = initial_moment_state(problem, T0, dataset.t0)
-    return march(label, state, lambda s, step: vef_step(problem, s, *step, dataset.F_in), dataset.steps())
+
+    def advance(state, step):
+        dt, record, T_start = step
+        return vef_step(problem, state, dt, record, dataset.F_in, T_start)
+
+    return march(label, state, advance, dataset.steps())
 
 
 def fused_pipeline(problem: TransportProblem, temperatures, label: str = "vef"):

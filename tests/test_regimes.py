@@ -3,7 +3,11 @@
 The Fleck-Cummings-type problem on a 4 x 4 mesh (17 groups, 16
 directions, 2 steps from 1e-3 KeV) is run with one knob moved at a time
 from the benchmark's opacity coefficient, 1 KeV drive and 0.02 ns step.
+The VEF is also run on poor temperature data at the benchmark regime,
+since its coupling starts at the data.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +18,9 @@ from ddvef.grid import SpatialMesh, build_angular_quadrature, build_frequency_gr
 from ddvef.physics import InverseCubeMaterial, MaterialEOS, benchmark_cv
 from ddvef.transport import TransportProblem, planckian_inflow, run_fom
 from ddvef.vef import fused_pipeline
+
+T_COLD = 1.0e-3
+N_STEPS = 2
 
 #: (opacity coefficient scale, drive temperature [KeV], dt [ns]) per regime.
 REGIMES = {
@@ -33,28 +40,53 @@ MAX_PASSES = 60
 #: largest measured here is 9.5e-8 (VEF(P1) at 100x opacity).
 BALANCE_TOL = 1.0e-7
 
+#: Uniform data temperatures [KeV] after the cold initial level: the
+#: whole history at the initial 1e-3 KeV, and 2 KeV, twice the drive.
+#: Both are far from the driven solution, so each VEF step's coupling
+#: starts far from its fixed point. Measured passes per step: 15, 18
+#: (cold) and 14, 15 (hot); started at the previous level instead, the
+#: same steps take 15, 8 and 12, 7.
+POOR_DATA = {"cold": T_COLD, "hot": 2.0}
 
-def run(model, regime):
-    scale, T_drive, dt = REGIMES[regime]
+
+def problems(scale=1.0, T_drive=1.0):
+    """The transport and diffusion problems of one regime."""
     fgrid = build_frequency_grid()
     mesh = SpatialMesh(4, 4, 6.0, 6.0)
     material = InverseCubeMaterial(fgrid, 27.0 * scale)
     eos = MaterialEOS(benchmark_cv(1.0))
     transport = TransportProblem(mesh, build_angular_quadrature(2, 8), fgrid, material, eos, planckian_inflow(fgrid, T_drive))
-    diffusion = DiffusionProblem(mesh, fgrid, material, eos, standard_boundaries(T_drive))
+    return transport, DiffusionProblem(mesh, fgrid, material, eos, standard_boundaries(T_drive))
+
+
+def run(model, regime):
+    scale, T_drive, dt = REGIMES[regime]
+    transport, diffusion = problems(scale, T_drive)
     if model == "fom":
-        return run_fom(transport, 1.0e-3, dt, 2)
+        return run_fom(transport, T_COLD, dt, N_STEPS)
     if model == "vef_p1":
-        return fused_pipeline(transport, run_diffusion_model(diffusion, "p1", 1.0e-3, dt, 2))
-    return run_diffusion_model(diffusion, model, 1.0e-3, dt, 2)
+        return fused_pipeline(transport, run_diffusion_model(diffusion, "p1", T_COLD, dt, N_STEPS))
+    return run_diffusion_model(diffusion, model, T_COLD, dt, N_STEPS)
 
 
-@pytest.mark.parametrize("regime", REGIMES)
-@pytest.mark.parametrize("model", ["fom", "p1", "fld", "vef_p1"])
-def test_every_model_converges_within_bounds(model, regime):
-    history = run(model, regime)
+def assert_converged_within_bounds(history):
     assert np.all(np.isfinite(history.T)) and np.all(history.T > 0.0)
     for diag in history.diagnostics:
         assert diag.change_history[-1] <= iteration.PICARD_TOL
         assert diag.picard_iterations <= MAX_PASSES
         assert diag.balance_residual <= BALANCE_TOL
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("model", ["fom", "p1", "fld", "vef_p1"])
+def test_every_model_converges_within_bounds(model, regime):
+    assert_converged_within_bounds(run(model, regime))
+
+
+@pytest.mark.parametrize("T_data", POOR_DATA.values(), ids=POOR_DATA)
+def test_vef_on_poor_data_converges_within_bounds(T_data):
+    transport, _ = problems()
+    T = np.full((N_STEPS + 1, 4, 4), T_data)
+    T[0] = T_COLD
+    data = SimpleNamespace(times=0.02 * np.arange(N_STEPS + 1), T=T)
+    assert_converged_within_bounds(fused_pipeline(transport, data))

@@ -6,12 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ddvef import vef as vef_module
 from ddvef.diffusion import (
     DiffusionProblem,
     MomentState,
     MomentSystem,
     boundary_flux,
     first_moment_faces,
+    initial_moment_state,
     on_boundary_faces,
     run_diffusion_model,
     standard_boundaries,
@@ -26,7 +28,9 @@ from ddvef.vef import (
     closure_from_sweep,
     fused_pipeline,
     isotropic_closure,
+    offline_phase,
     online_phase,
+    vef_step,
 )
 
 T_COLD = 1.0e-3
@@ -53,11 +57,17 @@ def relative_error(values, reference):
     return float(np.max(np.abs(values - reference)) / np.max(np.abs(reference)))
 
 
+def passes(history):
+    return [d.picard_iterations for d in history.diagnostics]
+
+
 def test_fused_vef_on_fom_temperatures_reproduces_the_fom(problem, fom):
     vef = fused_pipeline(problem, fom)
     assert relative_error(vef.T, fom.T) <= 1.0e-8
     assert relative_error(vef.E, fom.E) <= 1.0e-8
     assert max(d.balance_residual for d in vef.diagnostics) <= 1.0e-8
+    # each step's coupling starts at the FOM's temperature, its fixed point
+    assert passes(vef) == [1] * N_STEPS
 
 
 def test_closure_reproduces_its_sweep():
@@ -86,6 +96,27 @@ def test_closure_reproduces_its_sweep():
 @pytest.fixture(scope="module")
 def diffusion(problem):
     return DiffusionProblem(problem.mesh, problem.fgrid, problem.material, problem.eos, standard_boundaries(T_DRIVE))
+
+
+@pytest.fixture(scope="module")
+def p1_closure(problem, diffusion):
+    return offline_phase(problem, run_diffusion_model(diffusion, "p1", T_COLD, DT, N_STEPS))
+
+
+def test_data_start_reaches_the_previous_level_start_fixed_point(problem, p1_closure):
+    dt, record, T_data = next(p1_closure.steps())
+    state = initial_moment_state(problem, T_COLD, p1_closure.t0)
+    from_data, _ = vef_step(problem, state, dt, record, p1_closure.F_in, T_data)
+    from_previous, _ = vef_step(problem, state, dt, record, p1_closure.F_in)
+    assert relative_error(from_data.T, from_previous.T) <= 1.0e-8
+    assert relative_error(from_data.E, from_previous.E) <= 1.0e-8
+
+
+def test_data_start_saves_passes_over_the_march(problem, p1_closure):
+    from_data = online_phase(problem, p1_closure, T_COLD)
+    from_previous = online_phase(problem, replace(p1_closure, T=None), T_COLD)
+    assert relative_error(from_data.T, from_previous.T) <= 1.0e-8
+    assert sum(passes(from_data)) < sum(passes(from_previous))
 
 
 def isotropic(problem, diffusion, times):
@@ -119,6 +150,29 @@ def test_temperature_data_is_checked(problem, fom):
         _check_temperature_data(problem, SimpleNamespace(times=fom.times, T=fom.T[:, :-1]))
     with pytest.raises(ConfigError, match="increasing"):
         _check_temperature_data(problem, SimpleNamespace(times=fom.times[::-1], T=fom.T))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_bad_temperature_data_raises_before_any_sweep(problem, fom, monkeypatch, bad):
+    T = fom.T.copy()
+    T[-1, 2, 2] = bad
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept bad temperature data")
+
+    monkeypatch.setattr(vef_module, "sweep", no_sweep)
+    with pytest.raises(ConfigError, match="finite and positive"):
+        fused_pipeline(problem, SimpleNamespace(times=fom.times, T=T))
+
+
+def test_validate_rejects_bad_data_temperatures(problem, p1_closure):
+    mesh, G = problem.mesh, problem.fgrid.n_groups
+    p1_closure.validate(mesh, G)
+    with pytest.raises(ConfigError, match="data temperatures have shape"):
+        replace(p1_closure, T=p1_closure.T[:-1]).validate(mesh, G)
+    for bad in (0.0, np.nan):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            replace(p1_closure, T=np.full_like(p1_closure.T, bad)).validate(mesh, G)
 
 
 def test_validate_rejects_bad_drive_and_time_grid(problem, diffusion):
