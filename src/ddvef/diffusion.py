@@ -181,23 +181,60 @@ def boundary_cells(mesh: SpatialMesh):
     return _read_only(cells, np.repeat([-1.0, 1.0, -1.0, 1.0], counts), np.repeat([mesh.dx, mesh.dx, mesh.dy, mesh.dy], counts))
 
 
+#: Largest block of cells that nested dissection numbers row by row.
+_LEAF_CELLS = 16
+
+
+@functools.lru_cache(maxsize=16)
+def cell_order(mesh: SpatialMesh):
+    """Nested-dissection numbering of the cells, (order, rank).
+
+    order[k] is the flat index of the cell numbered k and rank, its
+    inverse, the number of every flat cell index. A block of more than
+    _LEAF_CELLS cells is cut across its longer side (across x on a tie) by
+    a one-cell separator line; the two parts are numbered first, each by
+    the same rule, and the separator last. Smaller blocks are numbered row
+    by row. On a 2-D grid, eliminating in this order keeps the factor's
+    fill at O(N log N) against the O(N^1.5) of a band order (George, SIAM
+    J. Numer. Anal. 10, 1973). Built once per mesh; the arrays are shared
+    and read-only.
+    """
+
+    def dissect(block):
+        ny, nx = block.shape
+        if ny * nx <= _LEAF_CELLS:
+            return [block.ravel()]
+        if nx >= ny:
+            m = nx // 2
+            return dissect(block[:, :m]) + dissect(block[:, m + 1:]) + [block[:, m]]
+        m = ny // 2
+        return dissect(block[:m]) + dissect(block[m + 1:]) + [block[m]]
+
+    order = np.concatenate(dissect(np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return _read_only(order, rank)
+
+
 @functools.lru_cache(maxsize=16)
 def _stencil(mesh: SpatialMesh, kx: int, ky: int):
     """Sparsity pattern of the balance matrix for faces of kx and ky cells.
 
-    Returns the row and column of every sorted unique (row, col) slot and
-    the gather matrix that sums the contributions solve() lists - the
-    diagonal, each face's coefficients on its low- then high-side cell,
-    the boundary faces - into their slots.
+    Rows and columns are cell numbers of cell_order(mesh). Returns the row
+    and column of every sorted unique (row, col) slot and the gather matrix
+    that sums the contributions solve() lists - the diagonal in flat cell
+    order, each face's coefficients on its low- then high-side cell, the
+    boundary faces - into their slots.
     """
     N = mesh.n_cells
-    rows, cols = [np.arange(N)], [np.arange(N)]
+    rank = cell_order(mesh)[1]
+    rows, cols = [rank], [rank]
     for cells, K in zip(face_cells(mesh), (kx, ky)):
-        cells = cells[:K]
+        cells = rank[cells[:K]]
         for owner in cells[:2]:
             rows.append(np.tile(owner, len(cells)))
             cols.append(cells.ravel())
-    b_cells = boundary_cells(mesh)[0]
+    b_cells = rank[boundary_cells(mesh)[0]]
     rows.append(b_cells)
     cols.append(b_cells)
     keys = np.concatenate(rows) * N + np.concatenate(cols)
@@ -270,9 +307,13 @@ class MomentSystem:
 
     All groups are solved together: one sparse direct solve of the
     block-diagonal system of G*N unknowns, group g's block at offset g*N.
-    The sparsity pattern depends only on the mesh and the stencil widths
-    K, so it is built once per (mesh, K_x, K_y) and each pass only gathers
-    its values into it.
+    Within a block the cells are numbered by cell_order(mesh), a nested
+    dissection of the mesh, and the solve keeps that order
+    (permc_spec="NATURAL") instead of computing a fill-reducing one on
+    every pass; the right-hand side is permuted into it and the solution
+    back. The sparsity pattern depends only on the mesh and the stencil
+    widths K, so it is built once per (mesh, K_x, K_y) and each pass only
+    gathers its values into it.
     """
 
     def __init__(self, mesh: SpatialMesh, x: FaceForms, y: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
@@ -313,7 +354,8 @@ class MomentSystem:
         G, N = E_prev.shape[0], mesh.n_cells
         Fx0, Fy0 = self._place(self.x.base, self.y.base, self.b_base)
         div0 = (Fx0[:, :, 1:] - Fx0[:, :, :-1]) / mesh.dx + (Fy0[:, 1:, :] - Fy0[:, :-1, :]) / mesh.dy
-        rhs = (E_prev / dt + source - div0).ravel()
+        order, rank = cell_order(mesh)
+        rhs = (E_prev / dt + source - div0).reshape(G, N)[:, order].ravel()
 
         # A face flux leaves its low-side cell and enters its high-side one;
         # the order of these blocks is the order _stencil gathers.
@@ -334,7 +376,7 @@ class MomentSystem:
         indptr = np.append((np.searchsorted(rows, np.arange(N)) + nnz * group).ravel(), G * nnz)
         A = sp.csr_matrix((data.ravel(), (cols + N * group).ravel(), indptr), shape=(G * N, G * N))
         try:
-            E = spla.spsolve(A, rhs)
+            E = spla.spsolve(A, rhs, permc_spec="NATURAL")
         except spla.MatrixRankWarning as exc:  # a singular block, with warnings raised as errors
             raise SolverError(f"moment system solve failed: {exc}", group=_failing_group(A, rhs, G)) from exc
         if not np.all(np.isfinite(E)):
@@ -343,7 +385,7 @@ class MomentSystem:
         worst = int(np.argmax(residual))
         if residual[worst] > _RESIDUAL_TOL:
             raise SolverError(f"moment system solve left a relative residual of {residual[worst]:.3g}", group=worst)
-        return E.reshape(E_prev.shape)
+        return E.reshape(G, N)[:, rank].reshape(E_prev.shape)
 
 
 def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, state: MomentState, gx, gy, fxy=None, rx=0.0, ry=0.0):

@@ -24,7 +24,8 @@ non-positive and non-finite (nan, inf) inputs raise ValueError.
 The physics is one model with fixed constants: every module reads c and a
 from DEFAULT_CONSTANTS, and only the material protocol
 emission_terms(T, constants) takes them as an argument. The material
-Newton stops by NEWTON_TOL and NEWTON_MAX_ITER, read at call time.
+Newton stops by NEWTON_TOL, unless its caller passes a looser tol, and
+NEWTON_MAX_ITER, both read at call time.
 """
 
 from __future__ import annotations
@@ -256,6 +257,7 @@ def update_temperature(
     eos: MaterialEOS,
     T_start: np.ndarray | None = None,
     terms: tuple | None = None,
+    tol: float | None = None,
 ) -> np.ndarray:
     """Backward-Euler material energy update by per-cell Newton iteration.
 
@@ -265,9 +267,11 @@ def update_temperature(
     iterate to keep T positive. terms, the material.emission_terms tuple
     already evaluated at T_start, stands in for the first iteration's
     evaluation; the iterates are the same, one evaluation cheaper. The
-    iteration stops at a relative change of NEWTON_TOL and raises
-    ConvergenceError after NEWTON_MAX_ITER steps.
+    iteration stops at the first step whose largest relative change is at
+    most tol (NEWTON_TOL when None; a looser tol stops earlier, with the
+    last step's T) and raises ConvergenceError after NEWTON_MAX_ITER steps.
     """
+    tol = NEWTON_TOL if tol is None else tol
     T = np.array(T_start if T_start is not None else T_prev, dtype=float)
     fourpi = 4.0 * np.pi
     for _ in range(NEWTON_MAX_ITER):
@@ -281,6 +285,6 @@ def update_temperature(
         T_new = np.maximum(T - f / fp, 0.1 * T)
         change = np.max(np.abs(T_new - T) / np.abs(T_new))
         T = T_new
-        if change <= NEWTON_TOL:
+        if change <= tol:
             return T
     raise ConvergenceError("material energy Newton iteration did not converge", residual=float(change))

@@ -15,6 +15,7 @@ from ddvef.diffusion import (
     MomentState,
     MomentSystem,
     boundary_cells,
+    cell_order,
     diffusion_step,
     face_cells,
     first_moment_faces,
@@ -363,6 +364,18 @@ def per_group_systems(system, dt, ckappa, source, E_prev):
     return [(sp.csr_matrix((data[g], slots % N, indptr), shape=(N, N)), rhs[g]) for g in range(G)]
 
 
+def permuted_per_group_systems(system, *args):
+    """The per-group systems with the cells numbered by cell_order: (P A_g P^T, P rhs_g)."""
+    order = cell_order(system.mesh)[0]
+    return [(A_g[order][:, order], b_g[order]) for A_g, b_g in per_group_systems(system, *args)]
+
+
+def per_group_solution(system, reference, shape):
+    """Energies from one natural-order spsolve per permuted group system, in flat cell order."""
+    rank = cell_order(system.mesh)[1]
+    return np.stack([spla.spsolve(A_g, b_g, permc_spec="NATURAL")[rank] for A_g, b_g in reference]).reshape(shape)
+
+
 def solve_capturing(system, args, monkeypatch):
     """Solve the system and return the energies with the arguments of every spsolve call."""
     calls = []
@@ -377,7 +390,7 @@ class TestMomentSystem:
     def test_one_block_solve_matches_per_group_solves(self, monkeypatch, vef, nx, ny):
         system, args = moment_tables(SpatialMesh(nx, ny, 6.0, 6.0), 4, vef)
         assert len(system.x.coef) == len(system.y.coef) == (6 if vef else 2)
-        reference = per_group_systems(system, *args)
+        reference = permuted_per_group_systems(system, *args)
         E, calls = solve_capturing(system, args, monkeypatch)
         assert len(calls) == 1
         (A, b), N = calls[0], nx * ny
@@ -385,8 +398,7 @@ class TestMomentSystem:
             block = slice(g * N, (g + 1) * N)
             assert A[block, block].nnz == A_g.nnz and (A[block, block] != A_g).nnz == 0
             np.testing.assert_array_equal(b[block], b_g)
-        E_ref = np.stack([spla.spsolve(A_g, b_g) for A_g, b_g in reference]).reshape(E.shape)
-        np.testing.assert_allclose(E, E_ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(E, per_group_solution(system, reference, E.shape))
 
     @pytest.mark.parametrize("vef", [False, True])
     def test_stored_fluxes_balance_every_cell(self, vef):
@@ -399,13 +411,28 @@ class TestMomentSystem:
         div = (Fx[:, :, 1:] - Fx[:, :, :-1]) / mesh.dx + (Fy[:, 1:, :] - Fy[:, :-1, :]) / mesh.dy
         np.testing.assert_allclose(E / dt + div + ckappa * E, E_prev / dt + source, rtol=1e-13, atol=0.0)
 
-    def test_p1_block_solve_is_bitwise_on_the_benchmark_mesh(self, monkeypatch):
-        # The blocks are the per-group matrices exactly (above); only the
-        # factorization's column order can differ, and on the 8 x 8
-        # benchmark mesh it does not.
+    def test_p1_block_solve_is_bitwise_on_the_benchmark_mesh(self):
+        # The blocks are the permuted per-group matrices exactly (above) and
+        # every block is factored in the given order, so the one solve of
+        # all 17 groups repeats the per-group solves bit for bit.
         system, args = moment_tables(SpatialMesh(8, 8, 6.0, 6.0), 17, vef=False)
-        E = np.stack([spla.spsolve(A_g, b_g) for A_g, b_g in per_group_systems(system, *args)])
-        np.testing.assert_array_equal(system.solve(*args), E.reshape(args[3].shape))
+        reference = permuted_per_group_systems(system, *args)
+        np.testing.assert_array_equal(system.solve(*args), per_group_solution(system, reference, args[3].shape))
+
+    @pytest.mark.parametrize("nx, ny, separator", [(8, 8, np.s_[:, 4]), (6, 5, np.s_[:, 3]), (1, 7, np.s_[:, :])])
+    def test_cell_order_is_a_nested_dissection_permutation(self, nx, ny, separator):
+        mesh = SpatialMesh(nx, ny, 1.0, 1.0)
+        order, rank = cell_order(mesh)
+        np.testing.assert_array_equal(np.sort(order), np.arange(mesh.n_cells))
+        np.testing.assert_array_equal(rank[order], np.arange(mesh.n_cells))
+        np.testing.assert_array_equal(order[rank], np.arange(mesh.n_cells))
+        # The first cut is numbered last; a mesh of at most 16 cells is one leaf, row by row.
+        last = np.arange(mesh.n_cells).reshape(ny, nx)[separator].ravel()
+        np.testing.assert_array_equal(order[-last.size:], last)
+        assert cell_order(SpatialMesh(nx, ny, 1.0, 1.0))[0] is order
+        for arr in (order, rank):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_one_spsolve_per_picard_pass(self, monkeypatch):
         calls = []
