@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
 from .grid import SIDES, FrequencyGrid, SpatialMesh, check_sides
-from .history import march
+from .history import MomentState, initial_moment_state, march
 from .iteration import couple
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 from .transport import StepDiagnostics, energy_balance_residual
@@ -96,29 +96,6 @@ class DiffusionProblem:
             if bc.kind == "drive":
                 F_in[s] = np.pi * group_planck(bc.T_drive, self.fgrid)
         return F_in
-
-
-@dataclass
-class MomentState:
-    """Moment-model state at one time level (same layout as transport)."""
-
-    t: float
-    T: np.ndarray   # (ny, nx)
-    E: np.ndarray   # (G, ny, nx)
-    Fx: np.ndarray  # (G, ny, nx+1)
-    Fy: np.ndarray  # (G, ny+1, nx)
-
-
-def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
-    """Equilibrium radiation at the initial temperature (scalar or (ny, nx) field), zero flux.
-
-    problem is any moment-model problem (mesh, fgrid).
-    """
-    mesh = problem.mesh
-    T = np.broadcast_to(np.asarray(T0, dtype=float), (mesh.ny, mesh.nx)).copy()
-    E = (4.0 * np.pi / DEFAULT_CONSTANTS.c) * group_planck(T, problem.fgrid)
-    G = E.shape[0]
-    return MomentState(float(t0), T, E, np.zeros((G, mesh.ny, mesh.nx + 1)), np.zeros((G, mesh.ny + 1, mesh.nx)))
 
 
 def larsen_coefficient(kappa, E, gradE):
@@ -388,7 +365,7 @@ class MomentSystem:
         return E.reshape(G, N)[:, rank].reshape(E_prev.shape)
 
 
-def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, state: MomentState, gx, gy, fxy=None, rx=0.0, ry=0.0):
+def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, Fx_prev, Fy_prev, gx, gy, fxy=None, rx=0.0, ry=0.0):
     """Backward-Euler first-moment face fluxes, (x, y) FaceForms.
 
     With kappa_f the arithmetic face mean of the opacity,
@@ -401,16 +378,17 @@ def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, state: MomentStat
     mean times the central difference of the face density along the face,
     realized through the four cells of the neighbouring faces with quarter
     weights. alpha is 1/(c dt) for P1 and the VEF and 1/(3 c dt) for P1/3;
-    r is the VEF's consistency remainder, a known part that never enters
-    the matrix.
+    Fx_prev (G, ny, nx+1) and Fy_prev (G, ny+1, nx) are the previous
+    level's face fluxes; r is the VEF's consistency remainder, a known part
+    that never enters the matrix.
     """
     c, G = DEFAULT_CONSTANTS.c, kappa.shape[0]
     kfx, kfy = face_means(kappa)
     fxy_x, fxy_y = face_means(fxy) if fxy is not None else (None, None)
     forms = []
     for kf, g, F_prev, r, fm, width, along in (
-        (kfx, gx, state.Fx[:, :, 1:-1], rx, fxy_x, mesh.dx, mesh.dy),
-        (kfy, gy, state.Fy[:, 1:-1, :], ry, fxy_y, mesh.dy, mesh.dx),
+        (kfx, gx, Fx_prev[:, :, 1:-1], rx, fxy_x, mesh.dx, mesh.dy),
+        (kfy, gy, Fy_prev[:, 1:-1, :], ry, fxy_y, mesh.dy, mesh.dx),
     ):
         den = kf + alpha
         cc = c / den
@@ -480,10 +458,13 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
     For P1 and P1/3 the face coefficients depend on T alone, so the
     coupling iterates on the temperature field; FLD's diffusion
     coefficient depends on E as well and iterates on the joint (T, E)
-    unknown (see coupled_step).
+    unknown (see coupled_step). An unknown model or a dt that is not
+    positive and finite raises ConfigError.
     """
     if model not in MODEL_KINDS:
         raise ConfigError(f"unknown diffusion model {model!r}, expected one of {MODEL_KINDS}")
+    if not 0.0 < dt < np.inf:
+        raise ConfigError(f"moment step requires a positive finite time step, got {dt}")
     mesh, c = problem.mesh, DEFAULT_CONSTANTS.c
     F_in = problem.incoming_currents()
     boundary = _marshak_boundary(problem, F_in)
@@ -494,7 +475,7 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
     alpha = 1.0 / (c * dt) if model == "p1" else 1.0 / (3.0 * c * dt)
     return coupled_step(
         problem, state, dt,
-        lambda kappa, E: first_moment_faces(mesh, kappa, alpha, state, 1.0 / 3.0, 1.0 / 3.0),
+        lambda kappa, E: first_moment_faces(mesh, kappa, alpha, state.Fx, state.Fy, 1.0 / 3.0, 1.0 / 3.0),
         boundary, label, state.T,
     )
 

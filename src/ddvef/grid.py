@@ -38,10 +38,11 @@ class SpatialMesh:
     ly: float
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigError(f"mesh needs at least one cell per axis, got {self.nx}x{self.ny}")
-        if self.lx <= 0.0 or self.ly <= 0.0:
-            raise ConfigError(f"mesh extents must be positive, got {self.lx} x {self.ly}")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.nx, self.ny)):
+            raise ConfigError(f"mesh needs a whole number of at least one cell per axis, got {self.nx}x{self.ny}")
+        # Written so that nan, which fails every comparison, is rejected too.
+        if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
+            raise ConfigError(f"mesh extents must be positive and finite, got {self.lx} x {self.ly}")
 
     @property
     def dx(self) -> float:
@@ -186,12 +187,12 @@ class FrequencyGrid:
 
 
 def build_frequency_grid(upper_bounds=BENCHMARK_GROUP_BOUNDS) -> FrequencyGrid:
-    """Build a frequency grid from strictly increasing positive upper edges."""
+    """Build a frequency grid from strictly increasing, positive and finite upper edges."""
     ub = np.asarray(upper_bounds, dtype=float)
     if ub.ndim != 1 or ub.size < 1:
         raise ConfigError("frequency grid needs at least one group bound")
-    if ub[0] <= 0.0 or np.any(np.diff(ub) <= 0.0):
-        raise ConfigError("group bounds must be positive and strictly increasing")
+    if not (ub[0] > 0.0 and np.all(np.diff(ub) > 0.0) and np.isfinite(ub[-1])):
+        raise ConfigError("group bounds must be positive, finite and strictly increasing")
     bounds = np.concatenate([[0.0], ub])
     bounds.setflags(write=False)
     return FrequencyGrid(bounds)

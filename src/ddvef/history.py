@@ -1,4 +1,4 @@
-"""Time-series containers shared by the transport and moment models.
+"""Time levels and time series shared by the transport and moment models.
 
 A history stores every time level including the initial condition, so a run
 of N steps holds N+1 levels.
@@ -11,6 +11,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .physics import DEFAULT_CONSTANTS, group_planck
+
+
+@dataclass
+class MomentState:
+    """Moment-model state at one time level: the transport state without its intensity."""
+
+    t: float
+    T: np.ndarray   # (ny, nx)
+    E: np.ndarray   # (G, ny, nx)
+    Fx: np.ndarray  # (G, ny, nx+1)
+    Fy: np.ndarray  # (G, ny+1, nx)
+
+
+def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
+    """Equilibrium radiation at the initial temperature (scalar or (ny, nx) field), zero flux.
+
+    problem is any problem with a mesh and a frequency grid, moment or
+    transport.
+    """
+    mesh = problem.mesh
+    T = np.broadcast_to(np.asarray(T0, dtype=float), (mesh.ny, mesh.nx)).copy()
+    E = (4.0 * np.pi / DEFAULT_CONSTANTS.c) * group_planck(T, problem.fgrid)
+    G = E.shape[0]
+    return MomentState(float(t0), T, E, np.zeros((G, mesh.ny, mesh.nx + 1)), np.zeros((G, mesh.ny + 1, mesh.nx)))
 
 
 @dataclass

@@ -240,8 +240,8 @@ class MaterialEOS:
     cv: float  # Jerk / (cm^3 KeV)
 
     def __post_init__(self):
-        if self.cv <= 0.0:
-            raise ValueError(f"c_v must be positive, got {self.cv}")
+        if not 0.0 < self.cv < np.inf:
+            raise ValueError(f"c_v must be positive and finite, got {self.cv}")
 
 
 def benchmark_cv(T_drive: float) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh, check_sides
-from .history import march
+from .history import initial_moment_state, march
 from .iteration import couple
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 
@@ -124,8 +124,7 @@ class SweepResult:
     E: np.ndarray          # (G, ny, nx)
     Fx: np.ndarray         # (G, ny, nx+1) face-normal x-flux
     Fy: np.ndarray         # (G, ny+1, nx)
-    bface_wI: np.ndarray   # (G, 2(nx+ny)) outgoing sum w I at boundary faces
-    bface_wnI: np.ndarray  # (G, 2(nx+ny)) outgoing sum w (n.Omega) I
+    bface_wnI: np.ndarray  # (G, 2(nx+ny)) outgoing current sum w (n.Omega) I at boundary faces
 
 
 def sweep(
@@ -174,7 +173,6 @@ def sweep(
     E = np.zeros((G, ny, nx))
     Fx = np.zeros((G, ny, nx + 1))
     Fy = np.zeros((G, ny + 1, nx))
-    bface_wI = np.zeros((G, mesh.n_boundary_faces))
     bface_wnI = np.zeros((G, mesh.n_boundary_faces))
 
     kap_t = np.ascontiguousarray((kappa + sink).transpose(1, 2, 0))  # (ny, nx, G)
@@ -216,14 +214,12 @@ def sweep(
         Fy_f[:, 0, :] += (w * oy).sum() * bc[y_in][:, None]
         Fy_f[:, 1:, :] += np.moveaxis(out @ (w * oy), -1, 0)
         # The last column and row of the frame flow out through the domain
-        # boundary and feed the half-range sums used by closure factors.
-        bface_wI[:, mesh.boundary_slice(x_out)][:, fy] += (out[:, -1] @ w).T
+        # boundary; their outgoing current is the VEF's boundary closure.
         bface_wnI[:, mesh.boundary_slice(x_out)][:, fy] += (out[:, -1] @ (w * np.abs(ox))).T
-        bface_wI[:, mesh.boundary_slice(y_out)][:, fx] += (out[-1] @ w).T
         bface_wnI[:, mesh.boundary_slice(y_out)][:, fx] += (out[-1] @ (w * np.abs(oy))).T
 
     E /= DEFAULT_CONSTANTS.c
-    return SweepResult(psi, E, Fx, Fy, bface_wI, bface_wnI)
+    return SweepResult(psi, E, Fx, Fy, bface_wnI)
 
 
 def cell_moments(psi: np.ndarray, quad: AngularQuadrature) -> np.ndarray:
@@ -286,19 +282,9 @@ def planckian_intensity(problem: TransportProblem, T) -> np.ndarray:
 
 
 def initial_transport_state(problem: TransportProblem, T0: float) -> TransportState:
-    """Isotropic Planckian intensity at the uniform initial temperature."""
-    mesh, quad = problem.mesh, problem.quad
-    psi = planckian_intensity(problem, T0)
-    E = cell_moments(psi, quad)
-    # Face fluxes of an isotropic field vanish by the first-moment identity;
-    # evaluate them through the quadrature anyway for discrete consistency.
-    B = psi[0, 0, :, 0]  # the uniform group Planckian
-    fx_sum = float(quad.weight @ quad.omega[:, 0])
-    Fx = np.full((B.size, mesh.ny, mesh.nx + 1), fx_sum) * B[:, None, None]
-    fy_sum = float(quad.weight @ quad.omega[:, 1])
-    Fy = np.full((B.size, mesh.ny + 1, mesh.nx), fy_sum) * B[:, None, None]
-    T = np.full((mesh.ny, mesh.nx), float(T0))
-    return TransportState(0.0, T, psi, E, Fx, Fy)
+    """The equilibrium initial moment state with its isotropic Planckian intensity."""
+    m = initial_moment_state(problem, T0)
+    return TransportState(m.t, m.T, planckian_intensity(problem, T0), m.E, m.Fx, m.Fy)
 
 
 def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tuple[TransportState, StepDiagnostics]:

@@ -3,7 +3,10 @@
 The closure is built from angular moments of a transport intensity. Per
 cell and group the Eddington tensor f = <Omega Omega I> / <I> supplies the
 in-plane components f_xx, f_xy and f_yy; per boundary face the outgoing
-flux factor is C = <n.Omega I>+ / <I>+ over the exiting half range. The
+factor is v_out = <n.Omega I>+ / E_cell, the outgoing half-range current
+per unit density of the cell behind the face. It equals c C eta, the
+half-range flux factor C = <n.Omega I>+ / <I>+ times c times the outgoing
+face-to-cell density ratio eta, and reads c/2 for Marshak. The
 VEF is one pipeline of two phases. The offline phase re-solves the linear
 transport equation on a given temperature history - opacity and emission
 frozen at the data - and tabulates one closure record at the end of every
@@ -14,10 +17,9 @@ group
     dE/dt + div F + c kappa E = 4 pi kappa B(T),
     (1/c) dF/dt + c div(f E) + kappa F = 0,
 
-with the face condition n.F = c C eta E - F_in + rb: the incoming
-partial current F_in is known drive data and enters exactly, while the
-outgoing current is the flux factor times the outgoing face-to-cell
-density ratio eta times the local density, and rb is a per-face
+with the face condition n.F = v_out E - F_in + rb: the incoming partial
+current F_in is known drive data and enters exactly, while the outgoing
+current is v_out times the local density, and rb is a per-face
 consistency current (identically zero for transport-derived closures).
 
 The closed system is assembled and solved by diffusion.MomentSystem, the
@@ -31,16 +33,17 @@ space differently, that stencil alone leaves an O(1) flux mismatch
 wherever the radiation front spans only a few cells or a thin group
 streams through a flat density field. The closure therefore replaces the
 interpolated normal components with face-normal closure factors gx, gy
-solved from the sweep's own face equation wherever the solved value
+solved from the moment system's own face law (first_moment_faces) on
+the sweep's energies and face fluxes wherever the solved value
 lands in the physical Eddington range [0, 1] - ratio data, insensitive
 to the magnitude of the generating fields and no harder on the operator
 than the interpolated tensor - plus additive face-flux consistency
 remainders rx, ry carrying whatever the windowed factor cannot absorb,
 which ride on the right-hand side without touching the operator. On the
-boundary the outgoing ratio eta recovers the sweep's outward current
-exactly while the incoming drive current bypasses the closure
-altogether. Everything fed to the operator is therefore either a
-bounded ratio or a fixed interpolation weight, while magnitude-
+boundary v_out recovers the sweep's outward current exactly while the
+incoming drive current bypasses the closure altogether. Everything fed
+to the operator is therefore either a bounded ratio or a fixed
+interpolation weight, while magnitude-
 sensitive information either is exact drive data or rides on the right-
 hand side, where approximate data perturbs the solution only linearly.
 With this discretely consistent closure the online solve driven by data
@@ -71,19 +74,17 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diffusion import (
-    MomentState,
     boundary_cells,
     boundary_flux,
     coupled_step,
     face_cells,
     face_means,
     first_moment_faces,
-    initial_moment_state,
     on_boundary_faces,
 )
 from .errors import ConfigError
 from .grid import AngularQuadrature, SpatialMesh
-from .history import march
+from .history import MomentState, initial_moment_state, march
 from .physics import DEFAULT_CONSTANTS
 from .transport import (
     StepDiagnostics,
@@ -142,26 +143,26 @@ class ClosureRecord:
     the moment faces interpolate for the cross term. gx and gy are the
     windowed face-normal closure factors on interior x- and y-faces
     ((G, ny, nx-1) and (G, ny-1, nx)), rx and ry the additive face-flux
-    consistency remainders on the same faces. C is the boundary flux
-    factor, eta the outgoing boundary face-to-cell density ratio and rb
-    the boundary consistency current (all (G, n_boundary_faces); rb
-    vanishes for closures extracted from a sweep). The face-level fields
-    make the moment stencil discretely consistent with the generating
-    sweep; the synthetic values gx = gy = 1/3, fxy = rx = ry = 0, C = 1/2,
-    eta = 1 and rb = -F_in reduce the system to P1 with Marshak
-    boundaries.
+    consistency remainders on the same faces. v_out is the outgoing
+    boundary factor, the outgoing current per unit boundary-cell density
+    (c C eta in terms of the half-range flux factor C and the outgoing
+    face-to-cell density ratio eta), and rb the boundary consistency
+    current (both (G, n_boundary_faces); rb vanishes for closures
+    extracted from a sweep). The face-level fields make the moment stencil
+    discretely consistent with the generating sweep; the synthetic values
+    gx = gy = 1/3, fxy = rx = ry = 0, v_out = c/2 and rb = -F_in reduce the
+    system to P1 with Marshak boundaries.
 
     Each field's location is its metadata "at", from which the dataset
     derives its shape checks.
     """
 
     fxy: np.ndarray = _at("cell")
-    C: np.ndarray = _at("bface")
+    v_out: np.ndarray = _at("bface")
     gx: np.ndarray = _at("xface")
     gy: np.ndarray = _at("yface")
     rx: np.ndarray = _at("xface")
     ry: np.ndarray = _at("yface")
-    eta: np.ndarray = _at("bface")
     rb: np.ndarray = _at("bface")
 
 
@@ -177,59 +178,51 @@ def closure_from_sweep(
 ) -> ClosureRecord:
     """Extract the closure record from a finished transport sweep.
 
-    The cell tensor and boundary factors are moment ratios of the swept
-    intensity. The face factors are solved from the backward-Euler face
-    equation so that the sweep's own energies and face fluxes satisfy it,
-    and accepted only where it lands inside a stable window (faces where
-    the fit is wild or the density contrast vanishes fall back to the
-    face-interpolated tensor component); the consistency remainder is
-    whatever flux the windowed factor leaves unexplained,
-
-        rx = Fx - [alpha Fx_prev - c (gx dE/dx + cross)] / (kappa_f + alpha),
-
-    with prev_Fx/prev_Fy the face fluxes the online state carries into
-    this step (zeros before the first). Together (gx, rx) reproduce the
-    sweep's face flux identically when the online system is fed the
-    sweep's energies. eta is the outgoing half-range face density over
-    the boundary-cell density, which makes c C eta E_cell equal the
-    sweep's outgoing partial current; rb absorbs what little the clamped
-    ratio leaves given the incoming currents F_in (4, G) (exact zero away
-    from degenerate dark cells).
+    The cell tensor is a moment ratio of the swept intensity. The face
+    factors come from the moment system's own face law: first_moment_faces
+    with unit factors, the record's fxy and the face fluxes prev_Fx/prev_Fy
+    the online state carries into this step (zeros before the first),
+    evaluated on the sweep's energies, splits each face flux into the
+    factor's gradient term grad (rows 0-1) and the fixed rest (the base and
+    the cross term, rows 2-5). The raw factor (F - rest) / grad is accepted
+    where it lands inside the stable window (faces where the fit is wild or
+    the density contrast vanishes fall back to the face-interpolated tensor
+    component); the consistency remainder F - rest - g grad is whatever
+    flux the windowed factor leaves unexplained. Together (g, r) reproduce
+    the sweep's face flux identically when the online system is fed the
+    sweep's energies. v_out is the sweep's outgoing boundary current over
+    the boundary-cell density, so v_out E_cell is that current exactly; rb
+    absorbs what little is left given the incoming currents F_in (4, G)
+    (exact zero away from degenerate dark cells).
     """
-    c = DEFAULT_CONSTANTS.c
-    alpha = 1.0 / (c * dt)
+    alpha = 1.0 / (DEFAULT_CONSTANTS.c * dt)
     G = kappa.shape[0]
     Ef = result.E.reshape(G, -1)
 
     fxx, fxy, fyy = eddington_tensor(result.psi, quad)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        C = np.where(result.bface_wI > 0.0, result.bface_wnI / np.where(result.bface_wI > 0.0, result.bface_wI, 1.0), 0.5)
+    forms = first_moment_faces(mesh, kappa, alpha, prev_Fx, prev_Fy, 1.0, 1.0, fxy)
 
-    def face_closure(cells, kf, F, F_prev, fallback, fxy_face, width, along):
-        """Windowed factor and remainder on one face family, on the face stencil the moment system uses."""
-        Ec = Ef[:, cells].reshape((G, 6) + F.shape[1:])
-        den = kf + alpha
-        dE = Ec[:, 1] - Ec[:, 0]
-        cross = fxy_face * (Ec[:, 2] + Ec[:, 3] - Ec[:, 4] - Ec[:, 5]) / (4.0 * along)
-        need = (alpha * F_prev - den * F) / c
+    def face_closure(form, cells, F, fallback):
+        """Windowed factor and remainder on one face family."""
+        terms = form.coef * Ef[:, cells].transpose(1, 0, 2)
+        grad, rest = terms[0] + terms[1], form.base + terms[2:].sum(axis=0)
+        F = F.reshape(G, -1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            raw = (need - cross) * width / dE
+            raw = (F - rest) / grad
         ok = np.isfinite(raw) & (raw >= _FACTOR_LO) & (raw <= _FACTOR_HI)
-        g = np.where(ok, raw, fallback)
-        return g, F - (alpha * F_prev - c * (g * dE / width + cross)) / den
+        g = np.where(ok, raw, fallback.reshape(G, -1))
+        return g.reshape(fallback.shape), (F - rest - g * grad).reshape(fallback.shape)
 
     cells_x, cells_y = face_cells(mesh)
-    kfx, kfy = face_means(kappa)
-    fxy_x, fxy_y = face_means(fxy)
-    gx, rx = face_closure(cells_x, kfx, result.Fx[:, :, 1:-1], prev_Fx[:, :, 1:-1], face_means(fxx)[0], fxy_x, mesh.dx, mesh.dy)
-    gy, ry = face_closure(cells_y, kfy, result.Fy[:, 1:-1, :], prev_Fy[:, 1:-1, :], face_means(fyy)[1], fxy_y, mesh.dy, mesh.dx)
+    gx, rx = face_closure(forms[0], cells_x, result.Fx[:, :, 1:-1], face_means(fxx)[0])
+    gy, ry = face_closure(forms[1], cells_y, result.Fy[:, 1:-1, :], face_means(fyy)[1])
 
-    # boundary closure: n.F = c C eta E_cell - F_in + rb
+    # boundary closure: n.F = v_out E_cell - F_in + rb
     cells, sign, _ = boundary_cells(mesh)
     E_edge = Ef[:, cells]
-    eta = (result.bface_wI / c) / np.maximum(E_edge, 1.0e-300)
-    rb = sign * boundary_flux(result.Fx, result.Fy) + on_boundary_faces(mesh, F_in) - c * C * eta * E_edge
-    return ClosureRecord(fxy, C, gx, gy, rx, ry, eta, rb)
+    v_out = result.bface_wnI / np.maximum(E_edge, 1.0e-300)
+    rb = sign * boundary_flux(result.Fx, result.Fy) + on_boundary_faces(mesh, F_in) - v_out * E_edge
+    return ClosureRecord(fxy, v_out, gx, gy, rx, ry, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +239,7 @@ class ClosureDataset:
     solver's time grid is fully determined. F_in[s, g] is the incoming
     partial current on side s (canonical order left, right, bottom, top;
     zeros on vacuum sides), which the online boundary condition
-    n.F = c C eta E - F_in + rb consumes directly. T[n] (ny, nx) is the
+    n.F = v_out E - F_in + rb consumes directly. T[n] (ny, nx) is the
     data temperature at which records[n] was frozen, and the coupling of
     that online step starts there; T is None for a closure not derived
     from temperature data, whose steps start at the previous level.
@@ -299,10 +292,11 @@ def isotropic_closure(
     times: np.ndarray,
     F_in: np.ndarray,
 ) -> ClosureDataset:
-    """Synthetic dataset of the isotropic closure f = diag(1/3, 1/3, 1/3), C = 1/2 at every level.
+    """Synthetic dataset of the isotropic closure f = diag(1/3, 1/3, 1/3), v_out = c/2 at every level.
 
     The face-level fields take their neutral values (gx = gy = 1/3, zero
-    remainders) and the boundary ones eta = 1, rb = -F_in, so with the
+    remainders) and the boundary ones the Marshak factor v_out = c/2
+    (c C eta with C = 1/2, eta = 1) and rb = -F_in, so with the
     analytic Planckian drive currents of a DiffusionProblem this closure
     makes the online solver coincide with the P1 model. It has no data
     temperatures, so every online step starts its coupling at the
@@ -312,12 +306,11 @@ def isotropic_closure(
     G, ny, nx, nb = n_groups, mesh.ny, mesh.nx, mesh.n_boundary_faces
     one = ClosureRecord(
         fxy=np.zeros((G, ny, nx)),
-        C=np.full((G, nb), 0.5),
+        v_out=np.full((G, nb), 0.5 * DEFAULT_CONSTANTS.c),
         gx=np.full((G, ny, nx - 1), 1.0 / 3.0),
         gy=np.full((G, ny - 1, nx), 1.0 / 3.0),
         rx=np.zeros((G, ny, nx - 1)),
         ry=np.zeros((G, ny - 1, nx)),
-        eta=np.ones((G, nb)),
         rb=on_boundary_faces(mesh, -F_in),
     )
     return ClosureDataset(float(t0), times, [one] * times.size, F_in, None)
@@ -396,17 +389,19 @@ def vef_step(
     fixed point, so the start only sets the number of passes. The faces
     are the first-moment forms with the record's factors gx, gy, its f_xy
     cross term and its remainders; each boundary face's outward current
-    is n.F = c C eta E_cell - F_in + rb. Of the transport problem only
+    is n.F = v_out E_cell - F_in + rb. Of the transport problem only
     the mesh, groups, material and heat capacity are used: the record and
     the incoming currents F_in (4, G) stand in for the quadrature and the
     inflow.
     """
-    mesh, c = problem.mesh, DEFAULT_CONSTANTS.c
-    alpha = 1.0 / (c * dt)
-    boundary = (c * record.C * record.eta, record.rb - on_boundary_faces(mesh, F_in))
+    mesh = problem.mesh
+    alpha = 1.0 / (DEFAULT_CONSTANTS.c * dt)
+    boundary = (record.v_out, record.rb - on_boundary_faces(mesh, F_in))
     return coupled_step(
         problem, state, dt,
-        lambda kappa, E: first_moment_faces(mesh, kappa, alpha, state, record.gx, record.gy, record.fxy, record.rx, record.ry),
+        lambda kappa, E: first_moment_faces(
+            mesh, kappa, alpha, state.Fx, state.Fy, record.gx, record.gy, record.fxy, record.rx, record.ry
+        ),
         boundary, "closed-moment/material coupling", state.T if T_start is None else T_start,
     )
 

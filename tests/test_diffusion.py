@@ -212,6 +212,15 @@ class TestStepping:
         with pytest.raises(ConfigError):
             diffusion_step(prob, s, 0.1, "p3")
 
+    @pytest.mark.parametrize("model", ["p1", "fld"])
+    @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan])
+    def test_bad_time_step_rejected(self, model, dt):
+        # Without the check a zero step divides by zero, a negative one
+        # fails in the Newton and nan in the factorization.
+        prob = benchmark_problem()
+        with pytest.raises(ConfigError, match="time step"):
+            diffusion_step(prob, initial_moment_state(prob, 1e-3), dt, model)
+
 
 class TestZeroDimensionalRelaxation:
     @pytest.mark.parametrize("model", MODELS)
@@ -321,14 +330,14 @@ def moment_tables(mesh, G, vef, seed=0):
     alpha = 1.0 / (C * dt)
     if vef:
         x, y = first_moment_faces(
-            mesh, kappa, alpha, state,
+            mesh, kappa, alpha, state.Fx, state.Fy,
             rng.uniform(0.2, 0.5, (G, mesh.ny, mesh.nx - 1)), rng.uniform(0.2, 0.5, (G, mesh.ny - 1, mesh.nx)),
             rng.uniform(-0.1, 0.1, shape),
             rng.normal(size=(G, mesh.ny, mesh.nx - 1)), rng.normal(size=(G, mesh.ny - 1, mesh.nx)),
         )
         b_coef = C * rng.uniform(0.3, 0.6, (G, nb)) * rng.uniform(0.5, 1.5, (G, nb))
     else:
-        x, y = first_moment_faces(mesh, kappa, alpha, state, 1.0 / 3.0, 1.0 / 3.0)
+        x, y = first_moment_faces(mesh, kappa, alpha, state.Fx, state.Fy, 1.0 / 3.0, 1.0 / 3.0)
         b_coef = np.full((G, nb), 0.5 * C)
     system = MomentSystem(mesh, x, y, b_coef, -rng.uniform(0.0, 2.0, (G, nb)))
     return system, (dt, C * kappa, rng.uniform(0.0, 5.0, shape), state.E)
@@ -456,7 +465,7 @@ class TestMomentSystem:
         mesh, G = SpatialMesh(n, n, 2.0, 2.0), 3
         kappa = np.ones((G, n, n))
         state = MomentState(0.0, np.ones((n, n)), np.ones((G, n, n)), np.zeros((G, n, n + 1)), np.zeros((G, n + 1, n)))
-        x, y = first_moment_faces(mesh, kappa, 0.0, state, 1.0 / 3.0, 1.0 / 3.0)
+        x, y = first_moment_faces(mesh, kappa, 0.0, state.Fx, state.Fy, 1.0 / 3.0, 1.0 / 3.0)
         nb = mesh.n_boundary_faces
         system = MomentSystem(mesh, x, y, np.zeros((G, nb)), np.zeros((G, nb)))
         ckappa = C * kappa

@@ -41,6 +41,11 @@ class TestSpatialMesh:
         with pytest.raises(ConfigError):
             SpatialMesh(4, 4, 1.0, 0.0)
 
+    @pytest.mark.parametrize("args", [(4, 4, np.nan, 6.0), (4, 4, np.inf, 6.0), (4, 4, 6.0, np.nan), (2.5, 4, 6.0, 6.0)])
+    def test_non_finite_extent_or_fractional_count_rejected(self, args):
+        with pytest.raises(ConfigError):
+            SpatialMesh(*args)
+
 
 class TestAngularQuadrature:
     def test_benchmark_direction_count(self):
@@ -143,3 +148,9 @@ class TestFrequencyGrid:
             build_frequency_grid([-1.0, 2.0])
         with pytest.raises(ConfigError):
             build_frequency_grid([2.0, 1.0])
+
+    @pytest.mark.parametrize("bounds", [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf]])
+    def test_non_finite_bounds_rejected(self, bounds):
+        # nan fails no <= test, and an inf edge leaves the last group's width nan.
+        with pytest.raises(ConfigError, match="finite"):
+            build_frequency_grid(bounds)

@@ -286,6 +286,11 @@ class TestMaterialEOS:
         with pytest.raises(ValueError):
             MaterialEOS(0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_heat_capacity_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MaterialEOS(bad)
+
 
 class TestUpdateTemperature:
     EOS = MaterialEOS(benchmark_cv(1.0))

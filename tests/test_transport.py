@@ -167,7 +167,7 @@ def reference_sweep(mesh, quad, kappa, source, psi_prev, dt, inflow):
     sink = 1.0 / (C * dt)
     psi = np.zeros((ny, nx, G, quad.n_directions))
     Fx, Fy = np.zeros((G, ny, nx + 1)), np.zeros((G, ny + 1, nx))
-    wI, wnI = np.zeros((G, mesh.n_boundary_faces)), np.zeros((G, mesh.n_boundary_faces))
+    wnI = np.zeros((G, mesh.n_boundary_faces))
     for m, (ox, oy, _) in enumerate(quad.omega):
         w = quad.weight[m]
         Ix, Iy = np.zeros((G, ny, nx + 1)), np.zeros((G, ny + 1, nx))
@@ -189,9 +189,8 @@ def reference_sweep(mesh, quad, kappa, source, psi_prev, dt, inflow):
                     "bottom": (oy < 0, Iy[:, 0, :], oy), "top": (oy > 0, Iy[:, ny, :], oy)}
         for side, (leaving, I_face, o_n) in outgoing.items():
             if leaving:
-                wI[:, mesh.boundary_slice(side)] += w * I_face
                 wnI[:, mesh.boundary_slice(side)] += w * abs(o_n) * I_face
-    return SweepResult(psi, np.einsum("yxgm,m->gyx", psi, quad.weight) / C, Fx, Fy, wI, wnI)
+    return SweepResult(psi, np.einsum("yxgm,m->gyx", psi, quad.weight) / C, Fx, Fy, wnI)
 
 
 class TestSweep:
@@ -210,7 +209,7 @@ class TestSweep:
         inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
         args = (mesh, quad, kappa, source, psi_prev, 0.03, inflow)
         res, ref = sweep(*args), reference_sweep(*args)
-        for name in ("psi", "E", "Fx", "Fy", "bface_wI", "bface_wnI"):
+        for name in ("psi", "E", "Fx", "Fy", "bface_wnI"):
             got, expected = getattr(res, name), getattr(ref, name)
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max(), err_msg=name)
 
@@ -225,7 +224,7 @@ class TestSweep:
         res = steady_sweep(mesh, quad, kappa, source, inflow=inflow)
         res_direct = steady_sweep(mesh, direct, kappa, source, inflow=inflow)
         assert res.E.max() > 0.0
-        for name in ("psi", "E", "Fx", "Fy", "bface_wI", "bface_wnI"):
+        for name in ("psi", "E", "Fx", "Fy", "bface_wnI"):
             np.testing.assert_array_equal(getattr(res_direct, name), getattr(res, name), err_msg=name)
 
     def test_vacuum_is_zero(self):
@@ -245,7 +244,7 @@ class TestSweep:
         assert res.E.shape == (G, mesh.ny, mesh.nx)
         assert res.Fx.shape == (G, mesh.ny, mesh.nx + 1)
         assert res.Fy.shape == (G, mesh.ny + 1, mesh.nx)
-        assert res.bface_wI.shape == (G, mesh.n_boundary_faces)
+        assert res.bface_wnI.shape == (G, mesh.n_boundary_faces)
 
     def test_bad_inputs_raise(self):
         mesh, quad, fgrid = small_setup()
@@ -329,22 +328,27 @@ class TestSweep:
         np.testing.assert_allclose(E, E[:, ::-1], rtol=1e-13)
 
     def test_boundary_outgoing_sums_at_equilibrium(self):
-        # Isotropic field of magnitude B: outgoing weights sum to 2 pi B per
-        # boundary face and the flux-to-density ratio sits near one half.
+        # Isotropic field of magnitude B: every boundary face's outgoing
+        # current is B times the quadrature's half-range sum of w |n.Omega|,
+        # and the current over the outgoing weight sum, exactly 2 pi B for an
+        # isotropic field, sits near one half.
         mesh, quad, fgrid = small_setup(groups=(1.0,))
         B = np.array([0.6])
         kappa = np.full((1, mesh.ny, mesh.nx), 2.0)
         inflow = BoundaryInflow(*(B,) * 4)
         res = steady_sweep(mesh, quad, kappa, kappa * B[:, None, None], inflow=inflow)
-        np.testing.assert_allclose(res.bface_wI, 2.0 * np.pi * B[0], rtol=1e-12)
-        # The flux-to-density ratio carries the half-range current of the
-        # quadrature; the coarse set is ~7% high, a fine set almost exact.
-        ratio = res.bface_wnI / res.bface_wI
+        for side, normal in zip(SIDES, ([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 1.0, 0.0])):
+            out = quad.half_range(normal)
+            half_current = quad.weight[out] @ np.abs(quad.omega[out] @ normal)
+            np.testing.assert_allclose(res.bface_wnI[:, mesh.boundary_slice(side)], half_current * B[0], rtol=1e-12)
+        # The ratio carries the half-range current of the quadrature; the
+        # coarse set is ~7% high, a fine set almost exact.
+        ratio = res.bface_wnI / (2.0 * np.pi * B[0])
         assert np.all(np.abs(ratio - 0.5) < 0.05)
 
         fine = build_angular_quadrature(6, 24)
         res_f = steady_sweep(mesh, fine, kappa, kappa * B[:, None, None], inflow=inflow)
-        ratio_f = res_f.bface_wnI / res_f.bface_wI
+        ratio_f = res_f.bface_wnI / (2.0 * np.pi * B[0])
         assert np.all(np.abs(ratio_f - 0.5) < 0.005)
         assert np.abs(ratio_f - 0.5).max() < np.abs(ratio - 0.5).min()
 

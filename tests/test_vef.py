@@ -9,8 +9,9 @@ import pytest
 from ddvef import vef as vef_module
 from ddvef.diffusion import (
     DiffusionProblem,
-    MomentState,
     MomentSystem,
+    _marshak_boundary,
+    boundary_cells,
     boundary_flux,
     first_moment_faces,
     initial_moment_state,
@@ -21,7 +22,7 @@ from ddvef.diffusion import (
 from ddvef.errors import ConfigError
 from ddvef.grid import SpatialMesh, build_angular_quadrature, build_frequency_grid
 from ddvef.physics import DEFAULT_CONSTANTS, InverseCubeMaterial, MaterialEOS, benchmark_cv
-from ddvef.transport import TransportProblem, planckian_inflow, planckian_intensity, run_fom, sweep
+from ddvef.transport import BoundaryInflow, TransportProblem, planckian_inflow, planckian_intensity, run_fom, sweep
 from ddvef.vef import (
     ClosureRecord,
     _check_temperature_data,
@@ -83,14 +84,34 @@ def test_closure_reproduces_its_sweep():
     F_in = problem.incoming_currents()
     record = closure_from_sweep(second, quad, mesh, kappa, DT, first.Fx, first.Fy, F_in)
 
-    state = MomentState(0.0, T, first.E, first.Fx, first.Fy)
-    faces = first_moment_faces(mesh, kappa, 1.0 / (c * DT), state, record.gx, record.gy, record.fxy, record.rx, record.ry)
-    system = MomentSystem(mesh, *faces, c * record.C * record.eta, record.rb - on_boundary_faces(mesh, F_in))
+    faces = first_moment_faces(
+        mesh, kappa, 1.0 / (c * DT), first.Fx, first.Fy, record.gx, record.gy, record.fxy, record.rx, record.ry
+    )
+    system = MomentSystem(mesh, *faces, record.v_out, record.rb - on_boundary_faces(mesh, F_in))
     Fx, Fy = system.fluxes(second.E)
     scale = max(np.abs(second.Fx).max(), np.abs(second.Fy).max())
     np.testing.assert_allclose(Fx, second.Fx, rtol=0.0, atol=1.0e-13 * scale)
     np.testing.assert_allclose(Fy, second.Fy, rtol=0.0, atol=1.0e-13 * scale)
     assert np.abs(record.rb).max() <= 1.0e-13 * np.abs(boundary_flux(second.Fx, second.Fy)).max()
+    # v_out times the boundary cell's energy is the sweep's outgoing current.
+    E_edge = second.E.reshape(second.E.shape[0], -1)[:, boundary_cells(mesh)[0]]
+    np.testing.assert_allclose(record.v_out * E_edge, second.bface_wnI, rtol=0.0, atol=1.0e-13 * second.bface_wnI.max())
+
+
+def test_dark_sweep_gives_a_finite_neutral_closure():
+    # No source, no inflow and no history: every moment vanishes, and the
+    # record must stay finite with no current and no remainder anywhere.
+    fgrid = build_frequency_grid()
+    mesh, quad = SpatialMesh(4, 3, 4.0, 3.0), build_angular_quadrature(2, 4)
+    G = fgrid.n_groups
+    kappa, zero = np.ones((G, mesh.ny, mesh.nx)), np.zeros((G, mesh.ny, mesh.nx))
+    dark = sweep(mesh, quad, kappa, zero, np.zeros((mesh.ny, mesh.nx, G, quad.n_directions)), DT, BoundaryInflow())
+    Fx, Fy = np.zeros_like(dark.Fx), np.zeros_like(dark.Fy)
+    record = closure_from_sweep(dark, quad, mesh, kappa, DT, Fx, Fy, np.zeros((4, G)))
+    for f in fields(ClosureRecord):
+        assert np.all(np.isfinite(getattr(record, f.name))), f.name
+    for name in ("v_out", "rx", "ry", "rb"):
+        assert np.all(getattr(record, name) == 0.0), name
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +142,11 @@ def test_data_start_saves_passes_over_the_march(problem, p1_closure):
 
 def isotropic(problem, diffusion, times):
     return isotropic_closure(problem.mesh, problem.fgrid.n_groups, 0.0, times, diffusion.incoming_currents())
+
+
+def test_isotropic_boundary_factor_is_marshak(problem, diffusion):
+    record = isotropic(problem, diffusion, [DT]).records[0]
+    np.testing.assert_array_equal(record.v_out, _marshak_boundary(diffusion, diffusion.incoming_currents())[0])
 
 
 def test_isotropic_closure_is_p1(problem, diffusion):
