@@ -13,12 +13,12 @@ factors from a transport sweep and adds the f_xy cross term.
 The models differ only in their coefficients: each writes every interior
 face flux as a linear form in cell energies and every boundary face's
 outward current as coef E_cell + base. MomentSystem, the one assembler all
-four share, gathers those tables into the eliminated cell-centered system
-of every group on a sparsity pattern built once per mesh stencil, solves
-all groups with one sparse direct solve of the block-diagonal system, and
-reconstructs the face fluxes from the same tables; the nonlinear
-temperature coupling is iteration.couple, the one loop the transport model
-uses too.
+four share, sums those tables into the eliminated cell-centered system of
+every group through a block-CSR template built once per mesh, stencil and
+group count, solves all groups with one sparse direct solve of the
+block-diagonal system, and reconstructs the face fluxes from the same
+tables; the nonlinear temperature coupling is iteration.couple, the one
+loop the transport model uses too.
 
 Boundaries of P1, P1/3 and FLD are Marshak-type per side: n.F = (c/2) E -
 2 F_in with E taken from the adjacent cell and F_in the incoming partial
@@ -194,14 +194,17 @@ def cell_order(mesh: SpatialMesh):
 
 
 @functools.lru_cache(maxsize=16)
-def _stencil(mesh: SpatialMesh, kx: int, ky: int):
-    """Sparsity pattern of the balance matrix for faces of kx and ky cells.
+def _template(mesh: SpatialMesh, kx: int, ky: int, G: int):
+    """Block-CSR template of the G-group balance matrix for faces of kx and ky cells.
 
-    Rows and columns are cell numbers of cell_order(mesh). Returns the row
-    and column of every sorted unique (row, col) slot and the gather matrix
-    that sums the contributions solve() lists - the diagonal in flat cell
-    order, each face's coefficients on its low- then high-side cell, the
-    boundary faces - into their slots.
+    Rows and columns are cell numbers of cell_order(mesh), group g's block
+    at offset g*N; a block's slots are the sorted unique (row, col) pairs
+    the contributions reach. Returns the int32 indices and indptr of the
+    block-diagonal CSR matrix and slot, the flat index into its data array
+    of every contribution solve() lists, in (G, M) order: per group the
+    diagonal in flat cell order, each face's coefficients on its low- then
+    high-side cell, the boundary faces. Built once per (mesh, kx, ky, G);
+    the arrays are shared and read-only.
     """
     N = mesh.n_cells
     rank = cell_order(mesh)[1]
@@ -214,10 +217,11 @@ def _stencil(mesh: SpatialMesh, kx: int, ky: int):
     b_cells = rank[boundary_cells(mesh)[0]]
     rows.append(b_cells)
     cols.append(b_cells)
-    keys = np.concatenate(rows) * N + np.concatenate(cols)
-    slots, slot_of = np.unique(keys, return_inverse=True)
-    gather = sp.csr_matrix((np.ones(keys.size), (np.arange(keys.size), slot_of)), shape=(keys.size, slots.size))
-    return _read_only(slots // N, slots % N) + (gather,)
+    slots, slot_of = np.unique(np.concatenate(rows) * N + np.concatenate(cols), return_inverse=True)
+    S, group = slots.size, np.arange(G)[:, None]
+    indices = (slots % N + N * group).ravel().astype(np.int32)
+    indptr = np.append((np.searchsorted(slots // N, np.arange(N)) + S * group).ravel(), G * S).astype(np.int32)
+    return _read_only(indices, indptr, (slot_of + S * group).ravel())
 
 
 #: Largest relative residual ||A_g E_g - b_g|| / ||b_g|| a group's solved
@@ -288,9 +292,14 @@ class MomentSystem:
     dissection of the mesh, and the solve keeps that order
     (permc_spec="NATURAL") instead of computing a fill-reducing one on
     every pass; the right-hand side is permuted into it and the solution
-    back. The sparsity pattern depends only on the mesh and the stencil
-    widths K, so it is built once per (mesh, K_x, K_y) and each pass only
-    gathers its values into it.
+    back. The block-CSR structure depends only on the mesh, the stencil
+    widths K and the group count, so its indices, its row pointers and the
+    data slot of every listed contribution are built once per
+    (mesh, K_x, K_y, G) (_template); a pass only sums its values into their
+    slots with one bincount and hands the arrays to the solver. The slots
+    are those the stencil reaches, with no per-pass pruning: the isotropic
+    closure solves P1's very matrix because first_moment_faces emits no
+    cross-term rows for an all-zero f_xy.
     """
 
     def __init__(self, mesh: SpatialMesh, x: FaceForms, y: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
@@ -335,23 +344,16 @@ class MomentSystem:
         rhs = (E_prev / dt + source - div0).reshape(G, N)[:, order].ravel()
 
         # A face flux leaves its low-side cell and enters its high-side one;
-        # the order of these blocks is the order _stencil gathers.
+        # the order of these blocks is the order _template lists. bincount
+        # sums each slot's contributions in that order.
         vals = [1.0 / dt + ckappa.reshape(G, N)]
         for form, width in ((self.x, mesh.dx), (self.y, mesh.dy)):
             coef = form.coef.transpose(1, 0, 2).reshape(G, -1) / width
             vals += [coef, -coef]
         vals.append(self.b_coef / self.b_width)
-        rows, cols, gather = _stencil(mesh, len(self.x.coef), len(self.y.coef))
-        data = np.asarray(np.concatenate(vals, axis=1) @ gather)
-
-        # Slots that vanish in every group (a zero cross term) are dropped,
-        # so the factorization sees the couplings actually present and a
-        # closure that reduces to P1 solves P1's very matrix.
-        coupled = np.any(data != 0.0, axis=0)
-        rows, cols, data = rows[coupled], cols[coupled], data[:, coupled]
-        nnz, group = rows.size, np.arange(G)[:, None]
-        indptr = np.append((np.searchsorted(rows, np.arange(N)) + nnz * group).ravel(), G * nnz)
-        A = sp.csr_matrix((data.ravel(), (cols + N * group).ravel(), indptr), shape=(G * N, G * N))
+        indices, indptr, slot = _template(mesh, len(self.x.coef), len(self.y.coef), G)
+        data = np.bincount(slot, np.concatenate(vals, axis=1).ravel(), minlength=indices.size)
+        A = sp.csr_matrix((data, indices, indptr), shape=(G * N, G * N))
         try:
             E = spla.spsolve(A, rhs, permc_spec="NATURAL")
         except spla.MatrixRankWarning as exc:  # a singular block, with warnings raised as errors
@@ -377,10 +379,12 @@ def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, Fx_prev, Fy_prev,
     plus, given the cell tensor component fxy, the cross term: its face
     mean times the central difference of the face density along the face,
     realized through the four cells of the neighbouring faces with quarter
-    weights. alpha is 1/(c dt) for P1 and the VEF and 1/(3 c dt) for P1/3;
-    Fx_prev (G, ny, nx+1) and Fy_prev (G, ny+1, nx) are the previous
-    level's face fluxes; r is the VEF's consistency remainder, a known part
-    that never enters the matrix.
+    weights. A face family whose fxy face means are all zero gets no
+    cross-term rows, so its forms have K = 2 and the system keeps P1's
+    5-point stencil. alpha is 1/(c dt) for P1 and the VEF and 1/(3 c dt)
+    for P1/3; Fx_prev (G, ny, nx+1) and Fy_prev (G, ny+1, nx) are the
+    previous level's face fluxes; r is the VEF's consistency remainder, a
+    known part that never enters the matrix.
     """
     c, G = DEFAULT_CONSTANTS.c, kappa.shape[0]
     kfx, kfy = face_means(kappa)
@@ -393,7 +397,7 @@ def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, Fx_prev, Fy_prev,
         den = kf + alpha
         cc = c / den
         coef = [cc * g / width, -cc * g / width]
-        if fm is not None:
+        if fm is not None and np.any(fm):
             q = cc * fm / (4.0 * along)
             coef += [-q, -q, q, q]
         forms.append(FaceForms(np.stack(coef).reshape(len(coef), G, -1), ((alpha / den) * F_prev + r).reshape(G, -1)))

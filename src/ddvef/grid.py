@@ -121,8 +121,12 @@ def build_angular_quadrature(n_polar: int, n_azimuthal: int) -> AngularQuadratur
     """Build the product quadrature and assert its moment identities.
 
     Requires n_polar >= 2 (a single polar node cannot reproduce the second
-    moment) and n_azimuthal a positive multiple of 4 (octant symmetry).
+    moment) and n_azimuthal a positive multiple of 4 (octant symmetry),
+    both whole numbers; anything else raises ConfigError.
     """
+    for name, n in (("n_polar", n_polar), ("n_azimuthal", n_azimuthal)):
+        if not isinstance(n, (int, np.integer)):
+            raise ConfigError(f"{name} must be a whole number, got {n!r}")
     if n_polar < 2:
         raise ConfigError(f"n_polar must be >= 2, got {n_polar}")
     if n_azimuthal < 4 or n_azimuthal % 4 != 0:

@@ -64,28 +64,35 @@ def exchange_sensitivity(kappa, dB, cv: float, dt: float):
 class AndersonAccelerator:
     """Anderson mixing for x_{k+1} = G(x_k) on flattened arrays.
 
-    Keeps the last `memory` iterate/value pairs and proposes the residual
-    least-squares combination of the stored G values. The least squares is
-    solved by lstsq on the residual differences scaled to unit norm, with
-    singular values below _LSTSQ_RCOND of the largest cut off, and the
-    coefficients are scaled back. The memory is dropped when the residual
-    norm blows up (100x growth) or lstsq fails or returns non-finite
-    coefficients, which falls back to a plain fixed-point step. Transient
-    growth is tolerated: the stored pairs are exactly what lets the mixing
-    cancel an overshooting inner map, so clearing on every uptick would
-    lock oscillations in place.
+    Keeps the differences of the last `memory` + 1 iterate/value pairs and
+    proposes the residual least-squares combination of the stored G values.
+    The residual and value differences live in preallocated n x memory
+    arrays, oldest column first: each proposal writes one new column from
+    the previous pair, shifting the others left once the memory is full, so
+    no call restacks the history. The least squares is solved by lstsq on
+    the residual differences scaled to unit norm, with singular values
+    below _LSTSQ_RCOND of the largest cut off, and the coefficients are
+    scaled back. The memory is dropped when the residual norm blows up
+    (100x growth) or lstsq fails or returns non-finite coefficients, which
+    falls back to a plain fixed-point step. Transient growth is tolerated:
+    the stored pairs are exactly what lets the mixing cancel an
+    overshooting inner map, so clearing on every uptick would lock
+    oscillations in place.
     """
 
     def __init__(self, memory: int):
         self.memory = memory
-        self._x: list[np.ndarray] = []
-        self._g: list[np.ndarray] = []
+        self._dR: np.ndarray | None = None  # (n, memory) residual differences
+        self._dG: np.ndarray | None = None  # (n, memory) value differences
+        self._k = 0  # columns in use
+        self._r: np.ndarray | None = None  # last pair's residual, None before the first
+        self._g: np.ndarray | None = None  # last pair's value
         self._last_rnorm = np.inf
 
     def reset(self) -> None:
         """Forget all stored pairs (the map being mixed has changed)."""
-        self._x.clear()
-        self._g.clear()
+        self._k = 0
+        self._r = self._g = None
         self._last_rnorm = np.inf
 
     def propose(self, x: np.ndarray, gx: np.ndarray) -> np.ndarray:
@@ -94,21 +101,24 @@ class AndersonAccelerator:
         r = gx - x
         rnorm = float(np.linalg.norm(r))
         if rnorm > 1.0e2 * self._last_rnorm:
-            self._x.clear()
-            self._g.clear()
+            self._k, self._r = 0, None
         self._last_rnorm = min(rnorm, self._last_rnorm)
 
-        self._x.append(x.copy())
-        self._g.append(gx.copy())
-        if len(self._x) > self.memory + 1:
-            self._x.pop(0)
-            self._g.pop(0)
+        if self._r is not None and self.memory > 0:
+            if self._dR is None:
+                self._dR, self._dG = np.empty((r.size, self.memory)), np.empty((r.size, self.memory))
+            if self._k == self.memory:
+                self._dR[:, :-1] = self._dR[:, 1:]
+                self._dG[:, :-1] = self._dG[:, 1:]
+            else:
+                self._k += 1
+            np.subtract(r, self._r, out=self._dR[:, self._k - 1])
+            np.subtract(gx, self._g, out=self._dG[:, self._k - 1])
+        self._r, self._g = r, gx.copy()
 
-        m = len(self._x) - 1
-        if m == 0:
+        if self._k == 0:
             return gx.copy()
-        R = np.stack([g - xi for g, xi in zip(self._g, self._x)], axis=1)
-        dR = R[:, 1:] - R[:, :-1]
+        dR = self._dR[:, : self._k]
         norms = np.linalg.norm(dR, axis=0)
         norms[norms == 0.0] = 1.0
         try:
@@ -118,12 +128,9 @@ class AndersonAccelerator:
         except np.linalg.LinAlgError:
             solved = False
         if not solved:
-            self._x = self._x[-1:]
-            self._g = self._g[-1:]
+            self._k = 0
             return gx.copy()
-        G = np.stack(self._g, axis=1)
-        dG = G[:, 1:] - G[:, :-1]
-        return gx - dG @ gamma
+        return gx - self._dG[:, : self._k] @ gamma
 
 
 def fixed_point_solve(

@@ -31,10 +31,10 @@ NEWTON_MAX_ITER, both read at call time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
-from scipy.special import bernoulli
 
 from .errors import ConvergenceError
 from .grid import FrequencyGrid
@@ -45,8 +45,12 @@ PLANCK_INTEGRAL_TOTAL = np.pi**4 / 15.0
 
 # Power-series coefficients of Phi(z) about z = 0:
 #   Phi(z) = z^3/3 - z^4/8 + sum_k B_{2k} z^{2k+3} / ((2k+3) (2k)!)
-_BERN = bernoulli(20)
-_POWER_COEF = np.array([_BERN[2 * k] / ((2 * k + 3) * factorial(2 * k)) for k in range(1, 11)])
+# from the exact Bernoulli numbers B_2 .. B_20, each coefficient rounded once.
+_BERNOULLI_EVEN = tuple(
+    Fraction(n, d)
+    for n, d in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510), (43867, 798), (-174611, 330))
+)
+_POWER_COEF = np.array([float(b / ((2 * k + 3) * factorial(2 * k))) for k, b in enumerate(_BERNOULLI_EVEN, start=1)])
 _TAIL_CUT = 40.0  # tail term k is kept where (k-1) z < 40; e^{-40} ~ 4e-18
 
 #: Relative change at which the per-cell material Newton stops.
@@ -211,6 +215,10 @@ class InverseCubeMaterial:
     fgrid: FrequencyGrid
     coefficient: float = 27.0
 
+    def __post_init__(self):
+        if not 0.0 < self.coefficient < np.inf:
+            raise ValueError(f"opacity coefficient must be positive and finite, got {self.coefficient}")
+
     def emission_terms(self, T, constants: PhysicalConstants):
         """(kappa, dkappa/dT, B, dB/dT) sharing one pass over the edges."""
         terms = _GroupTerms(np.asarray(T, float), self.fgrid)
@@ -225,6 +233,12 @@ class ConstantOpacity:
 
     fgrid: FrequencyGrid
     values: np.ndarray  # (G,) [1/cm]
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (self.fgrid.n_groups,) or not np.all((values >= 0.0) & (values < np.inf)):
+            raise ValueError(f"opacities must be a finite, non-negative ({self.fgrid.n_groups},) array, got {self.values!r}")
+        object.__setattr__(self, "values", values)
 
     def emission_terms(self, T, constants: PhysicalConstants):
         T = np.asarray(T, float)

@@ -184,11 +184,12 @@ def closure_from_sweep(
     the online state carries into this step (zeros before the first),
     evaluated on the sweep's energies, splits each face flux into the
     factor's gradient term grad (rows 0-1) and the fixed rest (the base and
-    the cross term, rows 2-5). The raw factor (F - rest) / grad is accepted
-    where it lands inside the stable window (faces where the fit is wild or
-    the density contrast vanishes fall back to the face-interpolated tensor
-    component); the consistency remainder F - rest - g grad is whatever
-    flux the windowed factor leaves unexplained. Together (g, r) reproduce
+    the cross term, rows 2-5, absent where fxy is zero). The raw factor
+    (F - rest) / grad is accepted where it lands inside the stable window
+    (faces where the fit is wild or the density contrast vanishes fall back
+    to the face-interpolated tensor component); the consistency remainder
+    F - rest - g grad is whatever flux the windowed factor leaves
+    unexplained. Together (g, r) reproduce
     the sweep's face flux identically when the online system is fed the
     sweep's energies. v_out is the sweep's outgoing boundary current over
     the boundary-cell density, so v_out E_cell is that current exactly; rb
@@ -204,7 +205,7 @@ def closure_from_sweep(
 
     def face_closure(form, cells, F, fallback):
         """Windowed factor and remainder on one face family."""
-        terms = form.coef * Ef[:, cells].transpose(1, 0, 2)
+        terms = form.coef * Ef[:, cells[: len(form.coef)]].transpose(1, 0, 2)
         grad, rest = terms[0] + terms[1], form.base + terms[2:].sum(axis=0)
         F = F.reshape(G, -1)
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -14,6 +14,7 @@ from ddvef.diffusion import (
     DiffusionProblem,
     MomentState,
     MomentSystem,
+    _template,
     boundary_cells,
     cell_order,
     diffusion_step,
@@ -492,9 +493,32 @@ class TestMomentSystem:
         np.testing.assert_array_equal(cells, np.concatenate([idx[:, 0], idx[:, -1], idx[0], idx[-1]]))
         np.testing.assert_array_equal(sign, np.repeat([-1.0, 1.0, -1.0, 1.0], [4, 4, 5, 5]))
         np.testing.assert_array_equal(width, np.repeat([1.0, 1.0, 0.5, 0.5], [4, 4, 5, 5]))
-        for arr in (fx, fy, cells, sign, width):
+        template = _template(mesh, 6, 2, 3)
+        assert _template(SpatialMesh(5, 4, 5.0, 2.0), 6, 2, 3)[0] is template[0]
+        _template.cache_clear()
+        for cached, fresh in zip(template, _template(mesh, 6, 2, 3)):
+            np.testing.assert_array_equal(cached, fresh)
+        indices, indptr, slot = template
+        assert indices.dtype == indptr.dtype == np.int32
+        assert indptr[-1] == indices.size and slot.max() < indices.size
+        for arr in (fx, fy, cells, sign, width, indices, indptr, slot):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    def test_zero_cross_term_keeps_the_five_point_forms(self):
+        # An all-zero f_xy adds no rows, so the system is assembled on P1's
+        # 5-point template; the forms equal those built without f_xy.
+        mesh, G = SpatialMesh(6, 5, 6.0, 6.0), 3
+        rng = np.random.default_rng(1)
+        kappa = rng.uniform(0.1, 10.0, (G, mesh.ny, mesh.nx))
+        Fx, Fy = rng.normal(size=(G, mesh.ny, mesh.nx + 1)), rng.normal(size=(G, mesh.ny + 1, mesh.nx))
+        args = (mesh, kappa, 1.0 / (C * 0.05), Fx, Fy, 0.3, 0.4)
+        zero = first_moment_faces(*args, np.zeros_like(kappa))
+        for form, plain in zip(zero, first_moment_faces(*args)):
+            assert form.coef.shape == (2, G, form.base.shape[1])
+            np.testing.assert_array_equal(form.coef, plain.coef)
+            np.testing.assert_array_equal(form.base, plain.base)
+        assert [len(form.coef) for form in first_moment_faces(*args, np.full_like(kappa, 0.1))] == [6, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,14 @@ class TestAngularQuadrature:
         with pytest.raises(ConfigError):
             build_angular_quadrature(4, 0)
 
+    @pytest.mark.parametrize(
+        "n_polar, n_azimuthal, name",
+        [(2.5, 8, "n_polar"), (np.nan, 8, "n_polar"), ("2", 8, "n_polar"), (2, 8.0, "n_azimuthal"), (2, "8", "n_azimuthal")],
+    )
+    def test_non_integer_orders_rejected(self, n_polar, n_azimuthal, name):
+        with pytest.raises(ConfigError, match=f"{name} must be a whole number"):
+            build_angular_quadrature(n_polar, n_azimuthal)
+
 
 class TestFrequencyGrid:
     def test_benchmark_grid(self):

@@ -5,6 +5,9 @@ quadrature and brute-force composite rules in nu-space); a few tests also
 re-run the adaptive oracle live to pin the implementation at 1e-10.
 """
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +87,19 @@ class TestPlanckIntegral:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             planck_integral(-0.1)
+
+    @pytest.mark.parametrize("z", [0.25, 0.5, 0.75, 1.0])
+    def test_power_series_is_correctly_rounded(self, z):
+        # Reference: the series summed exactly in rationals, with Bernoulli
+        # numbers from the recurrence sum_{j<=m} C(m+1, j) B_j = 0 and terms
+        # through z^43, far below the last double at z <= 1.
+        bern = [Fraction(1)]
+        for m in range(1, 41):
+            bern.append(-sum(comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+        zq = Fraction(z)
+        exact = zq**3 / 3 - zq**4 / 8 + sum(bern[2 * k] * zq ** (2 * k + 3) / ((2 * k + 3) * factorial(2 * k)) for k in range(1, 21))
+        got = physics._power_series(np.array([z]))[0]
+        assert abs(got - float(exact)) <= 3e-16 * float(exact)
 
 
 class TestSpectralOpacity:
@@ -275,6 +291,20 @@ class TestConstantOpacity:
         assert np.all(k[0] == 0.5) and np.all(k[1] == 2.0)
         assert np.all(dk == 0.0)
         np.testing.assert_array_equal(B, group_planck(np.ones((3, 3)), fg))
+
+    @pytest.mark.parametrize(
+        "values", [np.array([1.0, -0.5]), np.array([1.0, np.nan]), np.array([np.inf, 1.0]), np.ones(3), np.ones((2, 1))],
+    )
+    def test_bad_opacities_rejected(self, values):
+        with pytest.raises(ValueError, match="non-negative"):
+            ConstantOpacity(build_frequency_grid([1.0, 1e7]), values)
+
+
+class TestInverseCubeMaterial:
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            InverseCubeMaterial(FGRID, bad)
 
 
 class TestMaterialEOS:
