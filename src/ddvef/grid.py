@@ -6,7 +6,10 @@ face-normal fluxes. The angular quadrature is a product set on the unit
 sphere: Gauss-Legendre nodes in the polar cosine crossed with equally
 weighted azimuthal angles, offset by half a step so no direction lies on a
 coordinate axis. Streaming is two-dimensional (x, y); Omega_z is carried for
-the moment identities but never multiplies a gradient.
+the moment identities but never multiplies a gradient. Because of that, a
+direction and its Omega_z mirror see the same transport, and the quadrature
+keeps only the Omega_z >= 0 half of the product rule (see
+build_angular_quadrature).
 """
 
 from __future__ import annotations
@@ -81,13 +84,19 @@ class SpatialMesh:
 
 @dataclass(frozen=True)
 class AngularQuadrature:
-    """Product quadrature on the unit sphere.
+    """Quadrature on the unit sphere: the swept directions and their weights.
 
-    omega has shape (M, 3) with columns (Omega_x, Omega_y, Omega_z); weights
-    sum to 4 pi. octants, derived from omega, lists (sx, sy, indices): the
-    directions grouped by the signs +-1 of (Omega_x, Omega_y) for the sweep
-    ordering. A direction with Omega_x = 0 or Omega_y = 0 belongs to no
-    octant and raises ConfigError (so does a NaN component).
+    omega has shape (M, 3) with columns (Omega_x, Omega_y, Omega_z) and
+    weight shape (M,); weights sum to 4 pi. n_polar and n_azimuthal name the
+    product rule the set derives from, while M = n_directions is the number
+    of directions actually swept: build_angular_quadrature returns the
+    Omega_z >= 0 half of the product rule, but a full rule built directly
+    is equally valid. octants, derived from omega, lists (sx, sy, indices):
+    the directions grouped by the signs +-1 of (Omega_x, Omega_y) for the
+    sweep ordering. A direction with Omega_x = 0 or Omega_y = 0 belongs to
+    no octant and raises ConfigError (so does a NaN component); so do an
+    omega that is not (M, 3) and finite, and a weight that is not (M,),
+    finite and positive.
     """
 
     n_polar: int
@@ -97,9 +106,21 @@ class AngularQuadrature:
     octants: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        signs = np.sign(self.omega[:, :2])
+        omega, weight = np.asarray(self.omega, dtype=float), np.asarray(self.weight, dtype=float)
+        if omega.ndim != 2 or omega.shape[1] != 3 or omega.shape[0] < 1:
+            raise ConfigError(f"quadrature omega must have shape (M, 3) with M >= 1, got {omega.shape}")
+        if weight.shape != (omega.shape[0],):
+            raise ConfigError(f"quadrature weight has shape {weight.shape}, expected ({omega.shape[0]},) to match omega")
+        signs = np.sign(omega[:, :2])
         if not np.all(np.abs(signs) == 1.0):
             raise ConfigError("every quadrature direction needs a nonzero Omega_x and Omega_y to lie in an octant")
+        if not np.all(np.isfinite(omega)):
+            raise ConfigError("quadrature directions must be finite")
+        # Written so that nan, which fails every comparison, is rejected too.
+        if not np.all((weight > 0.0) & (weight < np.inf)):
+            raise ConfigError("quadrature weights must be positive and finite")
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "weight", weight)
         octants = tuple(
             (sx, sy, np.nonzero((signs[:, 0] == sx) & (signs[:, 1] == sy))[0])
             for sx in (1, -1)
@@ -118,7 +139,19 @@ class AngularQuadrature:
 
 
 def build_angular_quadrature(n_polar: int, n_azimuthal: int) -> AngularQuadrature:
-    """Build the product quadrature and assert its moment identities.
+    """Build the product quadrature, assert its moment identities, fold it to Omega_z >= 0.
+
+    The full n_polar x n_azimuthal rule is built and its moment identities
+    checked. What is returned is its Omega_z >= 0 half, the standard x-y
+    reduction of S_N codes: the Omega_z > 0 levels at doubled weight and,
+    for odd n_polar, the Omega_z = 0 level at its own weight, so
+    n_directions is n_azimuthal * ceil(n_polar / 2). In x-y geometry a
+    direction and its Omega_z mirror share (Omega_x, Omega_y), and every
+    source, inflow and initial intensity of this package is isotropic, so
+    the two carry the same intensity and sweeping one of them with both
+    weights gives the same quadrature sums of I, Omega_x I, Omega_y I and
+    their products. (Sums odd in Omega_z, which no solver reads, are not
+    those of the full rule.)
 
     Requires n_polar >= 2 (a single polar node cannot reproduce the second
     moment) and n_azimuthal a positive multiple of 4 (octant symmetry),
@@ -145,6 +178,13 @@ def build_angular_quadrature(n_polar: int, n_azimuthal: int) -> AngularQuadratur
     weight = np.outer(w_mu, np.full(n_azimuthal, w_phi)).ravel()
 
     _check_moments(omega, weight)
+
+    # Gauss-Legendre nodes and weights are exactly mirror-symmetric, so the
+    # doubled weight of an upper level is its mirror pair's summed weight.
+    kept = mu >= 0.0
+    fold = np.where(mu > 0.0, 2.0, 1.0)[kept]
+    omega = omega.reshape(n_polar, n_azimuthal, 3)[kept].reshape(-1, 3)
+    weight = (weight.reshape(n_polar, n_azimuthal)[kept] * fold[:, None]).ravel()
 
     quad = AngularQuadrature(n_polar, n_azimuthal, omega, weight)
     omega.setflags(write=False)

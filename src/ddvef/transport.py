@@ -18,6 +18,13 @@ them once per octant over its whole upwind frame; the anti-diagonal
 wavefront then reads them, and writes its intensities, through strided
 views of that frame flattened to (cells, G, M_oct).
 
+The swept directions are the quadrature's, which build_angular_quadrature
+folds to the Omega_z >= 0 half of its product rule: streaming in x-y sees
+only (Omega_x, Omega_y), and every source, inflow and initial intensity
+here is isotropic, so a direction and its Omega_z mirror carry the same
+intensity. Sweeping one of each pair at their summed weight gives the same
+energies, fluxes and boundary currents at half the work.
+
 Intensity arrays are laid out (ny, nx, G, M): cell row, cell column, group,
 direction. Face-normal fluxes live on faces: Fx (G, ny, nx+1), Fy
 (G, ny+1, nx).
@@ -38,12 +45,26 @@ from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 
 @dataclass(frozen=True)
 class BoundaryInflow:
-    """Isotropic incoming intensity per side, (G,) arrays; None = vacuum."""
+    """Isotropic incoming intensity per side, (G,) arrays; None = vacuum.
+
+    A non-finite or negative value raises ConfigError naming its side: the
+    sweep would carry it into a NaN energy or a negative intensity.
+    """
 
     left: np.ndarray | None = None
     right: np.ndarray | None = None
     bottom: np.ndarray | None = None
     top: np.ndarray | None = None
+
+    def __post_init__(self):
+        for side in SIDES:
+            v = getattr(self, side)
+            if v is None:
+                continue
+            v = np.asarray(v, dtype=float)
+            # Written so that nan, which fails every comparison, is rejected too.
+            if not np.all((v >= 0.0) & (v < np.inf)):
+                raise ConfigError(f"inflow for side {side!r} must be finite and nonnegative, got {v}")
 
     def value(self, side: str, n_groups: int) -> np.ndarray:
         v = getattr(self, side)
@@ -142,7 +163,10 @@ def sweep(
     source (G, ny, nx); the backward-Euler terms of the step dt from the
     intensity psi_prev (ny, nx, G, M) are folded in. dt = inf with a zero
     psi_prev is the steady-state sweep. Inputs of the wrong shape and a dt
-    that is not positive raise ConfigError.
+    that is not positive raise ConfigError. The directions are quad's; from
+    build_angular_quadrature they are the Omega_z >= 0 half of the product
+    rule, each standing for itself and its Omega_z mirror (see the module
+    docstring), so psi holds one intensity per mirror pair.
 
     Each octant works in its upwind frame: views that flip the axes it
     streams against, so all its directions enter at row 0 and column 0.
@@ -155,8 +179,9 @@ def sweep(
     updated across all groups and octant directions through views alone.
     The loop keeps only what the fronts need, the inflow I_in and the
     outflow; the cell averages I_in g1 + q ds g2 follow for the whole frame
-    at once. The moments are then tallied once per octant from its
-    (ny, nx, G, M_oct) outflow and cell-average intensities.
+    at once. The face fluxes and boundary currents are tallied once per
+    octant from its (ny, nx, G, M_oct) outflow intensities, and the energy
+    once from the finished psi.
     """
     nx, ny = mesh.nx, mesh.ny
     G = kappa.shape[0]
@@ -170,7 +195,6 @@ def sweep(
     bc = {side: inflow.value(side, G) for side in SIDES}
 
     psi = np.empty((ny, nx, G, quad.n_directions))
-    E = np.zeros((G, ny, nx))
     Fx = np.zeros((G, ny, nx + 1))
     Fy = np.zeros((G, ny + 1, nx))
     bface_wnI = np.zeros((G, mesh.n_boundary_faces))
@@ -206,7 +230,6 @@ def sweep(
         avg += q_ds * g2
 
         psi[fy, fx][..., idx] = avg
-        E[:, fy, fx] += np.moveaxis(avg @ w, -1, 0)
         Fx_f = Fx[:, fy, fx]
         Fx_f[:, :, 0] += (w * ox).sum() * bc[x_in][:, None]
         Fx_f[:, :, 1:] += np.moveaxis(out @ (w * ox), -1, 0)
@@ -218,13 +241,8 @@ def sweep(
         bface_wnI[:, mesh.boundary_slice(x_out)][:, fy] += (out[:, -1] @ (w * np.abs(ox))).T
         bface_wnI[:, mesh.boundary_slice(y_out)][:, fx] += (out[-1] @ (w * np.abs(oy))).T
 
-    E /= DEFAULT_CONSTANTS.c
+    E = np.ascontiguousarray((psi @ quad.weight).transpose(2, 0, 1)) / DEFAULT_CONSTANTS.c
     return SweepResult(psi, E, Fx, Fy, bface_wnI)
-
-
-def cell_moments(psi: np.ndarray, quad: AngularQuadrature) -> np.ndarray:
-    """Cell-centered energy E = (1/c) sum_m w I (G, ny, nx) by direct angular summation."""
-    return np.einsum("yxgm,m->gyx", psi, quad.weight) / DEFAULT_CONSTANTS.c
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from ddvef.grid import (
     build_angular_quadrature,
     build_frequency_grid,
 )
+from product_rule import unfold
 
 
 class TestSpatialMesh:
@@ -49,13 +50,17 @@ class TestSpatialMesh:
 
 class TestAngularQuadrature:
     def test_benchmark_direction_count(self):
+        # The 6 x 24 product rule has 144 directions; the sweep sees the
+        # Omega_z > 0 half of them.
         quad = build_angular_quadrature(6, 24)
-        assert quad.n_directions == 144
+        assert (quad.n_polar, quad.n_azimuthal) == (6, 24)
+        assert quad.n_directions == 72
+        assert unfold(quad)[0].n_directions == 144
 
     def test_moment_identities_direct_sums(self):
-        # Recompute the identities by explicit summation, independent of the
-        # constructor's own check.
-        quad = build_angular_quadrature(6, 24)
+        # Recompute the identities of the unfolded product rule by explicit
+        # summation, independent of the constructor's own check.
+        quad = unfold(build_angular_quadrature(6, 24))[0]
         w, om = quad.weight, quad.omega
         assert abs(sum(w) - 4.0 * np.pi) < 1e-12
         for k in range(3):
@@ -69,12 +74,51 @@ class TestAngularQuadrature:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(2, 8), st.integers(1, 6))
     def test_moment_identities_random_orders(self, n_polar, n_az4):
-        quad = build_angular_quadrature(n_polar, 4 * n_az4)
+        quad = unfold(build_angular_quadrature(n_polar, 4 * n_az4))[0]
         w, om = quad.weight, quad.omega
         assert abs(w.sum() - 4.0 * np.pi) < 1e-12
         assert np.abs(w @ om).max() < 1e-12
         second = np.einsum("m,mi,mj->ij", w, om, om)
         assert np.abs(second - (4 * np.pi / 3) * np.eye(3)).max() < 1e-12
+
+    @pytest.mark.parametrize("n_polar, n_azimuthal", [(2, 8), (3, 4), (6, 24)])
+    def test_unfolds_to_the_product_rule(self, n_polar, n_azimuthal):
+        # Gauss-Legendre polar cosines crossed with equally weighted
+        # azimuths, built here independently of the constructor.
+        mu, w_mu = np.polynomial.legendre.leggauss(n_polar)
+        phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
+        s = np.sqrt(1.0 - mu**2)
+        product = {
+            (s[k] * np.cos(p), s[k] * np.sin(p), mu[k], w_mu[k] * (2.0 * np.pi / n_azimuthal))
+            for k in range(n_polar)
+            for p in phi
+        }
+        full = unfold(build_angular_quadrature(n_polar, n_azimuthal))[0]
+        assert {(*om, w) for om, w in zip(full.omega.tolist(), full.weight.tolist())} == product
+
+    def test_folded_moments_in_the_plane(self):
+        # Every sum even in Omega_z survives the fold; the first z-moment,
+        # which no solver reads, is the only identity it breaks.
+        quad = build_angular_quadrature(4, 12)
+        w, om = quad.weight, quad.omega
+        assert np.all(om[:, 2] > 0.0)
+        assert abs(w.sum() - 4.0 * np.pi) < 1e-12
+        assert np.abs(w @ om[:, :2]).max() < 1e-12
+        second = np.einsum("m,mi,mj->ij", w, om, om)
+        assert np.abs(second - (4 * np.pi / 3) * np.eye(3)).max() < 1e-12
+        assert w @ om[:, 2] > 1.0
+
+    def test_odd_polar_order_keeps_the_equator_once(self):
+        # leggauss(3): nodes 0 and +-sqrt(3/5) with weights 8/9 and 5/9.
+        quad = build_angular_quadrature(3, 8)
+        assert quad.n_directions == 16
+        equator = quad.omega[:, 2] == 0.0
+        assert equator.sum() == 8
+        np.testing.assert_allclose(quad.weight[equator], (8.0 / 9.0) * 2.0 * np.pi / 8, rtol=1e-14)
+        np.testing.assert_allclose(quad.omega[~equator, 2], np.sqrt(0.6), rtol=1e-14)
+        np.testing.assert_allclose(quad.weight[~equator], 2.0 * (5.0 / 9.0) * 2.0 * np.pi / 8, rtol=1e-14)
+        assert abs(quad.weight.sum() - 4.0 * np.pi) < 1e-12
+        assert unfold(quad)[0].n_directions == 24
 
     def test_unit_directions(self):
         quad = build_angular_quadrature(4, 8)
@@ -100,6 +144,26 @@ class TestAngularQuadrature:
         omega[3, 1] = bad
         with pytest.raises(ConfigError, match="octant"):
             AngularQuadrature(2, 8, omega, built.weight)
+
+    @pytest.mark.parametrize(
+        "omega, weight, match",
+        [
+            (lambda om: om, lambda w: w[:-1], "weight has shape"),
+            (lambda om: om[:, :2], lambda w: w, r"shape \(M, 3\)"),
+            (lambda om: om[0], lambda w: w, r"shape \(M, 3\)"),
+            (lambda om: om[:0], lambda w: w[:0], r"M >= 1"),
+            (lambda om: om, lambda w: -w, "positive"),
+            (lambda om: om, lambda w: np.where(np.arange(w.size) == 2, 0.0, w), "positive"),
+            (lambda om: om, lambda w: np.where(np.arange(w.size) == 2, np.nan, w), "positive"),
+            (lambda om: om, lambda w: np.where(np.arange(w.size) == 2, np.inf, w), "finite"),
+            (lambda om: np.where(np.arange(3) == 2, np.nan, om), lambda w: w, "finite"),
+            (lambda om: np.where(np.arange(3) == 0, np.inf, om), lambda w: w, "finite"),
+        ],
+    )
+    def test_bad_direct_construction_rejected(self, omega, weight, match):
+        built = build_angular_quadrature(2, 4)
+        with pytest.raises(ConfigError, match=match):
+            AngularQuadrature(2, 4, omega(built.omega), weight(built.weight))
 
     def test_half_range_masks_partition(self):
         quad = build_angular_quadrature(4, 8)

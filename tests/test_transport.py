@@ -1,5 +1,7 @@
 """Tests for the discrete-ordinates sweep and the coupled FOM step."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,6 @@ from ddvef.transport import (
     TransportProblem,
     TransportState,
     boundary_net_outflow,
-    cell_moments,
     characteristic_coefficients,
     energy_balance_residual,
     fom_step,
@@ -39,8 +40,14 @@ from ddvef.transport import (
     step_characteristic_update,
     sweep,
 )
+from product_rule import unfold
 
 C = DEFAULT_CONSTANTS.c
+
+
+def direct_energy(psi, quad):
+    """Cell energy E = (1/c) sum_m w_m I_m (G, ny, nx) by direct angular summation."""
+    return np.einsum("yxgm,m->gyx", psi, quad.weight) / C
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +197,7 @@ def reference_sweep(mesh, quad, kappa, source, psi_prev, dt, inflow):
         for side, (leaving, I_face, o_n) in outgoing.items():
             if leaving:
                 wnI[:, mesh.boundary_slice(side)] += w * abs(o_n) * I_face
-    return SweepResult(psi, np.einsum("yxgm,m->gyx", psi, quad.weight) / C, Fx, Fy, wnI)
+    return SweepResult(psi, direct_energy(psi, quad), Fx, Fy, wnI)
 
 
 class TestSweep:
@@ -310,7 +317,7 @@ class TestSweep:
         res = sweep(mesh, quad, kappa, source, psi_prev=psi_prev, dt=dt, inflow=inflow)
 
         sink = 1.0 / (C * dt)
-        E_prev = np.einsum("yxgm,m->gyx", psi_prev, quad.weight) / C
+        E_prev = direct_energy(psi_prev, quad)
         div = (res.Fx[:, :, 1:] - res.Fx[:, :, :-1]) * mesh.dy + (res.Fy[:, 1:, :] - res.Fy[:, :-1, :]) * mesh.dx
         lhs = div + (kappa + sink) * C * res.E * mesh.cell_volume
         rhs = (4.0 * np.pi * source + sink * C * E_prev) * mesh.cell_volume
@@ -359,7 +366,28 @@ class TestSweep:
         kappa = rng.uniform(0.2, 2.0, (G, mesh.ny, mesh.nx))
         source = rng.uniform(0.0, 1.0, (G, mesh.ny, mesh.nx))
         res = steady_sweep(mesh, quad, kappa, source, inflow=BoundaryInflow(left=np.ones(G)))
-        np.testing.assert_allclose(res.E, cell_moments(res.psi, quad), rtol=1e-13)
+        np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-13)
+
+    def test_folded_rule_sweeps_as_the_full_product_rule(self):
+        # The sweep's rule is the Omega_z >= 0 half of the 2 x 8 product
+        # rule. With an intensity equal on mirror pairs, sweeping all 16
+        # directions gives the same moments, and each mirror the same psi.
+        mesh, quad, fgrid = small_setup()
+        full, source = unfold(quad)
+        assert (quad.n_directions, full.n_directions) == (8, 16)
+        G = fgrid.n_groups
+        rng = np.random.default_rng(17)
+        kappa = rng.uniform(0.1, 6.0, (G, mesh.ny, mesh.nx))
+        emission = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
+        psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
+        inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
+        folded = sweep(mesh, quad, kappa, emission, psi_prev, 0.03, inflow)
+        unfolded = sweep(mesh, full, kappa, emission, psi_prev[..., source], 0.03, inflow)
+        for name in ("E", "Fx", "Fy", "bface_wnI"):
+            got, expected = getattr(folded, name), getattr(unfolded, name)
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max(), err_msg=name)
+        np.testing.assert_array_equal(unfolded.psi, unfolded.psi[..., source])
+        np.testing.assert_allclose(unfolded.psi, folded.psi[..., source], rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +403,20 @@ def benchmark_like_problem(nx=4, ny=4, n_polar=2, n_az=4, drive_sides=("left",))
     eos = MaterialEOS(benchmark_cv(1.0))
     inflow = planckian_inflow(fgrid, 1.0, sides=drive_sides)
     return TransportProblem(mesh, quad, fgrid, mat, eos, inflow)
+
+
+class TestBoundaryInflow:
+    @pytest.mark.parametrize("side", SIDES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_value_rejected(self, side, bad):
+        # Swept, such a value would give a NaN energy or a negative intensity.
+        with pytest.raises(ConfigError, match=side):
+            BoundaryInflow(**{side: np.array([0.5, bad])})
+
+    def test_zero_and_vacuum_accepted(self):
+        inflow = BoundaryInflow(left=[0.0, 2.0], top=np.zeros(2))
+        np.testing.assert_array_equal(inflow.value("left", 2), [0.0, 2.0])
+        np.testing.assert_array_equal(inflow.value("right", 2), np.zeros(2))
 
 
 class TestPlanckianInflow:
@@ -460,7 +502,7 @@ class TestFomStep:
 
         B_rad = group_planck(0.5, fgrid)  # radiation field starts at 0.5 KeV
         psi = np.broadcast_to(B_rad[:, None], (1, 1, 1, quad.n_directions)).copy()
-        E0 = cell_moments(psi, quad)
+        E0 = direct_energy(psi, quad)
         state = TransportState(0.0, np.ones((1, 1)), psi, E0, np.zeros((1, 1, 2)), np.zeros((1, 2, 1)))
 
         for _ in range(20):
@@ -486,6 +528,14 @@ class TestRunFom:
         assert hist.Fx.shape == (5, 17, 2, 4)
         assert hist.Fy.shape == (5, 17, 3, 3)
         assert len(hist.diagnostics) == 4
+
+    def test_folded_rule_marches_as_the_full_product_rule(self):
+        problem = benchmark_like_problem()
+        full = replace(problem, quad=unfold(problem.quad)[0])
+        folded, unfolded = run_fom(problem, 1e-3, 0.1, 3), run_fom(full, 1e-3, 0.1, 3)
+        assert [d.picard_iterations for d in folded.diagnostics] == [d.picard_iterations for d in unfolded.diagnostics]
+        np.testing.assert_allclose(folded.T, unfolded.T, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(folded.E, unfolded.E, rtol=1e-9, atol=0.0)
 
 
 class TestEnergyAccounting:
