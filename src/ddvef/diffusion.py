@@ -484,17 +484,6 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
     )
 
 
-def flux_limit_ratio(state: MomentState) -> float:
-    """Max |F| / (c E_face) over interior faces: FLD keeps this <= 1."""
-    c = DEFAULT_CONSTANTS.c
-    Efx, Efy = face_means(state.E)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rx = np.abs(state.Fx[:, :, 1:-1]) / (c * Efx)
-        ry = np.abs(state.Fy[:, 1:-1, :]) / (c * Efy)
-    vals = np.concatenate([rx[np.isfinite(rx)].ravel(), ry[np.isfinite(ry)].ravel()])
-    return float(vals.max()) if vals.size else 0.0
-
-
 def run_diffusion_model(problem: DiffusionProblem, model: str, T0: float, dt: float, n_steps: int):
     """March one moment model n_steps from equilibrium at T0 and return its SolutionHistory.
 

@@ -14,9 +14,19 @@ fluxes.
 
 The chord factors exp(-eps), g1 and g2 of eps = kappa* ds depend on the
 cell and the direction but not on the intensities, so a sweep evaluates
-them once per octant over its whole upwind frame; the anti-diagonal
-wavefront then reads them, and writes its intensities, through strided
-views of that frame flattened to (cells, G, M_oct).
+them once per octant over its whole upwind frame. The frame carries one
+ghost row and one ghost column holding the inflow, so the anti-diagonal
+wavefront reads its coefficients and its upwind intensities, and writes
+its outflow, through strided views of that padded frame flattened to
+(cells, M_oct, G), with no case for the boundary. A frame keeps the group
+innermost, so the per-direction factors broadcast over whole group rows
+and every frame operation runs over contiguous rows of G values.
+
+A sweep returns the energy E, the one quantity every coupling pass reads.
+The intensity psi, the face fluxes and the boundary currents are tallied
+on first read from the per-octant frames the result keeps: a time step's
+Picard passes discard all but the last sweep, so only that one pays for
+them.
 
 The swept directions are the quadrature's, which build_angular_quadrature
 folds to the Omega_z >= 0 half of its product rule: streaming in x-y sees
@@ -33,6 +43,7 @@ direction. Face-normal fluxes live on faces: Fx (G, ny, nx+1), Fy
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,30 +133,74 @@ def characteristic_coefficients(ax, ay, kappa_eff):
     return inv_ds, e, g1, g2
 
 
-def step_characteristic_update(I_w, I_s, ax, ay, kappa_eff, source):
-    """One chord-based step-characteristic cell update.
-
-    I_w, I_s are the upwind x/y face intensities, ax = |Omega_x|/dx,
-    ay = |Omega_y|/dy, kappa_eff the effective absorption and source the
-    effective isotropic source (per steradian). Returns (I_out, I_avg):
-    the shared outflow-face value and the cell average. All arguments
-    broadcast together.
-    """
-    inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kappa_eff)
-    I_in = (ax * I_w + ay * I_s) / inv_ds
-    q_ds = source / inv_ds
-    return I_in * e + q_ds * g1, I_in * g1 + q_ds * g2
-
-
 @dataclass
 class SweepResult:
-    """Intensity and its accumulated moments from one full sweep."""
+    """The energy of one full sweep, and the frames its other tallies come from.
 
-    psi: np.ndarray        # (ny, nx, G, M)
-    E: np.ndarray          # (G, ny, nx)
-    Fx: np.ndarray         # (G, ny, nx+1) face-normal x-flux
-    Fy: np.ndarray         # (G, ny+1, nx)
-    bface_wnI: np.ndarray  # (G, 2(nx+ny)) outgoing current sum w (n.Omega) I at boundary faces
+    E (G, ny, nx) is tallied during the sweep. psi (ny, nx, G, M), the
+    face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) and bface_wnI
+    (G, 2(nx+ny)), the outgoing current sum w (n.Omega) I at the boundary
+    faces, are built together on the first read of any of them and cached.
+    frames holds per octant (sx, sy, idx, avg, out): its cell averages
+    (ny, nx, M_oct, G) and its padded outflow (ny+1, nx+1, M_oct, G), both
+    in the octant's upwind frame, with the inflow in the ghost row and
+    column.
+    """
+
+    E: np.ndarray
+    mesh: SpatialMesh
+    quad: AngularQuadrature
+    frames: list
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        return self._tallies[0]
+
+    @cached_property
+    def Fx(self) -> np.ndarray:
+        return self._tallies[1]
+
+    @cached_property
+    def Fy(self) -> np.ndarray:
+        return self._tallies[2]
+
+    @cached_property
+    def bface_wnI(self) -> np.ndarray:
+        return self._tallies[3]
+
+    @cached_property
+    def _tallies(self):
+        return _tally_frames(self)
+
+
+def _tally_frames(result: SweepResult):
+    """psi, Fx, Fy and bface_wnI from a sweep's per-octant frames.
+
+    The padded outflow holds every face intensity an octant sees: its
+    inflow faces in the ghost row and column, every other face as the
+    outflow of the cell upwind of it. So the face fluxes are one matmul per
+    octant and axis, and the last column and row, which flow out through
+    the domain boundary, give the outgoing current, the VEF's boundary
+    closure.
+    """
+    mesh, quad = result.mesh, result.quad
+    nx, ny, G = mesh.nx, mesh.ny, result.E.shape[0]
+    psi = np.empty((ny, nx, G, quad.n_directions))
+    Fx = np.zeros((G, ny, nx + 1))
+    Fy = np.zeros((G, ny + 1, nx))
+    bface_wnI = np.zeros((G, mesh.n_boundary_faces))
+    for sx, sy, idx, avg, out in result.frames:
+        w = quad.weight[idx]
+        ox, oy = quad.omega[idx, :2].T
+        x_out = "right" if sx > 0 else "left"
+        y_out = "top" if sy > 0 else "bottom"
+        fy, fx = slice(None, None, sy), slice(None, None, sx)
+        psi[fy, fx][..., idx] = avg.transpose(0, 1, 3, 2)
+        Fx[:, fy, fx] += ((w * ox) @ out[1:]).transpose(2, 0, 1)
+        Fy[:, fy, fx] += ((w * oy) @ out[:, 1:]).transpose(2, 0, 1)
+        bface_wnI[:, mesh.boundary_slice(x_out)][:, fy] += ((w * np.abs(ox)) @ out[1:, -1]).T
+        bface_wnI[:, mesh.boundary_slice(y_out)][:, fx] += ((w * np.abs(oy)) @ out[-1, 1:]).T
+    return psi, Fx, Fy, bface_wnI
 
 
 def sweep(
@@ -170,18 +225,19 @@ def sweep(
 
     Each octant works in its upwind frame: views that flip the axes it
     streams against, so all its directions enter at row 0 and column 0.
+    The frame is padded by a ghost row and column filled with the inflow.
     The chord factors (characteristic_coefficients) and the scaled source
-    q ds depend only on the cell and the direction, so they are evaluated
-    once per octant over the whole frame. The cells of one anti-diagonal
-    are independent; in the frame flattened to (ny nx, G, M_oct) they are
-    one strided slice, and their upwind fronts are a slice of the west
-    front and a reversed slice of the south front, so each diagonal is
-    updated across all groups and octant directions through views alone.
-    The loop keeps only what the fronts need, the inflow I_in and the
-    outflow; the cell averages I_in g1 + q ds g2 follow for the whole frame
-    at once. The face fluxes and boundary currents are tallied once per
-    octant from its (ny, nx, G, M_oct) outflow intensities, and the energy
-    once from the finished psi.
+    q ds depend only on the cell and the direction, so the update
+    out = I_in e + q ds g1 with I_in = (ax W + ay S) / inv_ds is folded once
+    per octant into out = a_w W + a_s S + q ds g1 over the whole frame. The
+    cells of one anti-diagonal are independent; in the padded frame
+    flattened to ((ny+1)(nx+1), M_oct, G) they, their west and their south
+    neighbours are three slices of stride nx, so each diagonal is two
+    multiplies, two in-place adds and a store across all groups and octant
+    directions. The cell inflow I_in and the averages I_in g1 + q ds g2
+    then follow from the padded outflow for the whole frame at once, and
+    the energy is tallied per octant from the averages. psi and the face
+    tallies are left to the result to build on first read (SweepResult).
     """
     nx, ny = mesh.nx, mesh.ny
     G = kappa.shape[0]
@@ -194,55 +250,53 @@ def sweep(
     sink = 1.0 / (DEFAULT_CONSTANTS.c * dt)
     bc = {side: inflow.value(side, G) for side in SIDES}
 
-    psi = np.empty((ny, nx, G, quad.n_directions))
-    Fx = np.zeros((G, ny, nx + 1))
-    Fy = np.zeros((G, ny + 1, nx))
-    bface_wnI = np.zeros((G, mesh.n_boundary_faces))
-
     kap_t = np.ascontiguousarray((kappa + sink).transpose(1, 2, 0))  # (ny, nx, G)
-    step = max(nx - 1, 1)  # flat distance between neighbours on an anti-diagonal
+    src_t = source.transpose(1, 2, 0)
+    E = np.zeros((ny, nx, G))
+    # Cells (j, d - j), j0 <= j < j1, of anti-diagonal d sit at flat index
+    # (j + 1)(nx + 1) + d - j + 1 of the padded frame; west is one before,
+    # south one row (nx + 1) before.
+    diagonals = []
+    for d in range(nx + ny - 1):
+        j0, j1 = max(0, d - nx + 1), min(d, ny - 1) + 1
+        first, last = nx + d + 2 + j0 * nx, nx + d + 2 + (j1 - 1) * nx
+        diagonals.append(tuple(slice(first - k, last - k + 1, nx) for k in (0, 1, nx + 1)))
+    frames = []
 
     for sx, sy, idx in quad.octants:
-        w = quad.weight[idx]
         ox, oy = quad.omega[idx, :2].T
-        ax, ay = np.abs(ox) / mesh.dx, np.abs(oy) / mesh.dy
-        x_in, x_out = ("left", "right") if sx > 0 else ("right", "left")
-        y_in, y_out = ("bottom", "top") if sy > 0 else ("top", "bottom")
+        ax, ay = (np.abs(ox) / mesh.dx)[:, None], (np.abs(oy) / mesh.dy)[:, None]
+        x_in = "left" if sx > 0 else "right"
+        y_in = "bottom" if sy > 0 else "top"
         fy, fx = slice(None, None, sy), slice(None, None, sx)
 
-        frame = (ny * nx, G, idx.size)
-        inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kap_t[fy, fx][..., None])
-        q_ds = (source.transpose(1, 2, 0)[fy, fx][..., None] + psi_prev[fy, fx][..., idx] * sink) / inv_ds
-        e, q_g1 = e.reshape(frame), (q_ds * g1).reshape(frame)
-        out, avg = np.empty(q_ds.shape), np.empty(q_ds.shape)  # avg holds I_in until the loop ends
-        out_f, I_in_f = out.reshape(frame), avg.reshape(frame)
-        # Upwind front values: the west face of each row, the south face of each column.
-        FX = np.broadcast_to(bc[x_in][:, None], (ny, G, idx.size)).copy()
-        FY = np.broadcast_to(bc[y_in][:, None], (nx, G, idx.size)).copy()
-        for d in range(nx + ny - 1):
-            # Cells (j, d - j), j0 <= j < j1, at flat index d + j (nx - 1).
-            j0, j1 = max(0, d - nx + 1), min(d, ny - 1) + 1
-            cells = slice(d + j0 * (nx - 1), d + (j1 - 1) * (nx - 1) + 1, step)
-            west, south = FX[j0:j1], FY[d - j1 + 1 : d - j0 + 1][::-1]
-            I_in = I_in_f[cells] = (ax * west + ay * south) / inv_ds
-            west[...] = south[...] = out_f[cells] = I_in * e[cells] + q_g1[cells]
+        padded = (ny + 1, nx + 1, idx.size, G)
+        flat = ((ny + 1) * (nx + 1), idx.size, G)
+        inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kap_t[fy, fx][:, :, None])
+        q_ds = (src_t[fy, fx][:, :, None] + psi_prev[fy, fx][..., idx].transpose(0, 1, 3, 2) * sink) / inv_ds
+        # The ghost entries of the coefficients, and the corner of out, are never read.
+        coef = np.empty((3,) + padded)
+        np.multiply(e, ax / inv_ds, out=coef[0, 1:, 1:])
+        np.multiply(e, ay / inv_ds, out=coef[1, 1:, 1:])
+        np.multiply(q_ds, g1, out=coef[2, 1:, 1:])
+        a_w, a_s, q_g1 = (c.reshape(flat) for c in coef)
+        out = np.empty(padded)
+        out[1:, 0] = bc[x_in]
+        out[0, 1:] = bc[y_in]
+        out_f = out.reshape(flat)
+        for cells, west, south in diagonals:
+            I_out = a_w[cells] * out_f[west]
+            I_out += a_s[cells] * out_f[south]
+            I_out += q_g1[cells]
+            out_f[cells] = I_out
+        avg = (ax * out[1:, :-1] + ay * out[:-1, 1:]) / inv_ds  # the cell inflow I_in
         avg *= g1
         avg += q_ds * g2
+        E[fy, fx] += quad.weight[idx] @ avg
+        frames.append((sx, sy, idx, avg, out))
 
-        psi[fy, fx][..., idx] = avg
-        Fx_f = Fx[:, fy, fx]
-        Fx_f[:, :, 0] += (w * ox).sum() * bc[x_in][:, None]
-        Fx_f[:, :, 1:] += np.moveaxis(out @ (w * ox), -1, 0)
-        Fy_f = Fy[:, fy, fx]
-        Fy_f[:, 0, :] += (w * oy).sum() * bc[y_in][:, None]
-        Fy_f[:, 1:, :] += np.moveaxis(out @ (w * oy), -1, 0)
-        # The last column and row of the frame flow out through the domain
-        # boundary; their outgoing current is the VEF's boundary closure.
-        bface_wnI[:, mesh.boundary_slice(x_out)][:, fy] += (out[:, -1] @ (w * np.abs(ox))).T
-        bface_wnI[:, mesh.boundary_slice(y_out)][:, fx] += (out[-1] @ (w * np.abs(oy))).T
-
-    E = np.ascontiguousarray((psi @ quad.weight).transpose(2, 0, 1)) / DEFAULT_CONSTANTS.c
-    return SweepResult(psi, E, Fx, Fy, bface_wnI)
+    E = np.ascontiguousarray(E.transpose(2, 0, 1)) / DEFAULT_CONSTANTS.c
+    return SweepResult(E, mesh, quad, frames)
 
 
 @dataclass(frozen=True)
@@ -312,6 +366,8 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
     with frozen kappa_g(T~), B_g(T~), then update T from the material
     energy balance by per-cell Newton, fully implicit in both kappa and B.
     The previous-step intensity stays fixed at time level n-1 throughout.
+    A pass reads only the sweep's energy; the new state takes psi and the
+    face fluxes from the last pass's sweep, the only one that builds them.
     """
     result = None
 

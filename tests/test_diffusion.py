@@ -19,8 +19,8 @@ from ddvef.diffusion import (
     cell_order,
     diffusion_step,
     face_cells,
+    face_means,
     first_moment_faces,
-    flux_limit_ratio,
     initial_moment_state,
     larsen_coefficient,
     run_diffusion_model,
@@ -157,6 +157,16 @@ class TestInitialState:
 # ---------------------------------------------------------------------------
 # stepping: fixed points, conservation, limiting
 # ---------------------------------------------------------------------------
+
+
+def flux_limit_ratio(state: MomentState) -> float:
+    """Max |F| / (c E_face) over interior faces: FLD keeps this <= 1."""
+    Efx, Efy = face_means(state.E)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rx = np.abs(state.Fx[:, :, 1:-1]) / (C * Efx)
+        ry = np.abs(state.Fy[:, 1:-1, :]) / (C * Efy)
+    vals = np.concatenate([rx[np.isfinite(rx)].ravel(), ry[np.isfinite(ry)].ravel()])
+    return float(vals.max()) if vals.size else 0.0
 
 
 class TestStepping:

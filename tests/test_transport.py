@@ -1,13 +1,14 @@
 """Tests for the discrete-ordinates sweep and the coupled FOM step."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddvef import iteration
+from ddvef import iteration, transport
 from ddvef.errors import ConfigError
 from ddvef.grid import (
     SIDES,
@@ -26,7 +27,6 @@ from ddvef.physics import (
 )
 from ddvef.transport import (
     BoundaryInflow,
-    SweepResult,
     TransportProblem,
     TransportState,
     boundary_net_outflow,
@@ -37,7 +37,6 @@ from ddvef.transport import (
     planckian_inflow,
     planckian_intensity,
     run_fom,
-    step_characteristic_update,
     sweep,
 )
 from product_rule import unfold
@@ -48,6 +47,31 @@ C = DEFAULT_CONSTANTS.c
 def direct_energy(psi, quad):
     """Cell energy E = (1/c) sum_m w_m I_m (G, ny, nx) by direct angular summation."""
     return np.einsum("yxgm,m->gyx", psi, quad.weight) / C
+
+
+def counted(fn, calls):
+    """fn, appending to the list calls on every call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def step_characteristic_update(I_w, I_s, ax, ay, kappa_eff, source):
+    """One chord-based step-characteristic cell update, the sweep's per-cell reference.
+
+    I_w, I_s are the upwind x/y face intensities, ax = |Omega_x|/dx,
+    ay = |Omega_y|/dy, kappa_eff the effective absorption and source the
+    effective isotropic source (per steradian). Returns (I_out, I_avg):
+    the shared outflow-face value and the cell average. All arguments
+    broadcast together.
+    """
+    inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kappa_eff)
+    I_in = (ax * I_w + ay * I_s) / inv_ds
+    q_ds = source / inv_ds
+    return I_in * e + q_ds * g1, I_in * g1 + q_ds * g2
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +161,10 @@ class TestCellUpdate:
             out_c, avg_c = step_characteristic_update(I_w[c], I_s[c], ax, ay, kappa[c], q[c])
             np.testing.assert_array_equal(I_out[c], out_c)
             np.testing.assert_array_equal(I_avg[c], avg_c)
+        # The wavefront folds the inflow weights into e once per frame; a sum
+        # of nonnegative terms, it is the same outflow to a few roundings.
+        wavefront = (ax / inv_ds) * e * I_w + (ay / inv_ds) * e * I_s + q_ds * g1
+        np.testing.assert_allclose(wavefront, I_out, rtol=1e-15, atol=0.0)
 
     def test_broadcasts(self):
         I_out, I_avg = step_characteristic_update(
@@ -197,7 +225,7 @@ def reference_sweep(mesh, quad, kappa, source, psi_prev, dt, inflow):
         for side, (leaving, I_face, o_n) in outgoing.items():
             if leaving:
                 wnI[:, mesh.boundary_slice(side)] += w * abs(o_n) * I_face
-    return SweepResult(psi, direct_energy(psi, quad), Fx, Fy, wnI)
+    return SimpleNamespace(psi=psi, E=direct_energy(psi, quad), Fx=Fx, Fy=Fy, bface_wnI=wnI)
 
 
 class TestSweep:
@@ -368,6 +396,30 @@ class TestSweep:
         res = steady_sweep(mesh, quad, kappa, source, inflow=BoundaryInflow(left=np.ones(G)))
         np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-13)
 
+    def test_energy_is_the_weighted_sum_of_psi(self):
+        # E is tallied per octant during the sweep, psi on first read.
+        mesh, quad, fgrid = small_setup(nx=6, ny=5)
+        G = fgrid.n_groups
+        rng = np.random.default_rng(23)
+        kappa = 10.0 ** rng.uniform(-3.0, 1.0, (G, mesh.ny, mesh.nx))
+        source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
+        psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
+        inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
+        res = sweep(mesh, quad, kappa, source, psi_prev, 0.03, inflow)
+        np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-14, atol=0.0)
+
+    def test_tallies_are_built_once_and_cached(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(transport, "_tally_frames", counted(transport._tally_frames, builds))
+        mesh, quad, fgrid = small_setup()
+        G = fgrid.n_groups
+        res = steady_sweep(mesh, quad, np.ones((G, mesh.ny, mesh.nx)), np.ones((G, mesh.ny, mesh.nx)))
+        assert builds == []
+        first = [getattr(res, name) for name in ("psi", "Fx", "Fy", "bface_wnI")]
+        again = [getattr(res, name) for name in ("psi", "Fx", "Fy", "bface_wnI")]
+        assert all(a is b for a, b in zip(first, again))
+        assert builds == [1]
+
     def test_folded_rule_sweeps_as_the_full_product_rule(self):
         # The sweep's rule is the Omega_z >= 0 half of the 2 x 8 product
         # rule. With an intensity equal on mirror pairs, sweeping all 16
@@ -478,6 +530,18 @@ class TestFomStep:
         _, diag = fom_step(problem, state, 0.1)
         assert diag.picard_iterations >= 2
         assert diag.change_history[-1] < diag.change_history[0]
+
+    def test_tallies_are_built_once_per_step(self, monkeypatch):
+        # Every Picard pass sweeps, but only the last pass's psi and face
+        # fluxes enter the new state, so only that sweep builds them.
+        sweeps, builds = [], []
+        monkeypatch.setattr(transport, "sweep", counted(transport.sweep, sweeps))
+        monkeypatch.setattr(transport, "_tally_frames", counted(transport._tally_frames, builds))
+        problem = benchmark_like_problem()
+        state, diag = fom_step(problem, initial_transport_state(problem, 1e-3), 0.1)
+        assert len(sweeps) == diag.picard_iterations > 1
+        assert len(builds) == 1
+        assert state.psi.shape == (4, 4, problem.fgrid.n_groups, problem.quad.n_directions)
 
     def test_nonconvergence_raises(self, monkeypatch):
         from ddvef.errors import ConvergenceError
