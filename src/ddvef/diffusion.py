@@ -10,6 +10,15 @@ speed c, and FLD drops the memory entirely in favor of F = -c D grad E with
 Larsen's limited coefficient. The VEF replaces the 1/3 of P1 by closure
 factors from a transport sweep and adds the f_xy cross term.
 
+FLD's flux is nonlinear in E, so its coupling iterates on the joint
+(T, E) unknown, and each pass writes the limited flux linearized at the
+lagged E: a blend of the frozen-coefficient (Picard) form and the exact
+Jacobian (Newton) form, weighted by the coupling's back-off weight. The
+limited flux is homogeneous of degree one in E, so both forms give the
+limited flux itself at the lagged E and the fixed point is the same for
+every weight; the Newton part lets the E block converge in about P1's
+pass count instead of linearly.
+
 The models differ only in their coefficients: each writes every interior
 face flux as a linear form in cell energies and every boundary face's
 outward current as coef E_cell + base. MomentSystem, the one assembler all
@@ -108,9 +117,13 @@ def larsen_coefficient(kappa, E, gradE):
     kappa = np.asarray(kappa, dtype=float)
     E = np.asarray(E, dtype=float)
     grad = np.abs(np.asarray(gradE, dtype=float))
-    floor = max(1.0e-30 * float(E.max(initial=0.0)), 1.0e-290)
-    ratio = grad / np.maximum(E, floor)
+    ratio = grad / np.maximum(E, _energy_floor(E))
     return 1.0 / np.maximum(np.hypot(3.0 * kappa, ratio), 1.0e-290)
+
+
+def _energy_floor(E) -> float:
+    """The floor larsen_coefficient puts under E: 1e-30 of its largest value, at least 1e-290."""
+    return max(1.0e-30 * float(np.max(E, initial=0.0)), 1.0e-290)
 
 
 def face_means(field):
@@ -404,8 +417,23 @@ def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, Fx_prev, Fy_prev,
     return tuple(forms)
 
 
-def _fld_faces(mesh: SpatialMesh, kappa, E):
-    """Limited diffusion faces F = -c D dE/dn with D from the lagged E, no memory."""
+def _fld_faces(mesh: SpatialMesh, kappa, E, theta: float):
+    """Limited diffusion faces F = -c D dE/dn linearized at the lagged E, no memory.
+
+    With g = dE/dn, E_f the face mean and R = |g| / E_f, the flux
+    F = -c g / hypot(3 kappa_f, R) is homogeneous of degree one in the two
+    cell energies. Freezing D = larsen_coefficient at the lagged E (Picard)
+    gives the coefficients (w, -w), w = c D / width, on the low- and
+    high-side cells; its exact Jacobian there (Newton; Knoll & Keyes, J.
+    Comput. Phys. 193, 2004) is w (1 - t (1 + q), -(1 - t (1 - q))) with
+    t = (R D)^2, the gradient's share of the limiter, and
+    q = (E_hi - E_lo) / (E_lo + E_hi). The faces take the blend
+    (1 - theta) Picard + theta Newton. By Euler's theorem every blend
+    gives the limited flux itself at E = E_lag, so theta moves only the
+    convergence of the coupling, never its fixed point; theta = 0 is the
+    Picard form bit for bit. Faces whose mean lies on larsen_coefficient's
+    energy floor keep the Picard form.
+    """
     c, G = DEFAULT_CONSTANTS.c, kappa.shape[0]
     (kfx, kfy), (Efx, Efy) = face_means(kappa), face_means(E)
     forms = []
@@ -413,8 +441,13 @@ def _fld_faces(mesh: SpatialMesh, kappa, E):
         (kfx, Efx, E[:, :, 1:] - E[:, :, :-1], mesh.dx),
         (kfy, Efy, E[:, 1:, :] - E[:, :-1, :], mesh.dy),
     ):
-        w = (c * larsen_coefficient(kf, Ef, dE / width) / width).reshape(G, -1)
-        forms.append(FaceForms(np.stack([w, -w]), np.zeros_like(w)))
+        D = larsen_coefficient(kf, Ef, dE / width)
+        w = (c * D / width).reshape(G, -1)
+        floor = _energy_floor(Ef)
+        mean = np.maximum(Ef, floor)
+        theta_t = (theta * (Ef > floor) * (np.abs(dE) * D / (width * mean)) ** 2).reshape(G, -1)
+        q = (dE / (2.0 * mean)).reshape(G, -1)
+        forms.append(FaceForms(np.stack([w * (1.0 - theta_t * (1.0 + q)), -w * (1.0 - theta_t * (1.0 - q))]), np.zeros_like(w)))
     return tuple(forms)
 
 
@@ -429,27 +462,31 @@ def _marshak_boundary(problem: DiffusionProblem, F_in: np.ndarray):
 def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label: str, T_start, e_scale: float | None = None):
     """Advance a moment model one backward-Euler step; shared by all four models.
 
-    faces(kappa, E_lag) gives the interior FaceForms of one pass and
+    faces(kappa, E_lag, theta) gives the interior FaceForms of one pass and
     boundary the fixed (b_coef, b_base) tables. The step is
     iteration.couple with MomentSystem.solve, one block-diagonal solve of
     all groups, as its radiation solve, started at the temperature
     T_start (the diffusion models pass state.T); FLD, whose faces depend
     on E, passes e_scale so the coupling iterates on the joint (T, E)
-    unknown.
-    The stored fluxes come from faces rebuilt on the converged E, so FLD's
-    satisfy the limiter bound against their own E exactly.
+    unknown. theta is the coupling's back-off weight
+    (iteration.fixed_point_solve); it scales the Newton part of FLD's
+    faces, starting at one and halving on a stall, and the other models
+    ignore it.
+    The stored fluxes come from Picard faces (theta = 0) rebuilt on the
+    converged E, so FLD's are the limited flux of their own E and satisfy
+    the limiter bound against it exactly.
     """
     c = DEFAULT_CONSTANTS.c
     last = {}
 
-    def radiate(kappa, B, E_lag):
-        system = MomentSystem(problem.mesh, *faces(kappa, E_lag), *boundary)
+    def radiate(kappa, B, E_lag, theta):
+        system = MomentSystem(problem.mesh, *faces(kappa, E_lag, theta), *boundary)
         last["kappa"], last["E"] = kappa, system.solve(dt, c * kappa, 4.0 * np.pi * kappa * B, state.E)
         return last["E"]
 
     T_new, history = couple(problem, state, dt, radiate, label, T_start, e_scale)
     E_new = last["E"]
-    Fx, Fy = MomentSystem(problem.mesh, *faces(last["kappa"], E_new), *boundary).fluxes(E_new)
+    Fx, Fy = MomentSystem(problem.mesh, *faces(last["kappa"], E_new, 0.0), *boundary).fluxes(E_new)
     new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy)
     diag = StepDiagnostics(picard_iterations=len(history), change_history=history)
     diag.balance_residual = energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos)
@@ -475,11 +512,11 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
     label = f"{model} moment/material coupling"
     if model == "fld":
         e_scale = max(float(state.E.max()), 4.0 * float(F_in.max()) / c, 1.0e-290)
-        return coupled_step(problem, state, dt, lambda kappa, E: _fld_faces(mesh, kappa, E), boundary, label, state.T, e_scale)
+        return coupled_step(problem, state, dt, functools.partial(_fld_faces, mesh), boundary, label, state.T, e_scale)
     alpha = 1.0 / (c * dt) if model == "p1" else 1.0 / (3.0 * c * dt)
     return coupled_step(
         problem, state, dt,
-        lambda kappa, E: first_moment_faces(mesh, kappa, alpha, state.Fx, state.Fy, 1.0 / 3.0, 1.0 / 3.0),
+        lambda kappa, *_: first_moment_faces(mesh, kappa, alpha, state.Fx, state.Fy, 1.0 / 3.0, 1.0 / 3.0),
         boundary, label, state.T,
     )
 

@@ -146,7 +146,10 @@ def fixed_point_solve(
 ):
     """Iterate x -> G(x) to a relative max-norm change below tol.
 
-    G maps an array to an array of the same shape; convergence is
+    G(x, weight) maps an array to an array of the same shape, where
+    weight is the damping weight below, passed so that a map whose
+    linearization has a part the weight should scale can read it (FLD's
+    Newton faces; see couple); convergence is
     max |G(x) - x| / |G(x)| <= tol (or a caller-supplied
     change_measure(x, gx)), evaluated on the raw map so the returned value
     is always an actual G output (consistent state). An optional
@@ -169,7 +172,12 @@ def fixed_point_solve(
     restores a contraction the mixing can accelerate. The weight must stay
     piecewise constant with the memory cleared at each change because the
     mixing builds a secant model of the damped map: pairs sampled at
-    different weights describe different maps and poison the model.
+    different weights describe different maps and poison the model. A map
+    may read the weight too, provided its fixed point does not depend on
+    it: couple's map uses it to scale the Newton part of FLD's limiter
+    linearization, so the back-off that damps the correction also falls
+    back toward FLD's Picard faces. Without precondition the weight stays
+    one.
 
     Returns (x, history) where history lists the relative change of every
     iteration. Raises ConvergenceError after max_iter.
@@ -181,7 +189,7 @@ def fixed_point_solve(
     best = np.inf
     stalled = 0
     for _ in range(max_iter):
-        gx = G(x)
+        gx = G(x, damping)
         if change_measure is None:
             change = float(np.max(np.abs(gx - x) / np.abs(gx)))
         else:
@@ -217,7 +225,7 @@ def couple(problem, state, dt: float, radiate, label: str, T_start, e_scale: flo
     VEF the data temperature at which its closure was frozen. The fixed
     point does not depend on the start, only the number of passes does.
     Each pass evaluates problem.material.emission_terms at the frozen
-    temperature, solves the radiation field E = radiate(kappa, B, E_lag),
+    temperature, solves the radiation field E = radiate(kappa, B, E_lag, theta),
     estimates the exchange sensitivity and updates T from state.T by the
     material Newton started at the frozen T, which takes the pass's
     emission terms as its first evaluation instead of repeating it. That
@@ -235,7 +243,10 @@ def couple(problem, state, dt: float, radiate, label: str, T_start, e_scale: flo
     the joint (T, E / e_scale) so the lagged coefficient converges together
     with the temperature; the E block converges below PICARD_TOL of the
     global scale even where the field underflows to zero, and the
-    preconditioner acts on the T block only.
+    preconditioner acts on the T block only. Each pass hands radiate
+    fixed_point_solve's back-off weight theta: FLD scales the Newton part
+    of its limiter linearization by it (diffusion._fld_faces), and the
+    other models ignore it.
 
     Returns (T, history) with history the relative change of every pass.
     """
@@ -245,12 +256,12 @@ def couple(problem, state, dt: float, radiate, label: str, T_start, e_scale: flo
     def pack(T, E):
         return np.concatenate([T.ravel(), E.ravel() / e_scale]) if e_scale is not None else T.ravel()
 
-    def coupled_pass(x):
+    def coupled_pass(x, theta):
         T_freeze = x[:n_T].reshape(state.T.shape)
         E_lag = x[n_T:].reshape(state.E.shape) * e_scale if e_scale is not None else state.E
         terms = problem.material.emission_terms(T_freeze, DEFAULT_CONSTANTS)
         kappa, _, B, dB = terms
-        E = radiate(kappa, B, E_lag)
+        E = radiate(kappa, B, E_lag, theta)
         last["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt).ravel()
         T = update_temperature(
             state.T, E, dt, problem.material, problem.eos, T_start=T_freeze, terms=terms, tol=PASS_NEWTON_TOL,

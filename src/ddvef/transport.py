@@ -122,9 +122,10 @@ def characteristic_coefficients(ax, ay, kappa_eff):
     """
     inv_ds = ax + ay
     eps = np.asarray(kappa_eff / inv_ds)
-    e = np.exp(-eps)
+    minus_eps = -eps
+    e = np.exp(minus_eps)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g1 = np.asarray(-np.expm1(-eps) / eps)
+        g1 = np.asarray(-np.expm1(minus_eps) / eps)
         g2 = np.asarray((1.0 - g1) / eps)
     small = eps < 1.0e-2
     s = eps[small]
@@ -371,7 +372,7 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
     """
     result = None
 
-    def radiate(kappa, B, _):
+    def radiate(kappa, B, *_):
         nonlocal result
         result = sweep(problem.mesh, problem.quad, kappa, kappa * B, psi_prev=state.psi, dt=dt, inflow=problem.inflow)
         return result.E

@@ -400,7 +400,7 @@ def vef_step(
     boundary = (record.v_out, record.rb - on_boundary_faces(mesh, F_in))
     return coupled_step(
         problem, state, dt,
-        lambda kappa, E: first_moment_faces(
+        lambda kappa, *_: first_moment_faces(
             mesh, kappa, alpha, state.Fx, state.Fy, record.gx, record.gy, record.fxy, record.rx, record.ry
         ),
         boundary, "closed-moment/material coupling", state.T if T_start is None else T_start,

@@ -14,6 +14,7 @@ from ddvef.diffusion import (
     DiffusionProblem,
     MomentState,
     MomentSystem,
+    _fld_faces,
     _template,
     boundary_cells,
     cell_order,
@@ -76,6 +77,76 @@ class TestLarsenCoefficient:
     def test_vectorized(self):
         D = larsen_coefficient(np.array([0.0, 1.0]), np.array([3.0, 1.0]), np.array([6.0, 4.0]))
         np.testing.assert_allclose(D, [0.5, 0.2], rtol=1e-12)
+
+
+def fld_fields(seed=0):
+    """A 4 x 3 mesh with a diffusive group (kappa 1e3) and a free-streaming
+    one (kappa 1e-6), and energies that vary by up to e^6 between cells."""
+    rng = np.random.default_rng(seed)
+    mesh = SpatialMesh(4, 3, 2.0, 1.5)
+    kappa = np.stack([np.full((3, 4), 1.0e3), np.full((3, 4), 1.0e-6)])
+    return mesh, kappa, np.exp(rng.uniform(-3.0, 3.0, (2, 3, 4)))
+
+
+def face_values(mesh, E):
+    """(E_lo, E_hi, width) of every interior x- then y-face, each (G, n)."""
+    Ef = E.reshape(E.shape[0], -1)
+    return [(Ef[:, cells[0]], Ef[:, cells[1]], width) for cells, width in zip(face_cells(mesh), (mesh.dx, mesh.dy))]
+
+
+def limited_flux(kappa_f, E_lo, E_hi, width):
+    """-c D g with Larsen's D at the face mean and g = (E_hi - E_lo) / width."""
+    g = (E_hi - E_lo) / width
+    return -C * larsen_coefficient(kappa_f, 0.5 * (E_lo + E_hi), g) * g
+
+
+class TestFldNewtonFaces:
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_form_at_the_lagged_energy_is_the_limited_flux(self, theta):
+        mesh, kappa, E = fld_fields()
+        G = kappa.shape[0]
+        for form, kf, (E_lo, E_hi, width) in zip(_fld_faces(mesh, kappa, E, theta), face_means(kappa), face_values(mesh, E)):
+            assert np.all(form.base == 0.0)
+            F = form.coef[0] * E_lo + form.coef[1] * E_hi
+            reference = limited_flux(kf.reshape(G, -1), E_lo, E_hi, width)
+            np.testing.assert_allclose(F, reference, rtol=1.0e-13, atol=0.0)
+            # group 0 diffuses (|F| well below c E_f), group 1 streams (|F| close to c E_f)
+            ratio = np.abs(reference) / (C * 0.5 * (E_lo + E_hi))
+            assert ratio[0].max() < 1.0e-2 and ratio[1].min() > 0.5
+
+    def test_newton_coefficients_are_the_jacobian_of_the_limited_flux(self):
+        mesh, kappa, E = fld_fields(1)
+        G, h = kappa.shape[0], 1.0e-6
+        picard = _fld_faces(mesh, kappa, E, 0.0)
+        for form, plain, kf, (E_lo, E_hi, width) in zip(
+            _fld_faces(mesh, kappa, E, 1.0), picard, face_means(kappa), face_values(mesh, E)
+        ):
+            kf = kf.reshape(G, -1)
+            d_lo = (limited_flux(kf, E_lo * (1 + h), E_hi, width) - limited_flux(kf, E_lo * (1 - h), E_hi, width)) / (2 * h * E_lo)
+            d_hi = (limited_flux(kf, E_lo, E_hi * (1 + h), width) - limited_flux(kf, E_lo, E_hi * (1 - h), width)) / (2 * h * E_hi)
+            # near-zero coefficients are compared against the Picard scale w
+            np.testing.assert_allclose(form.coef[0], d_lo, rtol=1.0e-6, atol=1.0e-8 * np.abs(plain.coef[0]).max())
+            np.testing.assert_allclose(form.coef[1], d_hi, rtol=1.0e-6, atol=1.0e-8 * np.abs(plain.coef[0]).max())
+            assert not np.allclose(form.coef, plain.coef, rtol=1.0e-3)
+
+    def test_blend_is_linear_in_theta(self):
+        mesh, kappa, E = fld_fields(2)
+        for half, picard, newton in zip(*(_fld_faces(mesh, kappa, E, theta) for theta in (0.5, 0.0, 1.0))):
+            np.testing.assert_allclose(half.coef, 0.5 * (picard.coef + newton.coef), rtol=1.0e-14, atol=0.0)
+
+    def test_faces_on_the_energy_floor_keep_the_picard_coefficient(self):
+        # The two left columns sit 1e-40 below the rest, under the limiter's
+        # 1e-30 floor; their faces keep the Picard form at any theta.
+        mesh, kappa, E = fld_fields(3)
+        E[:, :, :2] *= 1.0e-40
+        newton, picard = _fld_faces(mesh, kappa, E, 1.0), _fld_faces(mesh, kappa, E, 0.0)
+        for form, plain, Ef in zip(newton, picard, face_means(E)):
+            Ef = Ef.reshape(E.shape[0], -1)
+            floor = 1.0e-30 * Ef.max()
+            assert np.all(np.isfinite(form.coef))
+            assert np.any(Ef < floor) and np.any(Ef > floor)
+            np.testing.assert_array_equal(form.coef[:, Ef < floor], plain.coef[:, Ef < floor])
+            assert np.any(form.coef[:, Ef > floor] != plain.coef[:, Ef > floor])
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ from ddvef.iteration import _LSTSQ_RCOND, AndersonAccelerator, fixed_point_solve
 
 
 def linear_map(rho: float, n: int = 6, seed: int = 0):
-    """x -> A x + b with spectral radius rho, A and b positive, and its fixed point."""
+    """x -> A x + b with spectral radius rho, A and b positive, and its fixed point.
+
+    The map takes fixed_point_solve's damping weight as its second argument and ignores it.
+    """
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.1, 1.0, (n, n))
     A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
     b = rng.uniform(1.0, 2.0, n)
-    return (lambda x: A @ x + b), np.linalg.solve(np.eye(n) - A, b)
+    return (lambda x, _: A @ x + b), np.linalg.solve(np.eye(n) - A, b)
 
 
 def test_anderson_converges_to_the_fixed_point_faster_than_plain_iteration():
