@@ -8,7 +8,9 @@ model. P1 carries the backward-Euler first moment with the full 1/c flux
 time derivative, P1/3 replaces it by 1/(3c) to restore the vacuum signal
 speed c, and FLD drops the memory entirely in favor of F = -c D grad E with
 Larsen's limited coefficient. The VEF replaces the 1/3 of P1 by closure
-factors from a transport sweep and adds the f_xy cross term.
+factors from a transport sweep and adds known face-flux remainders, so
+every model writes a face flux from its two adjacent cells alone and
+assembles the same 5-point stencil.
 
 FLD's flux is nonlinear in E, so its coupling iterates on the joint
 (T, E) unknown, and each pass writes the limited flux linearized at the
@@ -23,8 +25,8 @@ The models differ only in their coefficients: each writes every interior
 face flux as a linear form in cell energies and every boundary face's
 outward current as coef E_cell + base. MomentSystem, the one assembler all
 four share, sums those tables into the eliminated cell-centered system of
-every group through a block-CSR template built once per mesh, stencil and
-group count, solves all groups with one sparse direct solve of the
+every group through a block-CSR template built once per mesh and group
+count, solves all groups with one sparse direct solve of the
 block-diagonal system, and reconstructs the face fluxes from the same
 tables; the nonlinear temperature coupling is iteration.couple, the one
 loop the transport model uses too.
@@ -47,7 +49,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
 from .grid import SIDES, FrequencyGrid, SpatialMesh, check_sides
-from .history import MomentState, initial_moment_state, march
+from .history import MomentState, check_time_step, initial_moment_state, march
 from .iteration import couple
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 from .transport import StepDiagnostics, energy_balance_residual
@@ -142,21 +144,16 @@ def _read_only(*arrays):
 
 @functools.lru_cache(maxsize=16)
 def face_cells(mesh: SpatialMesh):
-    """Flat cell indices of the interior-face stencils, (6, n) for x- then y-faces.
+    """Flat cell indices of the interior-face stencils, (2, n) for x- then y-faces.
 
-    Faces are ordered as the (ny, nx-1) and (ny-1, nx) face arrays. Rows 0
-    and 1 are each face's low- and high-side cells; rows 2-3 and 4-5 are
-    the same pair for the next face along the face, one cell forward (up
-    for x-faces, right for y-faces) and one cell back, clipped at the domain
-    edges so the clipped pair is the face's own. Built once per mesh; the
-    arrays are shared and read-only.
+    Faces are ordered as the (ny, nx-1) and (ny-1, nx) face arrays; rows 0
+    and 1 are each face's low- and high-side cells. Built once per mesh;
+    the arrays are shared and read-only.
     """
     idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
-    up, down = np.minimum(np.arange(mesh.ny) + 1, mesh.ny - 1), np.maximum(np.arange(mesh.ny) - 1, 0)
-    right, left = np.minimum(np.arange(mesh.nx) + 1, mesh.nx - 1), np.maximum(np.arange(mesh.nx) - 1, 0)
-    x = np.stack([idx[:, :-1], idx[:, 1:], idx[up, :-1], idx[up, 1:], idx[down, :-1], idx[down, 1:]])
-    y = np.stack([idx[:-1], idx[1:], idx[:-1, right], idx[1:, right], idx[:-1, left], idx[1:, left]])
-    return _read_only(x.reshape(6, -1), y.reshape(6, -1))
+    x = np.stack([idx[:, :-1], idx[:, 1:]])
+    y = np.stack([idx[:-1], idx[1:]])
+    return _read_only(x.reshape(2, -1), y.reshape(2, -1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -207,8 +204,8 @@ def cell_order(mesh: SpatialMesh):
 
 
 @functools.lru_cache(maxsize=16)
-def _template(mesh: SpatialMesh, kx: int, ky: int, G: int):
-    """Block-CSR template of the G-group balance matrix for faces of kx and ky cells.
+def _template(mesh: SpatialMesh, G: int):
+    """Block-CSR template of the G-group balance matrix of the 5-point stencil.
 
     Rows and columns are cell numbers of cell_order(mesh), group g's block
     at offset g*N; a block's slots are the sorted unique (row, col) pairs
@@ -216,15 +213,15 @@ def _template(mesh: SpatialMesh, kx: int, ky: int, G: int):
     block-diagonal CSR matrix and slot, the flat index into its data array
     of every contribution solve() lists, in (G, M) order: per group the
     diagonal in flat cell order, each face's coefficients on its low- then
-    high-side cell, the boundary faces. Built once per (mesh, kx, ky, G);
-    the arrays are shared and read-only.
+    high-side cell, the boundary faces. Built once per (mesh, G); the
+    arrays are shared and read-only.
     """
     N = mesh.n_cells
     rank = cell_order(mesh)[1]
     rows, cols = [rank], [rank]
-    for cells, K in zip(face_cells(mesh), (kx, ky)):
-        cells = rank[cells[:K]]
-        for owner in cells[:2]:
+    for cells in face_cells(mesh):
+        cells = rank[cells]
+        for owner in cells:
             rows.append(np.tile(owner, len(cells)))
             cols.append(cells.ravel())
     b_cells = rank[boundary_cells(mesh)[0]]
@@ -277,12 +274,12 @@ def on_boundary_faces(mesh: SpatialMesh, per_side) -> np.ndarray:
 
 
 class FaceForms(NamedTuple):
-    """Interior-face fluxes F = sum_k coef[k] E[cells[k]] + base.
+    """Interior-face fluxes F = coef[0] E[cells[0]] + coef[1] E[cells[1]] + base.
 
-    cells are the first K rows of the mesh's face_cells stencil, rows 0
-    and 1 being each face's low- and high-side cells (the flux is positive
-    toward the high side); coef is (K, G, n) and base, the part
-    independent of the unknown energies, (G, n).
+    cells are the mesh's face_cells stencil, each face's low- and
+    high-side cells (the flux is positive toward the high side); coef is
+    (2, G, n) and base, the part independent of the unknown energies,
+    (G, n).
     """
 
     coef: np.ndarray
@@ -305,14 +302,12 @@ class MomentSystem:
     dissection of the mesh, and the solve keeps that order
     (permc_spec="NATURAL") instead of computing a fill-reducing one on
     every pass; the right-hand side is permuted into it and the solution
-    back. The block-CSR structure depends only on the mesh, the stencil
-    widths K and the group count, so its indices, its row pointers and the
-    data slot of every listed contribution are built once per
-    (mesh, K_x, K_y, G) (_template); a pass only sums its values into their
-    slots with one bincount and hands the arrays to the solver. The slots
-    are those the stencil reaches, with no per-pass pruning: the isotropic
-    closure solves P1's very matrix because first_moment_faces emits no
-    cross-term rows for an all-zero f_xy.
+    back. Every model's faces couple only their two adjacent cells, so
+    the block-CSR structure is the 5-point stencil's and depends only on
+    the mesh and the group count: its indices, its row pointers and the
+    data slot of every listed contribution are built once per (mesh, G)
+    (_template); a pass only sums its values into their slots with one
+    bincount and hands the arrays to the solver.
     """
 
     def __init__(self, mesh: SpatialMesh, x: FaceForms, y: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
@@ -337,7 +332,7 @@ class MomentSystem:
         """Face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) of the energies E."""
         Ef = E.reshape(E.shape[0], -1)
         interior = [
-            form.base + (form.coef * Ef[:, cells[: len(form.coef)]].transpose(1, 0, 2)).sum(axis=0)
+            form.base + (form.coef * Ef[:, cells].transpose(1, 0, 2)).sum(axis=0)
             for form, cells in zip((self.x, self.y), face_cells(self.mesh))
         ]
         return self._place(*interior, self.b_coef * Ef[:, self.b_cells] + self.b_base)
@@ -364,7 +359,7 @@ class MomentSystem:
             coef = form.coef.transpose(1, 0, 2).reshape(G, -1) / width
             vals += [coef, -coef]
         vals.append(self.b_coef / self.b_width)
-        indices, indptr, slot = _template(mesh, len(self.x.coef), len(self.y.coef), G)
+        indices, indptr, slot = _template(mesh, G)
         data = np.bincount(slot, np.concatenate(vals, axis=1).ravel(), minlength=indices.size)
         A = sp.csr_matrix((data, indices, indptr), shape=(G * N, G * N))
         try:
@@ -380,7 +375,7 @@ class MomentSystem:
         return E.reshape(G, N)[:, rank].reshape(E_prev.shape)
 
 
-def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, Fx_prev, Fy_prev, gx, gy, fxy=None, rx=0.0, ry=0.0):
+def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, Fx_prev, Fy_prev, gx, gy, rx=0.0, ry=0.0):
     """Backward-Euler first-moment face fluxes, (x, y) FaceForms.
 
     With kappa_f the arithmetic face mean of the opacity,
@@ -388,32 +383,24 @@ def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, Fx_prev, Fy_prev,
         F_face = [alpha F_prev - c D(E)] / (kappa_f + alpha) + r,
 
     where D(E) is the face-normal factor g times the central density
-    difference (1/3 for P1 and P1/3; gx, gy on x- and y-faces for the VEF),
-    plus, given the cell tensor component fxy, the cross term: its face
-    mean times the central difference of the face density along the face,
-    realized through the four cells of the neighbouring faces with quarter
-    weights. A face family whose fxy face means are all zero gets no
-    cross-term rows, so its forms have K = 2 and the system keeps P1's
-    5-point stencil. alpha is 1/(c dt) for P1 and the VEF and 1/(3 c dt)
-    for P1/3; Fx_prev (G, ny, nx+1) and Fy_prev (G, ny+1, nx) are the
-    previous level's face fluxes; r is the VEF's consistency remainder, a
-    known part that never enters the matrix.
+    difference across the face (1/3 for P1 and P1/3; gx, gy on x- and
+    y-faces for the VEF), so every face couples only its two adjacent
+    cells. alpha is 1/(c dt) for P1 and the VEF and 1/(3 c dt) for P1/3;
+    Fx_prev (G, ny, nx+1) and Fy_prev (G, ny+1, nx) are the previous
+    level's face fluxes; r is the VEF's consistency remainder, a known
+    part that never enters the matrix.
     """
     c, G = DEFAULT_CONSTANTS.c, kappa.shape[0]
     kfx, kfy = face_means(kappa)
-    fxy_x, fxy_y = face_means(fxy) if fxy is not None else (None, None)
     forms = []
-    for kf, g, F_prev, r, fm, width, along in (
-        (kfx, gx, Fx_prev[:, :, 1:-1], rx, fxy_x, mesh.dx, mesh.dy),
-        (kfy, gy, Fy_prev[:, 1:-1, :], ry, fxy_y, mesh.dy, mesh.dx),
+    for kf, g, F_prev, r, width in (
+        (kfx, gx, Fx_prev[:, :, 1:-1], rx, mesh.dx),
+        (kfy, gy, Fy_prev[:, 1:-1, :], ry, mesh.dy),
     ):
         den = kf + alpha
         cc = c / den
-        coef = [cc * g / width, -cc * g / width]
-        if fm is not None and np.any(fm):
-            q = cc * fm / (4.0 * along)
-            coef += [-q, -q, q, q]
-        forms.append(FaceForms(np.stack(coef).reshape(len(coef), G, -1), ((alpha / den) * F_prev + r).reshape(G, -1)))
+        coef = np.stack([cc * g / width, -cc * g / width]).reshape(2, G, -1)
+        forms.append(FaceForms(coef, ((alpha / den) * F_prev + r).reshape(G, -1)))
     return tuple(forms)
 
 
@@ -504,8 +491,7 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
     """
     if model not in MODEL_KINDS:
         raise ConfigError(f"unknown diffusion model {model!r}, expected one of {MODEL_KINDS}")
-    if not 0.0 < dt < np.inf:
-        raise ConfigError(f"moment step requires a positive finite time step, got {dt}")
+    check_time_step(dt)
     mesh, c = problem.mesh, DEFAULT_CONSTANTS.c
     F_in = problem.incoming_currents()
     boundary = _marshak_boundary(problem, F_in)

@@ -25,6 +25,14 @@ class MomentState:
     Fy: np.ndarray  # (G, ny+1, nx)
 
 
+def check_time_step(dt: float) -> None:
+    """Raise ConfigError unless dt is positive and finite; every model's
+    step calls this before its first sweep or solve. The check is written
+    so that nan, which fails every comparison, is rejected too."""
+    if not 0.0 < dt < np.inf:
+        raise ConfigError(f"a backward-Euler step requires a positive finite time step, got {dt}")
+
+
 def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
     """Equilibrium radiation at the initial temperature (scalar or (ny, nx) field), zero flux.
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh, check_sides
-from .history import initial_moment_state, march
+from .history import check_time_step, initial_moment_state, march
 from .iteration import couple
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 
@@ -369,7 +369,10 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
     The previous-step intensity stays fixed at time level n-1 throughout.
     A pass reads only the sweep's energy; the new state takes psi and the
     face fluxes from the last pass's sweep, the only one that builds them.
+    A dt that is not positive and finite raises ConfigError before the
+    first sweep.
     """
+    check_time_step(dt)
     result = None
 
     def radiate(kappa, B, *_):

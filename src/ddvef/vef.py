@@ -2,7 +2,7 @@
 
 The closure is built from angular moments of a transport intensity. Per
 cell and group the Eddington tensor f = <Omega Omega I> / <I> supplies the
-in-plane components f_xx, f_xy and f_yy; per boundary face the outgoing
+in-plane normal components f_xx and f_yy; per boundary face the outgoing
 factor is v_out = <n.Omega I>+ / E_cell, the outgoing half-range current
 per unit density of the cell behind the face. It equals c C eta, the
 half-range flux factor C = <n.Omega I>+ / <I>+ times c times the outgoing
@@ -25,21 +25,22 @@ consistency current (identically zero for transport-derived closures).
 The closed system is assembled and solved by diffusion.MomentSystem, the
 one assembler that P1, P1/3, FLD and the VEF share; the VEF only fills in
 its face and boundary coefficients. Backward Euler eliminates each face
-flux: the divergence of the closed pressure tensor is discretized with
-face-interpolated tensor components times central density differences
-(f_xx dE/dx plus the f_xy cross term on x-faces, and symmetrically on
-y-faces). Because the moment stencil and the transport sweep discretize
-space differently, that stencil alone leaves an O(1) flux mismatch
-wherever the radiation front spans only a few cells or a thin group
-streams through a flat density field. The closure therefore replaces the
-interpolated normal components with face-normal closure factors gx, gy
-solved from the moment system's own face law (first_moment_faces) on
-the sweep's energies and face fluxes wherever the solved value
-lands in the physical Eddington range [0, 1] - ratio data, insensitive
-to the magnitude of the generating fields and no harder on the operator
-than the interpolated tensor - plus additive face-flux consistency
-remainders rx, ry carrying whatever the windowed factor cannot absorb,
-which ride on the right-hand side without touching the operator. On the
+flux: the normal part of the divergence of the closed pressure tensor is
+a face factor times the central density difference across the face
+(f_xx dE/dx on x-faces, f_yy dE/dy on y-faces), P1's 5-point stencil.
+Because the moment stencil and the transport sweep discretize space
+differently, interpolated tensor components alone leave an O(1) flux
+mismatch wherever the radiation front spans only a few cells or a thin
+group streams through a flat density field. The closure therefore uses
+face-normal closure factors gx, gy solved from the moment system's own
+face law (first_moment_faces) on the sweep's energies and face fluxes
+wherever the solved value lands in the physical Eddington range [0, 1] -
+ratio data, insensitive to the magnitude of the generating fields and no
+harder on the operator than the interpolated tensor - plus additive
+face-flux consistency remainders rx, ry carrying whatever the windowed
+factor cannot absorb, the sweep's f_xy cross-term flux included. The
+remainders ride on the right-hand side without touching the operator, so
+the VEF assembles the same 5-point stencil as P1, P1/3 and FLD. On the
 boundary v_out recovers the sweep's outward current exactly while the
 incoming drive current bypasses the closure altogether. Everything fed
 to the operator is therefore either a bounded ratio or a fixed
@@ -52,19 +53,18 @@ to solver tolerance, and closures from approximate temperature data
 inherit the accuracy of the auxiliary transport solve rather than that
 of a bare diffusion stencil.
 
-A record keeps only what the online step reads: f_xy for the cross
-term, the face factors and remainders, and the boundary fields; f_xx and
-f_yy serve only as the fallback of rejected face factors during
-extraction. fused_pipeline is offline_phase followed by online_phase.
-Every online step converges its temperature through iteration.couple,
-the one radiation/material coupling loop of all the models. The dataset
-keeps the end-of-step data temperatures beside the records, and online
-step n starts its coupling at T_data[n], the field at which its opacity
-and emission were frozen offline: the VEF solution differs from the data
-only by the transport correction, so this start is closer to the fixed
-point than the previous VEF level. The fixed point and the convergence
-test are those of every other model; only the pass count depends on the
-start.
+A record keeps only what the online step reads: the face factors and
+remainders, and the boundary fields; f_xx and f_yy serve only as the
+fallback of rejected face factors during extraction. fused_pipeline is
+offline_phase followed by online_phase. Every online step converges its
+temperature through iteration.couple, the one radiation/material
+coupling loop of all the models. The dataset keeps the end-of-step data
+temperatures beside the records, and online step n starts its coupling
+at T_data[n], the field at which its opacity and emission were frozen
+offline: the VEF solution differs from the data only by the transport
+correction, so this start is closer to the fixed point than the previous
+VEF level. The fixed point and the convergence test are those of every
+other model; only the pass count depends on the start.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from .diffusion import (
 )
 from .errors import ConfigError
 from .grid import AngularQuadrature, SpatialMesh
-from .history import MomentState, initial_moment_state, march
+from .history import MomentState, check_time_step, initial_moment_state, march
 from .physics import DEFAULT_CONSTANTS
 from .transport import (
     StepDiagnostics,
@@ -109,29 +109,28 @@ _FACTOR_HI = 1.0
 
 
 def eddington_tensor(psi: np.ndarray, quad: AngularQuadrature):
-    """Ratios f_xx, f_xy, f_yy of quadrature moments sum(w Omega Omega I) / sum(w I) per cell.
+    """Normal components f_xx, f_yy of the moment ratio sum(w Omega Omega I) / sum(w I) per cell.
 
     psi is laid out (ny, nx, G, M); each component is (G, ny, nx). Cells
     whose scalar moment falls below 1e-30 of the group's largest (or to
-    zero) get the isotropic fallback f_xx = f_yy = 1/3, f_xy = 0; such
-    cells only occur where the field is numerically dark and any closure
-    produces the same near-zero moments.
+    zero) get the isotropic fallback f_xx = f_yy = 1/3; such cells only
+    occur where the field is numerically dark and any closure produces
+    the same near-zero moments.
     """
     w = quad.weight
     ox, oy = quad.omega[:, 0], quad.omega[:, 1]
     phi = np.einsum("yxgm,m->gyx", psi, w)
     sxx = np.einsum("yxgm,m->gyx", psi, w * ox * ox)
-    sxy = np.einsum("yxgm,m->gyx", psi, w * ox * oy)
     syy = np.einsum("yxgm,m->gyx", psi, w * oy * oy)
 
     dark = phi <= 1.0e-30 * phi.max(axis=(1, 2), keepdims=True)
     safe = np.where(dark, 1.0, phi)
     third = np.full_like(phi, 1.0 / 3.0)
-    return np.where(dark, third, sxx / safe), np.where(dark, 0.0, sxy / safe), np.where(dark, third, syy / safe)
+    return np.where(dark, third, sxx / safe), np.where(dark, third, syy / safe)
 
 
 def _at(where: str):
-    """A closure field located on cells, interior x- or y-faces, or boundary faces."""
+    """A closure field located on interior x- or y-faces or on boundary faces."""
     return field(metadata={"at": where})
 
 
@@ -139,25 +138,24 @@ def _at(where: str):
 class ClosureRecord:
     """Closure data for one time level: what one online step reads.
 
-    fxy is the cell Eddington tensor's cross component (G, ny, nx), which
-    the moment faces interpolate for the cross term. gx and gy are the
-    windowed face-normal closure factors on interior x- and y-faces
-    ((G, ny, nx-1) and (G, ny-1, nx)), rx and ry the additive face-flux
-    consistency remainders on the same faces. v_out is the outgoing
+    gx and gy are the windowed face-normal closure factors on interior
+    x- and y-faces ((G, ny, nx-1) and (G, ny-1, nx)), rx and ry the
+    additive face-flux consistency remainders on the same faces; the
+    remainders carry the sweep's cross-term flux, so each face flux
+    depends on its two adjacent cells alone. v_out is the outgoing
     boundary factor, the outgoing current per unit boundary-cell density
     (c C eta in terms of the half-range flux factor C and the outgoing
     face-to-cell density ratio eta), and rb the boundary consistency
     current (both (G, n_boundary_faces); rb vanishes for closures
     extracted from a sweep). The face-level fields make the moment stencil
     discretely consistent with the generating sweep; the synthetic values
-    gx = gy = 1/3, fxy = rx = ry = 0, v_out = c/2 and rb = -F_in reduce the
+    gx = gy = 1/3, rx = ry = 0, v_out = c/2 and rb = -F_in reduce the
     system to P1 with Marshak boundaries.
 
     Each field's location is its metadata "at", from which the dataset
     derives its shape checks.
     """
 
-    fxy: np.ndarray = _at("cell")
     v_out: np.ndarray = _at("bface")
     gx: np.ndarray = _at("xface")
     gy: np.ndarray = _at("yface")
@@ -178,20 +176,19 @@ def closure_from_sweep(
 ) -> ClosureRecord:
     """Extract the closure record from a finished transport sweep.
 
-    The cell tensor is a moment ratio of the swept intensity. The face
-    factors come from the moment system's own face law: first_moment_faces
-    with unit factors, the record's fxy and the face fluxes prev_Fx/prev_Fy
-    the online state carries into this step (zeros before the first),
-    evaluated on the sweep's energies, splits each face flux into the
-    factor's gradient term grad (rows 0-1) and the fixed rest (the base and
-    the cross term, rows 2-5, absent where fxy is zero). The raw factor
-    (F - rest) / grad is accepted where it lands inside the stable window
-    (faces where the fit is wild or the density contrast vanishes fall back
-    to the face-interpolated tensor component); the consistency remainder
-    F - rest - g grad is whatever flux the windowed factor leaves
-    unexplained. Together (g, r) reproduce
-    the sweep's face flux identically when the online system is fed the
-    sweep's energies. v_out is the sweep's outgoing boundary current over
+    The face factors come from the moment system's own face law:
+    first_moment_faces with unit factors and the face fluxes
+    prev_Fx/prev_Fy the online state carries into this step (zeros before
+    the first), evaluated on the sweep's energies, splits each face flux
+    into the factor's gradient term grad and the fixed base, the flux
+    memory. The raw factor (F - base) / grad is accepted where it lands
+    inside the stable window (faces where the fit is wild or the density
+    contrast vanishes fall back to the face mean of the cell tensor's
+    normal component, a moment ratio of the swept intensity); the
+    consistency remainder F - base - g grad is whatever flux the windowed
+    factor leaves unexplained, the sweep's cross-term flux among it.
+    Together (g, r) reproduce the sweep's face flux identically when the
+    online system is fed the sweep's energies. v_out is the sweep's outgoing boundary current over
     the boundary-cell density, so v_out E_cell is that current exactly; rb
     absorbs what little is left given the incoming currents F_in (4, G)
     (exact zero away from degenerate dark cells).
@@ -200,19 +197,18 @@ def closure_from_sweep(
     G = kappa.shape[0]
     Ef = result.E.reshape(G, -1)
 
-    fxx, fxy, fyy = eddington_tensor(result.psi, quad)
-    forms = first_moment_faces(mesh, kappa, alpha, prev_Fx, prev_Fy, 1.0, 1.0, fxy)
+    fxx, fyy = eddington_tensor(result.psi, quad)
+    forms = first_moment_faces(mesh, kappa, alpha, prev_Fx, prev_Fy, 1.0, 1.0)
 
     def face_closure(form, cells, F, fallback):
         """Windowed factor and remainder on one face family."""
-        terms = form.coef * Ef[:, cells[: len(form.coef)]].transpose(1, 0, 2)
-        grad, rest = terms[0] + terms[1], form.base + terms[2:].sum(axis=0)
-        F = F.reshape(G, -1)
+        terms = form.coef * Ef[:, cells].transpose(1, 0, 2)
+        grad, F = terms[0] + terms[1], F.reshape(G, -1) - form.base
         with np.errstate(invalid="ignore", divide="ignore"):
-            raw = (F - rest) / grad
+            raw = F / grad
         ok = np.isfinite(raw) & (raw >= _FACTOR_LO) & (raw <= _FACTOR_HI)
         g = np.where(ok, raw, fallback.reshape(G, -1))
-        return g.reshape(fallback.shape), (F - rest - g * grad).reshape(fallback.shape)
+        return g.reshape(fallback.shape), (F - g * grad).reshape(fallback.shape)
 
     cells_x, cells_y = face_cells(mesh)
     gx, rx = face_closure(forms[0], cells_x, result.Fx[:, :, 1:-1], face_means(fxx)[0])
@@ -223,7 +219,7 @@ def closure_from_sweep(
     E_edge = Ef[:, cells]
     v_out = result.bface_wnI / np.maximum(E_edge, 1.0e-300)
     rb = sign * boundary_flux(result.Fx, result.Fy) + on_boundary_faces(mesh, F_in) - v_out * E_edge
-    return ClosureRecord(fxy, v_out, gx, gy, rx, ry, rb)
+    return ClosureRecord(v_out, gx, gy, rx, ry, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +261,6 @@ class ClosureDataset:
         if len(self.records) != N:
             raise ConfigError(f"closure has {len(self.records)} records for {N} time levels")
         at = {
-            "cell": (mesh.ny, mesh.nx),
             "xface": (mesh.ny, mesh.nx - 1),
             "yface": (mesh.ny - 1, mesh.nx),
             "bface": (mesh.n_boundary_faces,),
@@ -306,7 +301,6 @@ def isotropic_closure(
     times = np.asarray(times, dtype=float)
     G, ny, nx, nb = n_groups, mesh.ny, mesh.nx, mesh.n_boundary_faces
     one = ClosureRecord(
-        fxy=np.zeros((G, ny, nx)),
         v_out=np.full((G, nb), 0.5 * DEFAULT_CONSTANTS.c),
         gx=np.full((G, ny, nx - 1), 1.0 / 3.0),
         gy=np.full((G, ny - 1, nx), 1.0 / 3.0),
@@ -388,20 +382,22 @@ def vef_step(
     the temperature at T_start, the data temperature of the record, or at
     the previous level state.T when T_start is None; both reach the same
     fixed point, so the start only sets the number of passes. The faces
-    are the first-moment forms with the record's factors gx, gy, its f_xy
-    cross term and its remainders; each boundary face's outward current
-    is n.F = v_out E_cell - F_in + rb. Of the transport problem only
-    the mesh, groups, material and heat capacity are used: the record and
-    the incoming currents F_in (4, G) stand in for the quadrature and the
-    inflow.
+    are the first-moment forms with the record's factors gx, gy and its
+    remainders, on the 5-point stencil every moment model shares; each
+    boundary face's outward current is n.F = v_out E_cell - F_in + rb. Of
+    the transport problem only the mesh, groups, material and heat
+    capacity are used: the record and the incoming currents F_in (4, G)
+    stand in for the quadrature and the inflow. A dt that is not positive
+    and finite raises ConfigError before the first solve.
     """
+    check_time_step(dt)
     mesh = problem.mesh
     alpha = 1.0 / (DEFAULT_CONSTANTS.c * dt)
     boundary = (record.v_out, record.rb - on_boundary_faces(mesh, F_in))
     return coupled_step(
         problem, state, dt,
         lambda kappa, *_: first_moment_faces(
-            mesh, kappa, alpha, state.Fx, state.Fy, record.gx, record.gy, record.fxy, record.rx, record.ry
+            mesh, kappa, alpha, state.Fx, state.Fy, record.gx, record.gy, record.rx, record.ry
         ),
         boundary, "closed-moment/material coupling", state.T if T_start is None else T_start,
     )

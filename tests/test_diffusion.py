@@ -400,7 +400,7 @@ class TestThickLimit:
 
 
 def moment_tables(mesh, G, vef, seed=0):
-    """A MomentSystem with P1 faces (K = 2) or VEF faces (K = 6, non-zero f_xy) and its solve inputs."""
+    """A MomentSystem with P1 faces or VEF faces (random factors, remainders and boundary factors) and its solve inputs."""
     rng = np.random.default_rng(seed)
     shape = (G, mesh.ny, mesh.nx)
     kappa = rng.uniform(0.1, 10.0, shape)
@@ -414,7 +414,6 @@ def moment_tables(mesh, G, vef, seed=0):
         x, y = first_moment_faces(
             mesh, kappa, alpha, state.Fx, state.Fy,
             rng.uniform(0.2, 0.5, (G, mesh.ny, mesh.nx - 1)), rng.uniform(0.2, 0.5, (G, mesh.ny - 1, mesh.nx)),
-            rng.uniform(-0.1, 0.1, shape),
             rng.normal(size=(G, mesh.ny, mesh.nx - 1)), rng.normal(size=(G, mesh.ny - 1, mesh.nx)),
         )
         b_coef = C * rng.uniform(0.3, 0.6, (G, nb)) * rng.uniform(0.5, 1.5, (G, nb))
@@ -435,11 +434,10 @@ def per_group_systems(system, dt, ckappa, source, E_prev):
     rhs = (E_prev / dt + source - div0).reshape(G, N)
     rows, cols, vals = [np.arange(N)], [np.arange(N)], [1.0 / dt + ckappa.reshape(G, N)]
     for form, cells, width in ((system.x, face_cells(mesh)[0], mesh.dx), (system.y, face_cells(mesh)[1], mesh.dy)):
-        K = len(form.coef)
         coef = form.coef.transpose(1, 0, 2).reshape(G, -1) / width
         for owner, sign in ((cells[0], 1.0), (cells[1], -1.0)):
-            rows.append(np.tile(owner, K))
-            cols.append(cells[:K].ravel())
+            rows.append(np.tile(owner, 2))
+            cols.append(cells.ravel())
             vals.append(sign * coef)
     b_cells = boundary_cells(mesh)[0]
     rows.append(b_cells)
@@ -480,7 +478,7 @@ class TestMomentSystem:
     @pytest.mark.parametrize("nx, ny", [(8, 8), (6, 5)])
     def test_one_block_solve_matches_per_group_solves(self, monkeypatch, vef, nx, ny):
         system, args = moment_tables(SpatialMesh(nx, ny, 6.0, 6.0), 4, vef)
-        assert len(system.x.coef) == len(system.y.coef) == (6 if vef else 2)
+        assert len(system.x.coef) == len(system.y.coef) == 2
         reference = permuted_per_group_systems(system, *args)
         E, calls = solve_capturing(system, args, monkeypatch)
         assert len(calls) == 1
@@ -569,37 +567,27 @@ class TestMomentSystem:
         np.testing.assert_array_equal(fx, fresh_x)
         np.testing.assert_array_equal(fy, fresh_y)
         idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
-        np.testing.assert_array_equal(fx[:2], [idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+        np.testing.assert_array_equal(fx, [idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+        np.testing.assert_array_equal(fy, [idx[:-1].ravel(), idx[1:].ravel()])
         cells, sign, width = boundary_cells(mesh)
         np.testing.assert_array_equal(cells, np.concatenate([idx[:, 0], idx[:, -1], idx[0], idx[-1]]))
         np.testing.assert_array_equal(sign, np.repeat([-1.0, 1.0, -1.0, 1.0], [4, 4, 5, 5]))
         np.testing.assert_array_equal(width, np.repeat([1.0, 1.0, 0.5, 0.5], [4, 4, 5, 5]))
-        template = _template(mesh, 6, 2, 3)
-        assert _template(SpatialMesh(5, 4, 5.0, 2.0), 6, 2, 3)[0] is template[0]
+        template = _template(mesh, 3)
+        assert _template(SpatialMesh(5, 4, 5.0, 2.0), 3)[0] is template[0]
         _template.cache_clear()
-        for cached, fresh in zip(template, _template(mesh, 6, 2, 3)):
+        for cached, fresh in zip(template, _template(mesh, 3)):
             np.testing.assert_array_equal(cached, fresh)
         indices, indptr, slot = template
+        # Each group's block holds the 5-point stencil: the diagonal and two
+        # off-diagonal slots per interior face.
+        n_faces = fx.shape[1] + fy.shape[1]
+        assert indices.size == 3 * (mesh.n_cells + 2 * n_faces)
         assert indices.dtype == indptr.dtype == np.int32
         assert indptr[-1] == indices.size and slot.max() < indices.size
         for arr in (fx, fy, cells, sign, width, indices, indptr, slot):
             with pytest.raises(ValueError):
                 arr[0] = 0
-
-    def test_zero_cross_term_keeps_the_five_point_forms(self):
-        # An all-zero f_xy adds no rows, so the system is assembled on P1's
-        # 5-point template; the forms equal those built without f_xy.
-        mesh, G = SpatialMesh(6, 5, 6.0, 6.0), 3
-        rng = np.random.default_rng(1)
-        kappa = rng.uniform(0.1, 10.0, (G, mesh.ny, mesh.nx))
-        Fx, Fy = rng.normal(size=(G, mesh.ny, mesh.nx + 1)), rng.normal(size=(G, mesh.ny + 1, mesh.nx))
-        args = (mesh, kappa, 1.0 / (C * 0.05), Fx, Fy, 0.3, 0.4)
-        zero = first_moment_faces(*args, np.zeros_like(kappa))
-        for form, plain in zip(zero, first_moment_faces(*args)):
-            assert form.coef.shape == (2, G, form.base.shape[1])
-            np.testing.assert_array_equal(form.coef, plain.coef)
-            np.testing.assert_array_equal(form.base, plain.base)
-        assert [len(form.coef) for form in first_moment_faces(*args, np.full_like(kappa, 0.1))] == [6, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -543,6 +543,17 @@ class TestFomStep:
         assert len(builds) == 1
         assert state.psi.shape == (4, 4, problem.fgrid.n_groups, problem.quad.n_directions)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf])
+    def test_bad_time_step_rejected_before_any_sweep(self, monkeypatch, dt):
+        # Without the check inf fails deep in the coupling with a ValueError.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept with a bad time step")
+
+        monkeypatch.setattr(transport, "sweep", no_sweep)
+        problem = benchmark_like_problem()
+        with pytest.raises(ConfigError, match="time step"):
+            fom_step(problem, initial_transport_state(problem, 1e-3), dt)
+
     def test_nonconvergence_raises(self, monkeypatch):
         from ddvef.errors import ConvergenceError
 

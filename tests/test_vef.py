@@ -27,6 +27,7 @@ from ddvef.vef import (
     ClosureRecord,
     _check_temperature_data,
     closure_from_sweep,
+    eddington_tensor,
     fused_pipeline,
     isotropic_closure,
     offline_phase,
@@ -85,7 +86,7 @@ def test_closure_reproduces_its_sweep():
     record = closure_from_sweep(second, quad, mesh, kappa, DT, first.Fx, first.Fy, F_in)
 
     faces = first_moment_faces(
-        mesh, kappa, 1.0 / (c * DT), first.Fx, first.Fy, record.gx, record.gy, record.fxy, record.rx, record.ry
+        mesh, kappa, 1.0 / (c * DT), first.Fx, first.Fy, record.gx, record.gy, record.rx, record.ry
     )
     system = MomentSystem(mesh, *faces, record.v_out, record.rb - on_boundary_faces(mesh, F_in))
     Fx, Fy = system.fluxes(second.E)
@@ -96,6 +97,32 @@ def test_closure_reproduces_its_sweep():
     # v_out times the boundary cell's energy is the sweep's outgoing current.
     E_edge = second.E.reshape(second.E.shape[0], -1)[:, boundary_cells(mesh)[0]]
     np.testing.assert_allclose(record.v_out * E_edge, second.bface_wnI, rtol=0.0, atol=1.0e-13 * second.bface_wnI.max())
+
+
+def test_isotropic_intensity_has_the_isotropic_eddington_tensor():
+    # The folded quadrature integrates Omega_x^2 and Omega_y^2 exactly, so an
+    # intensity isotropic in every cell gives 1/3 whatever its amplitude.
+    quad = build_angular_quadrature(2, 8)
+    amplitude = np.random.default_rng(3).uniform(1.0e-3, 1.0e3, (3, 4, 5))
+    psi = np.repeat(amplitude[..., None], quad.n_directions, axis=-1)
+    fxx, fyy = eddington_tensor(psi, quad)
+    assert fxx.shape == fyy.shape == (5, 3, 4)
+    np.testing.assert_allclose(fxx, 1.0 / 3.0, rtol=1.0e-14, atol=0.0)
+    np.testing.assert_allclose(fyy, 1.0 / 3.0, rtol=1.0e-14, atol=0.0)
+
+
+def test_dark_cells_get_the_isotropic_fallback():
+    # A beam along +x in a lit cell has f_xx > 1/3; a cell with no
+    # intensity, or a group dark everywhere, falls back to 1/3.
+    quad = build_angular_quadrature(2, 8)
+    psi = np.zeros((2, 2, 2, quad.n_directions))
+    beam = quad.omega[:, 0] > 0.5
+    psi[0, 0, 0, beam] = 1.0
+    fxx, fyy = eddington_tensor(psi, quad)
+    assert fxx[0, 0, 0] > 0.5 and fyy[0, 0, 0] < 1.0 / 3.0
+    dark = np.ones((2, 2, 2), dtype=bool)
+    dark[0, 0, 0] = False
+    assert np.all(fxx[dark] == 1.0 / 3.0) and np.all(fyy[dark] == 1.0 / 3.0)
 
 
 def test_dark_sweep_gives_a_finite_neutral_closure():
@@ -131,6 +158,21 @@ def test_data_start_reaches_the_previous_level_start_fixed_point(problem, p1_clo
     from_previous, _ = vef_step(problem, state, dt, record, p1_closure.F_in)
     assert relative_error(from_data.T, from_previous.T) <= 1.0e-8
     assert relative_error(from_data.E, from_previous.E) <= 1.0e-8
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf])
+def test_bad_time_step_rejected_before_any_solve(problem, p1_closure, monkeypatch, dt):
+    # Without the check 0 divides by zero, -0.02 fails to converge, inf
+    # raises ValueError and nan SolverError.
+    _, record, T_data = next(p1_closure.steps())
+    state = initial_moment_state(problem, T_COLD, p1_closure.t0)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with a bad time step")
+
+    monkeypatch.setattr(vef_module, "coupled_step", no_solve)
+    with pytest.raises(ConfigError, match="time step"):
+        vef_step(problem, state, dt, record, p1_closure.F_in, T_data)
 
 
 def test_data_start_saves_passes_over_the_march(problem, p1_closure):
@@ -213,3 +255,25 @@ def test_validate_rejects_bad_drive_and_time_grid(problem, diffusion):
         replace(dataset, times=np.array([2 * DT, DT])).validate(mesh, G)
     with pytest.raises(ConfigError, match="increasing"):
         replace(dataset, t0=DT).validate(mesh, G)
+
+
+@pytest.mark.slow
+def test_online_march_stays_positive_on_a_finer_mesh():
+    # With an f_xy cross term in the moment stencil, the VEF on P1 data of
+    # this 16 x 16 problem read min E / max E = -2.6e-4 at level 42, -7e-2
+    # by level 49, and failed to converge before level 80. The 5-point
+    # stencil with factors in [0, 1] stays positive.
+    fgrid = build_frequency_grid()
+    mesh = SpatialMesh(16, 16, 6.0, 6.0)
+    material, eos = InverseCubeMaterial(fgrid), MaterialEOS(benchmark_cv(1.0))
+    transport_problem = TransportProblem(
+        mesh, build_angular_quadrature(2, 8), fgrid, material, eos, planckian_inflow(fgrid, T_DRIVE)
+    )
+    p1 = run_diffusion_model(
+        DiffusionProblem(mesh, fgrid, material, eos, standard_boundaries(T_DRIVE)), "p1", T_COLD, 0.02, 50
+    )
+    vef = fused_pipeline(transport_problem, p1)
+    assert vef.times.size == 51
+    lowest = vef.E.min(axis=(1, 2, 3)) / vef.E.max(axis=(1, 2, 3))
+    below = np.flatnonzero(lowest < -1.0e-8)
+    assert below.size == 0, f"min E / max E = {lowest[below[0]]:.3g} first at level {below[0]}"
