@@ -475,9 +475,7 @@ def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label:
     E_new = last["E"]
     Fx, Fy = MomentSystem(problem.mesh, *faces(last["kappa"], E_new, 0.0), *boundary).fluxes(E_new)
     new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy)
-    diag = StepDiagnostics(picard_iterations=len(history), change_history=history)
-    diag.balance_residual = energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos)
-    return new_state, diag
+    return new_state, StepDiagnostics(history, energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos))
 
 
 def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, model: str) -> tuple[MomentState, StepDiagnostics]:

@@ -5,10 +5,10 @@ advances the temperature through couple(): freeze T, solve the radiation
 field, update T by the material-energy Newton. The loop is a fixed-point
 map whose contraction degrades toward one in optically thick, strongly
 heated cells: the per-step energy exchange locks radiation to the lagged
-emission, so plain iteration crawls. Anderson mixing over a short residual
-history, driven through the exchange preconditioner, removes that slow
-mode while keeping the same fixed point, the same relative-change
-convergence test, and the same failure behavior.
+emission, so plain iteration crawls. fixed_point_solve, couple's own loop,
+removes that slow mode with the exchange preconditioner and Anderson
+mixing over a short history, keeping the same fixed point, the same
+change test and the same failure behavior.
 
 Each pass's material Newton is inexact: it stops at a relative step of
 PASS_NEWTON_TOL instead of converging. The outer loop enforces the
@@ -21,9 +21,9 @@ of 20 passes the residuals shrink by up to ten orders, and the unscaled
 fit let the grey cold start stall and took the FOM at dt = 1 ns from 30
 to 44 passes (tests/test_regimes.py).
 
-The coupling settings are the module values below; couple() reads them
-at call time. The fully converged Newton's settings live with the Newton,
-as physics.NEWTON_TOL and physics.NEWTON_MAX_ITER.
+The coupling settings are the module values below; fixed_point_solve
+reads them at call time. The fully converged Newton's settings live with
+the Newton, as physics.NEWTON_TOL and physics.NEWTON_MAX_ITER.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ PICARD_MAX_ITER = 200
 PASS_NEWTON_TOL = 1.0e-2
 #: Iterate/value pairs the Anderson mixer keeps.
 ANDERSON_MEMORY = 20
+#: Each proposal is floored at this fraction of the pass output it mixes.
+GUARD_FACTOR = 0.1
 #: Singular values of the scaled mixing least squares below this fraction
 #: of the largest are cut off.
 _LSTSQ_RCOND = 1.0e-8
@@ -133,87 +135,74 @@ class AndersonAccelerator:
         return gx - self._dG[:, : self._k] @ gamma
 
 
-def fixed_point_solve(
-    G,
-    x0: np.ndarray,
-    tol: float,
-    max_iter: int,
-    memory: int,
-    guard_factor: float | None = 0.1,
-    precondition=None,
-    change_measure=None,
-    label: str = "fixed-point iteration",
-):
-    """Iterate x -> G(x) to a relative max-norm change below tol.
+def fixed_point_solve(coupled_pass, x0: np.ndarray, n_T: int, label: str):
+    """Drive the coupling passes x -> coupled_pass(x, theta) to their fixed point.
 
-    G(x, weight) maps an array to an array of the same shape, where
-    weight is the damping weight below, passed so that a map whose
-    linearization has a part the weight should scale can read it (FLD's
-    Newton faces; see couple); convergence is
-    max |G(x) - x| / |G(x)| <= tol (or a caller-supplied
-    change_measure(x, gx)), evaluated on the raw map so the returned value
-    is always an actual G output (consistent state). An optional
-    precondition(x, gx) -> target replaces the plain target gx with a
-    corrected one (same fixed point); Anderson mixing, whose least squares
-    AndersonAccelerator solves by lstsq, then runs on the preconditioned
-    map. With guard_factor, proposals are floored at
-    guard_factor * G(x) elementwise, which keeps positive quantities
-    positive under extrapolation.
+    The unknown x holds the frozen temperature in x[:n_T], followed by the
+    scaled FLD energy when the coupling is joint (see couple). A pass
+    returns (gx, exchange): its new unknown and the exchange sensitivity
+    of its T block. The change of a pass is the relative max-norm change
+    of the T block joined with the absolute max-norm change of the energy
+    block, which is already scaled and may pass through zero; the loop
+    stops once it is at most PICARD_TOL, returning the last pass's gx, so
+    the result is always an actual pass output (consistent state).
 
-    The preconditioned correction is applied through a damping weight that
-    starts at one and is halved — with the mixing memory cleared — after
-    two consecutive iterations that fail to improve on the best change so
-    far; it never increases again within a solve, and below 1/256 it snaps
-    to zero (plain map). A well-calibrated correction keeps the residual
+    Otherwise the next iterate is the Anderson proposal (ANDERSON_MEMORY
+    pairs) on the preconditioned target: the T block of the step gx - x is
+    divided by (1 - exchange), which relaxes the slow local mode exactly in
+    the 0-D limit and leaves only the spatial coupling for the mixing; the
+    energy block is left as the pass returned it. The proposal is floored
+    at GUARD_FACTOR * gx elementwise, which keeps the temperature and the
+    energy positive under extrapolation.
+
+    The correction is applied through a back-off weight theta that starts
+    at one and is halved, with the mixing memory cleared, after two
+    consecutive passes that fail to improve on the best change so far; it
+    never rises again within a step, and below 1/256 it snaps to zero
+    (plain passes). A well-calibrated correction keeps the change
     shrinking, so the weight stays at one. When the linearization
-    overestimates the coupling (for example in optically thick cells,
-    where leakage to neighbours damps the local exchange mode), a full
-    correction step diverges; backing off to a fixed smaller weight
-    restores a contraction the mixing can accelerate. The weight must stay
-    piecewise constant with the memory cleared at each change because the
-    mixing builds a secant model of the damped map: pairs sampled at
-    different weights describe different maps and poison the model. A map
-    may read the weight too, provided its fixed point does not depend on
-    it: couple's map uses it to scale the Newton part of FLD's limiter
-    linearization, so the back-off that damps the correction also falls
-    back toward FLD's Picard faces. Without precondition the weight stays
-    one.
+    overestimates the coupling (in optically thick cells, where leakage to
+    neighbours damps the local exchange mode), a full correction diverges;
+    backing off to a fixed smaller weight restores a contraction the
+    mixing can accelerate. The weight stays piecewise constant with the
+    memory cleared at each change because the mixing builds a secant model
+    of the damped map: pairs sampled at different weights describe
+    different maps and poison the model. The pass reads theta too, which
+    leaves its fixed point alone: FLD scales the Newton part of its
+    limiter linearization by it, so the back-off that damps the correction
+    also falls back toward FLD's Picard faces.
 
-    Returns (x, history) where history lists the relative change of every
-    iteration. Raises ConvergenceError after max_iter.
+    PICARD_TOL, PICARD_MAX_ITER and ANDERSON_MEMORY are read at call time.
+    Returns (x, history) where history lists the change of every pass.
+    Raises ConvergenceError, carrying that history, after PICARD_MAX_ITER
+    passes.
     """
-    accel = AndersonAccelerator(memory)
+    accel = AndersonAccelerator(ANDERSON_MEMORY)
     x = np.asarray(x0, dtype=float)
     history: list[float] = []
-    damping = 1.0
+    theta = 1.0
     best = np.inf
     stalled = 0
-    for _ in range(max_iter):
-        gx = G(x, damping)
-        if change_measure is None:
-            change = float(np.max(np.abs(gx - x) / np.abs(gx)))
-        else:
-            change = float(change_measure(x, gx))
+    for _ in range(PICARD_MAX_ITER):
+        gx, exchange = coupled_pass(x, theta)
+        t_change = np.max(np.abs(gx[:n_T] - x[:n_T]) / np.abs(gx[:n_T]))
+        change = float(max(t_change, np.max(np.abs(gx[n_T:] - x[n_T:]), initial=0.0)))
         history.append(change)
-        if change <= tol:
+        if change <= PICARD_TOL:
             return gx, history
-        if precondition is None or damping == 0.0:
-            target = gx
-        else:
-            if change > best:
-                stalled += 1
-                if stalled >= 2:
-                    damping = 0.5 * damping if damping >= 1.0 / 128.0 else 0.0
-                    stalled = 0
-                    accel.reset()
-            else:
+        if theta > 0.0:
+            stalled = stalled + 1 if change > best else 0
+            if stalled >= 2:
+                theta = 0.5 * theta if theta >= 1.0 / 128.0 else 0.0
                 stalled = 0
-            target = gx if damping == 0.0 else gx + damping * (precondition(x, gx) - gx)
+                accel.reset()
         best = min(best, change)
-        x_next = accel.propose(x, target).reshape(x.shape)
-        if guard_factor is not None:
-            x_next = np.maximum(x_next, guard_factor * gx)
-        x = x_next
+        target = gx
+        if theta > 0.0:
+            scale = 1.0 / (1.0 - np.clip(exchange, 0.0, 1.0 - 1.0e-4))
+            target = gx.copy()
+            target[:n_T] += theta * (x[:n_T] + scale * (gx[:n_T] - x[:n_T]) - gx[:n_T])
+        x = np.maximum(accel.propose(x, target), GUARD_FACTOR * gx)
     raise ConvergenceError(f"{label} did not converge", residual=history[-1], history=history)
 
 
@@ -232,8 +221,7 @@ def couple(problem, state, dt: float, radiate, label: str, T_start, e_scale: flo
     Newton stops at a relative step of PASS_NEWTON_TOL, usually after its
     first step: the fixed point is the same as with a converged Newton,
     because there the frozen T is the Newton's root and its first step is
-    zero. Anderson mixing (on unit-norm residual differences) with the
-    exchange preconditioner drives the passes to a relative change below
+    zero. fixed_point_solve drives the passes to a change below
     PICARD_TOL. radiate keeps whatever else of its last solve the caller
     needs; the last pass is the one whose T is returned.
 
@@ -248,10 +236,9 @@ def couple(problem, state, dt: float, radiate, label: str, T_start, e_scale: flo
     of its limiter linearization by it (diffusion._fld_faces), and the
     other models ignore it.
 
-    Returns (T, history) with history the relative change of every pass.
+    Returns (T, history) with history the change of every pass.
     """
     n_T = state.T.size
-    last = {}
 
     def pack(T, E):
         return np.concatenate([T.ravel(), E.ravel() / e_scale]) if e_scale is not None else T.ravel()
@@ -262,25 +249,10 @@ def couple(problem, state, dt: float, radiate, label: str, T_start, e_scale: flo
         terms = problem.material.emission_terms(T_freeze, DEFAULT_CONSTANTS)
         kappa, _, B, dB = terms
         E = radiate(kappa, B, E_lag, theta)
-        last["exchange"] = exchange_sensitivity(kappa, dB, problem.eos.cv, dt).ravel()
         T = update_temperature(
             state.T, E, dt, problem.material, problem.eos, T_start=T_freeze, terms=terms, tol=PASS_NEWTON_TOL,
         )
-        return pack(T, E)
+        return pack(T, E), exchange_sensitivity(kappa, dB, problem.eos.cv, dt).ravel()
 
-    def precondition(x, gx):
-        # Dividing the T residual by (1 - exchange) of the latest pass relaxes
-        # the slow local mode exactly in the 0-D limit, leaving only the
-        # spatial coupling for the Anderson mixer.
-        scale = 1.0 / (1.0 - np.clip(last["exchange"], 0.0, 1.0 - 1.0e-4))
-        return np.concatenate([x[:n_T] + scale * (gx[:n_T] - x[:n_T]), gx[n_T:]])
-
-    def change_measure(x, gx):
-        t_change = np.max(np.abs(gx[:n_T] - x[:n_T]) / np.abs(gx[:n_T]))
-        return max(t_change, np.max(np.abs(gx[n_T:] - x[n_T:]), initial=0.0))
-
-    x, history = fixed_point_solve(
-        coupled_pass, pack(T_start, state.E), tol=PICARD_TOL, max_iter=PICARD_MAX_ITER,
-        memory=ANDERSON_MEMORY, precondition=precondition, change_measure=change_measure, label=label,
-    )
+    x, history = fixed_point_solve(coupled_pass, pack(T_start, state.E), n_T, label)
     return x[:n_T].reshape(state.T.shape), history

@@ -42,14 +42,14 @@ direction. Face-normal fluxes live on faces: Fx (G, ny, nx+1), Fy
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh, check_sides
-from .history import check_time_step, initial_moment_state, march
+from .history import MomentState, check_time_step, initial_moment_state, march
 from .iteration import couple
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 
@@ -329,22 +329,22 @@ class TransportProblem:
 
 
 @dataclass
-class TransportState:
-    """Full-order model state at one time level."""
+class TransportState(MomentState):
+    """Full-order model state at one time level: the moment state and its intensity."""
 
-    t: float
-    T: np.ndarray    # (ny, nx)
     psi: np.ndarray  # (ny, nx, G, M)
-    E: np.ndarray    # (G, ny, nx)
-    Fx: np.ndarray   # (G, ny, nx+1)
-    Fy: np.ndarray   # (G, ny+1, nx)
 
 
 @dataclass
 class StepDiagnostics:
-    picard_iterations: int
-    change_history: list[float] = field(default_factory=list)
-    balance_residual: float = np.nan
+    """One step's coupling record: the change of every pass and the energy budget's defect."""
+
+    change_history: list[float]
+    balance_residual: float
+
+    @property
+    def picard_iterations(self) -> int:
+        return len(self.change_history)
 
 
 def planckian_intensity(problem: TransportProblem, T) -> np.ndarray:
@@ -357,7 +357,7 @@ def planckian_intensity(problem: TransportProblem, T) -> np.ndarray:
 def initial_transport_state(problem: TransportProblem, T0: float) -> TransportState:
     """The equilibrium initial moment state with its isotropic Planckian intensity."""
     m = initial_moment_state(problem, T0)
-    return TransportState(m.t, m.T, planckian_intensity(problem, T0), m.E, m.Fx, m.Fy)
+    return TransportState(t=m.t, T=m.T, E=m.E, Fx=m.Fx, Fy=m.Fy, psi=planckian_intensity(problem, T0))
 
 
 def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tuple[TransportState, StepDiagnostics]:
@@ -382,10 +382,8 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
 
     T_new, history = couple(problem, state, dt, radiate, "transport/material coupling", state.T)
 
-    new_state = TransportState(state.t + dt, T_new, result.psi, result.E, result.Fx, result.Fy)
-    diag = StepDiagnostics(picard_iterations=len(history), change_history=history)
-    diag.balance_residual = energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos)
-    return new_state, diag
+    new_state = TransportState(t=state.t + dt, T=T_new, E=result.E, Fx=result.Fx, Fy=result.Fy, psi=result.psi)
+    return new_state, StepDiagnostics(history, energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos))
 
 
 def run_fom(problem: TransportProblem, T0: float, dt: float, n_steps: int):

@@ -1,30 +1,49 @@
-"""Tests for the accelerated fixed-point driver on linear contractions."""
+"""Tests for the coupling's accelerated fixed-point loop on linear maps."""
 
 import numpy as np
 import pytest
 
+from ddvef import iteration
 from ddvef.errors import ConvergenceError
 from ddvef.iteration import _LSTSQ_RCOND, AndersonAccelerator, fixed_point_solve
 
 
-def linear_map(rho: float, n: int = 6, seed: int = 0):
-    """x -> A x + b with spectral radius rho, A and b positive, and its fixed point.
+def linear_map(rho: float, n: int = 6, seed: int = 0, exchange: float = 0.0):
+    """A coupling pass x -> (A x + b, exchange) with spectral radius rho, and its fixed point.
 
-    The map takes fixed_point_solve's damping weight as its second argument and ignores it.
+    A and b are positive. The pass ignores the back-off weight and reports
+    the same exchange sensitivity in every cell, so the preconditioner
+    scales each step by 1 / (1 - exchange).
     """
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.1, 1.0, (n, n))
     A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
     b = rng.uniform(1.0, 2.0, n)
-    return (lambda x, _: A @ x + b), np.linalg.solve(np.eye(n) - A, b)
+    return (lambda x, _: (A @ x + b, np.full(n, exchange))), np.linalg.solve(np.eye(n) - A, b)
 
 
-def test_anderson_converges_to_the_fixed_point_faster_than_plain_iteration():
+def recording(coupled_pass, inputs, outputs):
+    """The same pass, appending copies of every iterate and output."""
+
+    def recorded(x, theta):
+        gx, exchange = coupled_pass(x, theta)
+        inputs.append(x.copy())
+        outputs.append(gx.copy())
+        return gx, exchange
+
+    return recorded
+
+
+def test_anderson_converges_to_the_fixed_point_faster_than_plain_iteration(monkeypatch):
+    monkeypatch.setattr(iteration, "PICARD_TOL", 1e-12)
+    monkeypatch.setattr(iteration, "PICARD_MAX_ITER", 1000)
     G, x_star = linear_map(0.95)
     x0 = np.ones_like(x_star)
-    x, history = fixed_point_solve(G, x0, tol=1e-12, max_iter=1000, memory=5, guard_factor=None)
+    monkeypatch.setattr(iteration, "ANDERSON_MEMORY", 5)
+    x, history = fixed_point_solve(G, x0, x0.size, "mixed")
     np.testing.assert_allclose(x, x_star, rtol=1e-10)
-    _, plain = fixed_point_solve(G, x0, tol=1e-12, max_iter=1000, memory=0, guard_factor=None)
+    monkeypatch.setattr(iteration, "ANDERSON_MEMORY", 0)
+    _, plain = fixed_point_solve(G, x0, x0.size, "plain")
     assert len(history) < 20 < len(plain)
 
 
@@ -38,27 +57,74 @@ def test_anderson_proposal_is_exact_for_a_scalar_linear_map():
     np.testing.assert_allclose(x, [2.0], rtol=1e-14)
 
 
-def test_nonconvergence_raises_with_the_residual_history():
+def test_nonconvergence_raises_with_the_residual_history(monkeypatch):
+    monkeypatch.setattr(iteration, "PICARD_TOL", 1e-12)
+    monkeypatch.setattr(iteration, "PICARD_MAX_ITER", 4)
+    monkeypatch.setattr(iteration, "ANDERSON_MEMORY", 0)
     G, _ = linear_map(0.99)
     with pytest.raises(ConvergenceError) as info:
-        fixed_point_solve(G, np.ones(6), tol=1e-12, max_iter=4, memory=0, guard_factor=None, label="slow map")
+        fixed_point_solve(G, np.ones(6), 6, "slow map")
     err = info.value
     assert len(err.history) == 4
     assert err.residual == err.history[-1] > 1e-12
     assert "slow map" in str(err)
 
 
-def test_damping_backs_off_an_overshooting_preconditioner():
-    # The ideal rescale for contraction 1/2 is 2; a factor of 10 makes every
-    # full step diverge (error factor -4), and without mixing memory only
-    # halving the damping weight can restore a contraction.
-    G, x_star = linear_map(0.5)
-    x, history = fixed_point_solve(
-        G, np.ones(6), tol=1e-10, max_iter=200, memory=0, guard_factor=None,
-        precondition=lambda x, gx: x + 10.0 * (gx - x),
-    )
+def test_damping_backs_off_an_overshooting_preconditioner(monkeypatch):
+    # The ideal rescale for contraction 1/2 is 2; exchange 0.9 rescales by
+    # 10, which makes every full step diverge (error factor -4). Without
+    # mixing memory only halving the damping weight restores a contraction;
+    # the mixing cancels the overshoot from its stored pairs far sooner.
+    monkeypatch.setattr(iteration, "PICARD_TOL", 1e-10)
+    monkeypatch.setattr(iteration, "PICARD_MAX_ITER", 1000)
+    G, x_star = linear_map(0.5, exchange=0.9)
+    monkeypatch.setattr(iteration, "ANDERSON_MEMORY", 0)
+    x, plain = fixed_point_solve(G, np.ones(6), 6, "plain")
     np.testing.assert_allclose(x, x_star, rtol=1e-9)
-    assert max(history[1:4]) > history[0]  # the overshoot really happened
+    assert max(plain[1:4]) > plain[0]  # the overshoot really happened
+    monkeypatch.setattr(iteration, "ANDERSON_MEMORY", 20)
+    x, mixed = fixed_point_solve(G, np.ones(6), 6, "mixed")
+    np.testing.assert_allclose(x, x_star, rtol=1e-9)
+    assert len(mixed) < 20 < len(plain)
+
+
+def test_every_iterate_is_floored_at_a_tenth_of_the_previous_pass_output():
+    # Started ten times above the fixed point, the map cools every cell, and
+    # the exchange preconditioner's scale of 10 throws the first proposal
+    # far below zero: only the floor keeps the iterates positive.
+    G, x_star = linear_map(0.5, exchange=0.9)
+    inputs, outputs = [], []
+    x, _ = fixed_point_solve(recording(G, inputs, outputs), 10.0 * x_star, x_star.size, "cooling")
+    np.testing.assert_allclose(x, x_star, rtol=1e-9)
+    floors = [iteration.GUARD_FACTOR * g for g in outputs[:-1]]
+    assert all(np.all(x_k >= floor) for x_k, floor in zip(inputs[1:], floors))
+    assert np.any(inputs[1] == floors[0])  # the floor really acted
+
+
+def test_joint_change_is_relative_in_T_and_absolute_in_the_energy_block():
+    # The energy block e -> e_star - (e - e_star) / 2 lands on exactly zero
+    # in every entry on the first pass and converges to an entry that is
+    # zero, so a relative measure on it would divide by zero; the change
+    # recorded is the relative T change joined with the absolute E change.
+    G_T, T_star = linear_map(0.5)
+    n_T = T_star.size
+    e_star = np.array([0.0, 1.0, 2.0])
+
+    def joint_pass(x, theta):
+        gT, exchange = G_T(x[:n_T], theta)
+        return np.concatenate([gT, e_star - 0.5 * (x[n_T:] - e_star)]), exchange
+
+    inputs, outputs = [], []
+    x0 = np.concatenate([np.ones(n_T), 3.0 * e_star])
+    x, history = fixed_point_solve(recording(joint_pass, inputs, outputs), x0, n_T, "joint")
+    np.testing.assert_array_equal(outputs[0][n_T:], 0.0)
+    np.testing.assert_allclose(x, np.concatenate([T_star, e_star]), rtol=1e-9, atol=1e-10)
+    expected = [
+        max(np.max(np.abs(g[:n_T] - xi[:n_T]) / np.abs(g[:n_T])), np.max(np.abs(g[n_T:] - xi[n_T:])))
+        for xi, g in zip(inputs, outputs)
+    ]
+    assert history == expected
+    assert history[0] == 6.0  # the energy block's absolute change leads
 
 
 class RestackingAnderson:

@@ -578,7 +578,7 @@ class TestFomStep:
         B_rad = group_planck(0.5, fgrid)  # radiation field starts at 0.5 KeV
         psi = np.broadcast_to(B_rad[:, None], (1, 1, 1, quad.n_directions)).copy()
         E0 = direct_energy(psi, quad)
-        state = TransportState(0.0, np.ones((1, 1)), psi, E0, np.zeros((1, 1, 2)), np.zeros((1, 2, 1)))
+        state = TransportState(t=0.0, T=np.ones((1, 1)), E=E0, Fx=np.zeros((1, 1, 2)), Fy=np.zeros((1, 2, 1)), psi=psi)
 
         for _ in range(20):
             state, _ = fom_step(problem, state, 1.0e-3)
