@@ -49,7 +49,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
 from .grid import SIDES, FrequencyGrid, SpatialMesh, check_sides
-from .history import MomentState, check_time_step, initial_moment_state, march
+from .history import MomentState, check_step_count, check_time_step, initial_moment_state, march
 from .iteration import couple
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 from .transport import StepDiagnostics, energy_balance_residual
@@ -453,9 +453,11 @@ def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label:
     boundary the fixed (b_coef, b_base) tables. The step is
     iteration.couple with MomentSystem.solve, one block-diagonal solve of
     all groups, as its radiation solve, started at the temperature
-    T_start (the diffusion models pass state.T); FLD, whose faces depend
-    on E, passes e_scale so the coupling iterates on the joint (T, E)
-    unknown. theta is the coupling's back-off weight
+    T_start; None, which the diffusion models pass, starts it on the
+    temperature extrapolated by state.dTdt (iteration.couple), and the new
+    state carries this step's rate (T_new - state.T) / dt. FLD, whose
+    faces depend on E, passes e_scale so the coupling iterates on the
+    joint (T, E) unknown. theta is the coupling's back-off weight
     (iteration.fixed_point_solve); it scales the Newton part of FLD's
     faces, starting at one and halving on a stall, and the other models
     ignore it.
@@ -474,7 +476,7 @@ def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label:
     T_new, history = couple(problem, state, dt, radiate, label, T_start, e_scale)
     E_new = last["E"]
     Fx, Fy = MomentSystem(problem.mesh, *faces(last["kappa"], E_new, 0.0), *boundary).fluxes(E_new)
-    new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy)
+    new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy, dTdt=(T_new - state.T) / dt)
     return new_state, StepDiagnostics(history, energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos))
 
 
@@ -496,12 +498,12 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
     label = f"{model} moment/material coupling"
     if model == "fld":
         e_scale = max(float(state.E.max()), 4.0 * float(F_in.max()) / c, 1.0e-290)
-        return coupled_step(problem, state, dt, functools.partial(_fld_faces, mesh), boundary, label, state.T, e_scale)
+        return coupled_step(problem, state, dt, functools.partial(_fld_faces, mesh), boundary, label, None, e_scale)
     alpha = 1.0 / (c * dt) if model == "p1" else 1.0 / (3.0 * c * dt)
     return coupled_step(
         problem, state, dt,
         lambda kappa, *_: first_moment_faces(mesh, kappa, alpha, state.Fx, state.Fy, 1.0 / 3.0, 1.0 / 3.0),
-        boundary, label, state.T,
+        boundary, label, None,
     )
 
 
@@ -509,6 +511,8 @@ def run_diffusion_model(problem: DiffusionProblem, model: str, T0: float, dt: fl
     """March one moment model n_steps from equilibrium at T0 and return its SolutionHistory.
 
     The history is labelled with the model name. A zero-step run returns a
-    history holding only the initial state.
+    history holding only the initial state; an n_steps that is negative or
+    not a whole number raises ConfigError.
     """
+    check_step_count(n_steps)
     return march(model, initial_moment_state(problem, T0), lambda s, _: diffusion_step(problem, s, dt, model), range(n_steps))

@@ -16,13 +16,20 @@ from .physics import DEFAULT_CONSTANTS, group_planck
 
 @dataclass
 class MomentState:
-    """Moment-model state at one time level: the transport state without its intensity."""
+    """Moment-model state at one time level: the transport state without its intensity.
+
+    dTdt is the rate (T - T_prev) / dt of the step that made this level,
+    None on an initial level. The next step's coupling starts on the
+    temperature it extrapolates to (iteration.couple); it moves only the
+    number of passes, never the step's result.
+    """
 
     t: float
     T: np.ndarray   # (ny, nx)
     E: np.ndarray   # (G, ny, nx)
     Fx: np.ndarray  # (G, ny, nx+1)
     Fy: np.ndarray  # (G, ny+1, nx)
+    dTdt: np.ndarray | None = field(default=None, kw_only=True)  # (ny, nx)
 
 
 def check_time_step(dt: float) -> None:
@@ -31,6 +38,14 @@ def check_time_step(dt: float) -> None:
     so that nan, which fails every comparison, is rejected too."""
     if not 0.0 < dt < np.inf:
         raise ConfigError(f"a backward-Euler step requires a positive finite time step, got {dt}")
+
+
+def check_step_count(n_steps) -> None:
+    """Raise ConfigError unless n_steps is a whole number of at least zero;
+    every model's run calls this before it builds its initial state. Zero
+    steps is a run of the initial level alone."""
+    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 0):
+        raise ConfigError(f"a run needs a whole number of at least zero steps, got {n_steps!r}")
 
 
 def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh, check_sides
-from .history import MomentState, check_time_step, initial_moment_state, march
+from .history import MomentState, check_step_count, check_time_step, initial_moment_state, march
 from .iteration import couple
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 
@@ -366,6 +366,9 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
     The step is iteration.couple with a sweep as its radiation solve: sweep
     with frozen kappa_g(T~), B_g(T~), then update T from the material
     energy balance by per-cell Newton, fully implicit in both kappa and B.
+    The first pass freezes T~ at the temperature extrapolated by the
+    state's dTdt (state.T on an initial level), and the new state carries
+    this step's rate on to the next step's start.
     The previous-step intensity stays fixed at time level n-1 throughout.
     A pass reads only the sweep's energy; the new state takes psi and the
     face fluxes from the last pass's sweep, the only one that builds them.
@@ -380,9 +383,11 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
         result = sweep(problem.mesh, problem.quad, kappa, kappa * B, psi_prev=state.psi, dt=dt, inflow=problem.inflow)
         return result.E
 
-    T_new, history = couple(problem, state, dt, radiate, "transport/material coupling", state.T)
+    T_new, history = couple(problem, state, dt, radiate, "transport/material coupling", None)
 
-    new_state = TransportState(t=state.t + dt, T=T_new, E=result.E, Fx=result.Fx, Fy=result.Fy, psi=result.psi)
+    new_state = TransportState(
+        t=state.t + dt, T=T_new, E=result.E, Fx=result.Fx, Fy=result.Fy, psi=result.psi, dTdt=(T_new - state.T) / dt
+    )
     return new_state, StepDiagnostics(history, energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos))
 
 
@@ -391,7 +396,9 @@ def run_fom(problem: TransportProblem, T0: float, dt: float, n_steps: int):
 
     Returns a SolutionHistory with n_steps + 1 time levels; its
     temperatures are the data a VEF run (vef.fused_pipeline) can take.
+    An n_steps that is negative or not a whole number raises ConfigError.
     """
+    check_step_count(n_steps)
     return march("fom", initial_transport_state(problem, T0), lambda s, _: fom_step(problem, s, dt), range(n_steps))
 
 

@@ -63,8 +63,8 @@ temperatures beside the records, and online step n starts its coupling
 at T_data[n], the field at which its opacity and emission were frozen
 offline: the VEF solution differs from the data only by the transport
 correction, so this start is closer to the fixed point than the previous
-VEF level. The fixed point and the convergence test are those of every
-other model; only the pass count depends on the start.
+VEF level or its extrapolation. The fixed point and the convergence test
+are those of every other model; only the pass count depends on the start.
 """
 
 from __future__ import annotations
@@ -239,7 +239,8 @@ class ClosureDataset:
     n.F = v_out E - F_in + rb consumes directly. T[n] (ny, nx) is the
     data temperature at which records[n] was frozen, and the coupling of
     that online step starts there; T is None for a closure not derived
-    from temperature data, whose steps start at the previous level.
+    from temperature data, whose steps start where P1's do: on the
+    previous level extrapolated by its rate.
     """
 
     t0: float
@@ -295,8 +296,8 @@ def isotropic_closure(
     (c C eta with C = 1/2, eta = 1) and rb = -F_in, so with the
     analytic Planckian drive currents of a DiffusionProblem this closure
     makes the online solver coincide with the P1 model. It has no data
-    temperatures, so every online step starts its coupling at the
-    previous level, as P1 does.
+    temperatures, so every online step starts its coupling where P1 does,
+    on the previous level extrapolated by its rate.
     """
     times = np.asarray(times, dtype=float)
     G, ny, nx, nb = n_groups, mesh.ny, mesh.nx, mesh.n_boundary_faces
@@ -379,9 +380,10 @@ def vef_step(
     The closure record is frozen data for the step, so the coupling
     (iteration.couple through diffusion.coupled_step) iterates on the
     temperature field exactly like the P1 stepper. Its first pass freezes
-    the temperature at T_start, the data temperature of the record, or at
-    the previous level state.T when T_start is None; both reach the same
-    fixed point, so the start only sets the number of passes. The faces
+    the temperature at T_start, the data temperature of the record, or,
+    when T_start is None, at the temperature P1 starts on too: the previous
+    level extrapolated by state.dTdt (iteration.couple). Both reach the
+    same fixed point, so the start only sets the number of passes. The faces
     are the first-moment forms with the record's factors gx, gy and its
     remainders, on the 5-point stencil every moment model shares; each
     boundary face's outward current is n.F = v_out E_cell - F_in + rb. Of
@@ -399,7 +401,7 @@ def vef_step(
         lambda kappa, *_: first_moment_faces(
             mesh, kappa, alpha, state.Fx, state.Fy, record.gx, record.gy, record.rx, record.ry
         ),
-        boundary, "closed-moment/material coupling", state.T if T_start is None else T_start,
+        boundary, "closed-moment/material coupling", T_start,
     )
 
 
@@ -408,7 +410,7 @@ def online_phase(problem: TransportProblem, dataset: ClosureDataset, T0, label: 
 
     Starts from equilibrium at T0 (scalar or field) at the dataset's t0.
     Each step's coupling starts at the dataset's data temperature of that
-    step, or at the previous level when the dataset has none. Returns the
+    step, or where P1 does when the dataset has none. Returns the
     SolutionHistory of all N+1 levels.
     """
     dataset.validate(problem.mesh, problem.fgrid.n_groups)

@@ -9,7 +9,9 @@ on the grey (one-group) version of the problem. At the benchmark regime,
 the inexact material Newton of each coupling pass is checked for its
 cost (emission evaluations per pass) and its result (the step of a fully
 converged Newton), and so are FLD's Newton faces (passes against P1's;
-the step of the Picard faces).
+the step of the Picard faces) and the start each step takes on the
+temperature extrapolated from the last (its floor, its passes against
+the previous level's, and the step of that start).
 """
 
 import dataclasses
@@ -39,8 +41,8 @@ REGIMES = {
 
 #: Picard passes any one step may take. The most measured is 51 (FLD's
 #: first step at dt = 1 ns, where the back-off weight and with it FLD's
-#: Newton share fall to 1/32; 43 with the Picard limiter alone; FOM 29,
-#: P1 29, P1/3 28, VEF(P1) 19 there), so the bound leaves a margin of
+#: Newton share fall to 1/32; 43 with the Picard limiter alone; FOM 31,
+#: P1 30, P1/3 32, VEF(P1) 20 there), so the bound leaves a margin of
 #: 18 % over it.
 MAX_PASSES = 60
 
@@ -51,9 +53,9 @@ BALANCE_TOL = 1.0e-7
 #: Uniform data temperatures [KeV] after the cold initial level: the
 #: whole history at the initial 1e-3 KeV, and 2 KeV, twice the drive.
 #: Both are far from the driven solution, so each VEF step's coupling
-#: starts far from its fixed point. Measured passes per step: 11, 14
-#: (cold) and 14, 16 (hot); started at the previous level instead, the
-#: same steps take 11, 8 and 11, 7.
+#: starts far from its fixed point. Measured passes per step: 10, 13
+#: (cold) and 13, 14 (hot); started where P1 starts instead (the previous
+#: level extrapolated by its rate), the same steps take 10, 5 and 10, 5.
 POOR_DATA = {"cold": T_COLD, "hot": 2.0}
 
 
@@ -102,7 +104,7 @@ def test_vef_on_poor_data_converges_within_bounds(T_data):
 
 @pytest.mark.parametrize("model", ["fom", "p1", "p13", "fld"])
 def test_grey_cold_start_converges(model):
-    # One group spanning the spectrum. The first step takes 111-125
+    # One group spanning the spectrum. The first step takes 117-149
     # passes: within PICARD_MAX_ITER, but over the multigroup MAX_PASSES.
     transport, diffusion = problems(fgrid=build_frequency_grid([1.0e3]))
     if model == "fom":
@@ -126,7 +128,9 @@ class CountingMaterial:
 @pytest.mark.parametrize("model", ["fom", "p1"])
 def test_a_pass_evaluates_the_emission_terms_about_once(model):
     # The pass's own evaluation seeds the material Newton, which then
-    # mostly stops after one step instead of converging.
+    # mostly stops after one step instead of converging: 1.07 evaluations
+    # per pass for both models (1.25 and 1.29 with the Newton stopped at
+    # a relative step of 1e-2 and each step started at the previous level).
     problem = problems()[0 if model == "fom" else 1]
     material = CountingMaterial(problem.material)
     problem = dataclasses.replace(problem, material=material)
@@ -135,7 +139,7 @@ def test_a_pass_evaluates_the_emission_terms_about_once(model):
     else:
         history = run_diffusion_model(problem, model, T_COLD, 0.02, 4)
     passes = sum(diag.picard_iterations for diag in history.diagnostics)
-    assert material.calls <= 1.5 * passes
+    assert material.calls <= 1.15 * passes
 
 
 @pytest.mark.parametrize("model", ["fom", "p1"])
@@ -178,12 +182,78 @@ def test_fld_newton_faces_keep_the_step(monkeypatch):
 
 
 def test_fld_coupling_converges_in_about_p1_passes():
-    # At the benchmark's drive and step over 4 steps, FLD took 54 passes
-    # against P1's 38 with the Picard limiter and takes 39 with the Newton
-    # faces.
+    # At the benchmark's drive and step over 4 steps, FLD takes 50 passes
+    # against P1's 31 with the Picard limiter and 32 with the Newton faces.
     _, problem = problems()
     passes = {
         model: sum(d.picard_iterations for d in run_diffusion_model(problem, model, T_COLD, 0.02, 4).diagnostics)
         for model in ("p1", "fld")
     }
     assert passes["fld"] <= 1.15 * passes["p1"]
+
+
+def stepper(model, transport, diffusion):
+    """(step, initial state) of a model at the benchmark's step; step(state) -> (state, diagnostics)."""
+    if model == "fom":
+        return (lambda state: fom_step(transport, state, 0.02)), initial_transport_state(transport, T_COLD)
+    return (lambda state: diffusion_step(diffusion, state, 0.02, model)), initial_moment_state(diffusion, T_COLD)
+
+
+@pytest.mark.parametrize("model", ["fom", "p1", "fld"])
+def test_predicted_start_keeps_the_step(model):
+    # Step 2 from the level the march reaches, started on the temperature
+    # extrapolated by step 1's rate or, with the rate dropped, at that level.
+    step, start = stepper(model, *problems())
+    state = step(start)[0]
+    predicted = step(state)[0]
+    plain = step(dataclasses.replace(state, dTdt=None))[0]
+    np.testing.assert_allclose(predicted.T, plain.T, rtol=1.0e-8, atol=0.0)
+    scale = np.max(np.abs(plain.E), axis=(1, 2))
+    assert np.all(np.max(np.abs(predicted.E - plain.E), axis=(1, 2)) <= 1.0e-8 * scale)
+
+
+class FirstCall(Exception):
+    """Raised by RecordingMaterial to stop a step at its first pass."""
+
+
+class RecordingMaterial:
+    """A material that records the temperature of its first emission_terms call, then stops the step."""
+
+    T = None
+
+    def emission_terms(self, T, constants):
+        self.T = T.copy()
+        raise FirstCall
+
+
+@pytest.mark.parametrize("model", ["fom", "p1"])
+def test_predicted_start_is_floored(model):
+    # A rate that extrapolates to -T in every other cell and to T / 2 in
+    # the rest: the first pass freezes the former at GUARD_FACTOR T and
+    # the latter on the extrapolation.
+    transport, diffusion = problems()
+    step, start = stepper(model, transport, diffusion)
+    state = step(start)[0]
+    drop = np.where(np.arange(state.T.size).reshape(state.T.shape) % 2 == 0, 2.0, 0.5)
+    state = dataclasses.replace(state, dTdt=-drop * state.T / 0.02)
+    recording = RecordingMaterial()
+    step, _ = stepper(model, *(dataclasses.replace(p, material=recording) for p in (transport, diffusion)))
+    with pytest.raises(FirstCall):
+        step(state)
+    expected = np.where(drop > 1.0, iteration.GUARD_FACTOR * state.T, state.T + 0.02 * state.dTdt)
+    np.testing.assert_array_equal(recording.T, expected)
+
+
+@pytest.mark.parametrize("model", ["fom", "p1"])
+def test_predicted_start_saves_passes(model):
+    # Steps 2-4 take 5, 6, 6 passes (FOM) and 6, 6, 6 (P1) started on the
+    # extrapolated temperature, and 6, 7, 7 and 7, 7, 7 started at the
+    # previous level.
+    step, start = stepper(model, *problems())
+    passes = {}
+    for name, restart in (("predicted", lambda state: state), ("previous", lambda state: dataclasses.replace(state, dTdt=None))):
+        state, passes[name] = start, []
+        for _ in range(4):
+            state, diag = step(restart(state))
+            passes[name].append(diag.picard_iterations)
+    assert all(p < q for p, q in zip(passes["predicted"][1:], passes["previous"][1:]))

@@ -554,6 +554,17 @@ class TestFomStep:
         with pytest.raises(ConfigError, match="time step"):
             fom_step(problem, initial_transport_state(problem, 1e-3), dt)
 
+    @pytest.mark.parametrize("n_steps", [-3, 2.0, 1.5, "2"])
+    def test_bad_step_count_rejected_before_any_sweep(self, monkeypatch, n_steps):
+        # Without the check a negative count returns the initial level
+        # alone and a non-integer one fails inside range with a TypeError.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept with a bad step count")
+
+        monkeypatch.setattr(transport, "sweep", no_sweep)
+        with pytest.raises(ConfigError, match="steps"):
+            run_fom(benchmark_like_problem(), 1e-3, 0.02, n_steps)
+
     def test_nonconvergence_raises(self, monkeypatch):
         from ddvef.errors import ConvergenceError
 
@@ -603,6 +614,10 @@ class TestRunFom:
         assert hist.Fx.shape == (5, 17, 2, 4)
         assert hist.Fy.shape == (5, 17, 3, 3)
         assert len(hist.diagnostics) == 4
+
+    def test_zero_steps_keep_the_initial_state_only(self):
+        hist = run_fom(benchmark_like_problem(nx=3, ny=2), 1e-3, 0.1, 0)
+        assert hist.times.size == 1 and hist.diagnostics == []
 
     def test_folded_rule_marches_as_the_full_product_rule(self):
         problem = benchmark_like_problem()
