@@ -22,6 +22,15 @@ its outflow, through strided views of that padded frame flattened to
 innermost, so the per-direction factors broadcast over whole group rows
 and every frame operation runs over contiguous rows of G values.
 
+A sweep is split into what a time step fixes and what a Picard pass
+changes. sweep_step builds the first once per step: the checked dt and
+previous intensity psi_prev, psi_prev / (c dt) gathered into each octant's
+upwind frame, the inflow of the ghost row and column, and each octant's
+direction indices, flips, chord geometry and weights. Each pass's sweep
+reads that step with the pass's opacity and source; the anti-diagonal
+wavefronts are built once per mesh shape. Every sweep fills frames of its
+own, so the result of an earlier pass stays valid.
+
 A sweep returns the energy E, the one quantity every coupling pass reads.
 The intensity psi, the face fluxes and the boundary currents are tallied
 on first read from the per-octant frames the result keeps: a time step's
@@ -43,7 +52,7 @@ direction. Face-normal fluxes live on faces: Fx (G, ny, nx+1), Fy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -116,9 +125,9 @@ def characteristic_coefficients(ax, ay, kappa_eff):
     inv_ds = ax + ay is the inverse chord length, eps = kappa_eff ds its
     optical depth, e = exp(-eps), g1 = (1 - e)/eps and g2 = (1 - g1)/eps;
     g1 and g2 switch to their fifth-order series below eps = 1e-2, where
-    the direct forms cancel; the series is evaluated on those entries only.
-    None of them depends on the intensities, so a sweep evaluates them once
-    per octant.
+    the direct forms cancel; the series is evaluated on those entries only,
+    and not at all when every eps is above the switch. None of them depends
+    on the intensities, so a sweep evaluates them once per octant.
     """
     inv_ds = ax + ay
     eps = np.asarray(kappa_eff / inv_ds)
@@ -128,10 +137,105 @@ def characteristic_coefficients(ax, ay, kappa_eff):
         g1 = np.asarray(-np.expm1(minus_eps) / eps)
         g2 = np.asarray((1.0 - g1) / eps)
     small = eps < 1.0e-2
+    if not small.any():
+        return inv_ds, e, g1, g2
     s = eps[small]
     g1[small] = 1.0 - s / 2.0 + s**2 / 6.0 - s**3 / 24.0 + s**4 / 120.0 - s**5 / 720.0
     g2[small] = 0.5 - s / 6.0 + s**2 / 24.0 - s**3 / 120.0 + s**4 / 720.0 - s**5 / 5040.0
     return inv_ds, e, g1, g2
+
+
+@lru_cache(maxsize=16)
+def _diagonals(nx: int, ny: int) -> tuple:
+    """The anti-diagonal wavefronts of an nx x ny padded frame, in upwind order.
+
+    Per anti-diagonal d, three slices of the padded frame flattened to
+    ((ny+1)(nx+1), ...): its cells, their west and their south neighbours.
+    Cells (j, d - j), j0 <= j < j1, sit at flat index (j + 1)(nx + 1) + d - j + 1;
+    west is one before, south one row (nx + 1) before, so each is a slice of
+    stride nx. Built once per mesh shape; the tuple is immutable.
+    """
+    diagonals = []
+    for d in range(nx + ny - 1):
+        j0, j1 = max(0, d - nx + 1), min(d, ny - 1) + 1
+        first, last = nx + d + 2 + j0 * nx, nx + d + 2 + (j1 - 1) * nx
+        diagonals.append(tuple(slice(first - k, last - k + 1, nx) for k in (0, 1, nx + 1)))
+    return tuple(diagonals)
+
+
+@dataclass(frozen=True)
+class _Octant:
+    """What a time step fixes of one octant's sweep, in its upwind frame.
+
+    fy, fx are the flips into the frame; ax, ay (M_oct, 1) the direction
+    cosines over the cell widths and w_x, w_y = ax / inv_ds, ay / inv_ds
+    the inflow weights of the cell update; weight the quadrature weights;
+    prev (ny, nx, M_oct, G) the backward-Euler source psi_prev / (c dt);
+    x_inflow, y_inflow (G,) the ghost column's and ghost row's inflow.
+    """
+
+    sx: int
+    sy: int
+    idx: np.ndarray
+    fy: slice
+    fx: slice
+    ax: np.ndarray
+    ay: np.ndarray
+    w_x: np.ndarray
+    w_y: np.ndarray
+    weight: np.ndarray
+    prev: np.ndarray
+    x_inflow: np.ndarray
+    y_inflow: np.ndarray
+
+
+@dataclass(frozen=True)
+class SweepStep:
+    """The part of a sweep that one time step holds fixed, built by sweep_step.
+
+    A FOM step's Picard passes sweep with new opacities and sources but the
+    same step dt, previous intensity psi_prev (ny, nx, G, M) and inflow, so
+    the checks, the effective sink 1 / (c dt) and the per-octant frames of
+    psi_prev, inflow and geometry are built once per step and every pass's
+    sweep reads them.
+    """
+
+    dt: float
+    sink: float
+    psi_prev: np.ndarray
+    octants: tuple
+
+
+def sweep_step(
+    mesh: SpatialMesh, quad: AngularQuadrature, psi_prev: np.ndarray, dt: float, inflow: BoundaryInflow
+) -> SweepStep:
+    """Build what the sweeps of one step from psi_prev over dt share.
+
+    psi_prev (ny, nx, G, M) is the intensity at the start of the step, its
+    group count G the sweeps' too. dt = inf with a zero psi_prev is the
+    steady-state sweep. A psi_prev of the wrong shape, a dt that is not
+    positive and an inflow of the wrong group count raise ConfigError.
+    """
+    nx, ny, M = mesh.nx, mesh.ny, quad.n_directions
+    if psi_prev.ndim != 4 or psi_prev.shape[:2] != (ny, nx) or psi_prev.shape[3] != M:
+        raise ConfigError(f"psi_prev has shape {psi_prev.shape}, expected ({ny}, {nx}, G, {M})")
+    if not dt > 0.0:
+        raise ConfigError(f"sweep requires a positive time step (inf for steady state), got {dt}")
+    G = psi_prev.shape[2]
+    sink = 1.0 / (DEFAULT_CONSTANTS.c * dt)
+    bc = {side: inflow.value(side, G) for side in SIDES}
+    octants = []
+    for sx, sy, idx in quad.octants:
+        ox, oy = quad.omega[idx, :2].T
+        ax, ay = (np.abs(ox) / mesh.dx)[:, None], (np.abs(oy) / mesh.dy)[:, None]
+        inv_ds = ax + ay
+        fy, fx = slice(None, None, sy), slice(None, None, sx)
+        prev = np.ascontiguousarray(psi_prev[fy, fx][..., idx].transpose(0, 1, 3, 2)) * sink
+        octants.append(_Octant(
+            sx, sy, idx, fy, fx, ax, ay, ax / inv_ds, ay / inv_ds, quad.weight[idx], prev,
+            bc["left" if sx > 0 else "right"], bc["bottom" if sy > 0 else "top"],
+        ))
+    return SweepStep(dt, sink, psi_prev, tuple(octants))
 
 
 @dataclass
@@ -209,92 +313,76 @@ def sweep(
     quad: AngularQuadrature,
     kappa: np.ndarray,
     source: np.ndarray,
-    psi_prev: np.ndarray,
-    dt: float,
-    inflow: BoundaryInflow,
+    step: SweepStep,
 ) -> SweepResult:
     """Sweep all groups and directions across the mesh in upwind order.
 
     kappa and source are the physical absorption and isotropic emission
-    source (G, ny, nx); the backward-Euler terms of the step dt from the
-    intensity psi_prev (ny, nx, G, M) are folded in. dt = inf with a zero
-    psi_prev is the steady-state sweep. Inputs of the wrong shape and a dt
-    that is not positive raise ConfigError. The directions are quad's; from
-    build_angular_quadrature they are the Omega_z >= 0 half of the product
-    rule, each standing for itself and its Omega_z mirror (see the module
-    docstring), so psi holds one intensity per mirror pair.
+    source (G, ny, nx); the backward-Euler terms of the step (sweep_step:
+    its dt and previous intensity psi_prev) are folded in. kappa or source
+    of a shape other than the step's (G, ny, nx) raises ConfigError. The
+    directions are quad's; from build_angular_quadrature they are the
+    Omega_z >= 0 half of the product rule, each standing for itself and its
+    Omega_z mirror (see the module docstring), so psi holds one intensity
+    per mirror pair.
 
     Each octant works in its upwind frame: views that flip the axes it
     streams against, so all its directions enter at row 0 and column 0.
     The frame is padded by a ghost row and column filled with the inflow.
     The chord factors (characteristic_coefficients) and the scaled source
-    q ds depend only on the cell and the direction, so the update
+    q ds, with q the source plus the step's psi_prev / (c dt), depend only
+    on the cell and the direction, so the update
     out = I_in e + q ds g1 with I_in = (ax W + ay S) / inv_ds is folded once
     per octant into out = a_w W + a_s S + q ds g1 over the whole frame. The
     cells of one anti-diagonal are independent; in the padded frame
     flattened to ((ny+1)(nx+1), M_oct, G) they, their west and their south
-    neighbours are three slices of stride nx, so each diagonal is two
-    multiplies, two in-place adds and a store across all groups and octant
-    directions. The cell inflow I_in and the averages I_in g1 + q ds g2
-    then follow from the padded outflow for the whole frame at once, and
-    the energy is tallied per octant from the averages. psi and the face
-    tallies are left to the result to build on first read (SweepResult).
+    neighbours are three slices of stride nx (_diagonals), so each diagonal
+    is two multiplies, two in-place adds and a store across all groups and
+    octant directions. The cell inflow I_in and the averages
+    I_in g1 + q ds g2 then follow from the padded outflow for the whole
+    frame at once, and the energy is tallied per octant from the averages.
+    Every sweep fills frames of its own, which its result keeps: psi and
+    the face tallies are left to the result to build on first read
+    (SweepResult).
     """
     nx, ny = mesh.nx, mesh.ny
-    G = kappa.shape[0]
+    G = step.psi_prev.shape[2]
+    if step.psi_prev.shape != (ny, nx, G, quad.n_directions):
+        raise ConfigError(f"the step's psi_prev has shape {step.psi_prev.shape}, not that of this mesh and quadrature")
     if kappa.shape != (G, ny, nx) or source.shape != (G, ny, nx):
-        raise ConfigError("kappa/source must have shape (G, ny, nx)")
-    if psi_prev.shape != (ny, nx, G, quad.n_directions):
-        raise ConfigError(f"psi_prev has shape {psi_prev.shape}, expected {(ny, nx, G, quad.n_directions)}")
-    if not dt > 0.0:
-        raise ConfigError(f"sweep requires a positive time step (inf for steady state), got {dt}")
-    sink = 1.0 / (DEFAULT_CONSTANTS.c * dt)
-    bc = {side: inflow.value(side, G) for side in SIDES}
+        raise ConfigError(f"kappa/source must have the step's shape (G, ny, nx) = {(G, ny, nx)}")
 
-    kap_t = np.ascontiguousarray((kappa + sink).transpose(1, 2, 0))  # (ny, nx, G)
+    kap_t = np.ascontiguousarray((kappa + step.sink).transpose(1, 2, 0))  # (ny, nx, G)
     src_t = source.transpose(1, 2, 0)
     E = np.zeros((ny, nx, G))
-    # Cells (j, d - j), j0 <= j < j1, of anti-diagonal d sit at flat index
-    # (j + 1)(nx + 1) + d - j + 1 of the padded frame; west is one before,
-    # south one row (nx + 1) before.
-    diagonals = []
-    for d in range(nx + ny - 1):
-        j0, j1 = max(0, d - nx + 1), min(d, ny - 1) + 1
-        first, last = nx + d + 2 + j0 * nx, nx + d + 2 + (j1 - 1) * nx
-        diagonals.append(tuple(slice(first - k, last - k + 1, nx) for k in (0, 1, nx + 1)))
+    diagonals = _diagonals(nx, ny)
     frames = []
 
-    for sx, sy, idx in quad.octants:
-        ox, oy = quad.omega[idx, :2].T
-        ax, ay = (np.abs(ox) / mesh.dx)[:, None], (np.abs(oy) / mesh.dy)[:, None]
-        x_in = "left" if sx > 0 else "right"
-        y_in = "bottom" if sy > 0 else "top"
-        fy, fx = slice(None, None, sy), slice(None, None, sx)
-
-        padded = (ny + 1, nx + 1, idx.size, G)
-        flat = ((ny + 1) * (nx + 1), idx.size, G)
-        inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kap_t[fy, fx][:, :, None])
-        q_ds = (src_t[fy, fx][:, :, None] + psi_prev[fy, fx][..., idx].transpose(0, 1, 3, 2) * sink) / inv_ds
+    for o in step.octants:
+        padded = (ny + 1, nx + 1, o.idx.size, G)
+        flat = ((ny + 1) * (nx + 1), o.idx.size, G)
+        inv_ds, e, g1, g2 = characteristic_coefficients(o.ax, o.ay, kap_t[o.fy, o.fx][:, :, None])
+        q_ds = (src_t[o.fy, o.fx][:, :, None] + o.prev) / inv_ds
         # The ghost entries of the coefficients, and the corner of out, are never read.
         coef = np.empty((3,) + padded)
-        np.multiply(e, ax / inv_ds, out=coef[0, 1:, 1:])
-        np.multiply(e, ay / inv_ds, out=coef[1, 1:, 1:])
+        np.multiply(e, o.w_x, out=coef[0, 1:, 1:])
+        np.multiply(e, o.w_y, out=coef[1, 1:, 1:])
         np.multiply(q_ds, g1, out=coef[2, 1:, 1:])
         a_w, a_s, q_g1 = (c.reshape(flat) for c in coef)
         out = np.empty(padded)
-        out[1:, 0] = bc[x_in]
-        out[0, 1:] = bc[y_in]
+        out[1:, 0] = o.x_inflow
+        out[0, 1:] = o.y_inflow
         out_f = out.reshape(flat)
         for cells, west, south in diagonals:
             I_out = a_w[cells] * out_f[west]
             I_out += a_s[cells] * out_f[south]
             I_out += q_g1[cells]
             out_f[cells] = I_out
-        avg = (ax * out[1:, :-1] + ay * out[:-1, 1:]) / inv_ds  # the cell inflow I_in
+        avg = (o.ax * out[1:, :-1] + o.ay * out[:-1, 1:]) / inv_ds  # the cell inflow I_in
         avg *= g1
         avg += q_ds * g2
-        E[fy, fx] += quad.weight[idx] @ avg
-        frames.append((sx, sy, idx, avg, out))
+        E[o.fy, o.fx] += o.weight @ avg
+        frames.append((o.sx, o.sy, o.idx, avg, out))
 
     E = np.ascontiguousarray(E.transpose(2, 0, 1)) / DEFAULT_CONSTANTS.c
     return SweepResult(E, mesh, quad, frames)
@@ -369,18 +457,21 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
     The first pass freezes T~ at the temperature extrapolated by the
     state's dTdt (state.T on an initial level), and the new state carries
     this step's rate on to the next step's start.
-    The previous-step intensity stays fixed at time level n-1 throughout.
+    The previous-step intensity stays fixed at time level n-1 throughout,
+    so the sweep setup it, dt and the inflow fix (sweep_step) is built once
+    for all the step's passes.
     A pass reads only the sweep's energy; the new state takes psi and the
     face fluxes from the last pass's sweep, the only one that builds them.
     A dt that is not positive and finite raises ConfigError before the
     first sweep.
     """
     check_time_step(dt)
+    step = sweep_step(problem.mesh, problem.quad, state.psi, dt, problem.inflow)
     result = None
 
     def radiate(kappa, B, *_):
         nonlocal result
-        result = sweep(problem.mesh, problem.quad, kappa, kappa * B, psi_prev=state.psi, dt=dt, inflow=problem.inflow)
+        result = sweep(problem.mesh, problem.quad, kappa, kappa * B, step)
         return result.E
 
     T_new, history = couple(problem, state, dt, radiate, "transport/material coupling", None)

@@ -92,6 +92,7 @@ from .transport import (
     TransportProblem,
     planckian_intensity,
     sweep,
+    sweep_step,
 )
 
 #: Acceptance window for the data-derived face closure factors. Factors
@@ -356,7 +357,7 @@ def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
     for n in range(1, times.size):
         dt = times[n] - times[n - 1]
         kappa, _, B, _ = problem.material.emission_terms(T_data[n], DEFAULT_CONSTANTS)
-        result = sweep(mesh, quad, kappa, kappa * B, psi_prev=psi, dt=dt, inflow=problem.inflow)
+        result = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, psi, dt, problem.inflow))
         records.append(closure_from_sweep(result, quad, mesh, kappa, dt, Fx_prev, Fy_prev, F_in))
         psi, Fx_prev, Fy_prev = result.psi, result.Fx, result.Fy
     return ClosureDataset(float(times[0]), times[1:].copy(), records, F_in, T_data[1:].copy())

@@ -1,5 +1,6 @@
 """Tests for the discrete-ordinates sweep and the coupled FOM step."""
 
+import decimal
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -38,6 +39,7 @@ from ddvef.transport import (
     planckian_intensity,
     run_fom,
     sweep,
+    sweep_step,
 )
 from product_rule import unfold
 
@@ -121,6 +123,22 @@ class TestCellUpdate:
         hi = step_characteristic_update(0.3, 0.9, ax, ay, 2.0 * 0.01 * (1 + 1e-7), 0.4)
         np.testing.assert_allclose(lo, hi, rtol=1e-8)
 
+    def test_chord_factors_against_50_digit_decimal(self):
+        # g1 = (1 - e^-eps)/eps and g2 = (1 - g1)/eps to near rounding, from
+        # the thin to the thick limit and on both sides of the series switch.
+        # ax = 1, ay = 0 gives eps = kappa_eff exactly.
+        seam = 1.0e-2 * (1.0 + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]))
+        eps = np.concatenate([np.geomspace(1.0e-8, 1.0e3, 221), seam, [9.99e-3, 1.001e-2]])
+        _, _, g1, g2 = characteristic_coefficients(1.0, 0.0, eps)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for x, got_1, got_2 in zip(eps, g1, g2):
+                d = decimal.Decimal(float(x))
+                exact_1 = (1 - (-d).exp()) / d
+                exact_2 = (1 - exact_1) / d
+                assert abs(float((decimal.Decimal(float(got_1)) - exact_1) / exact_1)) <= 1.0e-15, x
+                assert abs(float((decimal.Decimal(float(got_2)) - exact_2) / exact_2)) <= 1.0e-13, x
+
     @given(
         I_w=st.floats(0.0, 1e6),
         I_s=st.floats(0.0, 1e6),
@@ -144,27 +162,31 @@ class TestCellUpdate:
     def test_block_coefficients_equal_the_per_cell_update(self):
         # The sweep evaluates the chord factors once for a (cells, G, M)
         # block and combines them per diagonal; that must be the per-cell
-        # update bitwise, on both sides of the series switch at eps = 1e-2.
+        # update bitwise, on both sides of the series switch at eps = 1e-2,
+        # and on a block wholly above it, which skips the series. In the
+        # straddling block the cells above the switch skip it only per cell.
         rng = np.random.default_rng(2)
         cells, G, M = 6, 3, 4
         ax, ay = rng.uniform(0.2, 3.0, M), rng.uniform(0.2, 3.0, M)
-        kappa = 10.0 ** rng.uniform(-5.0, 1.5, (cells, G, 1))
-        kappa[0, 0] = 0.0
-        small = kappa / (ax + ay) < 1.0e-2
-        assert small.any() and not small.all()
-        I_w, I_s, q = (rng.uniform(0.0, 2.0, (cells, G, M)) for _ in range(3))
+        for log_kappa, straddles in (((-5.0, 1.5), True), ((0.7, 2.0), False)):
+            kappa = 10.0 ** rng.uniform(*log_kappa, (cells, G, 1))
+            if straddles:
+                kappa[0, 0] = 0.0
+            small = kappa / (ax + ay) < 1.0e-2
+            assert small.any() == straddles and not small.all()
+            I_w, I_s, q = (rng.uniform(0.0, 2.0, (cells, G, M)) for _ in range(3))
 
-        inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kappa)
-        I_in, q_ds = (ax * I_w + ay * I_s) / inv_ds, q / inv_ds
-        I_out, I_avg = I_in * e + q_ds * g1, I_in * g1 + q_ds * g2
-        for c in range(cells):
-            out_c, avg_c = step_characteristic_update(I_w[c], I_s[c], ax, ay, kappa[c], q[c])
-            np.testing.assert_array_equal(I_out[c], out_c)
-            np.testing.assert_array_equal(I_avg[c], avg_c)
-        # The wavefront folds the inflow weights into e once per frame; a sum
-        # of nonnegative terms, it is the same outflow to a few roundings.
-        wavefront = (ax / inv_ds) * e * I_w + (ay / inv_ds) * e * I_s + q_ds * g1
-        np.testing.assert_allclose(wavefront, I_out, rtol=1e-15, atol=0.0)
+            inv_ds, e, g1, g2 = characteristic_coefficients(ax, ay, kappa)
+            I_in, q_ds = (ax * I_w + ay * I_s) / inv_ds, q / inv_ds
+            I_out, I_avg = I_in * e + q_ds * g1, I_in * g1 + q_ds * g2
+            for c in range(cells):
+                out_c, avg_c = step_characteristic_update(I_w[c], I_s[c], ax, ay, kappa[c], q[c])
+                np.testing.assert_array_equal(I_out[c], out_c)
+                np.testing.assert_array_equal(I_avg[c], avg_c)
+            # The wavefront folds the inflow weights into e once per frame; a
+            # sum of nonnegative terms, it is the same outflow to a few roundings.
+            wavefront = (ax / inv_ds) * e * I_w + (ay / inv_ds) * e * I_s + q_ds * g1
+            np.testing.assert_allclose(wavefront, I_out, rtol=1e-15, atol=0.0)
 
     def test_broadcasts(self):
         I_out, I_avg = step_characteristic_update(
@@ -189,7 +211,7 @@ def small_setup(nx=5, ny=4, groups=(0.5, 2.0), n_polar=2, n_az=8, lx=2.0, ly=1.6
 def steady_sweep(mesh, quad, kappa, source, inflow=BoundaryInflow()):
     """The steady-state sweep: an infinite step from a zero intensity."""
     psi_prev = np.zeros((mesh.ny, mesh.nx, kappa.shape[0], quad.n_directions))
-    return sweep(mesh, quad, kappa, source, psi_prev=psi_prev, dt=np.inf, inflow=inflow)
+    return sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, np.inf, inflow))
 
 
 def reference_sweep(mesh, quad, kappa, source, psi_prev, dt, inflow):
@@ -242,8 +264,8 @@ class TestSweep:
         source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
         psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
         inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
-        args = (mesh, quad, kappa, source, psi_prev, 0.03, inflow)
-        res, ref = sweep(*args), reference_sweep(*args)
+        res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
+        ref = reference_sweep(mesh, quad, kappa, source, psi_prev, 0.03, inflow)
         for name in ("psi", "E", "Fx", "Fy", "bface_wnI"):
             got, expected = getattr(res, name), getattr(ref, name)
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max(), err_msg=name)
@@ -290,12 +312,23 @@ class TestSweep:
         psi_prev = np.ones((mesh.ny, mesh.nx, G, quad.n_directions))
         # A negative step would flip the sink's sign and break positivity; a
         # zero step has no backward-Euler term. inf stays the steady sweep.
+        # The step builder checks both, before any sweep.
         for dt in (-0.03, 0.0, -np.inf, np.nan):
             with pytest.raises(ConfigError, match="time step"):
-                sweep(mesh, quad, field, field, psi_prev=psi_prev, dt=dt, inflow=BoundaryInflow())
+                sweep_step(mesh, quad, psi_prev, dt, BoundaryInflow())
         for bad in (psi_prev[:, :-1], psi_prev[..., :-1], psi_prev[0]):
             with pytest.raises(ConfigError, match="psi_prev"):
-                sweep(mesh, quad, field, field, psi_prev=bad, dt=0.03, inflow=BoundaryInflow())
+                sweep_step(mesh, quad, bad, 0.03, BoundaryInflow())
+        # A step built for another mesh, quadrature or group count is refused.
+        step = sweep_step(mesh, quad, psi_prev, 0.03, BoundaryInflow())
+        with pytest.raises(ConfigError, match="psi_prev"):
+            sweep(SpatialMesh(mesh.nx + 1, mesh.ny, 2.0, 1.6), quad, field, field, step)
+        with pytest.raises(ConfigError, match="psi_prev"):
+            sweep(mesh, build_angular_quadrature(2, 4), field, field, step)
+        with pytest.raises(ConfigError, match="kappa/source"):
+            sweep(mesh, quad, field[:1], field[:1], step)
+        with pytest.raises(ConfigError, match="inflow"):
+            sweep_step(mesh, quad, psi_prev, 0.03, BoundaryInflow(left=np.ones(G + 1)))
 
     def test_free_streaming_bounds(self):
         # Transparent medium with a unit drive on the left: intensities stay
@@ -328,7 +361,7 @@ class TestSweep:
         kappa = mat.emission_terms(np.full((mesh.ny, mesh.nx), T), DEFAULT_CONSTANTS)[0]
         psi_prev = np.broadcast_to(B[:, None], (mesh.ny, mesh.nx, fgrid.n_groups, quad.n_directions)).copy()
         inflow = BoundaryInflow(left=B, right=B, bottom=B, top=B)
-        res = sweep(mesh, quad, kappa, kappa * B[:, None, None], psi_prev=psi_prev, dt=dt, inflow=inflow)
+        res = sweep(mesh, quad, kappa, kappa * B[:, None, None], sweep_step(mesh, quad, psi_prev, dt, inflow))
         np.testing.assert_allclose(res.psi, np.broadcast_to(B[None, None, :, None], res.psi.shape), rtol=1e-13)
 
     def test_cell_balance_is_exact(self):
@@ -342,7 +375,7 @@ class TestSweep:
         psi_prev = rng.uniform(0.0, 2.0, (mesh.ny, mesh.nx, G, quad.n_directions))
         inflow = BoundaryInflow(left=rng.uniform(0.1, 1.0, G), top=rng.uniform(0.1, 1.0, G))
         dt = 0.04
-        res = sweep(mesh, quad, kappa, source, psi_prev=psi_prev, dt=dt, inflow=inflow)
+        res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, dt, inflow))
 
         sink = 1.0 / (C * dt)
         E_prev = direct_energy(psi_prev, quad)
@@ -405,7 +438,7 @@ class TestSweep:
         source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
         psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
         inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
-        res = sweep(mesh, quad, kappa, source, psi_prev, 0.03, inflow)
+        res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
         np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-14, atol=0.0)
 
     def test_tallies_are_built_once_and_cached(self, monkeypatch):
@@ -420,6 +453,30 @@ class TestSweep:
         assert all(a is b for a, b in zip(first, again))
         assert builds == [1]
 
+    def test_sweeps_of_one_step_keep_their_own_frames(self):
+        # A step's passes share its setup but not their frames: a result's
+        # tallies, built on first read, are the same whether read before or
+        # after a later pass of the step sweeps with another kappa.
+        mesh, quad, fgrid = small_setup()
+        G = fgrid.n_groups
+        rng = np.random.default_rng(29)
+        kappa_1, kappa_2 = (rng.uniform(0.1, 6.0, (G, mesh.ny, mesh.nx)) for _ in range(2))
+        source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
+        psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
+        inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
+        names = ("E", "psi", "Fx", "Fy", "bface_wnI")
+
+        def read_at_once(kappa):
+            res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
+            return [getattr(res, name).copy() for name in names]
+
+        step = sweep_step(mesh, quad, psi_prev, 0.03, inflow)
+        first = sweep(mesh, quad, kappa_1, source, step)
+        second = sweep(mesh, quad, kappa_2, source, step)
+        for res, kappa in ((first, kappa_1), (second, kappa_2)):
+            for name, expected in zip(names, read_at_once(kappa)):
+                np.testing.assert_array_equal(getattr(res, name), expected, err_msg=name)
+
     def test_folded_rule_sweeps_as_the_full_product_rule(self):
         # The sweep's rule is the Omega_z >= 0 half of the 2 x 8 product
         # rule. With an intensity equal on mirror pairs, sweeping all 16
@@ -433,8 +490,8 @@ class TestSweep:
         emission = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
         psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
         inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
-        folded = sweep(mesh, quad, kappa, emission, psi_prev, 0.03, inflow)
-        unfolded = sweep(mesh, full, kappa, emission, psi_prev[..., source], 0.03, inflow)
+        folded = sweep(mesh, quad, kappa, emission, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
+        unfolded = sweep(mesh, full, kappa, emission, sweep_step(mesh, full, psi_prev[..., source], 0.03, inflow))
         for name in ("E", "Fx", "Fy", "bface_wnI"):
             got, expected = getattr(folded, name), getattr(unfolded, name)
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max(), err_msg=name)
@@ -542,6 +599,17 @@ class TestFomStep:
         assert len(sweeps) == diag.picard_iterations > 1
         assert len(builds) == 1
         assert state.psi.shape == (4, 4, problem.fgrid.n_groups, problem.quad.n_directions)
+
+    def test_sweep_step_is_built_once_per_step(self, monkeypatch):
+        # psi_prev, dt and the inflow are fixed for a step, so its setup is
+        # built once and every Picard pass sweeps with it.
+        steps, sweeps = [], []
+        monkeypatch.setattr(transport, "sweep_step", counted(transport.sweep_step, steps))
+        monkeypatch.setattr(transport, "sweep", counted(transport.sweep, sweeps))
+        history = run_fom(benchmark_like_problem(), 1e-3, 0.1, 2)
+        per_step = [d.picard_iterations for d in history.diagnostics]
+        assert len(steps) == 2
+        assert len(sweeps) == sum(per_step) and min(per_step) > 1
 
     @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf])
     def test_bad_time_step_rejected_before_any_sweep(self, monkeypatch, dt):

@@ -22,7 +22,15 @@ from ddvef.diffusion import (
 from ddvef.errors import ConfigError
 from ddvef.grid import SpatialMesh, build_angular_quadrature, build_frequency_grid
 from ddvef.physics import DEFAULT_CONSTANTS, InverseCubeMaterial, MaterialEOS, benchmark_cv
-from ddvef.transport import BoundaryInflow, TransportProblem, planckian_inflow, planckian_intensity, run_fom, sweep
+from ddvef.transport import (
+    BoundaryInflow,
+    TransportProblem,
+    planckian_inflow,
+    planckian_intensity,
+    run_fom,
+    sweep,
+    sweep_step,
+)
 from ddvef.vef import (
     ClosureRecord,
     _check_temperature_data,
@@ -80,8 +88,8 @@ def test_closure_reproduces_its_sweep():
     problem = TransportProblem(mesh, quad, fgrid, InverseCubeMaterial(fgrid), MaterialEOS(1.0), planckian_inflow(fgrid, T_DRIVE))
     T = np.geomspace(0.9, 0.05, mesh.nx) * np.linspace(1.0, 0.6, mesh.ny)[:, None]
     kappa, _, B, _ = problem.material.emission_terms(T, DEFAULT_CONSTANTS)
-    first = sweep(mesh, quad, kappa, kappa * B, planckian_intensity(problem, T), DT, problem.inflow)
-    second = sweep(mesh, quad, kappa, kappa * B, first.psi, DT, problem.inflow)
+    first = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, planckian_intensity(problem, T), DT, problem.inflow))
+    second = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, first.psi, DT, problem.inflow))
     F_in = problem.incoming_currents()
     record = closure_from_sweep(second, quad, mesh, kappa, DT, first.Fx, first.Fy, F_in)
 
@@ -132,7 +140,8 @@ def test_dark_sweep_gives_a_finite_neutral_closure():
     mesh, quad = SpatialMesh(4, 3, 4.0, 3.0), build_angular_quadrature(2, 4)
     G = fgrid.n_groups
     kappa, zero = np.ones((G, mesh.ny, mesh.nx)), np.zeros((G, mesh.ny, mesh.nx))
-    dark = sweep(mesh, quad, kappa, zero, np.zeros((mesh.ny, mesh.nx, G, quad.n_directions)), DT, BoundaryInflow())
+    dark_step = sweep_step(mesh, quad, np.zeros((mesh.ny, mesh.nx, G, quad.n_directions)), DT, BoundaryInflow())
+    dark = sweep(mesh, quad, kappa, zero, dark_step)
     Fx, Fy = np.zeros_like(dark.Fx), np.zeros_like(dark.Fy)
     record = closure_from_sweep(dark, quad, mesh, kappa, DT, Fx, Fy, np.zeros((4, G)))
     for f in fields(ClosureRecord):
@@ -218,6 +227,24 @@ def test_temperature_data_is_checked(problem, fom):
         _check_temperature_data(problem, SimpleNamespace(times=fom.times, T=fom.T[:, :-1]))
     with pytest.raises(ConfigError, match="increasing"):
         _check_temperature_data(problem, SimpleNamespace(times=fom.times[::-1], T=fom.T))
+
+
+def test_offline_phase_builds_one_sweep_step_per_data_step(problem, fom, monkeypatch):
+    calls = {"sweep_step": 0, "sweep": 0}
+
+    def counted(name):
+        original = getattr(vef_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(vef_module, name, counted(name))
+    assert len(offline_phase(problem, fom).records) == N_STEPS
+    assert calls == {"sweep_step": N_STEPS, "sweep": N_STEPS}
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
