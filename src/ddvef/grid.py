@@ -5,11 +5,12 @@ rectangular grid on [0, Lx] x [0, Ly] with cell-centered unknowns and
 face-normal fluxes. The angular quadrature is a product set on the unit
 sphere: Gauss-Legendre nodes in the polar cosine crossed with equally
 weighted azimuthal angles, offset by half a step so no direction lies on a
-coordinate axis. Streaming is two-dimensional (x, y); Omega_z is carried for
-the moment identities but never multiplies a gradient. Because of that, a
-direction and its Omega_z mirror see the same transport, and the quadrature
-keeps only the Omega_z >= 0 half of the product rule (see
-build_angular_quadrature).
+coordinate axis, and mirrored by sign from the first quadrant so the four
+octants share their (|Omega_x|, |Omega_y|) exactly. Streaming is
+two-dimensional (x, y); Omega_z is carried for the moment identities but
+never multiplies a gradient. Because of that, a direction and its Omega_z
+mirror see the same transport, and the quadrature keeps only the
+Omega_z >= 0 half of the product rule (see build_angular_quadrature).
 """
 
 from __future__ import annotations
@@ -91,12 +92,18 @@ class AngularQuadrature:
     product rule the set derives from, while M = n_directions is the number
     of directions actually swept: build_angular_quadrature returns the
     Omega_z >= 0 half of the product rule, but a full rule built directly
-    is equally valid. octants, derived from omega, lists (sx, sy, indices):
-    the directions grouped by the signs +-1 of (Omega_x, Omega_y) for the
-    sweep ordering. A direction with Omega_x = 0 or Omega_y = 0 belongs to
-    no octant and raises ConfigError (so does a NaN component); so do an
-    omega that is not (M, 3) and finite, and a weight that is not (M,),
-    finite and positive.
+    is equally valid. octants, derived from omega, lists (sx, sy, indices)
+    in the order (+, +), (+, -), (-, +), (-, -): the directions grouped by
+    the signs +-1 of (Omega_x, Omega_y) for the sweep ordering, each
+    group's indices stably sorted by (|Omega_x|, |Omega_y|).
+
+    The rule must be mirror-symmetric: the four octants carry the same
+    sequence of (|Omega_x|, |Omega_y|), bitwise, so a sweep evaluates its
+    chord factors once and shares them across the octants. A direction
+    with Omega_x = 0 or Omega_y = 0 belongs to no octant and raises
+    ConfigError (so does a NaN component); so do an omega that is not
+    (M, 3) and finite, a weight that is not (M,), finite and positive, and
+    then octants that do not mirror each other.
     """
 
     n_polar: int
@@ -121,12 +128,15 @@ class AngularQuadrature:
             raise ConfigError("quadrature weights must be positive and finite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "weight", weight)
-        octants = tuple(
-            (sx, sy, np.nonzero((signs[:, 0] == sx) & (signs[:, 1] == sy))[0])
-            for sx in (1, -1)
-            for sy in (1, -1)
-        )
-        object.__setattr__(self, "octants", octants)
+        magnitude = np.abs(omega[:, :2])
+        octants = []
+        for sx in (1, -1):
+            for sy in (1, -1):
+                idx = np.flatnonzero((signs[:, 0] == sx) & (signs[:, 1] == sy))
+                octants.append((sx, sy, idx[np.lexsort(magnitude[idx].T[::-1])]))
+        if not all(np.array_equal(magnitude[idx], magnitude[octants[0][2]]) for *_, idx in octants):
+            raise ConfigError("the quadrature's four octants must carry the same (|Omega_x|, |Omega_y|), mirrored by sign")
+        object.__setattr__(self, "octants", tuple(octants))
 
     @property
     def n_directions(self) -> int:
@@ -151,7 +161,10 @@ def build_angular_quadrature(n_polar: int, n_azimuthal: int) -> AngularQuadratur
     the two carry the same intensity and sweeping one of them with both
     weights gives the same quadrature sums of I, Omega_x I, Omega_y I and
     their products. (Sums odd in Omega_z, which no solver reads, are not
-    those of the full rule.)
+    those of the full rule.) The azimuths run in increasing phi, but only
+    the first quadrant's cos phi and sin phi are evaluated: the other
+    quadrants take them mirrored by sign, so mirror directions have
+    bitwise-equal |Omega_x| and |Omega_y|, as AngularQuadrature requires.
 
     Requires n_polar >= 2 (a single polar node cannot reproduce the second
     moment) and n_azimuthal a positive multiple of 4 (octant symmetry),
@@ -166,13 +179,16 @@ def build_angular_quadrature(n_polar: int, n_azimuthal: int) -> AngularQuadratur
         raise ConfigError(f"n_azimuthal must be a positive multiple of 4, got {n_azimuthal}")
 
     mu, w_mu = np.polynomial.legendre.leggauss(n_polar)
-    phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
+    phi = (np.arange(n_azimuthal // 4) + 0.5) * (2.0 * np.pi / n_azimuthal)
+    c, s_phi = np.cos(phi), np.sin(phi)
+    cos_phi = np.concatenate([c, -c[::-1], -c, c[::-1]])
+    sin_phi = np.concatenate([s_phi, s_phi[::-1], -s_phi, -s_phi[::-1]])
     w_phi = 2.0 * np.pi / n_azimuthal
 
     s = np.sqrt(1.0 - mu**2)
     # Outer products over (polar, azimuthal); flatten polar-major.
-    ox = np.outer(s, np.cos(phi)).ravel()
-    oy = np.outer(s, np.sin(phi)).ravel()
+    ox = np.outer(s, cos_phi).ravel()
+    oy = np.outer(s, sin_phi).ravel()
     oz = np.outer(mu, np.ones(n_azimuthal)).ravel()
     omega = np.column_stack([ox, oy, oz])
     weight = np.outer(w_mu, np.full(n_azimuthal, w_phi)).ravel()

@@ -13,22 +13,28 @@ balance exactly, so the global energy budget telescopes to the boundary
 fluxes.
 
 The chord factors exp(-eps), g1 and g2 of eps = kappa* ds depend on the
-cell and the direction but not on the intensities, so a sweep evaluates
-them once per octant over its whole upwind frame. The frame carries one
-ghost row and one ghost column holding the inflow, so the anti-diagonal
-wavefront reads its coefficients and its upwind intensities, and writes
-its outflow, through strided views of that padded frame flattened to
-(cells, M_oct, G), with no case for the boundary. A frame keeps the group
-innermost, so the per-direction factors broadcast over whole group rows
-and every frame operation runs over contiguous rows of G values.
+cell, the group and the direction's (|Omega_x|, |Omega_y|), but not on the
+intensities or on the signs of the direction. The quadrature's four octants
+carry the same sequence of those magnitudes (AngularQuadrature), so a sweep
+evaluates the factors, and the attenuation weights they fold into, once
+over (ny, nx, M_oct, G) and every octant reads them. Each octant keeps the
+mesh's own orientation: its frame is padded by a ghost row and column on
+every side, the upwind ones holding the inflow, so the wavefront reads its
+coefficients and its upwind intensities, and writes its outflow, through
+strided views of that padded frame flattened to (cells, M_oct, G), with no
+case for the boundary and no flip of the axes it streams against. A frame
+keeps the group innermost, so the per-direction factors broadcast over
+whole group rows and every frame operation runs over contiguous rows of G
+values.
 
 A sweep is split into what a time step fixes and what a Picard pass
-changes. sweep_step builds the first once per step: the checked dt and
-previous intensity psi_prev, psi_prev / (c dt) gathered into each octant's
-upwind frame, the inflow of the ghost row and column, and each octant's
-direction indices, flips, chord geometry and weights. Each pass's sweep
-reads that step with the pass's opacity and source; the anti-diagonal
-wavefronts are built once per mesh shape. Every sweep fills frames of its
+changes. sweep_step builds the first once per step: the mesh and
+quadrature it is for, the checked dt and previous intensity psi_prev,
+psi_prev / (c dt) gathered per octant, the inflow of each octant's upwind
+ghost column and row, each octant's direction indices, weights and
+wavefronts, and the chord geometry the octants share. Each pass's sweep
+reads that step with the pass's opacity and source; the wavefronts are
+built once per mesh shape and orientation. Every sweep fills frames of its
 own, so the result of an earlier pass stays valid.
 
 A sweep returns the energy E, the one quantity every coupling pass reads.
@@ -127,7 +133,7 @@ def characteristic_coefficients(ax, ay, kappa_eff):
     g1 and g2 switch to their fifth-order series below eps = 1e-2, where
     the direct forms cancel; the series is evaluated on those entries only,
     and not at all when every eps is above the switch. None of them depends
-    on the intensities, so a sweep evaluates them once per octant.
+    on the intensities, so a sweep evaluates them once for all its octants.
     """
     inv_ds = ax + ay
     eps = np.asarray(kappa_eff / inv_ds)
@@ -145,48 +151,54 @@ def characteristic_coefficients(ax, ay, kappa_eff):
     return inv_ds, e, g1, g2
 
 
-@lru_cache(maxsize=16)
-def _diagonals(nx: int, ny: int) -> tuple:
-    """The anti-diagonal wavefronts of an nx x ny padded frame, in upwind order.
+@lru_cache(maxsize=64)
+def _diagonals(nx: int, ny: int, sx: int, sy: int) -> tuple:
+    """The wavefronts of an nx x ny frame swept along (sx, sy), in upwind order.
 
-    Per anti-diagonal d, three slices of the padded frame flattened to
-    ((ny+1)(nx+1), ...): its cells, their west and their south neighbours.
-    Cells (j, d - j), j0 <= j < j1, sit at flat index (j + 1)(nx + 1) + d - j + 1;
-    west is one before, south one row (nx + 1) before, so each is a slice of
-    stride nx. Built once per mesh shape; the tuple is immutable.
+    The frame keeps the mesh's orientation, padded by a ghost row and column
+    on every side and flattened to ((ny+2)(nx+2), ...): cell (j, i) sits at
+    flat index (j + 1)(nx + 2) + i + 1, its upwind x neighbour at -sx from
+    it and its upwind y neighbour at -sy (nx + 2). Wavefront d holds the
+    cells d steps downwind of the inflow corner; along it the flat index
+    moves by sy (nx + 2) - sx per cell, so its cells and their two upwind
+    neighbours are three slices of that stride, taken from the lowest index
+    up. Built once per mesh shape and orientation; the tuple is immutable.
     """
+    width = nx + 2
+    stride = abs(sy * width - sx)
     diagonals = []
     for d in range(nx + ny - 1):
-        j0, j1 = max(0, d - nx + 1), min(d, ny - 1) + 1
-        first, last = nx + d + 2 + j0 * nx, nx + d + 2 + (j1 - 1) * nx
-        diagonals.append(tuple(slice(first - k, last - k + 1, nx) for k in (0, 1, nx + 1)))
+        # The wavefront's end cells, k rows and d - k columns from the inflow corner.
+        ends = []
+        for k in (max(0, d - nx + 1), min(d, ny - 1)):
+            j = k if sy > 0 else ny - 1 - k
+            i = d - k if sx > 0 else nx - 1 - (d - k)
+            ends.append((j + 1) * width + i + 1)
+        lo, hi = min(ends), max(ends)
+        diagonals.append(tuple(slice(lo - k, hi - k + 1, stride) for k in (0, sx, sy * width)))
     return tuple(diagonals)
 
 
 @dataclass(frozen=True)
 class _Octant:
-    """What a time step fixes of one octant's sweep, in its upwind frame.
+    """What a time step fixes of one octant's sweep, in the mesh's orientation.
 
-    fy, fx are the flips into the frame; ax, ay (M_oct, 1) the direction
-    cosines over the cell widths and w_x, w_y = ax / inv_ds, ay / inv_ds
-    the inflow weights of the cell update; weight the quadrature weights;
-    prev (ny, nx, M_oct, G) the backward-Euler source psi_prev / (c dt);
-    x_inflow, y_inflow (G,) the ghost column's and ghost row's inflow.
+    idx are its directions, in the order its quadrature lists them (sorted
+    by (|Omega_x|, |Omega_y|), the same sequence in every octant); weight
+    their quadrature weights; prev (ny, nx, M_oct, G) the backward-Euler
+    source psi_prev / (c dt); x_inflow, y_inflow (G,) the inflow of the
+    ghost column upwind in x and the ghost row upwind in y; diagonals its
+    wavefronts (_diagonals).
     """
 
     sx: int
     sy: int
     idx: np.ndarray
-    fy: slice
-    fx: slice
-    ax: np.ndarray
-    ay: np.ndarray
-    w_x: np.ndarray
-    w_y: np.ndarray
     weight: np.ndarray
     prev: np.ndarray
     x_inflow: np.ndarray
     y_inflow: np.ndarray
+    diagonals: tuple
 
 
 @dataclass(frozen=True)
@@ -194,15 +206,25 @@ class SweepStep:
     """The part of a sweep that one time step holds fixed, built by sweep_step.
 
     A FOM step's Picard passes sweep with new opacities and sources but the
-    same step dt, previous intensity psi_prev (ny, nx, G, M) and inflow, so
-    the checks, the effective sink 1 / (c dt) and the per-octant frames of
-    psi_prev, inflow and geometry are built once per step and every pass's
-    sweep reads them.
+    same mesh, quadrature, step dt, previous intensity psi_prev
+    (ny, nx, G, M) and inflow, so the checks, the effective sink 1 / (c dt),
+    the per-octant sources, inflow and wavefronts and the geometry the
+    octants share are built once per step and every pass's sweep reads
+    them. ax, ay (M_oct, 1) are |Omega_x| / dx and |Omega_y| / dy of an
+    octant's directions and w_x, w_y = ax / inv_ds, ay / inv_ds the inflow
+    weights of the cell update: the quadrature's octants mirror each other,
+    so these are every octant's.
     """
 
+    mesh: SpatialMesh
+    quad: AngularQuadrature
     dt: float
     sink: float
     psi_prev: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    w_x: np.ndarray
+    w_y: np.ndarray
     octants: tuple
 
 
@@ -224,18 +246,17 @@ def sweep_step(
     G = psi_prev.shape[2]
     sink = 1.0 / (DEFAULT_CONSTANTS.c * dt)
     bc = {side: inflow.value(side, G) for side in SIDES}
+    ox, oy = quad.omega[quad.octants[0][2], :2].T
+    ax, ay = (np.abs(ox) / mesh.dx)[:, None], (np.abs(oy) / mesh.dy)[:, None]
+    inv_ds = ax + ay
     octants = []
     for sx, sy, idx in quad.octants:
-        ox, oy = quad.omega[idx, :2].T
-        ax, ay = (np.abs(ox) / mesh.dx)[:, None], (np.abs(oy) / mesh.dy)[:, None]
-        inv_ds = ax + ay
-        fy, fx = slice(None, None, sy), slice(None, None, sx)
-        prev = np.ascontiguousarray(psi_prev[fy, fx][..., idx].transpose(0, 1, 3, 2)) * sink
+        prev = np.ascontiguousarray(psi_prev[..., idx].transpose(0, 1, 3, 2)) * sink
         octants.append(_Octant(
-            sx, sy, idx, fy, fx, ax, ay, ax / inv_ds, ay / inv_ds, quad.weight[idx], prev,
-            bc["left" if sx > 0 else "right"], bc["bottom" if sy > 0 else "top"],
+            sx, sy, idx, quad.weight[idx], prev,
+            bc["left" if sx > 0 else "right"], bc["bottom" if sy > 0 else "top"], _diagonals(nx, ny, sx, sy),
         ))
-    return SweepStep(dt, sink, psi_prev, tuple(octants))
+    return SweepStep(mesh, quad, dt, sink, psi_prev, ax, ay, ax / inv_ds, ay / inv_ds, tuple(octants))
 
 
 @dataclass
@@ -247,9 +268,9 @@ class SweepResult:
     (G, 2(nx+ny)), the outgoing current sum w (n.Omega) I at the boundary
     faces, are built together on the first read of any of them and cached.
     frames holds per octant (sx, sy, idx, avg, out): its cell averages
-    (ny, nx, M_oct, G) and its padded outflow (ny+1, nx+1, M_oct, G), both
-    in the octant's upwind frame, with the inflow in the ghost row and
-    column.
+    (ny, nx, M_oct, G) and its outflow (ny+2, nx+2, M_oct, G), padded on
+    every side, both in the mesh's orientation, with the inflow in the
+    upwind ghost column and row.
     """
 
     E: np.ndarray
@@ -282,11 +303,13 @@ def _tally_frames(result: SweepResult):
     """psi, Fx, Fy and bface_wnI from a sweep's per-octant frames.
 
     The padded outflow holds every face intensity an octant sees: its
-    inflow faces in the ghost row and column, every other face as the
-    outflow of the cell upwind of it. So the face fluxes are one matmul per
-    octant and axis, and the last column and row, which flow out through
-    the domain boundary, give the outgoing current, the VEF's boundary
-    closure.
+    inflow faces in the upwind ghost column and row, every other face as
+    the outflow of the cell upwind of it. So an octant's x-faces are the
+    nx + 1 columns from its upwind ghost column on, its y-faces the ny + 1
+    rows from its upwind ghost row on, the face fluxes are one matmul per
+    octant and axis, and the downwind column and row of faces, which flow
+    out through the domain boundary, give the outgoing current, the VEF's
+    boundary closure.
     """
     mesh, quad = result.mesh, result.quad
     nx, ny, G = mesh.nx, mesh.ny, result.E.shape[0]
@@ -297,14 +320,15 @@ def _tally_frames(result: SweepResult):
     for sx, sy, idx, avg, out in result.frames:
         w = quad.weight[idx]
         ox, oy = quad.omega[idx, :2].T
-        x_out = "right" if sx > 0 else "left"
-        y_out = "top" if sy > 0 else "bottom"
-        fy, fx = slice(None, None, sy), slice(None, None, sx)
-        psi[fy, fx][..., idx] = avg.transpose(0, 1, 3, 2)
-        Fx[:, fy, fx] += ((w * ox) @ out[1:]).transpose(2, 0, 1)
-        Fy[:, fy, fx] += ((w * oy) @ out[:, 1:]).transpose(2, 0, 1)
-        bface_wnI[:, mesh.boundary_slice(x_out)][:, fy] += ((w * np.abs(ox)) @ out[1:, -1]).T
-        bface_wnI[:, mesh.boundary_slice(y_out)][:, fx] += ((w * np.abs(oy)) @ out[-1, 1:]).T
+        x_lo, y_lo = (1 - sx) // 2, (1 - sy) // 2
+        x_faces, y_faces = out[1:-1, x_lo:x_lo + nx + 1], out[y_lo:y_lo + ny + 1, 1:-1]
+        x_side, x_edge = ("right", nx) if sx > 0 else ("left", 0)
+        y_side, y_edge = ("top", ny) if sy > 0 else ("bottom", 0)
+        psi[..., idx] = avg.transpose(0, 1, 3, 2)
+        Fx += ((w * ox) @ x_faces).transpose(2, 0, 1)
+        Fy += ((w * oy) @ y_faces).transpose(2, 0, 1)
+        bface_wnI[:, mesh.boundary_slice(x_side)] += ((w * np.abs(ox)) @ x_faces[:, x_edge]).T
+        bface_wnI[:, mesh.boundary_slice(y_side)] += ((w * np.abs(oy)) @ y_faces[y_edge]).T
     return psi, Fx, Fy, bface_wnI
 
 
@@ -319,25 +343,26 @@ def sweep(
 
     kappa and source are the physical absorption and isotropic emission
     source (G, ny, nx); the backward-Euler terms of the step (sweep_step:
-    its dt and previous intensity psi_prev) are folded in. kappa or source
-    of a shape other than the step's (G, ny, nx) raises ConfigError. The
-    directions are quad's; from build_angular_quadrature they are the
-    Omega_z >= 0 half of the product rule, each standing for itself and its
-    Omega_z mirror (see the module docstring), so psi holds one intensity
-    per mirror pair.
+    its dt and previous intensity psi_prev) are folded in. A step built for
+    another mesh or quadrature, and kappa or source of a shape other than
+    the step's (G, ny, nx), raise ConfigError. The directions are quad's;
+    from build_angular_quadrature they are the Omega_z >= 0 half of the
+    product rule, each standing for itself and its Omega_z mirror (see the
+    module docstring), so psi holds one intensity per mirror pair.
 
-    Each octant works in its upwind frame: views that flip the axes it
-    streams against, so all its directions enter at row 0 and column 0.
-    The frame is padded by a ghost row and column filled with the inflow.
-    The chord factors (characteristic_coefficients) and the scaled source
-    q ds, with q the source plus the step's psi_prev / (c dt), depend only
-    on the cell and the direction, so the update
-    out = I_in e + q ds g1 with I_in = (ax W + ay S) / inv_ds is folded once
-    per octant into out = a_w W + a_s S + q ds g1 over the whole frame. The
-    cells of one anti-diagonal are independent; in the padded frame
-    flattened to ((ny+1)(nx+1), M_oct, G) they, their west and their south
-    neighbours are three slices of stride nx (_diagonals), so each diagonal
-    is two multiplies, two in-place adds and a store across all groups and
+    The chord factors (characteristic_coefficients) depend only on the
+    cell, the group and (|Omega_x|, |Omega_y|), which the quadrature's
+    octants share, so they are evaluated once per sweep and the update
+    out = I_in e + q ds g1 with I_in = (ax W + ay S) / inv_ds is folded into
+    out = a_w W + a_s S + q ds g1, with a_w = e w_x and a_s = e w_y shared
+    by all octants too. Per octant remain the scaled source q ds, with q
+    the source plus the step's psi_prev / (c dt), and q ds g1. Each octant
+    works in the mesh's orientation, in a frame padded on every side whose
+    upwind ghost column and row hold the inflow. The cells of one wavefront
+    are independent; in the padded frame flattened to
+    ((ny+2)(nx+2), M_oct, G) they and their two upwind neighbours are three
+    strided slices (_diagonals), so each wavefront is two multiplies and
+    two adds, the last written into the frame, across all groups and
     octant directions. The cell inflow I_in and the averages
     I_in g1 + q ds g2 then follow from the padded outflow for the whole
     frame at once, and the energy is tallied per octant from the averages.
@@ -347,41 +372,47 @@ def sweep(
     """
     nx, ny = mesh.nx, mesh.ny
     G = step.psi_prev.shape[2]
-    if step.psi_prev.shape != (ny, nx, G, quad.n_directions):
-        raise ConfigError(f"the step's psi_prev has shape {step.psi_prev.shape}, not that of this mesh and quadrature")
+    same_rule = quad is step.quad or (
+        np.array_equal(quad.omega, step.quad.omega) and np.array_equal(quad.weight, step.quad.weight)
+    )
+    if mesh != step.mesh or not same_rule:
+        raise ConfigError(f"the step (psi_prev of shape {step.psi_prev.shape}) was built for another mesh or quadrature")
     if kappa.shape != (G, ny, nx) or source.shape != (G, ny, nx):
         raise ConfigError(f"kappa/source must have the step's shape (G, ny, nx) = {(G, ny, nx)}")
 
     kap_t = np.ascontiguousarray((kappa + step.sink).transpose(1, 2, 0))  # (ny, nx, G)
-    src_t = source.transpose(1, 2, 0)
+    src_t = source.transpose(1, 2, 0)[:, :, None]
+    M_oct = step.ax.shape[0]
+    padded = (ny + 2, nx + 2, M_oct, G)
+    flat = ((ny + 2) * (nx + 2), M_oct, G)
+    inv_ds, e, g1, g2 = characteristic_coefficients(step.ax, step.ay, kap_t[:, :, None])
+    # The ghost entries of the coefficients, and the unused ghosts of out, are never read.
+    coef = np.empty((2,) + padded)
+    np.multiply(e, step.w_x, out=coef[0, 1:-1, 1:-1])
+    np.multiply(e, step.w_y, out=coef[1, 1:-1, 1:-1])
+    a_w, a_s = (c.reshape(flat) for c in coef)
     E = np.zeros((ny, nx, G))
-    diagonals = _diagonals(nx, ny)
     frames = []
 
     for o in step.octants:
-        padded = (ny + 1, nx + 1, o.idx.size, G)
-        flat = ((ny + 1) * (nx + 1), o.idx.size, G)
-        inv_ds, e, g1, g2 = characteristic_coefficients(o.ax, o.ay, kap_t[o.fy, o.fx][:, :, None])
-        q_ds = (src_t[o.fy, o.fx][:, :, None] + o.prev) / inv_ds
-        # The ghost entries of the coefficients, and the corner of out, are never read.
-        coef = np.empty((3,) + padded)
-        np.multiply(e, o.w_x, out=coef[0, 1:, 1:])
-        np.multiply(e, o.w_y, out=coef[1, 1:, 1:])
-        np.multiply(q_ds, g1, out=coef[2, 1:, 1:])
-        a_w, a_s, q_g1 = (c.reshape(flat) for c in coef)
+        q_ds = (src_t + o.prev) / inv_ds
+        q_g1 = np.empty(padded)
+        np.multiply(q_ds, g1, out=q_g1[1:-1, 1:-1])
+        q_g1 = q_g1.reshape(flat)
         out = np.empty(padded)
-        out[1:, 0] = o.x_inflow
-        out[0, 1:] = o.y_inflow
+        out[1:-1, 0 if o.sx > 0 else -1] = o.x_inflow
+        out[0 if o.sy > 0 else -1, 1:-1] = o.y_inflow
         out_f = out.reshape(flat)
-        for cells, west, south in diagonals:
+        for cells, west, south in o.diagonals:
             I_out = a_w[cells] * out_f[west]
             I_out += a_s[cells] * out_f[south]
-            I_out += q_g1[cells]
-            out_f[cells] = I_out
-        avg = (o.ax * out[1:, :-1] + o.ay * out[:-1, 1:]) / inv_ds  # the cell inflow I_in
+            np.add(I_out, q_g1[cells], out=out_f[cells])
+        I_west = out[1:-1, 1 - o.sx:nx + 1 - o.sx]
+        I_south = out[1 - o.sy:ny + 1 - o.sy, 1:-1]
+        avg = (step.ax * I_west + step.ay * I_south) / inv_ds  # the cell inflow I_in
         avg *= g1
         avg += q_ds * g2
-        E[o.fy, o.fx] += o.weight @ avg
+        E += o.weight @ avg
         frames.append((o.sx, o.sy, o.idx, avg, out))
 
     E = np.ascontiguousarray(E.transpose(2, 0, 1)) / DEFAULT_CONSTANTS.c

@@ -84,14 +84,17 @@ class TestAngularQuadrature:
     @pytest.mark.parametrize("n_polar, n_azimuthal", [(2, 8), (3, 4), (6, 24)])
     def test_unfolds_to_the_product_rule(self, n_polar, n_azimuthal):
         # Gauss-Legendre polar cosines crossed with equally weighted
-        # azimuths, built here independently of the constructor.
+        # azimuths, built here independently of the constructor. Each
+        # first-quadrant azimuth stands for its four sign mirrors.
         mu, w_mu = np.polynomial.legendre.leggauss(n_polar)
-        phi = (np.arange(n_azimuthal) + 0.5) * (2.0 * np.pi / n_azimuthal)
+        phi = (np.arange(n_azimuthal // 4) + 0.5) * (2.0 * np.pi / n_azimuthal)
         s = np.sqrt(1.0 - mu**2)
         product = {
-            (s[k] * np.cos(p), s[k] * np.sin(p), mu[k], w_mu[k] * (2.0 * np.pi / n_azimuthal))
+            (s[k] * (sx * np.cos(p)), s[k] * (sy * np.sin(p)), mu[k], w_mu[k] * (2.0 * np.pi / n_azimuthal))
             for k in range(n_polar)
             for p in phi
+            for sx in (1.0, -1.0)
+            for sy in (1.0, -1.0)
         }
         full = unfold(build_angular_quadrature(n_polar, n_azimuthal))[0]
         assert {(*om, w) for om, w in zip(full.omega.tolist(), full.weight.tolist())} == product
@@ -136,6 +139,35 @@ class TestAngularQuadrature:
         for sx, sy, ids in quad.octants:
             assert np.all(np.sign(quad.omega[ids, 0]) == sx)
             assert np.all(np.sign(quad.omega[ids, 1]) == sy)
+
+    @pytest.mark.parametrize("n_polar, n_azimuthal", [(2, 4), (2, 8), (3, 8), (4, 12), (5, 20), (6, 24), (4, 36)])
+    def test_octants_mirror_each_other_bitwise(self, n_polar, n_azimuthal):
+        # A sweep shares its chord factors across the octants, so each must
+        # list the same (|Omega_x|, |Omega_y|) in the same order, bitwise.
+        quad = build_angular_quadrature(n_polar, n_azimuthal)
+        first = np.abs(quad.omega[quad.octants[0][2], :2])
+        assert [(sx, sy) for sx, sy, _ in quad.octants] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        assert first.shape[0] == quad.n_directions // 4
+        np.testing.assert_array_equal(np.lexsort(first.T[::-1]), np.arange(first.shape[0]))
+        for _, _, idx in quad.octants:
+            np.testing.assert_array_equal(np.abs(quad.omega[idx, :2]), first)
+
+    @pytest.mark.parametrize("rule", ["full circle", "one direction moved", "one direction dropped"])
+    def test_non_mirror_rule_rejected(self, rule):
+        built = build_angular_quadrature(2, 8)
+        omega, weight = built.omega.copy(), built.weight
+        if rule == "full circle":
+            # cos and sin taken over every azimuth, not mirrored from the
+            # first quadrant: the mirrors differ in their last bits.
+            phi = (np.arange(8) + 0.5) * (2.0 * np.pi / 8)
+            s = np.sqrt(1.0 - omega[0, 2] ** 2)
+            omega[:, 0], omega[:, 1] = s * np.cos(phi), s * np.sin(phi)
+        elif rule == "one direction moved":
+            omega[5, :2] *= 1.0 + 1e-12
+        else:
+            omega, weight = omega[1:], weight[1:]
+        with pytest.raises(ConfigError, match="mirrored by sign"):
+            AngularQuadrature(2, 8, omega, weight)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_direction_outside_every_octant_rejected(self, bad):

@@ -183,7 +183,7 @@ class TestCellUpdate:
                 out_c, avg_c = step_characteristic_update(I_w[c], I_s[c], ax, ay, kappa[c], q[c])
                 np.testing.assert_array_equal(I_out[c], out_c)
                 np.testing.assert_array_equal(I_avg[c], avg_c)
-            # The wavefront folds the inflow weights into e once per frame; a
+            # The wavefront folds the inflow weights into e once per sweep; a
             # sum of nonnegative terms, it is the same outflow to a few roundings.
             wavefront = (ax / inv_ds) * e * I_w + (ay / inv_ds) * e * I_s + q_ds * g1
             np.testing.assert_allclose(wavefront, I_out, rtol=1e-15, atol=0.0)
@@ -250,25 +250,50 @@ def reference_sweep(mesh, quad, kappa, source, psi_prev, dt, inflow):
     return SimpleNamespace(psi=psi, E=direct_energy(psi, quad), Fx=Fx, Fy=Fy, bface_wnI=wnI)
 
 
+#: Thin, tall and single-cell meshes, where the strided wavefront addressing
+#: of each sweep orientation is easiest to get wrong.
+THIN_MESHES = [(5, 3), (3, 5), (1, 4), (4, 1), (1, 1)]
+
+#: Rules other than the 2 x 8 one: an Omega_z = 0 level (3 x 8), octants
+#: holding pairs of equal (|Omega_x|, |Omega_y|) (the unfolded 2 x 8 rule),
+#: and 144 directions of the product rule (4 x 36).
+OTHER_RULES = {
+    "3x8": lambda: build_angular_quadrature(3, 8),
+    "unfolded": lambda: unfold(build_angular_quadrature(2, 8))[0],
+    "4x36": lambda: build_angular_quadrature(4, 36),
+}
+
+
+def check_matches_reference_sweep(nx, ny, quad):
+    """The sweep equals reference_sweep on an nx x ny mesh with dx != dy.
+
+    Distinct inflow on every side and random data: no symmetry hides a
+    misplaced tally or a face flipped the wrong way.
+    """
+    mesh, _, fgrid = small_setup(nx=nx, ny=ny, lx=0.3 * nx, ly=0.4 * ny)
+    G = fgrid.n_groups
+    rng = np.random.default_rng(11)
+    kappa = rng.uniform(0.1, 6.0, (G, mesh.ny, mesh.nx))
+    source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
+    psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
+    inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
+    res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
+    ref = reference_sweep(mesh, quad, kappa, source, psi_prev, 0.03, inflow)
+    for name in ("psi", "E", "Fx", "Fy", "bface_wnI"):
+        got, expected = getattr(res, name), getattr(ref, name)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max(), err_msg=name)
+
+
 class TestSweep:
-    @pytest.mark.parametrize("nx,ny", [(5, 3), (3, 5), (1, 4), (4, 1), (1, 1)])
+    @pytest.mark.parametrize("nx,ny", THIN_MESHES)
     def test_matches_reference_sweep(self, nx, ny):
-        # Distinct inflow on every side and random data: no symmetry hides a
-        # misplaced tally or a face flipped the wrong way. Thin and tall
-        # meshes check the strided anti-diagonal addressing; nx = 1 is where
-        # its step falls back to 1.
-        mesh, quad, fgrid = small_setup(nx=nx, ny=ny, lx=0.3 * nx, ly=0.4 * ny)
-        G = fgrid.n_groups
-        rng = np.random.default_rng(11)
-        kappa = rng.uniform(0.1, 6.0, (G, mesh.ny, mesh.nx))
-        source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
-        psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
-        inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
-        res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
-        ref = reference_sweep(mesh, quad, kappa, source, psi_prev, 0.03, inflow)
-        for name in ("psi", "E", "Fx", "Fy", "bface_wnI"):
-            got, expected = getattr(res, name), getattr(ref, name)
-            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max(), err_msg=name)
+        check_matches_reference_sweep(nx, ny, build_angular_quadrature(2, 8))
+
+    @pytest.mark.parametrize(
+        "nx,ny,rule", [(nx, ny, rule) for rule in ("3x8", "unfolded") for nx, ny in THIN_MESHES] + [(3, 2, "4x36")]
+    )
+    def test_matches_reference_sweep_on_other_rules(self, nx, ny, rule):
+        check_matches_reference_sweep(nx, ny, OTHER_RULES[rule]())
 
     def test_directly_built_quadrature_sweeps_the_same(self):
         mesh, quad, fgrid = small_setup()
@@ -329,6 +354,29 @@ class TestSweep:
             sweep(mesh, quad, field[:1], field[:1], step)
         with pytest.raises(ConfigError, match="inflow"):
             sweep_step(mesh, quad, psi_prev, 0.03, BoundaryInflow(left=np.ones(G + 1)))
+
+    def test_step_for_a_mesh_of_other_widths_is_refused(self):
+        # Same cell counts, other extent: the step's chord geometry is not
+        # this mesh's.
+        quad, G = build_angular_quadrature(2, 8), 2
+        wide, narrow = SpatialMesh(4, 4, 6.0, 6.0), SpatialMesh(4, 4, 1.0, 1.0)
+        step = sweep_step(wide, quad, np.zeros((4, 4, G, quad.n_directions)), 0.03, BoundaryInflow(left=np.ones(G)))
+        field = np.ones((G, 4, 4))
+        with pytest.raises(ConfigError, match="another mesh or quadrature"):
+            sweep(narrow, quad, field, field, step)
+        assert sweep(SpatialMesh(4, 4, 6.0, 6.0), quad, field, field, step).E.max() > 0.0
+
+    def test_step_for_another_rule_of_equal_size_is_refused(self):
+        # The 2 x 8 and 4 x 4 rules both sweep 8 directions; a rebuilt rule
+        # with the step's directions and weights is accepted.
+        mesh, G = SpatialMesh(4, 4, 6.0, 6.0), 2
+        quad, other = build_angular_quadrature(2, 8), build_angular_quadrature(4, 4)
+        assert other.n_directions == quad.n_directions
+        step = sweep_step(mesh, quad, np.zeros((4, 4, G, quad.n_directions)), 0.03, BoundaryInflow(left=np.ones(G)))
+        field = np.ones((G, 4, 4))
+        with pytest.raises(ConfigError, match="another mesh or quadrature"):
+            sweep(mesh, other, field, field, step)
+        assert sweep(mesh, build_angular_quadrature(2, 8), field, field, step).E.max() > 0.0
 
     def test_free_streaming_bounds(self):
         # Transparent medium with a unit drive on the left: intensities stay
