@@ -49,10 +49,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
 from .grid import SIDES, FrequencyGrid, SpatialMesh, check_sides
-from .history import MomentState, check_step_count, check_time_step, initial_moment_state, march
+from .history import (
+    MomentState, StepDiagnostics, check_step_count, check_time_step, energy_balance_residual, initial_moment_state, march,
+)
 from .iteration import couple
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
-from .transport import StepDiagnostics, energy_balance_residual
 
 MODEL_KINDS = ("p1", "p13", "fld")
 BOUNDARY_KINDS = ("drive", "vacuum", "reflective")

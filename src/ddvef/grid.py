@@ -88,14 +88,15 @@ class AngularQuadrature:
     """Quadrature on the unit sphere: the swept directions and their weights.
 
     omega has shape (M, 3) with columns (Omega_x, Omega_y, Omega_z) and
-    weight shape (M,); weights sum to 4 pi. n_polar and n_azimuthal name the
-    product rule the set derives from, while M = n_directions is the number
-    of directions actually swept: build_angular_quadrature returns the
-    Omega_z >= 0 half of the product rule, but a full rule built directly
-    is equally valid. octants, derived from omega, lists (sx, sy, indices)
-    in the order (+, +), (+, -), (-, +), (-, -): the directions grouped by
-    the signs +-1 of (Omega_x, Omega_y) for the sweep ordering, each
-    group's indices stably sorted by (|Omega_x|, |Omega_y|).
+    weight shape (M,); weights sum to 4 pi. M = n_directions is the number
+    of directions swept: build_angular_quadrature returns the Omega_z >= 0
+    half of a product rule, but a full rule built directly is equally
+    valid. octants, derived from omega, lists (sx, sy, indices) in the
+    order (+, +), (+, -), (-, +), (-, -): the directions grouped by the
+    signs +-1 of (Omega_x, Omega_y) for the sweep ordering, each group's
+    indices stably sorted by (|Omega_x|, |Omega_y|). It is the one record
+    of the octants: the sweep reads each octant's signs, directions and
+    weights (weight[indices]) from it, and its frames follow its order.
 
     The rule must be mirror-symmetric: the four octants carry the same
     sequence of (|Omega_x|, |Omega_y|), bitwise, so a sweep evaluates its
@@ -106,8 +107,6 @@ class AngularQuadrature:
     then octants that do not mirror each other.
     """
 
-    n_polar: int
-    n_azimuthal: int
     omega: np.ndarray
     weight: np.ndarray
     octants: tuple = field(init=False, repr=False)
@@ -141,11 +140,6 @@ class AngularQuadrature:
     @property
     def n_directions(self) -> int:
         return self.omega.shape[0]
-
-    def half_range(self, normal: np.ndarray, outgoing: bool = True) -> np.ndarray:
-        """Boolean mask of directions with n.Omega > 0 (or < 0 for incoming)."""
-        d = self.omega @ np.asarray(normal, dtype=float)
-        return d > 0.0 if outgoing else d < 0.0
 
 
 def build_angular_quadrature(n_polar: int, n_azimuthal: int) -> AngularQuadrature:
@@ -202,7 +196,7 @@ def build_angular_quadrature(n_polar: int, n_azimuthal: int) -> AngularQuadratur
     omega = omega.reshape(n_polar, n_azimuthal, 3)[kept].reshape(-1, 3)
     weight = (weight.reshape(n_polar, n_azimuthal)[kept] * fold[:, None]).ravel()
 
-    quad = AngularQuadrature(n_polar, n_azimuthal, omega, weight)
+    quad = AngularQuadrature(omega, weight)
     omega.setflags(write=False)
     weight.setflags(write=False)
     return quad

@@ -1,7 +1,9 @@
-"""Time levels and time series shared by the transport and moment models.
+"""Time levels, time series and step records shared by the transport and moment models.
 
 A history stores every time level including the initial condition, so a run
-of N steps holds N+1 levels.
+of N steps holds N+1 levels. Each step of every model leaves a
+StepDiagnostics: its coupling's pass changes and the defect of the global
+energy budget (energy_balance_residual).
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .physics import DEFAULT_CONSTANTS, group_planck
+from .grid import SpatialMesh
+from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 
 
 @dataclass
@@ -31,6 +34,17 @@ class MomentState:
     Fy: np.ndarray  # (G, ny+1, nx)
     dTdt: np.ndarray | None = field(default=None, kw_only=True)  # (ny, nx)
 
+
+@dataclass
+class StepDiagnostics:
+    """One step's coupling record: the change of every pass and the energy budget's defect."""
+
+    change_history: list[float]
+    balance_residual: float
+
+    @property
+    def picard_iterations(self) -> int:
+        return len(self.change_history)
 
 def check_time_step(dt: float) -> None:
     """Raise ConfigError unless dt is positive and finite; every model's
@@ -52,10 +66,18 @@ def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
     """Equilibrium radiation at the initial temperature (scalar or (ny, nx) field), zero flux.
 
     problem is any problem with a mesh and a frequency grid, moment or
-    transport.
+    transport. A T0 that is neither a scalar nor an (ny, nx) field, or not
+    finite and positive everywhere, raises ConfigError; every model's run
+    builds this state before its first sweep or solve.
     """
     mesh = problem.mesh
-    T = np.broadcast_to(np.asarray(T0, dtype=float), (mesh.ny, mesh.nx)).copy()
+    T = np.asarray(T0, dtype=float)
+    if T.shape not in ((), (mesh.ny, mesh.nx)):
+        raise ConfigError(f"initial temperature has shape {T.shape}, expected a scalar or {(mesh.ny, mesh.nx)}")
+    # Written so that nan, which fails every comparison, is rejected too.
+    if not np.all((T > 0.0) & (T < np.inf)):
+        raise ConfigError("initial temperature must be finite and positive")
+    T = np.broadcast_to(T, (mesh.ny, mesh.nx)).copy()
     E = (4.0 * np.pi / DEFAULT_CONSTANTS.c) * group_planck(T, problem.fgrid)
     G = E.shape[0]
     return MomentState(float(t0), T, E, np.zeros((G, mesh.ny, mesh.nx + 1)), np.zeros((G, mesh.ny + 1, mesh.nx)))
@@ -108,3 +130,27 @@ def march(label: str, state, advance, steps) -> SolutionHistory:
         Fy=np.stack([s.Fy for s in states]),
         diagnostics=diagnostics,
     )
+
+
+def boundary_net_outflow(Fx: np.ndarray, Fy: np.ndarray, mesh: SpatialMesh) -> float:
+    """Net radiative power leaving the domain [Jerk/ns], all groups."""
+    out = (Fx[:, :, -1].sum() - Fx[:, :, 0].sum()) * mesh.dy
+    out += (Fy[:, -1, :].sum() - Fy[:, 0, :].sum()) * mesh.dx
+    return float(out)
+
+
+def total_energy(T: np.ndarray, E: np.ndarray, mesh: SpatialMesh, eos: MaterialEOS) -> float:
+    """Radiation plus material energy content [Jerk]."""
+    return float((E.sum() + eos.cv * T.sum()) * mesh.cell_volume)
+
+
+def energy_balance_residual(prev, new, dt: float, mesh: SpatialMesh, eos: MaterialEOS) -> float:
+    """Normalized defect of the global backward-Euler energy budget.
+
+    |Delta(E_rad + E_mat) + dt * net_outflow| / total energy, with the
+    boundary flow evaluated from the end-of-step face fluxes. Accepts any
+    pair of states exposing T, E, Fx, Fy.
+    """
+    d_energy = total_energy(new.T, new.E, mesh, eos) - total_energy(prev.T, prev.E, mesh, eos)
+    flow = boundary_net_outflow(new.Fx, new.Fy, mesh)
+    return abs(d_energy + dt * flow) / abs(total_energy(new.T, new.E, mesh, eos))

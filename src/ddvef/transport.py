@@ -29,13 +29,14 @@ values.
 
 A sweep is split into what a time step fixes and what a Picard pass
 changes. sweep_step builds the first once per step: the mesh and
-quadrature it is for, the checked dt and previous intensity psi_prev,
-psi_prev / (c dt) gathered per octant, the inflow of each octant's upwind
-ghost column and row, each octant's direction indices, weights and
-wavefronts, and the chord geometry the octants share. Each pass's sweep
-reads that step with the pass's opacity and source; the wavefronts are
-built once per mesh shape and orientation. Every sweep fills frames of its
-own, so the result of an earlier pass stays valid.
+quadrature it is for, the checked previous intensity psi_prev, the sink
+1 / (c dt), psi_prev / (c dt) gathered per octant, each side's inflow and
+the chord geometry the octants share. Each pass's sweep reads that step
+with the pass's opacity and source, and each octant's signs, directions
+and weights from the quadrature's octants; the wavefronts are built once
+per mesh shape and orientation. Every sweep fills frames of its own and
+its result keeps them beside the step, so the result of an earlier pass
+stays valid and holds all that its tallies and the VEF closure read.
 
 A sweep returns the energy E, the one quantity every coupling pass reads.
 The intensity psi, the face fluxes and the boundary currents are tallied
@@ -64,7 +65,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh, check_sides
-from .history import MomentState, check_step_count, check_time_step, initial_moment_state, march
+from .history import (
+    MomentState, StepDiagnostics, check_step_count, check_time_step, energy_balance_residual, initial_moment_state, march,
+)
 from .iteration import couple
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 
@@ -100,15 +103,6 @@ class BoundaryInflow:
         if v.shape != (n_groups,):
             raise ConfigError(f"inflow for side {side!r} has shape {v.shape}, expected ({n_groups},)")
         return v
-
-
-#: Outward unit normals of the canonical boundary sides.
-_NORMALS = {
-    "left": np.array([-1.0, 0.0, 0.0]),
-    "right": np.array([1.0, 0.0, 0.0]),
-    "bottom": np.array([0.0, -1.0, 0.0]),
-    "top": np.array([0.0, 1.0, 0.0]),
-}
 
 
 def planckian_inflow(fgrid: FrequencyGrid, T_drive: float, sides=("left",)) -> BoundaryInflow:
@@ -180,52 +174,32 @@ def _diagonals(nx: int, ny: int, sx: int, sy: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class _Octant:
-    """What a time step fixes of one octant's sweep, in the mesh's orientation.
-
-    idx are its directions, in the order its quadrature lists them (sorted
-    by (|Omega_x|, |Omega_y|), the same sequence in every octant); weight
-    their quadrature weights; prev (ny, nx, M_oct, G) the backward-Euler
-    source psi_prev / (c dt); x_inflow, y_inflow (G,) the inflow of the
-    ghost column upwind in x and the ghost row upwind in y; diagonals its
-    wavefronts (_diagonals).
-    """
-
-    sx: int
-    sy: int
-    idx: np.ndarray
-    weight: np.ndarray
-    prev: np.ndarray
-    x_inflow: np.ndarray
-    y_inflow: np.ndarray
-    diagonals: tuple
-
-
-@dataclass(frozen=True)
 class SweepStep:
     """The part of a sweep that one time step holds fixed, built by sweep_step.
 
     A FOM step's Picard passes sweep with new opacities and sources but the
-    same mesh, quadrature, step dt, previous intensity psi_prev
-    (ny, nx, G, M) and inflow, so the checks, the effective sink 1 / (c dt),
-    the per-octant sources, inflow and wavefronts and the geometry the
-    octants share are built once per step and every pass's sweep reads
-    them. ax, ay (M_oct, 1) are |Omega_x| / dx and |Omega_y| / dy of an
-    octant's directions and w_x, w_y = ax / inv_ds, ay / inv_ds the inflow
-    weights of the cell update: the quadrature's octants mirror each other,
-    so these are every octant's.
+    same mesh, quadrature, previous intensity psi_prev (ny, nx, G, M) and
+    inflow, so the checks, the effective sink 1 / (c dt), the per-octant
+    sources and the geometry the octants share are built once per step and
+    every pass's sweep reads them. ax, ay (M_oct, 1) are |Omega_x| / dx and
+    |Omega_y| / dy of an octant's directions and w_x, w_y = ax / inv_ds,
+    ay / inv_ds the inflow weights of the cell update: the quadrature's
+    octants mirror each other, so these are every octant's. prev holds per
+    octant, in quad.octants order, the backward-Euler source
+    psi_prev / (c dt) (ny, nx, M_oct, G) in the mesh's orientation; inflow
+    maps each side to its (G,) incoming intensity.
     """
 
     mesh: SpatialMesh
     quad: AngularQuadrature
-    dt: float
     sink: float
     psi_prev: np.ndarray
     ax: np.ndarray
     ay: np.ndarray
     w_x: np.ndarray
     w_y: np.ndarray
-    octants: tuple
+    prev: tuple
+    inflow: dict
 
 
 def sweep_step(
@@ -249,14 +223,8 @@ def sweep_step(
     ox, oy = quad.omega[quad.octants[0][2], :2].T
     ax, ay = (np.abs(ox) / mesh.dx)[:, None], (np.abs(oy) / mesh.dy)[:, None]
     inv_ds = ax + ay
-    octants = []
-    for sx, sy, idx in quad.octants:
-        prev = np.ascontiguousarray(psi_prev[..., idx].transpose(0, 1, 3, 2)) * sink
-        octants.append(_Octant(
-            sx, sy, idx, quad.weight[idx], prev,
-            bc["left" if sx > 0 else "right"], bc["bottom" if sy > 0 else "top"], _diagonals(nx, ny, sx, sy),
-        ))
-    return SweepStep(mesh, quad, dt, sink, psi_prev, ax, ay, ax / inv_ds, ay / inv_ds, tuple(octants))
+    prev = tuple(np.ascontiguousarray(psi_prev[..., idx].transpose(0, 1, 3, 2)) * sink for *_, idx in quad.octants)
+    return SweepStep(mesh, quad, sink, psi_prev, ax, ay, ax / inv_ds, ay / inv_ds, prev, bc)
 
 
 @dataclass
@@ -267,15 +235,16 @@ class SweepResult:
     face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) and bface_wnI
     (G, 2(nx+ny)), the outgoing current sum w (n.Omega) I at the boundary
     faces, are built together on the first read of any of them and cached.
-    frames holds per octant (sx, sy, idx, avg, out): its cell averages
-    (ny, nx, M_oct, G) and its outflow (ny+2, nx+2, M_oct, G), padded on
-    every side, both in the mesh's orientation, with the inflow in the
-    upwind ghost column and row.
+    step is the SweepStep swept, whose mesh, quadrature and sink the
+    tallies and the VEF closure read. frames holds per octant, in
+    quad.octants order, (avg, out): its cell averages (ny, nx, M_oct, G)
+    and its outflow (ny+2, nx+2, M_oct, G), padded on every side, both in
+    the mesh's orientation, with the inflow in the upwind ghost column and
+    row.
     """
 
     E: np.ndarray
-    mesh: SpatialMesh
-    quad: AngularQuadrature
+    step: SweepStep
     frames: list
 
     @cached_property
@@ -311,13 +280,13 @@ def _tally_frames(result: SweepResult):
     out through the domain boundary, give the outgoing current, the VEF's
     boundary closure.
     """
-    mesh, quad = result.mesh, result.quad
+    mesh, quad = result.step.mesh, result.step.quad
     nx, ny, G = mesh.nx, mesh.ny, result.E.shape[0]
     psi = np.empty((ny, nx, G, quad.n_directions))
     Fx = np.zeros((G, ny, nx + 1))
     Fy = np.zeros((G, ny + 1, nx))
     bface_wnI = np.zeros((G, mesh.n_boundary_faces))
-    for sx, sy, idx, avg, out in result.frames:
+    for (sx, sy, idx), (avg, out) in zip(quad.octants, result.frames):
         w = quad.weight[idx]
         ox, oy = quad.omega[idx, :2].T
         x_lo, y_lo = (1 - sx) // 2, (1 - sy) // 2
@@ -343,9 +312,9 @@ def sweep(
 
     kappa and source are the physical absorption and isotropic emission
     source (G, ny, nx); the backward-Euler terms of the step (sweep_step:
-    its dt and previous intensity psi_prev) are folded in. A step built for
-    another mesh or quadrature, and kappa or source of a shape other than
-    the step's (G, ny, nx), raise ConfigError. The directions are quad's;
+    its sink 1 / (c dt) and previous intensity psi_prev) are folded in. A
+    step built for another mesh or quadrature, and kappa or source of a
+    shape other than the step's (G, ny, nx), raise ConfigError. The directions are quad's;
     from build_angular_quadrature they are the Omega_z >= 0 half of the
     product rule, each standing for itself and its Omega_z mirror (see the
     module docstring), so psi holds one intensity per mirror pair.
@@ -366,9 +335,9 @@ def sweep(
     octant directions. The cell inflow I_in and the averages
     I_in g1 + q ds g2 then follow from the padded outflow for the whole
     frame at once, and the energy is tallied per octant from the averages.
-    Every sweep fills frames of its own, which its result keeps: psi and
-    the face tallies are left to the result to build on first read
-    (SweepResult).
+    Every sweep fills frames of its own, one per octant in quad.octants
+    order, which its result keeps with the step: psi and the face tallies
+    are left to the result to build on first read (SweepResult).
     """
     nx, ny = mesh.nx, mesh.ny
     G = step.psi_prev.shape[2]
@@ -394,29 +363,29 @@ def sweep(
     E = np.zeros((ny, nx, G))
     frames = []
 
-    for o in step.octants:
-        q_ds = (src_t + o.prev) / inv_ds
+    for (sx, sy, idx), prev in zip(quad.octants, step.prev):
+        q_ds = (src_t + prev) / inv_ds
         q_g1 = np.empty(padded)
         np.multiply(q_ds, g1, out=q_g1[1:-1, 1:-1])
         q_g1 = q_g1.reshape(flat)
         out = np.empty(padded)
-        out[1:-1, 0 if o.sx > 0 else -1] = o.x_inflow
-        out[0 if o.sy > 0 else -1, 1:-1] = o.y_inflow
+        out[1:-1, 0 if sx > 0 else -1] = step.inflow["left" if sx > 0 else "right"]
+        out[0 if sy > 0 else -1, 1:-1] = step.inflow["bottom" if sy > 0 else "top"]
         out_f = out.reshape(flat)
-        for cells, west, south in o.diagonals:
+        for cells, west, south in _diagonals(nx, ny, sx, sy):
             I_out = a_w[cells] * out_f[west]
             I_out += a_s[cells] * out_f[south]
             np.add(I_out, q_g1[cells], out=out_f[cells])
-        I_west = out[1:-1, 1 - o.sx:nx + 1 - o.sx]
-        I_south = out[1 - o.sy:ny + 1 - o.sy, 1:-1]
+        I_west = out[1:-1, 1 - sx:nx + 1 - sx]
+        I_south = out[1 - sy:ny + 1 - sy, 1:-1]
         avg = (step.ax * I_west + step.ay * I_south) / inv_ds  # the cell inflow I_in
         avg *= g1
         avg += q_ds * g2
-        E += o.weight @ avg
-        frames.append((o.sx, o.sy, o.idx, avg, out))
+        E += quad.weight[idx] @ avg
+        frames.append((avg, out))
 
     E = np.ascontiguousarray(E.transpose(2, 0, 1)) / DEFAULT_CONSTANTS.c
-    return SweepResult(E, mesh, quad, frames)
+    return SweepResult(E, step, frames)
 
 
 @dataclass(frozen=True)
@@ -436,15 +405,13 @@ class TransportProblem:
         The half-range sums of the quadrature (not the analytic pi) give
         the VEF's online solve the same discrete half-range integrals as
         its transport-derived boundary factors, so an equilibrium drive
-        stays exactly stationary.
+        stays exactly stationary. A side's incoming directions are those
+        moving away from it: Omega_x > 0 enter on the left, Omega_x < 0 on
+        the right, Omega_y > 0 at the bottom and Omega_y < 0 at the top.
         """
-        G = self.fgrid.n_groups
-        F_in = np.zeros((4, G))
-        for s, side in enumerate(SIDES):
-            incoming = self.quad.half_range(_NORMALS[side], outgoing=False)
-            wn_in = self.quad.weight[incoming] * np.abs(self.quad.omega[incoming] @ _NORMALS[side])
-            F_in[s] = self.inflow.value(side, G) * wn_in.sum()
-        return F_in
+        G, w = self.fgrid.n_groups, self.quad.weight
+        wn_in = [(w * np.abs(o))[mask].sum() for o in self.quad.omega[:, :2].T for mask in (o > 0.0, o < 0.0)]
+        return np.array([self.inflow.value(side, G) * wn for side, wn in zip(SIDES, wn_in)])
 
 
 @dataclass
@@ -452,18 +419,6 @@ class TransportState(MomentState):
     """Full-order model state at one time level: the moment state and its intensity."""
 
     psi: np.ndarray  # (ny, nx, G, M)
-
-
-@dataclass
-class StepDiagnostics:
-    """One step's coupling record: the change of every pass and the energy budget's defect."""
-
-    change_history: list[float]
-    balance_residual: float
-
-    @property
-    def picard_iterations(self) -> int:
-        return len(self.change_history)
 
 
 def planckian_intensity(problem: TransportProblem, T) -> np.ndarray:
@@ -523,26 +478,3 @@ def run_fom(problem: TransportProblem, T0: float, dt: float, n_steps: int):
     check_step_count(n_steps)
     return march("fom", initial_transport_state(problem, T0), lambda s, _: fom_step(problem, s, dt), range(n_steps))
 
-
-def boundary_net_outflow(Fx: np.ndarray, Fy: np.ndarray, mesh: SpatialMesh) -> float:
-    """Net radiative power leaving the domain [Jerk/ns], all groups."""
-    out = (Fx[:, :, -1].sum() - Fx[:, :, 0].sum()) * mesh.dy
-    out += (Fy[:, -1, :].sum() - Fy[:, 0, :].sum()) * mesh.dx
-    return float(out)
-
-
-def total_energy(T: np.ndarray, E: np.ndarray, mesh: SpatialMesh, eos: MaterialEOS) -> float:
-    """Radiation plus material energy content [Jerk]."""
-    return float((E.sum() + eos.cv * T.sum()) * mesh.cell_volume)
-
-
-def energy_balance_residual(prev, new, dt: float, mesh: SpatialMesh, eos: MaterialEOS) -> float:
-    """Normalized defect of the global backward-Euler energy budget.
-
-    |Delta(E_rad + E_mat) + dt * net_outflow| / total energy, with the
-    boundary flow evaluated from the end-of-step face fluxes. Accepts any
-    pair of states exposing T, E, Fx, Fy.
-    """
-    d_energy = total_energy(new.T, new.E, mesh, eos) - total_energy(prev.T, prev.E, mesh, eos)
-    flow = boundary_net_outflow(new.Fx, new.Fy, mesh)
-    return abs(d_energy + dt * flow) / abs(total_energy(new.T, new.E, mesh, eos))

@@ -84,16 +84,9 @@ from .diffusion import (
 )
 from .errors import ConfigError
 from .grid import AngularQuadrature, SpatialMesh
-from .history import MomentState, check_time_step, initial_moment_state, march
+from .history import MomentState, StepDiagnostics, check_time_step, initial_moment_state, march
 from .physics import DEFAULT_CONSTANTS
-from .transport import (
-    StepDiagnostics,
-    SweepResult,
-    TransportProblem,
-    planckian_intensity,
-    sweep,
-    sweep_step,
-)
+from .transport import SweepResult, TransportProblem, planckian_intensity, sweep, sweep_step
 
 #: Acceptance window for the data-derived face closure factors. Factors
 #: outside [0, 1] would give a face an anti-diffusive or superluminal
@@ -166,16 +159,13 @@ class ClosureRecord:
 
 
 def closure_from_sweep(
-    result: SweepResult,
-    quad: AngularQuadrature,
-    mesh: SpatialMesh,
-    kappa: np.ndarray,
-    dt: float,
-    prev_Fx: np.ndarray,
-    prev_Fy: np.ndarray,
-    F_in: np.ndarray,
+    result: SweepResult, kappa: np.ndarray, prev_Fx: np.ndarray, prev_Fy: np.ndarray, F_in: np.ndarray
 ) -> ClosureRecord:
     """Extract the closure record from a finished transport sweep.
+
+    The mesh, the quadrature and the backward-Euler rate alpha = 1/(c dt)
+    are those of the step swept (result.step: its mesh, quad and sink);
+    kappa is the opacity the sweep was run with.
 
     The face factors come from the moment system's own face law:
     first_moment_faces with unit factors and the face fluxes
@@ -194,11 +184,11 @@ def closure_from_sweep(
     absorbs what little is left given the incoming currents F_in (4, G)
     (exact zero away from degenerate dark cells).
     """
-    alpha = 1.0 / (DEFAULT_CONSTANTS.c * dt)
+    mesh, alpha = result.step.mesh, result.step.sink
     G = kappa.shape[0]
     Ef = result.E.reshape(G, -1)
 
-    fxx, fyy = eddington_tensor(result.psi, quad)
+    fxx, fyy = eddington_tensor(result.psi, result.step.quad)
     forms = first_moment_faces(mesh, kappa, alpha, prev_Fx, prev_Fy, 1.0, 1.0)
 
     def face_closure(form, cells, F, fallback):
@@ -259,6 +249,8 @@ class ClosureDataset:
             t_prev = t
 
     def validate(self, mesh: SpatialMesh, n_groups: int) -> None:
+        if not (isinstance(self.times, np.ndarray) and self.times.ndim == 1 and np.all(np.isfinite(self.times))):
+            raise ConfigError("closure time grid must be a finite 1-D array")
         N = self.times.size
         if len(self.records) != N:
             raise ConfigError(f"closure has {len(self.records)} records for {N} time levels")
@@ -358,7 +350,7 @@ def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
         dt = times[n] - times[n - 1]
         kappa, _, B, _ = problem.material.emission_terms(T_data[n], DEFAULT_CONSTANTS)
         result = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, psi, dt, problem.inflow))
-        records.append(closure_from_sweep(result, quad, mesh, kappa, dt, Fx_prev, Fy_prev, F_in))
+        records.append(closure_from_sweep(result, kappa, Fx_prev, Fy_prev, F_in))
         psi, Fx_prev, Fy_prev = result.psi, result.Fx, result.Fy
     return ClosureDataset(float(times[0]), times[1:].copy(), records, F_in, T_data[1:].copy())
 

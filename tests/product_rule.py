@@ -18,5 +18,5 @@ def unfold(quad: AngularQuadrature) -> tuple[AngularQuadrature, np.ndarray]:
     weight = quad.weight.copy()
     weight[upper] /= 2.0
     source = np.concatenate([np.arange(quad.n_directions), upper])
-    full = AngularQuadrature(quad.n_polar, quad.n_azimuthal, np.concatenate([quad.omega, mirrors]), weight[source])
+    full = AngularQuadrature(np.concatenate([quad.omega, mirrors]), weight[source])
     return full, source

@@ -53,7 +53,6 @@ class TestAngularQuadrature:
         # The 6 x 24 product rule has 144 directions; the sweep sees the
         # Omega_z > 0 half of them.
         quad = build_angular_quadrature(6, 24)
-        assert (quad.n_polar, quad.n_azimuthal) == (6, 24)
         assert quad.n_directions == 72
         assert unfold(quad)[0].n_directions == 144
 
@@ -167,7 +166,7 @@ class TestAngularQuadrature:
         else:
             omega, weight = omega[1:], weight[1:]
         with pytest.raises(ConfigError, match="mirrored by sign"):
-            AngularQuadrature(2, 8, omega, weight)
+            AngularQuadrature(omega, weight)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_direction_outside_every_octant_rejected(self, bad):
@@ -175,7 +174,7 @@ class TestAngularQuadrature:
         omega = built.omega.copy()
         omega[3, 1] = bad
         with pytest.raises(ConfigError, match="octant"):
-            AngularQuadrature(2, 8, omega, built.weight)
+            AngularQuadrature(omega, built.weight)
 
     @pytest.mark.parametrize(
         "omega, weight, match",
@@ -195,13 +194,11 @@ class TestAngularQuadrature:
     def test_bad_direct_construction_rejected(self, omega, weight, match):
         built = build_angular_quadrature(2, 4)
         with pytest.raises(ConfigError, match=match):
-            AngularQuadrature(2, 4, omega(built.omega), weight(built.weight))
+            AngularQuadrature(omega(built.omega), weight(built.weight))
 
     def test_half_range_masks_partition(self):
         quad = build_angular_quadrature(4, 8)
-        n = np.array([1.0, 0.0, 0.0])
-        out = quad.half_range(n, outgoing=True)
-        inc = quad.half_range(n, outgoing=False)
+        out, inc = quad.omega[:, 0] > 0.0, quad.omega[:, 0] < 0.0
         assert np.all(out ^ inc)  # no grazing directions
         assert out.sum() == quad.n_directions // 2
 
@@ -209,8 +206,7 @@ class TestAngularQuadrature:
         # The incoming weighted current of a unit isotropic field approximates
         # pi; exact to the azimuthal rule's accuracy, not machine precision.
         quad = build_angular_quadrature(6, 24)
-        n = np.array([-1.0, 0.0, 0.0])
-        inc = quad.half_range(n, outgoing=False)
+        inc = quad.omega[:, 0] > 0.0  # entering through the left side
         cur = np.sum(quad.weight[inc] * np.abs(quad.omega[inc, 0]))
         assert cur == pytest.approx(np.pi, rel=5e-3)
         # Half-range zeroth moment is exactly 2 pi by construction.

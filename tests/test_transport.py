@@ -18,6 +18,7 @@ from ddvef.grid import (
     build_angular_quadrature,
     build_frequency_grid,
 )
+from ddvef.history import boundary_net_outflow, energy_balance_residual
 from ddvef.physics import (
     DEFAULT_CONSTANTS,
     ConstantOpacity,
@@ -30,9 +31,7 @@ from ddvef.transport import (
     BoundaryInflow,
     TransportProblem,
     TransportState,
-    boundary_net_outflow,
     characteristic_coefficients,
-    energy_balance_residual,
     fom_step,
     initial_transport_state,
     planckian_inflow,
@@ -302,7 +301,7 @@ class TestSweep:
         kappa = rng.uniform(0.2, 2.0, (G, mesh.ny, mesh.nx))
         source = rng.uniform(0.0, 1.0, (G, mesh.ny, mesh.nx))
         inflow = BoundaryInflow(left=np.ones(G), top=np.full(G, 0.4))
-        direct = AngularQuadrature(quad.n_polar, quad.n_azimuthal, quad.omega, quad.weight)
+        direct = AngularQuadrature(quad.omega, quad.weight)
         res = steady_sweep(mesh, quad, kappa, source, inflow=inflow)
         res_direct = steady_sweep(mesh, direct, kappa, source, inflow=inflow)
         assert res.E.max() > 0.0
@@ -454,7 +453,7 @@ class TestSweep:
         inflow = BoundaryInflow(*(B,) * 4)
         res = steady_sweep(mesh, quad, kappa, kappa * B[:, None, None], inflow=inflow)
         for side, normal in zip(SIDES, ([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 1.0, 0.0])):
-            out = quad.half_range(normal)
+            out = quad.omega @ normal > 0.0
             half_current = quad.weight[out] @ np.abs(quad.omega[out] @ normal)
             np.testing.assert_allclose(res.bface_wnI[:, mesh.boundary_slice(side)], half_current * B[0], rtol=1e-12)
         # The ratio carries the half-range current of the quadrature; the
@@ -574,6 +573,37 @@ class TestBoundaryInflow:
         inflow = BoundaryInflow(left=[0.0, 2.0], top=np.zeros(2))
         np.testing.assert_array_equal(inflow.value("left", 2), [0.0, 2.0])
         np.testing.assert_array_equal(inflow.value("right", 2), np.zeros(2))
+
+
+class TestIncomingCurrents:
+    @staticmethod
+    def problem(quad, inflow):
+        mesh, _, fgrid = small_setup(groups=(0.5, 2.0))
+        return TransportProblem(mesh, quad, fgrid, None, MaterialEOS(1.0), inflow)
+
+    @pytest.mark.parametrize("rule", ["2x8"] + list(OTHER_RULES))
+    def test_equals_the_outgoing_current_at_equilibrium(self, rule):
+        # With the same isotropic B entering on every side the steady sweep
+        # is the equilibrium B, so what leaves through a side is what enters.
+        quad = build_angular_quadrature(2, 8) if rule == "2x8" else OTHER_RULES[rule]()
+        B = np.array([0.6, 1.7])
+        problem = self.problem(quad, BoundaryInflow(*(B,) * 4))
+        mesh = problem.mesh
+        kappa = np.full((2, mesh.ny, mesh.nx), 2.0)
+        res = steady_sweep(mesh, quad, kappa, kappa * B[:, None, None], inflow=problem.inflow)
+        F_in = problem.incoming_currents()
+        assert F_in.shape == (4, 2) and np.all(F_in > 0.0)
+        for s, side in enumerate(SIDES):
+            out = res.bface_wnI[:, mesh.boundary_slice(side)]
+            np.testing.assert_allclose(out, np.broadcast_to(F_in[s][:, None], out.shape), rtol=1e-13, atol=0.0, err_msg=side)
+
+    def test_folded_rule_gives_the_product_rule_currents(self):
+        quad = build_angular_quadrature(2, 8)
+        rng = np.random.default_rng(31)
+        inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, 2) for side in SIDES})
+        folded = self.problem(quad, inflow).incoming_currents()
+        full = self.problem(unfold(quad)[0], inflow).incoming_currents()
+        np.testing.assert_allclose(folded, full, rtol=1e-14, atol=0.0)
 
 
 class TestPlanckianInflow:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ddvef import transport as transport_module
 from ddvef import vef as vef_module
 from ddvef.diffusion import (
     DiffusionProblem,
@@ -91,7 +92,7 @@ def test_closure_reproduces_its_sweep():
     first = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, planckian_intensity(problem, T), DT, problem.inflow))
     second = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, first.psi, DT, problem.inflow))
     F_in = problem.incoming_currents()
-    record = closure_from_sweep(second, quad, mesh, kappa, DT, first.Fx, first.Fy, F_in)
+    record = closure_from_sweep(second, kappa, first.Fx, first.Fy, F_in)
 
     faces = first_moment_faces(
         mesh, kappa, 1.0 / (c * DT), first.Fx, first.Fy, record.gx, record.gy, record.rx, record.ry
@@ -143,7 +144,7 @@ def test_dark_sweep_gives_a_finite_neutral_closure():
     dark_step = sweep_step(mesh, quad, np.zeros((mesh.ny, mesh.nx, G, quad.n_directions)), DT, BoundaryInflow())
     dark = sweep(mesh, quad, kappa, zero, dark_step)
     Fx, Fy = np.zeros_like(dark.Fx), np.zeros_like(dark.Fy)
-    record = closure_from_sweep(dark, quad, mesh, kappa, DT, Fx, Fy, np.zeros((4, G)))
+    record = closure_from_sweep(dark, kappa, Fx, Fy, np.zeros((4, G)))
     for f in fields(ClosureRecord):
         assert np.all(np.isfinite(getattr(record, f.name))), f.name
     for name in ("v_out", "rx", "ry", "rb"):
@@ -282,6 +283,33 @@ def test_validate_rejects_bad_drive_and_time_grid(problem, diffusion):
         replace(dataset, times=np.array([2 * DT, DT])).validate(mesh, G)
     with pytest.raises(ConfigError, match="increasing"):
         replace(dataset, t0=DT).validate(mesh, G)
+    # A 2-D grid, a list and an infinite level are refused before any step.
+    for times in (np.array([[DT, 2 * DT]]), [DT, 2 * DT], np.array([DT, np.inf])):
+        with pytest.raises(ConfigError, match="finite 1-D array"):
+            replace(dataset, times=times).validate(mesh, G)
+
+
+@pytest.mark.parametrize("T0", [0.0, -1.0, np.nan, np.inf, np.ones((2, 2))], ids=["0", "-1", "nan", "inf", "2x2"])
+@pytest.mark.parametrize("entry", ["fom", "p1", "vef"])
+def test_bad_initial_temperature_raises_before_any_sweep_or_solve(problem, diffusion, monkeypatch, entry, T0):
+    calls = []
+
+    def called(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+
+        return wrapper
+
+    monkeypatch.setattr(transport_module, "sweep", called("sweep"))
+    monkeypatch.setattr(MomentSystem, "solve", called("solve"))
+    run = {
+        "fom": lambda: run_fom(problem, T0, DT, 1),
+        "p1": lambda: run_diffusion_model(diffusion, "p1", T0, DT, 1),
+        "vef": lambda: online_phase(problem, isotropic(problem, diffusion, [DT]), T0),
+    }[entry]
+    with pytest.raises(ConfigError, match="initial temperature"):
+        run()
+    assert calls == []
 
 
 @pytest.mark.slow
