@@ -399,20 +399,6 @@ class TransportProblem:
     eos: MaterialEOS
     inflow: BoundaryInflow
 
-    def incoming_currents(self) -> np.ndarray:
-        """Incoming partial current per side and group (4, G), canonical side order.
-
-        The half-range sums of the quadrature (not the analytic pi) give
-        the VEF's online solve the same discrete half-range integrals as
-        its transport-derived boundary factors, so an equilibrium drive
-        stays exactly stationary. A side's incoming directions are those
-        moving away from it: Omega_x > 0 enter on the left, Omega_x < 0 on
-        the right, Omega_y > 0 at the bottom and Omega_y < 0 at the top.
-        """
-        G, w = self.fgrid.n_groups, self.quad.weight
-        wn_in = [(w * np.abs(o))[mask].sum() for o in self.quad.omega[:, :2].T for mask in (o > 0.0, o < 0.0)]
-        return np.array([self.inflow.value(side, G) * wn for side, wn in zip(SIDES, wn_in)])
-
 
 @dataclass
 class TransportState(MomentState):

@@ -10,21 +10,22 @@ face-to-cell density ratio eta, and reads c/2 for Marshak. The
 VEF is one pipeline of two phases. The offline phase re-solves the linear
 transport equation on a given temperature history - opacity and emission
 frozen at the data - and tabulates one closure record at the end of every
-step, together with the quadrature moments of the boundary drive. The
-online phase closes the radiation moment system with those records: per
-group
+step. The online phase closes the radiation moment system with those
+records: per group
 
     dE/dt + div F + c kappa E = 4 pi kappa B(T),
     (1/c) dF/dt + c div(f E) + kappa F = 0,
 
-with the face condition n.F = v_out E - F_in + rb: the incoming partial
-current F_in is known drive data and enters exactly, while the outgoing
-current is v_out times the local density, and rb is a per-face
-consistency current (identically zero for transport-derived closures).
+with the boundary condition n.F = v_out E_cell + b_base on every boundary
+face: the outgoing current is v_out times the density of the cell behind
+the face, and b_base is the rest of the sweep's net outward current
+there, minus its incoming current. These are the moment system's own
+boundary tables (b_coef, b_base), which P1's Marshak law fills with
+(c/2, -2 F_in) for the incoming partial current F_in.
 
 The closed system is assembled and solved by diffusion.MomentSystem, the
 one assembler that P1, P1/3, FLD and the VEF share; the VEF only fills in
-its face and boundary coefficients. Backward Euler eliminates each face
+its face and boundary tables. Backward Euler eliminates each face
 flux: the normal part of the divergence of the closed pressure tensor is
 a face factor times the central density difference across the face
 (f_xx dE/dx on x-faces, f_yy dE/dy on y-faces), P1's 5-point stencil.
@@ -41,13 +42,12 @@ face-flux consistency remainders rx, ry carrying whatever the windowed
 factor cannot absorb, the sweep's f_xy cross-term flux included. The
 remainders ride on the right-hand side without touching the operator, so
 the VEF assembles the same 5-point stencil as P1, P1/3 and FLD. On the
-boundary v_out recovers the sweep's outward current exactly while the
-incoming drive current bypasses the closure altogether. Everything fed
-to the operator is therefore either a bounded ratio or a fixed
-interpolation weight, while magnitude-
-sensitive information either is exact drive data or rides on the right-
-hand side, where approximate data perturbs the solution only linearly.
-With this discretely consistent closure the online solve driven by data
+boundary v_out E_cell recovers the sweep's outward current exactly, and
+b_base carries the sweep's incoming current, drive included, on the
+right-hand side. Everything fed to the operator is therefore either a
+bounded ratio or a fixed interpolation weight, while magnitude-sensitive
+information rides on the right-hand side, where approximate data
+perturbs the solution only linearly. With this discretely consistent closure the online solve driven by data
 from a converged reference transport run reproduces that run's moments
 to solver tolerance, and closures from approximate temperature data
 inherit the accuracy of the auxiliary transport solve rather than that
@@ -74,13 +74,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diffusion import (
+    DiffusionProblem,
+    _marshak_boundary,
     boundary_cells,
     boundary_flux,
     coupled_step,
     face_cells,
     face_means,
     first_moment_faces,
-    on_boundary_faces,
 )
 from .errors import ConfigError
 from .grid import AngularQuadrature, SpatialMesh
@@ -139,12 +140,12 @@ class ClosureRecord:
     depends on its two adjacent cells alone. v_out is the outgoing
     boundary factor, the outgoing current per unit boundary-cell density
     (c C eta in terms of the half-range flux factor C and the outgoing
-    face-to-cell density ratio eta), and rb the boundary consistency
-    current (both (G, n_boundary_faces); rb vanishes for closures
-    extracted from a sweep). The face-level fields make the moment stencil
-    discretely consistent with the generating sweep; the synthetic values
-    gx = gy = 1/3, rx = ry = 0, v_out = c/2 and rb = -F_in reduce the
-    system to P1 with Marshak boundaries.
+    face-to-cell density ratio eta), and b_base the rest of the boundary
+    face's outward current, so n.F = v_out E_cell + b_base (both
+    (G, n_boundary_faces), the moment system's boundary tables). The
+    face-level fields make the moment stencil discretely consistent with
+    the generating sweep; gx = gy = 1/3, rx = ry = 0 and P1's Marshak
+    tables reduce the system to P1 (isotropic_closure).
 
     Each field's location is its metadata "at", from which the dataset
     derives its shape checks.
@@ -155,11 +156,11 @@ class ClosureRecord:
     gy: np.ndarray = _at("yface")
     rx: np.ndarray = _at("xface")
     ry: np.ndarray = _at("yface")
-    rb: np.ndarray = _at("bface")
+    b_base: np.ndarray = _at("bface")
 
 
 def closure_from_sweep(
-    result: SweepResult, kappa: np.ndarray, prev_Fx: np.ndarray, prev_Fy: np.ndarray, F_in: np.ndarray
+    result: SweepResult, kappa: np.ndarray, prev_Fx: np.ndarray, prev_Fy: np.ndarray
 ) -> ClosureRecord:
     """Extract the closure record from a finished transport sweep.
 
@@ -179,10 +180,11 @@ def closure_from_sweep(
     consistency remainder F - base - g grad is whatever flux the windowed
     factor leaves unexplained, the sweep's cross-term flux among it.
     Together (g, r) reproduce the sweep's face flux identically when the
-    online system is fed the sweep's energies. v_out is the sweep's outgoing boundary current over
-    the boundary-cell density, so v_out E_cell is that current exactly; rb
-    absorbs what little is left given the incoming currents F_in (4, G)
-    (exact zero away from degenerate dark cells).
+    online system is fed the sweep's energies. v_out is the sweep's
+    outgoing boundary current over the boundary-cell density, and b_base
+    the sweep's outward boundary flux less v_out E_cell, minus its
+    incoming current to rounding, so v_out E_cell + b_base is the sweep's
+    outward boundary flux.
     """
     mesh, alpha = result.step.mesh, result.step.sink
     G = kappa.shape[0]
@@ -205,12 +207,12 @@ def closure_from_sweep(
     gx, rx = face_closure(forms[0], cells_x, result.Fx[:, :, 1:-1], face_means(fxx)[0])
     gy, ry = face_closure(forms[1], cells_y, result.Fy[:, 1:-1, :], face_means(fyy)[1])
 
-    # boundary closure: n.F = v_out E_cell - F_in + rb
+    # boundary closure: n.F = v_out E_cell + b_base
     cells, sign, _ = boundary_cells(mesh)
     E_edge = Ef[:, cells]
     v_out = result.bface_wnI / np.maximum(E_edge, 1.0e-300)
-    rb = sign * boundary_flux(result.Fx, result.Fy) + on_boundary_faces(mesh, F_in) - v_out * E_edge
-    return ClosureRecord(v_out, gx, gy, rx, ry, rb)
+    b_base = sign * boundary_flux(result.Fx, result.Fy) - v_out * E_edge
+    return ClosureRecord(v_out, gx, gy, rx, ry, b_base)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +222,12 @@ def closure_from_sweep(
 
 @dataclass
 class ClosureDataset:
-    """Closure records over a whole run plus the boundary drive currents.
+    """Closure records over a whole run.
 
     times holds the end-of-step levels t^1..t^N and records[n] the closure
     of the step ending at times[n]; t0 is the initial level, so the online
-    solver's time grid is fully determined. F_in[s, g] is the incoming
-    partial current on side s (canonical order left, right, bottom, top;
-    zeros on vacuum sides), which the online boundary condition
-    n.F = v_out E - F_in + rb consumes directly. T[n] (ny, nx) is the
+    solver's time grid is fully determined. Each record carries its own
+    boundary tables, n.F = v_out E_cell + b_base. T[n] (ny, nx) is the
     data temperature at which records[n] was frozen, and the coupling of
     that online step starts there; T is None for a closure not derived
     from temperature data, whose steps start where P1's do: on the
@@ -237,7 +237,6 @@ class ClosureDataset:
     t0: float
     times: np.ndarray
     records: list[ClosureRecord]
-    F_in: np.ndarray  # (4, G)
     T: np.ndarray | None  # (N, ny, nx)
 
     def steps(self):
@@ -264,8 +263,6 @@ class ClosureDataset:
                 shape, expected = np.shape(getattr(record, f.name)), (n_groups,) + at[f.metadata["at"]]
                 if shape != expected:
                     raise ConfigError(f"closure {f.name} has shape {shape}, expected {expected}")
-        if np.shape(self.F_in) != (4, n_groups):
-            raise ConfigError("closure drive moments do not match the group count")
         if self.T is not None:
             if np.shape(self.T) != (N, mesh.ny, mesh.nx):
                 raise ConfigError(f"closure data temperatures have shape {np.shape(self.T)}, expected {(N, mesh.ny, mesh.nx)}")
@@ -275,34 +272,30 @@ class ClosureDataset:
             raise ConfigError("closure time grid must be strictly increasing from t0")
 
 
-def isotropic_closure(
-    mesh: SpatialMesh,
-    n_groups: int,
-    t0: float,
-    times: np.ndarray,
-    F_in: np.ndarray,
-) -> ClosureDataset:
-    """Synthetic dataset of the isotropic closure f = diag(1/3, 1/3, 1/3), v_out = c/2 at every level.
+def isotropic_closure(problem: DiffusionProblem, t0: float, times: np.ndarray) -> ClosureDataset:
+    """Synthetic dataset of the isotropic closure f = diag(1/3, 1/3, 1/3) with P1's boundary at every level.
 
     The face-level fields take their neutral values (gx = gy = 1/3, zero
-    remainders) and the boundary ones the Marshak factor v_out = c/2
-    (c C eta with C = 1/2, eta = 1) and rb = -F_in, so with the
-    analytic Planckian drive currents of a DiffusionProblem this closure
-    makes the online solver coincide with the P1 model. It has no data
-    temperatures, so every online step starts its coupling where P1 does,
-    on the previous level extrapolated by its rate.
+    remainders) and the boundary tables are P1's own Marshak tables
+    (diffusion._marshak_boundary): n.F = (c/2) E_cell - 2 F_in on open
+    sides, v_out = c/2 being c C eta with C = 1/2, eta = 1, and n.F = 0 on
+    reflective ones. So the online solver on this closure is the P1 model
+    of the problem. It has no data temperatures, so every online step
+    starts its coupling where P1 does, on the previous level extrapolated
+    by its rate.
     """
     times = np.asarray(times, dtype=float)
-    G, ny, nx, nb = n_groups, mesh.ny, mesh.nx, mesh.n_boundary_faces
+    G, ny, nx = problem.fgrid.n_groups, problem.mesh.ny, problem.mesh.nx
+    v_out, b_base = _marshak_boundary(problem, problem.incoming_currents())
     one = ClosureRecord(
-        v_out=np.full((G, nb), 0.5 * DEFAULT_CONSTANTS.c),
+        v_out=v_out,
         gx=np.full((G, ny, nx - 1), 1.0 / 3.0),
         gy=np.full((G, ny - 1, nx), 1.0 / 3.0),
         rx=np.zeros((G, ny, nx - 1)),
         ry=np.zeros((G, ny - 1, nx)),
-        rb=on_boundary_faces(mesh, -F_in),
+        b_base=b_base,
     )
-    return ClosureDataset(float(t0), times, [one] * times.size, F_in, None)
+    return ClosureDataset(float(t0), times, [one] * times.size, None)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +309,8 @@ def _check_temperature_data(problem, temperatures):
     mesh = problem.mesh
     if times.ndim != 1 or times.size < 2:
         raise ConfigError("temperature data must cover at least one step")
+    if not np.all(np.isfinite(times)):
+        raise ConfigError("temperature time grid must be finite")
     if T.shape != (times.size, mesh.ny, mesh.nx):
         raise ConfigError(f"temperature data has shape {T.shape}, expected {(times.size, mesh.ny, mesh.nx)}")
     if not np.all(np.diff(times) > 0.0):
@@ -341,7 +336,6 @@ def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
     times, T_data = _check_temperature_data(problem, temperatures)
     mesh, quad = problem.mesh, problem.quad
     G = problem.fgrid.n_groups
-    F_in = problem.incoming_currents()
     psi = planckian_intensity(problem, T_data[0])
     Fx_prev = np.zeros((G, mesh.ny, mesh.nx + 1))
     Fy_prev = np.zeros((G, mesh.ny + 1, mesh.nx))
@@ -350,9 +344,9 @@ def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
         dt = times[n] - times[n - 1]
         kappa, _, B, _ = problem.material.emission_terms(T_data[n], DEFAULT_CONSTANTS)
         result = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, psi, dt, problem.inflow))
-        records.append(closure_from_sweep(result, kappa, Fx_prev, Fy_prev, F_in))
+        records.append(closure_from_sweep(result, kappa, Fx_prev, Fy_prev))
         psi, Fx_prev, Fy_prev = result.psi, result.Fx, result.Fy
-    return ClosureDataset(float(times[0]), times[1:].copy(), records, F_in, T_data[1:].copy())
+    return ClosureDataset(float(times[0]), times[1:].copy(), records, T_data[1:].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +359,6 @@ def vef_step(
     state: MomentState,
     dt: float,
     record: ClosureRecord,
-    F_in: np.ndarray,
     T_start: np.ndarray | None = None,
 ) -> tuple[MomentState, StepDiagnostics]:
     """Advance the closed moment system one backward-Euler step.
@@ -378,23 +371,22 @@ def vef_step(
     level extrapolated by state.dTdt (iteration.couple). Both reach the
     same fixed point, so the start only sets the number of passes. The faces
     are the first-moment forms with the record's factors gx, gy and its
-    remainders, on the 5-point stencil every moment model shares; each
-    boundary face's outward current is n.F = v_out E_cell - F_in + rb. Of
+    remainders, on the 5-point stencil every moment model shares, and
+    the boundary tables are the record's, n.F = v_out E_cell + b_base. Of
     the transport problem only the mesh, groups, material and heat
-    capacity are used: the record and the incoming currents F_in (4, G)
-    stand in for the quadrature and the inflow. A dt that is not positive
-    and finite raises ConfigError before the first solve.
+    capacity are used: the record stands in for the quadrature and the
+    inflow. A dt that is not positive and finite raises ConfigError before
+    the first solve.
     """
     check_time_step(dt)
     mesh = problem.mesh
     alpha = 1.0 / (DEFAULT_CONSTANTS.c * dt)
-    boundary = (record.v_out, record.rb - on_boundary_faces(mesh, F_in))
     return coupled_step(
         problem, state, dt,
         lambda kappa, *_: first_moment_faces(
             mesh, kappa, alpha, state.Fx, state.Fy, record.gx, record.gy, record.rx, record.ry
         ),
-        boundary, "closed-moment/material coupling", T_start,
+        (record.v_out, record.b_base), "closed-moment/material coupling", T_start,
     )
 
 
@@ -402,8 +394,9 @@ def online_phase(problem: TransportProblem, dataset: ClosureDataset, T0, label: 
     """March vef_step over the dataset's whole time grid.
 
     Starts from equilibrium at T0 (scalar or field) at the dataset's t0.
-    Each step's coupling starts at the dataset's data temperature of that
-    step, or where P1 does when the dataset has none. Returns the
+    Each step closes its moment system with its record, boundary tables
+    included, and its coupling starts at the dataset's data temperature of
+    that step, or where P1 does when the dataset has none. Returns the
     SolutionHistory of all N+1 levels.
     """
     dataset.validate(problem.mesh, problem.fgrid.n_groups)
@@ -411,7 +404,7 @@ def online_phase(problem: TransportProblem, dataset: ClosureDataset, T0, label: 
 
     def advance(state, step):
         dt, record, T_start = step
-        return vef_step(problem, state, dt, record, dataset.F_in, T_start)
+        return vef_step(problem, state, dt, record, T_start)
 
     return march(label, state, advance, dataset.steps())
 

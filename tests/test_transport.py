@@ -575,37 +575,6 @@ class TestBoundaryInflow:
         np.testing.assert_array_equal(inflow.value("right", 2), np.zeros(2))
 
 
-class TestIncomingCurrents:
-    @staticmethod
-    def problem(quad, inflow):
-        mesh, _, fgrid = small_setup(groups=(0.5, 2.0))
-        return TransportProblem(mesh, quad, fgrid, None, MaterialEOS(1.0), inflow)
-
-    @pytest.mark.parametrize("rule", ["2x8"] + list(OTHER_RULES))
-    def test_equals_the_outgoing_current_at_equilibrium(self, rule):
-        # With the same isotropic B entering on every side the steady sweep
-        # is the equilibrium B, so what leaves through a side is what enters.
-        quad = build_angular_quadrature(2, 8) if rule == "2x8" else OTHER_RULES[rule]()
-        B = np.array([0.6, 1.7])
-        problem = self.problem(quad, BoundaryInflow(*(B,) * 4))
-        mesh = problem.mesh
-        kappa = np.full((2, mesh.ny, mesh.nx), 2.0)
-        res = steady_sweep(mesh, quad, kappa, kappa * B[:, None, None], inflow=problem.inflow)
-        F_in = problem.incoming_currents()
-        assert F_in.shape == (4, 2) and np.all(F_in > 0.0)
-        for s, side in enumerate(SIDES):
-            out = res.bface_wnI[:, mesh.boundary_slice(side)]
-            np.testing.assert_allclose(out, np.broadcast_to(F_in[s][:, None], out.shape), rtol=1e-13, atol=0.0, err_msg=side)
-
-    def test_folded_rule_gives_the_product_rule_currents(self):
-        quad = build_angular_quadrature(2, 8)
-        rng = np.random.default_rng(31)
-        inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, 2) for side in SIDES})
-        folded = self.problem(quad, inflow).incoming_currents()
-        full = self.problem(unfold(quad)[0], inflow).incoming_currents()
-        np.testing.assert_allclose(folded, full, rtol=1e-14, atol=0.0)
-
-
 class TestPlanckianInflow:
     @pytest.mark.parametrize("sides", [("Left",), ("left", "lft")])
     def test_unknown_side_rejected(self, sides):

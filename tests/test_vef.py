@@ -9,6 +9,7 @@ import pytest
 from ddvef import transport as transport_module
 from ddvef import vef as vef_module
 from ddvef.diffusion import (
+    BoundaryCondition,
     DiffusionProblem,
     MomentSystem,
     _marshak_boundary,
@@ -16,13 +17,12 @@ from ddvef.diffusion import (
     boundary_flux,
     first_moment_faces,
     initial_moment_state,
-    on_boundary_faces,
     run_diffusion_model,
     standard_boundaries,
 )
 from ddvef.errors import ConfigError
-from ddvef.grid import SpatialMesh, build_angular_quadrature, build_frequency_grid
-from ddvef.physics import DEFAULT_CONSTANTS, InverseCubeMaterial, MaterialEOS, benchmark_cv
+from ddvef.grid import SIDES, SpatialMesh, build_angular_quadrature, build_frequency_grid
+from ddvef.physics import DEFAULT_CONSTANTS, InverseCubeMaterial, MaterialEOS, benchmark_cv, group_planck
 from ddvef.transport import (
     BoundaryInflow,
     TransportProblem,
@@ -83,7 +83,7 @@ def test_fused_vef_on_fom_temperatures_reproduces_the_fom(problem, fom):
 
 def test_closure_reproduces_its_sweep():
     # The second of two chained sweeps, closed by its record and fed its own
-    # energies, gives back the sweep's face fluxes; rb vanishes.
+    # energies, gives back the sweep's face fluxes, boundary faces included.
     fgrid = build_frequency_grid()
     mesh, quad, c = SpatialMesh(6, 5, 6.0, 5.0), build_angular_quadrature(2, 4), DEFAULT_CONSTANTS.c
     problem = TransportProblem(mesh, quad, fgrid, InverseCubeMaterial(fgrid), MaterialEOS(1.0), planckian_inflow(fgrid, T_DRIVE))
@@ -91,21 +91,23 @@ def test_closure_reproduces_its_sweep():
     kappa, _, B, _ = problem.material.emission_terms(T, DEFAULT_CONSTANTS)
     first = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, planckian_intensity(problem, T), DT, problem.inflow))
     second = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, first.psi, DT, problem.inflow))
-    F_in = problem.incoming_currents()
-    record = closure_from_sweep(second, kappa, first.Fx, first.Fy, F_in)
+    record = closure_from_sweep(second, kappa, first.Fx, first.Fy)
 
     faces = first_moment_faces(
         mesh, kappa, 1.0 / (c * DT), first.Fx, first.Fy, record.gx, record.gy, record.rx, record.ry
     )
-    system = MomentSystem(mesh, *faces, record.v_out, record.rb - on_boundary_faces(mesh, F_in))
+    system = MomentSystem(mesh, *faces, record.v_out, record.b_base)
     Fx, Fy = system.fluxes(second.E)
     scale = max(np.abs(second.Fx).max(), np.abs(second.Fy).max())
     np.testing.assert_allclose(Fx, second.Fx, rtol=0.0, atol=1.0e-13 * scale)
     np.testing.assert_allclose(Fy, second.Fy, rtol=0.0, atol=1.0e-13 * scale)
-    assert np.abs(record.rb).max() <= 1.0e-13 * np.abs(boundary_flux(second.Fx, second.Fy)).max()
-    # v_out times the boundary cell's energy is the sweep's outgoing current.
-    E_edge = second.E.reshape(second.E.shape[0], -1)[:, boundary_cells(mesh)[0]]
+    # v_out times the boundary cell's energy is the sweep's outgoing current,
+    # and adding b_base gives the sweep's outward boundary flux.
+    cells, sign, _ = boundary_cells(mesh)
+    E_edge = second.E.reshape(second.E.shape[0], -1)[:, cells]
     np.testing.assert_allclose(record.v_out * E_edge, second.bface_wnI, rtol=0.0, atol=1.0e-13 * second.bface_wnI.max())
+    outward = sign * boundary_flux(second.Fx, second.Fy)
+    np.testing.assert_allclose(record.v_out * E_edge + record.b_base, outward, rtol=0.0, atol=1.0e-13 * np.abs(outward).max())
 
 
 def test_isotropic_intensity_has_the_isotropic_eddington_tensor():
@@ -144,10 +146,10 @@ def test_dark_sweep_gives_a_finite_neutral_closure():
     dark_step = sweep_step(mesh, quad, np.zeros((mesh.ny, mesh.nx, G, quad.n_directions)), DT, BoundaryInflow())
     dark = sweep(mesh, quad, kappa, zero, dark_step)
     Fx, Fy = np.zeros_like(dark.Fx), np.zeros_like(dark.Fy)
-    record = closure_from_sweep(dark, kappa, Fx, Fy, np.zeros((4, G)))
+    record = closure_from_sweep(dark, kappa, Fx, Fy)
     for f in fields(ClosureRecord):
         assert np.all(np.isfinite(getattr(record, f.name))), f.name
-    for name in ("v_out", "rx", "ry", "rb"):
+    for name in ("v_out", "rx", "ry", "b_base"):
         assert np.all(getattr(record, name) == 0.0), name
 
 
@@ -164,8 +166,8 @@ def p1_closure(problem, diffusion):
 def test_data_start_reaches_the_previous_level_start_fixed_point(problem, p1_closure):
     dt, record, T_data = next(p1_closure.steps())
     state = initial_moment_state(problem, T_COLD, p1_closure.t0)
-    from_data, _ = vef_step(problem, state, dt, record, p1_closure.F_in, T_data)
-    from_previous, _ = vef_step(problem, state, dt, record, p1_closure.F_in)
+    from_data, _ = vef_step(problem, state, dt, record, T_data)
+    from_previous, _ = vef_step(problem, state, dt, record)
     assert relative_error(from_data.T, from_previous.T) <= 1.0e-8
     assert relative_error(from_data.E, from_previous.E) <= 1.0e-8
 
@@ -182,7 +184,7 @@ def test_bad_time_step_rejected_before_any_solve(problem, p1_closure, monkeypatc
 
     monkeypatch.setattr(vef_module, "coupled_step", no_solve)
     with pytest.raises(ConfigError, match="time step"):
-        vef_step(problem, state, dt, record, p1_closure.F_in, T_data)
+        vef_step(problem, state, dt, record, T_data)
 
 
 def test_data_start_saves_passes_over_the_march(problem, p1_closure):
@@ -192,27 +194,60 @@ def test_data_start_saves_passes_over_the_march(problem, p1_closure):
     assert sum(passes(from_data)) < sum(passes(from_previous))
 
 
-def isotropic(problem, diffusion, times):
-    return isotropic_closure(problem.mesh, problem.fgrid.n_groups, 0.0, times, diffusion.incoming_currents())
-
-
-def test_isotropic_boundary_factor_is_marshak(problem, diffusion):
-    record = isotropic(problem, diffusion, [DT]).records[0]
-    np.testing.assert_array_equal(record.v_out, _marshak_boundary(diffusion, diffusion.incoming_currents())[0])
+def test_isotropic_boundary_factor_is_marshak(diffusion):
+    record = isotropic_closure(diffusion, 0.0, [DT]).records[0]
+    v_out, b_base = _marshak_boundary(diffusion, diffusion.incoming_currents())
+    np.testing.assert_array_equal(record.v_out, v_out)
+    np.testing.assert_array_equal(record.b_base, b_base)
 
 
 def test_isotropic_closure_is_p1(problem, diffusion):
-    vef = online_phase(problem, isotropic(problem, diffusion, DT * np.arange(1, N_STEPS + 1)), T_COLD)
+    vef = online_phase(problem, isotropic_closure(diffusion, 0.0, DT * np.arange(1, N_STEPS + 1)), T_COLD)
     p1 = run_diffusion_model(diffusion, "p1", T_COLD, DT, N_STEPS)
     np.testing.assert_allclose(vef.times, p1.times, rtol=1e-15)
     assert relative_error(vef.T, p1.T) <= 1.0e-12
     assert relative_error(vef.E, p1.E) <= 1.0e-12
 
 
+def test_isotropic_closure_is_p1_with_reflective_sides(problem):
+    # A Marshak law written on every side would leave the reflective sides
+    # open (0.079 off in T here); P1's own tables keep them closed.
+    sides = {
+        "left": BoundaryCondition("drive", T_DRIVE), "right": BoundaryCondition("vacuum"),
+        "bottom": BoundaryCondition("reflective"), "top": BoundaryCondition("reflective"),
+    }
+    diffusion = DiffusionProblem(problem.mesh, problem.fgrid, problem.material, problem.eos, sides)
+    vef = online_phase(problem, isotropic_closure(diffusion, 0.0, DT * np.arange(1, N_STEPS + 1)), T_COLD)
+    p1 = run_diffusion_model(diffusion, "p1", T_COLD, DT, N_STEPS)
+    assert np.array_equal(vef.T, p1.T)
+    assert np.array_equal(vef.E, p1.E)
+
+
+@pytest.mark.parametrize("T_eq", [0.3, 1.0])
+@pytest.mark.parametrize("rule", [(2, 4), (3, 8)], ids=["2x4", "3x8"])
+def test_equilibrium_drive_stays_stationary_through_the_vef(T_eq, rule):
+    # Every side driven at the data temperature: the sweep's boundary tables
+    # carry the quadrature's own incoming currents, so nothing moves.
+    fgrid = build_frequency_grid()
+    mesh, c = SpatialMesh(5, 4, 5.0, 4.0), DEFAULT_CONSTANTS.c
+    problem = TransportProblem(
+        mesh, build_angular_quadrature(*rule), fgrid, InverseCubeMaterial(fgrid), MaterialEOS(benchmark_cv(1.0)),
+        planckian_inflow(fgrid, T_eq, sides=SIDES),
+    )
+    data = SimpleNamespace(times=DT * np.arange(N_STEPS + 1), T=np.full((N_STEPS + 1, mesh.ny, mesh.nx), T_eq))
+    vef = fused_pipeline(problem, data)
+    E_eq = 4.0 * np.pi * group_planck(T_eq, fgrid) / c
+    np.testing.assert_allclose(vef.T, T_eq, rtol=1.0e-14, atol=0.0)
+    np.testing.assert_allclose(vef.E, np.broadcast_to(E_eq[:, None, None], vef.E.shape), rtol=1.0e-14, atol=0.0)
+    flux_bound = 1.0e-15 * c * E_eq.sum()
+    assert np.abs(vef.Fx).max() <= flux_bound and np.abs(vef.Fy).max() <= flux_bound
+    assert passes(vef) == [1] * N_STEPS
+
+
 @pytest.mark.parametrize("name", [f.name for f in fields(ClosureRecord)])
 def test_validate_rejects_a_wrong_shaped_field(problem, diffusion, name):
     mesh, G = problem.mesh, problem.fgrid.n_groups
-    dataset = isotropic(problem, diffusion, [DT, 2 * DT])
+    dataset = isotropic_closure(diffusion, 0.0, [DT, 2 * DT])
     dataset.validate(mesh, G)
     first, last = dataset.records
     bad = np.zeros(getattr(last, name).shape[:-1] + (1,))
@@ -261,6 +296,21 @@ def test_bad_temperature_data_raises_before_any_sweep(problem, fom, monkeypatch,
         fused_pipeline(problem, SimpleNamespace(times=fom.times, T=T))
 
 
+@pytest.mark.parametrize("level, bad", [(-1, np.inf), (1, np.nan)], ids=["inf", "nan"])
+def test_non_finite_time_level_raises_before_any_sweep(problem, fom, monkeypatch, level, bad):
+    # An infinite last level would be swept as a steady state (dt = inf)
+    # before the dataset's own check could refuse it.
+    times = fom.times.copy()
+    times[level] = bad
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept a non-finite time level")
+
+    monkeypatch.setattr(vef_module, "sweep", no_sweep)
+    with pytest.raises(ConfigError, match="time grid must be finite"):
+        fused_pipeline(problem, SimpleNamespace(times=times, T=fom.T))
+
+
 def test_validate_rejects_bad_data_temperatures(problem, p1_closure):
     mesh, G = problem.mesh, problem.fgrid.n_groups
     p1_closure.validate(mesh, G)
@@ -273,10 +323,7 @@ def test_validate_rejects_bad_data_temperatures(problem, p1_closure):
 
 def test_validate_rejects_bad_drive_and_time_grid(problem, diffusion):
     mesh, G = problem.mesh, problem.fgrid.n_groups
-    dataset = isotropic(problem, diffusion, [DT, 2 * DT])
-    for F_in in (dataset.F_in[:, 1:], dataset.F_in[:3]):
-        with pytest.raises(ConfigError, match="drive moments"):
-            replace(dataset, F_in=F_in).validate(mesh, G)
+    dataset = isotropic_closure(diffusion, 0.0, [DT, 2 * DT])
     with pytest.raises(ConfigError, match="records"):
         replace(dataset, records=dataset.records[:1]).validate(mesh, G)
     with pytest.raises(ConfigError, match="increasing"):
@@ -305,7 +352,7 @@ def test_bad_initial_temperature_raises_before_any_sweep_or_solve(problem, diffu
     run = {
         "fom": lambda: run_fom(problem, T0, DT, 1),
         "p1": lambda: run_diffusion_model(diffusion, "p1", T0, DT, 1),
-        "vef": lambda: online_phase(problem, isotropic(problem, diffusion, [DT]), T0),
+        "vef": lambda: online_phase(problem, isotropic_closure(diffusion, 0.0, [DT]), T0),
     }[entry]
     with pytest.raises(ConfigError, match="initial temperature"):
         run()
