@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddvef import iteration, transport
+from ddvef.diffusion import boundary_cells, boundary_flux
 from ddvef.errors import ConfigError
 from ddvef.grid import (
     SIDES,
@@ -573,6 +574,46 @@ class TestBoundaryInflow:
         inflow = BoundaryInflow(left=[0.0, 2.0], top=np.zeros(2))
         np.testing.assert_array_equal(inflow.value("left", 2), [0.0, 2.0])
         np.testing.assert_array_equal(inflow.value("right", 2), np.zeros(2))
+
+
+class TestIncomingCurrents:
+    """The incoming current a sweep carries on each boundary face: its
+    outgoing current less its outward net flux n.F, the current the VEF's
+    boundary tables take in."""
+
+    @staticmethod
+    def incoming(quad, inflow, kappa, B):
+        mesh = SpatialMesh(5, 4, 2.0, 1.6)
+        res = steady_sweep(mesh, quad, kappa, kappa * B[:, None, None], inflow=inflow)
+        _, sign, _ = boundary_cells(mesh)
+        return mesh, res, res.bface_wnI - sign * boundary_flux(res.Fx, res.Fy)
+
+    @pytest.mark.parametrize("rule", ["2x8"] + list(OTHER_RULES))
+    def test_equals_the_outgoing_current_at_equilibrium(self, rule):
+        # With the same isotropic B entering on every side the steady sweep
+        # is the equilibrium B, so what leaves through a side is what enters,
+        # both the quadrature's half-range sum of w |n.Omega| B.
+        quad = build_angular_quadrature(2, 8) if rule == "2x8" else OTHER_RULES[rule]()
+        B = np.array([0.6, 1.7])
+        kappa = np.full((2, 4, 5), 2.0)
+        mesh, res, F_in = self.incoming(quad, BoundaryInflow(*(B,) * 4), kappa, B)
+        w = quad.weight
+        wn_in = [(w * np.abs(o))[mask].sum() for o in quad.omega[:, :2].T for mask in (o > 0.0, o < 0.0)]
+        assert np.all(F_in > 0.0)
+        for side, wn in zip(SIDES, wn_in):
+            faces = mesh.boundary_slice(side)
+            expected = np.broadcast_to((wn * B)[:, None], F_in[:, faces].shape)
+            np.testing.assert_allclose(F_in[:, faces], expected, rtol=1e-13, atol=0.0, err_msg=side)
+            np.testing.assert_allclose(res.bface_wnI[:, faces], expected, rtol=1e-13, atol=0.0, err_msg=side)
+
+    def test_folded_rule_gives_the_product_rule_currents(self):
+        quad = build_angular_quadrature(2, 8)
+        rng = np.random.default_rng(31)
+        inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, 2) for side in SIDES})
+        kappa, B = np.full((2, 4, 5), 2.0), np.array([0.6, 1.7])
+        folded = self.incoming(quad, inflow, kappa, B)[2]
+        full = self.incoming(unfold(quad)[0], inflow, kappa, B)[2]
+        np.testing.assert_allclose(folded, full, rtol=1e-13, atol=0.0)
 
 
 class TestPlanckianInflow:
