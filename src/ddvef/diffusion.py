@@ -21,15 +21,19 @@ limited flux itself at the lagged E and the fixed point is the same for
 every weight; the Newton part lets the E block converge in about P1's
 pass count instead of linearly.
 
-The models differ only in their coefficients: each writes every interior
-face flux as a linear form in cell energies and every boundary face's
-outward current as coef E_cell + base. MomentSystem, the one assembler all
-four share, sums those tables into the eliminated cell-centered system of
-every group through a block-CSR template built once per mesh and group
-count, solves all groups with one sparse direct solve of the
-block-diagonal system, and reconstructs the face fluxes from the same
-tables; the nonlinear temperature coupling is iteration.couple, the one
-loop the transport model uses too.
+The models differ only in their coefficients, held in two tables: one
+over the interior faces (face_cells: each face's two cells and width,
+x-faces first) with every face flux a linear form in its cell energies,
+and one over the boundary faces (boundary_cells) with every outward
+current coef E_cell + base. Face orientation is known only where these
+tables are built and where they are converted to and from the padded
+Fx, Fy that states and sweeps keep (interior_fluxes, boundary_flux).
+MomentSystem, the one assembler all four share, sums the tables into the
+eliminated cell-centered system of every group through a block-CSR
+template built once per mesh and group count, solves all groups with one
+sparse direct solve of the block-diagonal system, and reconstructs the
+face fluxes from the same tables; the nonlinear temperature coupling is
+iteration.couple, the one loop the transport model uses too.
 
 Boundaries of P1, P1/3 and FLD are Marshak-type per side: n.F = (c/2) E -
 2 F_in with E taken from the adjacent cell and F_in the incoming partial
@@ -129,13 +133,6 @@ def _energy_floor(E) -> float:
     return max(1.0e-30 * float(np.max(E, initial=0.0)), 1.0e-290)
 
 
-def face_means(field):
-    """Arithmetic means on interior x-faces and y-faces of (G, ny, nx)."""
-    fx = 0.5 * (field[:, :, 1:] + field[:, :, :-1])
-    fy = 0.5 * (field[:, 1:, :] + field[:, :-1, :])
-    return fx, fy
-
-
 def _read_only(*arrays):
     """The arrays, marked read-only so cached stencils cannot be changed by a caller."""
     for a in arrays:
@@ -145,16 +142,24 @@ def _read_only(*arrays):
 
 @functools.lru_cache(maxsize=16)
 def face_cells(mesh: SpatialMesh):
-    """Flat cell indices of the interior-face stencils, (2, n) for x- then y-faces.
+    """Per interior face: the flat indices of its low- and high-side cells
+    (2, n_faces) and the cell width across it (n_faces,).
 
-    Faces are ordered as the (ny, nx-1) and (ny-1, nx) face arrays; rows 0
-    and 1 are each face's low- and high-side cells. Built once per mesh;
-    the arrays are shared and read-only.
+    The x-faces come first, in (ny, nx-1) order, then the y-faces in
+    (ny-1, nx) order; a face flux is positive toward its high side. Built
+    once per mesh; the arrays are shared and read-only.
     """
     idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
-    x = np.stack([idx[:, :-1], idx[:, 1:]])
-    y = np.stack([idx[:-1], idx[1:]])
-    return _read_only(x.reshape(2, -1), y.reshape(2, -1))
+    x, y = np.stack([idx[:, :-1], idx[:, 1:]]), np.stack([idx[:-1], idx[1:]])
+    width = np.repeat([mesh.dx, mesh.dy], [x[0].size, y[0].size])
+    return _read_only(np.concatenate([x.reshape(2, -1), y.reshape(2, -1)], axis=1), width)
+
+
+def face_means(mesh: SpatialMesh, field):
+    """Arithmetic means of a (G, ny, nx) field on the interior faces, (G, n_faces)."""
+    cells = face_cells(mesh)[0]
+    flat = field.reshape(field.shape[0], -1)
+    return 0.5 * (flat[:, cells[1]] + flat[:, cells[0]])
 
 
 @functools.lru_cache(maxsize=16)
@@ -213,18 +218,15 @@ def _template(mesh: SpatialMesh, G: int):
     the contributions reach. Returns the int32 indices and indptr of the
     block-diagonal CSR matrix and slot, the flat index into its data array
     of every contribution solve() lists, in (G, M) order: per group the
-    diagonal in flat cell order, each face's coefficients on its low- then
-    high-side cell, the boundary faces. Built once per (mesh, G); the
-    arrays are shared and read-only.
+    diagonal in flat cell order, the interior faces' coefficients in the
+    rows of their low- then high-side cells, the boundary faces. Built once
+    per (mesh, G); the arrays are shared and read-only.
     """
     N = mesh.n_cells
     rank = cell_order(mesh)[1]
-    rows, cols = [rank], [rank]
-    for cells in face_cells(mesh):
-        cells = rank[cells]
-        for owner in cells:
-            rows.append(np.tile(owner, len(cells)))
-            cols.append(cells.ravel())
+    cells = rank[face_cells(mesh)[0]]
+    rows = [rank, np.tile(cells[0], 2), np.tile(cells[1], 2)]
+    cols = [rank, cells.ravel(), cells.ravel()]
     b_cells = rank[boundary_cells(mesh)[0]]
     rows.append(b_cells)
     cols.append(b_cells)
@@ -264,9 +266,15 @@ def _failing_group(A, rhs: np.ndarray, G: int) -> int:
     return int(np.argmax(_group_residuals(A, x, rhs, G)))
 
 
+def interior_fluxes(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
+    """Face-normal flux on the interior faces in face_cells order, (G, n_faces)."""
+    G = Fx.shape[0]
+    return np.concatenate([Fx[:, :, 1:-1].reshape(G, -1), Fy[:, 1:-1, :].reshape(G, -1)], axis=1)
+
+
 def boundary_flux(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
-    """Face-normal flux on the boundary faces in canonical order, (G, n_boundary_faces)."""
-    return np.concatenate([Fx[:, :, 0], Fx[:, :, -1], Fy[:, 0, :], Fy[:, -1, :]], axis=1)
+    """Outward current n.F on the boundary faces in canonical order, (G, n_boundary_faces)."""
+    return np.concatenate([-Fx[:, :, 0], Fx[:, :, -1], -Fy[:, 0, :], Fy[:, -1, :]], axis=1)
 
 
 def on_boundary_faces(mesh: SpatialMesh, per_side) -> np.ndarray:
@@ -277,10 +285,11 @@ def on_boundary_faces(mesh: SpatialMesh, per_side) -> np.ndarray:
 class FaceForms(NamedTuple):
     """Interior-face fluxes F = coef[0] E[cells[0]] + coef[1] E[cells[1]] + base.
 
-    cells are the mesh's face_cells stencil, each face's low- and
-    high-side cells (the flux is positive toward the high side); coef is
-    (2, G, n) and base, the part independent of the unknown energies,
-    (G, n).
+    One table over every interior face of the mesh, in face_cells order
+    (x-faces, then y-faces): cells are each face's low- and high-side
+    cells, the flux is positive toward the high side, coef is
+    (2, G, n_faces) and base, the part independent of the unknown
+    energies, (G, n_faces).
     """
 
     coef: np.ndarray
@@ -290,12 +299,12 @@ class FaceForms(NamedTuple):
 class MomentSystem:
     """Face-eliminated zeroth-moment balance of every group for one pass.
 
-    x and y are the FaceForms of the interior x- and y-faces; b_coef and
-    b_base (G, n_boundary_faces) give each boundary face's outward current
+    faces are the FaceForms of the interior faces; b_coef and b_base
+    (G, n_boundary_faces) give each boundary face's outward current
     n.F = b_coef E_cell + b_base in canonical order. The balance matrix,
     its right-hand side and the reconstructed fluxes all come from these
-    tables, so the stored fluxes are exactly those the solve balanced and
-    the global energy budget telescopes to the boundary flow.
+    two tables, so the stored fluxes are exactly those the solve balanced
+    and the global energy budget telescopes to the boundary flow.
 
     All groups are solved together: one sparse direct solve of the
     block-diagonal system of G*N unknowns, group g's block at offset g*N.
@@ -311,20 +320,20 @@ class MomentSystem:
     bincount and hands the arrays to the solver.
     """
 
-    def __init__(self, mesh: SpatialMesh, x: FaceForms, y: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
-        self.mesh = mesh
-        self.x, self.y = x, y
+    def __init__(self, mesh: SpatialMesh, faces: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
+        self.mesh, self.faces = mesh, faces
         self.b_coef, self.b_base = b_coef, b_base
         self.b_cells, self.b_sign, self.b_width = boundary_cells(mesh)
 
-    def _place(self, x_flux: np.ndarray, y_flux: np.ndarray, b_out: np.ndarray):
+    def _place(self, interior: np.ndarray, b_out: np.ndarray):
         """Fx (G, ny, nx+1) and Fy (G, ny+1, nx) from interior-face fluxes and boundary outward currents."""
         ny, nx = self.mesh.ny, self.mesh.nx
         G = b_out.shape[0]
         Fx = np.empty((G, ny, nx + 1))
         Fy = np.empty((G, ny + 1, nx))
-        Fx[:, :, 1:-1] = x_flux.reshape(G, ny, nx - 1)
-        Fy[:, 1:-1, :] = y_flux.reshape(G, ny - 1, nx)
+        n_x = ny * (nx - 1)
+        Fx[:, :, 1:-1] = interior[:, :n_x].reshape(G, ny, nx - 1)
+        Fy[:, 1:-1, :] = interior[:, n_x:].reshape(G, ny - 1, nx)
         signed = self.b_sign * b_out
         Fx[:, :, 0], Fx[:, :, -1], Fy[:, 0, :], Fy[:, -1, :] = np.split(signed, [ny, 2 * ny, 2 * ny + nx], axis=1)
         return Fx, Fy
@@ -332,11 +341,9 @@ class MomentSystem:
     def fluxes(self, E: np.ndarray):
         """Face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) of the energies E."""
         Ef = E.reshape(E.shape[0], -1)
-        interior = [
-            form.base + (form.coef * Ef[:, cells].transpose(1, 0, 2)).sum(axis=0)
-            for form, cells in zip((self.x, self.y), face_cells(self.mesh))
-        ]
-        return self._place(*interior, self.b_coef * Ef[:, self.b_cells] + self.b_base)
+        cells = face_cells(self.mesh)[0]
+        interior = self.faces.base + (self.faces.coef * Ef[:, cells].transpose(1, 0, 2)).sum(axis=0)
+        return self._place(interior, self.b_coef * Ef[:, self.b_cells] + self.b_base)
 
     def solve(self, dt: float, ckappa: np.ndarray, source: np.ndarray, E_prev: np.ndarray) -> np.ndarray:
         """Energies of every group from E/dt + div F(E) + c kappa E = E_prev/dt + source.
@@ -347,7 +354,7 @@ class MomentSystem:
         """
         mesh = self.mesh
         G, N = E_prev.shape[0], mesh.n_cells
-        Fx0, Fy0 = self._place(self.x.base, self.y.base, self.b_base)
+        Fx0, Fy0 = self._place(self.faces.base, self.b_base)
         div0 = (Fx0[:, :, 1:] - Fx0[:, :, :-1]) / mesh.dx + (Fy0[:, 1:, :] - Fy0[:, :-1, :]) / mesh.dy
         order, rank = cell_order(mesh)
         rhs = (E_prev / dt + source - div0).reshape(G, N)[:, order].ravel()
@@ -355,13 +362,10 @@ class MomentSystem:
         # A face flux leaves its low-side cell and enters its high-side one;
         # the order of these blocks is the order _template lists. bincount
         # sums each slot's contributions in that order.
-        vals = [1.0 / dt + ckappa.reshape(G, N)]
-        for form, width in ((self.x, mesh.dx), (self.y, mesh.dy)):
-            coef = form.coef.transpose(1, 0, 2).reshape(G, -1) / width
-            vals += [coef, -coef]
-        vals.append(self.b_coef / self.b_width)
+        coef = (self.faces.coef / face_cells(mesh)[1]).transpose(1, 0, 2).reshape(G, -1)
+        vals = np.concatenate([1.0 / dt + ckappa.reshape(G, N), coef, -coef, self.b_coef / self.b_width], axis=1)
         indices, indptr, slot = _template(mesh, G)
-        data = np.bincount(slot, np.concatenate(vals, axis=1).ravel(), minlength=indices.size)
+        data = np.bincount(slot, vals.ravel(), minlength=indices.size)
         A = sp.csr_matrix((data, indices, indptr), shape=(G * N, G * N))
         try:
             E = spla.spsolve(A, rhs, permc_spec="NATURAL")
@@ -376,36 +380,27 @@ class MomentSystem:
         return E.reshape(G, N)[:, rank].reshape(E_prev.shape)
 
 
-def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, Fx_prev, Fy_prev, gx, gy, rx=0.0, ry=0.0):
-    """Backward-Euler first-moment face fluxes, (x, y) FaceForms.
+def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, F_prev, g, r=0.0) -> FaceForms:
+    """Backward-Euler first-moment fluxes of the interior faces.
 
     With kappa_f the arithmetic face mean of the opacity,
 
         F_face = [alpha F_prev - c D(E)] / (kappa_f + alpha) + r,
 
     where D(E) is the face-normal factor g times the central density
-    difference across the face (1/3 for P1 and P1/3; gx, gy on x- and
-    y-faces for the VEF), so every face couples only its two adjacent
-    cells. alpha is 1/(c dt) for P1 and the VEF and 1/(3 c dt) for P1/3;
-    Fx_prev (G, ny, nx+1) and Fy_prev (G, ny+1, nx) are the previous
-    level's face fluxes; r is the VEF's consistency remainder, a known
-    part that never enters the matrix.
+    difference across the face (1/3 for P1 and P1/3, the closure's factors
+    for the VEF), so every face couples only its two adjacent cells. alpha
+    is 1/(c dt) for P1 and the VEF and 1/(3 c dt) for P1/3; F_prev
+    (G, n_faces) is the previous level's interior face flux
+    (interior_fluxes); g and r are scalars or (G, n_faces) tables, r the
+    VEF's consistency remainder, a known part that never enters the matrix.
     """
-    c, G = DEFAULT_CONSTANTS.c, kappa.shape[0]
-    kfx, kfy = face_means(kappa)
-    forms = []
-    for kf, g, F_prev, r, width in (
-        (kfx, gx, Fx_prev[:, :, 1:-1], rx, mesh.dx),
-        (kfy, gy, Fy_prev[:, 1:-1, :], ry, mesh.dy),
-    ):
-        den = kf + alpha
-        cc = c / den
-        coef = np.stack([cc * g / width, -cc * g / width]).reshape(2, G, -1)
-        forms.append(FaceForms(coef, ((alpha / den) * F_prev + r).reshape(G, -1)))
-    return tuple(forms)
+    den = face_means(mesh, kappa) + alpha
+    coef = (DEFAULT_CONSTANTS.c / den) * g / face_cells(mesh)[1]
+    return FaceForms(np.stack([coef, -coef]), (alpha / den) * F_prev + r)
 
 
-def _fld_faces(mesh: SpatialMesh, kappa, E, theta: float):
+def _fld_faces(mesh: SpatialMesh, kappa, E, theta: float) -> FaceForms:
     """Limited diffusion faces F = -c D dE/dn linearized at the lagged E, no memory.
 
     With g = dE/dn, E_f the face mean and R = |g| / E_f, the flux
@@ -420,23 +415,20 @@ def _fld_faces(mesh: SpatialMesh, kappa, E, theta: float):
     gives the limited flux itself at E = E_lag, so theta moves only the
     convergence of the coupling, never its fixed point; theta = 0 is the
     Picard form bit for bit. Faces whose mean lies on larsen_coefficient's
-    energy floor keep the Picard form.
+    energy floor, one floor per field over all its faces, keep the Picard
+    form.
     """
-    c, G = DEFAULT_CONSTANTS.c, kappa.shape[0]
-    (kfx, kfy), (Efx, Efy) = face_means(kappa), face_means(E)
-    forms = []
-    for kf, Ef, dE, width in (
-        (kfx, Efx, E[:, :, 1:] - E[:, :, :-1], mesh.dx),
-        (kfy, Efy, E[:, 1:, :] - E[:, :-1, :], mesh.dy),
-    ):
-        D = larsen_coefficient(kf, Ef, dE / width)
-        w = (c * D / width).reshape(G, -1)
-        floor = _energy_floor(Ef)
-        mean = np.maximum(Ef, floor)
-        theta_t = (theta * (Ef > floor) * (np.abs(dE) * D / (width * mean)) ** 2).reshape(G, -1)
-        q = (dE / (2.0 * mean)).reshape(G, -1)
-        forms.append(FaceForms(np.stack([w * (1.0 - theta_t * (1.0 + q)), -w * (1.0 - theta_t * (1.0 - q))]), np.zeros_like(w)))
-    return tuple(forms)
+    cells, width = face_cells(mesh)
+    flat = E.reshape(E.shape[0], -1)
+    dE = flat[:, cells[1]] - flat[:, cells[0]]
+    Ef = face_means(mesh, E)
+    D = larsen_coefficient(face_means(mesh, kappa), Ef, dE / width)
+    w = DEFAULT_CONSTANTS.c * D / width
+    floor = _energy_floor(Ef)
+    mean = np.maximum(Ef, floor)
+    t = theta * (Ef > floor) * (np.abs(dE) * D / (width * mean)) ** 2
+    q = dE / (2.0 * mean)
+    return FaceForms(np.stack([w * (1.0 - t * (1.0 + q)), -w * (1.0 - t * (1.0 - q))]), np.zeros_like(w))
 
 
 def _marshak_boundary(problem: DiffusionProblem, F_in: np.ndarray):
@@ -450,8 +442,9 @@ def _marshak_boundary(problem: DiffusionProblem, F_in: np.ndarray):
 def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label: str, T_start, e_scale: float | None = None):
     """Advance a moment model one backward-Euler step; shared by all four models.
 
-    faces(kappa, E_lag, theta) gives the interior FaceForms of one pass and
-    boundary the fixed (b_coef, b_base) tables. The step is
+    faces(kappa, E_lag, theta) gives the one FaceForms table of the
+    interior faces for a pass and boundary the fixed (b_coef, b_base)
+    tables. The step is
     iteration.couple with MomentSystem.solve, one block-diagonal solve of
     all groups, as its radiation solve, started at the temperature
     T_start; None, which the diffusion models pass, starts it on the
@@ -470,13 +463,13 @@ def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label:
     last = {}
 
     def radiate(kappa, B, E_lag, theta):
-        system = MomentSystem(problem.mesh, *faces(kappa, E_lag, theta), *boundary)
+        system = MomentSystem(problem.mesh, faces(kappa, E_lag, theta), *boundary)
         last["kappa"], last["E"] = kappa, system.solve(dt, c * kappa, 4.0 * np.pi * kappa * B, state.E)
         return last["E"]
 
     T_new, history = couple(problem, state, dt, radiate, label, T_start, e_scale)
     E_new = last["E"]
-    Fx, Fy = MomentSystem(problem.mesh, *faces(last["kappa"], E_new, 0.0), *boundary).fluxes(E_new)
+    Fx, Fy = MomentSystem(problem.mesh, faces(last["kappa"], E_new, 0.0), *boundary).fluxes(E_new)
     new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy, dTdt=(T_new - state.T) / dt)
     return new_state, StepDiagnostics(history, energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos))
 
@@ -501,10 +494,9 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
         e_scale = max(float(state.E.max()), 4.0 * float(F_in.max()) / c, 1.0e-290)
         return coupled_step(problem, state, dt, functools.partial(_fld_faces, mesh), boundary, label, None, e_scale)
     alpha = 1.0 / (c * dt) if model == "p1" else 1.0 / (3.0 * c * dt)
+    F_prev = interior_fluxes(state.Fx, state.Fy)
     return coupled_step(
-        problem, state, dt,
-        lambda kappa, *_: first_moment_faces(mesh, kappa, alpha, state.Fx, state.Fy, 1.0 / 3.0, 1.0 / 3.0),
-        boundary, label, None,
+        problem, state, dt, lambda kappa, *_: first_moment_faces(mesh, kappa, alpha, F_prev, 1.0 / 3.0), boundary, label, None,
     )
 
 

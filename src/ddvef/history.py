@@ -113,23 +113,18 @@ def march(label: str, state, advance, steps) -> SolutionHistory:
     advance(state, step) -> (state, diagnostics) is called in order with
     each item of steps. Every model's time loop is this one: the FOM and
     the diffusion models step over a range, the VEF over per-step closure
-    data.
+    data. Only the live state is kept whole; of every level the march
+    keeps t, T, E, Fx and Fy as they come, so a FOM state's intensity is
+    freed once the next step has been taken.
     """
-    states = [state]
+    levels = [(state.t, state.T, state.E, state.Fx, state.Fy)]
     diagnostics = []
     for step in steps:
         state, diag = advance(state, step)
-        states.append(state)
+        levels.append((state.t, state.T, state.E, state.Fx, state.Fy))
         diagnostics.append(diag)
-    return SolutionHistory(
-        label=label,
-        times=np.array([s.t for s in states]),
-        T=np.stack([s.T for s in states]),
-        E=np.stack([s.E for s in states]),
-        Fx=np.stack([s.Fx for s in states]),
-        Fy=np.stack([s.Fy for s in states]),
-        diagnostics=diagnostics,
-    )
+    times, T, E, Fx, Fy = zip(*levels)
+    return SolutionHistory(label, np.array(times), np.stack(T), np.stack(E), np.stack(Fx), np.stack(Fy), diagnostics)
 
 
 def boundary_net_outflow(Fx: np.ndarray, Fy: np.ndarray, mesh: SpatialMesh) -> float:

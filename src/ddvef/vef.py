@@ -33,13 +33,15 @@ Because the moment stencil and the transport sweep discretize space
 differently, interpolated tensor components alone leave an O(1) flux
 mismatch wherever the radiation front spans only a few cells or a thin
 group streams through a flat density field. The closure therefore uses
-face-normal closure factors gx, gy solved from the moment system's own
-face law (first_moment_faces) on the sweep's energies and face fluxes
-wherever the solved value lands in the physical Eddington range [0, 1] -
-ratio data, insensitive to the magnitude of the generating fields and no
-harder on the operator than the interpolated tensor - plus additive
-face-flux consistency remainders rx, ry carrying whatever the windowed
-factor cannot absorb, the sweep's f_xy cross-term flux included. The
+a face-normal closure factor g on every interior face, solved from the
+moment system's own face law (first_moment_faces) on the sweep's
+energies and face fluxes wherever the solved value lands in the physical
+Eddington range [0, 1] - ratio data, insensitive to the magnitude of the
+generating fields and no harder on the operator than the interpolated
+tensor - plus an additive face-flux consistency remainder r carrying
+whatever the windowed factor cannot absorb, the sweep's f_xy cross-term
+flux included. Both are tables over the moment system's one interior-face
+table (diffusion.face_cells), x- and y-faces alike. The
 remainders ride on the right-hand side without touching the operator, so
 the VEF assembles the same 5-point stencil as P1, P1/3 and FLD. On the
 boundary v_out E_cell recovers the sweep's outward current exactly, and
@@ -82,6 +84,7 @@ from .diffusion import (
     face_cells,
     face_means,
     first_moment_faces,
+    interior_fluxes,
 )
 from .errors import ConfigError
 from .grid import AngularQuadrature, SpatialMesh
@@ -125,7 +128,7 @@ def eddington_tensor(psi: np.ndarray, quad: AngularQuadrature):
 
 
 def _at(where: str):
-    """A closure field located on interior x- or y-faces or on boundary faces."""
+    """A closure field located on the interior faces or on the boundary faces."""
     return field(metadata={"at": where})
 
 
@@ -133,29 +136,27 @@ def _at(where: str):
 class ClosureRecord:
     """Closure data for one time level: what one online step reads.
 
-    gx and gy are the windowed face-normal closure factors on interior
-    x- and y-faces ((G, ny, nx-1) and (G, ny-1, nx)), rx and ry the
-    additive face-flux consistency remainders on the same faces; the
-    remainders carry the sweep's cross-term flux, so each face flux
-    depends on its two adjacent cells alone. v_out is the outgoing
-    boundary factor, the outgoing current per unit boundary-cell density
-    (c C eta in terms of the half-range flux factor C and the outgoing
-    face-to-cell density ratio eta), and b_base the rest of the boundary
-    face's outward current, so n.F = v_out E_cell + b_base (both
-    (G, n_boundary_faces), the moment system's boundary tables). The
-    face-level fields make the moment stencil discretely consistent with
-    the generating sweep; gx = gy = 1/3, rx = ry = 0 and P1's Marshak
-    tables reduce the system to P1 (isotropic_closure).
+    g is the windowed face-normal closure factor and r the additive
+    face-flux consistency remainder of every interior face, both
+    (G, n_faces) in diffusion.face_cells order; the remainders carry the
+    sweep's cross-term flux, so each face flux depends on its two adjacent
+    cells alone. v_out is the outgoing boundary factor, the outgoing
+    current per unit boundary-cell density (c C eta in terms of the
+    half-range flux factor C and the outgoing face-to-cell density ratio
+    eta), and b_base the rest of the boundary face's outward current, so
+    n.F = v_out E_cell + b_base (both (G, n_boundary_faces), the moment
+    system's boundary tables). The face-level fields make the moment
+    stencil discretely consistent with the generating sweep; g = 1/3,
+    r = 0 and P1's Marshak tables reduce the system to P1
+    (isotropic_closure).
 
     Each field's location is its metadata "at", from which the dataset
     derives its shape checks.
     """
 
     v_out: np.ndarray = _at("bface")
-    gx: np.ndarray = _at("xface")
-    gy: np.ndarray = _at("yface")
-    rx: np.ndarray = _at("xface")
-    ry: np.ndarray = _at("yface")
+    g: np.ndarray = _at("face")
+    r: np.ndarray = _at("face")
     b_base: np.ndarray = _at("bface")
 
 
@@ -174,45 +175,35 @@ def closure_from_sweep(
     the first), evaluated on the sweep's energies, splits each face flux
     into the factor's gradient term grad and the fixed base, the flux
     memory. The raw factor (F - base) / grad is accepted where it lands
-    inside the stable window (faces where the fit is wild or the density
+    inside the stable window; faces where the fit is wild or the density
     contrast vanishes fall back to the face mean of the cell tensor's
-    normal component, a moment ratio of the swept intensity); the
-    consistency remainder F - base - g grad is whatever flux the windowed
-    factor leaves unexplained, the sweep's cross-term flux among it.
-    Together (g, r) reproduce the sweep's face flux identically when the
-    online system is fed the sweep's energies. v_out is the sweep's
-    outgoing boundary current over the boundary-cell density, and b_base
-    the sweep's outward boundary flux less v_out E_cell, minus its
-    incoming current to rounding, so v_out E_cell + b_base is the sweep's
-    outward boundary flux.
+    normal component (f_xx on x-faces, f_yy on y-faces), a moment ratio of
+    the swept intensity. The consistency remainder F - base - g grad is
+    whatever flux the windowed factor leaves unexplained, the sweep's
+    cross-term flux among it. Together (g, r) reproduce the sweep's face
+    flux identically when the online system is fed the sweep's energies.
+    v_out is the sweep's outgoing boundary current over the boundary-cell
+    density, and b_base the sweep's outward boundary flux less
+    v_out E_cell, minus its incoming current to rounding, so
+    v_out E_cell + b_base is the sweep's outward boundary flux.
     """
     mesh, alpha = result.step.mesh, result.step.sink
-    G = kappa.shape[0]
-    Ef = result.E.reshape(G, -1)
+    Ef = result.E.reshape(kappa.shape[0], -1)
 
+    n_x = mesh.ny * (mesh.nx - 1)  # the x-faces lead the face table
     fxx, fyy = eddington_tensor(result.psi, result.step.quad)
-    forms = first_moment_faces(mesh, kappa, alpha, prev_Fx, prev_Fy, 1.0, 1.0)
-
-    def face_closure(form, cells, F, fallback):
-        """Windowed factor and remainder on one face family."""
-        terms = form.coef * Ef[:, cells].transpose(1, 0, 2)
-        grad, F = terms[0] + terms[1], F.reshape(G, -1) - form.base
-        with np.errstate(invalid="ignore", divide="ignore"):
-            raw = F / grad
-        ok = np.isfinite(raw) & (raw >= _FACTOR_LO) & (raw <= _FACTOR_HI)
-        g = np.where(ok, raw, fallback.reshape(G, -1))
-        return g.reshape(fallback.shape), (F - g * grad).reshape(fallback.shape)
-
-    cells_x, cells_y = face_cells(mesh)
-    gx, rx = face_closure(forms[0], cells_x, result.Fx[:, :, 1:-1], face_means(fxx)[0])
-    gy, ry = face_closure(forms[1], cells_y, result.Fy[:, 1:-1, :], face_means(fyy)[1])
+    fallback = np.concatenate([face_means(mesh, fxx)[:, :n_x], face_means(mesh, fyy)[:, n_x:]], axis=1)
+    form = first_moment_faces(mesh, kappa, alpha, interior_fluxes(prev_Fx, prev_Fy), 1.0)
+    grad = (form.coef * Ef[:, face_cells(mesh)[0]].transpose(1, 0, 2)).sum(axis=0)
+    F = interior_fluxes(result.Fx, result.Fy) - form.base
+    with np.errstate(invalid="ignore", divide="ignore"):
+        raw = F / grad
+    g = np.where(np.isfinite(raw) & (raw >= _FACTOR_LO) & (raw <= _FACTOR_HI), raw, fallback)
 
     # boundary closure: n.F = v_out E_cell + b_base
-    cells, sign, _ = boundary_cells(mesh)
-    E_edge = Ef[:, cells]
+    E_edge = Ef[:, boundary_cells(mesh)[0]]
     v_out = result.bface_wnI / np.maximum(E_edge, 1.0e-300)
-    b_base = sign * boundary_flux(result.Fx, result.Fy) - v_out * E_edge
-    return ClosureRecord(v_out, gx, gy, rx, ry, b_base)
+    return ClosureRecord(v_out, g, F - g * grad, boundary_flux(result.Fx, result.Fy) - v_out * E_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +244,7 @@ class ClosureDataset:
         N = self.times.size
         if len(self.records) != N:
             raise ConfigError(f"closure has {len(self.records)} records for {N} time levels")
-        at = {
-            "xface": (mesh.ny, mesh.nx - 1),
-            "yface": (mesh.ny - 1, mesh.nx),
-            "bface": (mesh.n_boundary_faces,),
-        }
+        at = {"face": face_cells(mesh)[1].shape, "bface": (mesh.n_boundary_faces,)}
         for record in self.records:
             for f in fields(ClosureRecord):
                 shape, expected = np.shape(getattr(record, f.name)), (n_groups,) + at[f.metadata["at"]]
@@ -275,7 +262,7 @@ class ClosureDataset:
 def isotropic_closure(problem: DiffusionProblem, t0: float, times: np.ndarray) -> ClosureDataset:
     """Synthetic dataset of the isotropic closure f = diag(1/3, 1/3, 1/3) with P1's boundary at every level.
 
-    The face-level fields take their neutral values (gx = gy = 1/3, zero
+    The face-level fields take their neutral values (g = 1/3, zero
     remainders) and the boundary tables are P1's own Marshak tables
     (diffusion._marshak_boundary): n.F = (c/2) E_cell - 2 F_in on open
     sides, v_out = c/2 being c C eta with C = 1/2, eta = 1, and n.F = 0 on
@@ -285,16 +272,9 @@ def isotropic_closure(problem: DiffusionProblem, t0: float, times: np.ndarray) -
     by its rate.
     """
     times = np.asarray(times, dtype=float)
-    G, ny, nx = problem.fgrid.n_groups, problem.mesh.ny, problem.mesh.nx
     v_out, b_base = _marshak_boundary(problem, problem.incoming_currents())
-    one = ClosureRecord(
-        v_out=v_out,
-        gx=np.full((G, ny, nx - 1), 1.0 / 3.0),
-        gy=np.full((G, ny - 1, nx), 1.0 / 3.0),
-        rx=np.zeros((G, ny, nx - 1)),
-        ry=np.zeros((G, ny - 1, nx)),
-        b_base=b_base,
-    )
+    faces = (problem.fgrid.n_groups,) + face_cells(problem.mesh)[1].shape
+    one = ClosureRecord(v_out=v_out, g=np.full(faces, 1.0 / 3.0), r=np.zeros(faces), b_base=b_base)
     return ClosureDataset(float(t0), times, [one] * times.size, None)
 
 
@@ -370,8 +350,8 @@ def vef_step(
     when T_start is None, at the temperature P1 starts on too: the previous
     level extrapolated by state.dTdt (iteration.couple). Both reach the
     same fixed point, so the start only sets the number of passes. The faces
-    are the first-moment forms with the record's factors gx, gy and its
-    remainders, on the 5-point stencil every moment model shares, and
+    are the first-moment forms with the record's factors g and
+    remainders r, on the 5-point stencil every moment model shares, and
     the boundary tables are the record's, n.F = v_out E_cell + b_base. Of
     the transport problem only the mesh, groups, material and heat
     capacity are used: the record stands in for the quadrature and the
@@ -379,13 +359,10 @@ def vef_step(
     the first solve.
     """
     check_time_step(dt)
-    mesh = problem.mesh
+    mesh, F_prev = problem.mesh, interior_fluxes(state.Fx, state.Fy)
     alpha = 1.0 / (DEFAULT_CONSTANTS.c * dt)
     return coupled_step(
-        problem, state, dt,
-        lambda kappa, *_: first_moment_faces(
-            mesh, kappa, alpha, state.Fx, state.Fy, record.gx, record.gy, record.rx, record.ry
-        ),
+        problem, state, dt, lambda kappa, *_: first_moment_faces(mesh, kappa, alpha, F_prev, record.g, record.r),
         (record.v_out, record.b_base), "closed-moment/material coupling", T_start,
     )
 

@@ -17,12 +17,14 @@ from ddvef.diffusion import (
     _fld_faces,
     _template,
     boundary_cells,
+    boundary_flux,
     cell_order,
     diffusion_step,
     face_cells,
     face_means,
     first_moment_faces,
     initial_moment_state,
+    interior_fluxes,
     larsen_coefficient,
     run_diffusion_model,
     standard_boundaries,
@@ -89,9 +91,17 @@ def fld_fields(seed=0):
 
 
 def face_values(mesh, E):
-    """(E_lo, E_hi, width) of every interior x- then y-face, each (G, n)."""
-    Ef = E.reshape(E.shape[0], -1)
-    return [(Ef[:, cells[0]], Ef[:, cells[1]], width) for cells, width in zip(face_cells(mesh), (mesh.dx, mesh.dy))]
+    """(E_lo, E_hi, width) of every interior face, x-faces then y-faces, taken by slicing E: (G, n_faces) each."""
+    G = E.shape[0]
+    lo = np.concatenate([E[:, :, :-1].reshape(G, -1), E[:, :-1, :].reshape(G, -1)], axis=1)
+    hi = np.concatenate([E[:, :, 1:].reshape(G, -1), E[:, 1:, :].reshape(G, -1)], axis=1)
+    return lo, hi, np.repeat([mesh.dx, mesh.dy], [mesh.ny * (mesh.nx - 1), (mesh.ny - 1) * mesh.nx])
+
+
+def kappa_means(mesh, kappa):
+    """Arithmetic face means of the opacity, in the order of face_values."""
+    lo, hi, _ = face_values(mesh, kappa)
+    return 0.5 * (lo + hi)
 
 
 def limited_flux(kappa_f, E_lo, E_hi, width):
@@ -104,49 +114,47 @@ class TestFldNewtonFaces:
     @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
     def test_form_at_the_lagged_energy_is_the_limited_flux(self, theta):
         mesh, kappa, E = fld_fields()
-        G = kappa.shape[0]
-        for form, kf, (E_lo, E_hi, width) in zip(_fld_faces(mesh, kappa, E, theta), face_means(kappa), face_values(mesh, E)):
-            assert np.all(form.base == 0.0)
-            F = form.coef[0] * E_lo + form.coef[1] * E_hi
-            reference = limited_flux(kf.reshape(G, -1), E_lo, E_hi, width)
-            np.testing.assert_allclose(F, reference, rtol=1.0e-13, atol=0.0)
-            # group 0 diffuses (|F| well below c E_f), group 1 streams (|F| close to c E_f)
-            ratio = np.abs(reference) / (C * 0.5 * (E_lo + E_hi))
-            assert ratio[0].max() < 1.0e-2 and ratio[1].min() > 0.5
+        form, (E_lo, E_hi, width) = _fld_faces(mesh, kappa, E, theta), face_values(mesh, E)
+        assert np.all(form.base == 0.0)
+        F = form.coef[0] * E_lo + form.coef[1] * E_hi
+        np.testing.assert_array_equal(face_means(mesh, kappa), kappa_means(mesh, kappa))
+        reference = limited_flux(kappa_means(mesh, kappa), E_lo, E_hi, width)
+        np.testing.assert_allclose(F, reference, rtol=1.0e-13, atol=0.0)
+        # group 0 diffuses (|F| well below c E_f), group 1 streams (|F| close to c E_f)
+        ratio = np.abs(reference) / (C * 0.5 * (E_lo + E_hi))
+        assert ratio[0].max() < 1.0e-2 and ratio[1].min() > 0.5
 
     def test_newton_coefficients_are_the_jacobian_of_the_limited_flux(self):
         mesh, kappa, E = fld_fields(1)
-        G, h = kappa.shape[0], 1.0e-6
-        picard = _fld_faces(mesh, kappa, E, 0.0)
-        for form, plain, kf, (E_lo, E_hi, width) in zip(
-            _fld_faces(mesh, kappa, E, 1.0), picard, face_means(kappa), face_values(mesh, E)
-        ):
-            kf = kf.reshape(G, -1)
-            d_lo = (limited_flux(kf, E_lo * (1 + h), E_hi, width) - limited_flux(kf, E_lo * (1 - h), E_hi, width)) / (2 * h * E_lo)
-            d_hi = (limited_flux(kf, E_lo, E_hi * (1 + h), width) - limited_flux(kf, E_lo, E_hi * (1 - h), width)) / (2 * h * E_hi)
-            # near-zero coefficients are compared against the Picard scale w
-            np.testing.assert_allclose(form.coef[0], d_lo, rtol=1.0e-6, atol=1.0e-8 * np.abs(plain.coef[0]).max())
-            np.testing.assert_allclose(form.coef[1], d_hi, rtol=1.0e-6, atol=1.0e-8 * np.abs(plain.coef[0]).max())
-            assert not np.allclose(form.coef, plain.coef, rtol=1.0e-3)
+        h, kf = 1.0e-6, kappa_means(mesh, kappa)
+        form, plain = _fld_faces(mesh, kappa, E, 1.0), _fld_faces(mesh, kappa, E, 0.0)
+        E_lo, E_hi, width = face_values(mesh, E)
+        d_lo = (limited_flux(kf, E_lo * (1 + h), E_hi, width) - limited_flux(kf, E_lo * (1 - h), E_hi, width)) / (2 * h * E_lo)
+        d_hi = (limited_flux(kf, E_lo, E_hi * (1 + h), width) - limited_flux(kf, E_lo, E_hi * (1 - h), width)) / (2 * h * E_hi)
+        # near-zero coefficients are compared against the Picard scale w
+        np.testing.assert_allclose(form.coef[0], d_lo, rtol=1.0e-6, atol=1.0e-8 * np.abs(plain.coef[0]).max())
+        np.testing.assert_allclose(form.coef[1], d_hi, rtol=1.0e-6, atol=1.0e-8 * np.abs(plain.coef[0]).max())
+        assert not np.allclose(form.coef, plain.coef, rtol=1.0e-3)
 
     def test_blend_is_linear_in_theta(self):
         mesh, kappa, E = fld_fields(2)
-        for half, picard, newton in zip(*(_fld_faces(mesh, kappa, E, theta) for theta in (0.5, 0.0, 1.0))):
-            np.testing.assert_allclose(half.coef, 0.5 * (picard.coef + newton.coef), rtol=1.0e-14, atol=0.0)
+        half, picard, newton = (_fld_faces(mesh, kappa, E, theta) for theta in (0.5, 0.0, 1.0))
+        np.testing.assert_allclose(half.coef, 0.5 * (picard.coef + newton.coef), rtol=1.0e-14, atol=0.0)
 
     def test_faces_on_the_energy_floor_keep_the_picard_coefficient(self):
         # The two left columns sit 1e-40 below the rest, under the limiter's
-        # 1e-30 floor; their faces keep the Picard form at any theta.
+        # 1e-30 floor, one floor over all faces of the field; their faces
+        # keep the Picard form at any theta.
         mesh, kappa, E = fld_fields(3)
         E[:, :, :2] *= 1.0e-40
-        newton, picard = _fld_faces(mesh, kappa, E, 1.0), _fld_faces(mesh, kappa, E, 0.0)
-        for form, plain, Ef in zip(newton, picard, face_means(E)):
-            Ef = Ef.reshape(E.shape[0], -1)
-            floor = 1.0e-30 * Ef.max()
-            assert np.all(np.isfinite(form.coef))
-            assert np.any(Ef < floor) and np.any(Ef > floor)
-            np.testing.assert_array_equal(form.coef[:, Ef < floor], plain.coef[:, Ef < floor])
-            assert np.any(form.coef[:, Ef > floor] != plain.coef[:, Ef > floor])
+        form, plain = _fld_faces(mesh, kappa, E, 1.0), _fld_faces(mesh, kappa, E, 0.0)
+        E_lo, E_hi, _ = face_values(mesh, E)
+        Ef = 0.5 * (E_lo + E_hi)
+        floor = 1.0e-30 * Ef.max()
+        assert np.all(np.isfinite(form.coef))
+        assert np.any(Ef < floor) and np.any(Ef > floor)
+        np.testing.assert_array_equal(form.coef[:, Ef < floor], plain.coef[:, Ef < floor])
+        assert np.any(form.coef[:, Ef > floor] != plain.coef[:, Ef > floor])
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +240,8 @@ class TestInitialState:
 
 def flux_limit_ratio(state: MomentState) -> float:
     """Max |F| / (c E_face) over interior faces: FLD keeps this <= 1."""
-    Efx, Efy = face_means(state.E)
+    E = state.E
+    Efx, Efy = 0.5 * (E[:, :, 1:] + E[:, :, :-1]), 0.5 * (E[:, 1:, :] + E[:, :-1, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         rx = np.abs(state.Fx[:, :, 1:-1]) / (C * Efx)
         ry = np.abs(state.Fy[:, 1:-1, :]) / (C * Efy)
@@ -415,37 +424,35 @@ def moment_tables(mesh, G, vef, seed=0):
         0.0, np.ones(shape[1:]), rng.uniform(0.5, 2.0, shape),
         rng.normal(size=(G, mesh.ny, mesh.nx + 1)), rng.normal(size=(G, mesh.ny + 1, mesh.nx)),
     )
-    dt, nb = 0.05, mesh.n_boundary_faces
-    alpha = 1.0 / (C * dt)
+    dt, nb, nf = 0.05, mesh.n_boundary_faces, face_cells(mesh)[1].size
+    alpha, F_prev = 1.0 / (C * dt), interior_fluxes(state.Fx, state.Fy)
     if vef:
-        x, y = first_moment_faces(
-            mesh, kappa, alpha, state.Fx, state.Fy,
-            rng.uniform(0.2, 0.5, (G, mesh.ny, mesh.nx - 1)), rng.uniform(0.2, 0.5, (G, mesh.ny - 1, mesh.nx)),
-            rng.normal(size=(G, mesh.ny, mesh.nx - 1)), rng.normal(size=(G, mesh.ny - 1, mesh.nx)),
-        )
+        faces = first_moment_faces(mesh, kappa, alpha, F_prev, rng.uniform(0.2, 0.5, (G, nf)), rng.normal(size=(G, nf)))
         b_coef = C * rng.uniform(0.3, 0.6, (G, nb)) * rng.uniform(0.5, 1.5, (G, nb))
     else:
-        x, y = first_moment_faces(mesh, kappa, alpha, state.Fx, state.Fy, 1.0 / 3.0, 1.0 / 3.0)
+        faces = first_moment_faces(mesh, kappa, alpha, F_prev, 1.0 / 3.0)
         b_coef = np.full((G, nb), 0.5 * C)
-    system = MomentSystem(mesh, x, y, b_coef, -rng.uniform(0.0, 2.0, (G, nb)))
+    system = MomentSystem(mesh, faces, b_coef, -rng.uniform(0.0, 2.0, (G, nb)))
     return system, (dt, C * kappa, rng.uniform(0.0, 5.0, shape), state.E)
 
 
 def per_group_systems(system, dt, ckappa, source, E_prev):
     """Reference: the per-group systems (A_g, rhs_g) that were solved one spsolve call each,
-    with div0 taken from the fluxes of zero energies."""
+    with div0 taken from the fluxes of zero energies. Each face's coefficients
+    are listed in the rows of its low- then high-side cell, over the face
+    table, as the one solve sums them."""
     mesh = system.mesh
     G, N = E_prev.shape[0], mesh.n_cells
     Fx0, Fy0 = system.fluxes(np.zeros_like(E_prev))
     div0 = (Fx0[:, :, 1:] - Fx0[:, :, :-1]) / mesh.dx + (Fy0[:, 1:, :] - Fy0[:, :-1, :]) / mesh.dy
     rhs = (E_prev / dt + source - div0).reshape(G, N)
     rows, cols, vals = [np.arange(N)], [np.arange(N)], [1.0 / dt + ckappa.reshape(G, N)]
-    for form, cells, width in ((system.x, face_cells(mesh)[0], mesh.dx), (system.y, face_cells(mesh)[1], mesh.dy)):
-        coef = form.coef.transpose(1, 0, 2).reshape(G, -1) / width
-        for owner, sign in ((cells[0], 1.0), (cells[1], -1.0)):
-            rows.append(np.tile(owner, 2))
-            cols.append(cells.ravel())
-            vals.append(sign * coef)
+    cells, width = face_cells(mesh)
+    coef = (system.faces.coef / width).transpose(1, 0, 2).reshape(G, -1)
+    for owner, sign in ((cells[0], 1.0), (cells[1], -1.0)):
+        rows.append(np.tile(owner, 2))
+        cols.append(cells.ravel())
+        vals.append(sign * coef)
     b_cells = boundary_cells(mesh)[0]
     rows.append(b_cells)
     cols.append(b_cells)
@@ -485,7 +492,7 @@ class TestMomentSystem:
     @pytest.mark.parametrize("nx, ny", [(8, 8), (6, 5)])
     def test_one_block_solve_matches_per_group_solves(self, monkeypatch, vef, nx, ny):
         system, args = moment_tables(SpatialMesh(nx, ny, 6.0, 6.0), 4, vef)
-        assert len(system.x.coef) == len(system.y.coef) == 2
+        assert system.faces.coef.shape == (2, 4, ny * (nx - 1) + (ny - 1) * nx)
         reference = permuted_per_group_systems(system, *args)
         E, calls = solve_capturing(system, args, monkeypatch)
         assert len(calls) == 1
@@ -506,6 +513,23 @@ class TestMomentSystem:
         Fx, Fy = system.fluxes(E)
         div = (Fx[:, :, 1:] - Fx[:, :, :-1]) / mesh.dx + (Fy[:, 1:, :] - Fy[:, :-1, :]) / mesh.dy
         np.testing.assert_allclose(E / dt + div + ckappa * E, E_prev / dt + source, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("vef", [False, True])
+    def test_face_tables_round_trip_through_the_padded_fluxes(self, vef):
+        # interior_fluxes and boundary_flux read back from Fx, Fy exactly the
+        # interior-face and outward boundary currents the tables give.
+        mesh = SpatialMesh(6, 5, 6.0, 6.0)
+        system, (_, _, _, E) = moment_tables(mesh, 4, vef)
+        Fx, Fy = system.fluxes(E)
+        Ef = E.reshape(4, -1)
+        cells = face_cells(mesh)[0]
+        faces = system.faces
+        interior = faces.base + (faces.coef * Ef[:, cells].transpose(1, 0, 2)).sum(axis=0)
+        np.testing.assert_array_equal(interior_fluxes(Fx, Fy), interior)
+        np.testing.assert_array_equal(boundary_flux(Fx, Fy), system.b_coef * Ef[:, boundary_cells(mesh)[0]] + system.b_base)
+        # the outward current is -Fx on the left and -Fy on the bottom
+        np.testing.assert_array_equal(boundary_flux(Fx, Fy)[:, mesh.boundary_slice("left")], -Fx[:, :, 0])
+        np.testing.assert_array_equal(boundary_flux(Fx, Fy)[:, mesh.boundary_slice("bottom")], -Fy[:, 0, :])
 
     def test_p1_block_solve_is_bitwise_on_the_benchmark_mesh(self):
         # The blocks are the permuted per-group matrices exactly (above) and
@@ -552,9 +576,9 @@ class TestMomentSystem:
         mesh, G = SpatialMesh(n, n, 2.0, 2.0), 3
         kappa = np.ones((G, n, n))
         state = MomentState(0.0, np.ones((n, n)), np.ones((G, n, n)), np.zeros((G, n, n + 1)), np.zeros((G, n + 1, n)))
-        x, y = first_moment_faces(mesh, kappa, 0.0, state.Fx, state.Fy, 1.0 / 3.0, 1.0 / 3.0)
+        faces = first_moment_faces(mesh, kappa, 0.0, interior_fluxes(state.Fx, state.Fy), 1.0 / 3.0)
         nb = mesh.n_boundary_faces
-        system = MomentSystem(mesh, x, y, np.zeros((G, nb)), np.zeros((G, nb)))
+        system = MomentSystem(mesh, faces, np.zeros((G, nb)), np.zeros((G, nb)))
         ckappa = C * kappa
         ckappa[group] = 0.0
         source, E_prev = np.ones((G, n, n)), state.E
@@ -566,20 +590,22 @@ class TestMomentSystem:
 
     def test_cached_stencil_equals_a_fresh_build_and_is_read_only(self):
         mesh = SpatialMesh(5, 4, 5.0, 2.0)
-        fx, fy = face_cells(mesh)
-        assert face_cells(SpatialMesh(5, 4, 5.0, 2.0))[0] is fx
+        cells, width = face_cells(mesh)
+        assert face_cells(SpatialMesh(5, 4, 5.0, 2.0))[0] is cells
         face_cells.cache_clear()
         boundary_cells.cache_clear()
-        fresh_x, fresh_y = face_cells(mesh)
-        np.testing.assert_array_equal(fx, fresh_x)
-        np.testing.assert_array_equal(fy, fresh_y)
+        fresh_cells, fresh_width = face_cells(mesh)
+        np.testing.assert_array_equal(cells, fresh_cells)
+        np.testing.assert_array_equal(width, fresh_width)
         idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
-        np.testing.assert_array_equal(fx, [idx[:, :-1].ravel(), idx[:, 1:].ravel()])
-        np.testing.assert_array_equal(fy, [idx[:-1].ravel(), idx[1:].ravel()])
-        cells, sign, width = boundary_cells(mesh)
-        np.testing.assert_array_equal(cells, np.concatenate([idx[:, 0], idx[:, -1], idx[0], idx[-1]]))
-        np.testing.assert_array_equal(sign, np.repeat([-1.0, 1.0, -1.0, 1.0], [4, 4, 5, 5]))
-        np.testing.assert_array_equal(width, np.repeat([1.0, 1.0, 0.5, 0.5], [4, 4, 5, 5]))
+        # the 16 x-faces in (ny, nx-1) order, then the 15 y-faces in (ny-1, nx) order
+        np.testing.assert_array_equal(cells[:, :16], [idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+        np.testing.assert_array_equal(cells[:, 16:], [idx[:-1].ravel(), idx[1:].ravel()])
+        np.testing.assert_array_equal(width, np.repeat([1.0, 0.5], [16, 15]))
+        b_cells, b_sign, b_width = boundary_cells(mesh)
+        np.testing.assert_array_equal(b_cells, np.concatenate([idx[:, 0], idx[:, -1], idx[0], idx[-1]]))
+        np.testing.assert_array_equal(b_sign, np.repeat([-1.0, 1.0, -1.0, 1.0], [4, 4, 5, 5]))
+        np.testing.assert_array_equal(b_width, np.repeat([1.0, 1.0, 0.5, 0.5], [4, 4, 5, 5]))
         template = _template(mesh, 3)
         assert _template(SpatialMesh(5, 4, 5.0, 2.0), 3)[0] is template[0]
         _template.cache_clear()
@@ -588,11 +614,10 @@ class TestMomentSystem:
         indices, indptr, slot = template
         # Each group's block holds the 5-point stencil: the diagonal and two
         # off-diagonal slots per interior face.
-        n_faces = fx.shape[1] + fy.shape[1]
-        assert indices.size == 3 * (mesh.n_cells + 2 * n_faces)
+        assert indices.size == 3 * (mesh.n_cells + 2 * cells.shape[1])
         assert indices.dtype == indptr.dtype == np.int32
         assert indptr[-1] == indices.size and slot.max() < indices.size
-        for arr in (fx, fy, cells, sign, width, indices, indptr, slot):
+        for arr in (cells, width, b_cells, b_sign, b_width, indices, indptr, slot):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

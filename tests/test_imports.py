@@ -1,16 +1,21 @@
-"""Import hygiene: every name a module imports is read somewhere in it.
+"""Import and definition hygiene, by stdlib ast walks with no linter to install.
 
-A stdlib ast walk over the package and the tests; it catches the imports a
-deletion leaves behind, with no linter to install.
+Every name a module of the package or the tests imports is read somewhere
+in it, and every top-level function, class and constant of the package is
+read by some file of the package, the tests or the benchmark. Both catch
+what a deletion leaves behind.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "ddvef").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "ddvef").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +40,50 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_definitions(source: str) -> dict[str, int]:
+    """Line of every top-level function, class and assigned name of a module, dunders aside."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                defined.update({n.id: node.lineno for n in ast.walk(target) if isinstance(n, ast.Name)})
+    return {name: line for name, line in defined.items() if not (name.startswith("__") and name.endswith("__"))}
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes, imported names and
+    string constants (the name monkeypatch.setattr(module, "name", ...) takes)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+@functools.cache
+def names_read_anywhere() -> frozenset:
+    return frozenset().union(*(read_names(path.read_text()) for path in READERS))
+
+
+def test_dead_definitions_are_found():
+    source = "import os\nA = 1\nB, _c = 2, 3\n__all__ = []\ndef f(): return A\nclass K: pass\ndef g(): pass\n"
+    defined = top_level_definitions(source)
+    assert defined == {"A": 2, "B": 3, "_c": 3, "f": 5, "K": 6, "g": 7}
+    read = read_names(source) | read_names("from m import K\nsetattr(m, 'B', 0)\nm.f()\n")
+    assert sorted(name for name in defined if name not in read) == ["_c", "g"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_definition_is_read(path):
+    defined = top_level_definitions(path.read_text())
+    assert [f"line {line}: {name}" for name, line in defined.items() if name not in names_read_anywhere()] == []

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from ddvef import iteration
+from ddvef.diffusion import BoundaryCondition, DiffusionProblem, FaceForms, MomentSystem, _marshak_boundary
 from ddvef.errors import ConvergenceError
-from ddvef.iteration import _LSTSQ_RCOND, AndersonAccelerator, fixed_point_solve
+from ddvef.grid import SIDES, SpatialMesh, build_frequency_grid
+from ddvef.iteration import _LSTSQ_RCOND, AndersonAccelerator, exchange_sensitivity, fixed_point_solve
+from ddvef.physics import DEFAULT_CONSTANTS, ConstantOpacity, MaterialEOS, benchmark_cv, group_planck, update_temperature
 
 
 def linear_map(rho: float, n: int = 6, seed: int = 0, exchange: float = 0.0):
@@ -196,3 +199,34 @@ def test_incremental_differences_propose_what_restacking_proposes(memory, n):
             assert len(ref._x) == (memory + 1 if k == 29 else 1)
         if k != 24:
             x = proposed + 0.1 * rng.normal(size=n)
+
+
+def test_exchange_sensitivity_is_the_derivative_of_the_zero_d_coupling_map():
+    # One reflective cell at equilibrium (T_prev = T~, E_prev = 4 pi B / c):
+    # a pass solves the moment system at the frozen T~ and converges the
+    # material Newton. Its derivative in T~ there is the exchange
+    # sensitivity exactly, which rises toward one as the cell thickens
+    # (0.378, 0.870, 0.985 and 0.99985 here).
+    c, T0, dt, h = DEFAULT_CONSTANTS.c, 1.0, 0.01, 1.0e-6
+    fgrid = build_frequency_grid([0.3, 1.0, 3.0, 100.0])
+    mesh, eos, G = SpatialMesh(1, 1, 1.0, 1.0), MaterialEOS(benchmark_cv(1.0)), fgrid.n_groups
+    T_prev = np.full((1, 1), T0)
+    E_prev = 4.0 * np.pi * group_planck(T_prev, fgrid) / c
+    sensitivities = []
+    for scale in (0.1, 1.0, 10.0, 1000.0):
+        material = ConstantOpacity(fgrid, scale * np.array([1.0, 3.0, 10.0, 30.0]))
+        problem = DiffusionProblem(mesh, fgrid, material, eos, {side: BoundaryCondition("reflective") for side in SIDES})
+        no_faces = FaceForms(np.zeros((2, G, 0)), np.zeros((G, 0)))
+        system = MomentSystem(mesh, no_faces, *_marshak_boundary(problem, problem.incoming_currents()))
+
+        def coupling_map(T_freeze):
+            kappa, _, B, _ = material.emission_terms(np.full((1, 1), T_freeze), DEFAULT_CONSTANTS)
+            E = system.solve(dt, c * kappa, 4.0 * np.pi * kappa * B, E_prev)
+            return update_temperature(T_prev, E, dt, material, eos)[0, 0]
+
+        kappa, _, _, dB = material.emission_terms(T_prev, DEFAULT_CONSTANTS)
+        exchange = exchange_sensitivity(kappa, dB, eos.cv, dt)[0, 0]
+        assert (coupling_map(T0 + h) - coupling_map(T0 - h)) / (2.0 * h) == pytest.approx(exchange, rel=0.0, abs=1.0e-8)
+        sensitivities.append(exchange)
+    assert np.all(np.diff(sensitivities) > 0.0)
+    assert sensitivities[0] < 0.5 and sensitivities[-1] > 0.999

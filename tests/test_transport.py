@@ -1,6 +1,8 @@
 """Tests for the discrete-ordinates sweep and the coupled FOM step."""
 
 import decimal
+import gc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddvef import iteration, transport
-from ddvef.diffusion import boundary_cells, boundary_flux
+from ddvef.diffusion import boundary_flux
 from ddvef.errors import ConfigError
 from ddvef.grid import (
     SIDES,
@@ -19,7 +21,7 @@ from ddvef.grid import (
     build_angular_quadrature,
     build_frequency_grid,
 )
-from ddvef.history import boundary_net_outflow, energy_balance_residual
+from ddvef.history import boundary_net_outflow, energy_balance_residual, march
 from ddvef.physics import (
     DEFAULT_CONSTANTS,
     ConstantOpacity,
@@ -585,8 +587,7 @@ class TestIncomingCurrents:
     def incoming(quad, inflow, kappa, B):
         mesh = SpatialMesh(5, 4, 2.0, 1.6)
         res = steady_sweep(mesh, quad, kappa, kappa * B[:, None, None], inflow=inflow)
-        _, sign, _ = boundary_cells(mesh)
-        return mesh, res, res.bface_wnI - sign * boundary_flux(res.Fx, res.Fy)
+        return mesh, res, res.bface_wnI - boundary_flux(res.Fx, res.Fy)
 
     @pytest.mark.parametrize("rule", ["2x8"] + list(OTHER_RULES))
     def test_equals_the_outgoing_current_at_equilibrium(self, rule):
@@ -611,9 +612,18 @@ class TestIncomingCurrents:
         rng = np.random.default_rng(31)
         inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, 2) for side in SIDES})
         kappa, B = np.full((2, 4, 5), 2.0), np.array([0.6, 1.7])
-        folded = self.incoming(quad, inflow, kappa, B)[2]
+        mesh, _, folded = self.incoming(quad, inflow, kappa, B)
         full = self.incoming(unfold(quad)[0], inflow, kappa, B)[2]
         np.testing.assert_allclose(folded, full, rtol=1e-13, atol=0.0)
+        # Away from equilibrium the net flux is not zero, so this also pins
+        # the sign of each side's outward normal: what enters is the
+        # half-range sum of w |n.Omega| over the side's isotropic inflow.
+        w = quad.weight
+        wn_in = [(w * np.abs(o))[mask].sum() for o in quad.omega[:, :2].T for mask in (o > 0.0, o < 0.0)]
+        for side, wn in zip(SIDES, wn_in):
+            faces = mesh.boundary_slice(side)
+            expected = np.broadcast_to((wn * inflow.value(side, 2))[:, None], folded[:, faces].shape)
+            np.testing.assert_allclose(folded[:, faces], expected, rtol=1e-13, atol=0.0, err_msg=side)
 
 
 class TestPlanckianInflow:
@@ -782,6 +792,25 @@ class TestRunFom:
         assert [d.picard_iterations for d in folded.diagnostics] == [d.picard_iterations for d in unfolded.diagnostics]
         np.testing.assert_allclose(folded.T, unfolded.T, rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(folded.E, unfolded.E, rtol=1e-9, atol=0.0)
+
+    def test_march_keeps_only_the_live_state(self):
+        # A FOM state carries its whole intensity psi; the history keeps each
+        # level's T, E, Fx and Fy, so a state is freed once it is stepped past.
+        problem = benchmark_like_problem(nx=3, ny=3)
+        returned, alive = [], []
+
+        def advance(state, _):
+            gc.collect()
+            alive.append([ref() is not None for ref in returned])
+            new, diag = fom_step(problem, state, 0.1)
+            returned.append(weakref.ref(new))
+            return new, diag
+
+        hist = march("fom", initial_transport_state(problem, 1e-3), advance, range(4))
+        assert alive == [[], [True], [False, True], [False, False, True]]
+        reference = run_fom(problem, 1e-3, 0.1, 4)
+        for name in ("times", "T", "E", "Fx", "Fy"):
+            np.testing.assert_array_equal(getattr(hist, name), getattr(reference, name))
 
 
 class TestEnergyAccounting:

@@ -17,6 +17,7 @@ from ddvef.diffusion import (
     boundary_flux,
     first_moment_faces,
     initial_moment_state,
+    interior_fluxes,
     run_diffusion_model,
     standard_boundaries,
 )
@@ -93,20 +94,17 @@ def test_closure_reproduces_its_sweep():
     second = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, first.psi, DT, problem.inflow))
     record = closure_from_sweep(second, kappa, first.Fx, first.Fy)
 
-    faces = first_moment_faces(
-        mesh, kappa, 1.0 / (c * DT), first.Fx, first.Fy, record.gx, record.gy, record.rx, record.ry
-    )
-    system = MomentSystem(mesh, *faces, record.v_out, record.b_base)
+    faces = first_moment_faces(mesh, kappa, 1.0 / (c * DT), interior_fluxes(first.Fx, first.Fy), record.g, record.r)
+    system = MomentSystem(mesh, faces, record.v_out, record.b_base)
     Fx, Fy = system.fluxes(second.E)
     scale = max(np.abs(second.Fx).max(), np.abs(second.Fy).max())
     np.testing.assert_allclose(Fx, second.Fx, rtol=0.0, atol=1.0e-13 * scale)
     np.testing.assert_allclose(Fy, second.Fy, rtol=0.0, atol=1.0e-13 * scale)
     # v_out times the boundary cell's energy is the sweep's outgoing current,
     # and adding b_base gives the sweep's outward boundary flux.
-    cells, sign, _ = boundary_cells(mesh)
-    E_edge = second.E.reshape(second.E.shape[0], -1)[:, cells]
+    E_edge = second.E.reshape(second.E.shape[0], -1)[:, boundary_cells(mesh)[0]]
     np.testing.assert_allclose(record.v_out * E_edge, second.bface_wnI, rtol=0.0, atol=1.0e-13 * second.bface_wnI.max())
-    outward = sign * boundary_flux(second.Fx, second.Fy)
+    outward = boundary_flux(second.Fx, second.Fy)
     np.testing.assert_allclose(record.v_out * E_edge + record.b_base, outward, rtol=0.0, atol=1.0e-13 * np.abs(outward).max())
 
 
@@ -149,8 +147,28 @@ def test_dark_sweep_gives_a_finite_neutral_closure():
     record = closure_from_sweep(dark, kappa, Fx, Fy)
     for f in fields(ClosureRecord):
         assert np.all(np.isfinite(getattr(record, f.name))), f.name
-    for name in ("v_out", "rx", "ry", "b_base"):
+    for name in ("v_out", "r", "b_base"):
         assert np.all(getattr(record, name) == 0.0), name
+
+
+def test_rejected_faces_fall_back_to_the_normal_tensor_component():
+    # A flat intensity that is anisotropic but carries no flux leaves every
+    # face factor at 0/0, so every face falls back: to the face mean of f_xx
+    # on x-faces and of f_yy on y-faces, which differ here.
+    mesh, quad, G, c = SpatialMesh(4, 3, 4.0, 3.0), build_angular_quadrature(2, 8), 2, DEFAULT_CONSTANTS.c
+    psi = np.broadcast_to(1.0 + quad.omega[:, 0] ** 2, (mesh.ny, mesh.nx, G, quad.n_directions)).copy()
+    Fx, Fy = np.zeros((G, mesh.ny, mesh.nx + 1)), np.zeros((G, mesh.ny + 1, mesh.nx))
+    result = SimpleNamespace(
+        step=SimpleNamespace(mesh=mesh, quad=quad, sink=1.0 / (c * DT)), psi=psi,
+        E=np.einsum("yxgm,m->gyx", psi, quad.weight) / c, Fx=Fx, Fy=Fy, bface_wnI=np.zeros((G, mesh.n_boundary_faces)),
+    )
+    record = closure_from_sweep(result, np.ones((G, mesh.ny, mesh.nx)), Fx, Fy)
+    fxx, fyy = (f[0, 0, 0] for f in eddington_tensor(psi, quad))
+    assert fxx > 1.0 / 3.0 > fyy
+    n_x = mesh.ny * (mesh.nx - 1)
+    np.testing.assert_array_equal(record.g[:, :n_x], fxx)
+    np.testing.assert_array_equal(record.g[:, n_x:], fyy)
+    assert np.all(record.r == 0.0)
 
 
 @pytest.fixture(scope="module")
