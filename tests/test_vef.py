@@ -262,15 +262,25 @@ def test_equilibrium_drive_stays_stationary_through_the_vef(T_eq, rule):
     assert passes(vef) == [1] * N_STEPS
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(ClosureRecord)])
-def test_validate_rejects_a_wrong_shaped_field(problem, diffusion, name):
+# Each case: the field broken and its wrong shape from (its right shape, mesh).
+# Every field gets a truncated last axis; the x and y cases give a face table
+# one direction's faces alone, the per-direction layout it replaces.
+WRONG_SHAPES = {f.name: (f.name, lambda shape, mesh: shape[:-1] + (1,)) for f in fields(ClosureRecord)}
+for _face in ("g", "r"):
+    WRONG_SHAPES[_face + "x"] = (_face, lambda shape, mesh: shape[:-1] + (mesh.ny, mesh.nx - 1))
+    WRONG_SHAPES[_face + "y"] = (_face, lambda shape, mesh: shape[:-1] + (mesh.ny - 1, mesh.nx))
+
+
+@pytest.mark.parametrize("case", list(WRONG_SHAPES))
+def test_validate_rejects_a_wrong_shaped_field(problem, diffusion, case):
     mesh, G = problem.mesh, problem.fgrid.n_groups
+    name, wrong_shape = WRONG_SHAPES[case]
     dataset = isotropic_closure(diffusion, 0.0, [DT, 2 * DT])
     dataset.validate(mesh, G)
     first, last = dataset.records
-    bad = np.zeros(getattr(last, name).shape[:-1] + (1,))
+    bad = np.zeros(wrong_shape(getattr(last, name).shape, mesh))
     broken = replace(dataset, records=[first, replace(last, **{name: bad})])
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ConfigError, match=f"closure {name} has shape"):
         broken.validate(mesh, G)
 
 
