@@ -21,14 +21,10 @@ limited flux itself at the lagged E and the fixed point is the same for
 every weight; the Newton part lets the E block converge in about P1's
 pass count instead of linearly.
 
-The models differ only in their coefficients, held in two tables: one
-over the interior faces (face_cells: each face's two cells and width,
-x-faces first) with every face flux a linear form in its cell energies,
-and one over the boundary faces (boundary_cells) with every outward
-current coef E_cell + base. Face orientation is known only where these
-tables are built and where they are converted to and from the padded
-Fx, Fy that states and sweeps keep (interior_fluxes, boundary_flux).
-MomentSystem, the one assembler all four share, sums the tables into the
+The models differ only in their coefficients: every interior face flux
+is a linear form in its two cell energies and every boundary outward
+current coef E_cell + base, two tables over grid's face tables.
+MomentSystem, the one assembler all four share, sums them into the
 eliminated cell-centered system of every group through a block-CSR
 template built once per mesh and group count, solves all groups with one
 sparse direct solve of the block-diagonal system, and reconstructs the
@@ -52,7 +48,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
-from .grid import SIDES, FrequencyGrid, SpatialMesh, check_sides
+from .grid import (
+    SIDES, FrequencyGrid, SpatialMesh, _read_only, boundary_cells, check_sides, face_cells, face_means, interior_fluxes,
+    on_boundary_faces, padded_fluxes,
+)
 from .history import (
     MomentState, StepDiagnostics, check_step_count, check_time_step, energy_balance_residual, initial_moment_state, march,
 )
@@ -89,7 +88,7 @@ def standard_boundaries(T_drive: float, drive_sides=("left",)) -> dict:
 
 @dataclass(frozen=True)
 class DiffusionProblem:
-    """Static description of a moment-model run."""
+    """Static description of a moment-model run; a side without a BoundaryCondition raises ConfigError."""
 
     mesh: SpatialMesh
     fgrid: FrequencyGrid
@@ -99,9 +98,9 @@ class DiffusionProblem:
 
     def __post_init__(self):
         check_sides(self.boundaries)
-        missing = [s for s in SIDES if s not in self.boundaries]
-        if missing:
-            raise ConfigError(f"boundaries missing for sides {missing}")
+        wrong = [s for s in SIDES if not isinstance(self.boundaries.get(s), BoundaryCondition)]
+        if wrong:
+            raise ConfigError(f"sides {wrong} need a BoundaryCondition, got {[self.boundaries.get(s) for s in wrong]}")
 
     def incoming_currents(self) -> np.ndarray:
         """Incoming partial current per side and group (4, G) [Jerk/cm^2/ns]:
@@ -131,47 +130,6 @@ def larsen_coefficient(kappa, E, gradE):
 def _energy_floor(E) -> float:
     """The floor larsen_coefficient puts under E: 1e-30 of its largest value, at least 1e-290."""
     return max(1.0e-30 * float(np.max(E, initial=0.0)), 1.0e-290)
-
-
-def _read_only(*arrays):
-    """The arrays, marked read-only so cached stencils cannot be changed by a caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@functools.lru_cache(maxsize=16)
-def face_cells(mesh: SpatialMesh):
-    """Per interior face: the flat indices of its low- and high-side cells
-    (2, n_faces) and the cell width across it (n_faces,).
-
-    The x-faces come first, in (ny, nx-1) order, then the y-faces in
-    (ny-1, nx) order; a face flux is positive toward its high side. Built
-    once per mesh; the arrays are shared and read-only.
-    """
-    idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
-    x, y = np.stack([idx[:, :-1], idx[:, 1:]]), np.stack([idx[:-1], idx[1:]])
-    width = np.repeat([mesh.dx, mesh.dy], [x[0].size, y[0].size])
-    return _read_only(np.concatenate([x.reshape(2, -1), y.reshape(2, -1)], axis=1), width)
-
-
-def face_means(mesh: SpatialMesh, field):
-    """Arithmetic means of a (G, ny, nx) field on the interior faces, (G, n_faces)."""
-    cells = face_cells(mesh)[0]
-    flat = field.reshape(field.shape[0], -1)
-    return 0.5 * (flat[:, cells[1]] + flat[:, cells[0]])
-
-
-@functools.lru_cache(maxsize=16)
-def boundary_cells(mesh: SpatialMesh):
-    """Per boundary face in canonical order: the flat index of the cell
-    behind it, the sign of its outward normal along its axis, and the
-    cell width across it. Built once per mesh; the arrays are shared and
-    read-only."""
-    idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
-    counts = [mesh.ny, mesh.ny, mesh.nx, mesh.nx]
-    cells = np.concatenate([idx[:, 0], idx[:, -1], idx[0, :], idx[-1, :]])
-    return _read_only(cells, np.repeat([-1.0, 1.0, -1.0, 1.0], counts), np.repeat([mesh.dx, mesh.dx, mesh.dy, mesh.dy], counts))
 
 
 #: Largest block of cells that nested dissection numbers row by row.
@@ -266,30 +224,12 @@ def _failing_group(A, rhs: np.ndarray, G: int) -> int:
     return int(np.argmax(_group_residuals(A, x, rhs, G)))
 
 
-def interior_fluxes(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
-    """Face-normal flux on the interior faces in face_cells order, (G, n_faces)."""
-    G = Fx.shape[0]
-    return np.concatenate([Fx[:, :, 1:-1].reshape(G, -1), Fy[:, 1:-1, :].reshape(G, -1)], axis=1)
-
-
-def boundary_flux(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
-    """Outward current n.F on the boundary faces in canonical order, (G, n_boundary_faces)."""
-    return np.concatenate([-Fx[:, :, 0], Fx[:, :, -1], -Fy[:, 0, :], Fy[:, -1, :]], axis=1)
-
-
-def on_boundary_faces(mesh: SpatialMesh, per_side) -> np.ndarray:
-    """Spread per-side values (4, G) onto the canonical boundary faces, (G, n_boundary_faces)."""
-    return np.repeat(np.asarray(per_side, dtype=float).T, [mesh.ny, mesh.ny, mesh.nx, mesh.nx], axis=1)
-
-
 class FaceForms(NamedTuple):
     """Interior-face fluxes F = coef[0] E[cells[0]] + coef[1] E[cells[1]] + base.
 
-    One table over every interior face of the mesh, in face_cells order
-    (x-faces, then y-faces): cells are each face's low- and high-side
-    cells, the flux is positive toward the high side, coef is
-    (2, G, n_faces) and base, the part independent of the unknown
-    energies, (G, n_faces).
+    One table over the mesh's interior faces (grid.face_cells): cells are
+    each face's low- and high-side cells, coef is (2, G, n_faces) and
+    base, the part independent of the unknown energies, (G, n_faces).
     """
 
     coef: np.ndarray
@@ -301,10 +241,10 @@ class MomentSystem:
 
     faces are the FaceForms of the interior faces; b_coef and b_base
     (G, n_boundary_faces) give each boundary face's outward current
-    n.F = b_coef E_cell + b_base in canonical order. The balance matrix,
-    its right-hand side and the reconstructed fluxes all come from these
-    two tables, so the stored fluxes are exactly those the solve balanced
-    and the global energy budget telescopes to the boundary flow.
+    n.F = b_coef E_cell + b_base. The balance matrix, its right-hand side
+    and the reconstructed fluxes all come from these two tables, so the
+    stored fluxes are exactly those the solve balanced and the global
+    energy budget telescopes to the boundary flow.
 
     All groups are solved together: one sparse direct solve of the
     block-diagonal system of G*N unknowns, group g's block at offset g*N.
@@ -323,27 +263,14 @@ class MomentSystem:
     def __init__(self, mesh: SpatialMesh, faces: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
         self.mesh, self.faces = mesh, faces
         self.b_coef, self.b_base = b_coef, b_base
-        self.b_cells, self.b_sign, self.b_width = boundary_cells(mesh)
-
-    def _place(self, interior: np.ndarray, b_out: np.ndarray):
-        """Fx (G, ny, nx+1) and Fy (G, ny+1, nx) from interior-face fluxes and boundary outward currents."""
-        ny, nx = self.mesh.ny, self.mesh.nx
-        G = b_out.shape[0]
-        Fx = np.empty((G, ny, nx + 1))
-        Fy = np.empty((G, ny + 1, nx))
-        n_x = ny * (nx - 1)
-        Fx[:, :, 1:-1] = interior[:, :n_x].reshape(G, ny, nx - 1)
-        Fy[:, 1:-1, :] = interior[:, n_x:].reshape(G, ny - 1, nx)
-        signed = self.b_sign * b_out
-        Fx[:, :, 0], Fx[:, :, -1], Fy[:, 0, :], Fy[:, -1, :] = np.split(signed, [ny, 2 * ny, 2 * ny + nx], axis=1)
-        return Fx, Fy
+        self.b_cells, self.b_width = boundary_cells(mesh)
 
     def fluxes(self, E: np.ndarray):
         """Face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) of the energies E."""
         Ef = E.reshape(E.shape[0], -1)
         cells = face_cells(self.mesh)[0]
         interior = self.faces.base + (self.faces.coef * Ef[:, cells].transpose(1, 0, 2)).sum(axis=0)
-        return self._place(interior, self.b_coef * Ef[:, self.b_cells] + self.b_base)
+        return padded_fluxes(self.mesh, interior, self.b_coef * Ef[:, self.b_cells] + self.b_base)
 
     def solve(self, dt: float, ckappa: np.ndarray, source: np.ndarray, E_prev: np.ndarray) -> np.ndarray:
         """Energies of every group from E/dt + div F(E) + c kappa E = E_prev/dt + source.
@@ -354,7 +281,7 @@ class MomentSystem:
         """
         mesh = self.mesh
         G, N = E_prev.shape[0], mesh.n_cells
-        Fx0, Fy0 = self._place(self.faces.base, self.b_base)
+        Fx0, Fy0 = padded_fluxes(mesh, self.faces.base, self.b_base)
         div0 = (Fx0[:, :, 1:] - Fx0[:, :, :-1]) / mesh.dx + (Fy0[:, 1:, :] - Fy0[:, :-1, :]) / mesh.dy
         order, rank = cell_order(mesh)
         rhs = (E_prev / dt + source - div0).reshape(G, N)[:, order].ravel()

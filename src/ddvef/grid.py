@@ -11,17 +11,28 @@ two-dimensional (x, y); Omega_z is carried for the moment identities but
 never multiplies a gradient. Because of that, a direction and its Omega_z
 mirror see the same transport, and the quadrature keeps only the
 Omega_z >= 0 half of the product rule (see build_angular_quadrature).
+
+This module alone knows the layout of the mesh's two face tables. The
+interior faces are the x-faces in (ny, nx-1) order, then the y-faces in
+(ny-1, nx) order, each joining a low- and a high-side cell (face_cells),
+its flux positive toward the high side. The boundary faces are the left,
+right, bottom and top sides in turn (SIDES), left and right by cell row,
+bottom and top by cell column (boundary_cells); a value on them is the
+outward current n.F, -Fx on the left and -Fy on the bottom. States and
+sweeps keep padded fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx), which
+interior_fluxes and boundary_flux read and padded_fluxes writes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 
-# Sides in canonical order; boundary faces are stored left, right, bottom, top.
 SIDES = ("left", "right", "bottom", "top")
 
 
@@ -70,17 +81,95 @@ class SpatialMesh:
         return 2 * (self.nx + self.ny)
 
     def boundary_slice(self, side: str) -> slice:
-        """Slice of the canonical boundary-face axis belonging to one side.
-
-        Left and right faces are ordered by cell row j, bottom and top by
-        cell column i.
-        """
-        nx, ny = self.nx, self.ny
-        offsets = {"left": (0, ny), "right": (ny, 2 * ny), "bottom": (2 * ny, 2 * ny + nx), "top": (2 * ny + nx, 2 * ny + 2 * nx)}
-        if side not in offsets:
+        """Slice of the boundary-face axis belonging to one side (see boundary_cells)."""
+        if side not in SIDES:
             raise ConfigError(f"unknown side {side!r}")
-        lo, hi = offsets[side]
-        return slice(lo, hi)
+        s, bounds = SIDES.index(side), _side_bounds(self)
+        return slice(bounds[s], bounds[s + 1])
+
+
+def _read_only(*arrays):
+    """The arrays, marked read-only so cached tables cannot be changed by a caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _sides(x, y):
+    """The one record of the side order: the boundary edges of an x-face array
+    x (..., ny, nx+1) and a y-face array y (..., ny+1, nx), or of a cell array
+    as both, in SIDES order as (axis, outward sign, view); a view writes the array."""
+    return (0, -1.0, x[..., 0]), (0, 1.0, x[..., -1]), (1, -1.0, y[..., 0, :]), (1, 1.0, y[..., -1, :])
+
+
+@functools.lru_cache(maxsize=16)
+def _side_bounds(mesh: SpatialMesh) -> tuple:
+    """Where each side's faces start on the boundary-face axis, in SIDES order, and where the last side's faces end."""
+    cells = np.broadcast_to(0, (mesh.ny, mesh.nx))
+    return tuple(itertools.accumulate((view.size for *_, view in _sides(cells, cells)), initial=0))
+
+
+@functools.lru_cache(maxsize=16)
+def face_cells(mesh: SpatialMesh):
+    """Per interior face: the flat indices of its low- and high-side cells
+    (2, n_faces) and the cell width across it (n_faces,), x-faces first.
+    Built once per mesh; the arrays are shared and read-only."""
+    idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
+    x, y = np.stack([idx[:, :-1], idx[:, 1:]]), np.stack([idx[:-1], idx[1:]])
+    width = np.repeat([mesh.dx, mesh.dy], [x[0].size, y[0].size])
+    return _read_only(np.concatenate([x.reshape(2, -1), y.reshape(2, -1)], axis=1), width)
+
+
+def face_means(mesh: SpatialMesh, field):
+    """Arithmetic means of a (G, ny, nx) field on the interior faces, (G, n_faces)."""
+    cells = face_cells(mesh)[0]
+    flat = field.reshape(field.shape[0], -1)
+    return 0.5 * (flat[:, cells[1]] + flat[:, cells[0]])
+
+
+def normal_face_means(mesh: SpatialMesh, fxx, fyy):
+    """Face means of a cell tensor's normal component, (G, n_faces): fxx on the x-faces, fyy on the y-faces."""
+    n_x = mesh.ny * (mesh.nx - 1)
+    return np.concatenate([face_means(mesh, fxx)[:, :n_x], face_means(mesh, fyy)[:, n_x:]], axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def boundary_cells(mesh: SpatialMesh):
+    """Per boundary face: the flat index of the cell behind it and the cell
+    width across it. Built once per mesh; the arrays are shared and read-only."""
+    idx = np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)
+    sides = _sides(idx, idx)
+    width = np.concatenate([np.full(view.size, (mesh.dx, mesh.dy)[axis]) for axis, _, view in sides])
+    return _read_only(np.concatenate([view for *_, view in sides]), width)
+
+
+def on_boundary_faces(mesh: SpatialMesh, per_side) -> np.ndarray:
+    """Spread per-side values (4, G) onto the boundary faces, (G, n_boundary_faces)."""
+    return np.repeat(np.asarray(per_side, dtype=float).T, np.diff(_side_bounds(mesh)), axis=1)
+
+
+def interior_fluxes(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
+    """Face-normal flux on the interior faces, (G, n_faces)."""
+    G = Fx.shape[0]
+    return np.concatenate([Fx[:, :, 1:-1].reshape(G, -1), Fy[:, 1:-1, :].reshape(G, -1)], axis=1)
+
+
+def boundary_flux(Fx: np.ndarray, Fy: np.ndarray) -> np.ndarray:
+    """Outward current n.F on the boundary faces, (G, n_boundary_faces)."""
+    return np.concatenate([sign * view for _, sign, view in _sides(Fx, Fy)], axis=1)
+
+
+def padded_fluxes(mesh: SpatialMesh, interior: np.ndarray, outward: np.ndarray):
+    """Fx (G, ny, nx+1) and Fy (G, ny+1, nx) holding the interior-face fluxes and the
+    boundary outward currents, the inverse of interior_fluxes and boundary_flux."""
+    G, ny, nx = outward.shape[0], mesh.ny, mesh.nx
+    Fx, Fy = np.empty((G, ny, nx + 1)), np.empty((G, ny + 1, nx))
+    n_x, bounds = ny * (nx - 1), _side_bounds(mesh)
+    Fx[:, :, 1:-1] = interior[:, :n_x].reshape(G, ny, nx - 1)
+    Fy[:, 1:-1, :] = interior[:, n_x:].reshape(G, ny - 1, nx)
+    for (_, sign, view), lo, hi in zip(_sides(Fx, Fy), bounds, bounds[1:]):
+        np.multiply(outward[:, lo:hi], sign, out=view)
+    return Fx, Fy
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import SpatialMesh
+from .grid import SpatialMesh, boundary_cells, boundary_flux
 from .physics import DEFAULT_CONSTANTS, MaterialEOS, group_planck
 
 
@@ -127,13 +127,6 @@ def march(label: str, state, advance, steps) -> SolutionHistory:
     return SolutionHistory(label, np.array(times), np.stack(T), np.stack(E), np.stack(Fx), np.stack(Fy), diagnostics)
 
 
-def boundary_net_outflow(Fx: np.ndarray, Fy: np.ndarray, mesh: SpatialMesh) -> float:
-    """Net radiative power leaving the domain [Jerk/ns], all groups."""
-    out = (Fx[:, :, -1].sum() - Fx[:, :, 0].sum()) * mesh.dy
-    out += (Fy[:, -1, :].sum() - Fy[:, 0, :].sum()) * mesh.dx
-    return float(out)
-
-
 def total_energy(T: np.ndarray, E: np.ndarray, mesh: SpatialMesh, eos: MaterialEOS) -> float:
     """Radiation plus material energy content [Jerk]."""
     return float((E.sum() + eos.cv * T.sum()) * mesh.cell_volume)
@@ -142,10 +135,10 @@ def total_energy(T: np.ndarray, E: np.ndarray, mesh: SpatialMesh, eos: MaterialE
 def energy_balance_residual(prev, new, dt: float, mesh: SpatialMesh, eos: MaterialEOS) -> float:
     """Normalized defect of the global backward-Euler energy budget.
 
-    |Delta(E_rad + E_mat) + dt * net_outflow| / total energy, with the
-    boundary flow evaluated from the end-of-step face fluxes. Accepts any
-    pair of states exposing T, E, Fx, Fy.
+    |Delta(E_rad + E_mat) + dt * net_outflow| / total energy, with the net
+    outflow the end-of-step outward currents times the boundary face areas.
+    Accepts any pair of states exposing T, E, Fx, Fy.
     """
     d_energy = total_energy(new.T, new.E, mesh, eos) - total_energy(prev.T, prev.E, mesh, eos)
-    flow = boundary_net_outflow(new.Fx, new.Fy, mesh)
+    flow = float((boundary_flux(new.Fx, new.Fy) * (mesh.cell_volume / boundary_cells(mesh)[1])).sum())
     return abs(d_energy + dt * flow) / abs(total_energy(new.T, new.E, mesh, eos))

@@ -64,7 +64,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh, check_sides
+from .grid import SIDES, AngularQuadrature, FrequencyGrid, SpatialMesh, boundary_flux, check_sides
 from .history import (
     MomentState, StepDiagnostics, check_step_count, check_time_step, energy_balance_residual, initial_moment_state, march,
 )
@@ -276,29 +276,28 @@ def _tally_frames(result: SweepResult):
     the outflow of the cell upwind of it. So an octant's x-faces are the
     nx + 1 columns from its upwind ghost column on, its y-faces the ny + 1
     rows from its upwind ghost row on, the face fluxes are one matmul per
-    octant and axis, and the downwind column and row of faces, which flow
-    out through the domain boundary, give the outgoing current, the VEF's
-    boundary closure.
+    octant and axis, and their downwind column and row, which flow out
+    through the domain boundary, sum to the outgoing partial fluxes, whose
+    outward currents are the VEF's boundary closure.
     """
     mesh, quad = result.step.mesh, result.step.quad
     nx, ny, G = mesh.nx, mesh.ny, result.E.shape[0]
     psi = np.empty((ny, nx, G, quad.n_directions))
-    Fx = np.zeros((G, ny, nx + 1))
-    Fy = np.zeros((G, ny + 1, nx))
-    bface_wnI = np.zeros((G, mesh.n_boundary_faces))
+    Fx, out_x = np.zeros((G, ny, nx + 1)), np.zeros((G, ny, nx + 1))
+    Fy, out_y = np.zeros((G, ny + 1, nx)), np.zeros((G, ny + 1, nx))
     for (sx, sy, idx), (avg, out) in zip(quad.octants, result.frames):
         w = quad.weight[idx]
         ox, oy = quad.omega[idx, :2].T
         x_lo, y_lo = (1 - sx) // 2, (1 - sy) // 2
-        x_faces, y_faces = out[1:-1, x_lo:x_lo + nx + 1], out[y_lo:y_lo + ny + 1, 1:-1]
-        x_side, x_edge = ("right", nx) if sx > 0 else ("left", 0)
-        y_side, y_edge = ("top", ny) if sy > 0 else ("bottom", 0)
+        x_edge, y_edge = nx * (sx > 0), ny * (sy > 0)
         psi[..., idx] = avg.transpose(0, 1, 3, 2)
-        Fx += ((w * ox) @ x_faces).transpose(2, 0, 1)
-        Fy += ((w * oy) @ y_faces).transpose(2, 0, 1)
-        bface_wnI[:, mesh.boundary_slice(x_side)] += ((w * np.abs(ox)) @ x_faces[:, x_edge]).T
-        bface_wnI[:, mesh.boundary_slice(y_side)] += ((w * np.abs(oy)) @ y_faces[y_edge]).T
-    return psi, Fx, Fy, bface_wnI
+        x_flow = ((w * ox) @ out[1:-1, x_lo:x_lo + nx + 1]).transpose(2, 0, 1)
+        y_flow = ((w * oy) @ out[y_lo:y_lo + ny + 1, 1:-1]).transpose(2, 0, 1)
+        Fx += x_flow
+        Fy += y_flow
+        out_x[:, :, x_edge] += x_flow[:, :, x_edge]
+        out_y[:, y_edge] += y_flow[:, y_edge]
+    return psi, Fx, Fy, boundary_flux(out_x, out_y)
 
 
 def sweep(

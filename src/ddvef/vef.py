@@ -41,7 +41,7 @@ generating fields and no harder on the operator than the interpolated
 tensor - plus an additive face-flux consistency remainder r carrying
 whatever the windowed factor cannot absorb, the sweep's f_xy cross-term
 flux included. Both are tables over the moment system's one interior-face
-table (diffusion.face_cells), x- and y-faces alike. The
+table (grid.face_cells), x- and y-faces alike. The
 remainders ride on the right-hand side without touching the operator, so
 the VEF assembles the same 5-point stencil as P1, P1/3 and FLD. On the
 boundary v_out E_cell recovers the sweep's outward current exactly, and
@@ -75,19 +75,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .diffusion import (
-    DiffusionProblem,
-    _marshak_boundary,
-    boundary_cells,
-    boundary_flux,
-    coupled_step,
-    face_cells,
-    face_means,
-    first_moment_faces,
-    interior_fluxes,
-)
+from .diffusion import DiffusionProblem, _marshak_boundary, coupled_step, first_moment_faces
 from .errors import ConfigError
-from .grid import AngularQuadrature, SpatialMesh
+from .grid import AngularQuadrature, SpatialMesh, boundary_cells, boundary_flux, face_cells, interior_fluxes, normal_face_means
 from .history import MomentState, StepDiagnostics, check_time_step, initial_moment_state, march
 from .physics import DEFAULT_CONSTANTS
 from .transport import SweepResult, TransportProblem, planckian_intensity, sweep, sweep_step
@@ -138,7 +128,7 @@ class ClosureRecord:
 
     g is the windowed face-normal closure factor and r the additive
     face-flux consistency remainder of every interior face, both
-    (G, n_faces) in diffusion.face_cells order; the remainders carry the
+    (G, n_faces) in grid.face_cells order; the remainders carry the
     sweep's cross-term flux, so each face flux depends on its two adjacent
     cells alone. v_out is the outgoing boundary factor, the outgoing
     current per unit boundary-cell density (c C eta in terms of the
@@ -190,9 +180,7 @@ def closure_from_sweep(
     mesh, alpha = result.step.mesh, result.step.sink
     Ef = result.E.reshape(kappa.shape[0], -1)
 
-    n_x = mesh.ny * (mesh.nx - 1)  # the x-faces lead the face table
-    fxx, fyy = eddington_tensor(result.psi, result.step.quad)
-    fallback = np.concatenate([face_means(mesh, fxx)[:, :n_x], face_means(mesh, fyy)[:, n_x:]], axis=1)
+    fallback = normal_face_means(mesh, *eddington_tensor(result.psi, result.step.quad))
     form = first_moment_faces(mesh, kappa, alpha, interior_fluxes(prev_Fx, prev_Fy), 1.0)
     grad = (form.coef * Ef[:, face_cells(mesh)[0]].transpose(1, 0, 2)).sum(axis=0)
     F = interior_fluxes(result.Fx, result.Fy) - form.base

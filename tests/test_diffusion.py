@@ -16,21 +16,20 @@ from ddvef.diffusion import (
     MomentSystem,
     _fld_faces,
     _template,
-    boundary_cells,
-    boundary_flux,
     cell_order,
     diffusion_step,
-    face_cells,
-    face_means,
     first_moment_faces,
     initial_moment_state,
-    interior_fluxes,
     larsen_coefficient,
     run_diffusion_model,
     standard_boundaries,
 )
 from ddvef.errors import ConfigError, SolverError
-from ddvef.grid import SpatialMesh, build_frequency_grid
+from ddvef.grid import (
+    SIDES, SpatialMesh, boundary_cells, boundary_flux, build_frequency_grid, face_cells, face_means, interior_fluxes,
+    padded_fluxes,
+)
+from ddvef.history import energy_balance_residual
 from ddvef.physics import (
     DEFAULT_CONSTANTS,
     ConstantOpacity,
@@ -191,6 +190,16 @@ class TestBoundaries:
                 SpatialMesh(2, 2, 1.0, 1.0), fgrid, ConstantOpacity(fgrid, np.ones(1)),
                 MaterialEOS(1.0), {"left": BoundaryCondition("vacuum")},
             )
+
+    def test_boundary_entry_that_is_not_a_condition_rejected(self):
+        # A kind name in place of its BoundaryCondition used to construct and
+        # fail on the first step with an AttributeError.
+        fgrid = build_frequency_grid((1.0,))
+        for boundaries in ({side: "vacuum" for side in SIDES}, dict(standard_boundaries(1.0), top=None)):
+            with pytest.raises(ConfigError, match="top"):
+                DiffusionProblem(
+                    SpatialMesh(2, 2, 1.0, 1.0), fgrid, ConstantOpacity(fgrid, np.ones(1)), MaterialEOS(1.0), boundaries,
+                )
 
     def test_unknown_side_key_rejected(self):
         fgrid = build_frequency_grid((1.0,))
@@ -515,21 +524,40 @@ class TestMomentSystem:
         np.testing.assert_allclose(E / dt + div + ckappa * E, E_prev / dt + source, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("vef", [False, True])
-    def test_face_tables_round_trip_through_the_padded_fluxes(self, vef):
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (4, 1), (6, 5)], ids=["1x1", "1x4", "4x1", "6x5"])
+    def test_face_tables_round_trip_through_the_padded_fluxes(self, vef, nx, ny):
         # interior_fluxes and boundary_flux read back from Fx, Fy exactly the
-        # interior-face and outward boundary currents the tables give.
-        mesh = SpatialMesh(6, 5, 6.0, 6.0)
-        system, (_, _, _, E) = moment_tables(mesh, 4, vef)
+        # interior-face and outward boundary currents the tables give, and
+        # padded_fluxes writes them back; on one-cell-wide meshes a table is empty.
+        mesh = SpatialMesh(nx, ny, 6.0, 3.0)
+        system, (dt, _, _, E) = moment_tables(mesh, 4, vef)
         Fx, Fy = system.fluxes(E)
         Ef = E.reshape(4, -1)
         cells = face_cells(mesh)[0]
         faces = system.faces
         interior = faces.base + (faces.coef * Ef[:, cells].transpose(1, 0, 2)).sum(axis=0)
+        outward = system.b_coef * Ef[:, boundary_cells(mesh)[0]] + system.b_base
         np.testing.assert_array_equal(interior_fluxes(Fx, Fy), interior)
-        np.testing.assert_array_equal(boundary_flux(Fx, Fy), system.b_coef * Ef[:, boundary_cells(mesh)[0]] + system.b_base)
+        np.testing.assert_array_equal(boundary_flux(Fx, Fy), outward)
+        for padded, flux in zip(padded_fluxes(mesh, interior_fluxes(Fx, Fy), boundary_flux(Fx, Fy)), (Fx, Fy)):
+            np.testing.assert_array_equal(padded, flux)
+        rng = np.random.default_rng(1)
+        interior, outward = rng.normal(size=interior.shape), rng.normal(size=outward.shape)
+        Fx, Fy = padded_fluxes(mesh, interior, outward)
+        np.testing.assert_array_equal(interior_fluxes(Fx, Fy), interior)
+        np.testing.assert_array_equal(boundary_flux(Fx, Fy), outward)
         # the outward current is -Fx on the left and -Fy on the bottom
-        np.testing.assert_array_equal(boundary_flux(Fx, Fy)[:, mesh.boundary_slice("left")], -Fx[:, :, 0])
-        np.testing.assert_array_equal(boundary_flux(Fx, Fy)[:, mesh.boundary_slice("bottom")], -Fy[:, 0, :])
+        np.testing.assert_array_equal(outward[:, mesh.boundary_slice("left")], -Fx[:, :, 0])
+        np.testing.assert_array_equal(outward[:, mesh.boundary_slice("bottom")], -Fy[:, 0, :])
+        # The energy budget's boundary flow is the padded edge fluxes times
+        # the face areas: a material cooling that pays for it exactly
+        # leaves no defect, and the flow of the opposite sign a large one.
+        flow = (Fx[:, :, -1] - Fx[:, :, 0]).sum() * mesh.dy + (Fy[:, -1] - Fy[:, 0]).sum() * mesh.dx
+        new, eos = MomentState(0.0, np.ones((ny, nx)), E, Fx, Fy), MaterialEOS(1.0)
+        shift = dt * flow / (mesh.cell_volume * mesh.n_cells)
+        paid, reversed_sign = (MomentState(0.0, new.T + sign * shift, E, Fx, Fy) for sign in (1.0, -1.0))
+        assert energy_balance_residual(paid, new, dt, mesh, eos) < 1e-14
+        assert energy_balance_residual(reversed_sign, new, dt, mesh, eos) > 1e-3
 
     def test_p1_block_solve_is_bitwise_on_the_benchmark_mesh(self):
         # The blocks are the permuted per-group matrices exactly (above) and
@@ -602,9 +630,8 @@ class TestMomentSystem:
         np.testing.assert_array_equal(cells[:, :16], [idx[:, :-1].ravel(), idx[:, 1:].ravel()])
         np.testing.assert_array_equal(cells[:, 16:], [idx[:-1].ravel(), idx[1:].ravel()])
         np.testing.assert_array_equal(width, np.repeat([1.0, 0.5], [16, 15]))
-        b_cells, b_sign, b_width = boundary_cells(mesh)
+        b_cells, b_width = boundary_cells(mesh)
         np.testing.assert_array_equal(b_cells, np.concatenate([idx[:, 0], idx[:, -1], idx[0], idx[-1]]))
-        np.testing.assert_array_equal(b_sign, np.repeat([-1.0, 1.0, -1.0, 1.0], [4, 4, 5, 5]))
         np.testing.assert_array_equal(b_width, np.repeat([1.0, 1.0, 0.5, 0.5], [4, 4, 5, 5]))
         template = _template(mesh, 3)
         assert _template(SpatialMesh(5, 4, 5.0, 2.0), 3)[0] is template[0]
@@ -617,7 +644,7 @@ class TestMomentSystem:
         assert indices.size == 3 * (mesh.n_cells + 2 * cells.shape[1])
         assert indices.dtype == indptr.dtype == np.int32
         assert indptr[-1] == indices.size and slot.max() < indices.size
-        for arr in (cells, width, b_cells, b_sign, b_width, indices, indptr, slot):
+        for arr in (cells, width, b_cells, b_width, indices, indptr, slot):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

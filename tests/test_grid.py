@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 from ddvef.errors import ConfigError
 from ddvef.grid import (
     BENCHMARK_GROUP_BOUNDS,
+    SIDES,
     AngularQuadrature,
     SpatialMesh,
+    boundary_cells,
     build_angular_quadrature,
     build_frequency_grid,
+    face_means,
+    normal_face_means,
+    on_boundary_faces,
 )
 from product_rule import unfold
 
@@ -33,6 +38,29 @@ class TestSpatialMesh:
             sl = mesh.boundary_slice(side)
             seen.extend(range(sl.start, sl.stop))
         assert sorted(seen) == list(range(16))
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (4, 1), (5, 3)])
+    def test_side_tables_follow_boundary_slice(self, nx, ny):
+        # Each side's faces, as boundary_slice gives them, hold that side's
+        # cells, widths and spread values, on one-cell-wide meshes too.
+        mesh = SpatialMesh(nx, ny, 2.0, 1.0)
+        per_side = np.arange(8.0).reshape(4, 2)
+        spread, (cells, width) = on_boundary_faces(mesh, per_side), boundary_cells(mesh)
+        idx = np.arange(mesh.n_cells).reshape(ny, nx)
+        behind = (idx[:, 0], idx[:, -1], idx[0], idx[-1])
+        for s, (side, side_cells, side_width) in enumerate(zip(SIDES, behind, (mesh.dx, mesh.dx, mesh.dy, mesh.dy))):
+            faces = mesh.boundary_slice(side)
+            np.testing.assert_array_equal(cells[faces], side_cells)
+            np.testing.assert_array_equal(width[faces], np.full(side_cells.size, side_width))
+            np.testing.assert_array_equal(spread[:, faces], np.repeat(per_side[s][:, None], side_cells.size, axis=1))
+
+    def test_normal_face_means_take_fxx_on_x_faces_and_fyy_on_y_faces(self):
+        mesh = SpatialMesh(4, 3, 2.0, 1.5)
+        fxx, fyy = np.random.default_rng(0).uniform(size=(2, 2, 3, 4))
+        means, n_x = normal_face_means(mesh, fxx, fyy), 3 * 3
+        np.testing.assert_array_equal(means[:, :n_x], (0.5 * (fxx[:, :, 1:] + fxx[:, :, :-1])).reshape(2, -1))
+        np.testing.assert_array_equal(means[:, n_x:], (0.5 * (fyy[:, 1:] + fyy[:, :-1])).reshape(2, -1))
+        np.testing.assert_array_equal(normal_face_means(mesh, fxx, fxx), face_means(mesh, fxx))
 
     def test_invalid_mesh_rejected(self):
         with pytest.raises(ConfigError):

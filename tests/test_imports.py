@@ -3,7 +3,9 @@
 Every name a module of the package or the tests imports is read somewhere
 in it, and every top-level function, class and constant of the package is
 read by some file of the package, the tests or the benchmark. Both catch
-what a deletion leaves behind.
+what a deletion leaves behind. A module of the package imports only
+modules below it in LAYERS, which keeps shared code, such as the face
+layout in grid, from drifting up into the modules that use it.
 """
 
 import ast
@@ -16,6 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "ddvef").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+
+#: The package's modules from the bottom up; modules of one layer may not import each other.
+LAYERS = (("errors",), ("grid",), ("physics",), ("history",), ("iteration",), ("transport", "diffusion"), ("vef",))
+RANK = {name: rank for rank, names in enumerate(LAYERS) for name in names}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -87,3 +93,41 @@ def test_dead_definitions_are_found():
 def test_every_definition_is_read(path):
     defined = top_level_definitions(path.read_text())
     assert [f"line {line}: {name}" for name, line in defined.items() if name not in names_read_anywhere()] == []
+
+
+def package_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every package module the source imports, relatively or by the package name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (["ddvef"] if node.level else []) + (node.module.split(".") if node.module else [])
+            paths = [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, path[1]) for path in paths if path[0] == "ddvef" and len(path) > 1]
+    return found
+
+
+def upward_imports(source: str, module: str) -> list[str]:
+    """Package modules the source of module imports that are not below it in LAYERS."""
+    rank = RANK.get(module, len(LAYERS))  # the package's __init__ sits above every layer
+    return [f"line {line}: {name}" for line, name in package_imports(source) if not RANK.get(name, rank) < rank]
+
+
+def test_upward_imports_are_found():
+    source = "from .diffusion import x\nfrom . import grid\nimport ddvef.vef\nfrom ddvef.errors import E\nimport numpy\n"
+    assert upward_imports(source, "history") == ["line 1: diffusion", "line 3: vef"]
+    assert upward_imports("from .transport import x\n", "diffusion") == ["line 1: transport"]
+    assert upward_imports(source, "vef") == ["line 3: vef"]
+    assert upward_imports(source, "__init__") == []
+
+
+def test_every_package_module_has_a_layer():
+    assert sorted(path.stem for path in PACKAGE if path.stem != "__init__") == sorted(RANK)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_module_imports_only_lower_layers(path):
+    assert upward_imports(path.read_text(), path.stem) == []

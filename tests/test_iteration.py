@@ -91,6 +91,74 @@ def test_damping_backs_off_an_overshooting_preconditioner(monkeypatch):
     assert len(mixed) < 20 < len(plain)
 
 
+def back_off_schedule(coupled_pass, x0, monkeypatch):
+    """The theta handed to every pass, the change of every pass, and the
+    passes before which the mixing memory was cleared; a run that does
+    not converge is read from its ConvergenceError."""
+    thetas, resets = [], []
+    reset = iteration.AndersonAccelerator.reset
+    monkeypatch.setattr(iteration.AndersonAccelerator, "reset", lambda self: resets.append(len(thetas)) or reset(self))
+
+    def recorded(x, theta):
+        thetas.append(theta)
+        return coupled_pass(x, theta)
+
+    try:
+        _, history = fixed_point_solve(recorded, x0, x0.size, "back-off")
+    except ConvergenceError as err:
+        history = err.history
+    return thetas, history, resets
+
+
+def lowered_by_the_rule(history):
+    """The passes whose theta the documented rule lowers: each pass after the
+    second consecutive pass, counted since the last change, whose change is
+    above the best change so far, up to the ninth change, at which 1/256
+    snaps to zero."""
+    lowered, best, stalled = [], np.inf, 0
+    for k, change in enumerate(history):
+        stalled = stalled + 1 if change > best else 0
+        best = min(best, change)
+        if stalled == 2 and len(lowered) < 9:
+            lowered.append(k + 1)
+            stalled = 0
+    return lowered
+
+
+def check_back_off(thetas, history, resets):
+    """theta never rises, and it changes, with the memory cleared, exactly where the rule says."""
+    assert all(later <= earlier for earlier, later in zip(thetas, thetas[1:]))
+    changed = [k for k in range(1, len(thetas)) if thetas[k] != thetas[k - 1]]
+    assert changed == resets == [k for k in lowered_by_the_rule(history) if k < len(thetas)]
+
+
+def test_back_off_halves_theta_after_two_passes_without_improvement(monkeypatch):
+    # The overshooting preconditioner of the test above, without mixing:
+    # only the halvings restore a contraction, and the first weight that
+    # does, 1/32, is kept to convergence.
+    monkeypatch.setattr(iteration, "PICARD_TOL", 1e-10)
+    monkeypatch.setattr(iteration, "PICARD_MAX_ITER", 1000)
+    monkeypatch.setattr(iteration, "ANDERSON_MEMORY", 0)
+    G, _ = linear_map(0.5, exchange=0.9)
+    thetas, history, resets = back_off_schedule(G, np.ones(6), monkeypatch)
+    assert len(thetas) == len(history) == 37 and history[-1] <= 1e-10
+    assert sorted(set(thetas), reverse=True) == [2.0**-k for k in range(6)]
+    check_back_off(thetas, history, resets)
+
+
+def test_back_off_snaps_to_plain_passes_below_a_256th(monkeypatch):
+    # After its second pass a diverging map never improves on its best
+    # change, so theta halves every second pass, through 1/256, and then
+    # snaps to zero for the rest of the run.
+    monkeypatch.setattr(iteration, "PICARD_MAX_ITER", 60)
+    monkeypatch.setattr(iteration, "ANDERSON_MEMORY", 20)
+    thetas, history, resets = back_off_schedule(lambda x, _: (2.0 * x + 1.0, np.zeros(x.size)), np.ones(3), monkeypatch)
+    assert len(thetas) == len(history) == 60
+    assert sorted(set(thetas), reverse=True) == [2.0**-k for k in range(9)] + [0.0]
+    assert thetas.index(0.0) == 20 and set(thetas[20:]) == {0.0}
+    check_back_off(thetas, history, resets)
+
+
 def test_every_iterate_is_floored_at_a_tenth_of_the_previous_pass_output():
     # Started ten times above the fixed point, the map cools every cell, and
     # the exchange preconditioner's scale of 10 throws the first proposal

@@ -13,16 +13,15 @@ from ddvef.diffusion import (
     DiffusionProblem,
     MomentSystem,
     _marshak_boundary,
-    boundary_cells,
-    boundary_flux,
     first_moment_faces,
     initial_moment_state,
-    interior_fluxes,
     run_diffusion_model,
     standard_boundaries,
 )
 from ddvef.errors import ConfigError
-from ddvef.grid import SIDES, SpatialMesh, build_angular_quadrature, build_frequency_grid
+from ddvef.grid import (
+    SIDES, SpatialMesh, boundary_cells, boundary_flux, build_angular_quadrature, build_frequency_grid, interior_fluxes,
+)
 from ddvef.physics import DEFAULT_CONSTANTS, InverseCubeMaterial, MaterialEOS, benchmark_cv, group_planck
 from ddvef.transport import (
     BoundaryInflow,
