@@ -183,13 +183,14 @@ class AngularQuadrature:
     valid. octants, derived from omega, lists (sx, sy, indices) in the
     order (+, +), (+, -), (-, +), (-, -): the directions grouped by the
     signs +-1 of (Omega_x, Omega_y) for the sweep ordering, each group's
-    indices stably sorted by (|Omega_x|, |Omega_y|). It is the one record
-    of the octants: the sweep reads each octant's signs, directions and
-    weights (weight[indices]) from it, and its frames follow its order.
+    indices stably sorted by (|Omega_x|, |Omega_y|, weight). It is the one
+    record of the octants: the sweep reads each octant's signs, directions
+    and weights (weight[indices]) from it, and its frames follow its order.
 
     The rule must be mirror-symmetric: the four octants carry the same
-    sequence of (|Omega_x|, |Omega_y|), bitwise, so a sweep evaluates its
-    chord factors once and shares them across the octants. A direction
+    sequence of (|Omega_x|, |Omega_y|) and of weights, bitwise, so a sweep
+    evaluates its chord factors once and shares them across the octants,
+    and tallies its energy from the octants' summed intensities. A direction
     with Omega_x = 0 or Omega_y = 0 belongs to no octant and raises
     ConfigError (so does a NaN component); so do an omega that is not
     (M, 3) and finite, a weight that is not (M,), finite and positive, and
@@ -216,14 +217,14 @@ class AngularQuadrature:
             raise ConfigError("quadrature weights must be positive and finite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "weight", weight)
-        magnitude = np.abs(omega[:, :2])
+        mirrored = np.column_stack([np.abs(omega[:, :2]), weight])  # what every octant must list alike
         octants = []
         for sx in (1, -1):
             for sy in (1, -1):
                 idx = np.flatnonzero((signs[:, 0] == sx) & (signs[:, 1] == sy))
-                octants.append((sx, sy, idx[np.lexsort(magnitude[idx].T[::-1])]))
-        if not all(np.array_equal(magnitude[idx], magnitude[octants[0][2]]) for *_, idx in octants):
-            raise ConfigError("the quadrature's four octants must carry the same (|Omega_x|, |Omega_y|), mirrored by sign")
+                octants.append((sx, sy, idx[np.lexsort(mirrored[idx].T[::-1])]))
+        if not all(np.array_equal(mirrored[idx], mirrored[octants[0][2]]) for *_, idx in octants):
+            raise ConfigError("the quadrature's octants must carry the same (|Omega_x|, |Omega_y|, weight), mirrored by sign")
         object.__setattr__(self, "octants", tuple(octants))
 
     @property

@@ -30,19 +30,22 @@ values.
 A sweep is split into what a time step fixes and what a Picard pass
 changes. sweep_step builds the first once per step: the mesh and
 quadrature it is for, the checked previous intensity psi_prev, the sink
-1 / (c dt), psi_prev / (c dt) gathered per octant, each side's inflow and
-the chord geometry the octants share. Each pass's sweep reads that step
-with the pass's opacity and source, and each octant's signs, directions
-and weights from the quadrature's octants; the wavefronts are built once
-per mesh shape and orientation. Every sweep fills frames of its own and
-its result keeps them beside the step, so the result of an earlier pass
-stays valid and holds all that its tallies and the VEF closure read.
+1 / (c dt), psi_prev / (c dt) gathered per octant and summed over the
+octants, each side's inflow and the chord geometry the octants share.
+Each pass's sweep reads that step with the pass's opacity and source, and
+each octant's signs, directions and weights from the quadrature's
+octants; the wavefronts are built once per mesh shape and orientation.
+Every sweep fills frames of its own and its result keeps them beside the
+step, so the result of an earlier pass stays valid and holds all that its
+tallies and the VEF closure read.
 
 A sweep returns the energy E, the one quantity every coupling pass reads.
-The intensity psi, the face fluxes and the boundary currents are tallied
-on first read from the per-octant frames the result keeps: a time step's
-Picard passes discard all but the last sweep, so only that one pays for
-them.
+E is linear in the cell averages, and so in each octant's upwind face
+intensities and source, whose factors and weights the octants share: it
+is formed once from the octants' summed intensities. The cell averages
+psi, the face fluxes and the boundary currents are tallied on first read
+from the per-octant frames the result keeps: a time step's Picard passes
+discard all but the last sweep, so only that one pays for them.
 
 The swept directions are the quadrature's, which build_angular_quadrature
 folds to the Omega_z >= 0 half of its product rule: streaming in x-y sees
@@ -186,8 +189,9 @@ class SweepStep:
     ay / inv_ds the inflow weights of the cell update: the quadrature's
     octants mirror each other, so these are every octant's. prev holds per
     octant, in quad.octants order, the backward-Euler source
-    psi_prev / (c dt) (ny, nx, M_oct, G) in the mesh's orientation; inflow
-    maps each side to its (G,) incoming intensity.
+    psi_prev / (c dt) (ny, nx, M_oct, G) in the mesh's orientation, and
+    prev_sum their sum over the four octants, which the energy tally reads;
+    inflow maps each side to its (G,) incoming intensity.
     """
 
     mesh: SpatialMesh
@@ -199,6 +203,7 @@ class SweepStep:
     w_x: np.ndarray
     w_y: np.ndarray
     prev: tuple
+    prev_sum: np.ndarray
     inflow: dict
 
 
@@ -224,7 +229,7 @@ def sweep_step(
     ax, ay = (np.abs(ox) / mesh.dx)[:, None], (np.abs(oy) / mesh.dy)[:, None]
     inv_ds = ax + ay
     prev = tuple(np.ascontiguousarray(psi_prev[..., idx].transpose(0, 1, 3, 2)) * sink for *_, idx in quad.octants)
-    return SweepStep(mesh, quad, sink, psi_prev, ax, ay, ax / inv_ds, ay / inv_ds, prev, bc)
+    return SweepStep(mesh, quad, sink, psi_prev, ax, ay, ax / inv_ds, ay / inv_ds, prev, sum(prev), bc)
 
 
 @dataclass
@@ -235,17 +240,19 @@ class SweepResult:
     face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) and bface_wnI
     (G, 2(nx+ny)), the outgoing current sum w (n.Omega) I at the boundary
     faces, are built together on the first read of any of them and cached.
-    step is the SweepStep swept, whose mesh, quadrature and sink the
-    tallies and the VEF closure read. frames holds per octant, in
-    quad.octants order, (avg, out): its cell averages (ny, nx, M_oct, G)
-    and its outflow (ny+2, nx+2, M_oct, G), padded on every side, both in
-    the mesh's orientation, with the inflow in the upwind ghost column and
-    row.
+    step is the SweepStep swept, whose mesh, quadrature, sink and per-octant
+    sources the tallies and the VEF closure read. frames holds per octant,
+    in quad.octants order, its outflow (ny+2, nx+2, M_oct, G), padded on
+    every side in the mesh's orientation, with the inflow in the upwind
+    ghost column and row. factors holds what the cell averages need beside
+    the frames, the sweep's own (g1 / inv_ds, g2 / inv_ds) (ny, nx, M_oct, G)
+    and a copy of its source (ny, nx, 1, G).
     """
 
     E: np.ndarray
     step: SweepStep
     frames: list
+    factors: tuple
 
     @cached_property
     def psi(self) -> np.ndarray:
@@ -278,18 +285,24 @@ def _tally_frames(result: SweepResult):
     rows from its upwind ghost row on, the face fluxes are one matmul per
     octant and axis, and their downwind column and row, which flow out
     through the domain boundary, sum to the outgoing partial fluxes, whose
-    outward currents are the VEF's boundary closure.
+    outward currents are the VEF's boundary closure. Only here are the cell
+    averages (ax W + ay S) g1 / inv_ds + (source + prev) g2 / inv_ds formed,
+    from each octant's upwind x- and y-face intensities W and S.
     """
-    mesh, quad = result.step.mesh, result.step.quad
+    step = result.step
+    mesh, quad = step.mesh, step.quad
     nx, ny, G = mesh.nx, mesh.ny, result.E.shape[0]
+    g1_ds, g2_ds, src_t = result.factors
     psi = np.empty((ny, nx, G, quad.n_directions))
     Fx, out_x = np.zeros((G, ny, nx + 1)), np.zeros((G, ny, nx + 1))
     Fy, out_y = np.zeros((G, ny + 1, nx)), np.zeros((G, ny + 1, nx))
-    for (sx, sy, idx), (avg, out) in zip(quad.octants, result.frames):
+    for (sx, sy, idx), out, prev in zip(quad.octants, result.frames, step.prev):
         w = quad.weight[idx]
         ox, oy = quad.omega[idx, :2].T
         x_lo, y_lo = (1 - sx) // 2, (1 - sy) // 2
         x_edge, y_edge = nx * (sx > 0), ny * (sy > 0)
+        avg = (step.ax * out[1:-1, 1 - sx:nx + 1 - sx] + step.ay * out[1 - sy:ny + 1 - sy, 1:-1]) * g1_ds
+        avg += (src_t + prev) * g2_ds
         psi[..., idx] = avg.transpose(0, 1, 3, 2)
         x_flow = ((w * ox) @ out[1:-1, x_lo:x_lo + nx + 1]).transpose(2, 0, 1)
         y_flow = ((w * oy) @ out[y_lo:y_lo + ny + 1, 1:-1]).transpose(2, 0, 1)
@@ -322,21 +335,22 @@ def sweep(
     cell, the group and (|Omega_x|, |Omega_y|), which the quadrature's
     octants share, so they are evaluated once per sweep and the update
     out = I_in e + q ds g1 with I_in = (ax W + ay S) / inv_ds is folded into
-    out = a_w W + a_s S + q ds g1, with a_w = e w_x and a_s = e w_y shared
-    by all octants too. Per octant remain the scaled source q ds, with q
-    the source plus the step's psi_prev / (c dt), and q ds g1. Each octant
-    works in the mesh's orientation, in a frame padded on every side whose
-    upwind ghost column and row hold the inflow. The cells of one wavefront
-    are independent; in the padded frame flattened to
+    out = a_w W + a_s S + q g1 / inv_ds, with a_w = e w_x, a_s = e w_y and
+    g1 / inv_ds shared by all octants too. Per octant remains the source
+    q g1 / inv_ds, with q the source plus the step's psi_prev / (c dt).
+    Each octant works in the mesh's orientation, in a frame padded on every
+    side whose upwind ghost column and row hold the inflow. The cells of
+    one wavefront are independent; in the padded frame flattened to
     ((ny+2)(nx+2), M_oct, G) they and their two upwind neighbours are three
     strided slices (_diagonals), so each wavefront is two multiplies and
     two adds, the last written into the frame, across all groups and
-    octant directions. The cell inflow I_in and the averages
-    I_in g1 + q ds g2 then follow from the padded outflow for the whole
-    frame at once, and the energy is tallied per octant from the averages.
-    Every sweep fills frames of its own, one per octant in quad.octants
-    order, which its result keeps with the step: psi and the face tallies
-    are left to the result to build on first read (SweepResult).
+    octant directions. The cell average I_in g1 + q g2 / inv_ds is linear
+    in W, S and q, with factors the octants share, so an octant only adds
+    its W and S into two sums, from which E follows after the last octant;
+    no per-octant average is formed. Every sweep fills frames of its own,
+    one per octant in quad.octants order, which its result keeps with the
+    step and the sweep's factors: psi and the face tallies are left to the
+    result to build on first read (SweepResult).
     """
     nx, ny = mesh.nx, mesh.ny
     G = step.psi_prev.shape[2]
@@ -349,23 +363,23 @@ def sweep(
         raise ConfigError(f"kappa/source must have the step's shape (G, ny, nx) = {(G, ny, nx)}")
 
     kap_t = np.ascontiguousarray((kappa + step.sink).transpose(1, 2, 0))  # (ny, nx, G)
-    src_t = source.transpose(1, 2, 0)[:, :, None]
+    src_t = source.transpose(1, 2, 0).copy()[:, :, None]  # the result keeps it, so not a view of the caller's
     M_oct = step.ax.shape[0]
     padded = (ny + 2, nx + 2, M_oct, G)
     flat = ((ny + 2) * (nx + 2), M_oct, G)
     inv_ds, e, g1, g2 = characteristic_coefficients(step.ax, step.ay, kap_t[:, :, None])
+    g1_ds, g2_ds = g1 / inv_ds, g2 / inv_ds
     # The ghost entries of the coefficients, and the unused ghosts of out, are never read.
     coef = np.empty((2,) + padded)
     np.multiply(e, step.w_x, out=coef[0, 1:-1, 1:-1])
     np.multiply(e, step.w_y, out=coef[1, 1:-1, 1:-1])
     a_w, a_s = (c.reshape(flat) for c in coef)
-    E = np.zeros((ny, nx, G))
+    W, S = np.zeros((2, ny, nx, M_oct, G))  # the octants' upwind x- and y-face intensities, summed
     frames = []
 
-    for (sx, sy, idx), prev in zip(quad.octants, step.prev):
-        q_ds = (src_t + prev) / inv_ds
+    for (sx, sy, _), prev in zip(quad.octants, step.prev):
         q_g1 = np.empty(padded)
-        np.multiply(q_ds, g1, out=q_g1[1:-1, 1:-1])
+        np.multiply(src_t + prev, g1_ds, out=q_g1[1:-1, 1:-1])
         q_g1 = q_g1.reshape(flat)
         out = np.empty(padded)
         out[1:-1, 0 if sx > 0 else -1] = step.inflow["left" if sx > 0 else "right"]
@@ -375,21 +389,22 @@ def sweep(
             I_out = a_w[cells] * out_f[west]
             I_out += a_s[cells] * out_f[south]
             np.add(I_out, q_g1[cells], out=out_f[cells])
-        I_west = out[1:-1, 1 - sx:nx + 1 - sx]
-        I_south = out[1 - sy:ny + 1 - sy, 1:-1]
-        avg = (step.ax * I_west + step.ay * I_south) / inv_ds  # the cell inflow I_in
-        avg *= g1
-        avg += q_ds * g2
-        E += quad.weight[idx] @ avg
-        frames.append((avg, out))
+        W += out[1:-1, 1 - sx:nx + 1 - sx]
+        S += out[1 - sy:ny + 1 - sy, 1:-1]
+        frames.append(out)
 
-    E = np.ascontiguousarray(E.transpose(2, 0, 1)) / DEFAULT_CONSTANTS.c
-    return SweepResult(E, step, frames)
+    # The four octants' averages summed: they share every factor but W, S and prev.
+    W *= step.ax
+    W += step.ay * S
+    W *= g1_ds
+    W += (4.0 * src_t + step.prev_sum) * g2_ds
+    E = np.ascontiguousarray((quad.weight[quad.octants[0][2]] @ W).transpose(2, 0, 1)) / DEFAULT_CONSTANTS.c
+    return SweepResult(E, step, frames, (g1_ds, g2_ds, src_t))
 
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Static description of a transport run."""
+    """Static description of a transport run; an inflow that is not a BoundaryInflow raises ConfigError."""
 
     mesh: SpatialMesh
     quad: AngularQuadrature
@@ -397,6 +412,10 @@ class TransportProblem:
     material: object          # provides emission_terms()
     eos: MaterialEOS
     inflow: BoundaryInflow
+
+    def __post_init__(self):
+        if not isinstance(self.inflow, BoundaryInflow):
+            raise ConfigError(f"the inflow must be a BoundaryInflow, got {self.inflow!r}")
 
 
 @dataclass

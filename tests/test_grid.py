@@ -167,22 +167,28 @@ class TestAngularQuadrature:
             assert np.all(np.sign(quad.omega[ids, 0]) == sx)
             assert np.all(np.sign(quad.omega[ids, 1]) == sy)
 
-    @pytest.mark.parametrize("n_polar, n_azimuthal", [(2, 4), (2, 8), (3, 8), (4, 12), (5, 20), (6, 24), (4, 36)])
+    @pytest.mark.parametrize(
+        "n_polar, n_azimuthal", [(2, 4), (2, 8), (3, 8), (4, 12), (5, 12), (5, 20), (6, 16), (6, 24), (4, 36)]
+    )
     def test_octants_mirror_each_other_bitwise(self, n_polar, n_azimuthal):
-        # A sweep shares its chord factors across the octants, so each must
-        # list the same (|Omega_x|, |Omega_y|) in the same order, bitwise.
-        quad = build_angular_quadrature(n_polar, n_azimuthal)
-        first = np.abs(quad.omega[quad.octants[0][2], :2])
-        assert [(sx, sy) for sx, sy, _ in quad.octants] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        assert first.shape[0] == quad.n_directions // 4
-        np.testing.assert_array_equal(np.lexsort(first.T[::-1]), np.arange(first.shape[0]))
-        for _, _, idx in quad.octants:
-            np.testing.assert_array_equal(np.abs(quad.omega[idx, :2]), first)
+        # A sweep shares its chord factors across the octants and tallies its
+        # energy from their summed intensities, so each must list the same
+        # (|Omega_x|, |Omega_y|) and weights in the same order, bitwise; the
+        # unfolded product rule too.
+        built = build_angular_quadrature(n_polar, n_azimuthal)
+        for quad in (built, unfold(built)[0]):
+            first = quad.octants[0][2]
+            assert [(sx, sy) for sx, sy, _ in quad.octants] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+            assert first.size == quad.n_directions // 4
+            np.testing.assert_array_equal(np.lexsort(np.abs(quad.omega[first, :2]).T[::-1]), np.arange(first.size))
+            for _, _, idx in quad.octants:
+                np.testing.assert_array_equal(np.abs(quad.omega[idx, :2]), np.abs(quad.omega[first, :2]))
+                np.testing.assert_array_equal(quad.weight[idx], quad.weight[first])
 
-    @pytest.mark.parametrize("rule", ["full circle", "one direction moved", "one direction dropped"])
+    @pytest.mark.parametrize("rule", ["full circle", "one direction moved", "one direction dropped", "one weight moved"])
     def test_non_mirror_rule_rejected(self, rule):
         built = build_angular_quadrature(2, 8)
-        omega, weight = built.omega.copy(), built.weight
+        omega, weight = built.omega.copy(), built.weight.copy()
         if rule == "full circle":
             # cos and sin taken over every azimuth, not mirrored from the
             # first quadrant: the mirrors differ in their last bits.
@@ -191,10 +197,25 @@ class TestAngularQuadrature:
             omega[:, 0], omega[:, 1] = s * np.cos(phi), s * np.sin(phi)
         elif rule == "one direction moved":
             omega[5, :2] *= 1.0 + 1e-12
+        elif rule == "one weight moved":
+            weight[5] *= 1.0 + 1e-12
         else:
             omega, weight = omega[1:], weight[1:]
         with pytest.raises(ConfigError, match="mirrored by sign"):
             AngularQuadrature(omega, weight)
+
+    def test_mirrors_listed_in_another_order_are_matched_by_weight(self):
+        # Omega_z mirrors share (|Omega_x|, |Omega_y|); weighted unequally
+        # and listed in another order in each octant, they still pair up.
+        built = build_angular_quadrature(2, 8)
+        omega = np.concatenate([built.omega, built.omega * [1.0, 1.0, -1.0]])
+        weight = np.concatenate([built.weight * 0.75, built.weight * 0.25])
+        order = np.concatenate([np.arange(8, 16), np.arange(8)])
+        swapped = np.where(omega[:, 0] > 0.0, np.arange(16), order)
+        quad = AngularQuadrature(omega[swapped], weight[swapped])
+        first = quad.octants[0][2]
+        for _, _, idx in quad.octants:
+            np.testing.assert_array_equal(quad.weight[idx], quad.weight[first])
 
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_direction_outside_every_octant_rejected(self, bad):

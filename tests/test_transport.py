@@ -480,7 +480,9 @@ class TestSweep:
         np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-13)
 
     def test_energy_is_the_weighted_sum_of_psi(self):
-        # E is tallied per octant during the sweep, psi on first read.
+        # E is tallied during the sweep from the octants' summed upwind
+        # intensities and sources; psi holds each octant's cell averages,
+        # formed on first read.
         mesh, quad, fgrid = small_setup(nx=6, ny=5)
         G = fgrid.n_groups
         rng = np.random.default_rng(23)
@@ -489,6 +491,21 @@ class TestSweep:
         psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
         inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
         res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
+        np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-14, atol=0.0)
+
+    def test_energy_is_the_weighted_sum_of_psi_where_the_chord_factors_switch_to_series(self):
+        # Optically thin cells: g1 and g2 take their series below eps = 1e-2,
+        # in the summed energy tally and in the averages alike.
+        mesh, quad, fgrid = small_setup(nx=6, ny=5)
+        G = fgrid.n_groups
+        rng = np.random.default_rng(31)
+        kappa = 10.0 ** rng.uniform(-5.0, 1.0, (G, mesh.ny, mesh.nx))
+        source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
+        inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
+        inv_ds = np.abs(quad.omega[:, 0]) / mesh.dx + np.abs(quad.omega[:, 1]) / mesh.dy
+        eps = kappa[..., None] / inv_ds
+        assert (eps < 1.0e-2).any() and (eps > 1.0e-2).any()
+        res = steady_sweep(mesh, quad, kappa, source, inflow=inflow)
         np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-14, atol=0.0)
 
     def test_tallies_are_built_once_and_cached(self, monkeypatch):
@@ -526,6 +543,21 @@ class TestSweep:
         for res, kappa in ((first, kappa_1), (second, kappa_2)):
             for name, expected in zip(names, read_at_once(kappa)):
                 np.testing.assert_array_equal(getattr(res, name), expected, err_msg=name)
+
+    def test_tallies_read_late_ignore_a_source_changed_after_the_sweep(self):
+        # psi is formed on first read from what the result keeps, so the
+        # result keeps its own copy of the source, not the caller's array.
+        mesh, quad, fgrid = small_setup()
+        G = fgrid.n_groups
+        rng = np.random.default_rng(37)
+        kappa = rng.uniform(0.1, 6.0, (G, mesh.ny, mesh.nx))
+        source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
+        psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
+        step = sweep_step(mesh, quad, psi_prev, 0.03, BoundaryInflow())
+        expected = sweep(mesh, quad, kappa, source, step).psi
+        late = sweep(mesh, quad, kappa, source, step)
+        source[:] = 0.0
+        np.testing.assert_array_equal(late.psi, expected)
 
     def test_folded_rule_sweeps_as_the_full_product_rule(self):
         # The sweep's rule is the Omega_z >= 0 half of the 2 x 8 product
@@ -571,6 +603,13 @@ class TestBoundaryInflow:
         # Swept, such a value would give a NaN energy or a negative intensity.
         with pytest.raises(ConfigError, match=side):
             BoundaryInflow(**{side: np.array([0.5, bad])})
+
+    def test_problem_with_an_inflow_that_is_not_a_boundary_inflow_rejected(self):
+        # A dict of side arrays used to construct and fail on the first step
+        # with an AttributeError.
+        problem = benchmark_like_problem()
+        with pytest.raises(ConfigError, match="BoundaryInflow"):
+            replace(problem, inflow={"left": np.ones(problem.fgrid.n_groups)})
 
     def test_zero_and_vacuum_accepted(self):
         inflow = BoundaryInflow(left=[0.0, 2.0], top=np.zeros(2))
