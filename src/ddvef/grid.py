@@ -53,7 +53,7 @@ class SpatialMesh:
     ly: float
 
     def __post_init__(self):
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.nx, self.ny)):
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in (self.nx, self.ny)):
             raise ConfigError(f"mesh needs a whole number of at least one cell per axis, got {self.nx}x{self.ny}")
         # Written so that nan, which fails every comparison, is rejected too.
         if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):

@@ -55,10 +55,10 @@ def check_time_step(dt: float) -> None:
 
 
 def check_step_count(n_steps) -> None:
-    """Raise ConfigError unless n_steps is a whole number of at least zero;
-    every model's run calls this before it builds its initial state. Zero
-    steps is a run of the initial level alone."""
-    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 0):
+    """Raise ConfigError unless n_steps is a whole number (not a bool) of at
+    least zero; every model's run calls this before it builds its initial
+    state. Zero steps is a run of the initial level alone."""
+    if not (isinstance(n_steps, (int, np.integer)) and not isinstance(n_steps, bool) and n_steps >= 0):
         raise ConfigError(f"a run needs a whole number of at least zero steps, got {n_steps!r}")
 
 

@@ -29,15 +29,14 @@ values.
 
 A sweep is split into what a time step fixes and what a Picard pass
 changes. sweep_step builds the first once per step: the mesh and
-quadrature it is for, the checked previous intensity psi_prev, the sink
-1 / (c dt), psi_prev / (c dt) gathered per octant and summed over the
-octants, each side's inflow and the chord geometry the octants share.
-Each pass's sweep reads that step with the pass's opacity and source, and
-each octant's signs, directions and weights from the quadrature's
-octants; the wavefronts are built once per mesh shape and orientation.
-Every sweep fills frames of its own and its result keeps them beside the
-step, so the result of an earlier pass stays valid and holds all that its
-tallies and the VEF closure read.
+quadrature it is for, the sink 1 / (c dt), the checked psi_prev scaled
+by it and summed over the octants, each side's inflow and the chord
+geometry the octants share. Each pass's sweep reads that step with the
+pass's opacity and source, and each octant's signs, directions and
+weights from the quadrature's octants; the wavefronts are built once per
+mesh shape and orientation. Every sweep fills frames of its own and its
+result keeps them beside the step, so the result of an earlier pass
+stays valid and holds all that its tallies and the VEF closure read.
 
 A sweep returns the energy E, the one quantity every coupling pass reads.
 E is linear in the cell averages, and so in each octant's upwind face
@@ -54,9 +53,10 @@ here is isotropic, so a direction and its Omega_z mirror carry the same
 intensity. Sweeping one of each pair at their summed weight gives the same
 energies, fluxes and boundary currents at half the work.
 
-Intensity arrays are laid out (ny, nx, G, M): cell row, cell column, group,
-direction. Face-normal fluxes live on faces: Fx (G, ny, nx+1), Fy
-(G, ny+1, nx).
+Intensity arrays are laid out as the sweep works, (4, ny, nx, M_oct, G):
+octant in quad.octants order, cell row, cell column, the octant's
+directions, group; the FOM and the VEF offline phase carry psi so from
+step to step. Face fluxes: Fx (G, ny, nx+1), Fy (G, ny+1, nx).
 """
 
 from __future__ import annotations
@@ -181,28 +181,27 @@ class SweepStep:
     """The part of a sweep that one time step holds fixed, built by sweep_step.
 
     A FOM step's Picard passes sweep with new opacities and sources but the
-    same mesh, quadrature, previous intensity psi_prev (ny, nx, G, M) and
-    inflow, so the checks, the effective sink 1 / (c dt), the per-octant
-    sources and the geometry the octants share are built once per step and
-    every pass's sweep reads them. ax, ay (M_oct, 1) are |Omega_x| / dx and
+    same mesh, quadrature, previous intensity psi_prev and inflow, so the
+    checks, the effective sink 1 / (c dt), the per-octant sources and the
+    geometry the octants share are built once per step and every pass's
+    sweep reads them. ax, ay (M_oct, 1) are |Omega_x| / dx and
     |Omega_y| / dy of an octant's directions and w_x, w_y = ax / inv_ds,
     ay / inv_ds the inflow weights of the cell update: the quadrature's
-    octants mirror each other, so these are every octant's. prev holds per
-    octant, in quad.octants order, the backward-Euler source
-    psi_prev / (c dt) (ny, nx, M_oct, G) in the mesh's orientation, and
-    prev_sum their sum over the four octants, which the energy tally reads;
-    inflow maps each side to its (G,) incoming intensity.
+    octants mirror each other, so these are every octant's. prev is the
+    backward-Euler source psi_prev / (c dt) (4, ny, nx, M_oct, G), whose
+    last axis gives the group count, and prev_sum its sum over the four
+    octants, which the energy tally reads; inflow maps each side to its
+    (G,) incoming intensity.
     """
 
     mesh: SpatialMesh
     quad: AngularQuadrature
     sink: float
-    psi_prev: np.ndarray
     ax: np.ndarray
     ay: np.ndarray
     w_x: np.ndarray
     w_y: np.ndarray
-    prev: tuple
+    prev: np.ndarray
     prev_sum: np.ndarray
     inflow: dict
 
@@ -212,32 +211,32 @@ def sweep_step(
 ) -> SweepStep:
     """Build what the sweeps of one step from psi_prev over dt share.
 
-    psi_prev (ny, nx, G, M) is the intensity at the start of the step, its
-    group count G the sweeps' too. dt = inf with a zero psi_prev is the
-    steady-state sweep. A psi_prev of the wrong shape, a dt that is not
-    positive and an inflow of the wrong group count raise ConfigError.
+    psi_prev (4, ny, nx, M_oct, G) is the intensity at the start of the
+    step in the sweep's layout, its G the sweeps' too; dt = inf with a zero
+    psi_prev is the steady sweep. A psi_prev of another shape, a dt that is
+    not positive and an inflow of the wrong group count raise ConfigError.
     """
-    nx, ny, M = mesh.nx, mesh.ny, quad.n_directions
-    if psi_prev.ndim != 4 or psi_prev.shape[:2] != (ny, nx) or psi_prev.shape[3] != M:
-        raise ConfigError(f"psi_prev has shape {psi_prev.shape}, expected ({ny}, {nx}, G, {M})")
+    expected = (4, mesh.ny, mesh.nx, quad.octants[0][2].size)
+    if psi_prev.ndim != 5 or psi_prev.shape[:4] != expected:
+        raise ConfigError(f"psi_prev has shape {psi_prev.shape}, expected {expected + ('G',)}")
     if not dt > 0.0:
         raise ConfigError(f"sweep requires a positive time step (inf for steady state), got {dt}")
-    G = psi_prev.shape[2]
     sink = 1.0 / (DEFAULT_CONSTANTS.c * dt)
-    bc = {side: inflow.value(side, G) for side in SIDES}
+    bc = {side: inflow.value(side, psi_prev.shape[-1]) for side in SIDES}
     ox, oy = quad.omega[quad.octants[0][2], :2].T
     ax, ay = (np.abs(ox) / mesh.dx)[:, None], (np.abs(oy) / mesh.dy)[:, None]
     inv_ds = ax + ay
-    prev = tuple(np.ascontiguousarray(psi_prev[..., idx].transpose(0, 1, 3, 2)) * sink for *_, idx in quad.octants)
-    return SweepStep(mesh, quad, sink, psi_prev, ax, ay, ax / inv_ds, ay / inv_ds, prev, sum(prev), bc)
+    prev = psi_prev * sink
+    return SweepStep(mesh, quad, sink, ax, ay, ax / inv_ds, ay / inv_ds, prev, sum(prev), bc)
 
 
 @dataclass
 class SweepResult:
     """The energy of one full sweep, and the frames its other tallies come from.
 
-    E (G, ny, nx) is tallied during the sweep. psi (ny, nx, G, M), the
-    face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) and bface_wnI
+    E (G, ny, nx) is tallied during the sweep. psi (4, ny, nx, M_oct, G),
+    the cell averages per octant in quad.octants order, the face-normal
+    fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) and bface_wnI
     (G, 2(nx+ny)), the outgoing current sum w (n.Omega) I at the boundary
     faces, are built together on the first read of any of them and cached.
     step is the SweepStep swept, whose mesh, quadrature, sink and per-octant
@@ -287,23 +286,23 @@ def _tally_frames(result: SweepResult):
     through the domain boundary, sum to the outgoing partial fluxes, whose
     outward currents are the VEF's boundary closure. Only here are the cell
     averages (ax W + ay S) g1 / inv_ds + (source + prev) g2 / inv_ds formed,
-    from each octant's upwind x- and y-face intensities W and S.
+    from each octant's upwind x- and y-face intensities W and S, each
+    written straight into its octant's slot of psi.
     """
     step = result.step
     mesh, quad = step.mesh, step.quad
     nx, ny, G = mesh.nx, mesh.ny, result.E.shape[0]
     g1_ds, g2_ds, src_t = result.factors
-    psi = np.empty((ny, nx, G, quad.n_directions))
+    psi = np.empty((4,) + g1_ds.shape)
     Fx, out_x = np.zeros((G, ny, nx + 1)), np.zeros((G, ny, nx + 1))
     Fy, out_y = np.zeros((G, ny + 1, nx)), np.zeros((G, ny + 1, nx))
-    for (sx, sy, idx), out, prev in zip(quad.octants, result.frames, step.prev):
+    for (sx, sy, idx), out, prev, avg in zip(quad.octants, result.frames, step.prev, psi):
         w = quad.weight[idx]
         ox, oy = quad.omega[idx, :2].T
         x_lo, y_lo = (1 - sx) // 2, (1 - sy) // 2
         x_edge, y_edge = nx * (sx > 0), ny * (sy > 0)
-        avg = (step.ax * out[1:-1, 1 - sx:nx + 1 - sx] + step.ay * out[1 - sy:ny + 1 - sy, 1:-1]) * g1_ds
+        np.multiply(step.ax * out[1:-1, 1 - sx:nx + 1 - sx] + step.ay * out[1 - sy:ny + 1 - sy, 1:-1], g1_ds, out=avg)
         avg += (src_t + prev) * g2_ds
-        psi[..., idx] = avg.transpose(0, 1, 3, 2)
         x_flow = ((w * ox) @ out[1:-1, x_lo:x_lo + nx + 1]).transpose(2, 0, 1)
         y_flow = ((w * oy) @ out[y_lo:y_lo + ny + 1, 1:-1]).transpose(2, 0, 1)
         Fx += x_flow
@@ -352,13 +351,12 @@ def sweep(
     step and the sweep's factors: psi and the face tallies are left to the
     result to build on first read (SweepResult).
     """
-    nx, ny = mesh.nx, mesh.ny
-    G = step.psi_prev.shape[2]
+    nx, ny, G = mesh.nx, mesh.ny, step.prev.shape[-1]
     same_rule = quad is step.quad or (
         np.array_equal(quad.omega, step.quad.omega) and np.array_equal(quad.weight, step.quad.weight)
     )
     if mesh != step.mesh or not same_rule:
-        raise ConfigError(f"the step (psi_prev of shape {step.psi_prev.shape}) was built for another mesh or quadrature")
+        raise ConfigError(f"the step (psi_prev of shape {step.prev.shape}) was built for another mesh or quadrature")
     if kappa.shape != (G, ny, nx) or source.shape != (G, ny, nx):
         raise ConfigError(f"kappa/source must have the step's shape (G, ny, nx) = {(G, ny, nx)}")
 
@@ -422,14 +420,14 @@ class TransportProblem:
 class TransportState(MomentState):
     """Full-order model state at one time level: the moment state and its intensity."""
 
-    psi: np.ndarray  # (ny, nx, G, M)
+    psi: np.ndarray  # (4, ny, nx, M_oct, G), the sweep's layout (module docstring)
 
 
 def planckian_intensity(problem: TransportProblem, T) -> np.ndarray:
-    """Isotropic Planckian intensity (ny, nx, G, M) at T, a scalar or an (ny, nx) field."""
+    """Isotropic Planckian intensity at T, a scalar or an (ny, nx) field, in the sweep's layout."""
     B = group_planck(np.asarray(T, dtype=float), problem.fgrid)  # (G,) or (G, ny, nx)
-    shape = (problem.mesh.ny, problem.mesh.nx, problem.fgrid.n_groups, problem.quad.n_directions)
-    return np.broadcast_to(np.moveaxis(B, 0, -1)[..., None], shape).copy()
+    shape = (4, problem.mesh.ny, problem.mesh.nx, problem.quad.octants[0][2].size, problem.fgrid.n_groups)
+    return np.broadcast_to(np.moveaxis(B, 0, -1)[..., None, :], shape).copy()
 
 
 def initial_transport_state(problem: TransportProblem, T0: float) -> TransportState:

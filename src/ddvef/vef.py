@@ -99,17 +99,19 @@ _FACTOR_HI = 1.0
 def eddington_tensor(psi: np.ndarray, quad: AngularQuadrature):
     """Normal components f_xx, f_yy of the moment ratio sum(w Omega Omega I) / sum(w I) per cell.
 
-    psi is laid out (ny, nx, G, M); each component is (G, ny, nx). Cells
+    psi is in the sweep's layout (4, ny, nx, M_oct, G) (transport); each
+    component is (G, ny, nx). The octants carry the same w, Omega_x^2 and
+    Omega_y^2 bitwise (AngularQuadrature), so the sums over all directions
+    are the first octant's applied to the octants' summed intensity. Cells
     whose scalar moment falls below 1e-30 of the group's largest (or to
     zero) get the isotropic fallback f_xx = f_yy = 1/3; such cells only
     occur where the field is numerically dark and any closure produces
     the same near-zero moments.
     """
-    w = quad.weight
-    ox, oy = quad.omega[:, 0], quad.omega[:, 1]
-    phi = np.einsum("yxgm,m->gyx", psi, w)
-    sxx = np.einsum("yxgm,m->gyx", psi, w * ox * ox)
-    syy = np.einsum("yxgm,m->gyx", psi, w * oy * oy)
+    idx = quad.octants[0][2]
+    w, (ox, oy) = quad.weight[idx], quad.omega[idx, :2].T
+    I = psi.sum(axis=0)  # (ny, nx, M_oct, G)
+    phi, sxx, syy = ((wm @ I).transpose(2, 0, 1) for wm in (w, w * ox * ox, w * oy * oy))
 
     dark = phi <= 1.0e-30 * phi.max(axis=(1, 2), keepdims=True)
     safe = np.where(dark, 1.0, phi)

@@ -321,7 +321,7 @@ class TestStepping:
         with pytest.raises(ConfigError, match="time step"):
             diffusion_step(prob, initial_moment_state(prob, 1e-3), dt, model)
 
-    @pytest.mark.parametrize("n_steps", [-3, 2.0, 1.5, "2"])
+    @pytest.mark.parametrize("n_steps", [-3, 2.0, 1.5, "2", True])
     def test_bad_step_count_rejected(self, n_steps):
         # Without the check a negative count returns the initial level
         # alone and a non-integer one fails inside range with a TypeError.

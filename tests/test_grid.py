@@ -70,7 +70,9 @@ class TestSpatialMesh:
         with pytest.raises(ConfigError):
             SpatialMesh(4, 4, 1.0, 0.0)
 
-    @pytest.mark.parametrize("args", [(4, 4, np.nan, 6.0), (4, 4, np.inf, 6.0), (4, 4, 6.0, np.nan), (2.5, 4, 6.0, 6.0)])
+    @pytest.mark.parametrize(
+        "args", [(4, 4, np.nan, 6.0), (4, 4, np.inf, 6.0), (4, 4, 6.0, np.nan), (2.5, 4, 6.0, 6.0), (True, 2, 1.0, 1.0)]
+    )
     def test_non_finite_extent_or_fractional_count_rejected(self, args):
         with pytest.raises(ConfigError):
             SpatialMesh(*args)

@@ -43,13 +43,13 @@ from ddvef.transport import (
     sweep,
     sweep_step,
 )
-from product_rule import unfold
+from product_rule import OTHER_RULES, by_direction, by_octant, unfold
 
 C = DEFAULT_CONSTANTS.c
 
 
 def direct_energy(psi, quad):
-    """Cell energy E = (1/c) sum_m w_m I_m (G, ny, nx) by direct angular summation."""
+    """Cell energy E = (1/c) sum_m w_m I_m (G, ny, nx) by direct angular summation of psi (ny, nx, G, M)."""
     return np.einsum("yxgm,m->gyx", psi, quad.weight) / C
 
 
@@ -212,7 +212,7 @@ def small_setup(nx=5, ny=4, groups=(0.5, 2.0), n_polar=2, n_az=8, lx=2.0, ly=1.6
 
 def steady_sweep(mesh, quad, kappa, source, inflow=BoundaryInflow()):
     """The steady-state sweep: an infinite step from a zero intensity."""
-    psi_prev = np.zeros((mesh.ny, mesh.nx, kappa.shape[0], quad.n_directions))
+    psi_prev = np.zeros((4, mesh.ny, mesh.nx, quad.n_directions // 4, kappa.shape[0]))
     return sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, np.inf, inflow))
 
 
@@ -221,9 +221,12 @@ def reference_sweep(mesh, quad, kappa, source, psi_prev, dt, inflow):
 
     Each direction keeps its own face intensities, x-faces (G, ny, nx+1) and
     y-faces (G, ny+1, nx), and every moment is read off them afterwards.
+    psi_prev and the returned psi are in the sweep's layout; in between the
+    intensity is held per direction, (ny, nx, G, M).
     """
     nx, ny, G = mesh.nx, mesh.ny, kappa.shape[0]
     sink = 1.0 / (C * dt)
+    psi_prev = by_direction(psi_prev, quad)
     psi = np.zeros((ny, nx, G, quad.n_directions))
     Fx, Fy = np.zeros((G, ny, nx + 1)), np.zeros((G, ny + 1, nx))
     wnI = np.zeros((G, mesh.n_boundary_faces))
@@ -249,22 +252,12 @@ def reference_sweep(mesh, quad, kappa, source, psi_prev, dt, inflow):
         for side, (leaving, I_face, o_n) in outgoing.items():
             if leaving:
                 wnI[:, mesh.boundary_slice(side)] += w * abs(o_n) * I_face
-    return SimpleNamespace(psi=psi, E=direct_energy(psi, quad), Fx=Fx, Fy=Fy, bface_wnI=wnI)
+    return SimpleNamespace(psi=by_octant(psi, quad), E=direct_energy(psi, quad), Fx=Fx, Fy=Fy, bface_wnI=wnI)
 
 
 #: Thin, tall and single-cell meshes, where the strided wavefront addressing
 #: of each sweep orientation is easiest to get wrong.
 THIN_MESHES = [(5, 3), (3, 5), (1, 4), (4, 1), (1, 1)]
-
-#: Rules other than the 2 x 8 one: an Omega_z = 0 level (3 x 8), octants
-#: holding pairs of equal (|Omega_x|, |Omega_y|) (the unfolded 2 x 8 rule),
-#: and 144 directions of the product rule (4 x 36).
-OTHER_RULES = {
-    "3x8": lambda: build_angular_quadrature(3, 8),
-    "unfolded": lambda: unfold(build_angular_quadrature(2, 8))[0],
-    "4x36": lambda: build_angular_quadrature(4, 36),
-}
-
 
 def check_matches_reference_sweep(nx, ny, quad):
     """The sweep equals reference_sweep on an nx x ny mesh with dx != dy.
@@ -277,7 +270,7 @@ def check_matches_reference_sweep(nx, ny, quad):
     rng = np.random.default_rng(11)
     kappa = rng.uniform(0.1, 6.0, (G, mesh.ny, mesh.nx))
     source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
-    psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
+    psi_prev = by_octant(rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions)), quad)
     inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
     res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
     ref = reference_sweep(mesh, quad, kappa, source, psi_prev, 0.03, inflow)
@@ -324,7 +317,7 @@ class TestSweep:
         mesh, quad, fgrid = small_setup()
         G = fgrid.n_groups
         res = steady_sweep(mesh, quad, np.full((G, mesh.ny, mesh.nx), 0.5), np.zeros((G, mesh.ny, mesh.nx)))
-        assert res.psi.shape == (mesh.ny, mesh.nx, G, quad.n_directions)
+        assert res.psi.shape == (4, mesh.ny, mesh.nx, quad.n_directions // 4, G)
         assert res.E.shape == (G, mesh.ny, mesh.nx)
         assert res.Fx.shape == (G, mesh.ny, mesh.nx + 1)
         assert res.Fy.shape == (G, mesh.ny + 1, mesh.nx)
@@ -336,14 +329,19 @@ class TestSweep:
         with pytest.raises(ConfigError):
             steady_sweep(mesh, quad, np.zeros((G, mesh.nx, mesh.ny)), np.zeros((G, mesh.nx, mesh.ny)))
         field = np.ones((G, mesh.ny, mesh.nx))
-        psi_prev = np.ones((mesh.ny, mesh.nx, G, quad.n_directions))
+        psi_prev = np.ones((4, mesh.ny, mesh.nx, quad.n_directions // 4, G))
         # A negative step would flip the sink's sign and break positivity; a
         # zero step has no backward-Euler term. inf stays the steady sweep.
         # The step builder checks both, before any sweep.
         for dt in (-0.03, 0.0, -np.inf, np.nan):
             with pytest.raises(ConfigError, match="time step"):
                 sweep_step(mesh, quad, psi_prev, dt, BoundaryInflow())
-        for bad in (psi_prev[:, :-1], psi_prev[..., :-1], psi_prev[0]):
+        # psi_prev is refused in any layout but the sweep's: per direction
+        # (ny, nx, G, M), an octant axis other than 4, another per-octant
+        # direction count, another mesh.
+        old_layout = np.ones((mesh.ny, mesh.nx, G, quad.n_directions))
+        two_octants = np.ones((2, mesh.ny, mesh.nx, quad.n_directions // 2, G))
+        for bad in (old_layout, two_octants, psi_prev[:3], psi_prev[:, :, :, :-1], psi_prev[:, :-1], psi_prev[0]):
             with pytest.raises(ConfigError, match="psi_prev"):
                 sweep_step(mesh, quad, bad, 0.03, BoundaryInflow())
         # A step built for another mesh, quadrature or group count is refused.
@@ -362,7 +360,7 @@ class TestSweep:
         # this mesh's.
         quad, G = build_angular_quadrature(2, 8), 2
         wide, narrow = SpatialMesh(4, 4, 6.0, 6.0), SpatialMesh(4, 4, 1.0, 1.0)
-        step = sweep_step(wide, quad, np.zeros((4, 4, G, quad.n_directions)), 0.03, BoundaryInflow(left=np.ones(G)))
+        step = sweep_step(wide, quad, np.zeros((4, 4, 4, quad.n_directions // 4, G)), 0.03, BoundaryInflow(left=np.ones(G)))
         field = np.ones((G, 4, 4))
         with pytest.raises(ConfigError, match="another mesh or quadrature"):
             sweep(narrow, quad, field, field, step)
@@ -374,7 +372,7 @@ class TestSweep:
         mesh, G = SpatialMesh(4, 4, 6.0, 6.0), 2
         quad, other = build_angular_quadrature(2, 8), build_angular_quadrature(4, 4)
         assert other.n_directions == quad.n_directions
-        step = sweep_step(mesh, quad, np.zeros((4, 4, G, quad.n_directions)), 0.03, BoundaryInflow(left=np.ones(G)))
+        step = sweep_step(mesh, quad, np.zeros((4, 4, 4, quad.n_directions // 4, G)), 0.03, BoundaryInflow(left=np.ones(G)))
         field = np.ones((G, 4, 4))
         with pytest.raises(ConfigError, match="another mesh or quadrature"):
             sweep(mesh, other, field, field, step)
@@ -388,9 +386,9 @@ class TestSweep:
         res = steady_sweep(mesh, quad, zero, zero, inflow=BoundaryInflow(left=np.ones(1)))
         assert res.psi.min() >= 0.0
         assert res.psi.max() <= 1.0 + 1e-14
-        leftward = quad.omega[:, 0] < 0.0
-        assert np.all(res.psi[:, :, :, leftward] == 0.0)
-        assert res.psi[:, :, :, ~leftward].min() > 0.0
+        leftward, psi = quad.omega[:, 0] < 0.0, by_direction(res.psi, quad)
+        assert np.all(psi[:, :, :, leftward] == 0.0)
+        assert psi[:, :, :, ~leftward].min() > 0.0
 
     def test_equilibrium_fixed_point_steady(self):
         mesh, quad, fgrid = small_setup()
@@ -400,7 +398,7 @@ class TestSweep:
         kappa = mat.emission_terms(np.full((mesh.ny, mesh.nx), T), DEFAULT_CONSTANTS)[0]
         inflow = BoundaryInflow(left=B, right=B, bottom=B, top=B)
         res = steady_sweep(mesh, quad, kappa, kappa * B[:, None, None], inflow=inflow)
-        np.testing.assert_allclose(res.psi, np.broadcast_to(B[None, None, :, None], res.psi.shape), rtol=1e-13)
+        np.testing.assert_allclose(res.psi, np.broadcast_to(B, res.psi.shape), rtol=1e-13)
         np.testing.assert_allclose(res.E, np.broadcast_to((quad.weight.sum() / C) * B[:, None, None], res.E.shape), rtol=1e-12)
 
     def test_equilibrium_fixed_point_time_dependent(self):
@@ -409,10 +407,10 @@ class TestSweep:
         T, dt = 0.8, 0.05
         B = group_planck(T, fgrid)
         kappa = mat.emission_terms(np.full((mesh.ny, mesh.nx), T), DEFAULT_CONSTANTS)[0]
-        psi_prev = np.broadcast_to(B[:, None], (mesh.ny, mesh.nx, fgrid.n_groups, quad.n_directions)).copy()
+        psi_prev = np.broadcast_to(B, (4, mesh.ny, mesh.nx, quad.n_directions // 4, fgrid.n_groups)).copy()
         inflow = BoundaryInflow(left=B, right=B, bottom=B, top=B)
         res = sweep(mesh, quad, kappa, kappa * B[:, None, None], sweep_step(mesh, quad, psi_prev, dt, inflow))
-        np.testing.assert_allclose(res.psi, np.broadcast_to(B[None, None, :, None], res.psi.shape), rtol=1e-13)
+        np.testing.assert_allclose(res.psi, np.broadcast_to(B, res.psi.shape), rtol=1e-13)
 
     def test_cell_balance_is_exact(self):
         # The scheme is conservative: per cell and group, face outflow plus
@@ -425,7 +423,7 @@ class TestSweep:
         psi_prev = rng.uniform(0.0, 2.0, (mesh.ny, mesh.nx, G, quad.n_directions))
         inflow = BoundaryInflow(left=rng.uniform(0.1, 1.0, G), top=rng.uniform(0.1, 1.0, G))
         dt = 0.04
-        res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, dt, inflow))
+        res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, by_octant(psi_prev, quad), dt, inflow))
 
         sink = 1.0 / (C * dt)
         E_prev = direct_energy(psi_prev, quad)
@@ -477,7 +475,7 @@ class TestSweep:
         kappa = rng.uniform(0.2, 2.0, (G, mesh.ny, mesh.nx))
         source = rng.uniform(0.0, 1.0, (G, mesh.ny, mesh.nx))
         res = steady_sweep(mesh, quad, kappa, source, inflow=BoundaryInflow(left=np.ones(G)))
-        np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-13)
+        np.testing.assert_allclose(res.E, direct_energy(by_direction(res.psi, quad), quad), rtol=1e-13)
 
     def test_energy_is_the_weighted_sum_of_psi(self):
         # E is tallied during the sweep from the octants' summed upwind
@@ -488,10 +486,10 @@ class TestSweep:
         rng = np.random.default_rng(23)
         kappa = 10.0 ** rng.uniform(-3.0, 1.0, (G, mesh.ny, mesh.nx))
         source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
-        psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
+        psi_prev = by_octant(rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions)), quad)
         inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
         res = sweep(mesh, quad, kappa, source, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
-        np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(res.E, direct_energy(by_direction(res.psi, quad), quad), rtol=1e-14, atol=0.0)
 
     def test_energy_is_the_weighted_sum_of_psi_where_the_chord_factors_switch_to_series(self):
         # Optically thin cells: g1 and g2 take their series below eps = 1e-2,
@@ -506,7 +504,7 @@ class TestSweep:
         eps = kappa[..., None] / inv_ds
         assert (eps < 1.0e-2).any() and (eps > 1.0e-2).any()
         res = steady_sweep(mesh, quad, kappa, source, inflow=inflow)
-        np.testing.assert_allclose(res.E, direct_energy(res.psi, quad), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(res.E, direct_energy(by_direction(res.psi, quad), quad), rtol=1e-14, atol=0.0)
 
     def test_tallies_are_built_once_and_cached(self, monkeypatch):
         builds = []
@@ -529,7 +527,7 @@ class TestSweep:
         rng = np.random.default_rng(29)
         kappa_1, kappa_2 = (rng.uniform(0.1, 6.0, (G, mesh.ny, mesh.nx)) for _ in range(2))
         source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
-        psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
+        psi_prev = by_octant(rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions)), quad)
         inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
         names = ("E", "psi", "Fx", "Fy", "bface_wnI")
 
@@ -552,7 +550,7 @@ class TestSweep:
         rng = np.random.default_rng(37)
         kappa = rng.uniform(0.1, 6.0, (G, mesh.ny, mesh.nx))
         source = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
-        psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
+        psi_prev = by_octant(rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions)), quad)
         step = sweep_step(mesh, quad, psi_prev, 0.03, BoundaryInflow())
         expected = sweep(mesh, quad, kappa, source, step).psi
         late = sweep(mesh, quad, kappa, source, step)
@@ -572,13 +570,15 @@ class TestSweep:
         emission = rng.uniform(0.0, 2.0, (G, mesh.ny, mesh.nx))
         psi_prev = rng.uniform(0.0, 1.5, (mesh.ny, mesh.nx, G, quad.n_directions))
         inflow = BoundaryInflow(**{side: rng.uniform(0.1, 1.0, G) for side in SIDES})
-        folded = sweep(mesh, quad, kappa, emission, sweep_step(mesh, quad, psi_prev, 0.03, inflow))
-        unfolded = sweep(mesh, full, kappa, emission, sweep_step(mesh, full, psi_prev[..., source], 0.03, inflow))
+        folded = sweep(mesh, quad, kappa, emission, sweep_step(mesh, quad, by_octant(psi_prev, quad), 0.03, inflow))
+        unfolded_step = sweep_step(mesh, full, by_octant(psi_prev[..., source], full), 0.03, inflow)
+        unfolded = sweep(mesh, full, kappa, emission, unfolded_step)
         for name in ("E", "Fx", "Fy", "bface_wnI"):
             got, expected = getattr(folded, name), getattr(unfolded, name)
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max(), err_msg=name)
-        np.testing.assert_array_equal(unfolded.psi, unfolded.psi[..., source])
-        np.testing.assert_allclose(unfolded.psi, folded.psi[..., source], rtol=1e-13)
+        psi_full = by_direction(unfolded.psi, full)
+        np.testing.assert_array_equal(psi_full, psi_full[..., source])
+        np.testing.assert_allclose(psi_full, by_direction(folded.psi, quad)[..., source], rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +680,7 @@ class TestPlanckianInflow:
 class TestPlanckianIntensity:
     def test_uniform_field_equals_scalar_and_a_field_is_per_cell(self):
         problem = benchmark_like_problem(nx=3, ny=2)
-        shape = (2, 3, problem.fgrid.n_groups, problem.quad.n_directions)
+        shape = (4, 2, 3, problem.quad.n_directions // 4, problem.fgrid.n_groups)
         psi = planckian_intensity(problem, 0.7)
         assert psi.shape == shape and psi.flags.c_contiguous
         # Vectorized and scalar evaluation of B may differ in the last bit.
@@ -688,8 +688,8 @@ class TestPlanckianIntensity:
         T = np.array([[0.1, 0.5, 1.0], [2.0, 0.3, 0.02]])
         psi = planckian_intensity(problem, T)
         for j, i in np.ndindex(T.shape):
-            expected = np.broadcast_to(group_planck(T[j, i], problem.fgrid)[:, None], shape[2:])
-            np.testing.assert_allclose(psi[j, i], expected, rtol=1e-15, atol=0.0)
+            expected = np.broadcast_to(group_planck(T[j, i], problem.fgrid), (4,) + shape[3:])
+            np.testing.assert_allclose(psi[:, j, i], expected, rtol=1e-15, atol=0.0)
 
 
 class TestFomStep:
@@ -735,7 +735,7 @@ class TestFomStep:
         state, diag = fom_step(problem, initial_transport_state(problem, 1e-3), 0.1)
         assert len(sweeps) == diag.picard_iterations > 1
         assert len(builds) == 1
-        assert state.psi.shape == (4, 4, problem.fgrid.n_groups, problem.quad.n_directions)
+        assert state.psi.shape == (4, 4, 4, problem.quad.n_directions // 4, problem.fgrid.n_groups)
 
     def test_sweep_step_is_built_once_per_step(self, monkeypatch):
         # psi_prev, dt and the inflow are fixed for a step, so its setup is
@@ -759,7 +759,7 @@ class TestFomStep:
         with pytest.raises(ConfigError, match="time step"):
             fom_step(problem, initial_transport_state(problem, 1e-3), dt)
 
-    @pytest.mark.parametrize("n_steps", [-3, 2.0, 1.5, "2"])
+    @pytest.mark.parametrize("n_steps", [-3, 2.0, 1.5, "2", True])
     def test_bad_step_count_rejected_before_any_sweep(self, monkeypatch, n_steps):
         # Without the check a negative count returns the initial level
         # alone and a non-integer one fails inside range with a TypeError.
@@ -792,8 +792,8 @@ class TestFomStep:
         problem = TransportProblem(mesh, quad, fgrid, mat, eos, BoundaryInflow())
 
         B_rad = group_planck(0.5, fgrid)  # radiation field starts at 0.5 KeV
-        psi = np.broadcast_to(B_rad[:, None], (1, 1, 1, quad.n_directions)).copy()
-        E0 = direct_energy(psi, quad)
+        psi = np.broadcast_to(B_rad, (4, 1, 1, quad.n_directions // 4, 1)).copy()
+        E0 = direct_energy(by_direction(psi, quad), quad)
         state = TransportState(t=0.0, T=np.ones((1, 1)), E=E0, Fx=np.zeros((1, 1, 2)), Fy=np.zeros((1, 2, 1)), psi=psi)
 
         for _ in range(20):

@@ -43,6 +43,7 @@ from ddvef.vef import (
     online_phase,
     vef_step,
 )
+from product_rule import OTHER_RULES, by_direction, by_octant
 
 T_COLD = 1.0e-3
 T_DRIVE = 1.0
@@ -113,10 +114,26 @@ def test_isotropic_intensity_has_the_isotropic_eddington_tensor():
     quad = build_angular_quadrature(2, 8)
     amplitude = np.random.default_rng(3).uniform(1.0e-3, 1.0e3, (3, 4, 5))
     psi = np.repeat(amplitude[..., None], quad.n_directions, axis=-1)
-    fxx, fyy = eddington_tensor(psi, quad)
+    fxx, fyy = eddington_tensor(by_octant(psi, quad), quad)
     assert fxx.shape == fyy.shape == (5, 3, 4)
     np.testing.assert_allclose(fxx, 1.0 / 3.0, rtol=1.0e-14, atol=0.0)
     np.testing.assert_allclose(fyy, 1.0 / 3.0, rtol=1.0e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("rule", ["2x8", *OTHER_RULES])
+def test_octant_summed_tensor_is_the_direct_ratio_over_every_direction(rule):
+    # eddington_tensor weighs the octants' summed intensity with the first
+    # octant's w, Omega_x^2 and Omega_y^2; the octants mirror those bitwise,
+    # so on an intensity that differs in every direction this is the ratio
+    # summed over all of the rule's directions.
+    quad = build_angular_quadrature(2, 8) if rule == "2x8" else OTHER_RULES[rule]()
+    psi = np.random.default_rng(41).uniform(0.1, 2.0, (4, 3, 4, quad.n_directions // 4, 5))
+    I, w = by_direction(psi, quad), quad.weight
+    phi = np.einsum("yxgm,m->gyx", I, w)
+    expected = [np.einsum("yxgm,m->gyx", I, w * quad.omega[:, k] ** 2) / phi for k in (0, 1)]
+    for got, want in zip(eddington_tensor(psi, quad), expected):
+        assert np.abs(want - 1.0 / 3.0).max() > 1.0e-3
+        np.testing.assert_allclose(got, want, rtol=1.0e-14, atol=0.0)
 
 
 def test_dark_cells_get_the_isotropic_fallback():
@@ -126,7 +143,7 @@ def test_dark_cells_get_the_isotropic_fallback():
     psi = np.zeros((2, 2, 2, quad.n_directions))
     beam = quad.omega[:, 0] > 0.5
     psi[0, 0, 0, beam] = 1.0
-    fxx, fyy = eddington_tensor(psi, quad)
+    fxx, fyy = eddington_tensor(by_octant(psi, quad), quad)
     assert fxx[0, 0, 0] > 0.5 and fyy[0, 0, 0] < 1.0 / 3.0
     dark = np.ones((2, 2, 2), dtype=bool)
     dark[0, 0, 0] = False
@@ -140,7 +157,7 @@ def test_dark_sweep_gives_a_finite_neutral_closure():
     mesh, quad = SpatialMesh(4, 3, 4.0, 3.0), build_angular_quadrature(2, 4)
     G = fgrid.n_groups
     kappa, zero = np.ones((G, mesh.ny, mesh.nx)), np.zeros((G, mesh.ny, mesh.nx))
-    dark_step = sweep_step(mesh, quad, np.zeros((mesh.ny, mesh.nx, G, quad.n_directions)), DT, BoundaryInflow())
+    dark_step = sweep_step(mesh, quad, np.zeros((4, mesh.ny, mesh.nx, quad.n_directions // 4, G)), DT, BoundaryInflow())
     dark = sweep(mesh, quad, kappa, zero, dark_step)
     Fx, Fy = np.zeros_like(dark.Fx), np.zeros_like(dark.Fy)
     record = closure_from_sweep(dark, kappa, Fx, Fy)
@@ -158,11 +175,11 @@ def test_rejected_faces_fall_back_to_the_normal_tensor_component():
     psi = np.broadcast_to(1.0 + quad.omega[:, 0] ** 2, (mesh.ny, mesh.nx, G, quad.n_directions)).copy()
     Fx, Fy = np.zeros((G, mesh.ny, mesh.nx + 1)), np.zeros((G, mesh.ny + 1, mesh.nx))
     result = SimpleNamespace(
-        step=SimpleNamespace(mesh=mesh, quad=quad, sink=1.0 / (c * DT)), psi=psi,
+        step=SimpleNamespace(mesh=mesh, quad=quad, sink=1.0 / (c * DT)), psi=by_octant(psi, quad),
         E=np.einsum("yxgm,m->gyx", psi, quad.weight) / c, Fx=Fx, Fy=Fy, bface_wnI=np.zeros((G, mesh.n_boundary_faces)),
     )
     record = closure_from_sweep(result, np.ones((G, mesh.ny, mesh.nx)), Fx, Fy)
-    fxx, fyy = (f[0, 0, 0] for f in eddington_tensor(psi, quad))
+    fxx, fyy = (f[0, 0, 0] for f in eddington_tensor(by_octant(psi, quad), quad))
     assert fxx > 1.0 / 3.0 > fyy
     n_x = mesh.ny * (mesh.nx - 1)
     np.testing.assert_array_equal(record.g[:, :n_x], fxx)
