@@ -18,8 +18,16 @@ has spectral opacity kappa_nu = chi / nu^3 * (1 - e^{-nu/T}); its
 Planck-weighted group mean collapses analytically because kappa_nu B_nu is
 proportional to e^{-nu/T}.
 
+A group evaluation is one pass over the (G+1) x cells edge array: e^{-x}
+once per edge and e^{-dx} once per group supply every exponential the
+reductions use, the power series runs only on edges with 0 < x <= 1 (none
+once T is below the first finite edge, 0.7075 KeV on the benchmark grid),
+and the opacity and Planck reductions share psi1 - psi0 and T^3.
+
 Temperatures below T_FLOOR are clamped inside the group evaluations;
-non-positive and non-finite (nan, inf) inputs raise ValueError.
+non-positive and non-finite (nan, inf) temperatures raise ValueError, and
+so does a nan frequency or Planck-integral argument (planck_integral(inf)
+is Phi(inf)).
 
 The physics is one model with fixed constants: every module reads c and a
 from DEFAULT_CONSTANTS, and only the material protocol
@@ -52,6 +60,9 @@ _BERNOULLI_EVEN = tuple(
 )
 _POWER_COEF = np.array([float(b / ((2 * k + 3) * factorial(2 * k))) for k, b in enumerate(_BERNOULLI_EVEN, start=1)])
 _TAIL_CUT = 40.0  # tail term k is kept where (k-1) z < 40; e^{-40} ~ 4e-18
+# From z = 50 on, e^{-z} S(z) < 3e-17 is below half an ulp of Phi(inf), so
+# Phi(z) rounds to Phi(inf); planck_integral returns it without the tail.
+_PHI_FULL = 50.0
 
 #: Relative change at which the per-cell material Newton stops.
 NEWTON_TOL = 1.0e-10
@@ -72,25 +83,31 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 def planck_integral(z):
     """Cumulative dimensionless Planck integral Phi(z) = int_0^z x^3/(e^x-1) dx.
 
-    Vectorized; relative accuracy ~1e-15 for all z >= 0.
+    Vectorized; relative accuracy ~1e-15 for all z >= 0, z = inf included
+    (Phi(inf) = pi^4/15). A nan or negative z raises ValueError.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ValueError("planck_integral requires z >= 0")
-    out = np.empty(z.shape)
+    if not np.all(z >= 0.0):
+        raise ValueError("planck_integral requires z >= 0, not nan or negative")
+    out = np.full(z.shape, PLANCK_INTEGRAL_TOTAL)
     small = z <= 1.0
     out[small] = _power_series(z[small])
-    zb = z[~small]
-    out[~small] = PLANCK_INTEGRAL_TOTAL - np.exp(-zb) * _tail_exp(zb)
+    tail = ~small & (z < _PHI_FULL)
+    zb = z[tail]
+    out[tail] = PLANCK_INTEGRAL_TOTAL - np.exp(-zb) * _tail_exp(zb)
     return out if out.ndim else float(out)
 
 
 def spectral_opacity(nu, T, coefficient: float = 27.0):
-    """Spectral opacity chi/nu^3 * (1 - e^{-nu/T}) [1/cm]; nu, T in KeV."""
+    """Spectral opacity chi/nu^3 * (1 - e^{-nu/T}) [1/cm]; nu, T in KeV.
+
+    nu = inf gives the limit 0; a nan nu and a nan or infinite T raise
+    ValueError.
+    """
     nu = np.asarray(nu, dtype=float)
     T = np.asarray(T, dtype=float)
-    if np.any(nu <= 0.0) or np.any(T <= 0.0):
-        raise ValueError("spectral_opacity requires nu > 0 and T > 0")
+    if not (np.all(nu > 0.0) and np.all((T > 0.0) & (T < np.inf))):
+        raise ValueError("spectral_opacity requires nu > 0 and a finite T > 0")
     out = coefficient / nu**3 * (-np.expm1(-nu / T))
     return out if out.ndim else float(out)
 
@@ -110,6 +127,14 @@ class _GroupTerms:
       every edge above 1, dphi = S(x0) - e^{-dx} S(x1), psi0 = P(x0) and
       psi1 = e^{-dx} P(x1). The factor e^{-dx} is at most one, so nothing
       overflows, and far out on the tail it underflows to zero.
+
+    One pass forms e^{-x} at every edge and e^{-dx} per group; every other
+    exponential is read from them: e^{-x} on the rim (the first edge above
+    1, where a low group's upper edge unscales S and P), Planck's scale
+    e^{-shift} and opacity's numerator scale e^{-(x0 - shift)}. The power
+    series and psi run only on the edges with 0 < x <= 1 (x = 0 contributes
+    zero to both), and not at all when there are none. psi1 - psi0 and T^3
+    are formed once and read by both reductions.
     """
 
     def __init__(self, T: np.ndarray, fgrid: FrequencyGrid):
@@ -117,46 +142,51 @@ class _GroupTerms:
         if not np.all((T > 0.0) & (T < np.inf)):
             raise ValueError("group evaluations require a finite T > 0")
         self.T = np.maximum(T, T_FLOOR)
+        self.T3 = self.T**3
         x = fgrid.bounds.reshape((-1,) + (1,) * self.T.ndim) / self.T  # (G+1,) + T.shape
         self.x0 = x[:-1]
         self.x1 = x[1:]
         self.dx = self.x1 - self.x0
         self.edx = edx = np.exp(-self.dx)
-        self.low = low = self.x0 <= 1.0
-        self.shift = np.where(low, 0.0, self.x0)
+        ex = np.exp(-x)
 
         # Scaled edge values wherever x > 1, which covers every high group's edges.
         big = x > 1.0
+        low = ~big[:-1]
         xb = x[big]
         S = np.zeros(x.shape)
         P = np.zeros(x.shape)
         S[big] = _tail_exp(xb)
         P[big] = xb**4 / -np.expm1(-xb)
 
-        # Unscaled Phi and psi on the low groups' edges: the power series up
-        # to x = 1, then the scaled values times e^{-x} on the edge above it.
-        # The edges ascend from nu = 0, so edge i > 0 bounds a low group
-        # exactly when edge i - 1 is <= 1.
+        # Unscaled Phi and psi on the low groups' edges: the power series on
+        # 0 < x <= 1, then the scaled values times e^{-x} on the rim. The
+        # edges ascend from nu = 0, so edge i > 0 bounds a low group exactly
+        # when edge i - 1 is <= 1.
         phi = np.zeros(x.shape)
         psi = np.zeros(x.shape)
-        xs = x[~big]
-        phi[~big] = _power_series(xs)
-        psi[~big] = np.divide(xs**4, np.expm1(xs), out=np.zeros(xs.shape), where=xs > 0.0)
-        rim = big & (np.concatenate([x[:1], x[:-1]]) <= 1.0)
-        e = np.exp(-x[rim])
+        series = ~big & (x > 0.0)
+        if series.any():
+            xs = x[series]
+            phi[series] = _power_series(xs)
+            psi[series] = xs**4 / np.expm1(xs)
+        rim = np.zeros(x.shape, dtype=bool)
+        rim[1:] = big[1:] & low
+        e = ex[rim]
         phi[rim] = PLANCK_INTEGRAL_TOTAL - e * S[rim]
         psi[rim] = e * P[rim]
 
         self.dphi = np.where(low, phi[1:] - phi[:-1], S[:-1] - edx * S[1:])  # Delta Phi_g * e^{shift}
-        self.psi0 = np.where(low, psi[:-1], P[:-1])  # x^4/(e^x - 1) * e^{shift} at the group edges
-        self.psi1 = np.where(low, psi[1:], edx * P[1:])
+        # psi1 - psi0, with psi = x^4/(e^x - 1) * e^{shift} at the group edges
+        self.dpsi = np.where(low, psi[1:] - psi[:-1], edx * P[1:] - P[:-1])
+        self.scale = np.where(low, 1.0, ex[:-1])  # e^{-shift}
+        self.num_scale = np.where(low, ex[:-1], 1.0)  # e^{-(x0 - shift)}
 
     def planck(self, constants: PhysicalConstants):
         """(B_g, dB_g/dT), each shaped (G,) + T.shape [Jerk/(cm^2 ns sr)]."""
         amp = constants.a_rad * constants.c / (4.0 * np.pi * PLANCK_INTEGRAL_TOTAL)
-        scale = np.exp(-self.shift)
-        B = amp * self.T**4 * self.dphi * scale
-        dB = amp * self.T**3 * (4.0 * self.dphi - (self.psi1 - self.psi0)) * scale
+        B = amp * self.T**4 * self.dphi * self.scale
+        dB = amp * self.T3 * (4.0 * self.dphi - self.dpsi) * self.scale
         return B, dB
 
     def opacity(self, coefficient: float):
@@ -167,11 +197,10 @@ class _GroupTerms:
         the ratio finite for arbitrarily cold groups.
         """
         em = -np.expm1(-self.dx)  # 1 - e^{-dx}
-        num_scaled = np.exp(-(self.x0 - self.shift)) * em
-        kappa = coefficient * num_scaled / (self.T**3 * self.dphi)
+        kappa = coefficient * (self.num_scale * em) / (self.T3 * self.dphi)
         # d/dT log kappa = [ (x0 - x1 e^{-dx})/(1 - e^{-dx}) - 3 + (psi1 - psi0)/dphi ] / T
         ratio_n = (self.x0 - self.x1 * self.edx) / em
-        ratio_d = (self.psi1 - self.psi0) / self.dphi
+        ratio_d = self.dpsi / self.dphi
         dkappa = kappa * (ratio_n - 3.0 + ratio_d) / self.T
         return kappa, dkappa
 
@@ -198,8 +227,10 @@ def _tail_exp(z):
     col = np.repeat(near, n)
     m = np.arange(1.0, col.size + 1.0) - np.repeat(np.cumsum(n) - n, n)
     zc = z[col]
-    y = (m + 1.0) * zc
-    later = np.exp(-m * zc) * (((y + 3.0) * y + 6.0) * y + 6.0) / (m + 1.0) ** 4
+    k = m + 1.0
+    y = k * zc
+    # k <= 40, so k^4 is an exact double: squaring k^2 gives it without a pow call.
+    later = np.exp(-m * zc) * (((y + 3.0) * y + 6.0) * y + 6.0) / (k * k) ** 2
     return ((z + 3.0) * z + 6.0) * z + 6.0 + np.bincount(col, later, minlength=z.size)
 
 

@@ -88,6 +88,17 @@ class TestPlanckIntegral:
         with pytest.raises(ValueError):
             planck_integral(-0.1)
 
+    def test_infinity_is_the_total(self):
+        # Phi(inf) = pi^4/15, and far out on the tail Phi(z) rounds to it.
+        assert planck_integral(np.inf) == PLANCK_INTEGRAL_TOTAL
+        np.testing.assert_array_equal(planck_integral(np.array([1.0e200, np.inf])), PLANCK_INTEGRAL_TOTAL)
+        assert planck_integral(np.array([0.5, np.inf]))[0] == planck_integral(0.5)
+
+    @pytest.mark.parametrize("z", [np.nan, np.array([0.5, np.nan])])
+    def test_nan_rejected(self, z):
+        with pytest.raises(ValueError, match="nan"):
+            planck_integral(z)
+
     @pytest.mark.parametrize("z", [0.25, 0.5, 0.75, 1.0])
     def test_power_series_is_correctly_rounded(self, z):
         # Reference: the series summed exactly in rationals, with Bernoulli
@@ -120,6 +131,15 @@ class TestSpectralOpacity:
             spectral_opacity(0.0, 1.0)
         with pytest.raises(ValueError):
             spectral_opacity(1.0, -1.0)
+
+    @pytest.mark.parametrize("nu, T", [(1.0, np.nan), (1.0, np.inf), (1.0, np.array([0.5, np.nan])), (np.nan, 1.0), (np.array([1.0, np.nan]), 1.0)])
+    def test_non_finite_temperature_or_nan_frequency_rejected(self, nu, T):
+        # nan slips past a T <= 0 test and gives nan; T = inf gave 0.
+        with pytest.raises(ValueError, match="finite T"):
+            spectral_opacity(nu, T)
+
+    def test_infinite_frequency_is_transparent(self):
+        assert spectral_opacity(np.inf, 1.0) == 0.0
 
 
 class TestGroupPlanck:
@@ -272,14 +292,38 @@ class TestEdgeEvaluation:
             if FGRID.bounds[g] / T < 600.0:  # beyond, B_g nears the subnormal range
                 assert B[g] == pytest.approx(B_oracle, rel=1e-10), g
 
+    # The power series runs only on edges with 0 < x <= 1, and the first
+    # finite edge is 0.7075 KeV. Below that T no edge takes the series (the
+    # bench's regime); at exactly that T edge 1 sits at x = 1.0 on the series
+    # side of the seam; a mixed field takes it in some cells only.
+    FIELDS = {
+        "wide": np.geomspace(1e-3, 20.0, 36).reshape(6, 6)[:, ::-1],
+        "cold": np.geomspace(1e-3, 0.7, 12).reshape(3, 4),
+        "seam": np.full((2, 3), 0.7075),
+        "mixed": np.array([[0.05, 0.7075, 0.3], [1.2, 0.7, 0.7075 / 0.999]]),
+    }
+
     def test_field_matches_per_cell_evaluation(self):
         # Catches edge or cell index mix-ups in the vectorised edge pass.
-        T = np.geomspace(1e-3, 20.0, 36).reshape(6, 6)[:, ::-1]
-        field = MATERIAL.emission_terms(T, DEFAULT_CONSTANTS)
-        for i, j in np.ndindex(T.shape):
-            cell = MATERIAL.emission_terms(T[i, j], DEFAULT_CONSTANTS)
-            for got, expect in zip(field, cell):
-                np.testing.assert_allclose(got[:, i, j], expect, rtol=1e-14, atol=0.0)
+        series_cells = {name: int((FGRID.bounds[1] / T <= 1.0).sum()) for name, T in self.FIELDS.items()}
+        assert series_cells == {"wide": 12, "cold": 0, "seam": 6, "mixed": 3}
+        assert FGRID.bounds[1] / 0.7075 == 1.0
+        c = DEFAULT_CONSTANTS
+        for T in self.FIELDS.values():
+            field = MATERIAL.emission_terms(T, DEFAULT_CONSTANTS)
+            for i, j in np.ndindex(T.shape):
+                cell = MATERIAL.emission_terms(T[i, j], DEFAULT_CONSTANTS)
+                for got, expect in zip(field, cell):
+                    np.testing.assert_allclose(got[:, i, j], expect, rtol=1e-14, atol=0.0)
+            # Group 1 spans [0, x1]: B_1 = a c T^4 Phi(x1) / (4 pi Phi(inf)) on either side of the seam.
+            B1 = c.a_rad * c.c * T**4 / (4.0 * np.pi) * planck_integral(FGRID.bounds[1] / T) / PLANCK_INTEGRAL_TOTAL
+            np.testing.assert_allclose(field[2][0], B1, rtol=1e-14, atol=0.0)
+            # Planck's reduction reads nothing the opacity computes: a constant
+            # opacity gets the very same B and dB/dT.
+            constant = ConstantOpacity(FGRID, np.ones(FGRID.n_groups)).emission_terms(T, DEFAULT_CONSTANTS)
+            for got, expect in zip(constant[2:], field[2:]):
+                np.testing.assert_array_equal(got, expect)
+            np.testing.assert_array_equal(constant[2], group_planck(T, FGRID))
 
 
 class TestConstantOpacity:
