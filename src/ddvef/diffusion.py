@@ -25,10 +25,15 @@ The models differ only in their coefficients: every interior face flux
 is a linear form in its two cell energies and every boundary outward
 current coef E_cell + base, two tables over grid's face tables.
 MomentSystem, the one assembler all four share, sums them into the
-eliminated cell-centered system of every group through a block-CSR
-template built once per mesh and group count, solves all groups with one
-sparse direct solve of the block-diagonal system, and reconstructs the
-face fluxes from the same tables; the nonlinear temperature coupling is
+eliminated cell-centered system of every group and reconstructs the face
+fluxes from the same tables. It solves that system by red-black
+reduction: colouring the cells like a checkerboard, every face joins a
+red and a black cell, so the red block is diagonal and the red unknowns
+eliminate exactly (Saad, Iterative Methods for Sparse Linear Systems,
+red-black ordering). The Schur complement on the black half of the cells
+is summed into a block-CSR template built once per mesh and group count,
+and all groups are solved with one sparse direct solve of the
+block-diagonal system. The nonlinear temperature coupling is
 iteration.couple, the one loop the transport model uses too.
 
 Boundaries of P1, P1/3 and FLD are Marshak-type per side: n.F = (c/2) E -
@@ -132,96 +137,116 @@ def _energy_floor(E) -> float:
     return max(1.0e-30 * float(np.max(E, initial=0.0)), 1.0e-290)
 
 
-#: Largest block of cells that nested dissection numbers row by row.
-_LEAF_CELLS = 16
-
-
 @functools.lru_cache(maxsize=16)
-def cell_order(mesh: SpatialMesh):
-    """Nested-dissection numbering of the cells, (order, rank).
+def _red_black(mesh: SpatialMesh):
+    """Red-black numbering of the cells and the faces' place in it.
 
-    order[k] is the flat index of the cell numbered k and rank, its
-    inverse, the number of every flat cell index. A block of more than
-    _LEAF_CELLS cells is cut across its longer side (across x on a tie) by
-    a one-cell separator line; the two parts are numbered first, each by
-    the same rule, and the separator last. Smaller blocks are numbered row
-    by row. On a 2-D grid, eliminating in this order keeps the factor's
-    fill at O(N log N) against the O(N^1.5) of a band order (George, SIAM
-    J. Numer. Anal. 10, 1973). Built once per mesh; the arrays are shared
+    Cell (i, j) is red when i + j is even and black when it is odd, so
+    every interior face joins a red and a black cell, and a 1 x 1 mesh has
+    no black cell. The n_red = N - N // 2 red cells take the numbers
+    0 .. n_red - 1 in flat order. The black cells take the numbers after
+    them, in the fill-reducing order SuperLU's COLAMD gives the pattern of
+    the reduced system (_template): the j-th black cell in flat order takes
+    n_red + perm_c[j]. Returns (rank, red_low, face_red, face_black,
+    pair_faces, pair_red): rank[c] is the number of flat cell c; per
+    interior face (grid.face_cells), red_low says whether the red cell is
+    its low side, face_red is the red cell's number and face_black the
+    black cell's number less n_red; pair_faces (2, n_pairs) lists every
+    ordered pair of faces that share a red cell, (f, f) included, and
+    pair_red that cell's number. Built once per mesh; the arrays are shared
     and read-only.
     """
-
-    def dissect(block):
-        ny, nx = block.shape
-        if ny * nx <= _LEAF_CELLS:
-            return [block.ravel()]
-        if nx >= ny:
-            m = nx // 2
-            return dissect(block[:, :m]) + dissect(block[:, m + 1:]) + [block[:, m]]
-        m = ny // 2
-        return dissect(block[:m]) + dissect(block[m + 1:]) + [block[m]]
-
-    order = np.concatenate(dissect(np.arange(mesh.n_cells).reshape(mesh.ny, mesh.nx)))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return _read_only(order, rank)
+    N, cells = mesh.n_cells, face_cells(mesh)[0]
+    flat = np.arange(N)
+    red = (flat // mesh.nx + flat % mesh.nx) % 2 == 0
+    red_low = red[cells[0]]
+    red_cell, black_cell = np.where(red_low, cells, cells[::-1])
+    n_faces, n_black = red_cell.size, N // 2
+    share = sp.csr_matrix((np.ones(n_faces), (red_cell, np.arange(n_faces))), shape=(N, n_faces))
+    pairs = (share.T @ share).tocoo()
+    pair_faces = np.stack([pairs.row, pairs.col])
+    # COLAMD of a diagonally dominant matrix with the reduced pattern; the
+    # numbers are structural, the values only keep the factorization defined.
+    black_of = np.cumsum(~red) - 1
+    rows, cols = (np.concatenate([np.arange(n_black), black_of[black_cell[f]]]) for f in pair_faces)
+    pattern = sp.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(n_black, n_black))
+    pattern += sp.diags(np.asarray(pattern.sum(axis=1)).ravel())
+    rank = np.empty(N, dtype=np.intp)
+    rank[red] = np.arange(N - n_black)
+    rank[~red] = N - n_black + spla.splu(pattern, permc_spec="COLAMD").perm_c
+    face_red = rank[red_cell]
+    return _read_only(rank, red_low, face_red, rank[black_cell] - (N - n_black), pair_faces, face_red[pair_faces[0]])
 
 
 @functools.lru_cache(maxsize=16)
 def _template(mesh: SpatialMesh, G: int):
-    """Block-CSR template of the G-group balance matrix of the 5-point stencil.
+    """Block-CSR template of the G-group reduced system and the scatter indices of a solve.
 
-    Rows and columns are cell numbers of cell_order(mesh), group g's block
-    at offset g*N; a block's slots are the sorted unique (row, col) pairs
-    the contributions reach. Returns the int32 indices and indptr of the
-    block-diagonal CSR matrix and slot, the flat index into its data array
-    of every contribution solve() lists, in (G, M) order: per group the
-    diagonal in flat cell order, the interior faces' coefficients in the
-    rows of their low- then high-side cells, the boundary faces. Built once
-    per (mesh, G); the arrays are shared and read-only.
+    The reduced system of a group is its Schur complement on the black
+    cells, S = A_bb - A_br D_r^-1 A_rb (MomentSystem): rows and columns are
+    the black numbers of _red_black, group g's block at offset g*n_black; a
+    block's slots are the sorted unique (row, col) pairs of the black
+    diagonal and of every pair of faces that share a red cell. Returns
+    (indices, indptr, slot, to_cell, to_red, to_black): the int32 indices
+    and indptr of the block-diagonal CSR matrix; slot, the flat index into
+    its data array of every contribution solve() lists, in (G, M) order:
+    per group the black diagonal, then the pairs in _red_black's order;
+    to_cell, the place in a (G, N) array of numbered cells of every term
+    solve() sums into the diagonal and the right-hand side: per group each
+    cell's own, the interior faces' on their low- then high-side cells, the
+    boundary faces'; to_red and to_black, the place in the (G, n_red) and
+    (G, n_black) arrays of every interior face's red and black cell. Built
+    once per (mesh, G); the arrays are shared and read-only.
     """
     N = mesh.n_cells
-    rank = cell_order(mesh)[1]
-    cells = rank[face_cells(mesh)[0]]
-    rows = [rank, np.tile(cells[0], 2), np.tile(cells[1], 2)]
-    cols = [rank, cells.ravel(), cells.ravel()]
-    b_cells = rank[boundary_cells(mesh)[0]]
-    rows.append(b_cells)
-    cols.append(b_cells)
-    slots, slot_of = np.unique(np.concatenate(rows) * N + np.concatenate(cols), return_inverse=True)
+    n_black, n_red = N // 2, N - N // 2
+    rank, _, face_red, face_black, pair_faces, _ = _red_black(mesh)
+    rows, cols = (np.concatenate([np.arange(n_black), face_black[f]]) for f in pair_faces)
+    slots, slot_of = np.unique(rows * n_black + cols, return_inverse=True)
     S, group = slots.size, np.arange(G)[:, None]
-    indices = (slots % N + N * group).ravel().astype(np.int32)
-    indptr = np.append((np.searchsorted(slots // N, np.arange(N)) + S * group).ravel(), G * S).astype(np.int32)
-    return _read_only(indices, indptr, (slot_of + S * group).ravel())
+    indices = (slots % n_black + n_black * group).ravel().astype(np.int32)
+    starts = np.searchsorted(slots // n_black, np.arange(n_black))
+    indptr = np.append((starts + S * group).ravel(), G * S).astype(np.int32)
+    cells = face_cells(mesh)[0]
+    to_cell = rank[np.concatenate([np.arange(N), cells[0], cells[1], boundary_cells(mesh)[0]])] + N * group
+    return _read_only(
+        indices, indptr, (slot_of + S * group).ravel(), to_cell.ravel(), (face_red + n_red * group).ravel(),
+        (face_black + n_black * group).ravel(),
+    )
 
 
-#: Largest relative residual ||A_g E_g - b_g|| / ||b_g|| a group's solved
-#: block may keep. Healthy solves leave rounding (below 1e-14 on the
-#: benchmark); a numerically singular block, which the factorization
-#: pivots through on a rounding-level remainder, leaves O(1) and more.
+#: Largest relative residual ||A_g E_g - b_g|| / ||b_g|| of a group's full
+#: balance, over both colours, that a solve may keep. Healthy solves leave
+#: rounding (below 1e-14 on the benchmark); a numerically singular reduced
+#: block, which the factorization pivots through on a rounding-level
+#: remainder, leaves O(1) and more.
 _RESIDUAL_TOL = 1.0e-8
 
 
-def _group_residuals(A, x: np.ndarray, rhs: np.ndarray, G: int) -> np.ndarray:
-    """Relative residual of every group's block of the block-diagonal system, inf where not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.linalg.norm((A @ x - rhs).reshape(G, -1), axis=1)
-        r /= np.maximum(np.linalg.norm(rhs.reshape(G, -1), axis=1), 1.0e-300)
-    return np.where(np.isfinite(r), r, np.inf)
+def _relative_residuals(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per group, ||r_g|| / ||b_g|| of (G, n) residuals and right-hand sides, inf where not finite.
+
+    Callers form r and call this under np.errstate(over="ignore",
+    invalid="ignore"): an infinite entry or energy leaves inf * 0 = nan in
+    r, which reads as an infinite residual.
+    """
+    rel = np.linalg.norm(r, axis=1) / np.maximum(np.linalg.norm(b, axis=1), 1.0e-300)
+    return np.where(np.isfinite(rel), rel, np.inf)
 
 
-def _failing_group(A, rhs: np.ndarray, G: int) -> int:
-    """Group whose diagonal block, solved on its own, fails worst: a
+def _failing_group(S, rhs: np.ndarray) -> int:
+    """Group whose reduced block, solved on its own, fails worst: a
     singular or non-finite solve, else the largest relative residual."""
-    N = rhs.size // G
-    x = np.full(rhs.size, np.nan)
+    G, n = rhs.shape
+    x = np.full((G, n), np.nan)
     for g in range(G):
-        block = slice(g * N, (g + 1) * N)
+        block = slice(g * n, (g + 1) * n)
         try:
-            x[block] = spla.spsolve(A[block, block], rhs[block])
+            x[g] = spla.spsolve(S[block, block], rhs[g])
         except spla.MatrixRankWarning:
             pass
-    return int(np.argmax(_group_residuals(A, x, rhs, G)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return int(np.argmax(_relative_residuals((S @ x.ravel()).reshape(G, n) - rhs, rhs)))
 
 
 class FaceForms(NamedTuple):
@@ -246,18 +271,25 @@ class MomentSystem:
     stored fluxes are exactly those the solve balanced and the global
     energy budget telescopes to the boundary flow.
 
-    All groups are solved together: one sparse direct solve of the
-    block-diagonal system of G*N unknowns, group g's block at offset g*N.
-    Within a block the cells are numbered by cell_order(mesh), a nested
-    dissection of the mesh, and the solve keeps that order
-    (permc_spec="NATURAL") instead of computing a fill-reducing one on
-    every pass; the right-hand side is permuted into it and the solution
-    back. Every model's faces couple only their two adjacent cells, so
-    the block-CSR structure is the 5-point stencil's and depends only on
-    the mesh and the group count: its indices, its row pointers and the
-    data slot of every listed contribution are built once per (mesh, G)
-    (_template); a pass only sums its values into their slots with one
-    bincount and hands the arrays to the solver.
+    Every model's faces couple only their two adjacent cells, so a
+    group's balance A E = b is the 5-point stencil. With the cells split
+    red (i + j even) and black (_red_black), A_rr is the diagonal D_r, and
+    the solve eliminates the red energies exactly:
+
+        S E_b = b_b - A_br D_r^-1 b_r,  S = A_bb - A_br D_r^-1 A_rb,
+        E_r = (b_r - A_rb E_b) / d_r.
+
+    S couples each black cell to the black cells that share a red
+    neighbour with it, about N/2 unknowns with 9 entries a row. All
+    groups' S are solved together: one sparse direct solve of the
+    block-diagonal system, group g's block at offset g*n_black, in the
+    fill-reducing numbering of the black cells that _red_black takes once
+    per mesh from COLAMD (permc_spec="NATURAL" then keeps it, instead of
+    ordering on every pass). S's structure depends only on the mesh and
+    the group count: its indices, row pointers and the data slot of every
+    listed contribution are built once per (mesh, G) (_template); a pass
+    only sums its values into their slots with one bincount. Where the
+    faces are symmetric (P1, P1/3, the VEF) so is S, bit for bit.
     """
 
     def __init__(self, mesh: SpatialMesh, faces: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
@@ -276,35 +308,60 @@ class MomentSystem:
         """Energies of every group from E/dt + div F(E) + c kappa E = E_prev/dt + source.
 
         ckappa is c kappa and source the emission 4 pi kappa B, both (G, ny, nx).
-        A singular block, a non-finite result or a group whose relative
-        residual exceeds _RESIDUAL_TOL raises SolverError naming the group.
+        A zero red diagonal, a singular reduced block, a non-finite result
+        or a group whose relative residual exceeds _RESIDUAL_TOL raises
+        SolverError naming the group.
         """
-        mesh = self.mesh
-        G, N = E_prev.shape[0], mesh.n_cells
-        Fx0, Fy0 = padded_fluxes(mesh, self.faces.base, self.b_base)
-        div0 = (Fx0[:, :, 1:] - Fx0[:, :, :-1]) / mesh.dx + (Fy0[:, 1:, :] - Fy0[:, :-1, :]) / mesh.dy
-        order, rank = cell_order(mesh)
-        rhs = (E_prev / dt + source - div0).reshape(G, N)[:, order].ravel()
+        G, N = E_prev.shape[0], self.mesh.n_cells
+        n_black = N // 2
+        n_red = N - n_black
+        rank, red_low, face_red, face_black, (first, second), pair_red = _red_black(self.mesh)
+        indices, indptr, slot, to_cell, to_red, to_black = _template(self.mesh, G)
 
-        # A face flux leaves its low-side cell and enters its high-side one;
-        # the order of these blocks is the order _template lists. bincount
-        # sums each slot's contributions in that order.
-        coef = (self.faces.coef / face_cells(mesh)[1]).transpose(1, 0, 2).reshape(G, -1)
-        vals = np.concatenate([1.0 / dt + ckappa.reshape(G, N), coef, -coef, self.b_coef / self.b_width], axis=1)
-        indices, indptr, slot = _template(mesh, G)
-        data = np.bincount(slot, vals.ravel(), minlength=indices.size)
-        A = sp.csr_matrix((data, indices, indptr), shape=(G * N, G * N))
+        # A face flux F = coef[0] E_lo + coef[1] E_hi + base leaves its low
+        # cell and enters its high one: divided by the width, it adds to the
+        # low cell's row and subtracts from the high cell's. bincount sums
+        # each cell's terms in the order _template lists them.
+        width = face_cells(self.mesh)[1]
+        coef, base = self.faces.coef / width, self.faces.base / width
+        terms = np.concatenate([1.0 / dt + ckappa.reshape(G, N), coef[0], -coef[1], self.b_coef / self.b_width], axis=1)
+        d = np.bincount(to_cell, terms.ravel(), minlength=G * N).reshape(G, N)
+        terms = np.concatenate([(E_prev / dt + source).reshape(G, N), -base, base, -self.b_base / self.b_width], axis=1)
+        rhs = np.bincount(to_cell, terms.ravel(), minlength=G * N).reshape(G, N)
+        (d_r, d_b), (b_r, b_b) = np.split(d, [n_red], axis=1), np.split(rhs, [n_red], axis=1)
+        if not d_r.all():
+            raise SolverError("moment system has a zero diagonal entry in a red cell", group=int(np.argmin(d_r.all(axis=1))))
+        # Per face, its entry in A_br (black row, red column) and in A_rb.
+        a_br, a_rb = np.where(red_low, -coef[0], coef[1]), np.where(red_low, coef[1], -coef[0])
+
+        # S = A_bb - A_br D_r^-1 A_rb and its right-hand side b_b - A_br D_r^-1 b_r.
+        # A pair's product a_br a_rb is formed before the division, so S is
+        # symmetric bit for bit wherever a_br = a_rb.
+        reduced = np.bincount(to_black, (a_br * (b_r / d_r)[:, face_red]).ravel(), minlength=G * n_black)
+        reduced = b_b - reduced.reshape(G, n_black)
+        vals = np.concatenate([d_b, -(a_br[:, first] * a_rb[:, second]) / d_r[:, pair_red]], axis=1)
+        S = sp.csr_matrix((np.bincount(slot, vals.ravel(), minlength=indices.size), indices, indptr), shape=(G * n_black,) * 2)
         try:
-            E = spla.spsolve(A, rhs, permc_spec="NATURAL")
+            E_b = spla.spsolve(S, reduced.ravel(), permc_spec="NATURAL").reshape(G, n_black)
         except spla.MatrixRankWarning as exc:  # a singular block, with warnings raised as errors
-            raise SolverError(f"moment system solve failed: {exc}", group=_failing_group(A, rhs, G)) from exc
-        if not np.all(np.isfinite(E)):
-            raise SolverError("moment system produced non-finite energies", group=_failing_group(A, rhs, G))
-        residual = _group_residuals(A, E, rhs, G)
+            raise SolverError(f"moment system solve failed: {exc}", group=_failing_group(S, reduced)) from exc
+        push_r = np.bincount(to_red, (a_rb * E_b[:, face_black]).ravel(), minlength=G * n_red).reshape(G, n_red)  # A_rb E_b
+        E_r = (b_r - push_r) / d_r
+        E = np.concatenate([E_r, E_b], axis=1)
+        if not np.isfinite(E).all():
+            # A singular block that spsolve was let pass leaves every group nan.
+            bad = ~np.isfinite(E).all(axis=1)
+            group = _failing_group(S, reduced) if bad.all() else int(np.argmax(bad))
+            raise SolverError("moment system produced non-finite energies", group=group)
+
+        # The full balance A E - rhs over both colours.
+        with np.errstate(over="ignore", invalid="ignore"):
+            push_b = np.bincount(to_black, (a_br * E_r[:, face_red]).ravel(), minlength=G * n_black).reshape(G, n_black)
+            residual = _relative_residuals(np.concatenate([d_r * E_r + push_r - b_r, d_b * E_b + push_b - b_b], axis=1), rhs)
         worst = int(np.argmax(residual))
         if residual[worst] > _RESIDUAL_TOL:
             raise SolverError(f"moment system solve left a relative residual of {residual[worst]:.3g}", group=worst)
-        return E.reshape(G, N)[:, rank].reshape(E_prev.shape)
+        return E[:, rank].reshape(E_prev.shape)
 
 
 def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, F_prev, g, r=0.0) -> FaceForms:

@@ -308,6 +308,15 @@ def _check_moments(omega: np.ndarray, weight: np.ndarray) -> None:
         raise ConfigError("quadrature directions are not unit vectors")
 
 
+#: Temperatures below T_FLOOR [KeV] are clamped in the group evaluations of
+#: physics; cold-start temperatures sit well above it.
+T_FLOOR = 1.0e-6
+
+#: A group evaluation forms x^4 at every edge x = nu/T, which overflows once x
+#: exceeds the fourth root of the largest double (about 1.16e77); with T
+#: clamped at T_FLOOR, the last edge bounds x.
+_MAX_EDGE_X = np.finfo(float).max ** 0.25
+
 # Photon-frequency group upper bounds in KeV for the hard-coded benchmark
 # material: 16 finite edges plus a capping edge far above the spectrum.
 BENCHMARK_GROUP_BOUNDS = (
@@ -331,12 +340,18 @@ class FrequencyGrid:
 
 
 def build_frequency_grid(upper_bounds=BENCHMARK_GROUP_BOUNDS) -> FrequencyGrid:
-    """Build a frequency grid from strictly increasing, positive and finite upper edges."""
+    """Build a frequency grid from strictly increasing, positive and finite upper edges.
+
+    The last edge must stay below T_FLOOR * _MAX_EDGE_X (about 1.16e71 KeV),
+    where the group evaluations would overflow to nan at the floor temperature.
+    """
     ub = np.asarray(upper_bounds, dtype=float)
     if ub.ndim != 1 or ub.size < 1:
         raise ConfigError("frequency grid needs at least one group bound")
     if not (ub[0] > 0.0 and np.all(np.diff(ub) > 0.0) and np.isfinite(ub[-1])):
         raise ConfigError("group bounds must be positive, finite and strictly increasing")
+    if not ub[-1] / T_FLOOR < _MAX_EDGE_X:
+        raise ConfigError(f"last group bound {ub[-1]:.3g} KeV overflows x^4 at T_FLOOR (x limit {_MAX_EDGE_X:.3g})")
     bounds = np.concatenate([[0.0], ub])
     bounds.setflags(write=False)
     return FrequencyGrid(bounds)

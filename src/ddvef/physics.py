@@ -24,7 +24,9 @@ reductions use, the power series runs only on edges with 0 < x <= 1 (none
 once T is below the first finite edge, 0.7075 KeV on the benchmark grid),
 and the opacity and Planck reductions share psi1 - psi0 and T^3.
 
-Temperatures below T_FLOOR are clamped inside the group evaluations;
+Temperatures below grid.T_FLOOR are clamped inside the group evaluations,
+and build_frequency_grid refuses a last edge whose x at T_FLOOR would
+overflow x^4, so no edge term overflows however cold T is;
 non-positive and non-finite (nan, inf) temperatures raise ValueError, and
 so does a nan frequency or Planck-integral argument (planck_integral(inf)
 is Phi(inf)).
@@ -45,9 +47,7 @@ from math import factorial
 import numpy as np
 
 from .errors import ConvergenceError
-from .grid import FrequencyGrid
-
-T_FLOOR = 1.0e-6  # KeV; cold-start temperatures sit well above this
+from .grid import T_FLOOR, FrequencyGrid
 
 PLANCK_INTEGRAL_TOTAL = np.pi**4 / 15.0
 

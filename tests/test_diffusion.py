@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from ddvef.diffusion import (
     BoundaryCondition,
     DiffusionProblem,
+    FaceForms,
     MomentState,
     MomentSystem,
     _fld_faces,
+    _red_black,
     _template,
-    cell_order,
     diffusion_step,
     first_moment_faces,
     initial_moment_state,
@@ -425,7 +426,9 @@ class TestThickLimit:
 
 
 def moment_tables(mesh, G, vef, seed=0):
-    """A MomentSystem with P1 faces or VEF faces (random factors, remainders and boundary factors) and its solve inputs."""
+    """A MomentSystem and its solve inputs: P1 faces (vef False), VEF faces (True:
+    random factors, remainders and boundary factors) or FLD's Newton faces at
+    theta = 1 ("fld", on a random lagged energy)."""
     rng = np.random.default_rng(seed)
     shape = (G, mesh.ny, mesh.nx)
     kappa = rng.uniform(0.1, 10.0, shape)
@@ -435,21 +438,23 @@ def moment_tables(mesh, G, vef, seed=0):
     )
     dt, nb, nf = 0.05, mesh.n_boundary_faces, face_cells(mesh)[1].size
     alpha, F_prev = 1.0 / (C * dt), interior_fluxes(state.Fx, state.Fy)
-    if vef:
+    b_coef = np.full((G, nb), 0.5 * C)
+    if vef == "fld":
+        faces = _fld_faces(mesh, kappa, rng.uniform(0.5, 2.0, shape), 1.0)
+    elif vef:
         faces = first_moment_faces(mesh, kappa, alpha, F_prev, rng.uniform(0.2, 0.5, (G, nf)), rng.normal(size=(G, nf)))
         b_coef = C * rng.uniform(0.3, 0.6, (G, nb)) * rng.uniform(0.5, 1.5, (G, nb))
     else:
         faces = first_moment_faces(mesh, kappa, alpha, F_prev, 1.0 / 3.0)
-        b_coef = np.full((G, nb), 0.5 * C)
     system = MomentSystem(mesh, faces, b_coef, -rng.uniform(0.0, 2.0, (G, nb)))
     return system, (dt, C * kappa, rng.uniform(0.0, 5.0, shape), state.E)
 
 
 def per_group_systems(system, dt, ckappa, source, E_prev):
-    """Reference: the per-group systems (A_g, rhs_g) that were solved one spsolve call each,
-    with div0 taken from the fluxes of zero energies. Each face's coefficients
-    are listed in the rows of its low- then high-side cell, over the face
-    table, as the one solve sums them."""
+    """Reference: each group's full balance (A_g, rhs_g) over all cells in flat
+    order, with div0 taken from the fluxes of zero energies. Each face's
+    coefficients are listed in the rows of its low- then high-side cell,
+    over the face table."""
     mesh = system.mesh
     G, N = E_prev.shape[0], mesh.n_cells
     Fx0, Fy0 = system.fluxes(np.zeros_like(E_prev))
@@ -466,26 +471,8 @@ def per_group_systems(system, dt, ckappa, source, E_prev):
     rows.append(b_cells)
     cols.append(b_cells)
     vals.append(system.b_coef / system.b_width)
-    keys = np.concatenate(rows) * N + np.concatenate(cols)
-    slots, slot_of = np.unique(keys, return_inverse=True)
-    gather = sp.csr_matrix((np.ones(keys.size), (np.arange(keys.size), slot_of)), shape=(keys.size, slots.size))
-    data = np.asarray(np.concatenate(vals, axis=1) @ gather)
-    coupled = np.any(data != 0.0, axis=0)
-    slots, data = slots[coupled], data[:, coupled]
-    indptr = np.searchsorted(slots // N, np.arange(N + 1))
-    return [(sp.csr_matrix((data[g], slots % N, indptr), shape=(N, N)), rhs[g]) for g in range(G)]
-
-
-def permuted_per_group_systems(system, *args):
-    """The per-group systems with the cells numbered by cell_order: (P A_g P^T, P rhs_g)."""
-    order = cell_order(system.mesh)[0]
-    return [(A_g[order][:, order], b_g[order]) for A_g, b_g in per_group_systems(system, *args)]
-
-
-def per_group_solution(system, reference, shape):
-    """Energies from one natural-order spsolve per permuted group system, in flat cell order."""
-    rank = cell_order(system.mesh)[1]
-    return np.stack([spla.spsolve(A_g, b_g, permc_spec="NATURAL")[rank] for A_g, b_g in reference]).reshape(shape)
+    A = [sp.csr_matrix((v, (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)) for v in np.concatenate(vals, axis=1)]
+    return list(zip(A, rhs))
 
 
 def solve_capturing(system, args, monkeypatch):
@@ -496,21 +483,43 @@ def solve_capturing(system, args, monkeypatch):
     return system.solve(*args), calls
 
 
+def black_values(mesh, E):
+    """A (G, ny, nx) field on the black cells, (G, n_black), in their reduced-system numbers."""
+    rank, n_red = _red_black(mesh)[0], mesh.n_cells - mesh.n_cells // 2
+    return E.reshape(E.shape[0], -1)[:, np.argsort(rank)[n_red:]]
+
+
+def assert_solves_its_own_blocks(E, S, b):
+    """The one block-diagonal solve repeats a natural-order spsolve of every group's reduced block bit for bit."""
+    G, n = E.shape[0], S.shape[0] // E.shape[0]
+    for g in range(G):
+        block = slice(g * n, (g + 1) * n)
+        np.testing.assert_array_equal(E[g], spla.spsolve(S[block, block], b[block], permc_spec="NATURAL"))
+
+
+#: Elementwise relative difference allowed between the reduced solve and a
+#: dense solve of a group's full balance: the largest seen over 20 seeds of
+#: moment_tables on the meshes of test_one_block_solve_matches_per_group_solves
+#: was 1.3e-15.
+DENSE_RTOL = 1.0e-14
+
+
 class TestMomentSystem:
-    @pytest.mark.parametrize("vef", [False, True])
-    @pytest.mark.parametrize("nx, ny", [(8, 8), (6, 5)])
+    @pytest.mark.parametrize("vef", [False, True, "fld"])
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (6, 5), (1, 1), (1, 4), (4, 1)])
     def test_one_block_solve_matches_per_group_solves(self, monkeypatch, vef, nx, ny):
-        system, args = moment_tables(SpatialMesh(nx, ny, 6.0, 6.0), 4, vef)
+        mesh = SpatialMesh(nx, ny, 6.0, 6.0)
+        system, args = moment_tables(mesh, 4, vef)
         assert system.faces.coef.shape == (2, 4, ny * (nx - 1) + (ny - 1) * nx)
-        reference = permuted_per_group_systems(system, *args)
         E, calls = solve_capturing(system, args, monkeypatch)
         assert len(calls) == 1
-        (A, b), N = calls[0], nx * ny
-        for g, (A_g, b_g) in enumerate(reference):
-            block = slice(g * N, (g + 1) * N)
-            assert A[block, block].nnz == A_g.nnz and (A[block, block] != A_g).nnz == 0
-            np.testing.assert_array_equal(b[block], b_g)
-        np.testing.assert_array_equal(E, per_group_solution(system, reference, E.shape))
+        (S, b), n_black = calls[0], mesh.n_cells // 2
+        assert S.shape == (4 * n_black, 4 * n_black)
+        assert_solves_its_own_blocks(black_values(mesh, E), S, b)
+        # Against a dense solve of every group's full balance over both colours.
+        for g, (A_g, b_g) in enumerate(per_group_systems(system, *args)):
+            exact = np.linalg.solve(A_g.toarray(), b_g)
+            np.testing.assert_allclose(E[g].ravel(), exact, rtol=DENSE_RTOL, atol=0.0)
 
     @pytest.mark.parametrize("vef", [False, True])
     def test_stored_fluxes_balance_every_cell(self, vef):
@@ -559,28 +568,13 @@ class TestMomentSystem:
         assert energy_balance_residual(paid, new, dt, mesh, eos) < 1e-14
         assert energy_balance_residual(reversed_sign, new, dt, mesh, eos) > 1e-3
 
-    def test_p1_block_solve_is_bitwise_on_the_benchmark_mesh(self):
-        # The blocks are the permuted per-group matrices exactly (above) and
-        # every block is factored in the given order, so the one solve of
-        # all 17 groups repeats the per-group solves bit for bit.
-        system, args = moment_tables(SpatialMesh(8, 8, 6.0, 6.0), 17, vef=False)
-        reference = permuted_per_group_systems(system, *args)
-        np.testing.assert_array_equal(system.solve(*args), per_group_solution(system, reference, args[3].shape))
-
-    @pytest.mark.parametrize("nx, ny, separator", [(8, 8, np.s_[:, 4]), (6, 5, np.s_[:, 3]), (1, 7, np.s_[:, :])])
-    def test_cell_order_is_a_nested_dissection_permutation(self, nx, ny, separator):
-        mesh = SpatialMesh(nx, ny, 1.0, 1.0)
-        order, rank = cell_order(mesh)
-        np.testing.assert_array_equal(np.sort(order), np.arange(mesh.n_cells))
-        np.testing.assert_array_equal(rank[order], np.arange(mesh.n_cells))
-        np.testing.assert_array_equal(order[rank], np.arange(mesh.n_cells))
-        # The first cut is numbered last; a mesh of at most 16 cells is one leaf, row by row.
-        last = np.arange(mesh.n_cells).reshape(ny, nx)[separator].ravel()
-        np.testing.assert_array_equal(order[-last.size:], last)
-        assert cell_order(SpatialMesh(nx, ny, 1.0, 1.0))[0] is order
-        for arr in (order, rank):
-            with pytest.raises(ValueError):
-                arr[0] = 0
+    def test_p1_block_solve_is_bitwise_on_the_benchmark_mesh(self, monkeypatch):
+        # Every reduced block is factored in the numbering it is given, so the
+        # one solve of all 17 groups repeats the per-group solves bit for bit.
+        mesh = SpatialMesh(8, 8, 6.0, 6.0)
+        system, args = moment_tables(mesh, 17, vef=False)
+        E, [(S, b)] = solve_capturing(system, args, monkeypatch)
+        assert_solves_its_own_blocks(black_values(mesh, E), S, b)
 
     def test_one_spsolve_per_picard_pass(self, monkeypatch):
         calls = []
@@ -616,6 +610,30 @@ class TestMomentSystem:
                 system.solve(np.inf, ckappa, source, E_prev)
         assert info.value.group == group
 
+    @pytest.mark.parametrize("group", range(3))
+    def test_zero_red_diagonal_is_named(self, group):
+        # A 1 x 1 box with reflective sides has no face: with no time
+        # derivative and no absorption its one (red) cell's diagonal is zero.
+        mesh, G = SpatialMesh(1, 1, 1.0, 1.0), 3
+        faces = FaceForms(np.zeros((2, G, 0)), np.zeros((G, 0)))
+        system = MomentSystem(mesh, faces, np.zeros((G, 4)), np.zeros((G, 4)))
+        ckappa = np.ones((G, 1, 1))
+        ckappa[group] = 0.0
+        with pytest.raises(SolverError, match="zero diagonal") as info:
+            system.solve(np.inf, ckappa, np.ones((G, 1, 1)), np.ones((G, 1, 1)))
+        assert info.value.group == group
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_non_finite_absorption_is_named(self, bad, n):
+        # nan or inf c kappa in one cell of group 1, red or black, fails that group only.
+        for cell in [(0, 0), (0, n - 1)]:
+            system, (dt, ckappa, source, E_prev) = moment_tables(SpatialMesh(n, n, 2.0, 2.0), 3, vef=False)
+            ckappa[(1,) + cell] = bad
+            with pytest.raises(SolverError) as info:
+                system.solve(dt, ckappa, source, E_prev)
+            assert info.value.group == 1
+
     def test_cached_stencil_equals_a_fresh_build_and_is_read_only(self):
         mesh = SpatialMesh(5, 4, 5.0, 2.0)
         cells, width = face_cells(mesh)
@@ -633,20 +651,72 @@ class TestMomentSystem:
         b_cells, b_width = boundary_cells(mesh)
         np.testing.assert_array_equal(b_cells, np.concatenate([idx[:, 0], idx[:, -1], idx[0], idx[-1]]))
         np.testing.assert_array_equal(b_width, np.repeat([1.0, 1.0, 0.5, 0.5], [4, 4, 5, 5]))
-        template = _template(mesh, 3)
+        numbering, template = _red_black(mesh), _template(mesh, 3)
+        assert _red_black(SpatialMesh(5, 4, 5.0, 2.0))[0] is numbering[0]
         assert _template(SpatialMesh(5, 4, 5.0, 2.0), 3)[0] is template[0]
+        _red_black.cache_clear()
         _template.cache_clear()
-        for cached, fresh in zip(template, _template(mesh, 3)):
+        for cached, fresh in zip(numbering + template, _red_black(mesh) + _template(mesh, 3)):
             np.testing.assert_array_equal(cached, fresh)
-        indices, indptr, slot = template
-        # Each group's block holds the 5-point stencil: the diagonal and two
-        # off-diagonal slots per interior face.
-        assert indices.size == 3 * (mesh.n_cells + 2 * cells.shape[1])
+        indices, indptr, slot, to_cell, to_red, to_black = template
+        # Each group's block of S holds a slot for every two black cells that
+        # share a red neighbour, a black cell with itself included.
+        adjacency = np.zeros((mesh.n_cells,) * 2, dtype=int)
+        adjacency[cells[0], cells[1]] = adjacency[cells[1], cells[0]] = 1
+        red = (idx // mesh.nx + idx % mesh.nx).ravel() % 2 == 0
+        assert indices.size == 3 * np.count_nonzero(adjacency[~red][:, red] @ adjacency[red][:, ~red])
         assert indices.dtype == indptr.dtype == np.int32
         assert indptr[-1] == indices.size and slot.max() < indices.size
-        for arr in (cells, width, b_cells, b_width, indices, indptr, slot):
+        assert to_cell.max() < 3 * mesh.n_cells and to_red.max() < 3 * 10 and to_black.max() < 3 * 10
+        for arr in (cells, width, b_cells, b_width) + numbering + template:
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    @pytest.mark.parametrize("nx, ny", [(5, 4), (4, 5), (1, 1), (1, 6), (7, 1)])
+    def test_red_black_numbering_splits_every_face(self, nx, ny):
+        mesh = SpatialMesh(nx, ny, 1.0, 1.0)
+        rank, red_low, face_red, face_black, pair_faces, pair_red = _red_black(mesh)
+        N, cells = mesh.n_cells, face_cells(mesh)[0]
+        n_red = N - N // 2
+        np.testing.assert_array_equal(np.sort(rank), np.arange(N))
+        # the red cells, i + j even, come first in flat order
+        i, j = np.divmod(np.arange(N), nx)
+        red = (i + j) % 2 == 0
+        np.testing.assert_array_equal(rank[red], np.arange(n_red))
+        # every interior face joins one red and one black cell
+        np.testing.assert_array_equal(red[cells[0]], red_low)
+        np.testing.assert_array_equal(red[cells[1]], ~red_low)
+        np.testing.assert_array_equal(face_red, rank[np.where(red_low, cells[0], cells[1])])
+        np.testing.assert_array_equal(face_black + n_red, rank[np.where(red_low, cells[1], cells[0])])
+        # pairs: every ordered pair of faces on a shared red cell, once each
+        shared = face_red[:, None] == face_red[None, :]
+        assert pair_faces.shape == (2, np.count_nonzero(shared))
+        assert np.all(shared[pair_faces[0], pair_faces[1]])
+        assert len(set(zip(*pair_faces.tolist()))) == pair_faces.shape[1]
+        np.testing.assert_array_equal(pair_red, face_red[pair_faces[1]])
+
+    def test_reduced_blocks_are_symmetric_except_for_fld_newton(self, monkeypatch):
+        # P1, P1/3 and the VEF give every face one w for both of its
+        # off-diagonal entries, so A is symmetric and, with each pair product
+        # formed before its division, so is S, bit for bit. FLD's Newton
+        # faces are not symmetric, and neither are their blocks.
+        calls = []
+        solve = spla.spsolve
+        monkeypatch.setattr(spla, "spsolve", lambda A, b, **kw: calls.append(A) or solve(A, b, **kw))
+        prob = benchmark_problem(6, 5)
+        for model in MODELS:
+            calls.clear()
+            diffusion_step(prob, initial_moment_state(prob, 1e-3), 0.02, model)
+            assert len(calls) > 1
+            asymmetric = [(S != S.T).nnz for S in calls]
+            if model == "fld":
+                assert max(asymmetric) > 0
+            else:
+                assert max(asymmetric) == 0, model
+        calls.clear()
+        system, args = moment_tables(SpatialMesh(6, 5, 6.0, 6.0), 4, vef=True)
+        system.solve(*args)
+        assert (calls[0] != calls[0].T).nnz == 0
 
 
 # ---------------------------------------------------------------------------

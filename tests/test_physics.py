@@ -16,8 +16,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from ddvef import physics
-from ddvef.errors import ConvergenceError
-from ddvef.grid import build_frequency_grid
+from ddvef.errors import ConfigError, ConvergenceError
+from ddvef.grid import _MAX_EDGE_X, T_FLOOR, FrequencyGrid, build_frequency_grid
 from ddvef.physics import (
     DEFAULT_CONSTANTS,
     PLANCK_INTEGRAL_TOTAL,
@@ -325,6 +325,25 @@ class TestEdgeEvaluation:
                 np.testing.assert_array_equal(got, expect)
             np.testing.assert_array_equal(constant[2], group_planck(T, FGRID))
 
+
+    def test_last_edge_limit_is_where_x4_overflows(self):
+        # Just below the limit every group value stays finite down to the
+        # clamped floor temperature; just above it build_frequency_grid
+        # refuses the grid, and the same edges built directly overflow x^4
+        # at T_FLOOR into nan.
+        T = np.array([1e-9, T_FLOOR, 1.0])
+        below, above = (f * _MAX_EDGE_X * T_FLOOR for f in (0.999, 1.001))
+        grid = build_frequency_grid((1.0, below))
+        for values in InverseCubeMaterial(grid).emission_terms(T, DEFAULT_CONSTANTS):
+            assert np.all(np.isfinite(values))
+        with pytest.raises(ConfigError, match="overflows"):
+            build_frequency_grid((1.0, above))
+        with np.errstate(all="ignore"):
+            overflowing = InverseCubeMaterial(FrequencyGrid(np.array([0.0, 1.0, above]))).emission_terms(T_FLOOR, DEFAULT_CONSTANTS)
+        assert not all(np.all(np.isfinite(values)) for values in overflowing)
+        # The bounds (1, 1e72) KeV, found to give nan, are refused.
+        with pytest.raises(ConfigError, match="overflows"):
+            build_frequency_grid((1.0, 1.0e72))
 
 class TestConstantOpacity:
     def test_broadcast_and_zero_derivative(self):
