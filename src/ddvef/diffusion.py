@@ -26,12 +26,17 @@ is a linear form in its two cell energies and every boundary outward
 current coef E_cell + base, two tables over grid's face tables.
 MomentSystem, the one assembler all four share, sums them into the
 eliminated cell-centered system of every group and reconstructs the face
-fluxes from the same tables. It solves that system by red-black
+fluxes from the same tables. One system serves a whole time step: it is
+built from what the step holds fixed (dt, the previous energies and the
+boundary tables), which it folds once into a base diagonal and
+right-hand side, and each coupling pass hands it only the interior
+faces, the absorption and the source. It solves the system by red-black
 reduction: colouring the cells like a checkerboard, every face joins a
 red and a black cell, so the red block is diagonal and the red unknowns
 eliminate exactly (Saad, Iterative Methods for Sparse Linear Systems,
 red-black ordering). The Schur complement on the black half of the cells
-is summed into a block-CSR template built once per mesh and group count,
+lives in one block-CSR matrix per step, laid out on a template built
+once per mesh and group count; each pass refills its values in place,
 and all groups are solved with one sparse direct solve of the
 block-diagonal system. The nonlinear temperature coupling is
 iteration.couple, the one loop the transport model uses too.
@@ -187,16 +192,16 @@ def _template(mesh: SpatialMesh, G: int):
     the black numbers of _red_black, group g's block at offset g*n_black; a
     block's slots are the sorted unique (row, col) pairs of the black
     diagonal and of every pair of faces that share a red cell. Returns
-    (indices, indptr, slot, to_cell, to_red, to_black): the int32 indices
-    and indptr of the block-diagonal CSR matrix; slot, the flat index into
-    its data array of every contribution solve() lists, in (G, M) order:
-    per group the black diagonal, then the pairs in _red_black's order;
-    to_cell, the place in a (G, N) array of numbered cells of every term
-    solve() sums into the diagonal and the right-hand side: per group each
-    cell's own, the interior faces' on their low- then high-side cells, the
-    boundary faces'; to_red and to_black, the place in the (G, n_red) and
-    (G, n_black) arrays of every interior face's red and black cell. Built
-    once per (mesh, G); the arrays are shared and read-only.
+    (indices, indptr, slot, to_row, to_bound, to_red, to_black): the int32
+    indices and indptr of the block-diagonal CSR matrix; slot, the flat
+    index into its data array of every contribution a pass lists, in
+    (G, M) order: per group the black diagonal, then the pairs in
+    _red_black's order; to_row, the place in a (G, N) array of numbered
+    cells of every interior face's red row and black row, in (2, G,
+    n_faces) order; to_bound, that of every boundary face's cell, in (G,
+    n_boundary_faces) order; to_red and to_black, the place in the (G,
+    n_red) and (G, n_black) arrays of every interior face's red and black
+    cell. Built once per (mesh, G); the arrays are shared and read-only.
     """
     N = mesh.n_cells
     n_black, n_red = N // 2, N - N // 2
@@ -207,11 +212,10 @@ def _template(mesh: SpatialMesh, G: int):
     indices = (slots % n_black + n_black * group).ravel().astype(np.int32)
     starts = np.searchsorted(slots // n_black, np.arange(n_black))
     indptr = np.append((starts + S * group).ravel(), G * S).astype(np.int32)
-    cells = face_cells(mesh)[0]
-    to_cell = rank[np.concatenate([np.arange(N), cells[0], cells[1], boundary_cells(mesh)[0]])] + N * group
+    to_row = np.stack([face_red, face_black + n_red])[:, None] + N * group
     return _read_only(
-        indices, indptr, (slot_of + S * group).ravel(), to_cell.ravel(), (face_red + n_red * group).ravel(),
-        (face_black + n_black * group).ravel(),
+        indices, indptr, (slot_of + S * group).ravel(), to_row.ravel(), (rank[boundary_cells(mesh)[0]] + N * group).ravel(),
+        (face_red + n_red * group).ravel(), (face_black + n_black * group).ravel(),
     )
 
 
@@ -230,7 +234,8 @@ def _relative_residuals(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     invalid="ignore"): an infinite entry or energy leaves inf * 0 = nan in
     r, which reads as an infinite residual.
     """
-    rel = np.linalg.norm(r, axis=1) / np.maximum(np.linalg.norm(b, axis=1), 1.0e-300)
+    norm_r, norm_b = np.linalg.norm(np.stack([r, b]), axis=2)
+    rel = norm_r / np.maximum(norm_b, 1.0e-300)
     return np.where(np.isfinite(rel), rel, np.inf)
 
 
@@ -262,14 +267,17 @@ class FaceForms(NamedTuple):
 
 
 class MomentSystem:
-    """Face-eliminated zeroth-moment balance of every group for one pass.
+    """Face-eliminated zeroth-moment balance of every group over one time step.
 
-    faces are the FaceForms of the interior faces; b_coef and b_base
-    (G, n_boundary_faces) give each boundary face's outward current
-    n.F = b_coef E_cell + b_base. The balance matrix, its right-hand side
-    and the reconstructed fluxes all come from these two tables, so the
-    stored fluxes are exactly those the solve balanced and the global
-    energy budget telescopes to the boundary flow.
+    One system serves every pass of a step. It is built from what the step
+    holds fixed: the mesh, dt, the previous energies E_prev (G, ny, nx) and
+    the boundary tables b_coef and b_base (G, n_boundary_faces), which give
+    each boundary face's outward current n.F = b_coef E_cell + b_base. Each
+    pass brings the FaceForms of the interior faces, c kappa and the
+    emission source (solve). The balance matrix, its right-hand side and
+    the reconstructed fluxes (fluxes) all come from the face and boundary
+    tables, so the stored fluxes are exactly those the solve balanced and
+    the global energy budget telescopes to the boundary flow.
 
     Every model's faces couple only their two adjacent cells, so a
     group's balance A E = b is the 5-point stencil. With the cells split
@@ -285,69 +293,95 @@ class MomentSystem:
     block-diagonal system, group g's block at offset g*n_black, in the
     fill-reducing numbering of the black cells that _red_black takes once
     per mesh from COLAMD (permc_spec="NATURAL" then keeps it, instead of
-    ordering on every pass). S's structure depends only on the mesh and
-    the group count: its indices, row pointers and the data slot of every
-    listed contribution are built once per (mesh, G) (_template); a pass
-    only sums its values into their slots with one bincount. Where the
-    faces are symmetric (P1, P1/3, the VEF) so is S, bit for bit.
+    ordering on every pass).
+
+    What the step fixes is folded in once, when the system is built:
+    1/dt and the boundary coefficients into a base diagonal, E_prev/dt and
+    the boundary base into a base right-hand side, both in red-black
+    numbers, and S, the block-CSR matrix on the (mesh, G) template of
+    _template. A pass adds c kappa, the source and its faces to the two
+    bases and refills S's values in place, without rebuilding or
+    re-checking its structure; that structure is canonical (sorted, no
+    duplicates), so spsolve leaves it as it is handed over. The faces are
+    oriented by colour: each face's coefficients over its width give its
+    red row's diagonal share p (A_br = -p) and its black row's, -q
+    (A_rb = q), so S's pair products p q / d_r = -(A_br A_rb) / d_r are
+    formed before the division, and where the faces are symmetric (P1,
+    P1/3, the VEF) S is symmetric, bit for bit.
     """
 
-    def __init__(self, mesh: SpatialMesh, faces: FaceForms, b_coef: np.ndarray, b_base: np.ndarray):
-        self.mesh, self.faces = mesh, faces
-        self.b_coef, self.b_base = b_coef, b_base
-        self.b_cells, self.b_width = boundary_cells(mesh)
+    def __init__(self, mesh: SpatialMesh, dt: float, E_prev: np.ndarray, b_coef: np.ndarray, b_base: np.ndarray):
+        G, N = E_prev.shape[0], mesh.n_cells
+        self.mesh, self.b_coef, self.b_base = mesh, b_coef, b_base
+        self.b_cells, b_width = boundary_cells(mesh)
+        rank, red_low, self._face_red, self._face_black, self._pairs, self._pair_red = _red_black(mesh)
+        indices, indptr, self._slot, self._to_row, to_bound, self._to_red, self._to_black = _template(mesh, G)
+        self._rank, self._cell = rank, np.argsort(rank)  # the number of each flat cell, the flat cell of each number
+        # Signed widths, (2, 1, n_faces): dividing a face's (low, high)
+        # coefficients by _width gives each side's diagonal share, the high
+        # side's negated, and dividing its base by _base_width gives the
+        # (red, black) rows' right-hand-side shares.
+        width = face_cells(mesh)[1]
+        red_side = np.where(red_low, -width, width)
+        self._red_low = red_low
+        self._width, self._base_width = np.stack([width, -width])[:, None], np.stack([red_side, -red_side])[:, None]
+        bound = np.bincount(to_bound, (b_coef / b_width).ravel(), minlength=G * N).reshape(G, N)
+        self._d0 = bound + 1.0 / dt
+        bound = np.bincount(to_bound, (b_base / b_width).ravel(), minlength=G * N).reshape(G, N)
+        self._r0 = (E_prev.reshape(G, N) / dt)[:, self._cell] - bound
+        self.S = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(G * (N // 2),) * 2)
 
-    def fluxes(self, E: np.ndarray):
-        """Face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) of the energies E."""
+    def fluxes(self, faces: FaceForms, E: np.ndarray):
+        """Face-normal fluxes Fx (G, ny, nx+1) and Fy (G, ny+1, nx) of the faces and the energies E."""
         Ef = E.reshape(E.shape[0], -1)
         cells = face_cells(self.mesh)[0]
-        interior = self.faces.base + (self.faces.coef * Ef[:, cells].transpose(1, 0, 2)).sum(axis=0)
+        interior = faces.base + (faces.coef * Ef[:, cells].transpose(1, 0, 2)).sum(axis=0)
         return padded_fluxes(self.mesh, interior, self.b_coef * Ef[:, self.b_cells] + self.b_base)
 
-    def solve(self, dt: float, ckappa: np.ndarray, source: np.ndarray, E_prev: np.ndarray) -> np.ndarray:
+    def solve(self, faces: FaceForms, ckappa: np.ndarray, source: np.ndarray) -> np.ndarray:
         """Energies of every group from E/dt + div F(E) + c kappa E = E_prev/dt + source.
 
-        ckappa is c kappa and source the emission 4 pi kappa B, both (G, ny, nx).
-        A zero red diagonal, a singular reduced block, a non-finite result
-        or a group whose relative residual exceeds _RESIDUAL_TOL raises
-        SolverError naming the group.
+        faces are the FaceForms of the interior faces, ckappa is c kappa and
+        source the emission 4 pi kappa B, both (G, ny, nx). A zero red
+        diagonal, a singular reduced block, a non-finite result or a group
+        whose relative residual exceeds _RESIDUAL_TOL raises SolverError
+        naming the group.
         """
-        G, N = E_prev.shape[0], self.mesh.n_cells
+        G, N = self._d0.shape
         n_black = N // 2
         n_red = N - n_black
-        rank, red_low, face_red, face_black, (first, second), pair_red = _red_black(self.mesh)
-        indices, indptr, slot, to_cell, to_red, to_black = _template(self.mesh, G)
+        face_red, face_black, (first, second) = self._face_red, self._face_black, self._pairs
 
-        # A face flux F = coef[0] E_lo + coef[1] E_hi + base leaves its low
-        # cell and enters its high one: divided by the width, it adds to the
-        # low cell's row and subtracts from the high cell's. bincount sums
-        # each cell's terms in the order _template lists them.
-        width = face_cells(self.mesh)[1]
-        coef, base = self.faces.coef / width, self.faces.base / width
-        terms = np.concatenate([1.0 / dt + ckappa.reshape(G, N), coef[0], -coef[1], self.b_coef / self.b_width], axis=1)
-        d = np.bincount(to_cell, terms.ravel(), minlength=G * N).reshape(G, N)
-        terms = np.concatenate([(E_prev / dt + source).reshape(G, N), -base, base, -self.b_base / self.b_width], axis=1)
-        rhs = np.bincount(to_cell, terms.ravel(), minlength=G * N).reshape(G, N)
-        (d_r, d_b), (b_r, b_b) = np.split(d, [n_red], axis=1), np.split(rhs, [n_red], axis=1)
+        # A face flux leaves its low cell and enters its high one. Oriented by
+        # colour, share[0] is each face's red row diagonal share p and
+        # share[1] its black row's, -q. bincount sums the rows' face shares
+        # onto the step's bases.
+        coef = faces.coef / self._width
+        share = np.where(self._red_low, coef, coef[::-1])
+        d = self._d0 + np.bincount(self._to_row, share.ravel(), minlength=G * N).reshape(G, N)
+        d += ckappa.reshape(G, N)[:, self._cell]
+        rhs = self._r0 + np.bincount(self._to_row, (faces.base / self._base_width).ravel(), minlength=G * N).reshape(G, N)
+        rhs += source.reshape(G, N)[:, self._cell]
+        d_r, d_b, b_r, b_b = d[:, :n_red], d[:, n_red:], rhs[:, :n_red], rhs[:, n_red:]
         if not d_r.all():
             raise SolverError("moment system has a zero diagonal entry in a red cell", group=int(np.argmin(d_r.all(axis=1))))
-        # Per face, its entry in A_br (black row, red column) and in A_rb.
-        a_br, a_rb = np.where(red_low, -coef[0], coef[1]), np.where(red_low, coef[1], -coef[0])
 
         # S = A_bb - A_br D_r^-1 A_rb and its right-hand side b_b - A_br D_r^-1 b_r.
-        # A pair's product a_br a_rb is formed before the division, so S is
-        # symmetric bit for bit wherever a_br = a_rb.
-        reduced = np.bincount(to_black, (a_br * (b_r / d_r)[:, face_red]).ravel(), minlength=G * n_black)
-        reduced = b_b - reduced.reshape(G, n_black)
-        vals = np.concatenate([d_b, -(a_br[:, first] * a_rb[:, second]) / d_r[:, pair_red]], axis=1)
-        S = sp.csr_matrix((np.bincount(slot, vals.ravel(), minlength=indices.size), indices, indptr), shape=(G * n_black,) * 2)
+        # A pair's product is formed before its division, so S is symmetric
+        # bit for bit wherever share[0] = share[1].
+        reduced = np.bincount(self._to_black, (share[0] * (b_r / d_r)[:, face_red]).ravel(), minlength=G * n_black)
+        reduced = b_b + reduced.reshape(G, n_black)
+        pairs = (share[0][:, first] * share[1][:, second]) / (-d_r)[:, self._pair_red]
+        S = self.S
+        S.data[:] = np.bincount(self._slot, np.concatenate([d_b, pairs], axis=1).ravel(), minlength=S.data.size)
+        E = np.empty((G, N))
         try:
-            E_b = spla.spsolve(S, reduced.ravel(), permc_spec="NATURAL").reshape(G, n_black)
+            E[:, n_red:] = spla.spsolve(S, reduced.ravel(), permc_spec="NATURAL").reshape(G, n_black)
         except spla.MatrixRankWarning as exc:  # a singular block, with warnings raised as errors
             raise SolverError(f"moment system solve failed: {exc}", group=_failing_group(S, reduced)) from exc
-        push_r = np.bincount(to_red, (a_rb * E_b[:, face_black]).ravel(), minlength=G * n_red).reshape(G, n_red)  # A_rb E_b
-        E_r = (b_r - push_r) / d_r
-        E = np.concatenate([E_r, E_b], axis=1)
+        E_r, E_b = E[:, :n_red], E[:, n_red:]
+        push = np.bincount(self._to_red, (share[1] * E_b[:, face_black]).ravel(), minlength=G * n_red).reshape(G, n_red)
+        np.divide(b_r + push, d_r, out=E_r)  # push is -A_rb E_b
         if not np.isfinite(E).all():
             # A singular block that spsolve was let pass leaves every group nan.
             bad = ~np.isfinite(E).all(axis=1)
@@ -356,12 +390,15 @@ class MomentSystem:
 
         # The full balance A E - rhs over both colours.
         with np.errstate(over="ignore", invalid="ignore"):
-            push_b = np.bincount(to_black, (a_br * E_r[:, face_red]).ravel(), minlength=G * n_black).reshape(G, n_black)
-            residual = _relative_residuals(np.concatenate([d_r * E_r + push_r - b_r, d_b * E_b + push_b - b_b], axis=1), rhs)
+            push_b = np.bincount(self._to_black, (share[0] * E_r[:, face_red]).ravel(), minlength=G * n_black)  # -A_br E_r
+            r = d * E - rhs
+            r[:, :n_red] -= push
+            r[:, n_red:] -= push_b.reshape(G, n_black)
+            residual = _relative_residuals(r, rhs)
         worst = int(np.argmax(residual))
         if residual[worst] > _RESIDUAL_TOL:
             raise SolverError(f"moment system solve left a relative residual of {residual[worst]:.3g}", group=worst)
-        return E[:, rank].reshape(E_prev.shape)
+        return E[:, self._rank].reshape(G, self.mesh.ny, self.mesh.nx)
 
 
 def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, F_prev, g, r=0.0) -> FaceForms:
@@ -428,32 +465,33 @@ def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label:
 
     faces(kappa, E_lag, theta) gives the one FaceForms table of the
     interior faces for a pass and boundary the fixed (b_coef, b_base)
-    tables. The step is
-    iteration.couple with MomentSystem.solve, one block-diagonal solve of
-    all groups, as its radiation solve, started at the temperature
-    T_start; None, which the diffusion models pass, starts it on the
-    temperature extrapolated by state.dTdt (iteration.couple), and the new
-    state carries this step's rate (T_new - state.T) / dt. FLD, whose
-    faces depend on E, passes e_scale so the coupling iterates on the
-    joint (T, E) unknown. theta is the coupling's back-off weight
-    (iteration.fixed_point_solve); it scales the Newton part of FLD's
-    faces, starting at one and halving on a stall, and the other models
-    ignore it.
+    tables. The step builds one MomentSystem from what it holds fixed (dt,
+    state.E and the boundary tables) and is iteration.couple with that
+    system's solve, one block-diagonal solve of all groups, as its
+    radiation solve, started at the temperature T_start; None, which the
+    diffusion models pass, starts it on the temperature extrapolated by
+    state.dTdt (iteration.couple), and the new state carries this step's
+    rate (T_new - state.T) / dt. Each pass hands the system only its faces,
+    c kappa and source. FLD, whose faces depend on E, passes e_scale so the
+    coupling iterates on the joint (T, E) unknown. theta is the coupling's
+    back-off weight (iteration.fixed_point_solve); it scales the Newton
+    part of FLD's faces, starting at one and halving on a stall, and the
+    other models ignore it.
     The stored fluxes come from Picard faces (theta = 0) rebuilt on the
     converged E, so FLD's are the limited flux of their own E and satisfy
     the limiter bound against it exactly.
     """
     c = DEFAULT_CONSTANTS.c
+    system = MomentSystem(problem.mesh, dt, state.E, *boundary)
     last = {}
 
     def radiate(kappa, B, E_lag, theta):
-        system = MomentSystem(problem.mesh, faces(kappa, E_lag, theta), *boundary)
-        last["kappa"], last["E"] = kappa, system.solve(dt, c * kappa, 4.0 * np.pi * kappa * B, state.E)
+        last["kappa"], last["E"] = kappa, system.solve(faces(kappa, E_lag, theta), c * kappa, 4.0 * np.pi * kappa * B)
         return last["E"]
 
     T_new, history = couple(problem, state, dt, radiate, label, T_start, e_scale)
     E_new = last["E"]
-    Fx, Fy = MomentSystem(problem.mesh, faces(last["kappa"], E_new, 0.0), *boundary).fluxes(E_new)
+    Fx, Fy = system.fluxes(faces(last["kappa"], E_new, 0.0), E_new)
     new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy, dTdt=(T_new - state.T) / dt)
     return new_state, StepDiagnostics(history, energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos))
 

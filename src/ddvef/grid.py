@@ -329,10 +329,29 @@ BENCHMARK_GROUP_BOUNDS = (
 class FrequencyGrid:
     """Contiguous photon-frequency groups [nu_{g-1}, nu_g], nu_0 = 0.
 
-    bounds has shape (G + 1,) including the leading zero; frequencies in KeV.
+    bounds has shape (G + 1,) including the leading zero; frequencies in
+    KeV. The bounds must be finite and strictly increasing from that zero,
+    and the last must stay below T_FLOOR * _MAX_EDGE_X (about 1.16e71
+    KeV), where the group evaluations would overflow to nan at the floor
+    temperature; other bounds raise ConfigError. The grid keeps a
+    read-only float copy of them.
     """
 
     bounds: np.ndarray
+
+    def __post_init__(self):
+        bounds = np.array(self.bounds, dtype=float)
+        if bounds.ndim != 1 or bounds.size < 2:
+            raise ConfigError(f"frequency grid needs a 1-D array of bounds with at least one group, got shape {bounds.shape}")
+        if bounds[0] != 0.0:
+            raise ConfigError(f"frequency grid must start at 0, got {bounds[0]}")
+        # Written so that nan, which fails every comparison, is rejected too.
+        if not (np.all(np.diff(bounds) > 0.0) and np.isfinite(bounds[-1])):
+            raise ConfigError("group bounds must be positive, finite and strictly increasing")
+        if not bounds[-1] / T_FLOOR < _MAX_EDGE_X:
+            raise ConfigError(f"last group bound {bounds[-1]:.3g} KeV overflows x^4 at T_FLOOR (x limit {_MAX_EDGE_X:.3g})")
+        bounds.setflags(write=False)
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def n_groups(self) -> int:
@@ -340,18 +359,8 @@ class FrequencyGrid:
 
 
 def build_frequency_grid(upper_bounds=BENCHMARK_GROUP_BOUNDS) -> FrequencyGrid:
-    """Build a frequency grid from strictly increasing, positive and finite upper edges.
-
-    The last edge must stay below T_FLOOR * _MAX_EDGE_X (about 1.16e71 KeV),
-    where the group evaluations would overflow to nan at the floor temperature.
-    """
+    """Build a frequency grid from its upper edges; FrequencyGrid checks them."""
     ub = np.asarray(upper_bounds, dtype=float)
-    if ub.ndim != 1 or ub.size < 1:
-        raise ConfigError("frequency grid needs at least one group bound")
-    if not (ub[0] > 0.0 and np.all(np.diff(ub) > 0.0) and np.isfinite(ub[-1])):
-        raise ConfigError("group bounds must be positive, finite and strictly increasing")
-    if not ub[-1] / T_FLOOR < _MAX_EDGE_X:
-        raise ConfigError(f"last group bound {ub[-1]:.3g} KeV overflows x^4 at T_FLOOR (x limit {_MAX_EDGE_X:.3g})")
-    bounds = np.concatenate([[0.0], ub])
-    bounds.setflags(write=False)
-    return FrequencyGrid(bounds)
+    if ub.ndim != 1:
+        raise ConfigError(f"group bounds must be a 1-D sequence, got shape {ub.shape}")
+    return FrequencyGrid(np.concatenate([[0.0], ub]))

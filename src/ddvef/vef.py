@@ -24,11 +24,13 @@ boundary tables (b_coef, b_base), which P1's Marshak law fills with
 (c/2, -2 F_in) for the incoming partial current F_in.
 
 The closed system is assembled and solved by diffusion.MomentSystem, the
-one assembler that P1, P1/3, FLD and the VEF share; the VEF only fills in
-its face and boundary tables. Backward Euler eliminates each face
-flux: the normal part of the divergence of the closed pressure tensor is
-a face factor times the central density difference across the face
-(f_xx dE/dx on x-faces, f_yy dE/dy on y-faces), P1's 5-point stencil.
+one assembler that P1, P1/3, FLD and the VEF share, built once per step
+on the record's boundary tables and handed the record's faces on every
+pass; the VEF only fills in its face and boundary tables. Backward Euler
+eliminates each face flux: the normal part of the divergence of the
+closed pressure tensor is a face factor times the central density
+difference across the face (f_xx dE/dx on x-faces, f_yy dE/dy on
+y-faces), P1's 5-point stencil.
 Because the moment stencil and the transport sweep discretize space
 differently, interpolated tensor components alone leave an O(1) flux
 mismatch wherever the radiation front spans only a few cells or a thin

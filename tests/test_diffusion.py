@@ -16,6 +16,7 @@ from ddvef.diffusion import (
     MomentState,
     MomentSystem,
     _fld_faces,
+    _marshak_boundary,
     _red_black,
     _template,
     diffusion_step,
@@ -425,9 +426,10 @@ class TestThickLimit:
 # ---------------------------------------------------------------------------
 
 
-def moment_tables(mesh, G, vef, seed=0):
-    """A MomentSystem and its solve inputs: P1 faces (vef False), VEF faces (True:
-    random factors, remainders and boundary factors) or FLD's Newton faces at
+def moment_tables(mesh, G, vef, seed=0, dt=0.05):
+    """A MomentSystem, its step's (dt, E_prev) and the (faces, c kappa,
+    source) of one pass: P1 faces (vef False), VEF faces (True: random
+    factors, remainders and boundary factors) or FLD's Newton faces at
     theta = 1 ("fld", on a random lagged energy)."""
     rng = np.random.default_rng(seed)
     shape = (G, mesh.ny, mesh.nx)
@@ -436,7 +438,7 @@ def moment_tables(mesh, G, vef, seed=0):
         0.0, np.ones(shape[1:]), rng.uniform(0.5, 2.0, shape),
         rng.normal(size=(G, mesh.ny, mesh.nx + 1)), rng.normal(size=(G, mesh.ny + 1, mesh.nx)),
     )
-    dt, nb, nf = 0.05, mesh.n_boundary_faces, face_cells(mesh)[1].size
+    nb, nf = mesh.n_boundary_faces, face_cells(mesh)[1].size
     alpha, F_prev = 1.0 / (C * dt), interior_fluxes(state.Fx, state.Fy)
     b_coef = np.full((G, nb), 0.5 * C)
     if vef == "fld":
@@ -446,40 +448,49 @@ def moment_tables(mesh, G, vef, seed=0):
         b_coef = C * rng.uniform(0.3, 0.6, (G, nb)) * rng.uniform(0.5, 1.5, (G, nb))
     else:
         faces = first_moment_faces(mesh, kappa, alpha, F_prev, 1.0 / 3.0)
-    system = MomentSystem(mesh, faces, b_coef, -rng.uniform(0.0, 2.0, (G, nb)))
-    return system, (dt, C * kappa, rng.uniform(0.0, 5.0, shape), state.E)
+    system = MomentSystem(mesh, dt, state.E, b_coef, -rng.uniform(0.0, 2.0, (G, nb)))
+    return system, (dt, state.E), (faces, C * kappa, rng.uniform(0.0, 5.0, shape))
 
 
-def per_group_systems(system, dt, ckappa, source, E_prev):
+def per_group_systems(system, dt, E_prev, faces, ckappa, source):
     """Reference: each group's full balance (A_g, rhs_g) over all cells in flat
     order, with div0 taken from the fluxes of zero energies. Each face's
     coefficients are listed in the rows of its low- then high-side cell,
     over the face table."""
     mesh = system.mesh
     G, N = E_prev.shape[0], mesh.n_cells
-    Fx0, Fy0 = system.fluxes(np.zeros_like(E_prev))
+    Fx0, Fy0 = system.fluxes(faces, np.zeros_like(E_prev))
     div0 = (Fx0[:, :, 1:] - Fx0[:, :, :-1]) / mesh.dx + (Fy0[:, 1:, :] - Fy0[:, :-1, :]) / mesh.dy
     rhs = (E_prev / dt + source - div0).reshape(G, N)
     rows, cols, vals = [np.arange(N)], [np.arange(N)], [1.0 / dt + ckappa.reshape(G, N)]
     cells, width = face_cells(mesh)
-    coef = (system.faces.coef / width).transpose(1, 0, 2).reshape(G, -1)
+    coef = (faces.coef / width).transpose(1, 0, 2).reshape(G, -1)
     for owner, sign in ((cells[0], 1.0), (cells[1], -1.0)):
         rows.append(np.tile(owner, 2))
         cols.append(cells.ravel())
         vals.append(sign * coef)
-    b_cells = boundary_cells(mesh)[0]
+    b_cells, b_width = boundary_cells(mesh)
     rows.append(b_cells)
     cols.append(b_cells)
-    vals.append(system.b_coef / system.b_width)
+    vals.append(system.b_coef / b_width)
     A = [sp.csr_matrix((v, (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)) for v in np.concatenate(vals, axis=1)]
     return list(zip(A, rhs))
 
 
-def solve_capturing(system, args, monkeypatch):
-    """Solve the system and return the energies with the arguments of every spsolve call."""
+def capture_spsolve(monkeypatch):
+    """Record a copy of the matrix and the right-hand side of every spsolve call.
+
+    The matrix is copied at the call, because a step refills one matrix on every pass.
+    """
     calls = []
     solve = spla.spsolve
-    monkeypatch.setattr(spla, "spsolve", lambda A, b, **kw: calls.append((A, b)) or solve(A, b, **kw))
+    monkeypatch.setattr(spla, "spsolve", lambda A, b, **kw: calls.append((A.copy(), b.copy())) or solve(A, b, **kw))
+    return calls
+
+
+def solve_capturing(system, args, monkeypatch):
+    """Solve one pass of the system and return the energies with the arguments of every spsolve call."""
+    calls = capture_spsolve(monkeypatch)
     return system.solve(*args), calls
 
 
@@ -497,6 +508,16 @@ def assert_solves_its_own_blocks(E, S, b):
         np.testing.assert_array_equal(E[g], spla.spsolve(S[block, block], b[block], permc_spec="NATURAL"))
 
 
+def assert_matches_dense_solves(E, system, step, args, normwise=False):
+    """The energies E of a pass equal a dense solve of every group's full
+    balance to DENSE_RTOL: elementwise, or relative to the group's largest
+    energy (normwise)."""
+    for g, (A_g, b_g) in enumerate(per_group_systems(system, *step, *args)):
+        exact = np.linalg.solve(A_g.toarray(), b_g)
+        atol = DENSE_RTOL * np.abs(exact).max() if normwise else 0.0
+        np.testing.assert_allclose(E[g].ravel(), exact, rtol=0.0 if normwise else DENSE_RTOL, atol=atol)
+
+
 #: Elementwise relative difference allowed between the reduced solve and a
 #: dense solve of a group's full balance: the largest seen over 20 seeds of
 #: moment_tables on the meshes of test_one_block_solve_matches_per_group_solves
@@ -509,26 +530,54 @@ class TestMomentSystem:
     @pytest.mark.parametrize("nx, ny", [(8, 8), (6, 5), (1, 1), (1, 4), (4, 1)])
     def test_one_block_solve_matches_per_group_solves(self, monkeypatch, vef, nx, ny):
         mesh = SpatialMesh(nx, ny, 6.0, 6.0)
-        system, args = moment_tables(mesh, 4, vef)
-        assert system.faces.coef.shape == (2, 4, ny * (nx - 1) + (ny - 1) * nx)
+        system, step, args = moment_tables(mesh, 4, vef)
+        assert args[0].coef.shape == (2, 4, ny * (nx - 1) + (ny - 1) * nx)
         E, calls = solve_capturing(system, args, monkeypatch)
         assert len(calls) == 1
         (S, b), n_black = calls[0], mesh.n_cells // 2
         assert S.shape == (4 * n_black, 4 * n_black)
         assert_solves_its_own_blocks(black_values(mesh, E), S, b)
         # Against a dense solve of every group's full balance over both colours.
-        for g, (A_g, b_g) in enumerate(per_group_systems(system, *args)):
-            exact = np.linalg.solve(A_g.toarray(), b_g)
-            np.testing.assert_allclose(E[g].ravel(), exact, rtol=DENSE_RTOL, atol=0.0)
+        assert_matches_dense_solves(E, system, step, args)
+
+    @given(
+        nx=st.integers(1, 5),
+        ny=st.integers(1, 5),
+        aspect=st.floats(0.2, 5.0),
+        G=st.sampled_from([1, 2, 17]),
+        kind=st.sampled_from([False, True, "fld"]),
+        dt=st.floats(1.0e-3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    def test_random_systems_match_dense_solves(self, nx, ny, aspect, G, kind, dt, seed):
+        # On small meshes of any cell aspect ratio (dx / dy), any group count,
+        # P1, VEF or FLD Newton faces, any dt and random boundary tables, two
+        # passes of one step's system each give the energies of a dense
+        # solve of every group's full balance; S is bitwise symmetric
+        # wherever the faces are (P1 and the VEF). The bound is relative to
+        # each group's largest energy: remainders and outward boundary bases
+        # of either sign leave some energies near zero or negative, where
+        # the dense reference itself is accurate only to rounding of the
+        # largest (over 600 draws: 4.6e-14 elementwise, 1.9e-15 normwise).
+        mesh = SpatialMesh(nx, ny, 1.5 * nx, 1.5 * ny / aspect)
+        _, step, args = moment_tables(mesh, G, kind, seed, dt)
+        rng = np.random.default_rng(seed)
+        nb = mesh.n_boundary_faces
+        system = MomentSystem(mesh, *step, C * rng.uniform(0.0, 0.6, (G, nb)), rng.normal(size=(G, nb)))
+        for pass_args in (args, moment_tables(mesh, G, kind, seed + 1, dt)[2]):
+            assert_matches_dense_solves(system.solve(*pass_args), system, step, pass_args, normwise=True)
+            if kind != "fld":
+                assert (system.S != system.S.T).nnz == 0
 
     @pytest.mark.parametrize("vef", [False, True])
     def test_stored_fluxes_balance_every_cell(self, vef):
         # The fluxes rebuilt from the tables are the ones the solve balanced:
         # E/dt + div F + c kappa E = E_prev/dt + source in every cell and group.
         mesh = SpatialMesh(6, 5, 6.0, 6.0)
-        system, (dt, ckappa, source, E_prev) = moment_tables(mesh, 4, vef)
-        E = system.solve(dt, ckappa, source, E_prev)
-        Fx, Fy = system.fluxes(E)
+        system, (dt, E_prev), (faces, ckappa, source) = moment_tables(mesh, 4, vef)
+        E = system.solve(faces, ckappa, source)
+        Fx, Fy = system.fluxes(faces, E)
         div = (Fx[:, :, 1:] - Fx[:, :, :-1]) / mesh.dx + (Fy[:, 1:, :] - Fy[:, :-1, :]) / mesh.dy
         np.testing.assert_allclose(E / dt + div + ckappa * E, E_prev / dt + source, rtol=1e-13, atol=0.0)
 
@@ -539,11 +588,10 @@ class TestMomentSystem:
         # interior-face and outward boundary currents the tables give, and
         # padded_fluxes writes them back; on one-cell-wide meshes a table is empty.
         mesh = SpatialMesh(nx, ny, 6.0, 3.0)
-        system, (dt, _, _, E) = moment_tables(mesh, 4, vef)
-        Fx, Fy = system.fluxes(E)
+        system, (dt, E), (faces, _, _) = moment_tables(mesh, 4, vef)
+        Fx, Fy = system.fluxes(faces, E)
         Ef = E.reshape(4, -1)
         cells = face_cells(mesh)[0]
-        faces = system.faces
         interior = faces.base + (faces.coef * Ef[:, cells].transpose(1, 0, 2)).sum(axis=0)
         outward = system.b_coef * Ef[:, boundary_cells(mesh)[0]] + system.b_base
         np.testing.assert_array_equal(interior_fluxes(Fx, Fy), interior)
@@ -572,7 +620,7 @@ class TestMomentSystem:
         # Every reduced block is factored in the numbering it is given, so the
         # one solve of all 17 groups repeats the per-group solves bit for bit.
         mesh = SpatialMesh(8, 8, 6.0, 6.0)
-        system, args = moment_tables(mesh, 17, vef=False)
+        system, _, args = moment_tables(mesh, 17, vef=False)
         E, [(S, b)] = solve_capturing(system, args, monkeypatch)
         assert_solves_its_own_blocks(black_values(mesh, E), S, b)
 
@@ -584,6 +632,50 @@ class TestMomentSystem:
         _, diag = diffusion_step(prob, initial_moment_state(prob, 1e-3), 0.1, "p1")
         assert diag.picard_iterations > 1
         assert len(calls) == diag.picard_iterations
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_each_step_builds_one_system_and_one_matrix(self, monkeypatch, model):
+        # The system and its reduced matrix are built once per step; every
+        # pass refills that one matrix and hands it to its one spsolve.
+        built, matrices = [], []
+        init, csr, solve = MomentSystem.__init__, sp.csr_matrix, spla.spsolve
+        monkeypatch.setattr(MomentSystem, "__init__", lambda *a, **kw: built.append(1) or init(*a, **kw))
+        monkeypatch.setattr(sp, "csr_matrix", lambda *a, **kw: matrices.append(1) or csr(*a, **kw))
+        calls = []
+        monkeypatch.setattr(spla, "spsolve", lambda A, *a, **kw: calls.append(A) or solve(A, *a, **kw))
+        prob = benchmark_problem()
+        _, diag = diffusion_step(prob, initial_moment_state(prob, 1e-3), 0.1, model)
+        assert diag.picard_iterations > 1
+        assert len(calls) == diag.picard_iterations
+        assert len(built) == len(matrices) == 1
+        assert all(A is calls[0] for A in calls)
+        # spsolve left the refilled matrix's structure as the template laid it out
+        indices, indptr = _template(prob.mesh, prob.fgrid.n_groups)[:2]
+        np.testing.assert_array_equal(calls[0].indices, indices)
+        np.testing.assert_array_equal(calls[0].indptr, indptr)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_refilled_matrix_equals_a_fresh_assembly(self, monkeypatch, model):
+        # Every later pass hands spsolve the same CSR matrix, bit for bit in
+        # values, indices and row pointers, that a system built afresh for
+        # the step assembles from that pass's faces, absorption and source;
+        # and spsolve leaves that matrix as it was handed over.
+        passes, solve = [], MomentSystem.solve
+        monkeypatch.setattr(MomentSystem, "solve", lambda self, *args: passes.append(args) or solve(self, *args))
+        calls = capture_spsolve(monkeypatch)
+        prob = benchmark_problem()
+        state = initial_moment_state(prob, 1e-3)
+        _, diag = diffusion_step(prob, state, 0.1, model)
+        assert diag.picard_iterations == len(passes) == len(calls) > 2
+        boundary = _marshak_boundary(prob, prob.incoming_currents())
+        for args, (S, _) in list(zip(passes, calls))[1:]:
+            fresh = MomentSystem(prob.mesh, 0.1, state.E, *boundary)
+            solve(fresh, *args)
+            for got, want in ((S.data, fresh.S.data), (S.indices, fresh.S.indices), (S.indptr, fresh.S.indptr)):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+        # the passes differ, so each refill had something to change
+        assert not any(np.array_equal(calls[0][0].data, S.data) for S, _ in calls[1:])
 
     @pytest.mark.parametrize("filter_", ["error", "ignore"])
     @pytest.mark.parametrize(
@@ -600,14 +692,13 @@ class TestMomentSystem:
         state = MomentState(0.0, np.ones((n, n)), np.ones((G, n, n)), np.zeros((G, n, n + 1)), np.zeros((G, n + 1, n)))
         faces = first_moment_faces(mesh, kappa, 0.0, interior_fluxes(state.Fx, state.Fy), 1.0 / 3.0)
         nb = mesh.n_boundary_faces
-        system = MomentSystem(mesh, faces, np.zeros((G, nb)), np.zeros((G, nb)))
+        system = MomentSystem(mesh, np.inf, state.E, np.zeros((G, nb)), np.zeros((G, nb)))
         ckappa = C * kappa
         ckappa[group] = 0.0
-        source, E_prev = np.ones((G, n, n)), state.E
         with warnings.catch_warnings():
             warnings.simplefilter(filter_, spla.MatrixRankWarning)
             with pytest.raises(SolverError) as info:
-                system.solve(np.inf, ckappa, source, E_prev)
+                system.solve(faces, ckappa, np.ones((G, n, n)))
         assert info.value.group == group
 
     @pytest.mark.parametrize("group", range(3))
@@ -616,11 +707,11 @@ class TestMomentSystem:
         # derivative and no absorption its one (red) cell's diagonal is zero.
         mesh, G = SpatialMesh(1, 1, 1.0, 1.0), 3
         faces = FaceForms(np.zeros((2, G, 0)), np.zeros((G, 0)))
-        system = MomentSystem(mesh, faces, np.zeros((G, 4)), np.zeros((G, 4)))
+        system = MomentSystem(mesh, np.inf, np.ones((G, 1, 1)), np.zeros((G, 4)), np.zeros((G, 4)))
         ckappa = np.ones((G, 1, 1))
         ckappa[group] = 0.0
         with pytest.raises(SolverError, match="zero diagonal") as info:
-            system.solve(np.inf, ckappa, np.ones((G, 1, 1)), np.ones((G, 1, 1)))
+            system.solve(faces, ckappa, np.ones((G, 1, 1)))
         assert info.value.group == group
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -628,10 +719,10 @@ class TestMomentSystem:
     def test_non_finite_absorption_is_named(self, bad, n):
         # nan or inf c kappa in one cell of group 1, red or black, fails that group only.
         for cell in [(0, 0), (0, n - 1)]:
-            system, (dt, ckappa, source, E_prev) = moment_tables(SpatialMesh(n, n, 2.0, 2.0), 3, vef=False)
+            system, _, (faces, ckappa, source) = moment_tables(SpatialMesh(n, n, 2.0, 2.0), 3, vef=False)
             ckappa[(1,) + cell] = bad
             with pytest.raises(SolverError) as info:
-                system.solve(dt, ckappa, source, E_prev)
+                system.solve(faces, ckappa, source)
             assert info.value.group == 1
 
     def test_cached_stencil_equals_a_fresh_build_and_is_read_only(self):
@@ -658,7 +749,7 @@ class TestMomentSystem:
         _template.cache_clear()
         for cached, fresh in zip(numbering + template, _red_black(mesh) + _template(mesh, 3)):
             np.testing.assert_array_equal(cached, fresh)
-        indices, indptr, slot, to_cell, to_red, to_black = template
+        indices, indptr, slot, to_row, to_bound, to_red, to_black = template
         # Each group's block of S holds a slot for every two black cells that
         # share a red neighbour, a black cell with itself included.
         adjacency = np.zeros((mesh.n_cells,) * 2, dtype=int)
@@ -667,7 +758,13 @@ class TestMomentSystem:
         assert indices.size == 3 * np.count_nonzero(adjacency[~red][:, red] @ adjacency[red][:, ~red])
         assert indices.dtype == indptr.dtype == np.int32
         assert indptr[-1] == indices.size and slot.max() < indices.size
-        assert to_cell.max() < 3 * mesh.n_cells and to_red.max() < 3 * 10 and to_black.max() < 3 * 10
+        assert to_red.max() < 3 * 10 and to_black.max() < 3 * 10
+        # A face's red and black rows, and a boundary face's cell, in the
+        # numbered (G, N) layout: rank of the face's or the face's cell per group.
+        rank, red_low = numbering[:2]
+        face_rows = rank[np.where(red_low, cells, cells[::-1])]
+        np.testing.assert_array_equal(to_row.reshape(2, 3, -1), face_rows[:, None] + mesh.n_cells * np.arange(3)[:, None])
+        np.testing.assert_array_equal(to_bound.reshape(3, -1), rank[b_cells] + mesh.n_cells * np.arange(3)[:, None])
         for arr in (cells, width, b_cells, b_width) + numbering + template:
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -700,23 +797,21 @@ class TestMomentSystem:
         # off-diagonal entries, so A is symmetric and, with each pair product
         # formed before its division, so is S, bit for bit. FLD's Newton
         # faces are not symmetric, and neither are their blocks.
-        calls = []
-        solve = spla.spsolve
-        monkeypatch.setattr(spla, "spsolve", lambda A, b, **kw: calls.append(A) or solve(A, b, **kw))
+        calls = capture_spsolve(monkeypatch)
         prob = benchmark_problem(6, 5)
         for model in MODELS:
             calls.clear()
             diffusion_step(prob, initial_moment_state(prob, 1e-3), 0.02, model)
             assert len(calls) > 1
-            asymmetric = [(S != S.T).nnz for S in calls]
+            asymmetric = [(S != S.T).nnz for S, _ in calls]
             if model == "fld":
                 assert max(asymmetric) > 0
             else:
                 assert max(asymmetric) == 0, model
         calls.clear()
-        system, args = moment_tables(SpatialMesh(6, 5, 6.0, 6.0), 4, vef=True)
+        system, _, args = moment_tables(SpatialMesh(6, 5, 6.0, 6.0), 4, vef=True)
         system.solve(*args)
-        assert (calls[0] != calls[0].T).nnz == 0
+        assert (calls[0][0] != calls[0][0].T).nnz == 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from ddvef.grid import (
     BENCHMARK_GROUP_BOUNDS,
     SIDES,
     AngularQuadrature,
+    FrequencyGrid,
     SpatialMesh,
     boundary_cells,
     build_angular_quadrature,
@@ -299,6 +300,36 @@ class TestFrequencyGrid:
             build_frequency_grid([-1.0, 2.0])
         with pytest.raises(ConfigError):
             build_frequency_grid([2.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "bounds, match",
+        [
+            ([0.0, 2.0, 1.0], "increasing"),
+            ([0.0, -1.0, 2.0], "increasing"),
+            ([0.0, 1.0, 1.0], "increasing"),
+            ([1.0, 2.0], "start at 0"),
+            ([np.nan, 1.0], "start at 0"),
+            ([0.0, 1.0, np.inf], "finite"),
+            ([0.0, np.nan, 1.0], "finite"),
+            ([0.0], "at least one group"),
+            ([[0.0, 1.0]], "1-D"),
+        ],
+    )
+    def test_direct_construction_checks_its_bounds(self, bounds, match):
+        # FrequencyGrid itself refuses the bounds build_frequency_grid refuses,
+        # so a grid built directly cannot give nan group values either.
+        with pytest.raises(ConfigError, match=match):
+            FrequencyGrid(np.array(bounds))
+
+    def test_direct_construction_keeps_a_read_only_copy(self):
+        bounds = np.array([0.0, 1.0, 2.0])
+        grid = FrequencyGrid(bounds)
+        bounds[1] = 5.0
+        np.testing.assert_array_equal(grid.bounds, [0.0, 1.0, 2.0])
+        assert grid.n_groups == 2
+        with pytest.raises(ValueError):
+            grid.bounds[0] = 1.0
+        np.testing.assert_array_equal(FrequencyGrid([0, 1]).bounds, [0.0, 1.0])
 
     @pytest.mark.parametrize("bounds", [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf]])
     def test_non_finite_bounds_rejected(self, bounds):

@@ -285,11 +285,11 @@ def test_exchange_sensitivity_is_the_derivative_of_the_zero_d_coupling_map():
         material = ConstantOpacity(fgrid, scale * np.array([1.0, 3.0, 10.0, 30.0]))
         problem = DiffusionProblem(mesh, fgrid, material, eos, {side: BoundaryCondition("reflective") for side in SIDES})
         no_faces = FaceForms(np.zeros((2, G, 0)), np.zeros((G, 0)))
-        system = MomentSystem(mesh, no_faces, *_marshak_boundary(problem, problem.incoming_currents()))
+        system = MomentSystem(mesh, dt, E_prev, *_marshak_boundary(problem, problem.incoming_currents()))
 
         def coupling_map(T_freeze):
             kappa, _, B, _ = material.emission_terms(np.full((1, 1), T_freeze), DEFAULT_CONSTANTS)
-            E = system.solve(dt, c * kappa, 4.0 * np.pi * kappa * B, E_prev)
+            E = system.solve(no_faces, c * kappa, 4.0 * np.pi * kappa * B)
             return update_temperature(T_prev, E, dt, material, eos)[0, 0]
 
         kappa, _, _, dB = material.emission_terms(T_prev, DEFAULT_CONSTANTS)

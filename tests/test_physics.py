@@ -329,8 +329,8 @@ class TestEdgeEvaluation:
     def test_last_edge_limit_is_where_x4_overflows(self):
         # Just below the limit every group value stays finite down to the
         # clamped floor temperature; just above it build_frequency_grid
-        # refuses the grid, and the same edges built directly overflow x^4
-        # at T_FLOOR into nan.
+        # refuses the grid, and so does FrequencyGrid built directly on the
+        # same edges, which would overflow x^4 at T_FLOOR into nan.
         T = np.array([1e-9, T_FLOOR, 1.0])
         below, above = (f * _MAX_EDGE_X * T_FLOOR for f in (0.999, 1.001))
         grid = build_frequency_grid((1.0, below))
@@ -338,9 +338,9 @@ class TestEdgeEvaluation:
             assert np.all(np.isfinite(values))
         with pytest.raises(ConfigError, match="overflows"):
             build_frequency_grid((1.0, above))
-        with np.errstate(all="ignore"):
-            overflowing = InverseCubeMaterial(FrequencyGrid(np.array([0.0, 1.0, above]))).emission_terms(T_FLOOR, DEFAULT_CONSTANTS)
-        assert not all(np.all(np.isfinite(values)) for values in overflowing)
+        for direct in (above, 1.2e71):
+            with pytest.raises(ConfigError, match="overflows"):
+                FrequencyGrid(np.array([0.0, 1.0, direct]))
         # The bounds (1, 1e72) KeV, found to give nan, are refused.
         with pytest.raises(ConfigError, match="overflows"):
             build_frequency_grid((1.0, 1.0e72))

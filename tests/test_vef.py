@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ddvef import transport as transport_module
 from ddvef import vef as vef_module
@@ -95,8 +97,8 @@ def test_closure_reproduces_its_sweep():
     record = closure_from_sweep(second, kappa, first.Fx, first.Fy)
 
     faces = first_moment_faces(mesh, kappa, 1.0 / (c * DT), interior_fluxes(first.Fx, first.Fy), record.g, record.r)
-    system = MomentSystem(mesh, faces, record.v_out, record.b_base)
-    Fx, Fy = system.fluxes(second.E)
+    system = MomentSystem(mesh, DT, first.E, record.v_out, record.b_base)
+    Fx, Fy = system.fluxes(faces, second.E)
     scale = max(np.abs(second.Fx).max(), np.abs(second.Fy).max())
     np.testing.assert_allclose(Fx, second.Fx, rtol=0.0, atol=1.0e-13 * scale)
     np.testing.assert_allclose(Fy, second.Fy, rtol=0.0, atol=1.0e-13 * scale)
@@ -204,6 +206,29 @@ def test_data_start_reaches_the_previous_level_start_fixed_point(problem, p1_clo
     from_previous, _ = vef_step(problem, state, dt, record)
     assert relative_error(from_data.T, from_previous.T) <= 1.0e-8
     assert relative_error(from_data.E, from_previous.E) <= 1.0e-8
+
+
+def test_each_step_builds_one_system_and_refills_its_matrix(problem, p1_closure, monkeypatch):
+    # One MomentSystem and one reduced matrix per step; every pass refills
+    # that matrix, bit for bit what a system built afresh for the step
+    # assembles from the pass's inputs, and hands it to its one spsolve.
+    built, matrices, calls, passes = [], [], [], []
+    init, csr, solve, spsolve = MomentSystem.__init__, sp.csr_matrix, MomentSystem.solve, spla.spsolve
+    monkeypatch.setattr(MomentSystem, "__init__", lambda *a, **kw: built.append(a[1:]) or init(*a, **kw))
+    monkeypatch.setattr(sp, "csr_matrix", lambda *a, **kw: matrices.append(1) or csr(*a, **kw))
+    monkeypatch.setattr(MomentSystem, "solve", lambda self, *args: passes.append(args) or solve(self, *args))
+    monkeypatch.setattr(spla, "spsolve", lambda A, *a, **kw: calls.append((A, A.copy())) or spsolve(A, *a, **kw))
+    dt, record, _ = next(p1_closure.steps())
+    state = initial_moment_state(problem, T_COLD, p1_closure.t0)
+    _, diag = vef_step(problem, state, dt, record)
+    assert diag.picard_iterations == len(passes) == len(calls) > 2
+    assert len(built) == len(matrices) == 1
+    assert all(A is calls[0][0] for A, _ in calls)
+    for args, (_, S) in list(zip(passes, calls))[1:]:
+        fresh = MomentSystem(*built[0])
+        solve(fresh, *args)
+        for got, want in ((S.data, fresh.S.data), (S.indices, fresh.S.indices), (S.indptr, fresh.S.indptr)):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf])
