@@ -477,21 +477,23 @@ def coupled_step(problem, state: MomentState, dt: float, faces, boundary, label:
     back-off weight (iteration.fixed_point_solve); it scales the Newton
     part of FLD's faces, starting at one and halving on a stall, and the
     other models ignore it.
-    The stored fluxes come from Picard faces (theta = 0) rebuilt on the
-    converged E, so FLD's are the limited flux of their own E and satisfy
-    the limiter bound against it exactly.
+    The stored fluxes come from the last pass's faces, which for P1, P1/3
+    and the VEF depend on kappa alone. FLD's are rebuilt as Picard faces
+    (theta = 0) on the converged E, so they are the limited flux of their
+    own E and satisfy the limiter bound against it exactly.
     """
     c = DEFAULT_CONSTANTS.c
     system = MomentSystem(problem.mesh, dt, state.E, *boundary)
     last = {}
 
     def radiate(kappa, B, E_lag, theta):
-        last["kappa"], last["E"] = kappa, system.solve(faces(kappa, E_lag, theta), c * kappa, 4.0 * np.pi * kappa * B)
+        last["kappa"], last["faces"] = kappa, faces(kappa, E_lag, theta)
+        last["E"] = system.solve(last["faces"], c * kappa, 4.0 * np.pi * kappa * B)
         return last["E"]
 
     T_new, history = couple(problem, state, dt, radiate, label, T_start, e_scale)
     E_new = last["E"]
-    Fx, Fy = system.fluxes(faces(last["kappa"], E_new, 0.0), E_new)
+    Fx, Fy = system.fluxes(last["faces"] if e_scale is None else faces(last["kappa"], E_new, 0.0), E_new)
     new_state = MomentState(state.t + dt, T_new, E_new, Fx, Fy, dTdt=(T_new - state.T) / dt)
     return new_state, StepDiagnostics(history, energy_balance_residual(state, new_state, dt, problem.mesh, problem.eos))
 

@@ -59,16 +59,18 @@ of a bare diffusion stencil.
 
 A record keeps only what the online step reads: the face factors and
 remainders, and the boundary fields; f_xx and f_yy serve only as the
-fallback of rejected face factors during extraction. fused_pipeline is
-offline_phase followed by online_phase. Every online step converges its
-temperature through iteration.couple, the one radiation/material
-coupling loop of all the models. The dataset keeps the end-of-step data
-temperatures beside the records, and online step n starts its coupling
-at T_data[n], the field at which its opacity and emission were frozen
-offline: the VEF solution differs from the data only by the transport
-correction, so this start is closer to the fixed point than the previous
-VEF level or its extrapolation. The fixed point and the convergence test
-are those of every other model; only the pass count depends on the start.
+fallback of rejected face factors during extraction. Online step n reads
+record n alone, so fused_pipeline streams the records: the march asks for
+each step's record, the offline loop sweeps that step to build it, and it
+is freed once the next record replaces it. offline_phase lists the records
+into a ClosureDataset for online_phase, with the same result bit for bit.
+Every online step converges its temperature through iteration.couple, the
+one radiation/material coupling loop of all the models, started at the
+data temperature at which its opacity and emission were frozen offline:
+the VEF solution differs from the data only by the transport correction,
+so this start is closer to the fixed point than the previous VEF level or
+its extrapolation. The fixed point and the convergence test are those of
+every other model; only the pass count depends on the start.
 """
 
 from __future__ import annotations
@@ -225,14 +227,10 @@ class ClosureDataset:
     def steps(self):
         """(dt, record, coupling start or None) of every step in order, the online phase's input."""
         starts = self.T if self.T is not None else [None] * self.times.size
-        t_prev = self.t0
-        for t, record, T_start in zip(self.times, self.records, starts):
-            yield t - t_prev, record, T_start
-            t_prev = t
+        return zip(np.diff(self.times, prepend=self.t0), self.records, starts)
 
     def validate(self, mesh: SpatialMesh, n_groups: int) -> None:
-        if not (isinstance(self.times, np.ndarray) and self.times.ndim == 1 and np.all(np.isfinite(self.times))):
-            raise ConfigError("closure time grid must be a finite 1-D array")
+        _check_time_grid(self.t0, self.times)
         N = self.times.size
         if len(self.records) != N:
             raise ConfigError(f"closure has {len(self.records)} records for {N} time levels")
@@ -243,12 +241,21 @@ class ClosureDataset:
                 if shape != expected:
                     raise ConfigError(f"closure {f.name} has shape {shape}, expected {expected}")
         if self.T is not None:
-            if np.shape(self.T) != (N, mesh.ny, mesh.nx):
-                raise ConfigError(f"closure data temperatures have shape {np.shape(self.T)}, expected {(N, mesh.ny, mesh.nx)}")
-            if not np.all(np.isfinite(self.T) & (self.T > 0.0)):
-                raise ConfigError("closure data temperatures must be finite and positive")
-        if N and not np.all(np.diff(np.concatenate([[self.t0], self.times])) > 0.0):
-            raise ConfigError("closure time grid must be strictly increasing from t0")
+            _check_data_temperatures(self.T, (N, mesh.ny, mesh.nx))
+
+
+def _check_time_grid(t0, times) -> None:
+    if not (isinstance(times, np.ndarray) and times.ndim == 1 and np.all(np.isfinite(times)) and np.isfinite(t0)):
+        raise ConfigError("time grid must be a finite 1-D array")
+    if not np.all(np.diff(times, prepend=t0) > 0.0):
+        raise ConfigError("time grid must be strictly increasing")
+
+
+def _check_data_temperatures(T, shape) -> None:
+    if np.shape(T) != shape:
+        raise ConfigError(f"data temperatures have shape {np.shape(T)}, expected {shape}")
+    if not np.all(np.isfinite(T) & (T > 0.0)):
+        raise ConfigError("data temperatures must be finite and positive")
 
 
 def isotropic_closure(problem: DiffusionProblem, t0: float, times: np.ndarray) -> ClosureDataset:
@@ -278,46 +285,39 @@ def isotropic_closure(problem: DiffusionProblem, t0: float, times: np.ndarray) -
 def _check_temperature_data(problem, temperatures):
     times = np.asarray(temperatures.times, dtype=float)
     T = np.asarray(temperatures.T, dtype=float)
-    mesh = problem.mesh
     if times.ndim != 1 or times.size < 2:
         raise ConfigError("temperature data must cover at least one step")
-    if not np.all(np.isfinite(times)):
-        raise ConfigError("temperature time grid must be finite")
-    if T.shape != (times.size, mesh.ny, mesh.nx):
-        raise ConfigError(f"temperature data has shape {T.shape}, expected {(times.size, mesh.ny, mesh.nx)}")
-    if not np.all(np.diff(times) > 0.0):
-        raise ConfigError("temperature time grid must be strictly increasing")
-    if not np.all(np.isfinite(T) & (T > 0.0)):
-        raise ConfigError("temperature data must be finite and positive")
+    _check_time_grid(times[0], times[1:])
+    _check_data_temperatures(T, (times.size, problem.mesh.ny, problem.mesh.nx))
     return times, T
+
+
+def _closures(problem: TransportProblem, times: np.ndarray, T_data: np.ndarray):
+    """(dt, record, T_start) of each step of checked temperature data, swept when asked for (offline_phase)."""
+    mesh, quad, G = problem.mesh, problem.quad, problem.fgrid.n_groups
+    psi = planckian_intensity(problem, T_data[0])
+    Fx = np.zeros((G, mesh.ny, mesh.nx + 1))
+    Fy = np.zeros((G, mesh.ny + 1, mesh.nx))
+    for dt, T in zip(np.diff(times), T_data[1:]):
+        kappa, _, B, _ = problem.material.emission_terms(T, DEFAULT_CONSTANTS)
+        result = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, psi, dt, problem.inflow))
+        record = closure_from_sweep(result, kappa, Fx, Fy)
+        psi, Fx, Fy = result.psi, result.Fx, result.Fy
+        del result  # its frames and factors would otherwise live through the online step
+        yield dt, record, T
 
 
 def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
     """Tabulate the closure from linear transport re-solves on temperature data.
 
     temperatures provides .times (N+1,) and .T (N+1, ny, nx) - any solution
-    history qualifies. The auxiliary intensity starts as the isotropic
-    Planckian at the initial data temperature. Each step sweeps the
-    backward-Euler transport equation with opacity and emission evaluated
-    at the end-of-step data temperature, then reduces the intensity and
-    face fluxes to a closure record; the previous step's face fluxes feed
-    the face-factor extraction (zeros before the first step, matching the
-    zero-flux initial moment state). The dataset keeps those end-of-step
-    data temperatures, where the online steps start their coupling.
+    history qualifies. Each record comes from one linear sweep of its step at
+    the end-of-step data temperature, fed by the previous sweep's intensity
+    (the Planckian at the initial data temperature before the first). The
+    dataset keeps those end-of-step temperatures, where online steps start.
     """
     times, T_data = _check_temperature_data(problem, temperatures)
-    mesh, quad = problem.mesh, problem.quad
-    G = problem.fgrid.n_groups
-    psi = planckian_intensity(problem, T_data[0])
-    Fx_prev = np.zeros((G, mesh.ny, mesh.nx + 1))
-    Fy_prev = np.zeros((G, mesh.ny + 1, mesh.nx))
-    records = []
-    for n in range(1, times.size):
-        dt = times[n] - times[n - 1]
-        kappa, _, B, _ = problem.material.emission_terms(T_data[n], DEFAULT_CONSTANTS)
-        result = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, psi, dt, problem.inflow))
-        records.append(closure_from_sweep(result, kappa, Fx_prev, Fy_prev))
-        psi, Fx_prev, Fy_prev = result.psi, result.Fx, result.Fy
+    records = [record for _, record, _ in _closures(problem, times, T_data)]
     return ClosureDataset(float(times[0]), times[1:].copy(), records, T_data[1:].copy())
 
 
@@ -359,6 +359,11 @@ def vef_step(
     )
 
 
+def _march(problem: TransportProblem, T0, t0: float, steps, label: str):
+    """vef_step over steps of (dt, record, T_start) from equilibrium at T0 at time t0."""
+    return march(label, initial_moment_state(problem, T0, t0), lambda state, step: vef_step(problem, state, *step), steps)
+
+
 def online_phase(problem: TransportProblem, dataset: ClosureDataset, T0, label: str = "vef"):
     """March vef_step over the dataset's whole time grid.
 
@@ -369,16 +374,11 @@ def online_phase(problem: TransportProblem, dataset: ClosureDataset, T0, label: 
     SolutionHistory of all N+1 levels.
     """
     dataset.validate(problem.mesh, problem.fgrid.n_groups)
-    state = initial_moment_state(problem, T0, dataset.t0)
-
-    def advance(state, step):
-        dt, record, T_start = step
-        return vef_step(problem, state, dt, record, T_start)
-
-    return march(label, state, advance, dataset.steps())
+    return _march(problem, T0, dataset.t0, dataset.steps(), label)
 
 
 def fused_pipeline(problem: TransportProblem, temperatures, label: str = "vef"):
-    """The whole VEF run on temperature data: offline_phase, then
-    online_phase from the data's initial temperature field."""
-    return online_phase(problem, offline_phase(problem, temperatures), temperatures.T[0], label)
+    """The whole VEF run on temperature data, from the data's initial temperature field: offline_phase
+    then online_phase bit for bit, but each step's record is built when the march reaches that step."""
+    times, T_data = _check_temperature_data(problem, temperatures)
+    return _march(problem, T_data[0], float(times[0]), _closures(problem, times, T_data), label)

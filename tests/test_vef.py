@@ -1,5 +1,6 @@
 """Invariants of the data-driven VEF model on a small driven problem."""
 
+import weakref
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddvef import transport as transport_module
 from ddvef import vef as vef_module
@@ -82,6 +85,23 @@ def test_fused_vef_on_fom_temperatures_reproduces_the_fom(problem, fom):
     assert max(d.balance_residual for d in vef.diagnostics) <= 1.0e-8
     # each step's coupling starts at the FOM's temperature, its fixed point
     assert passes(vef) == [1] * N_STEPS
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    nx=st.integers(1, 4), ny=st.integers(1, 4), rule=st.sampled_from([(2, 4), (2, 8)]), scale=st.floats(0.1, 10.0),
+    sides=st.sets(st.sampled_from(SIDES)), dt=st.floats(0.005, 0.05),
+)
+def test_vef_on_fom_temperatures_reproduces_the_fom_on_random_problems(nx, ny, rule, scale, sides, dt):
+    # The module docstring's consistency claim on small problems with a
+    # drive on any subset of sides, through the streamed pipeline.
+    fgrid = build_frequency_grid()
+    problem = TransportProblem(
+        SpatialMesh(nx, ny, 1.5 * nx, 1.5 * ny), build_angular_quadrature(*rule), fgrid,
+        InverseCubeMaterial(fgrid, 27.0 * scale), MaterialEOS(benchmark_cv(1.0)), planckian_inflow(fgrid, T_DRIVE, sides),
+    )
+    fom = run_fom(problem, T_COLD, dt, 2)
+    assert relative_error(fused_pipeline(problem, fom).T, fom.T) <= 1.0e-8
 
 
 def test_closure_reproduces_its_sweep():
@@ -195,8 +215,47 @@ def diffusion(problem):
 
 
 @pytest.fixture(scope="module")
-def p1_closure(problem, diffusion):
-    return offline_phase(problem, run_diffusion_model(diffusion, "p1", T_COLD, DT, N_STEPS))
+def p1(diffusion):
+    return run_diffusion_model(diffusion, "p1", T_COLD, DT, N_STEPS)
+
+
+@pytest.fixture(scope="module")
+def p1_closure(problem, p1):
+    return offline_phase(problem, p1)
+
+
+def test_fused_pipeline_is_offline_then_online_bit_for_bit(problem, p1):
+    fused = fused_pipeline(problem, p1)
+    split = online_phase(problem, offline_phase(problem, p1), p1.T[0])
+    for name in ("times", "T", "E", "Fx", "Fy"):
+        np.testing.assert_array_equal(getattr(fused, name), getattr(split, name))
+    assert passes(fused) == passes(split)
+
+
+def test_fused_pipeline_frees_each_record_before_building_the_next(problem, diffusion, monkeypatch):
+    # Online step n reads record n alone, so when record n + 1 is built only
+    # record n may still be alive; a listed dataset would hold them all.
+    alive, records = [], []
+    extract = vef_module.closure_from_sweep
+
+    def tracked(*args):
+        alive.append(sum(ref() is not None for ref in records))
+        record = extract(*args)
+        records.append(weakref.ref(record))
+        return record
+
+    monkeypatch.setattr(vef_module, "closure_from_sweep", tracked)
+    fused_pipeline(problem, run_diffusion_model(diffusion, "p1", T_COLD, DT, 6))
+    assert len(alive) == 6 and max(alive) <= 1, alive
+
+
+def test_each_pass_and_each_extraction_builds_its_faces_once(problem, p1, monkeypatch):
+    # The stored fluxes reuse the last pass's faces, which depend on kappa alone.
+    calls = []
+    faces = vef_module.first_moment_faces
+    monkeypatch.setattr(vef_module, "first_moment_faces", lambda *a, **kw: calls.append(1) or faces(*a, **kw))
+    vef = fused_pipeline(problem, p1)
+    assert len(calls) == sum(passes(vef)) + N_STEPS
 
 
 def test_data_start_reaches_the_previous_level_start_fixed_point(problem, p1_closure):
@@ -376,7 +435,7 @@ def test_non_finite_time_level_raises_before_any_sweep(problem, fom, monkeypatch
         raise AssertionError("swept a non-finite time level")
 
     monkeypatch.setattr(vef_module, "sweep", no_sweep)
-    with pytest.raises(ConfigError, match="time grid must be finite"):
+    with pytest.raises(ConfigError, match="time grid must be a finite 1-D array"):
         fused_pipeline(problem, SimpleNamespace(times=times, T=fom.T))
 
 
@@ -388,6 +447,13 @@ def test_validate_rejects_bad_data_temperatures(problem, p1_closure):
     for bad in (0.0, np.nan):
         with pytest.raises(ConfigError, match="finite and positive"):
             replace(p1_closure, T=np.full_like(p1_closure.T, bad)).validate(mesh, G)
+
+
+@pytest.mark.parametrize("t0", [np.nan, np.inf])
+def test_non_finite_initial_time_rejected(problem, diffusion, t0):
+    # A zero-step dataset would otherwise march to a history whose one level is at t0.
+    with pytest.raises(ConfigError, match="time grid must be a finite 1-D array"):
+        online_phase(problem, isotropic_closure(diffusion, t0, np.array([])), T_COLD)
 
 
 def test_validate_rejects_bad_drive_and_time_grid(problem, diffusion):
