@@ -7,11 +7,12 @@ factor is v_out = <n.Omega I>+ / E_cell, the outgoing half-range current
 per unit density of the cell behind the face. It equals c C eta, the
 half-range flux factor C = <n.Omega I>+ / <I>+ times c times the outgoing
 face-to-cell density ratio eta, and reads c/2 for Marshak. The
-VEF is one pipeline of two phases. The offline phase re-solves the linear
+VEF is one pipeline, fused_pipeline. Each step re-solves the linear
 transport equation on a given temperature history - opacity and emission
-frozen at the data - and tabulates one closure record at the end of every
-step. The online phase closes the radiation moment system with those
-records: per group
+frozen at the data - and extracts one closure record at the end of the
+step (the auxiliary, or offline, solve). The step's closed radiation
+moment system is then solved with that record (the online solve): per
+group
 
     dE/dt + div F + c kappa E = 4 pi kappa B(T),
     (1/c) dF/dt + c div(f E) + kappa F = 0,
@@ -61,9 +62,10 @@ A record keeps only what the online step reads: the face factors and
 remainders, and the boundary fields; f_xx and f_yy serve only as the
 fallback of rejected face factors during extraction. Online step n reads
 record n alone, so fused_pipeline streams the records: the march asks for
-each step's record, the offline loop sweeps that step to build it, and it
-is freed once the next record replaces it. offline_phase lists the records
-into a ClosureDataset for online_phase, with the same result bit for bit.
+each step's record, the auxiliary sweep of that step builds it, and it is
+freed once the next record replaces it. vef_step is the one entry every
+record passes through, streamed or built by hand (isotropic_closure), and
+it checks the record's shapes.
 Every online step converges its temperature through iteration.couple, the
 one radiation/material coupling loop of all the models, started at the
 data temperature at which its opacity and emission were frozen offline:
@@ -81,7 +83,7 @@ import numpy as np
 
 from .diffusion import DiffusionProblem, _marshak_boundary, coupled_step, first_moment_faces
 from .errors import ConfigError
-from .grid import AngularQuadrature, SpatialMesh, boundary_cells, boundary_flux, face_cells, interior_fluxes, normal_face_means
+from .grid import AngularQuadrature, boundary_cells, boundary_flux, face_cells, interior_fluxes, normal_face_means
 from .history import MomentState, StepDiagnostics, check_time_step, initial_moment_state, march
 from .physics import DEFAULT_CONSTANTS
 from .transport import SweepResult, TransportProblem, planckian_intensity, sweep, sweep_step
@@ -146,7 +148,7 @@ class ClosureRecord:
     r = 0 and P1's Marshak tables reduce the system to P1
     (isotropic_closure).
 
-    Each field's location is its metadata "at", from which the dataset
+    Each field's location is its metadata "at", from which vef_step
     derives its shape checks.
     """
 
@@ -200,129 +202,23 @@ def closure_from_sweep(
     return ClosureRecord(v_out, g, F - g * grad, boundary_flux(result.Fx, result.Fy) - v_out * E_edge)
 
 
-# ---------------------------------------------------------------------------
-# the closure dataset
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ClosureDataset:
-    """Closure records over a whole run.
-
-    times holds the end-of-step levels t^1..t^N and records[n] the closure
-    of the step ending at times[n]; t0 is the initial level, so the online
-    solver's time grid is fully determined. Each record carries its own
-    boundary tables, n.F = v_out E_cell + b_base. T[n] (ny, nx) is the
-    data temperature at which records[n] was frozen, and the coupling of
-    that online step starts there; T is None for a closure not derived
-    from temperature data, whose steps start where P1's do: on the
-    previous level extrapolated by its rate.
-    """
-
-    t0: float
-    times: np.ndarray
-    records: list[ClosureRecord]
-    T: np.ndarray | None  # (N, ny, nx)
-
-    def steps(self):
-        """(dt, record, coupling start or None) of every step in order, the online phase's input."""
-        starts = self.T if self.T is not None else [None] * self.times.size
-        return zip(np.diff(self.times, prepend=self.t0), self.records, starts)
-
-    def validate(self, mesh: SpatialMesh, n_groups: int) -> None:
-        _check_time_grid(self.t0, self.times)
-        N = self.times.size
-        if len(self.records) != N:
-            raise ConfigError(f"closure has {len(self.records)} records for {N} time levels")
-        at = {"face": face_cells(mesh)[1].shape, "bface": (mesh.n_boundary_faces,)}
-        for record in self.records:
-            for f in fields(ClosureRecord):
-                shape, expected = np.shape(getattr(record, f.name)), (n_groups,) + at[f.metadata["at"]]
-                if shape != expected:
-                    raise ConfigError(f"closure {f.name} has shape {shape}, expected {expected}")
-        if self.T is not None:
-            _check_data_temperatures(self.T, (N, mesh.ny, mesh.nx))
-
-
-def _check_time_grid(t0, times) -> None:
-    if not (isinstance(times, np.ndarray) and times.ndim == 1 and np.all(np.isfinite(times)) and np.isfinite(t0)):
-        raise ConfigError("time grid must be a finite 1-D array")
-    if not np.all(np.diff(times, prepend=t0) > 0.0):
-        raise ConfigError("time grid must be strictly increasing")
-
-
-def _check_data_temperatures(T, shape) -> None:
-    if np.shape(T) != shape:
-        raise ConfigError(f"data temperatures have shape {np.shape(T)}, expected {shape}")
-    if not np.all(np.isfinite(T) & (T > 0.0)):
-        raise ConfigError("data temperatures must be finite and positive")
-
-
-def isotropic_closure(problem: DiffusionProblem, t0: float, times: np.ndarray) -> ClosureDataset:
-    """Synthetic dataset of the isotropic closure f = diag(1/3, 1/3, 1/3) with P1's boundary at every level.
+def isotropic_closure(problem: DiffusionProblem) -> ClosureRecord:
+    """The isotropic closure f = diag(1/3, 1/3, 1/3) with P1's boundary: one record for every step.
 
     The face-level fields take their neutral values (g = 1/3, zero
     remainders) and the boundary tables are P1's own Marshak tables
     (diffusion._marshak_boundary): n.F = (c/2) E_cell - 2 F_in on open
     sides, v_out = c/2 being c C eta with C = 1/2, eta = 1, and n.F = 0 on
-    reflective ones. So the online solver on this closure is the P1 model
-    of the problem. It has no data temperatures, so every online step
-    starts its coupling where P1 does, on the previous level extrapolated
-    by its rate.
+    reflective ones. So vef_step on this record with T_start None, which
+    starts its coupling where P1 does, is P1's step of the problem.
     """
-    times = np.asarray(times, dtype=float)
     v_out, b_base = _marshak_boundary(problem, problem.incoming_currents())
     faces = (problem.fgrid.n_groups,) + face_cells(problem.mesh)[1].shape
-    one = ClosureRecord(v_out=v_out, g=np.full(faces, 1.0 / 3.0), r=np.zeros(faces), b_base=b_base)
-    return ClosureDataset(float(t0), times, [one] * times.size, None)
+    return ClosureRecord(v_out=v_out, g=np.full(faces, 1.0 / 3.0), r=np.zeros(faces), b_base=b_base)
 
 
 # ---------------------------------------------------------------------------
-# offline phase
-# ---------------------------------------------------------------------------
-
-
-def _check_temperature_data(problem, temperatures):
-    times = np.asarray(temperatures.times, dtype=float)
-    T = np.asarray(temperatures.T, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ConfigError("temperature data must cover at least one step")
-    _check_time_grid(times[0], times[1:])
-    _check_data_temperatures(T, (times.size, problem.mesh.ny, problem.mesh.nx))
-    return times, T
-
-
-def _closures(problem: TransportProblem, times: np.ndarray, T_data: np.ndarray):
-    """(dt, record, T_start) of each step of checked temperature data, swept when asked for (offline_phase)."""
-    mesh, quad, G = problem.mesh, problem.quad, problem.fgrid.n_groups
-    psi = planckian_intensity(problem, T_data[0])
-    Fx = np.zeros((G, mesh.ny, mesh.nx + 1))
-    Fy = np.zeros((G, mesh.ny + 1, mesh.nx))
-    for dt, T in zip(np.diff(times), T_data[1:]):
-        kappa, _, B, _ = problem.material.emission_terms(T, DEFAULT_CONSTANTS)
-        result = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, psi, dt, problem.inflow))
-        record = closure_from_sweep(result, kappa, Fx, Fy)
-        psi, Fx, Fy = result.psi, result.Fx, result.Fy
-        del result  # its frames and factors would otherwise live through the online step
-        yield dt, record, T
-
-
-def offline_phase(problem: TransportProblem, temperatures) -> ClosureDataset:
-    """Tabulate the closure from linear transport re-solves on temperature data.
-
-    temperatures provides .times (N+1,) and .T (N+1, ny, nx) - any solution
-    history qualifies. Each record comes from one linear sweep of its step at
-    the end-of-step data temperature, fed by the previous sweep's intensity
-    (the Planckian at the initial data temperature before the first). The
-    dataset keeps those end-of-step temperatures, where online steps start.
-    """
-    times, T_data = _check_temperature_data(problem, temperatures)
-    records = [record for _, record, _ in _closures(problem, times, T_data)]
-    return ClosureDataset(float(times[0]), times[1:].copy(), records, T_data[1:].copy())
-
-
-# ---------------------------------------------------------------------------
-# online phase
+# the closed moment step
 # ---------------------------------------------------------------------------
 
 
@@ -347,11 +243,19 @@ def vef_step(
     the boundary tables are the record's, n.F = v_out E_cell + b_base. Of
     the transport problem only the mesh, groups, material and heat
     capacity are used: the record stands in for the quadrature and the
-    inflow. A dt that is not positive and finite raises ConfigError before
-    the first solve.
+    inflow. A dt that is not positive and finite, or a record field whose
+    shape is not (G, n_faces) or (G, n_boundary_faces) as its metadata "at"
+    says, raises ConfigError before the first solve; a record of the wrong
+    shape would otherwise broadcast or fail inside the solve.
     """
     check_time_step(dt)
-    mesh, F_prev = problem.mesh, interior_fluxes(state.Fx, state.Fy)
+    mesh, G = problem.mesh, problem.fgrid.n_groups
+    at = {"face": (G, face_cells(mesh)[1].size), "bface": (G, mesh.n_boundary_faces)}
+    for f in fields(ClosureRecord):
+        shape, expected = np.shape(getattr(record, f.name)), at[f.metadata["at"]]
+        if shape != expected:
+            raise ConfigError(f"closure {f.name} has shape {shape}, expected {expected}")
+    F_prev = interior_fluxes(state.Fx, state.Fy)
     alpha = 1.0 / (DEFAULT_CONSTANTS.c * dt)
     return coupled_step(
         problem, state, dt, lambda kappa, *_: first_moment_faces(mesh, kappa, alpha, F_prev, record.g, record.r),
@@ -359,26 +263,59 @@ def vef_step(
     )
 
 
-def _march(problem: TransportProblem, T0, t0: float, steps, label: str):
-    """vef_step over steps of (dt, record, T_start) from equilibrium at T0 at time t0."""
-    return march(label, initial_moment_state(problem, T0, t0), lambda state, step: vef_step(problem, state, *step), steps)
+# ---------------------------------------------------------------------------
+# the pipeline
+# ---------------------------------------------------------------------------
 
 
-def online_phase(problem: TransportProblem, dataset: ClosureDataset, T0, label: str = "vef"):
-    """March vef_step over the dataset's whole time grid.
+def _check_temperature_data(problem, temperatures):
+    times = np.asarray(temperatures.times, dtype=float)
+    T = np.asarray(temperatures.T, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ConfigError("time grid must be a finite 1-D array")
+    if times.size < 2:
+        raise ConfigError("temperature data must cover at least one step")
+    if not np.all(np.diff(times) > 0.0):
+        raise ConfigError("time grid must be strictly increasing")
+    shape = (times.size, problem.mesh.ny, problem.mesh.nx)
+    if T.shape != shape:
+        raise ConfigError(f"data temperatures have shape {T.shape}, expected {shape}")
+    if not np.all(np.isfinite(T) & (T > 0.0)):
+        raise ConfigError("data temperatures must be finite and positive")
+    return times, T
 
-    Starts from equilibrium at T0 (scalar or field) at the dataset's t0.
-    Each step closes its moment system with its record, boundary tables
-    included, and its coupling starts at the dataset's data temperature of
-    that step, or where P1 does when the dataset has none. Returns the
-    SolutionHistory of all N+1 levels.
-    """
-    dataset.validate(problem.mesh, problem.fgrid.n_groups)
-    return _march(problem, T0, dataset.t0, dataset.steps(), label)
+
+def _closures(problem: TransportProblem, times: np.ndarray, T_data: np.ndarray):
+    """(dt, record, T_start) of each step of checked temperature data, swept when the march asks for it."""
+    mesh, quad, G = problem.mesh, problem.quad, problem.fgrid.n_groups
+    psi = planckian_intensity(problem, T_data[0])
+    Fx = np.zeros((G, mesh.ny, mesh.nx + 1))
+    Fy = np.zeros((G, mesh.ny + 1, mesh.nx))
+    for dt, T in zip(np.diff(times), T_data[1:]):
+        kappa, _, B, _ = problem.material.emission_terms(T, DEFAULT_CONSTANTS)
+        result = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, psi, dt, problem.inflow))
+        record = closure_from_sweep(result, kappa, Fx, Fy)
+        psi, Fx, Fy = result.psi, result.Fx, result.Fy
+        del result  # its frames and factors would otherwise live through the online step
+        yield dt, record, T
 
 
 def fused_pipeline(problem: TransportProblem, temperatures, label: str = "vef"):
-    """The whole VEF run on temperature data, from the data's initial temperature field: offline_phase
-    then online_phase bit for bit, but each step's record is built when the march reaches that step."""
+    """Run the data-driven VEF on temperature data and return the SolutionHistory of all N+1 levels.
+
+    temperatures provides .times (N+1,) and .T (N+1, ny, nx) - any solution
+    history qualifies. The run starts from equilibrium at the initial data
+    temperature field at times[0]. Each step's record comes from one linear
+    sweep of the step at its end-of-step data temperature, fed by the
+    previous sweep's intensity (the Planckian at the initial data
+    temperature before the first), and is built when the march reaches that
+    step, so at most the previous record is still alive when it is built.
+    vef_step closes the step with it, its coupling started at that
+    end-of-step data temperature. A time
+    grid that is not a finite, strictly increasing 1-D array of at least two
+    levels, and data temperatures of the wrong shape or not finite and
+    positive, raise ConfigError before the first sweep.
+    """
     times, T_data = _check_temperature_data(problem, temperatures)
-    return _march(problem, T_data[0], float(times[0]), _closures(problem, times, T_data), label)
+    state = initial_moment_state(problem, T_data[0], float(times[0]))
+    return march(label, state, lambda state, step: vef_step(problem, state, *step), _closures(problem, times, T_data))

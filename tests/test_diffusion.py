@@ -67,7 +67,7 @@ class TestLarsenCoefficient:
         E=st.floats(1e-12, 1e3),
         grad=st.floats(0.0, 1e6),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_reciprocal_square_identity(self, kappa, E, grad):
         D = larsen_coefficient(kappa, E, grad)
         assert D ** -2 == pytest.approx((3.0 * kappa) ** 2 + (grad / E) ** 2, rel=1e-12)
@@ -549,7 +549,7 @@ class TestMomentSystem:
         dt=st.floats(1.0e-3, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     def test_random_systems_match_dense_solves(self, nx, ny, aspect, G, kind, dt, seed):
         # On small meshes of any cell aspect ratio (dx / dy), any group count,
         # P1, VEF or FLD Newton faces, any dt and random boundary tables, two

@@ -101,7 +101,7 @@ class TestAngularQuadrature:
                 expect = 4.0 * np.pi / 3.0 if a == b else 0.0
                 assert abs(s - expect) < 1e-12
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     @given(st.integers(2, 8), st.integers(1, 6))
     def test_moment_identities_random_orders(self, n_polar, n_az4):
         quad = unfold(build_angular_quadrature(n_polar, 4 * n_az4))[0]

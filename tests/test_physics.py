@@ -72,7 +72,7 @@ class TestPlanckIntegral:
             oracle, _ = quad(_planck_x, 0.0, z, epsabs=1e-15, epsrel=1e-12)
             assert planck_integral(z) == pytest.approx(oracle, rel=5e-12)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.floats(1e-3, 40.0))
     def test_matches_adaptive_quadrature(self, z):
         oracle, _ = quad(_planck_x, 0.0, z, epsabs=1e-15, epsrel=1e-12)

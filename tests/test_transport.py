@@ -149,7 +149,7 @@ class TestCellUpdate:
         ax=st.floats(1e-3, 1e3),
         ay=st.floats(1e-3, 1e3),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_nonnegative_and_bounded(self, I_w, I_s, kappa, q, ax, ay):
         I_out, I_avg = step_characteristic_update(I_w, I_s, ax, ay, kappa, q)
         assert I_out >= 0.0 and I_avg >= 0.0

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ddvef import transport as transport_module
 from ddvef import vef as vef_module
 from ddvef.diffusion import (
+    BOUNDARY_KINDS,
     BoundaryCondition,
     DiffusionProblem,
     MomentSystem,
@@ -25,8 +26,10 @@ from ddvef.diffusion import (
 )
 from ddvef.errors import ConfigError
 from ddvef.grid import (
-    SIDES, SpatialMesh, boundary_cells, boundary_flux, build_angular_quadrature, build_frequency_grid, interior_fluxes,
+    BENCHMARK_GROUP_BOUNDS, SIDES, SpatialMesh, boundary_cells, boundary_flux, build_angular_quadrature,
+    build_frequency_grid, interior_fluxes,
 )
+from ddvef.history import march
 from ddvef.physics import DEFAULT_CONSTANTS, InverseCubeMaterial, MaterialEOS, benchmark_cv, group_planck
 from ddvef.transport import (
     BoundaryInflow,
@@ -40,12 +43,11 @@ from ddvef.transport import (
 from ddvef.vef import (
     ClosureRecord,
     _check_temperature_data,
+    _closures,
     closure_from_sweep,
     eddington_tensor,
     fused_pipeline,
     isotropic_closure,
-    offline_phase,
-    online_phase,
     vef_step,
 )
 from product_rule import OTHER_RULES, by_direction, by_octant
@@ -78,6 +80,19 @@ def passes(history):
     return [d.picard_iterations for d in history.diagnostics]
 
 
+def march_records(problem, steps):
+    """vef_step over steps of (dt, record) or (dt, record, T_start) from equilibrium at T_COLD at t = 0."""
+    return march("vef", initial_moment_state(problem, T_COLD), lambda state, step: vef_step(problem, state, *step), steps)
+
+
+def never(what):
+    """A stand-in for a sweep or solve that must not be reached."""
+    def fail(*args, **kwargs):
+        raise AssertionError(what)
+
+    return fail
+
+
 def test_fused_vef_on_fom_temperatures_reproduces_the_fom(problem, fom):
     vef = fused_pipeline(problem, fom)
     assert relative_error(vef.T, fom.T) <= 1.0e-8
@@ -87,7 +102,7 @@ def test_fused_vef_on_fom_temperatures_reproduces_the_fom(problem, fom):
     assert passes(vef) == [1] * N_STEPS
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(
     nx=st.integers(1, 4), ny=st.integers(1, 4), rule=st.sampled_from([(2, 4), (2, 8)]), scale=st.floats(0.1, 10.0),
     sides=st.sets(st.sampled_from(SIDES)), dt=st.floats(0.005, 0.05),
@@ -220,16 +235,9 @@ def p1(diffusion):
 
 
 @pytest.fixture(scope="module")
-def p1_closure(problem, p1):
-    return offline_phase(problem, p1)
-
-
-def test_fused_pipeline_is_offline_then_online_bit_for_bit(problem, p1):
-    fused = fused_pipeline(problem, p1)
-    split = online_phase(problem, offline_phase(problem, p1), p1.T[0])
-    for name in ("times", "T", "E", "Fx", "Fy"):
-        np.testing.assert_array_equal(getattr(fused, name), getattr(split, name))
-    assert passes(fused) == passes(split)
+def first_step(problem, p1):
+    """(dt, record, T_start) of the VEF's first step on the P1 data."""
+    return next(_closures(problem, p1.times, p1.T))
 
 
 def test_fused_pipeline_frees_each_record_before_building_the_next(problem, diffusion, monkeypatch):
@@ -258,16 +266,16 @@ def test_each_pass_and_each_extraction_builds_its_faces_once(problem, p1, monkey
     assert len(calls) == sum(passes(vef)) + N_STEPS
 
 
-def test_data_start_reaches_the_previous_level_start_fixed_point(problem, p1_closure):
-    dt, record, T_data = next(p1_closure.steps())
-    state = initial_moment_state(problem, T_COLD, p1_closure.t0)
+def test_data_start_reaches_the_previous_level_start_fixed_point(problem, first_step):
+    dt, record, T_data = first_step
+    state = initial_moment_state(problem, T_COLD)
     from_data, _ = vef_step(problem, state, dt, record, T_data)
     from_previous, _ = vef_step(problem, state, dt, record)
     assert relative_error(from_data.T, from_previous.T) <= 1.0e-8
     assert relative_error(from_data.E, from_previous.E) <= 1.0e-8
 
 
-def test_each_step_builds_one_system_and_refills_its_matrix(problem, p1_closure, monkeypatch):
+def test_each_step_builds_one_system_and_refills_its_matrix(problem, first_step, monkeypatch):
     # One MomentSystem and one reduced matrix per step; every pass refills
     # that matrix, bit for bit what a system built afresh for the step
     # assembles from the pass's inputs, and hands it to its one spsolve.
@@ -277,9 +285,8 @@ def test_each_step_builds_one_system_and_refills_its_matrix(problem, p1_closure,
     monkeypatch.setattr(sp, "csr_matrix", lambda *a, **kw: matrices.append(1) or csr(*a, **kw))
     monkeypatch.setattr(MomentSystem, "solve", lambda self, *args: passes.append(args) or solve(self, *args))
     monkeypatch.setattr(spla, "spsolve", lambda A, *a, **kw: calls.append((A, A.copy())) or spsolve(A, *a, **kw))
-    dt, record, _ = next(p1_closure.steps())
-    state = initial_moment_state(problem, T_COLD, p1_closure.t0)
-    _, diag = vef_step(problem, state, dt, record)
+    dt, record, _ = first_step
+    _, diag = vef_step(problem, initial_moment_state(problem, T_COLD), dt, record)
     assert diag.picard_iterations == len(passes) == len(calls) > 2
     assert len(built) == len(matrices) == 1
     assert all(A is calls[0][0] for A, _ in calls)
@@ -291,36 +298,31 @@ def test_each_step_builds_one_system_and_refills_its_matrix(problem, p1_closure,
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf])
-def test_bad_time_step_rejected_before_any_solve(problem, p1_closure, monkeypatch, dt):
+def test_bad_time_step_rejected_before_any_solve(problem, first_step, monkeypatch, dt):
     # Without the check 0 divides by zero, -0.02 fails to converge, inf
     # raises ValueError and nan SolverError.
-    _, record, T_data = next(p1_closure.steps())
-    state = initial_moment_state(problem, T_COLD, p1_closure.t0)
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved with a bad time step")
-
-    monkeypatch.setattr(vef_module, "coupled_step", no_solve)
+    _, record, T_data = first_step
+    monkeypatch.setattr(vef_module, "coupled_step", never("solved with a bad time step"))
     with pytest.raises(ConfigError, match="time step"):
-        vef_step(problem, state, dt, record, T_data)
+        vef_step(problem, initial_moment_state(problem, T_COLD), dt, record, T_data)
 
 
-def test_data_start_saves_passes_over_the_march(problem, p1_closure):
-    from_data = online_phase(problem, p1_closure, T_COLD)
-    from_previous = online_phase(problem, replace(p1_closure, T=None), T_COLD)
+def test_data_start_saves_passes_over_the_march(problem, p1):
+    from_data = fused_pipeline(problem, p1)
+    from_previous = march_records(problem, [(dt, record) for dt, record, _ in _closures(problem, p1.times, p1.T)])
     assert relative_error(from_data.T, from_previous.T) <= 1.0e-8
     assert sum(passes(from_data)) < sum(passes(from_previous))
 
 
 def test_isotropic_boundary_factor_is_marshak(diffusion):
-    record = isotropic_closure(diffusion, 0.0, [DT]).records[0]
+    record = isotropic_closure(diffusion)
     v_out, b_base = _marshak_boundary(diffusion, diffusion.incoming_currents())
     np.testing.assert_array_equal(record.v_out, v_out)
     np.testing.assert_array_equal(record.b_base, b_base)
 
 
 def test_isotropic_closure_is_p1(problem, diffusion):
-    vef = online_phase(problem, isotropic_closure(diffusion, 0.0, DT * np.arange(1, N_STEPS + 1)), T_COLD)
+    vef = march_records(problem, [(DT, isotropic_closure(diffusion))] * N_STEPS)
     p1 = run_diffusion_model(diffusion, "p1", T_COLD, DT, N_STEPS)
     np.testing.assert_allclose(vef.times, p1.times, rtol=1e-15)
     assert relative_error(vef.T, p1.T) <= 1.0e-12
@@ -335,10 +337,30 @@ def test_isotropic_closure_is_p1_with_reflective_sides(problem):
         "bottom": BoundaryCondition("reflective"), "top": BoundaryCondition("reflective"),
     }
     diffusion = DiffusionProblem(problem.mesh, problem.fgrid, problem.material, problem.eos, sides)
-    vef = online_phase(problem, isotropic_closure(diffusion, 0.0, DT * np.arange(1, N_STEPS + 1)), T_COLD)
+    vef = march_records(problem, [(DT, isotropic_closure(diffusion))] * N_STEPS)
     p1 = run_diffusion_model(diffusion, "p1", T_COLD, DT, N_STEPS)
     assert np.array_equal(vef.T, p1.T)
     assert np.array_equal(vef.E, p1.E)
+
+
+@settings(max_examples=20)
+@given(
+    nx=st.integers(1, 5), ny=st.integers(1, 5), G=st.sampled_from([1, 2, 17]),
+    kinds=st.tuples(*[st.sampled_from(BOUNDARY_KINDS)] * len(SIDES)), dt=st.floats(1.0e-3, 0.05),
+    n_steps=st.integers(2, 3),
+)
+def test_isotropic_closure_is_p1_on_random_problems(nx, ny, G, kinds, dt, n_steps):
+    # The isotropic record stepped by vef_step is P1 on small problems with
+    # a drive, vacuum or reflective boundary on each side.
+    fgrid = build_frequency_grid({1: (1.0e7,), 2: (3.0, 1.0e7), 17: BENCHMARK_GROUP_BOUNDS}[G])
+    mesh, material, eos = SpatialMesh(nx, ny, 1.5 * nx, 1.5 * ny), InverseCubeMaterial(fgrid), MaterialEOS(benchmark_cv(1.0))
+    sides = {side: BoundaryCondition(kind, T_DRIVE if kind == "drive" else None) for side, kind in zip(SIDES, kinds)}
+    diffusion = DiffusionProblem(mesh, fgrid, material, eos, sides)
+    problem = TransportProblem(mesh, build_angular_quadrature(2, 4), fgrid, material, eos, BoundaryInflow())
+    vef = march_records(problem, [(dt, isotropic_closure(diffusion))] * n_steps)
+    p1 = run_diffusion_model(diffusion, "p1", T_COLD, dt, n_steps)
+    assert relative_error(vef.T, p1.T) <= 1.0e-12
+    assert relative_error(vef.E, p1.E) <= 1.0e-12
 
 
 @pytest.mark.parametrize("T_eq", [0.3, 1.0])
@@ -364,24 +386,24 @@ def test_equilibrium_drive_stays_stationary_through_the_vef(T_eq, rule):
 
 # Each case: the field broken and its wrong shape from (its right shape, mesh).
 # Every field gets a truncated last axis; the x and y cases give a face table
-# one direction's faces alone, the per-direction layout it replaces.
+# one direction's faces alone, the per-direction layout it replaces. One
+# group's factors would broadcast over every group and converge unnoticed.
 WRONG_SHAPES = {f.name: (f.name, lambda shape, mesh: shape[:-1] + (1,)) for f in fields(ClosureRecord)}
 for _face in ("g", "r"):
     WRONG_SHAPES[_face + "x"] = (_face, lambda shape, mesh: shape[:-1] + (mesh.ny, mesh.nx - 1))
     WRONG_SHAPES[_face + "y"] = (_face, lambda shape, mesh: shape[:-1] + (mesh.ny - 1, mesh.nx))
+WRONG_SHAPES["g_one_group"] = ("g", lambda shape, mesh: (1,) + shape[1:])
 
 
 @pytest.mark.parametrize("case", list(WRONG_SHAPES))
-def test_validate_rejects_a_wrong_shaped_field(problem, diffusion, case):
-    mesh, G = problem.mesh, problem.fgrid.n_groups
+def test_validate_rejects_a_wrong_shaped_field(problem, diffusion, monkeypatch, case):
+    # vef_step checks every record it steps, streamed or built by hand.
     name, wrong_shape = WRONG_SHAPES[case]
-    dataset = isotropic_closure(diffusion, 0.0, [DT, 2 * DT])
-    dataset.validate(mesh, G)
-    first, last = dataset.records
-    bad = np.zeros(wrong_shape(getattr(last, name).shape, mesh))
-    broken = replace(dataset, records=[first, replace(last, **{name: bad})])
+    record = isotropic_closure(diffusion)
+    broken = replace(record, **{name: np.zeros(wrong_shape(getattr(record, name).shape, problem.mesh))})
+    monkeypatch.setattr(vef_module, "coupled_step", never("solved with a wrong-shaped record"))
     with pytest.raises(ConfigError, match=f"closure {name} has shape"):
-        broken.validate(mesh, G)
+        vef_step(problem, initial_moment_state(problem, T_COLD), DT, broken)
 
 
 def test_temperature_data_is_checked(problem, fom):
@@ -393,7 +415,7 @@ def test_temperature_data_is_checked(problem, fom):
         _check_temperature_data(problem, SimpleNamespace(times=fom.times[::-1], T=fom.T))
 
 
-def test_offline_phase_builds_one_sweep_step_per_data_step(problem, fom, monkeypatch):
+def test_fused_pipeline_builds_one_sweep_step_per_data_step(problem, fom, monkeypatch):
     calls = {"sweep_step": 0, "sweep": 0}
 
     def counted(name):
@@ -407,7 +429,7 @@ def test_offline_phase_builds_one_sweep_step_per_data_step(problem, fom, monkeyp
 
     for name in calls:
         monkeypatch.setattr(vef_module, name, counted(name))
-    assert len(offline_phase(problem, fom).records) == N_STEPS
+    assert fused_pipeline(problem, fom).times.size == N_STEPS + 1
     assert calls == {"sweep_step": N_STEPS, "sweep": N_STEPS}
 
 
@@ -415,60 +437,54 @@ def test_offline_phase_builds_one_sweep_step_per_data_step(problem, fom, monkeyp
 def test_bad_temperature_data_raises_before_any_sweep(problem, fom, monkeypatch, bad):
     T = fom.T.copy()
     T[-1, 2, 2] = bad
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("swept bad temperature data")
-
-    monkeypatch.setattr(vef_module, "sweep", no_sweep)
+    monkeypatch.setattr(vef_module, "sweep", never("swept bad temperature data"))
     with pytest.raises(ConfigError, match="finite and positive"):
         fused_pipeline(problem, SimpleNamespace(times=fom.times, T=T))
 
 
-@pytest.mark.parametrize("level, bad", [(-1, np.inf), (1, np.nan)], ids=["inf", "nan"])
-def test_non_finite_time_level_raises_before_any_sweep(problem, fom, monkeypatch, level, bad):
-    # An infinite last level would be swept as a steady state (dt = inf)
-    # before the dataset's own check could refuse it.
-    times = fom.times.copy()
-    times[level] = bad
+def test_validate_rejects_bad_data_temperatures(problem, p1):
+    _check_temperature_data(problem, p1)
+    with pytest.raises(ConfigError, match="data temperatures have shape"):
+        _check_temperature_data(problem, SimpleNamespace(times=p1.times, T=p1.T[:-1]))
+    for bad in (0.0, np.nan):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            _check_temperature_data(problem, SimpleNamespace(times=p1.times, T=np.full_like(p1.T, bad)))
 
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("swept a non-finite time level")
 
-    monkeypatch.setattr(vef_module, "sweep", no_sweep)
-    with pytest.raises(ConfigError, match="time grid must be a finite 1-D array"):
+def time_grid_refused(problem, fom, monkeypatch, times, message):
+    monkeypatch.setattr(vef_module, "sweep", never("swept on a bad time grid"))
+    with pytest.raises(ConfigError, match=message):
         fused_pipeline(problem, SimpleNamespace(times=times, T=fom.T))
 
 
-def test_validate_rejects_bad_data_temperatures(problem, p1_closure):
-    mesh, G = problem.mesh, problem.fgrid.n_groups
-    p1_closure.validate(mesh, G)
-    with pytest.raises(ConfigError, match="data temperatures have shape"):
-        replace(p1_closure, T=p1_closure.T[:-1]).validate(mesh, G)
-    for bad in (0.0, np.nan):
-        with pytest.raises(ConfigError, match="finite and positive"):
-            replace(p1_closure, T=np.full_like(p1_closure.T, bad)).validate(mesh, G)
+@pytest.mark.parametrize("level, bad", [(-1, np.inf), (1, np.nan)], ids=["inf", "nan"])
+def test_non_finite_time_level_raises_before_any_sweep(problem, fom, monkeypatch, level, bad):
+    # An infinite last level would be swept as a steady state (dt = inf).
+    times = fom.times.copy()
+    times[level] = bad
+    time_grid_refused(problem, fom, monkeypatch, times, "time grid must be a finite 1-D array")
 
 
 @pytest.mark.parametrize("t0", [np.nan, np.inf])
-def test_non_finite_initial_time_rejected(problem, diffusion, t0):
-    # A zero-step dataset would otherwise march to a history whose one level is at t0.
-    with pytest.raises(ConfigError, match="time grid must be a finite 1-D array"):
-        online_phase(problem, isotropic_closure(diffusion, t0, np.array([])), T_COLD)
+def test_non_finite_initial_time_rejected(problem, fom, monkeypatch, t0):
+    # Level 0 is the initial time, the t of the march's first level.
+    times = fom.times.copy()
+    times[0] = t0
+    time_grid_refused(problem, fom, monkeypatch, times, "time grid must be a finite 1-D array")
 
 
-def test_validate_rejects_bad_drive_and_time_grid(problem, diffusion):
-    mesh, G = problem.mesh, problem.fgrid.n_groups
-    dataset = isotropic_closure(diffusion, 0.0, [DT, 2 * DT])
-    with pytest.raises(ConfigError, match="records"):
-        replace(dataset, records=dataset.records[:1]).validate(mesh, G)
-    with pytest.raises(ConfigError, match="increasing"):
-        replace(dataset, times=np.array([2 * DT, DT])).validate(mesh, G)
-    with pytest.raises(ConfigError, match="increasing"):
-        replace(dataset, t0=DT).validate(mesh, G)
-    # A 2-D grid, a list and an infinite level are refused before any step.
-    for times in (np.array([[DT, 2 * DT]]), [DT, 2 * DT], np.array([DT, np.inf])):
-        with pytest.raises(ConfigError, match="finite 1-D array"):
-            replace(dataset, times=times).validate(mesh, G)
+@pytest.mark.parametrize(
+    "case, message",
+    [("1x3", "a finite 1-D array"), ("3x1", "a finite 1-D array"), ("reversed", "strictly increasing"),
+     ("repeated", "strictly increasing")],
+)
+def test_bad_time_grid_raises_before_any_sweep(problem, fom, monkeypatch, case, message):
+    # A 2-D grid is refused as a grid, before its number of levels is read.
+    times = {
+        "1x3": fom.times[:3].reshape(1, 3), "3x1": fom.times[:3].reshape(3, 1),
+        "reversed": fom.times[::-1], "repeated": np.concatenate([fom.times[:1], fom.times[:-1]]),
+    }[case]
+    time_grid_refused(problem, fom, monkeypatch, times, f"time grid must be {message}")
 
 
 @pytest.mark.parametrize("T0", [0.0, -1.0, np.nan, np.inf, np.ones((2, 2))], ids=["0", "-1", "nan", "inf", "2x2"])
@@ -482,14 +498,18 @@ def test_bad_initial_temperature_raises_before_any_sweep_or_solve(problem, diffu
 
         return wrapper
 
-    monkeypatch.setattr(transport_module, "sweep", called("sweep"))
+    for module in (transport_module, vef_module):
+        monkeypatch.setattr(module, "sweep", called("sweep"))
     monkeypatch.setattr(MomentSystem, "solve", called("solve"))
-    run = {
-        "fom": lambda: run_fom(problem, T0, DT, 1),
-        "p1": lambda: run_diffusion_model(diffusion, "p1", T0, DT, 1),
-        "vef": lambda: online_phase(problem, isotropic_closure(diffusion, 0.0, [DT]), T0),
+    # The VEF starts at its data's level 0, so a bad T0 there is bad data.
+    T_data = np.full((2,) + (np.shape(T0) or (problem.mesh.ny, problem.mesh.nx)), T_COLD)
+    T_data[0] = T0
+    run, message = {
+        "fom": (lambda: run_fom(problem, T0, DT, 1), "initial temperature"),
+        "p1": (lambda: run_diffusion_model(diffusion, "p1", T0, DT, 1), "initial temperature"),
+        "vef": (lambda: fused_pipeline(problem, SimpleNamespace(times=np.array([0.0, DT]), T=T_data)), "data temperatures"),
     }[entry]
-    with pytest.raises(ConfigError, match="initial temperature"):
+    with pytest.raises(ConfigError, match=message):
         run()
     assert calls == []
 
