@@ -83,7 +83,8 @@ class BoundaryCondition:
         if self.kind not in BOUNDARY_KINDS:
             raise ConfigError(f"unknown boundary kind {self.kind!r}, expected one of {BOUNDARY_KINDS}")
         # Written so that nan, which fails every comparison, is rejected too.
-        if self.kind == "drive" and not (self.T_drive is not None and 0.0 < self.T_drive < np.inf):
+        T = self.T_drive
+        if self.kind == "drive" and (T is None or isinstance(T, (bool, np.bool_)) or not 0.0 < T < np.inf):
             raise ConfigError(f"drive boundary requires a positive finite T_drive, got {self.T_drive}")
 
 
@@ -388,16 +389,18 @@ class MomentSystem:
             group = _failing_group(S, reduced) if bad.all() else int(np.argmax(bad))
             raise SolverError("moment system produced non-finite energies", group=group)
 
-        # The full balance A E - rhs over both colours.
+        # The full balance A E - rhs over both colours. A nan residual fails
+        # the comparison, so it fails the check too.
         with np.errstate(over="ignore", invalid="ignore"):
             push_b = np.bincount(self._to_black, (share[0] * E_r[:, face_red]).ravel(), minlength=G * n_black)  # -A_br E_r
             r = d * E - rhs
             r[:, :n_red] -= push
             r[:, n_red:] -= push_b.reshape(G, n_black)
-            residual = _relative_residuals(r, rhs)
-        worst = int(np.argmax(residual))
-        if residual[worst] > _RESIDUAL_TOL:
-            raise SolverError(f"moment system solve left a relative residual of {residual[worst]:.3g}", group=worst)
+            norm_r, norm_b = (np.sqrt(np.einsum("ij,ij->i", v, v)) for v in (r, rhs))
+            if not np.all(norm_r <= _RESIDUAL_TOL * np.maximum(norm_b, 1.0e-300)):
+                residual = _relative_residuals(r, rhs)
+                worst = int(np.argmax(residual))
+                raise SolverError(f"moment system solve left a relative residual of {residual[worst]:.3g}", group=worst)
         return E[:, self._rank].reshape(G, self.mesh.ny, self.mesh.nx)
 
 

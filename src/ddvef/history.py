@@ -47,10 +47,11 @@ class StepDiagnostics:
         return len(self.change_history)
 
 def check_time_step(dt: float) -> None:
-    """Raise ConfigError unless dt is positive and finite; every model's
-    step calls this before its first sweep or solve. The check is written
-    so that nan, which fails every comparison, is rejected too."""
-    if not 0.0 < dt < np.inf:
+    """Raise ConfigError unless dt is positive and finite and not a bool;
+    every model's step calls this before its first sweep or solve. The
+    check is written so that nan, which fails every comparison, is
+    rejected too."""
+    if isinstance(dt, (bool, np.bool_)) or not 0.0 < dt < np.inf:
         raise ConfigError(f"a backward-Euler step requires a positive finite time step, got {dt}")
 
 
@@ -66,11 +67,13 @@ def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
     """Equilibrium radiation at the initial temperature (scalar or (ny, nx) field), zero flux.
 
     problem is any problem with a mesh and a frequency grid, moment or
-    transport. A T0 that is neither a scalar nor an (ny, nx) field, or not
-    finite and positive everywhere, raises ConfigError; every model's run
-    builds this state before its first sweep or solve.
+    transport. A T0 that is neither a scalar nor an (ny, nx) field, holds
+    bools, or is not finite and positive everywhere, raises ConfigError;
+    every model's run builds this state before its first sweep or solve.
     """
     mesh = problem.mesh
+    if np.asarray(T0).dtype == bool:
+        raise ConfigError(f"initial temperature must be a number, not a bool, got {T0!r}")
     T = np.asarray(T0, dtype=float)
     if T.shape not in ((), (mesh.ny, mesh.nx)):
         raise ConfigError(f"initial temperature has shape {T.shape}, expected a scalar or {(mesh.ny, mesh.nx)}")

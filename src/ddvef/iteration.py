@@ -219,7 +219,8 @@ def couple(problem, state, dt: float, radiate, label: str, T_start, e_scale: flo
     """Converge one backward-Euler step's radiation/material coupling.
 
     The first pass freezes the temperature at T_start: the data-driven VEF
-    passes the data temperature at which its closure was frozen, and
+    passes the data temperature at which its closure was frozen plus the
+    last step's transport correction (vef.fused_pipeline), and
     T_start=None, which the FOM and the diffusion models pass, predicts it
     from the last step as max(T + dt dTdt, GUARD_FACTOR T) with T and dTdt
     the state's, or takes state.T on a level without a rate. The fixed

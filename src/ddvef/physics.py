@@ -247,7 +247,7 @@ class InverseCubeMaterial:
     coefficient: float = 27.0
 
     def __post_init__(self):
-        if not 0.0 < self.coefficient < np.inf:
+        if isinstance(self.coefficient, (bool, np.bool_)) or not 0.0 < self.coefficient < np.inf:
             raise ValueError(f"opacity coefficient must be positive and finite, got {self.coefficient}")
 
     def emission_terms(self, T, constants: PhysicalConstants):
@@ -285,7 +285,7 @@ class MaterialEOS:
     cv: float  # Jerk / (cm^3 KeV)
 
     def __post_init__(self):
-        if not 0.0 < self.cv < np.inf:
+        if isinstance(self.cv, (bool, np.bool_)) or not 0.0 < self.cv < np.inf:
             raise ValueError(f"c_v must be positive and finite, got {self.cv}")
 
 

@@ -67,12 +67,21 @@ freed once the next record replaces it. vef_step is the one entry every
 record passes through, streamed or built by hand (isotropic_closure), and
 it checks the record's shapes.
 Every online step converges its temperature through iteration.couple, the
-one radiation/material coupling loop of all the models, started at the
-data temperature at which its opacity and emission were frozen offline:
-the VEF solution differs from the data only by the transport correction,
-so this start is closer to the fixed point than the previous VEF level or
-its extrapolation. The fixed point and the convergence test are those of
-every other model; only the pass count depends on the start.
+one radiation/material coupling loop of all the models. The VEF
+temperature differs from its data by the transport correction VEF - data,
+which changes little from one step to the next, so step n + 1 starts at
+its own data temperature, at which its opacity and emission were frozen
+offline, plus the correction step n left:
+
+    T_start = max(T_data[n+1] + (T_vef[n] - T_data[n]), GUARD_FACTOR T_data[n+1]),
+
+the previous VEF level moved by the data's own increment, floored as the
+coupling floors its proposals (iteration.GUARD_FACTOR). The first step
+has no correction yet, so it starts at its data. Measured against a start
+at the bare data: steps 2-4 of the benchmark's VEF(P1) take 6, 7, 7
+passes instead of 7, 7, 8, and on uniform 2 KeV data (tests/test_regimes.py)
+step 2 takes 9 instead of 14. The fixed point and the convergence test
+are those of every other model; only the pass count depends on the start.
 """
 
 from __future__ import annotations
@@ -85,6 +94,7 @@ from .diffusion import DiffusionProblem, _marshak_boundary, coupled_step, first_
 from .errors import ConfigError
 from .grid import AngularQuadrature, boundary_cells, boundary_flux, face_cells, interior_fluxes, normal_face_means
 from .history import MomentState, StepDiagnostics, check_time_step, initial_moment_state, march
+from .iteration import GUARD_FACTOR
 from .physics import DEFAULT_CONSTANTS
 from .transport import SweepResult, TransportProblem, planckian_intensity, sweep, sweep_step
 
@@ -169,14 +179,17 @@ def closure_from_sweep(
 
     The face factors come from the moment system's own face law:
     first_moment_faces with unit factors and the face fluxes
-    prev_Fx/prev_Fy the online state carries into this step (zeros before
-    the first), evaluated on the sweep's energies, splits each face flux
-    into the factor's gradient term grad and the fixed base, the flux
-    memory. The raw factor (F - base) / grad is accepted where it lands
-    inside the stable window; faces where the fit is wild or the density
-    contrast vanishes fall back to the face mean of the cell tensor's
-    normal component (f_xx on x-faces, f_yy on y-faces), a moment ratio of
-    the swept intensity. The consistency remainder F - base - g grad is
+    prev_Fx/prev_Fy, evaluated on the sweep's energies, splits each face
+    flux into the factor's gradient term grad and the fixed base, the flux
+    memory. The pipeline (_closures) passes the previous auxiliary sweep's
+    face fluxes (zeros before the first), while the online step's base
+    holds its own state's fluxes (vef_step). The two agree only where the
+    online march reproduces the sweeps, as on FOM data; on approximate
+    data their difference is an error of the flux memory. The raw factor
+    (F - base) / grad is accepted where it lands inside the stable window;
+    faces where the fit is wild or the density contrast vanishes fall back
+    to the face mean of the cell tensor's normal component (f_xx on
+    x-faces, f_yy on y-faces), a moment ratio of the swept intensity. The consistency remainder F - base - g grad is
     whatever flux the windowed factor leaves unexplained, the sweep's
     cross-term flux among it. Together (g, r) reproduce the sweep's face
     flux identically when the online system is fed the sweep's energies.
@@ -234,11 +247,12 @@ def vef_step(
     The closure record is frozen data for the step, so the coupling
     (iteration.couple through diffusion.coupled_step) iterates on the
     temperature field exactly like the P1 stepper. Its first pass freezes
-    the temperature at T_start, the data temperature of the record, or,
-    when T_start is None, at the temperature P1 starts on too: the previous
-    level extrapolated by state.dTdt (iteration.couple). Both reach the
-    same fixed point, so the start only sets the number of passes. The faces
-    are the first-moment forms with the record's factors g and
+    the temperature at T_start - fused_pipeline passes the record's data
+    temperature plus the last step's transport correction - or, when
+    T_start is None, at the temperature P1 starts on too: the previous
+    level extrapolated by state.dTdt (iteration.couple). Every start
+    reaches the same fixed point, so it only sets the number of passes.
+    The faces are the first-moment forms with the record's factors g and
     remainders r, on the 5-point stencil every moment model shares, and
     the boundary tables are the record's, n.F = v_out E_cell + b_base. Of
     the transport problem only the mesh, groups, material and heat
@@ -286,18 +300,21 @@ def _check_temperature_data(problem, temperatures):
 
 
 def _closures(problem: TransportProblem, times: np.ndarray, T_data: np.ndarray):
-    """(dt, record, T_start) of each step of checked temperature data, swept when the march asks for it."""
+    """(dt, record, T_prev, T) of each step of checked temperature data, swept when the march asks for it.
+
+    T_prev and T are the data temperatures at the step's start and end.
+    """
     mesh, quad, G = problem.mesh, problem.quad, problem.fgrid.n_groups
     psi = planckian_intensity(problem, T_data[0])
     Fx = np.zeros((G, mesh.ny, mesh.nx + 1))
     Fy = np.zeros((G, mesh.ny + 1, mesh.nx))
-    for dt, T in zip(np.diff(times), T_data[1:]):
+    for dt, T_prev, T in zip(np.diff(times), T_data[:-1], T_data[1:]):
         kappa, _, B, _ = problem.material.emission_terms(T, DEFAULT_CONSTANTS)
         result = sweep(mesh, quad, kappa, kappa * B, sweep_step(mesh, quad, psi, dt, problem.inflow))
         record = closure_from_sweep(result, kappa, Fx, Fy)
         psi, Fx, Fy = result.psi, result.Fx, result.Fy
         del result  # its frames and factors would otherwise live through the online step
-        yield dt, record, T
+        yield dt, record, T_prev, T
 
 
 def fused_pipeline(problem: TransportProblem, temperatures, label: str = "vef"):
@@ -311,11 +328,19 @@ def fused_pipeline(problem: TransportProblem, temperatures, label: str = "vef"):
     temperature before the first), and is built when the march reaches that
     step, so at most the previous record is still alive when it is built.
     vef_step closes the step with it, its coupling started at that
-    end-of-step data temperature. A time
+    end-of-step data temperature plus the last step's transport correction,
+    max(T_data[n+1] + (T_vef[n] - T_data[n]), GUARD_FACTOR T_data[n+1])
+    (module docstring); on the first step T_vef[0] is T_data[0], so it
+    starts at its data. A time
     grid that is not a finite, strictly increasing 1-D array of at least two
     levels, and data temperatures of the wrong shape or not finite and
     positive, raise ConfigError before the first sweep.
     """
     times, T_data = _check_temperature_data(problem, temperatures)
     state = initial_moment_state(problem, T_data[0], float(times[0]))
-    return march(label, state, lambda state, step: vef_step(problem, state, *step), _closures(problem, times, T_data))
+
+    def advance(state, step):
+        dt, record, T_prev, T = step
+        return vef_step(problem, state, dt, record, np.maximum(T + (state.T - T_prev), GUARD_FACTOR * T))
+
+    return march(label, state, advance, _closures(problem, times, T_data))

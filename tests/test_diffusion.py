@@ -171,7 +171,7 @@ class TestBoundaries:
     def test_drive_needs_temperature(self):
         with pytest.raises(ConfigError):
             BoundaryCondition("drive")
-        for T_drive in (-1.0, 0.0, np.nan, np.inf):
+        for T_drive in (-1.0, 0.0, np.nan, np.inf, True):
             with pytest.raises(ConfigError):
                 BoundaryCondition("drive", T_drive)
 
@@ -315,10 +315,11 @@ class TestStepping:
             diffusion_step(prob, s, 0.1, "p3")
 
     @pytest.mark.parametrize("model", ["p1", "fld"])
-    @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan])
+    @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, True])
     def test_bad_time_step_rejected(self, model, dt):
         # Without the check a zero step divides by zero, a negative one
-        # fails in the Newton and nan in the factorization.
+        # fails in the Newton and nan in the factorization; True would
+        # pass as a 1 ns step.
         prob = benchmark_problem()
         with pytest.raises(ConfigError, match="time step"):
             diffusion_step(prob, initial_moment_state(prob, 1e-3), dt, model)

@@ -364,7 +364,7 @@ class TestConstantOpacity:
 
 
 class TestInverseCubeMaterial:
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf, True])
     def test_bad_coefficient_rejected(self, bad):
         with pytest.raises(ValueError, match="positive and finite"):
             InverseCubeMaterial(FGRID, bad)
@@ -376,8 +376,9 @@ class TestMaterialEOS:
         assert benchmark_cv(1.0) == pytest.approx(8.118124e-3, rel=1e-10)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            MaterialEOS(0.0)
+        for bad in (0.0, True):
+            with pytest.raises(ValueError):
+                MaterialEOS(bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_heat_capacity_rejected(self, bad):

@@ -4,7 +4,7 @@ The Fleck-Cummings-type problem on a 4 x 4 mesh (17 groups, 16
 directions, 2 steps from 1e-3 KeV) is run with one knob moved at a time
 from the benchmark's opacity coefficient, 1 KeV drive and 0.02 ns step.
 The VEF is also run on poor temperature data at the benchmark regime,
-since its coupling starts at the data, and the FOM and the moment models
+since its coupling starts from the data, and the FOM and the moment models
 on the grey (one-group) version of the problem. At the benchmark regime,
 the inexact material Newton of each coupling pass is checked for its
 cost (emission evaluations per pass) and its result (the step of a fully
@@ -53,9 +53,11 @@ BALANCE_TOL = 1.0e-7
 #: Uniform data temperatures [KeV] after the cold initial level: the
 #: whole history at the initial 1e-3 KeV, and 2 KeV, twice the drive.
 #: Both are far from the driven solution, so each VEF step's coupling
-#: starts far from its fixed point. Measured passes per step: 10, 13
-#: (cold) and 13, 14 (hot); started where P1 starts instead (the previous
-#: level extrapolated by its rate), the same steps take 10, 5 and 10, 5.
+#: starts far from its fixed point. Measured passes per step: 10, 6
+#: (cold) and 13, 9 (hot) from the VEF's start, the data plus the last
+#: step's correction; 10, 14 and 13, 14 started at the bare data; 10, 5
+#: and 10, 5 started where P1 starts (the previous level extrapolated by
+#: its rate).
 POOR_DATA = {"cold": T_COLD, "hot": 2.0}
 
 

@@ -748,7 +748,7 @@ class TestFomStep:
         assert len(steps) == 2
         assert len(sweeps) == sum(per_step) and min(per_step) > 1
 
-    @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf])
+    @pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf, True])
     def test_bad_time_step_rejected_before_any_sweep(self, monkeypatch, dt):
         # Without the check inf fails deep in the coupling with a ValueError.
         def no_sweep(*args, **kwargs):

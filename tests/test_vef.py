@@ -30,6 +30,7 @@ from ddvef.grid import (
     build_frequency_grid, interior_fluxes,
 )
 from ddvef.history import march
+from ddvef.iteration import GUARD_FACTOR
 from ddvef.physics import DEFAULT_CONSTANTS, InverseCubeMaterial, MaterialEOS, benchmark_cv, group_planck
 from ddvef.transport import (
     BoundaryInflow,
@@ -56,6 +57,8 @@ T_COLD = 1.0e-3
 T_DRIVE = 1.0
 DT = 2.0**-6  # ns; a binary step keeps the data grid's differences exact, so dt matches a fixed-step march
 N_STEPS = 3
+#: Frequency-group bounds of the random problems, by group count.
+GROUP_BOUNDS = {1: (1.0e7,), 2: (3.0, 1.0e7), 17: BENCHMARK_GROUP_BOUNDS}
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +83,9 @@ def passes(history):
     return [d.picard_iterations for d in history.diagnostics]
 
 
-def march_records(problem, steps):
-    """vef_step over steps of (dt, record) or (dt, record, T_start) from equilibrium at T_COLD at t = 0."""
-    return march("vef", initial_moment_state(problem, T_COLD), lambda state, step: vef_step(problem, state, *step), steps)
+def march_records(problem, steps, T0=T_COLD):
+    """vef_step over steps of (dt, record) or (dt, record, T_start) from equilibrium at T0 at t = 0."""
+    return march("vef", initial_moment_state(problem, T0), lambda state, step: vef_step(problem, state, *step), steps)
 
 
 def never(what):
@@ -98,7 +101,8 @@ def test_fused_vef_on_fom_temperatures_reproduces_the_fom(problem, fom):
     assert relative_error(vef.T, fom.T) <= 1.0e-8
     assert relative_error(vef.E, fom.E) <= 1.0e-8
     assert max(d.balance_residual for d in vef.diagnostics) <= 1.0e-8
-    # each step's coupling starts at the FOM's temperature, its fixed point
+    # each step's coupling starts at the FOM's temperature moved by the
+    # last step's correction, which is within PICARD_TOL of the fixed point
     assert passes(vef) == [1] * N_STEPS
 
 
@@ -236,7 +240,7 @@ def p1(diffusion):
 
 @pytest.fixture(scope="module")
 def first_step(problem, p1):
-    """(dt, record, T_start) of the VEF's first step on the P1 data."""
+    """(dt, record, T_prev, T) of the VEF's first step on the P1 data."""
     return next(_closures(problem, p1.times, p1.T))
 
 
@@ -267,7 +271,7 @@ def test_each_pass_and_each_extraction_builds_its_faces_once(problem, p1, monkey
 
 
 def test_data_start_reaches_the_previous_level_start_fixed_point(problem, first_step):
-    dt, record, T_data = first_step
+    dt, record, _, T_data = first_step
     state = initial_moment_state(problem, T_COLD)
     from_data, _ = vef_step(problem, state, dt, record, T_data)
     from_previous, _ = vef_step(problem, state, dt, record)
@@ -285,7 +289,7 @@ def test_each_step_builds_one_system_and_refills_its_matrix(problem, first_step,
     monkeypatch.setattr(sp, "csr_matrix", lambda *a, **kw: matrices.append(1) or csr(*a, **kw))
     monkeypatch.setattr(MomentSystem, "solve", lambda self, *args: passes.append(args) or solve(self, *args))
     monkeypatch.setattr(spla, "spsolve", lambda A, *a, **kw: calls.append((A, A.copy())) or spsolve(A, *a, **kw))
-    dt, record, _ = first_step
+    dt, record, *_ = first_step
     _, diag = vef_step(problem, initial_moment_state(problem, T_COLD), dt, record)
     assert diag.picard_iterations == len(passes) == len(calls) > 2
     assert len(built) == len(matrices) == 1
@@ -297,21 +301,54 @@ def test_each_step_builds_one_system_and_refills_its_matrix(problem, first_step,
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf])
+@pytest.mark.parametrize("dt", [0.0, -0.02, np.nan, np.inf, True])
 def test_bad_time_step_rejected_before_any_solve(problem, first_step, monkeypatch, dt):
     # Without the check 0 divides by zero, -0.02 fails to converge, inf
     # raises ValueError and nan SolverError.
-    _, record, T_data = first_step
+    _, record, _, T_data = first_step
     monkeypatch.setattr(vef_module, "coupled_step", never("solved with a bad time step"))
     with pytest.raises(ConfigError, match="time step"):
         vef_step(problem, initial_moment_state(problem, T_COLD), dt, record, T_data)
 
 
-def test_data_start_saves_passes_over_the_march(problem, p1):
-    from_data = fused_pipeline(problem, p1)
-    from_previous = march_records(problem, [(dt, record) for dt, record, _ in _closures(problem, p1.times, p1.T)])
-    assert relative_error(from_data.T, from_previous.T) <= 1.0e-8
-    assert sum(passes(from_data)) < sum(passes(from_previous))
+@pytest.fixture(scope="module")
+def hot(p1):
+    """Poor data: every level after the cold initial one at 2 KeV, twice the drive."""
+    T = np.full_like(p1.T, 2.0 * T_DRIVE)
+    T[0] = T_COLD
+    return SimpleNamespace(times=p1.times, T=T)
+
+
+@pytest.mark.parametrize("data", ["p1", "hot"])
+def test_each_step_starts_at_its_data_plus_the_last_correction(problem, request, monkeypatch, data):
+    # The first step starts at its data bit for bit. Each later step starts
+    # at its data plus the last step's VEF - data correction, floored at
+    # GUARD_FACTOR of its data: no cell is floored on the P1 data, every
+    # cell of steps 2 and 3 on the hot data.
+    data = request.getfixturevalue(data)
+    starts, step = [], vef_module.vef_step
+    monkeypatch.setattr(vef_module, "vef_step", lambda *args: starts.append(args[4]) or step(*args))
+    vef, T = fused_pipeline(problem, data), data.T
+    np.testing.assert_array_equal(starts[0], T[1])
+    for n in range(1, N_STEPS):
+        np.testing.assert_array_equal(starts[n], np.maximum(T[n + 1] + (vef.T[n] - T[n]), GUARD_FACTOR * T[n + 1]))
+
+
+def test_correction_start_saves_passes_over_the_march(problem, p1):
+    # 5, 6, 6 passes, against 10, 6, 6 started at the previous level.
+    from_correction = fused_pipeline(problem, p1)
+    from_previous = march_records(problem, [(dt, record) for dt, record, *_ in _closures(problem, p1.times, p1.T)])
+    assert relative_error(from_correction.T, from_previous.T) <= 1.0e-8
+    assert sum(passes(from_correction)) < sum(passes(from_previous))
+
+
+def test_correction_start_saves_passes_over_the_data_start_on_poor_data(problem, hot):
+    # 13, 9, 9 passes, against 13, 13, 16 started at the hot data. On the
+    # P1 data the two starts take the same passes here.
+    from_correction = fused_pipeline(problem, hot)
+    from_data = march_records(problem, [(dt, record, T) for dt, record, _, T in _closures(problem, hot.times, hot.T)])
+    assert relative_error(from_correction.T, from_data.T) <= 1.0e-8
+    assert sum(passes(from_correction)) < sum(passes(from_data))
 
 
 def test_isotropic_boundary_factor_is_marshak(diffusion):
@@ -352,7 +389,7 @@ def test_isotropic_closure_is_p1_with_reflective_sides(problem):
 def test_isotropic_closure_is_p1_on_random_problems(nx, ny, G, kinds, dt, n_steps):
     # The isotropic record stepped by vef_step is P1 on small problems with
     # a drive, vacuum or reflective boundary on each side.
-    fgrid = build_frequency_grid({1: (1.0e7,), 2: (3.0, 1.0e7), 17: BENCHMARK_GROUP_BOUNDS}[G])
+    fgrid = build_frequency_grid(GROUP_BOUNDS[G])
     mesh, material, eos = SpatialMesh(nx, ny, 1.5 * nx, 1.5 * ny), InverseCubeMaterial(fgrid), MaterialEOS(benchmark_cv(1.0))
     sides = {side: BoundaryCondition(kind, T_DRIVE if kind == "drive" else None) for side, kind in zip(SIDES, kinds)}
     diffusion = DiffusionProblem(mesh, fgrid, material, eos, sides)
@@ -361,6 +398,37 @@ def test_isotropic_closure_is_p1_on_random_problems(nx, ny, G, kinds, dt, n_step
     p1 = run_diffusion_model(diffusion, "p1", T_COLD, dt, n_steps)
     assert relative_error(vef.T, p1.T) <= 1.0e-12
     assert relative_error(vef.E, p1.E) <= 1.0e-12
+
+
+@settings(max_examples=80)
+@given(
+    nx=st.integers(1, 5), ny=st.integers(1, 5), aspect=st.floats(0.2, 5.0), G=st.sampled_from([1, 2, 17]),
+    T0=st.floats(0.01, 3.0), driven=st.tuples(*[st.booleans()] * len(SIDES)), dt=st.floats(1.0e-3, 1.0),
+)
+def test_equilibrium_stays_stationary_on_random_problems(nx, ny, aspect, G, T0, driven, dt):
+    # Equilibrium at T0 with every side driven at T0 or reflective: P1,
+    # P1/3, FLD and the isotropic record stepped by vef_step stay put, and
+    # so does the FOM with every side driven. Over 2,000 such problems
+    # drawn apart from the test, T moved by at most 3.9e-15 relative and E
+    # by at most 2.2e-13 of its group's largest value (FLD). Groups whose
+    # largest E underflows below 1e-280 hold a few subnormal digits; they
+    # moved by at most 3.2e-295 absolute.
+    fgrid = build_frequency_grid(GROUP_BOUNDS[G])
+    mesh = SpatialMesh(nx, ny, 1.5 * nx, 1.5 * ny * aspect)
+    material, eos = InverseCubeMaterial(fgrid), MaterialEOS(benchmark_cv(1.0))
+    sides = {side: BoundaryCondition("drive", T0) if d else BoundaryCondition("reflective") for side, d in zip(SIDES, driven)}
+    diffusion = DiffusionProblem(mesh, fgrid, material, eos, sides)
+    quad = build_angular_quadrature(2, 4)
+    problem = TransportProblem(mesh, quad, fgrid, material, eos, BoundaryInflow())
+    histories = [run_diffusion_model(diffusion, model, T0, dt, 2) for model in ("p1", "p13", "fld")] + [
+        march_records(problem, [(dt, isotropic_closure(diffusion))] * 2, T0),
+        run_fom(TransportProblem(mesh, quad, fgrid, material, eos, planckian_inflow(fgrid, T0, SIDES)), T0, dt, 2),
+    ]
+    E0 = initial_moment_state(diffusion, T0).E
+    E_bound = 1.0e-12 * E0.max(axis=(1, 2), keepdims=True) + 1.0e-290
+    for history in histories:
+        np.testing.assert_allclose(history.T, T0, rtol=1.0e-13, atol=0.0, err_msg=history.label)
+        assert np.all(np.abs(history.E - E0) <= E_bound), history.label
 
 
 @pytest.mark.parametrize("T_eq", [0.3, 1.0])
@@ -487,8 +555,15 @@ def test_bad_time_grid_raises_before_any_sweep(problem, fom, monkeypatch, case, 
     time_grid_refused(problem, fom, monkeypatch, times, f"time grid must be {message}")
 
 
-@pytest.mark.parametrize("T0", [0.0, -1.0, np.nan, np.inf, np.ones((2, 2))], ids=["0", "-1", "nan", "inf", "2x2"])
-@pytest.mark.parametrize("entry", ["fom", "p1", "vef"])
+BAD_T0 = {"0": 0.0, "-1": -1.0, "nan": np.nan, "inf": np.inf, "2x2": np.ones((2, 2))}
+
+
+# The VEF's T0 is its float data's level 0, where a bool cannot stand.
+@pytest.mark.parametrize(
+    "entry, T0",
+    [pytest.param(entry, T0, id=f"{entry}-{name}") for entry in ("fom", "p1", "vef") for name, T0 in BAD_T0.items()]
+    + [pytest.param(entry, True, id=f"{entry}-True") for entry in ("fom", "p1")],
+)
 def test_bad_initial_temperature_raises_before_any_sweep_or_solve(problem, diffusion, monkeypatch, entry, T0):
     calls = []
 
