@@ -530,9 +530,9 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
 def run_diffusion_model(problem: DiffusionProblem, model: str, T0: float, dt: float, n_steps: int):
     """March one moment model n_steps from equilibrium at T0 and return its SolutionHistory.
 
-    The history is labelled with the model name. A zero-step run returns a
-    history holding only the initial state; an n_steps that is negative or
-    not a whole number raises ConfigError.
+    The history, labelled with the model name, holds every level's t, T
+    and E; a zero-step run holds the initial level alone. An n_steps that
+    is negative or not a whole number raises ConfigError.
     """
     check_step_count(n_steps)
     return march(model, initial_moment_state(problem, T0), lambda s, _: diffusion_step(problem, s, dt, model), range(n_steps))

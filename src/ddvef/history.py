@@ -1,9 +1,9 @@
 """Time levels, time series and step records shared by the transport and moment models.
 
-A history stores every time level including the initial condition, so a run
-of N steps holds N+1 levels. Each step of every model leaves a
-StepDiagnostics: its coupling's pass changes and the defect of the global
-energy budget (energy_balance_residual).
+A history stores t, T and E of every time level, the initial one included,
+so a run of N steps holds N+1 levels; face fluxes stay in the stepped state.
+Each step of every model leaves a StepDiagnostics: its coupling's pass
+changes and the defect of the global energy budget (energy_balance_residual).
 """
 
 from __future__ import annotations
@@ -63,6 +63,21 @@ def check_step_count(n_steps) -> None:
         raise ConfigError(f"a run needs a whole number of at least zero steps, got {n_steps!r}")
 
 
+def check_temperature_field(T, shapes, what: str) -> np.ndarray:
+    """T as a float array; raise ConfigError, naming it what, unless it holds no bools,
+    its shape is one of shapes (() for a scalar) and it is finite and positive."""
+    if np.asarray(T).dtype == bool:
+        raise ConfigError(f"{what} must be a number, not a bool, got {T!r}")
+    T = np.asarray(T, dtype=float)
+    if T.shape not in shapes:
+        expected = " or ".join("a scalar" if shape == () else str(shape) for shape in shapes)
+        raise ConfigError(f"{what} has shape {T.shape}, expected {expected}")
+    # Written so that nan, which fails every comparison, is rejected too.
+    if not np.all((T > 0.0) & (T < np.inf)):
+        raise ConfigError(f"{what} must be finite and positive")
+    return T
+
+
 def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
     """Equilibrium radiation at the initial temperature (scalar or (ny, nx) field), zero flux.
 
@@ -72,14 +87,7 @@ def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
     every model's run builds this state before its first sweep or solve.
     """
     mesh = problem.mesh
-    if np.asarray(T0).dtype == bool:
-        raise ConfigError(f"initial temperature must be a number, not a bool, got {T0!r}")
-    T = np.asarray(T0, dtype=float)
-    if T.shape not in ((), (mesh.ny, mesh.nx)):
-        raise ConfigError(f"initial temperature has shape {T.shape}, expected a scalar or {(mesh.ny, mesh.nx)}")
-    # Written so that nan, which fails every comparison, is rejected too.
-    if not np.all((T > 0.0) & (T < np.inf)):
-        raise ConfigError("initial temperature must be finite and positive")
+    T = check_temperature_field(T0, ((), (mesh.ny, mesh.nx)), "initial temperature")
     T = np.broadcast_to(T, (mesh.ny, mesh.nx)).copy()
     E = (4.0 * np.pi / DEFAULT_CONSTANTS.c) * group_planck(T, problem.fgrid)
     G = E.shape[0]
@@ -88,46 +96,40 @@ def initial_moment_state(problem, T0, t0: float = 0.0) -> MomentState:
 
 @dataclass
 class SolutionHistory:
-    """Stacked time levels of one model run.
-
-    times: (N+1,); T: (N+1, ny, nx); E: (N+1, G, ny, nx);
-    Fx: (N+1, G, ny, nx+1); Fy: (N+1, G, ny+1, nx).
-    """
+    """Stacked time levels of one model run: times (N+1,); T (N+1, ny, nx); E (N+1, G, ny, nx)."""
 
     label: str
     times: np.ndarray
     T: np.ndarray
     E: np.ndarray
-    Fx: np.ndarray
-    Fy: np.ndarray
     diagnostics: list = field(default_factory=list)
 
     def __post_init__(self):
         n = self.times.shape[0]
-        for name in ("T", "E", "Fx", "Fy"):
+        for name in ("T", "E"):
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ConfigError(f"history field {name} has {arr.shape[0]} levels, expected {n}")
 
 
 def march(label: str, state, advance, steps) -> SolutionHistory:
-    """Advance state once per item of steps and stack every level.
+    """Advance state once per item of steps and stack every level's t, T and E.
 
     advance(state, step) -> (state, diagnostics) is called in order with
     each item of steps. Every model's time loop is this one: the FOM and
     the diffusion models step over a range, the VEF over per-step closure
     data. Only the live state is kept whole; of every level the march
-    keeps t, T, E, Fx and Fy as they come, so a FOM state's intensity is
-    freed once the next step has been taken.
+    keeps t, T and E as they come, so a state's face fluxes, and a FOM
+    state's intensity, are freed once the next step has been taken.
     """
-    levels = [(state.t, state.T, state.E, state.Fx, state.Fy)]
+    levels = [(state.t, state.T, state.E)]
     diagnostics = []
     for step in steps:
         state, diag = advance(state, step)
-        levels.append((state.t, state.T, state.E, state.Fx, state.Fy))
+        levels.append((state.t, state.T, state.E))
         diagnostics.append(diag)
-    times, T, E, Fx, Fy = zip(*levels)
-    return SolutionHistory(label, np.array(times), np.stack(T), np.stack(E), np.stack(Fx), np.stack(Fy), diagnostics)
+    times, T, E = zip(*levels)
+    return SolutionHistory(label, np.array(times), np.stack(T), np.stack(E), diagnostics)
 
 
 def total_energy(T: np.ndarray, E: np.ndarray, mesh: SpatialMesh, eos: MaterialEOS) -> float:

@@ -473,7 +473,7 @@ def fom_step(problem: TransportProblem, state: TransportState, dt: float) -> tup
 def run_fom(problem: TransportProblem, T0: float, dt: float, n_steps: int):
     """March the full-order model n_steps from a uniform initial state.
 
-    Returns a SolutionHistory with n_steps + 1 time levels; its
+    Returns a SolutionHistory of the n_steps + 1 levels' t, T and E; its
     temperatures are the data a VEF run (vef.fused_pipeline) can take.
     An n_steps that is negative or not a whole number raises ConfigError.
     """

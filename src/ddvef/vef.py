@@ -93,7 +93,7 @@ import numpy as np
 from .diffusion import DiffusionProblem, _marshak_boundary, coupled_step, first_moment_faces
 from .errors import ConfigError
 from .grid import AngularQuadrature, boundary_cells, boundary_flux, face_cells, interior_fluxes, normal_face_means
-from .history import MomentState, StepDiagnostics, check_time_step, initial_moment_state, march
+from .history import MomentState, StepDiagnostics, check_temperature_field, check_time_step, initial_moment_state, march
 from .iteration import GUARD_FACTOR
 from .physics import DEFAULT_CONSTANTS
 from .transport import SweepResult, TransportProblem, planckian_intensity, sweep, sweep_step
@@ -257,10 +257,11 @@ def vef_step(
     the boundary tables are the record's, n.F = v_out E_cell + b_base. Of
     the transport problem only the mesh, groups, material and heat
     capacity are used: the record stands in for the quadrature and the
-    inflow. A dt that is not positive and finite, or a record field whose
+    inflow. A dt that is not positive and finite, a record field whose
     shape is not (G, n_faces) or (G, n_boundary_faces) as its metadata "at"
-    says, raises ConfigError before the first solve; a record of the wrong
-    shape would otherwise broadcast or fail inside the solve.
+    says, or a T_start that is neither None nor an (ny, nx) field of finite
+    positive numbers, raises ConfigError before the first solve, inside
+    which it would broadcast or fail.
     """
     check_time_step(dt)
     mesh, G = problem.mesh, problem.fgrid.n_groups
@@ -269,6 +270,8 @@ def vef_step(
         shape, expected = np.shape(getattr(record, f.name)), at[f.metadata["at"]]
         if shape != expected:
             raise ConfigError(f"closure {f.name} has shape {shape}, expected {expected}")
+    if T_start is not None:
+        T_start = check_temperature_field(T_start, ((mesh.ny, mesh.nx),), "T_start")
     F_prev = interior_fluxes(state.Fx, state.Fy)
     alpha = 1.0 / (DEFAULT_CONSTANTS.c * dt)
     return coupled_step(
@@ -284,7 +287,6 @@ def vef_step(
 
 def _check_temperature_data(problem, temperatures):
     times = np.asarray(temperatures.times, dtype=float)
-    T = np.asarray(temperatures.T, dtype=float)
     if times.ndim != 1 or not np.all(np.isfinite(times)):
         raise ConfigError("time grid must be a finite 1-D array")
     if times.size < 2:
@@ -292,11 +294,7 @@ def _check_temperature_data(problem, temperatures):
     if not np.all(np.diff(times) > 0.0):
         raise ConfigError("time grid must be strictly increasing")
     shape = (times.size, problem.mesh.ny, problem.mesh.nx)
-    if T.shape != shape:
-        raise ConfigError(f"data temperatures have shape {T.shape}, expected {shape}")
-    if not np.all(np.isfinite(T) & (T > 0.0)):
-        raise ConfigError("data temperatures must be finite and positive")
-    return times, T
+    return times, check_temperature_field(temperatures.T, (shape,), "data temperature field")
 
 
 def _closures(problem: TransportProblem, times: np.ndarray, T_data: np.ndarray):
@@ -318,7 +316,7 @@ def _closures(problem: TransportProblem, times: np.ndarray, T_data: np.ndarray):
 
 
 def fused_pipeline(problem: TransportProblem, temperatures, label: str = "vef"):
-    """Run the data-driven VEF on temperature data and return the SolutionHistory of all N+1 levels.
+    """Run the data-driven VEF on temperature data and return the t, T and E of all N+1 levels.
 
     temperatures provides .times (N+1,) and .T (N+1, ny, nx) - any solution
     history qualifies. The run starts from equilibrium at the initial data
@@ -333,14 +331,14 @@ def fused_pipeline(problem: TransportProblem, temperatures, label: str = "vef"):
     (module docstring); on the first step T_vef[0] is T_data[0], so it
     starts at its data. A time
     grid that is not a finite, strictly increasing 1-D array of at least two
-    levels, and data temperatures of the wrong shape or not finite and
-    positive, raise ConfigError before the first sweep.
+    levels, and data temperatures of the wrong shape, holding bools, or not
+    finite and positive, raise ConfigError before the first sweep.
     """
     times, T_data = _check_temperature_data(problem, temperatures)
-    state = initial_moment_state(problem, T_data[0], float(times[0]))
 
     def advance(state, step):
         dt, record, T_prev, T = step
         return vef_step(problem, state, dt, record, np.maximum(T + (state.T - T_prev), GUARD_FACTOR * T))
 
-    return march(label, state, advance, _closures(problem, times, T_data))
+    # The initial state goes to the march unnamed, so it is freed once stepped past.
+    return march(label, initial_moment_state(problem, T_data[0], times[0]), advance, _closures(problem, times, T_data))

@@ -326,6 +326,26 @@ class TestEdgeEvaluation:
             np.testing.assert_array_equal(constant[2], group_planck(T, FGRID))
 
 
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_random_field_matches_per_cell_evaluation(self, data):
+        # Log-uniform temperatures over the whole range the models reach,
+        # with some cells placed exactly on a finite edge (x = 1, the seam
+        # between the power series and the tail).
+        G = data.draw(st.sampled_from([1, 2, 17]), label="G")
+        fgrid = build_frequency_grid({1: (1.0e7,), 2: (3.0, 1.0e7), 17: FGRID.bounds[1:]}[G])
+        ny, nx = data.draw(st.integers(1, 5), label="ny"), data.draw(st.integers(1, 5), label="nx")
+        cell = st.one_of(st.floats(-6.0, 4.0).map(lambda e: 10.0**e), st.sampled_from(list(fgrid.bounds[1:])))
+        T = np.array(data.draw(st.lists(cell, min_size=ny * nx, max_size=ny * nx), label="T")).reshape(ny, nx)
+        if data.draw(st.booleans(), label="constant"):
+            material = ConstantOpacity(fgrid, np.geomspace(1.0e-2, 1.0e3, G))
+        else:
+            material = InverseCubeMaterial(fgrid)
+        field = material.emission_terms(T, DEFAULT_CONSTANTS)
+        for i, j in np.ndindex(T.shape):
+            for got, expect in zip(field, material.emission_terms(T[i, j], DEFAULT_CONSTANTS)):
+                np.testing.assert_allclose(got[:, i, j], expect, rtol=1e-14, atol=0.0)
+
     def test_last_edge_limit_is_where_x4_overflows(self):
         # Just below the limit every group value stays finite down to the
         # clamped floor temperature; just above it build_frequency_grid

@@ -816,8 +816,8 @@ class TestRunFom:
         np.testing.assert_allclose(hist.times, 0.1 * np.arange(5), atol=1e-15)
         assert hist.T.shape == (5, 2, 3)
         assert hist.E.shape == (5, 17, 2, 3)
-        assert hist.Fx.shape == (5, 17, 2, 4)
-        assert hist.Fy.shape == (5, 17, 3, 3)
+        # The face fluxes stay in the stepped state; a history keeps none.
+        assert not hasattr(hist, "Fx") and not hasattr(hist, "Fy")
         assert len(hist.diagnostics) == 4
 
     def test_zero_steps_keep_the_initial_state_only(self):
@@ -833,8 +833,9 @@ class TestRunFom:
         np.testing.assert_allclose(folded.E, unfolded.E, rtol=1e-9, atol=0.0)
 
     def test_march_keeps_only_the_live_state(self):
-        # A FOM state carries its whole intensity psi; the history keeps each
-        # level's T, E, Fx and Fy, so a state is freed once it is stepped past.
+        # A FOM state carries its whole intensity psi and its face fluxes; the
+        # history keeps each level's t, T and E, so a state is freed once it
+        # is stepped past.
         problem = benchmark_like_problem(nx=3, ny=3)
         returned, alive = [], []
 
@@ -848,7 +849,7 @@ class TestRunFom:
         hist = march("fom", initial_transport_state(problem, 1e-3), advance, range(4))
         assert alive == [[], [True], [False, True], [False, False, True]]
         reference = run_fom(problem, 1e-3, 0.1, 4)
-        for name in ("times", "T", "E", "Fx", "Fy"):
+        for name in ("times", "T", "E"):
             np.testing.assert_array_equal(getattr(hist, name), getattr(reference, name))
 
 

@@ -1,5 +1,6 @@
 """Invariants of the data-driven VEF model on a small driven problem."""
 
+import gc
 import weakref
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddvef import diffusion as diffusion_module
 from ddvef import transport as transport_module
 from ddvef import vef as vef_module
 from ddvef.diffusion import (
@@ -261,6 +263,39 @@ def test_fused_pipeline_frees_each_record_before_building_the_next(problem, diff
     assert len(alive) == 6 and max(alive) <= 1, alive
 
 
+@pytest.mark.parametrize("model", ["fom", "p1", "vef"])
+def test_a_march_frees_each_level_fluxes_and_keeps_only_t_T_and_E(problem, diffusion, p1, monkeypatch, model):
+    # Each state's Fx and Fy are read by the next step (F_prev and the
+    # energy budget) and then dropped: when step k starts, only level k's
+    # fluxes are alive, and none once the march has returned.
+    module, name, run = {
+        "fom": (transport_module, "fom_step", lambda: run_fom(problem, T_COLD, DT, N_STEPS)),
+        "p1": (diffusion_module, "diffusion_step", lambda: run_diffusion_model(diffusion, "p1", T_COLD, DT, N_STEPS)),
+        "vef": (vef_module, "vef_step", lambda: fused_pipeline(problem, p1)),
+    }[model]
+    step, levels, alive = getattr(module, name), [], []
+
+    def tracked(problem, state, *args):
+        if not levels:
+            levels.append((weakref.ref(state.Fx), weakref.ref(state.Fy)))
+        gc.collect()
+        alive.append([tuple(ref() is not None for ref in level) for level in levels])
+        new, diag = step(problem, state, *args)
+        levels.append((weakref.ref(new.Fx), weakref.ref(new.Fy)))
+        return new, diag
+
+    monkeypatch.setattr(module, name, tracked)
+    history = run()
+    gc.collect()
+    dead, live = (False, False), (True, True)
+    assert alive == [[dead] * k + [live] for k in range(N_STEPS)]
+    assert [tuple(ref() is not None for ref in level) for level in levels] == [dead] * (N_STEPS + 1)
+    # A history's arrays are its times and every level's T and E, nothing more.
+    G, cells = problem.fgrid.n_groups, problem.mesh.nx * problem.mesh.ny
+    held = sum(value.nbytes for value in vars(history).values() if isinstance(value, np.ndarray))
+    assert held == 8 * (N_STEPS + 1) * (1 + cells + G * cells)
+
+
 def test_each_pass_and_each_extraction_builds_its_faces_once(problem, p1, monkeypatch):
     # The stored fluxes reuse the last pass's faces, which depend on kappa alone.
     calls = []
@@ -433,9 +468,22 @@ def test_equilibrium_stays_stationary_on_random_problems(nx, ny, aspect, G, T0, 
 
 @pytest.mark.parametrize("T_eq", [0.3, 1.0])
 @pytest.mark.parametrize("rule", [(2, 4), (3, 8)], ids=["2x4", "3x8"])
-def test_equilibrium_drive_stays_stationary_through_the_vef(T_eq, rule):
+def test_equilibrium_drive_stays_stationary_through_the_vef(T_eq, rule, monkeypatch):
     # Every side driven at the data temperature: the sweep's boundary tables
-    # carry the quadrature's own incoming currents, so nothing moves.
+    # carry the quadrature's own incoming currents, so nothing moves. The
+    # history keeps no fluxes, so every level's state is captured as
+    # vef_step receives (the first) or returns it.
+    levels = []
+
+    def capture(problem, state, *args):
+        if not levels:
+            levels.append(state)
+        new, diag = original(problem, state, *args)
+        levels.append(new)
+        return new, diag
+
+    original = vef_module.vef_step
+    monkeypatch.setattr(vef_module, "vef_step", capture)
     fgrid = build_frequency_grid()
     mesh, c = SpatialMesh(5, 4, 5.0, 4.0), DEFAULT_CONSTANTS.c
     problem = TransportProblem(
@@ -448,7 +496,9 @@ def test_equilibrium_drive_stays_stationary_through_the_vef(T_eq, rule):
     np.testing.assert_allclose(vef.T, T_eq, rtol=1.0e-14, atol=0.0)
     np.testing.assert_allclose(vef.E, np.broadcast_to(E_eq[:, None, None], vef.E.shape), rtol=1.0e-14, atol=0.0)
     flux_bound = 1.0e-15 * c * E_eq.sum()
-    assert np.abs(vef.Fx).max() <= flux_bound and np.abs(vef.Fy).max() <= flux_bound
+    assert [state.t for state in levels] == list(vef.times)
+    for state in levels:
+        assert np.abs(state.Fx).max() <= flux_bound and np.abs(state.Fy).max() <= flux_bound
     assert passes(vef) == [1] * N_STEPS
 
 
@@ -472,6 +522,29 @@ def test_validate_rejects_a_wrong_shaped_field(problem, diffusion, monkeypatch, 
     monkeypatch.setattr(vef_module, "coupled_step", never("solved with a wrong-shaped record"))
     with pytest.raises(ConfigError, match=f"closure {name} has shape"):
         vef_step(problem, initial_moment_state(problem, T_COLD), DT, broken)
+
+
+BAD_T_START = {
+    "2x2": (np.full((2, 2), T_DRIVE), "T_start has shape"),
+    "flat": (np.full(25, T_DRIVE), "T_start has shape"),
+    "nan": (np.full((5, 5), np.nan), "T_start must be finite and positive"),
+    "-1": (np.full((5, 5), -1.0), "T_start must be finite and positive"),
+    "0": (np.zeros((5, 5)), "T_start must be finite and positive"),
+    "inf": (np.full((5, 5), np.inf), "T_start must be finite and positive"),
+    "bool": (np.ones((5, 5), dtype=bool), "T_start must be a number, not a bool"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_T_START))
+def test_bad_start_temperature_raises_before_any_solve(problem, diffusion, monkeypatch, case):
+    # A (2, 2) start on this 5 x 5 mesh failed in a bare reshape, a flat one
+    # and a bool one (read as 1 KeV) were accepted and converged, and a nan,
+    # zero, infinite or negative one failed in the group physics with a
+    # ValueError; each is refused as the record's shapes are.
+    T_start, message = BAD_T_START[case]
+    monkeypatch.setattr(vef_module, "coupled_step", never("solved from a bad start temperature"))
+    with pytest.raises(ConfigError, match=message):
+        vef_step(problem, initial_moment_state(problem, T_COLD), DT, isotropic_closure(diffusion), T_start)
 
 
 def test_temperature_data_is_checked(problem, fom):
@@ -512,11 +585,14 @@ def test_bad_temperature_data_raises_before_any_sweep(problem, fom, monkeypatch,
 
 def test_validate_rejects_bad_data_temperatures(problem, p1):
     _check_temperature_data(problem, p1)
-    with pytest.raises(ConfigError, match="data temperatures have shape"):
+    with pytest.raises(ConfigError, match="data temperature field has shape"):
         _check_temperature_data(problem, SimpleNamespace(times=p1.times, T=p1.T[:-1]))
     for bad in (0.0, np.nan):
         with pytest.raises(ConfigError, match="finite and positive"):
             _check_temperature_data(problem, SimpleNamespace(times=p1.times, T=np.full_like(p1.T, bad)))
+    # Bool data would otherwise be read as 1 KeV everywhere.
+    with pytest.raises(ConfigError, match="data temperature field must be a number, not a bool"):
+        _check_temperature_data(problem, SimpleNamespace(times=p1.times, T=np.ones_like(p1.T, dtype=bool)))
 
 
 def time_grid_refused(problem, fom, monkeypatch, times, message):
@@ -582,7 +658,7 @@ def test_bad_initial_temperature_raises_before_any_sweep_or_solve(problem, diffu
     run, message = {
         "fom": (lambda: run_fom(problem, T0, DT, 1), "initial temperature"),
         "p1": (lambda: run_diffusion_model(diffusion, "p1", T0, DT, 1), "initial temperature"),
-        "vef": (lambda: fused_pipeline(problem, SimpleNamespace(times=np.array([0.0, DT]), T=T_data)), "data temperatures"),
+        "vef": (lambda: fused_pipeline(problem, SimpleNamespace(times=np.array([0.0, DT]), T=T_data)), "data temperature field"),
     }[entry]
     with pytest.raises(ConfigError, match=message):
         run()
