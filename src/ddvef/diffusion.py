@@ -50,7 +50,7 @@ current (pi B at the drive temperature, zero for vacuum), or reflective
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -99,19 +99,29 @@ def standard_boundaries(T_drive: float, drive_sides=("left",)) -> dict:
 
 @dataclass(frozen=True)
 class DiffusionProblem:
-    """Static description of a moment-model run; a side without a BoundaryCondition raises ConfigError."""
+    """Static description of a moment-model run; a side without a BoundaryCondition raises ConfigError.
+
+    The incoming currents and the Marshak boundary tables (b_coef, b_base)
+    built from them depend on the problem alone, so they are built once
+    with it, read-only, and every step of P1, P1/3 and FLD reads them.
+    """
 
     mesh: SpatialMesh
     fgrid: FrequencyGrid
     material: object
     eos: MaterialEOS
     boundaries: Mapping[str, BoundaryCondition]
+    _F_in: np.ndarray = field(init=False, repr=False, compare=False)
+    _boundary: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_sides(self.boundaries)
         wrong = [s for s in SIDES if not isinstance(self.boundaries.get(s), BoundaryCondition)]
         if wrong:
             raise ConfigError(f"sides {wrong} need a BoundaryCondition, got {[self.boundaries.get(s) for s in wrong]}")
+        F_in = self.incoming_currents()
+        object.__setattr__(self, "_F_in", _read_only(F_in)[0])
+        object.__setattr__(self, "_boundary", _read_only(*_marshak_boundary(self, F_in)))
 
     def incoming_currents(self) -> np.ndarray:
         """Incoming partial current per side and group (4, G) [Jerk/cm^2/ns]:
@@ -134,7 +144,11 @@ def larsen_coefficient(kappa, E, gradE):
     kappa = np.asarray(kappa, dtype=float)
     E = np.asarray(E, dtype=float)
     grad = np.abs(np.asarray(gradE, dtype=float))
-    ratio = grad / np.maximum(E, _energy_floor(E))
+    return _limited_coefficient(kappa, grad / np.maximum(E, _energy_floor(E)))
+
+
+def _limited_coefficient(kappa, ratio):
+    """larsen_coefficient's D of kappa and ratio = |grad E| / E, E already floored."""
     return 1.0 / np.maximum(np.hypot(3.0 * kappa, ratio), 1.0e-290)
 
 
@@ -396,7 +410,8 @@ class MomentSystem:
             r = d * E - rhs
             r[:, :n_red] -= push
             r[:, n_red:] -= push_b.reshape(G, n_black)
-            norm_r, norm_b = (np.sqrt(np.einsum("ij,ij->i", v, v)) for v in (r, rhs))
+            norm_r = np.sqrt(np.einsum("ij,ij->i", r, r))
+            norm_b = np.sqrt(np.einsum("ij,ij->i", rhs, rhs))
             if not np.all(norm_r <= _RESIDUAL_TOL * np.maximum(norm_b, 1.0e-300)):
                 residual = _relative_residuals(r, rhs)
                 worst = int(np.argmax(residual))
@@ -420,8 +435,10 @@ def first_moment_faces(mesh: SpatialMesh, kappa, alpha: float, F_prev, g, r=0.0)
     VEF's consistency remainder, a known part that never enters the matrix.
     """
     den = face_means(mesh, kappa) + alpha
-    coef = (DEFAULT_CONSTANTS.c / den) * g / face_cells(mesh)[1]
-    return FaceForms(np.stack([coef, -coef]), (alpha / den) * F_prev + r)
+    coef = np.empty((2,) + den.shape)
+    np.divide((DEFAULT_CONSTANTS.c / den) * g, face_cells(mesh)[1], out=coef[0])
+    np.negative(coef[0], out=coef[1])
+    return FaceForms(coef, (alpha / den) * F_prev + r)
 
 
 def _fld_faces(mesh: SpatialMesh, kappa, E, theta: float) -> FaceForms:
@@ -440,17 +457,20 @@ def _fld_faces(mesh: SpatialMesh, kappa, E, theta: float) -> FaceForms:
     convergence of the coupling, never its fixed point; theta = 0 is the
     Picard form bit for bit. Faces whose mean lies on larsen_coefficient's
     energy floor, one floor per field over all its faces, keep the Picard
-    form.
+    form. D is larsen_coefficient's, bit for bit, from one gather of each
+    face's two energies and one evaluation of the floor and of |dE|.
     """
     cells, width = face_cells(mesh)
     flat = E.reshape(E.shape[0], -1)
-    dE = flat[:, cells[1]] - flat[:, cells[0]]
-    Ef = face_means(mesh, E)
-    D = larsen_coefficient(face_means(mesh, kappa), Ef, dE / width)
-    w = DEFAULT_CONSTANTS.c * D / width
+    lo, hi = flat[:, cells[0]], flat[:, cells[1]]
+    dE = hi - lo
+    Ef = 0.5 * (hi + lo)  # face_means(mesh, E)
     floor = _energy_floor(Ef)
     mean = np.maximum(Ef, floor)
-    t = theta * (Ef > floor) * (np.abs(dE) * D / (width * mean)) ** 2
+    size = np.abs(dE)
+    D = _limited_coefficient(face_means(mesh, kappa), size / width / mean)
+    w = DEFAULT_CONSTANTS.c * D / width
+    t = theta * (Ef > floor) * (size * D / (width * mean)) ** 2
     q = dE / (2.0 * mean)
     return FaceForms(np.stack([w * (1.0 - t * (1.0 + q)), -w * (1.0 - t * (1.0 - q))]), np.zeros_like(w))
 
@@ -507,18 +527,17 @@ def diffusion_step(problem: DiffusionProblem, state: MomentState, dt: float, mod
     For P1 and P1/3 the face coefficients depend on T alone, so the
     coupling iterates on the temperature field; FLD's diffusion
     coefficient depends on E as well and iterates on the joint (T, E)
-    unknown (see coupled_step). An unknown model or a dt that is not
-    positive and finite raises ConfigError.
+    unknown (see coupled_step). The boundary tables are the problem's
+    own, built once with it (DiffusionProblem). An unknown model or a dt
+    that is not positive and finite raises ConfigError.
     """
     if model not in MODEL_KINDS:
         raise ConfigError(f"unknown diffusion model {model!r}, expected one of {MODEL_KINDS}")
     check_time_step(dt)
-    mesh, c = problem.mesh, DEFAULT_CONSTANTS.c
-    F_in = problem.incoming_currents()
-    boundary = _marshak_boundary(problem, F_in)
+    mesh, c, boundary = problem.mesh, DEFAULT_CONSTANTS.c, problem._boundary
     label = f"{model} moment/material coupling"
     if model == "fld":
-        e_scale = max(float(state.E.max()), 4.0 * float(F_in.max()) / c, 1.0e-290)
+        e_scale = max(float(state.E.max()), 4.0 * float(problem._F_in.max()) / c, 1.0e-290)
         return coupled_step(problem, state, dt, functools.partial(_fld_faces, mesh), boundary, label, None, e_scale)
     alpha = 1.0 / (c * dt) if model == "p1" else 1.0 / (3.0 * c * dt)
     F_prev = interior_fluxes(state.Fx, state.Fy)

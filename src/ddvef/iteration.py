@@ -110,7 +110,7 @@ class AndersonAccelerator:
         x = x.ravel()
         gx = gx.ravel()
         r = gx - x
-        rnorm = float(np.linalg.norm(r))
+        rnorm = float(np.sqrt(r @ r))  # np.linalg.norm(r), without its wrapper
         if rnorm > 1.0e2 * self._last_rnorm:
             self._k, self._r = 0, None
         self._last_rnorm = min(rnorm, self._last_rnorm)
@@ -130,7 +130,7 @@ class AndersonAccelerator:
         if self._k == 0:
             return gx.copy()
         dR = self._dR[:, : self._k]
-        norms = np.linalg.norm(dR, axis=0)
+        norms = np.sqrt(np.add.reduce(dR * dR, axis=0))  # np.linalg.norm(dR, axis=0)
         norms[norms == 0.0] = 1.0
         try:
             gamma, *_ = np.linalg.lstsq(dR / norms, r, rcond=_LSTSQ_RCOND)
@@ -194,8 +194,12 @@ def fixed_point_solve(coupled_pass, x0: np.ndarray, n_T: int, label: str):
     stalled = 0
     for _ in range(PICARD_MAX_ITER):
         gx, exchange = coupled_pass(x, theta)
-        t_change = np.max(np.abs(gx[:n_T] - x[:n_T]) / np.abs(gx[:n_T]))
-        change = float(max(t_change, np.max(np.abs(gx[n_T:] - x[n_T:]), initial=0.0)))
+        step = gx - x
+        size = np.abs(step)
+        change = np.max(size[:n_T] / np.abs(gx[:n_T]))
+        if n_T < size.size:
+            change = max(change, np.max(size[n_T:]))
+        change = float(change)
         history.append(change)
         if change <= PICARD_TOL:
             return gx, history
@@ -210,7 +214,7 @@ def fixed_point_solve(coupled_pass, x0: np.ndarray, n_T: int, label: str):
         if theta > 0.0:
             scale = 1.0 / (1.0 - np.clip(exchange, 0.0, 1.0 - 1.0e-4))
             target = gx.copy()
-            target[:n_T] += theta * (x[:n_T] + scale * (gx[:n_T] - x[:n_T]) - gx[:n_T])
+            target[:n_T] += theta * (x[:n_T] + scale * step[:n_T] - gx[:n_T])
         x = np.maximum(accel.propose(x, target), GUARD_FACTOR * gx)
     raise ConvergenceError(f"{label} did not converge", residual=history[-1], history=history)
 

@@ -23,6 +23,14 @@ once per edge and e^{-dx} once per group supply every exponential the
 reductions use, the power series runs only on edges with 0 < x <= 1 (none
 once T is below the first finite edge, 0.7075 KeV on the benchmark grid),
 and the opacity and Planck reductions share psi1 - psi0 and T^3.
+Those two exponentials are evaluated only where the argument is below
+746 and set to zero beyond: from 1075 ln 2 = 745.13 on, e^{-y} is below
+half the smallest subnormal, 2^-1075, and rounds to exactly zero, so the
+cutoff changes no bit, while the underflow path of exp costs up to nine
+times a normal evaluation (17 against 1.9 ns an entry on a 2-core Xeon
+VM). Cold cells put most edges past it: averaged over the evaluations
+of each benchmark march (seed 0), 59-65 % of the edge arguments x and
+26-37 % of the group widths dx lie beyond 746.
 
 Temperatures below grid.T_FLOOR are clamped inside the group evaluations,
 and build_frequency_grid refuses a last edge whose x at T_FLOOR would
@@ -63,6 +71,7 @@ _TAIL_CUT = 40.0  # tail term k is kept where (k-1) z < 40; e^{-40} ~ 4e-18
 # From z = 50 on, e^{-z} S(z) < 3e-17 is below half an ulp of Phi(inf), so
 # Phi(z) rounds to Phi(inf); planck_integral returns it without the tail.
 _PHI_FULL = 50.0
+_EXP_ZERO = 746.0  # e^{-y} is exactly zero from here on (module docstring)
 
 #: Relative change at which the per-cell material Newton stops.
 NEWTON_TOL = 1.0e-10
@@ -147,8 +156,8 @@ class _GroupTerms:
         self.x0 = x[:-1]
         self.x1 = x[1:]
         self.dx = self.x1 - self.x0
-        self.edx = edx = np.exp(-self.dx)
-        ex = np.exp(-x)
+        self.edx = edx = _exp_neg(self.dx)
+        ex = _exp_neg(x)
 
         # Scaled edge values wherever x > 1, which covers every high group's edges.
         big = x > 1.0
@@ -203,6 +212,11 @@ class _GroupTerms:
         ratio_d = self.dpsi / self.dphi
         dkappa = kappa * (ratio_n - 3.0 + ratio_d) / self.T
         return kappa, dkappa
+
+
+def _exp_neg(y):
+    """e^{-y} of y >= 0, evaluated only where y < _EXP_ZERO and exactly zero beyond."""
+    return np.exp(-y, out=np.zeros(y.shape), where=y < _EXP_ZERO)
 
 
 def _power_series(z):

@@ -55,8 +55,8 @@ energies, fluxes and boundary currents at half the work.
 
 Intensity arrays are laid out as the sweep works, (4, ny, nx, M_oct, G):
 octant in quad.octants order, cell row, cell column, the octant's
-directions, group; the FOM and the VEF offline phase carry psi so from
-step to step. Face fluxes: Fx (G, ny, nx+1), Fy (G, ny+1, nx).
+directions, group; the FOM and the VEF's streamed auxiliary sweep
+carry psi so from step to step. Face fluxes: Fx (G, ny, nx+1), Fy (G, ny+1, nx).
 """
 
 from __future__ import annotations
@@ -111,10 +111,11 @@ class BoundaryInflow:
 def planckian_inflow(fgrid: FrequencyGrid, T_drive: float, sides=("left",)) -> BoundaryInflow:
     """Blackbody drive at T_drive on the given sides, vacuum elsewhere.
 
-    An unknown side or a T_drive that is not positive and finite raises ConfigError.
+    An unknown side or a T_drive that is not positive and finite, or is a
+    bool, raises ConfigError.
     """
     check_sides(sides)
-    if not 0.0 < T_drive < np.inf:
+    if isinstance(T_drive, (bool, np.bool_)) or not 0.0 < T_drive < np.inf:
         raise ConfigError(f"drive inflow requires a positive finite T_drive, got {T_drive}")
     B = group_planck(T_drive, fgrid)
     values = {side: (B.copy() if side in sides else None) for side in SIDES}

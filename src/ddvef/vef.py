@@ -10,7 +10,7 @@ face-to-cell density ratio eta, and reads c/2 for Marshak. The
 VEF is one pipeline, fused_pipeline. Each step re-solves the linear
 transport equation on a given temperature history - opacity and emission
 frozen at the data - and extracts one closure record at the end of the
-step (the auxiliary, or offline, solve). The step's closed radiation
+step (the streamed auxiliary sweep). The step's closed radiation
 moment system is then solved with that record (the online solve): per
 group
 
@@ -70,8 +70,8 @@ Every online step converges its temperature through iteration.couple, the
 one radiation/material coupling loop of all the models. The VEF
 temperature differs from its data by the transport correction VEF - data,
 which changes little from one step to the next, so step n + 1 starts at
-its own data temperature, at which its opacity and emission were frozen
-offline, plus the correction step n left:
+its own data temperature, at which its auxiliary sweep froze its opacity
+and emission, plus the correction step n left:
 
     T_start = max(T_data[n+1] + (T_vef[n] - T_data[n]), GUARD_FACTOR T_data[n+1]),
 

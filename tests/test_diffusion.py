@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddvef.diffusion import (
+    MODEL_KINDS,
     BoundaryCondition,
     DiffusionProblem,
     FaceForms,
@@ -829,6 +830,24 @@ class TestRunDriver:
         assert hist.T.shape == (4, 2, 3)
         assert hist.E.shape == (4, 17, 2, 3)
         np.testing.assert_allclose(hist.times, 0.1 * np.arange(4), atol=1e-15)
+
+    @pytest.mark.parametrize("model", MODEL_KINDS)
+    def test_march_is_a_loop_of_diffusion_step(self, model):
+        # A march reads the problem's boundary tables as a single step does:
+        # every level equals the hand loop's, bit for bit.
+        prob = benchmark_problem(nx=3, ny=2)
+        hist = run_diffusion_model(prob, model, 1e-3, 0.02, 3)
+        state = initial_moment_state(prob, 1e-3)
+        for level in range(1, 4):
+            state, _ = diffusion_step(prob, state, 0.02, model)
+            assert np.array_equal(hist.T[level], state.T) and np.array_equal(hist.E[level], state.E)
+
+    def test_boundary_tables_are_built_once_with_the_problem_and_read_only(self):
+        prob = benchmark_problem(nx=3, ny=2)
+        np.testing.assert_array_equal(prob._F_in, prob.incoming_currents())
+        for table, fresh in zip(prob._boundary, _marshak_boundary(prob, prob.incoming_currents())):
+            np.testing.assert_array_equal(table, fresh)
+        assert not any(a.flags.writeable for a in (prob._F_in, *prob._boundary))
 
     def test_zero_duration_keeps_initial_state_only(self):
         prob = benchmark_problem(nx=3, ny=2)

@@ -365,6 +365,16 @@ class TestEdgeEvaluation:
         with pytest.raises(ConfigError, match="overflows"):
             build_frequency_grid((1.0, 1.0e72))
 
+    def test_masked_exponential_is_exp_bit_for_bit(self):
+        # _exp_neg skips e^{-y} past 746, where it is exactly zero: a dense
+        # grid over [740, 750], the ulps around the cutoff and far out.
+        cut = physics._EXP_ZERO
+        near = np.nextafter(cut, np.array([-np.inf, np.inf]))
+        y = np.concatenate([np.linspace(740.0, 750.0, 100_001), [cut], near, np.geomspace(1.0e3, 1.0e300, 10_001)])
+        got = physics._exp_neg(y)
+        assert np.array_equal(got, np.exp(-y)) and not np.signbit(got).any()
+
+
 class TestConstantOpacity:
     def test_broadcast_and_zero_derivative(self):
         fg = build_frequency_grid([1.0, 1e7])

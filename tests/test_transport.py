@@ -671,9 +671,9 @@ class TestPlanckianInflow:
         with pytest.raises(ConfigError, match=sides[-1]):
             planckian_inflow(build_frequency_grid(), 1.0, sides=sides)
 
-    @pytest.mark.parametrize("T_drive", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("T_drive", [-1.0, 0.0, np.nan, np.inf, True, np.True_])
     def test_bad_drive_temperature_rejected(self, T_drive):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="T_drive"):
             planckian_inflow(build_frequency_grid(), T_drive)
 
 

@@ -59,6 +59,8 @@ T_COLD = 1.0e-3
 T_DRIVE = 1.0
 DT = 2.0**-6  # ns; a binary step keeps the data grid's differences exact, so dt matches a fixed-step march
 N_STEPS = 3
+#: Largest normalised energy-budget defect a converged step may leave, as in tests/test_regimes.py.
+BALANCE_TOL = 1.0e-7
 #: Frequency-group bounds of the random problems, by group count.
 GROUP_BOUNDS = {1: (1.0e7,), 2: (3.0, 1.0e7), 17: BENCHMARK_GROUP_BOUNDS}
 
@@ -464,6 +466,30 @@ def test_equilibrium_stays_stationary_on_random_problems(nx, ny, aspect, G, T0, 
     for history in histories:
         np.testing.assert_allclose(history.T, T0, rtol=1.0e-13, atol=0.0, err_msg=history.label)
         assert np.all(np.abs(history.E - E0) <= E_bound), history.label
+
+
+@settings(max_examples=40)
+@given(
+    nx=st.integers(1, 5), ny=st.integers(1, 5), aspect=st.floats(0.2, 5.0), G=st.sampled_from([1, 2, 17]),
+    T0=st.floats(0.01, 3.0), T_drive=st.floats(0.01, 3.0), side=st.sampled_from(SIDES), dt=st.floats(1.0e-3, 1.0),
+)
+def test_every_step_closes_its_energy_balance_on_random_driven_problems(nx, ny, aspect, G, T0, T_drive, side, dt):
+    # The random problems of the equilibrium test above, started at T0 and
+    # driven at T_drive on one side with vacuum elsewhere: every step of
+    # P1, P1/3, FLD, the isotropic record stepped by vef_step and the FOM
+    # closes its energy budget to tests/test_regimes.py's BALANCE_TOL.
+    fgrid = build_frequency_grid(GROUP_BOUNDS[G])
+    mesh = SpatialMesh(nx, ny, 1.5 * nx, 1.5 * ny * aspect)
+    material, eos = InverseCubeMaterial(fgrid), MaterialEOS(benchmark_cv(1.0))
+    diffusion = DiffusionProblem(mesh, fgrid, material, eos, standard_boundaries(T_drive, (side,)))
+    quad = build_angular_quadrature(2, 4)
+    problem = TransportProblem(mesh, quad, fgrid, material, eos, planckian_inflow(fgrid, T_drive, (side,)))
+    histories = [run_diffusion_model(diffusion, model, T0, dt, 2) for model in ("p1", "p13", "fld")] + [
+        march_records(problem, [(dt, isotropic_closure(diffusion))] * 2, T0), run_fom(problem, T0, dt, 2),
+    ]
+    for history in histories:
+        residuals = [d.balance_residual for d in history.diagnostics]
+        assert max(residuals) <= BALANCE_TOL, (history.label, residuals)
 
 
 @pytest.mark.parametrize("T_eq", [0.3, 1.0])
