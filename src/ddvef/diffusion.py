@@ -308,7 +308,11 @@ class MomentSystem:
     block-diagonal system, group g's block at offset g*n_black, in the
     fill-reducing numbering of the black cells that _red_black takes once
     per mesh from COLAMD (permc_spec="NATURAL" then keeps it, instead of
-    ordering on every pass).
+    ordering on every pass). Each pass factorizes S afresh, and each
+    SuperLU factorization allocates its workspace, a few MB, and frees it
+    again; the heap policy the package sets at import (ddvef's module
+    docstring) keeps that memory for the next pass instead of handing it
+    back to the kernel.
 
     What the step fixes is folded in once, when the system is built:
     1/dt and the boundary coefficients into a base diagonal, E_prev/dt and

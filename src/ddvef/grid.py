@@ -45,7 +45,12 @@ def check_sides(sides) -> None:
 
 @dataclass(frozen=True)
 class SpatialMesh:
-    """Uniform rectangular mesh; lengths in cm, areas per unit depth in z."""
+    """Uniform rectangular mesh; lengths in cm, areas per unit depth in z.
+
+    A cell count that is not a whole number of at least one, or is a bool,
+    and an extent that is not positive and finite, or is a bool, raise
+    ConfigError.
+    """
 
     nx: int
     ny: int
@@ -56,8 +61,8 @@ class SpatialMesh:
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in (self.nx, self.ny)):
             raise ConfigError(f"mesh needs a whole number of at least one cell per axis, got {self.nx}x{self.ny}")
         # Written so that nan, which fails every comparison, is rejected too.
-        if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
-            raise ConfigError(f"mesh extents must be positive and finite, got {self.lx} x {self.ly}")
+        if any(isinstance(length, (bool, np.bool_)) or not 0.0 < length < np.inf for length in (self.lx, self.ly)):
+            raise ConfigError(f"mesh extents must be positive and finite numbers, not bools, got {self.lx} x {self.ly}")
 
     @property
     def dx(self) -> float:

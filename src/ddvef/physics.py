@@ -274,15 +274,19 @@ class InverseCubeMaterial:
 
 @dataclass(frozen=True)
 class ConstantOpacity:
-    """Temperature-independent group opacities (verification problems)."""
+    """Temperature-independent group opacities (verification problems).
+
+    values that are not a finite, non-negative (G,) array, or are bools,
+    raise ValueError.
+    """
 
     fgrid: FrequencyGrid
     values: np.ndarray  # (G,) [1/cm]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.fgrid.n_groups,) or not np.all((values >= 0.0) & (values < np.inf)):
-            raise ValueError(f"opacities must be a finite, non-negative ({self.fgrid.n_groups},) array, got {self.values!r}")
+        is_bool, values = np.asarray(self.values).dtype == bool, np.asarray(self.values, dtype=float)
+        if is_bool or values.shape != (self.fgrid.n_groups,) or not np.all((values >= 0.0) & (values < np.inf)):
+            raise ValueError(f"opacities must be a finite, non-negative ({self.fgrid.n_groups},) array, not bools, got {self.values!r}")
         object.__setattr__(self, "values", values)
 
     def emission_terms(self, T, constants: PhysicalConstants):

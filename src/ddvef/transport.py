@@ -80,7 +80,8 @@ class BoundaryInflow:
     """Isotropic incoming intensity per side, (G,) arrays; None = vacuum.
 
     A non-finite or negative value raises ConfigError naming its side: the
-    sweep would carry it into a NaN energy or a negative intensity.
+    sweep would carry it into a NaN energy or a negative intensity. So does
+    an array of bools, which would read as intensities of 0 and 1.
     """
 
     left: np.ndarray | None = None
@@ -93,10 +94,10 @@ class BoundaryInflow:
             v = getattr(self, side)
             if v is None:
                 continue
-            v = np.asarray(v, dtype=float)
+            is_bool, v = np.asarray(v).dtype == bool, np.asarray(v, dtype=float)
             # Written so that nan, which fails every comparison, is rejected too.
-            if not np.all((v >= 0.0) & (v < np.inf)):
-                raise ConfigError(f"inflow for side {side!r} must be finite and nonnegative, got {v}")
+            if is_bool or not np.all((v >= 0.0) & (v < np.inf)):
+                raise ConfigError(f"inflow for side {side!r} must be finite and nonnegative numbers, not bools, got {v}")
 
     def value(self, side: str, n_groups: int) -> np.ndarray:
         v = getattr(self, side)

@@ -386,7 +386,11 @@ class TestConstantOpacity:
         np.testing.assert_array_equal(B, group_planck(np.ones((3, 3)), fg))
 
     @pytest.mark.parametrize(
-        "values", [np.array([1.0, -0.5]), np.array([1.0, np.nan]), np.array([np.inf, 1.0]), np.ones(3), np.ones((2, 1))],
+        "values",
+        [
+            np.array([1.0, -0.5]), np.array([1.0, np.nan]), np.array([np.inf, 1.0]), np.ones(3), np.ones((2, 1)),
+            np.ones(2, bool), [True, False],
+        ],
     )
     def test_bad_opacities_rejected(self, values):
         with pytest.raises(ValueError, match="non-negative"):

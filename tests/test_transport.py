@@ -598,11 +598,13 @@ def benchmark_like_problem(nx=4, ny=4, n_polar=2, n_az=4, drive_sides=("left",))
 
 class TestBoundaryInflow:
     @pytest.mark.parametrize("side", SIDES)
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, "bools"])
     def test_non_finite_or_negative_value_rejected(self, side, bad):
-        # Swept, such a value would give a NaN energy or a negative intensity.
+        # Swept, such a value would give a NaN energy or a negative intensity;
+        # an array of bools would be swept as intensities of 0 and 1.
+        value = np.ones(17, bool) if bad == "bools" else np.array([0.5, bad])
         with pytest.raises(ConfigError, match=side):
-            BoundaryInflow(**{side: np.array([0.5, bad])})
+            BoundaryInflow(**{side: value})
 
     def test_problem_with_an_inflow_that_is_not_a_boundary_inflow_rejected(self):
         # A dict of side arrays used to construct and fail on the first step
